@@ -25,7 +25,6 @@ from .dumpsys import (
     UsageAggregate,
     UsageEvent,
     UsageReport,
-    bucket_for,
     parse_netstats,
     parse_network_stack,
     parse_usagestats,
@@ -35,13 +34,12 @@ from .evidence import (
     EvidenceBundle,
     EvidenceItem,
     SourceKind,
-    TimeBucket,
     Timestamp,
     seal_bundle,
     verify_bundle,
 )
 from .host_artifacts import FtpServerEntry, KnownHostEntry, parse_filezilla, parse_known_hosts
-from .policy import ManifestInfo, PolicyVerdict, audit_inventory, check_abi, check_watch_policy, parse_manifest
+from .policy import ManifestInfo, PolicyVerdict, audit_inventory, check_abi, parse_manifest
 
 __version__ = "0.1.0"
 
@@ -63,16 +61,13 @@ __all__ = [
     "PatternRule",
     "PolicyVerdict",
     "SourceKind",
-    "TimeBucket",
     "Timestamp",
     "UsageAggregate",
     "UsageEvent",
     "UsageReport",
     "audit_inventory",
-    "bucket_for",
     "build_timeline",
     "check_abi",
-    "check_watch_policy",
     "corroborate",
     "grade_volume",
     "match_sessions",

@@ -185,13 +185,56 @@ class AcquisitionResult:
     display_zone: str
 
 
+def seal_acquisition(
+    captured: Sequence[tuple[str, SourceKind, bytes, int]],
+    origin_label: str,
+    display_zone: str,
+    failures: Sequence[StepFailure] = (),
+    clock_offset_seconds: Optional[int] = None,
+) -> AcquisitionResult:
+    """Hash labelled payloads into a sealed bundle; the one way bundles are built.
+
+    `captured` holds one (step label, source kind, raw bytes, collection
+    epoch) per payload, in manifest order. The device profile is taken from
+    the getprop payloads.
+    """
+    items: list[EvidenceItem] = []
+    payloads: dict[str, bytes] = {}
+    labels: dict[str, str] = {}
+    prop_values: dict[str, str] = {}
+    for label, source_kind, raw, at in captured:
+        item = EvidenceItem.from_bytes(source_kind, raw, Timestamp(at, display_zone), origin_label)
+        items.append(item)
+        payloads[item.key()] = raw
+        labels[item.key()] = label
+        if source_kind == SourceKind.GETPROP:
+            prop_values[label] = raw.decode(errors="replace").strip()
+
+    # A live-acquisition profile must carry the CPU ABI; without it the
+    # policy audit cannot trust the profile, so none is recorded.
+    device = None
+    if prop_values.get("cpu_abi"):
+        device = DeviceProfile(
+            model_number=prop_values.get("model", ""),
+            android_version=prop_values.get("android_version", ""),
+            cpu_abi=prop_values["cpu_abi"],
+            adb_host_name=prop_values.get("host_name", ""),
+        )
+
+    if not items:
+        raise AcquisitionError("every acquisition step failed; nothing to seal")
+    bundle = seal_bundle(items, device, payloads=payloads)
+    return AcquisitionResult(
+        bundle, payloads, labels, list(failures), device, clock_offset_seconds, display_zone
+    )
+
+
 def run_acquisition(
     executor: CommandExecutor,
     plan: Optional[AcquisitionPlan] = None,
     clock: Optional[Clock] = None,
     origin_label: str = "watch",
     display_zone: str = "Asia/Seoul",
-    measure_clock_offset: bool = True,
 ) -> AcquisitionResult:
     """Run every plan step, hashing raw stdout into an evidence bundle.
 
@@ -205,11 +248,8 @@ def run_acquisition(
     plan = plan or default_plan()
     clock = clock or (lambda: int(_time.time()))
 
-    items: list[EvidenceItem] = []
-    payloads: dict[str, bytes] = {}
-    labels: dict[str, str] = {}
+    captured: list[tuple[str, SourceKind, bytes, int]] = []
     failures: list[StepFailure] = []
-    prop_values: dict[str, str] = {}
     last_at = -1
 
     for i, step in enumerate(plan.steps):
@@ -227,37 +267,17 @@ def run_acquisition(
                 StepFailure(step.label, f"exit status {status}: {stderr.decode(errors='replace').strip()}")
             )
             continue
-        item = EvidenceItem.from_bytes(step.source_kind, stdout, Timestamp(at, display_zone), origin_label)
-        items.append(item)
-        payloads[item.key()] = stdout
-        labels[item.key()] = step.label
-        if step.source_kind == SourceKind.GETPROP:
-            prop_values[step.label] = stdout.decode(errors="replace").strip()
-
-    # A live-acquisition profile must carry the CPU ABI; without it the
-    # policy audit cannot trust the profile, so none is recorded.
-    device = None
-    if prop_values.get("cpu_abi"):
-        device = DeviceProfile(
-            model_number=prop_values.get("model", ""),
-            android_version=prop_values.get("android_version", ""),
-            cpu_abi=prop_values["cpu_abi"],
-            adb_host_name=prop_values.get("host_name", ""),
-        )
+        captured.append((step.label, step.source_kind, stdout, at))
 
     offset = None
-    if measure_clock_offset:
-        try:
-            status, stdout, _ = executor.execute("date +%s")
-            if status == 0 and stdout.strip().isdigit():
-                offset = int(stdout.strip()) - clock()
-        except ExecutorUnreachableError:
-            pass
+    try:
+        status, stdout, _ = executor.execute("date +%s")
+        if status == 0 and stdout.strip().isdigit():
+            offset = int(stdout.strip()) - clock()
+    except ExecutorUnreachableError:
+        pass
 
-    if not items:
-        raise AcquisitionError("every acquisition step failed; nothing to seal")
-    bundle = seal_bundle(items, device, payloads=payloads)
-    return AcquisitionResult(bundle, payloads, labels, failures, device, offset, display_zone)
+    return seal_acquisition(captured, origin_label, display_zone, failures, offset)
 
 
 class SteppingClock:

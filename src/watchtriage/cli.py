@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import acquisition, correlate, dumpsys, policy, report, simulator
-from .evidence import EvidenceItem, SourceKind, Timestamp, verify_bundle
+from .evidence import SourceKind, Timestamp, verify_bundle
 from .host_artifacts import load_host_artifacts, locate_host_artifacts
 
 ENV_PREFIX = "WATCHTRIAGE_"
@@ -253,28 +253,11 @@ def cmd_generate(args) -> int:
     else:
         scenario = simulator.random_scenario(args.seed)
 
-    usagestats, netstats, network_stack = simulator.render_dumps(scenario, args.bucket_seconds)
+    dumps = simulator.render_dumps(scenario, args.bucket_seconds)
+    kinds = (SourceKind.USAGESTATS, SourceKind.NETSTATS, SourceKind.NETWORK_STACK)
+    captured = [(kind.value, kind, text.encode(), scenario.capture_time) for kind, text in zip(kinds, dumps)]
+    result = acquisition.seal_acquisition(captured, "synthetic", scenario.display_zone)
     out = Path(args.out)
-    texts = {
-        "usagestats": (SourceKind.USAGESTATS, usagestats),
-        "netstats": (SourceKind.NETSTATS, netstats),
-        "network_stack": (SourceKind.NETWORK_STACK, network_stack),
-    }
-    items, payloads, labels = [], {}, {}
-    for label, (kind, text) in texts.items():
-        raw = text.encode()
-        item = EvidenceItem.from_bytes(
-            kind, raw, Timestamp(scenario.capture_time, scenario.display_zone), "synthetic"
-        )
-        items.append(item)
-        payloads[item.key()] = raw
-        labels[item.key()] = label
-    from .evidence import seal_bundle
-
-    bundle = seal_bundle(items, payloads=payloads)
-    result = acquisition.AcquisitionResult(
-        bundle, payloads, labels, [], None, None, scenario.display_zone
-    )
     acquisition.write_bundle_dir(result, out)
     (out / "scenario.json").write_text(
         json.dumps(simulator.scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
@@ -286,7 +269,7 @@ def cmd_generate(args) -> int:
         (host_dir / "recentservers.xml").write_text(filezilla_xml)
         if known_hosts:
             (host_dir / "known_hosts").write_text(known_hosts)
-    print(f"synthetic bundle written to {out} (digest {bundle.bundle_manifest_digest})")
+    print(f"synthetic bundle written to {out} (digest {result.bundle.bundle_manifest_digest})")
     return EXIT_OK
 
 
@@ -316,6 +299,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result.overall_pass else EXIT_DETECTIONS
 
 
+def _positive_seconds(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive whole number of seconds, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="watchtriage",
@@ -323,14 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bundle_required=True):
-        p.add_argument("--bundle", required=bundle_required, help="bundle directory")
+    def add_bucket_seconds(p):
+        # A string default goes through `type` only when the flag is absent,
+        # so a bad environment value fails the subcommands that take the flag.
         p.add_argument(
             "--bucket-seconds",
-            type=int,
-            default=int(_env("BUCKET_SECONDS", correlate.DEFAULT_BUCKET_SECONDS)),
+            type=_positive_seconds,
+            default=_env("BUCKET_SECONDS", str(correlate.DEFAULT_BUCKET_SECONDS)),
             help="traffic bucket duration (default 3600)",
         )
+
+    def add_common(p):
+        p.add_argument("--bundle", required=True, help="bundle directory")
+        add_bucket_seconds(p)
         p.add_argument(
             "--display-zone",
             default=_env("DISPLAY_ZONE", "Asia/Seoul"),
@@ -373,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", choices=sorted(simulator.PRESETS), help="built-in scenario")
     group.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--seed", type=int, default=0, help="seed for a random scenario")
-    p.add_argument("--bucket-seconds", type=int, default=int(_env("BUCKET_SECONDS", 3600)))
+    add_bucket_seconds(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 

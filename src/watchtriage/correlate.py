@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,7 +40,7 @@ from .host_artifacts import FtpServerEntry, KnownHostEntry
 
 DEFAULT_BUCKET_SECONDS = 3600
 DEFAULT_UNCLASSIFIED_MIN_BYTES = 10_000_000
-DEFAULT_CLOCK_SKEW_BOUND = 7 * 86400
+CLOCK_SKEW_BOUND = 7 * 86400
 
 
 class AmbiguityFlag(Enum):
@@ -124,7 +124,6 @@ class TimelineEntry:
     at: Timestamp
     source_kind: SourceKind
     description: str
-    payload: object = field(compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,6 @@ def build_timeline(
     net: Sequence[NetUsageRecord],
     leases: NetworkStackLog,
     bucket_duration: int = DEFAULT_BUCKET_SECONDS,
-    clock_skew_bound: int = DEFAULT_CLOCK_SKEW_BOUND,
 ) -> Timeline:
     """Merge the three sources into one ascending event stream.
 
@@ -152,9 +150,7 @@ def build_timeline(
     """
     entries: list[TimelineEntry] = []
     for ev in report.events_24h:
-        entries.append(
-            TimelineEntry(ev.at, SourceKind.USAGESTATS, f"{ev.event_type} {ev.package}", ev)
-        )
+        entries.append(TimelineEntry(ev.at, SourceKind.USAGESTATS, f"{ev.event_type} {ev.package}"))
     for rec in net:
         close = rec.st.shifted(bucket_duration)
         entries.append(
@@ -162,7 +158,6 @@ def build_timeline(
                 close,
                 SourceKind.NETSTATS,
                 f"traffic bucket {rec.network_id} st={rec.st.epoch} rb={rec.rb} tb={rec.tb}",
-                rec,
             )
         )
     for lease in leases.leases:
@@ -172,7 +167,6 @@ def build_timeline(
                 lease.at,
                 SourceKind.NETWORK_STACK,
                 f"{lease.event_kind.value} {lease.interface} ip={lease.private_ip}{ssid}",
-                lease,
             )
         )
     entries.sort(key=lambda e: e.at.epoch)  # stable; ties keep source order
@@ -181,10 +175,10 @@ def build_timeline(
     if leases.leases and report.events_24h:
         last_lease = max(l.at.epoch for l in leases.leases)
         first_usage = min(e.at.epoch for e in report.events_24h)
-        if last_lease < first_usage - clock_skew_bound:
+        if last_lease < first_usage - CLOCK_SKEW_BOUND:
             warnings.append(
                 f"possible clock skew: newest lease ({last_lease}) precedes all usage "
-                f"events (earliest {first_usage}) by more than {clock_skew_bound}s"
+                f"events (earliest {first_usage}) by more than {CLOCK_SKEW_BOUND}s"
             )
     return Timeline(tuple(entries), report, tuple(net), leases, bucket_duration, tuple(warnings))
 
@@ -235,7 +229,7 @@ def grade_volume(session: AppNetworkSession) -> DirectionSummary:
     return DirectionSummary(sum(b.rb for b in session.buckets), sum(b.tb for b in session.buckets))
 
 
-def match_sessions(timeline: Timeline, bucket_duration: Optional[int] = None) -> list[AppNetworkSession]:
+def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
     """Partition traffic buckets into app-network sessions.
 
     An app event joins a bucket when its time falls within [st, st+duration).
@@ -244,7 +238,7 @@ def match_sessions(timeline: Timeline, bucket_duration: Optional[int] = None) ->
     equality, falling back to time containment only when the session is not
     flagged with the several-networks ambiguity.
     """
-    duration = bucket_duration or timeline.bucket_duration
+    duration = timeline.bucket_duration
     records = timeline.records
     events = timeline.report.events_24h
     aggregates = timeline.report.aggregates

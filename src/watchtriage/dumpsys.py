@@ -4,7 +4,9 @@ The dumps are consumed in the line-oriented grammar documented in
 docs/fixture-grammar.md, which mirrors the real dumpsys field vocabulary
 (time=/type=/package=, networkId, st/rb/rp/tb/tp, DHCP lease lines). Unknown
 lines never abort a parse; they are collected as warnings. A JSON-lines
-pre-tokenized form of each dump is accepted as well.
+pre-tokenized form of each dump is accepted as well: each dump has one
+tokenizer per format, and both feed the same semantic pass (capture time,
+24h window, boot marker, sort), so a record means the same in either form.
 
 Precision semantics preserved from the source services:
   - usagestats events carry second precision and only cover the 24 hours
@@ -21,11 +23,12 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .evidence import DEFAULT_DISPLAY_ZONE, TimeBucket, Timestamp, parse_timestamp
+from .evidence import DEFAULT_DISPLAY_ZONE, Timestamp, parse_timestamp
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 
@@ -68,11 +71,15 @@ class LeaseKind(Enum):
     OTHER = "other"
 
 
-_LEASE_TOKEN_MAP = {
+# The one lease-kind mapping, shared by both formats: the text tokens and the
+# LeaseKind values both name a kind; any other value is OTHER, and the event
+# keeps the raw value.
+_LEASE_KINDS = {
     "DHCP_ACK": LeaseKind.DHCP_ACK,
     "LEASE_RENEW": LeaseKind.LEASE_RENEW,
     "IF_UP": LeaseKind.INTERFACE_UP,
     "IF_DOWN": LeaseKind.INTERFACE_DOWN,
+    **{kind.value: kind for kind in LeaseKind},
 }
 
 
@@ -161,19 +168,44 @@ class NetworkStackLog:
     boot_epoch_marker: Optional[Timestamp] = None
 
 
-def bucket_for(st: Timestamp, duration: int = 3600) -> TimeBucket:
-    """Half-open traffic bucket starting at `st` verbatim."""
-    return TimeBucket(st, duration)
-
-
-def _require_text(text: str):
+def _tokenize(text: str, text_form, jsonl_form, *args) -> dict[type, list]:
+    """Run the dump's tokenizer (JSON-lines when the first non-blank
+    character is `{`, text otherwise) and group its tokens by type, in
+    dump order; warnings are the `str` tokens."""
     if not text or not text.strip():
         raise EmptyDumpError("dump text is empty")
+    tokenizer = jsonl_form if text.lstrip().startswith("{") else text_form
+    tokens: dict[type, list] = defaultdict(list)
+    for token in tokenizer(text, *args):
+        tokens[type(token)].append(token)
+    return tokens
 
 
-def _is_jsonl(text: str) -> bool:
-    head = text.lstrip()
-    return head.startswith("{")
+def _lines(text: str):
+    """(line number, stripped line) for every non-blank line."""
+    for lineno, raw_line in enumerate(text.splitlines(), 1):
+        line = raw_line.strip()
+        if line:
+            yield lineno, line
+
+
+def _jsonl(text: str, record):
+    """Tokenize a JSON-lines dump: `record(obj)` turns one object into a
+    domain record, or None to skip it; any failure warns for that line."""
+    for lineno, line in _lines(text):
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+            token = record(obj)
+        except (KeyError, ValueError, TypeError) as exc:
+            token = f"line {lineno}: {exc}"
+        if token is not None:
+            yield token
+
+
+def _lease(at: Timestamp, interface: str, ip: str, raw_kind: str, network_id: Optional[str]) -> LeaseEvent:
+    return LeaseEvent(at, interface, ip, _LEASE_KINDS.get(raw_kind, LeaseKind.OTHER), raw_kind, network_id)
 
 
 _QUOTED = r'"([^"]*)"'
@@ -195,31 +227,16 @@ _SECTION_HEADERS = {
 }
 
 
-def parse_usagestats(
-    text: str,
-    capture_time: Optional[Timestamp] = None,
-    zone: str = DEFAULT_DISPLAY_ZONE,
-) -> tuple[UsageReport, list[str]]:
-    """Parse a usagestats dump into a report plus per-line warnings.
+# --- Tokenizers: one per dump and format. Each yields domain records, the
+# dump's own capture time or boot markers as Timestamps, and per-line
+# warnings as strings. Capture records are skipped unparsed unless
+# `want_capture`, and only the first one is yielded.
 
-    `capture_time` normally comes from acquisition metadata; when omitted, a
-    capture-time= header inside the dump is used. Events outside the 24-hour
-    detail window ending at the capture time are dropped with a warning.
-    """
-    _require_text(text)
-    if capture_time is not None:
-        zone = capture_time.zone
-    if _is_jsonl(text):
-        return _parse_usagestats_jsonl(text, capture_time, zone)
 
-    warnings: list[str] = []
-    events: list[UsageEvent] = []
-    aggregates: list[UsageAggregate] = []
+def _usagestats_text(text: str, zone: str, want_capture: bool):
     section = None
-
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.strip()
-        if not line or line.startswith("DUMP OF SERVICE"):
+    for lineno, line in _lines(text):
+        if line.startswith("DUMP OF SERVICE"):
             continue
         header = _SECTION_HEADERS.get(line.lower())
         if header is not None:
@@ -227,124 +244,59 @@ def parse_usagestats(
             continue
         m = _CAPTURE_RE.search(line)
         if m:
-            if capture_time is None:
-                capture_time = parse_timestamp(m.group(1), zone)
+            if want_capture:
+                want_capture = False
+                yield parse_timestamp(m.group(1), zone)
             continue
         m = _EVENT_RE.search(line)
         if m:
             try:
                 at = parse_timestamp(m.group(1), zone)
             except ValueError as exc:
-                warnings.append(f"line {lineno}: bad event time ({exc})")
+                yield f"line {lineno}: bad event time ({exc})"
                 continue
-            events.append(UsageEvent(at, m.group(3), m.group(2)))
+            yield UsageEvent(at, m.group(3), m.group(2))
             continue
         m = _AGGREGATE_RE.search(line)
         if m and isinstance(section, AggregateWindow):
             try:
                 last_used = parse_timestamp(m.group(2) + ":00", zone)
             except ValueError as exc:
-                warnings.append(f"line {lineno}: bad aggregate time ({exc})")
+                yield f"line {lineno}: bad aggregate time ({exc})"
                 continue
-            aggregates.append(UsageAggregate(section, m.group(1), last_used, int(m.group(3))))
+            yield UsageAggregate(section, m.group(1), last_used, int(m.group(3)))
             continue
-        warnings.append(f"line {lineno}: unrecognized: {line[:80]}")
+        yield f"line {lineno}: unrecognized: {line[:80]}"
 
-    if capture_time is None:
-        raise ParseError("capture time required: pass capture_time or include a capture-time= header")
 
-    kept = []
-    window_start = capture_time.epoch - USAGE_WINDOW_SECONDS
-    for ev in events:
-        if ev.at.epoch < window_start or ev.at.epoch > capture_time.epoch:
-            warnings.append(
-                f"event for {ev.package} at {ev.at.render()} lies outside the 24h detail window; dropped"
+def _usagestats_jsonl(text: str, zone: str, want_capture: bool):
+    def record(obj):
+        nonlocal want_capture
+        kind = obj.get("record")
+        if kind == "event":
+            return UsageEvent(Timestamp(int(obj["at"]), zone), obj["package"], obj["event_type"])
+        if kind == "aggregate":
+            return UsageAggregate(
+                AggregateWindow(obj["window"]),
+                obj["package"],
+                Timestamp(int(obj["last_used"]), zone),
+                int(obj["use_count"]),
             )
-        else:
-            kept.append(ev)
-    kept.sort(key=lambda e: e.at.epoch)  # stable: ties keep input order
-    return UsageReport(capture_time, tuple(kept), tuple(aggregates)), warnings
+        if kind == "capture":
+            if not want_capture:
+                return None
+            capture = Timestamp(int(obj["at"]), zone)
+            want_capture = False
+            return capture
+        raise ValueError(f"unknown record kind {kind!r}")
+
+    return _jsonl(text, record)
 
 
-def _parse_usagestats_jsonl(
-    text: str, capture_time: Optional[Timestamp], zone: str
-) -> tuple[UsageReport, list[str]]:
-    warnings: list[str] = []
-    events: list[UsageEvent] = []
-    aggregates: list[UsageAggregate] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            record = obj.get("record")
-            if record == "capture":
-                if capture_time is None:
-                    capture_time = Timestamp(int(obj["at"]), zone)
-            elif record == "event":
-                events.append(UsageEvent(Timestamp(int(obj["at"]), zone), obj["package"], obj["event_type"]))
-            elif record == "aggregate":
-                aggregates.append(
-                    UsageAggregate(
-                        AggregateWindow(obj["window"]),
-                        obj["package"],
-                        Timestamp(int(obj["last_used"]), zone),
-                        int(obj["use_count"]),
-                    )
-                )
-            else:
-                warnings.append(f"line {lineno}: unknown record kind {record!r}")
-        except (KeyError, ValueError, TypeError) as exc:
-            warnings.append(f"line {lineno}: {exc}")
-    if capture_time is None:
-        raise ParseError("capture time required: pass capture_time or include a capture record")
-    kept = []
-    window_start = capture_time.epoch - USAGE_WINDOW_SECONDS
-    for ev in events:
-        if ev.at.epoch < window_start or ev.at.epoch > capture_time.epoch:
-            warnings.append(
-                f"event for {ev.package} at {ev.at.render()} lies outside the 24h detail window; dropped"
-            )
-        else:
-            kept.append(ev)
-    kept.sort(key=lambda e: e.at.epoch)
-    return UsageReport(capture_time, tuple(kept), tuple(aggregates)), warnings
-
-
-def parse_netstats(
-    text: str, zone: str = DEFAULT_DISPLAY_ZONE
-) -> tuple[list[NetUsageRecord], list[str]]:
-    """Parse a netstats dump into traffic bucket records, order preserved."""
-    _require_text(text)
-    warnings: list[str] = []
-    records: list[NetUsageRecord] = []
-
-    if _is_jsonl(text):
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                records.append(
-                    NetUsageRecord(
-                        obj["network_id"],
-                        Timestamp(int(obj["st"]), zone),
-                        int(obj["rb"]),
-                        int(obj["rp"]),
-                        int(obj["tb"]),
-                        int(obj["tp"]),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                warnings.append(f"line {lineno}: {exc}")
-        return records, warnings
-
+def _netstats_text(text: str, zone: str):
     current_network: Optional[str] = None
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.strip()
-        if not line or line.startswith("DUMP OF SERVICE"):
+    for lineno, line in _lines(text):
+        if line.startswith("DUMP OF SERVICE"):
             continue
         if line.endswith("stats:") or line.startswith("NetworkStatsHistory"):
             continue
@@ -355,18 +307,113 @@ def parse_netstats(
         m = _ST_LINE_RE.search(line)
         if m:
             if current_network is None:
-                warnings.append(f"line {lineno}: counter line before any networkId")
+                yield f"line {lineno}: counter line before any networkId"
                 continue
             counters = [int(g) for g in m.groups()[1:]]
             if any(c < 0 for c in counters):
-                warnings.append(f"line {lineno}: negative counter; dropped")
+                yield f"line {lineno}: negative counter; dropped"
                 continue
-            records.append(
-                NetUsageRecord(current_network, Timestamp(int(m.group(1)), zone), *counters)
-            )
+            yield NetUsageRecord(current_network, Timestamp(int(m.group(1)), zone), *counters)
             continue
-        warnings.append(f"line {lineno}: unrecognized: {line[:80]}")
-    return records, warnings
+        yield f"line {lineno}: unrecognized: {line[:80]}"
+
+
+def _netstats_jsonl(text: str, zone: str):
+    def record(obj):
+        return NetUsageRecord(
+            obj["network_id"],
+            Timestamp(int(obj["st"]), zone),
+            int(obj["rb"]),
+            int(obj["rp"]),
+            int(obj["tb"]),
+            int(obj["tp"]),
+        )
+
+    return _jsonl(text, record)
+
+
+def _network_stack_text(text: str, zone: str):
+    for lineno, line in _lines(text):
+        if line.startswith("DUMP OF SERVICE"):
+            continue
+        m = _BOOT_RE.search(line)
+        if m:
+            try:
+                yield parse_timestamp(m.group(1), zone)
+            except ValueError as exc:
+                yield f"line {lineno}: bad boot time ({exc})"
+            continue
+        m = _LEASE_RE.search(line)
+        if m:
+            try:
+                yield _lease(parse_timestamp(m.group(1), zone), m.group(2), m.group(4), m.group(3), m.group(5))
+            except ValueError as exc:
+                yield f"line {lineno}: bad lease line ({exc})"
+            continue
+        yield f"line {lineno}: unrecognized: {line[:80]}"
+
+
+def _network_stack_jsonl(text: str, zone: str):
+    def record(obj):
+        kind = obj.get("record")
+        if kind == "lease":
+            return _lease(
+                Timestamp(int(obj["at"]), zone),
+                obj.get("interface", "wlan0"),
+                obj["private_ip"],
+                obj.get("event_kind", "dhcp_ack"),
+                obj.get("network_id"),
+            )
+        if kind == "boot":
+            return Timestamp(int(obj["at"]), zone)
+        raise ValueError(f"unknown record kind {kind!r}")
+
+    return _jsonl(text, record)
+
+
+# --- Semantic passes: one per dump, shared by both formats.
+
+
+def parse_usagestats(
+    text: str,
+    capture_time: Optional[Timestamp] = None,
+    zone: str = DEFAULT_DISPLAY_ZONE,
+) -> tuple[UsageReport, list[str]]:
+    """Parse a usagestats dump into a report plus per-line warnings.
+
+    `capture_time` normally comes from acquisition metadata; when omitted, the
+    dump's first capture-time= header (capture record) is used. Events
+    outside the 24-hour detail window ending at the capture time are dropped
+    with a warning.
+    """
+    if capture_time is not None:
+        zone = capture_time.zone
+    tokens = _tokenize(text, _usagestats_text, _usagestats_jsonl, zone, capture_time is None)
+    warnings = tokens[str]
+    if capture_time is None:
+        if not tokens[Timestamp]:
+            raise ParseError("capture time required: pass capture_time or include a capture-time= header")
+        capture_time = tokens[Timestamp][0]
+
+    kept = []
+    window_start = capture_time.epoch - USAGE_WINDOW_SECONDS
+    for ev in tokens[UsageEvent]:
+        if ev.at.epoch < window_start or ev.at.epoch > capture_time.epoch:
+            warnings.append(
+                f"event for {ev.package} at {ev.at.render()} lies outside the 24h detail window; dropped"
+            )
+        else:
+            kept.append(ev)
+    kept.sort(key=lambda e: e.at.epoch)  # stable: ties keep input order
+    return UsageReport(capture_time, tuple(kept), tuple(tokens[UsageAggregate])), warnings
+
+
+def parse_netstats(
+    text: str, zone: str = DEFAULT_DISPLAY_ZONE
+) -> tuple[list[NetUsageRecord], list[str]]:
+    """Parse a netstats dump into traffic bucket records, order preserved."""
+    tokens = _tokenize(text, _netstats_text, _netstats_jsonl, zone)
+    return tokens[NetUsageRecord], tokens[str]
 
 
 def parse_network_stack(
@@ -374,63 +421,13 @@ def parse_network_stack(
 ) -> tuple[NetworkStackLog, list[str]]:
     """Parse a network_stack dump into DHCP lease events plus boot marker.
 
-    Lease lines predating the boot marker are rejected with a warning: the
-    service log does not survive a reboot, so such lines cannot be genuine.
+    Lease lines predating the boot marker (the last one in the dump) are
+    rejected with a warning: the service log does not survive a reboot, so
+    such lines cannot be genuine.
     """
-    _require_text(text)
-    warnings: list[str] = []
-    leases: list[LeaseEvent] = []
-    boot: Optional[Timestamp] = None
-
-    if _is_jsonl(text):
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if obj.get("record") == "boot":
-                    boot = Timestamp(int(obj["at"]), zone)
-                elif obj.get("record") == "lease":
-                    leases.append(
-                        LeaseEvent(
-                            Timestamp(int(obj["at"]), zone),
-                            obj.get("interface", "wlan0"),
-                            obj["private_ip"],
-                            LeaseKind(obj.get("event_kind", "dhcp_ack")),
-                            obj.get("event_kind", "dhcp_ack"),
-                            obj.get("network_id"),
-                        )
-                    )
-                else:
-                    warnings.append(f"line {lineno}: unknown record kind")
-            except (KeyError, ValueError, TypeError, ipaddress.AddressValueError) as exc:
-                warnings.append(f"line {lineno}: {exc}")
-    else:
-        for lineno, raw_line in enumerate(text.splitlines(), 1):
-            line = raw_line.strip()
-            if not line or line.startswith("DUMP OF SERVICE"):
-                continue
-            m = _BOOT_RE.search(line)
-            if m:
-                try:
-                    boot = parse_timestamp(m.group(1), zone)
-                except ValueError as exc:
-                    warnings.append(f"line {lineno}: bad boot time ({exc})")
-                continue
-            m = _LEASE_RE.search(line)
-            if m:
-                token = m.group(3)
-                kind = _LEASE_TOKEN_MAP.get(token, LeaseKind.OTHER)
-                try:
-                    leases.append(
-                        LeaseEvent(parse_timestamp(m.group(1), zone), m.group(2), m.group(4), kind, token, m.group(5))
-                    )
-                except (ValueError, ipaddress.AddressValueError) as exc:
-                    warnings.append(f"line {lineno}: bad lease line ({exc})")
-                continue
-            warnings.append(f"line {lineno}: unrecognized: {line[:80]}")
-
+    tokens = _tokenize(text, _network_stack_text, _network_stack_jsonl, zone)
+    warnings, leases = tokens[str], tokens[LeaseEvent]
+    boot = tokens[Timestamp][-1] if tokens[Timestamp] else None
     if boot is not None:
         kept = []
         for lease in leases:

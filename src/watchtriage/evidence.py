@@ -89,26 +89,6 @@ def parse_timestamp(text: str, zone: str = DEFAULT_DISPLAY_ZONE) -> Timestamp:
 
 
 @dataclass(frozen=True)
-class TimeBucket:
-    """Half-open interval [start, start + duration)."""
-
-    start: Timestamp
-    duration_seconds: int = 3600
-
-    def __post_init__(self):
-        if self.duration_seconds <= 0:
-            raise ValueError(f"duration_seconds must be positive, got {self.duration_seconds}")
-
-    @property
-    def end_epoch(self) -> int:
-        return self.start.epoch + self.duration_seconds
-
-    def contains(self, t: Timestamp | int) -> bool:
-        epoch = t.epoch if isinstance(t, Timestamp) else t
-        return self.start.epoch <= epoch < self.end_epoch
-
-
-@dataclass(frozen=True)
 class DeviceProfile:
     model_number: str = ""
     android_version: str = ""

@@ -140,20 +140,6 @@ def _parse_aapt_dump(text: str) -> ManifestInfo:
     return ManifestInfo(package, tuple(features), tuple(abis))
 
 
-def check_watch_policy(info: ManifestInfo) -> PolicyVerdict:
-    """Feature-dimension check: absence of the watch feature flags the app."""
-    present = WATCH_FEATURE in info.uses_features
-    if present:
-        return PolicyVerdict(
-            info.package, True, None, VerdictKind.COMPLIANT,
-            f"declares {WATCH_FEATURE}",
-        )
-    return PolicyVerdict(
-        info.package, False, None, VerdictKind.SIDELOADED_PHONE_APP,
-        f"manifest does not declare {WATCH_FEATURE}; likely built for a phone",
-    )
-
-
 def check_abi(apk_abis: Sequence[str], device_abi: str) -> AbiCheck:
     """Can the device execute any of the APK's native ABIs?
 

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from watchtriage import correlate, dumpsys, host_artifacts, simulator
@@ -34,3 +36,26 @@ def run_pipeline(scenario, with_host=True, rules=correlate.DEFAULT_RULES, bucket
 @pytest.fixture
 def pipeline():
     return run_pipeline
+
+
+def run_bucket_join(st, duration, event_epochs, zone="Asia/Seoul"):
+    """Correlate one traffic bucket [st, st+duration) with one app event at
+    each of event_epochs; return the bucket and the epochs that joined it."""
+    def dump(rows):
+        return "".join(json.dumps(row) + "\n" for row in rows)
+
+    capture = max([st + duration, *event_epochs]) + 1
+    usage = [{"record": "capture", "at": capture}]
+    usage += [{"record": "event", "at": at, "package": f"app.at{at}", "event_type": "ACTIVITY_RESUMED"}
+              for at in event_epochs]
+    net = [{"network_id": "net", "st": st, "rb": 1, "rp": 1, "tb": 1, "tp": 1}]
+    report, _ = dumpsys.parse_usagestats(dump(usage), zone=zone)
+    records, _ = dumpsys.parse_netstats(dump(net), zone)
+    timeline = correlate.build_timeline(report, records, dumpsys.NetworkStackLog(()), duration)
+    (session,) = correlate.match_sessions(timeline)
+    return session.buckets[0], [e.at.epoch for e in session.app_events]
+
+
+@pytest.fixture
+def bucket_join():
+    return run_bucket_join

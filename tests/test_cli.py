@@ -1,8 +1,12 @@
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
+from watchtriage import acquisition, cli, correlate, dumpsys, policy, report, simulator
 from watchtriage.cli import main
 from tests.test_acquisition import GALAXY_WATCH5_TRANSCRIPTS
 from tests.test_policy import PHONE_MANIFEST, WATCH_MANIFEST
@@ -271,9 +275,46 @@ class TestUsageErrors:
         assert status == 2
         assert "inventory entry #1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    def test_bad_bucket_seconds_exits_2(self, value, source, tmp_path, monkeypatch, capsys):
+        for argv in (["correlate", "--bundle", str(tmp_path)], ["generate", "--out", str(tmp_path / "o")]):
+            if source == "flag":
+                argv = argv + ["--bucket-seconds", value]
+            else:
+                monkeypatch.setenv("WATCHTRIAGE_BUCKET_SECONDS", value)
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            assert "--bucket-seconds" in capsys.readouterr().err
+
+    def test_bad_bucket_seconds_env_does_not_affect_verify(self, case_bundle, monkeypatch, capsys):
+        monkeypatch.setenv("WATCHTRIAGE_BUCKET_SECONDS", "abc")
+        assert run(["verify", "--bundle", str(case_bundle)]) == 0
+
     def test_scenario_missing_capture_time_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"app_sessions": []}))
         status = run(["generate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
         assert status == 2
         assert "capture_time" in capsys.readouterr().err
+
+
+class TestBenchmarkEntryPoints:
+    """bench/spans.py wraps named entry points; a rename must fail here, not in the benchmark."""
+
+    def test_benchmark_can_wrap_and_restore_every_entry_point(self, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look their module up
+        spec.loader.exec_module(spans)
+        owners = (acquisition, cli, correlate, dumpsys, policy, report, report.ReportDocument, simulator)
+        before = [dict(vars(owner)) for owner in owners]
+        tracer = spans.Tracer()
+        try:
+            spans.instrument(tracer)
+            assert [dict(vars(owner)) for owner in owners] != before
+        finally:
+            tracer.restore()
+        assert [dict(vars(owner)) for owner in owners] == before

@@ -75,19 +75,28 @@ class TestBuildTimeline:
 
 class TestMatchSessions:
     def test_event_joins_bucket_on_half_open_interval(self, pipeline):
-        # event at exactly st joins; event at st+duration joins the next bucket
-        s = simulator.Scenario(
-            capture_time=1683809100,
-            app_sessions=(simulator.AppSession("com.x", 1683802800, 1683806400),),
-            wifi_sessions=(
-                simulator.WifiSession("net", 1683802800, 1683806300, 1000, 0, "10.0.0.1"),
-            ),
-        )
-        sessions = pipeline(s)["sessions"]
-        with_event = [sess for sess in sessions if sess.packages == ("com.x",)]
-        # ACTIVITY_PAUSED at 1683806400 is outside [1683802800, 1683806400)
-        assert len(with_event) == 1
-        assert [e.at.epoch for e in with_event[0].app_events] == [1683802800]
+        # Events at st and st+duration-1 join [st, st+duration); an event at
+        # st+duration joins the next bucket; one at st-1 joins neither.
+        capture = 1683809100
+        for duration in (1800, 3600, 7200):
+            st = (capture - 3 * duration) // duration * duration
+            s = simulator.Scenario(
+                capture_time=capture,
+                app_sessions=(
+                    simulator.AppSession("com.before", st - 600, st - 1),
+                    simulator.AppSession("com.first", st, st + duration - 1),
+                    simulator.AppSession("com.second", st + duration, st + 2 * duration - 200),
+                ),
+                wifi_sessions=(
+                    simulator.WifiSession("net", st, st + 2 * duration - 100, 1000, 0, "10.0.0.1"),
+                ),
+            )
+            sessions = pipeline(s, bucket_seconds=duration)["sessions"]
+            assert [(sess.packages, [b.st.epoch for b in sess.buckets], [e.at.epoch for e in sess.app_events])
+                    for sess in sessions] == [
+                (("com.first",), [st], [st, st + duration - 1]),
+                (("com.second",), [st + duration], [st + duration, st + 2 * duration - 200]),
+            ], duration
 
     def test_sftp_session_resolves_lease_ip(self, pipeline):
         sessions = pipeline(simulator.preset_sftp_server())["sessions"]

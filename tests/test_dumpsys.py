@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from watchtriage import simulator
@@ -7,7 +9,6 @@ from watchtriage.dumpsys import (
     LeaseKind,
     ParseError,
     UsageEventKind,
-    bucket_for,
     parse_netstats,
     parse_network_stack,
     parse_usagestats,
@@ -252,25 +253,95 @@ class TestParseNetworkStack:
 
 
 class TestBucketFor:
-    def test_camera_hour_bucket(self):
-        # st=1683547200 renders as 21:00 May 8 2023 in the display zone
-        bucket = bucket_for(Timestamp(1683547200, KST))
-        assert bucket.start.epoch == 1683547200
-        assert bucket.start.wall() == "2023-05-08 21:00:00"
-        assert bucket.contains(1683547200)
-        assert not bucket.contains(1683547200 + 3600)
+    """A traffic bucket collects the app events in [st, st+duration)."""
 
-    def test_epoch_zero(self):
-        bucket = bucket_for(Timestamp(0))
-        assert bucket.contains(0)
-        assert bucket.contains(3599)
-        assert not bucket.contains(3600)
+    def test_camera_hour_bucket(self, bucket_join):
+        # st=1683547200 renders as 21:00 May 8 2023 in the display zone
+        st = 1683547200
+        bucket, joined = bucket_join(st, 3600, [st, st + 3600], zone=KST)
+        assert bucket.st.epoch == st
+        assert bucket.st.wall() == "2023-05-08 21:00:00"
+        assert joined == [st]
+
+    def test_epoch_zero(self, bucket_join):
+        _, joined = bucket_join(0, 3600, [0, 3599, 3600])
+        assert joined == [0, 3599]
 
     @pytest.mark.parametrize("st,duration", [(1683718800, 3600), (17, 60), (123456, 7200)])
-    def test_boundary_property(self, st, duration):
-        bucket = bucket_for(Timestamp(st), duration)
-        assert bucket.contains(st)
-        assert not bucket.contains(st + duration)
+    def test_boundary_property(self, bucket_join, st, duration):
+        _, joined = bucket_join(st, duration, [st, st + duration])
+        assert joined == [st]
+
+
+def render_jsonl(s: simulator.Scenario) -> tuple[str, str, str]:
+    """The scenario's dumps in the JSON-lines form of docs/fixture-grammar.md.
+
+    Unlike simulator.render_dumps, it leaves the 24h window, the reboot and
+    the sort to the parser: every app event and every lease is written, in
+    scenario order.
+    """
+    def lines(rows):
+        return "".join(json.dumps(row) + "\n" for row in rows)
+
+    usage = [{"record": "capture", "at": s.capture_time}]
+    for a in s.app_sessions:
+        usage.append({"record": "event", "at": a.start, "package": a.package, "event_type": "ACTIVITY_RESUMED"})
+        usage.append({"record": "event", "at": a.end, "package": a.package, "event_type": "ACTIVITY_PAUSED"})
+    usage += [{"record": "aggregate", "window": w, "package": pkg, "last_used": last, "use_count": n}
+              for w, pkg, last, n in simulator.ground_truth_aggregates(s)]
+    records = simulator.ground_truth_records(s)
+    ssids = dict.fromkeys(ssid for ssid, *_ in records)  # the text dump groups rows by network
+    net = [{"network_id": ssid, "st": st, "rb": rb, "rp": rp, "tb": tb, "tp": tp}
+           for network in ssids for ssid, st, rb, rp, tb, tp in records if ssid == network]
+    stack = []
+    boot = simulator.last_reboot_before_capture(s)
+    if boot is not None:
+        stack.append({"record": "boot", "at": boot})
+    stack += [{"record": "lease", "at": w.start, "interface": "wlan0", "event_kind": "dhcp_ack",
+               "private_ip": w.assigned_ip, "network_id": w.ssid if s.leases_carry_ssid else None}
+              for w in s.wifi_sessions]
+    return lines(usage), lines(net), lines(stack)
+
+
+EQUIVALENCE_SCENARIOS = {name: factory() for name, factory in simulator.PRESETS.items()}
+# Seeds 10 and 65 have leases from before a reboot, 65 without SSIDs.
+EQUIVALENCE_SCENARIOS.update((f"seed-{seed}", simulator.random_scenario(seed)) for seed in (0, 7, 10, 42, 65, 150))
+
+
+class TestFrontEndEquivalence:
+    """Text and JSON-lines dumps of the same evidence parse to the same result."""
+
+    @pytest.mark.parametrize("name", EQUIVALENCE_SCENARIOS)
+    def test_both_forms_parse_alike(self, name):
+        scenario = EQUIVALENCE_SCENARIOS[name]
+        parsed = []
+        for usagestats, netstats, network_stack in (simulator.render_dumps(scenario), render_jsonl(scenario)):
+            report, _ = parse_usagestats(usagestats, zone=scenario.display_zone)
+            records, _ = parse_netstats(netstats, scenario.display_zone)
+            log, _ = parse_network_stack(network_stack, scenario.display_zone)
+            leases = [(l.at, l.interface, l.private_ip, l.event_kind, l.network_id) for l in log.leases]
+            parsed.append((report, records, log.boot_epoch_marker, leases))
+        assert parsed[0] == parsed[1]
+
+    @pytest.mark.parametrize("raw,kind", [
+        ("DHCP_ACK", LeaseKind.DHCP_ACK),
+        ("dhcp_ack", LeaseKind.DHCP_ACK),
+        ("LEASE_RENEW", LeaseKind.LEASE_RENEW),
+        ("lease_renew", LeaseKind.LEASE_RENEW),
+        ("IF_UP", LeaseKind.INTERFACE_UP),
+        ("interface_up", LeaseKind.INTERFACE_UP),
+        ("IF_DOWN", LeaseKind.INTERFACE_DOWN),
+        ("interface_down", LeaseKind.INTERFACE_DOWN),
+        ("PROVISIONING", LeaseKind.OTHER),
+    ])
+    def test_lease_kind_vocabulary_is_shared(self, raw, kind):
+        text = f'time="2023-05-11 10:00:00" iface=wlan0 event={raw} ip=10.0.0.2\n'
+        jsonl = json.dumps({"record": "lease", "at": 1683766800, "interface": "wlan0",
+                            "event_kind": raw, "private_ip": "10.0.0.2"}) + "\n"
+        for dump in (text, jsonl):
+            log, warnings = parse_network_stack(dump, KST)
+            assert warnings == []
+            assert [(l.at.epoch, l.event_kind, l.raw_kind) for l in log.leases] == [(1683766800, kind, raw)]
 
 
 def test_round_trip_recovers_simulated_events_exactly():
@@ -337,6 +408,13 @@ def test_tolerates_realistic_dump_scaffolding():
     records, _ = parse_netstats(netstats_text)
     assert len(records) == 1
     assert records[0].rb == 47_185_920
+
+
+@pytest.mark.parametrize("parse", [parse_usagestats, parse_netstats, parse_network_stack])
+def test_jsonl_line_that_is_not_an_object_warns(parse):
+    text = '{"record": "capture", "at": 1683766560}\n[1, 2]\n'
+    _, warnings = parse(text)
+    assert "line 2: expected a JSON object, got list" in warnings
 
 
 def test_parsers_are_total_on_garbage_input():

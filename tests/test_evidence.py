@@ -6,7 +6,6 @@ from watchtriage.evidence import (
     EvidenceItem,
     InvalidBundleError,
     SourceKind,
-    TimeBucket,
     Timestamp,
     canonical_json_bytes,
     compute_digest,
@@ -43,21 +42,15 @@ class TestTimestamp:
         assert t.render() == "2023-05-10 16:14:16 +00:00"
 
 
-class TestTimeBucket:
-    def test_contains_half_open(self):
-        b = TimeBucket(Timestamp(1683547200), 3600)
-        assert b.contains(1683547200)
-        assert b.contains(1683547200 + 3599)
-        assert not b.contains(1683547200 + 3600)
-        assert not b.contains(1683547199)
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValueError):
-            TimeBucket(Timestamp(0), 0)
-
-
 def _item(kind, raw, epoch=1683766560, origin="watch"):
     return EvidenceItem.from_bytes(kind, raw, Timestamp(epoch), origin)
+
+
+class TestTimeBucket:
+    def test_contains_half_open(self, bucket_join):
+        st = 1683547200
+        _, joined = bucket_join(st, 3600, [st - 1, st, st + 3599, st + 3600])
+        assert joined == [st, st + 3599]
 
 
 class TestSealBundle:

@@ -10,7 +10,6 @@ from watchtriage.policy import (
     VerdictKind,
     audit_inventory,
     check_abi,
-    check_watch_policy,
     combine_verdict,
     load_inventory,
     parse_manifest,
@@ -80,24 +79,26 @@ class TestParseManifest:
 
 
 class TestCheckWatchPolicy:
+    """The feature check alone: no device ABI to weigh."""
+
     def test_watch_feature_present_is_compliant(self):
-        verdict = check_watch_policy(parse_manifest(WATCH_MANIFEST))
+        verdict = combine_verdict(parse_manifest(WATCH_MANIFEST), None)
         assert verdict.verdict == VerdictKind.COMPLIANT
         assert verdict.watch_feature_present
 
     def test_phone_manifest_flagged_sideloaded(self):
-        verdict = check_watch_policy(parse_manifest(PHONE_MANIFEST))
+        verdict = combine_verdict(parse_manifest(PHONE_MANIFEST), None)
         assert verdict.verdict == VerdictKind.SIDELOADED_PHONE_APP
         assert not verdict.watch_feature_present
 
     def test_empty_feature_list_flagged(self):
-        verdict = check_watch_policy(ManifestInfo("com.bare"))
+        verdict = combine_verdict(ManifestInfo("com.bare"), None)
         assert verdict.verdict == VerdictKind.SIDELOADED_PHONE_APP
 
     def test_unrelated_features_never_change_outcome(self):
         base = ManifestInfo("com.app", (WATCH_FEATURE,))
         noisy = ManifestInfo("com.app", (WATCH_FEATURE, "a.b.c", "d.e.f", "g.h.i"))
-        assert check_watch_policy(base).verdict == check_watch_policy(noisy).verdict == VerdictKind.COMPLIANT
+        assert combine_verdict(base, None).verdict == combine_verdict(noisy, None).verdict == VerdictKind.COMPLIANT
 
 
 class TestCheckAbi:
