@@ -19,6 +19,7 @@ clock, never the device's; the device-vs-host offset is measured once with
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -27,6 +28,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 from .evidence import (
+    DEFAULT_DISPLAY_ZONE,
     DeviceProfile,
     EvidenceBundle,
     EvidenceItem,
@@ -34,6 +36,7 @@ from .evidence import (
     Timestamp,
     canonical_json_bytes,
     seal_bundle,
+    zone_name,
 )
 
 Clock = Callable[[], int]
@@ -203,7 +206,7 @@ def seal_acquisition(
     labels: dict[str, str] = {}
     prop_values: dict[str, str] = {}
     for label, source_kind, raw, at in captured:
-        item = EvidenceItem.from_bytes(source_kind, raw, Timestamp(at, display_zone), origin_label)
+        item = EvidenceItem.from_bytes(source_kind, raw, Timestamp(at), origin_label)
         items.append(item)
         payloads[item.key()] = raw
         labels[item.key()] = label
@@ -234,7 +237,7 @@ def run_acquisition(
     plan: Optional[AcquisitionPlan] = None,
     clock: Optional[Clock] = None,
     origin_label: str = "watch",
-    display_zone: str = "Asia/Seoul",
+    display_zone: str = DEFAULT_DISPLAY_ZONE,
 ) -> AcquisitionResult:
     """Run every plan step, hashing raw stdout into an evidence bundle.
 
@@ -297,17 +300,27 @@ class SteppingClock:
 #
 # <out>/manifest.json   canonical manifest + digest + file map + extras
 # <out>/raw/<label>.txt exact bytes of each step's stdout
+#
+# Every file path is relative to <out> and must stay inside it.
+
+
+def _inside(bundle_dir: Path, rel) -> Path:
+    """bundle_dir/rel with `..` resolved, or AcquisitionError unless rel is a
+    relative path that stays inside bundle_dir."""
+    if isinstance(rel, str) and not os.path.isabs(rel):
+        rel = os.path.normpath(rel)
+        if rel.split(os.sep)[0] != os.pardir:
+            return bundle_dir / rel
+    raise AcquisitionError(f"file path {rel!r} is not a relative path inside the bundle directory")
 
 
 def write_bundle_dir(result: AcquisitionResult, out_dir: Path) -> Path:
     out_dir = Path(out_dir)
+    files = {key: f"raw/{result.labels[key]}.txt" for key in result.payloads}
+    paths = {key: _inside(out_dir, rel) for key, rel in files.items()}
     (out_dir / "raw").mkdir(parents=True, exist_ok=True)
-    files = {}
     for key, raw in result.payloads.items():
-        label = result.labels[key]
-        rel = f"raw/{label}.txt"
-        (out_dir / rel).write_bytes(raw)
-        files[key] = rel
+        paths[key].write_bytes(raw)
     doc = {
         "manifest": result.bundle.manifest_document(),
         "bundle_manifest_digest": result.bundle.bundle_manifest_digest,
@@ -338,11 +351,14 @@ def read_bundle_dir(path: Path) -> LoadedBundle:
         raise AcquisitionError(f"no manifest.json under {path}")
     doc = json.loads(manifest_path.read_text())
     manifest = doc["manifest"]
-    zone = doc.get("display_zone", "Asia/Seoul")
+    try:
+        zone = zone_name(doc.get("display_zone", DEFAULT_DISPLAY_ZONE))
+    except ValueError as exc:
+        raise AcquisitionError(f"{manifest_path}: display_zone: {exc}") from None
     items = tuple(
         EvidenceItem(
             SourceKind(i["source_kind"]),
-            Timestamp(int(i["collected_at"]), zone),
+            Timestamp(int(i["collected_at"])),
             i["raw_bytes_digest"],
             i.get("origin_label", ""),
         )
@@ -357,7 +373,7 @@ def read_bundle_dir(path: Path) -> LoadedBundle:
     payloads = {}
     labels = {}
     for key, rel in doc.get("files", {}).items():
-        file_path = path / rel
+        file_path = _inside(path, rel)
         if file_path.is_file():
             payloads[key] = file_path.read_bytes()
         labels[key] = Path(rel).stem

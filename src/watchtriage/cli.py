@@ -12,8 +12,10 @@ Subcommands compose the pipeline:
 
 Exit codes gate automation: 0 success with nothing detected, 1 completed
 with detections or failed integrity/policy, 2 usage or input errors.
-Environment variables prefixed WATCHTRIAGE_ override the matching flags
-(e.g. WATCHTRIAGE_BUCKET_SECONDS, WATCHTRIAGE_DISPLAY_ZONE).
+Environment variables prefixed WATCHTRIAGE_ supply the defaults of the
+matching flags (e.g. WATCHTRIAGE_DISPLAY_ZONE); a flag given on the command
+line wins. The bucket duration and the zone that dump times are read in
+come from the bundle itself, never from a flag.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import acquisition, correlate, dumpsys, policy, report, simulator
-from .evidence import SourceKind, Timestamp, verify_bundle
+from .evidence import DEFAULT_DISPLAY_ZONE, SourceKind, verify_bundle, zone_name
 from .host_artifacts import load_host_artifacts, locate_host_artifacts
 
 ENV_PREFIX = "WATCHTRIAGE_"
@@ -72,21 +74,22 @@ def _payload_for(loaded: acquisition.LoadedBundle, kind: SourceKind):
     return None, None
 
 
-def _parse_bundle(loaded: acquisition.LoadedBundle, bucket_seconds: int):
+def _parse_bundle(loaded: acquisition.LoadedBundle):
     zone = loaded.display_zone
     warnings: list[str] = []
 
     item, raw = _payload_for(loaded, SourceKind.USAGESTATS)
     if raw is None:
         raise FileNotFoundError("bundle has no usagestats item")
-    capture = Timestamp(item.collected_at.epoch, zone)
-    usage_report, w = dumpsys.parse_usagestats(raw.decode("utf-8", errors="replace"), capture)
+    usage_report, w = dumpsys.parse_usagestats(
+        raw.decode("utf-8", errors="replace"), item.collected_at, zone
+    )
     warnings.extend(f"usagestats: {x}" for x in w)
 
     _, raw = _payload_for(loaded, SourceKind.NETSTATS)
     if raw is None:
         raise FileNotFoundError("bundle has no netstats item")
-    records, w = dumpsys.parse_netstats(raw.decode("utf-8", errors="replace"), zone)
+    records, w = dumpsys.parse_netstats(raw.decode("utf-8", errors="replace"))
     warnings.extend(f"netstats: {x}" for x in w)
 
     _, raw = _payload_for(loaded, SourceKind.NETWORK_STACK)
@@ -95,13 +98,13 @@ def _parse_bundle(loaded: acquisition.LoadedBundle, bucket_seconds: int):
     lease_log, w = dumpsys.parse_network_stack(raw.decode("utf-8", errors="replace"), zone)
     warnings.extend(f"network_stack: {x}" for x in w)
 
-    timeline = correlate.build_timeline(usage_report, records, lease_log, bucket_seconds)
+    timeline = correlate.build_timeline(usage_report, records, lease_log)
     warnings.extend(timeline.warnings)
     return timeline, warnings
 
 
-def _correlate_bundle(loaded, host_dir: str | None, rules, bucket_seconds: int):
-    timeline, warnings = _parse_bundle(loaded, bucket_seconds)
+def _correlate_bundle(loaded, host_dir: str | None, rules):
+    timeline, warnings = _parse_bundle(loaded)
     sessions = correlate.match_sessions(timeline)
 
     ftp_entries, kh_entries, host_items = [], [], []
@@ -161,15 +164,12 @@ def cmd_acquire(args) -> int:
 
 def cmd_parse(args) -> int:
     loaded = _load_bundle_or_fail(args.bundle)
-    timeline, warnings = _parse_bundle(loaded, args.bucket_seconds)
+    timeline, warnings = _parse_bundle(loaded)
     doc = {
         "bundle_manifest_digest": loaded.bundle.bundle_manifest_digest,
         "usagestats": {
             "capture_time": timeline.report.capture_time.epoch,
-            "events": [
-                {"at": e.at.epoch, "rendered": e.at.render(), "package": e.package, "event_type": e.event_type}
-                for e in timeline.report.events_24h
-            ],
+            "events": [correlate.event_to_dict(e, loaded.display_zone) for e in timeline.report.events_24h],
             "aggregates": [
                 {
                     "window": a.window.value,
@@ -208,11 +208,11 @@ def cmd_parse(args) -> int:
 
 def cmd_correlate(args) -> int:
     loaded = _load_bundle_or_fail(args.bundle)
-    findings, _timeline, _host_items, warnings = _correlate_bundle(
-        loaded, args.host_artifacts, _rules_from_args(args), args.bucket_seconds
+    findings, timeline, _host_items, warnings = _correlate_bundle(
+        loaded, args.host_artifacts, _rules_from_args(args)
     )
     doc = correlate.findings_document(
-        findings, loaded.bundle.bundle_manifest_digest, args.bucket_seconds, warnings
+        findings, loaded.bundle.bundle_manifest_digest, timeline.bucket_duration, loaded.display_zone, warnings
     )
     _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     for w in warnings:
@@ -276,7 +276,7 @@ def cmd_generate(args) -> int:
 def cmd_report(args) -> int:
     loaded = _load_bundle_or_fail(args.bundle)
     findings, timeline, host_items, warnings = _correlate_bundle(
-        loaded, args.host_artifacts, _rules_from_args(args), args.bucket_seconds
+        loaded, args.host_artifacts, _rules_from_args(args)
     )
     doc = report.render_report(
         findings, loaded.bundle, timeline, args.display_zone, host_items, warnings
@@ -299,12 +299,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result.overall_pass else EXIT_DETECTIONS
 
 
-def _positive_seconds(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"expected a positive whole number of seconds, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="watchtriage",
@@ -312,25 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_bucket_seconds(p):
-        # A string default goes through `type` only when the flag is absent,
-        # so a bad environment value fails the subcommands that take the flag.
-        p.add_argument(
-            "--bucket-seconds",
-            type=_positive_seconds,
-            default=_env("BUCKET_SECONDS", str(correlate.DEFAULT_BUCKET_SECONDS)),
-            help="traffic bucket duration (default 3600)",
-        )
-
     def add_common(p):
         p.add_argument("--bundle", required=True, help="bundle directory")
-        add_bucket_seconds(p)
-        p.add_argument(
-            "--display-zone",
-            default=_env("DISPLAY_ZONE", "Asia/Seoul"),
-            help="IANA zone for rendering timestamps",
-        )
         p.add_argument("--out", help="write output to this file instead of stdout")
+
+    def add_display_zone(p, help_text):
+        # A string default goes through `type` only when the flag is absent,
+        # so a bad environment value is rejected like a bad flag.
+        p.add_argument(
+            "--display-zone", type=zone_name, default=_env("DISPLAY_ZONE", DEFAULT_DISPLAY_ZONE), help=help_text
+        )
 
     p = sub.add_parser("acquire", help="collect evidence from a device into a bundle directory")
     p.add_argument("--serial", help="adb device serial (host:port for wireless)")
@@ -338,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcripts", help="directory of canned command transcripts (offline mode)")
     p.add_argument("--plan", help="acquisition plan JSON (default: built-in volatility order)")
     p.add_argument("--origin", default="watch", help="origin label recorded on evidence items")
-    p.add_argument("--display-zone", default=_env("DISPLAY_ZONE", "Asia/Seoul"))
+    add_display_zone(p, "IANA zone recorded in the bundle for reading its dump times")
     p.add_argument("--clock-start", type=int, help="deterministic clock start (testing)")
     p.add_argument("--out", required=True, help="bundle output directory")
     p.set_defaults(func=cmd_acquire)
@@ -367,12 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", choices=sorted(simulator.PRESETS), help="built-in scenario")
     group.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--seed", type=int, default=0, help="seed for a random scenario")
-    add_bucket_seconds(p)
+    p.add_argument(
+        "--bucket-seconds",
+        type=dumpsys.positive_seconds,
+        default=dumpsys.DEFAULT_BUCKET_SECONDS,
+        help="traffic bucket duration the netstats dump is rendered with (default 3600)",
+    )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("report", help="render an investigator report from a bundle")
     add_common(p)
+    add_display_zone(p, "IANA zone for rendering timestamps")
     p.add_argument("--host-artifacts", default=_env("HOST_ARTIFACTS", None))
     p.add_argument("--rules", default=_env("RULES", None))
     p.add_argument("--format", choices=["md", "json"], default=_env("FORMAT", "md"))

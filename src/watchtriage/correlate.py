@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .dumpsys import (
+    DEFAULT_BUCKET_SECONDS,
     LeaseEvent,
     NetUsageRecord,
     NetworkStackLog,
@@ -38,7 +39,6 @@ from .dumpsys import (
 from .evidence import SourceKind, Timestamp
 from .host_artifacts import FtpServerEntry, KnownHostEntry
 
-DEFAULT_BUCKET_SECONDS = 3600
 DEFAULT_UNCLASSIFIED_MIN_BYTES = 10_000_000
 CLOCK_SKEW_BOUND = 7 * 86400
 
@@ -137,17 +137,24 @@ class Timeline:
 
 
 def build_timeline(
-    report: UsageReport,
-    net: Sequence[NetUsageRecord],
-    leases: NetworkStackLog,
-    bucket_duration: int = DEFAULT_BUCKET_SECONDS,
+    report: UsageReport, net: Sequence[NetUsageRecord], leases: NetworkStackLog
 ) -> Timeline:
     """Merge the three sources into one ascending event stream.
 
     Traffic buckets are anchored at their window close (st + duration) so
     that an app start inside the hour precedes the traffic summary covering
     it. Every source event appears exactly once, tagged with its origin.
+    The bucket duration is the one the records state; records that disagree
+    raise ValueError, and no records mean DEFAULT_BUCKET_SECONDS.
     """
+    durations = sorted({rec.bucket_duration for rec in net})
+    if len(durations) > 1:
+        raise ValueError(
+            "netstats states more than one bucket duration: "
+            + " and ".join(f"{d} s" for d in durations)
+        )
+    bucket_duration = durations[0] if durations else DEFAULT_BUCKET_SECONDS
+
     entries: list[TimelineEntry] = []
     for ev in report.events_24h:
         entries.append(TimelineEntry(ev.at, SourceKind.USAGESTATS, f"{ev.event_type} {ev.package}"))
@@ -425,19 +432,18 @@ def corroborate(
     return findings
 
 
-def session_to_dict(session: AppNetworkSession, zone: Optional[str] = None) -> dict:
-    def rendered(t: Timestamp) -> str:
-        return Timestamp(t.epoch, zone).render() if zone else t.render()
+def event_to_dict(e: UsageEvent, zone: str) -> dict:
+    return {"at": e.at.epoch, "rendered": e.at.render(zone), "package": e.package, "event_type": e.event_type}
 
+
+def session_to_dict(session: AppNetworkSession, zone: str) -> dict:
+    """JSON form of a session; rendered times are in `zone`."""
     return {
         "packages": list(session.packages),
         "network_ids": list(session.network_ids),
         "app_start": session.app_start.epoch if session.app_start else None,
-        "app_start_rendered": rendered(session.app_start) if session.app_start else None,
-        "app_events": [
-            {"at": e.at.epoch, "rendered": rendered(e.at), "package": e.package, "event_type": e.event_type}
-            for e in session.app_events
-        ],
+        "app_start_rendered": session.app_start.render(zone) if session.app_start else None,
+        "app_events": [event_to_dict(e, zone) for e in session.app_events],
         "buckets": [
             {"network_id": b.network_id, "st": b.st.epoch, "rb": b.rb, "rp": b.rp, "tb": b.tb, "tp": b.tp}
             for b in session.buckets
@@ -464,7 +470,7 @@ def _corroboration_to_dict(entry) -> dict:
     }
 
 
-def finding_to_dict(finding: Finding, zone: Optional[str] = None) -> dict:
+def finding_to_dict(finding: Finding, zone: str) -> dict:
     return {
         "pattern": finding.pattern.value,
         "confidence": finding.confidence.value,
@@ -478,16 +484,17 @@ def finding_to_dict(finding: Finding, zone: Optional[str] = None) -> dict:
 
 def findings_document(
     findings: Sequence[Finding],
-    bundle_digest: Optional[str] = None,
-    bucket_seconds: int = DEFAULT_BUCKET_SECONDS,
+    bundle_digest: Optional[str],
+    bucket_seconds: int,
+    zone: str,
     warnings: Sequence[str] = (),
 ) -> dict:
-    """Stable JSON-serializable findings document."""
+    """Stable JSON-serializable findings document; rendered times are in `zone`."""
     return {
         "schema": "watchtriage.findings/1",
         "bundle_manifest_digest": bundle_digest,
         "bucket_seconds": bucket_seconds,
         "finding_count": len(findings),
-        "findings": [finding_to_dict(f) for f in findings],
+        "findings": [finding_to_dict(f, zone) for f in findings],
         "warnings": list(warnings),
     }

@@ -13,7 +13,8 @@ Precision semantics preserved from the source services:
     before the dump was captured; weekly/monthly/yearly aggregates never
     claim second precision.
   - netstats `st` bucket starts are stored verbatim, with no alignment or
-    rounding applied.
+    rounding applied; each bucket's duration is the one the dump states
+    (`bucketDuration=`), DEFAULT_BUCKET_SECONDS when it states none.
   - network_stack is volatile across reboot: lease events predating a boot
     marker are rejected.
 """
@@ -26,11 +27,13 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 from .evidence import DEFAULT_DISPLAY_ZONE, Timestamp, parse_timestamp
 
 USAGE_WINDOW_SECONDS = 24 * 3600
+DEFAULT_BUCKET_SECONDS = 3600
 
 
 class ParseError(Exception):
@@ -125,7 +128,8 @@ class UsageReport:
 
 @dataclass(frozen=True)
 class NetUsageRecord:
-    """Per-network traffic bucket; `st` is stored exactly as reported."""
+    """Per-network traffic bucket [st, st + bucket_duration); `st` is stored
+    exactly as reported."""
 
     network_id: str
     st: Timestamp
@@ -133,6 +137,7 @@ class NetUsageRecord:
     rp: int
     tb: int
     tp: int
+    bucket_duration: int = DEFAULT_BUCKET_SECONDS
 
     def __post_init__(self):
         for name in ("rb", "rp", "tb", "tp"):
@@ -168,15 +173,15 @@ class NetworkStackLog:
     boot_epoch_marker: Optional[Timestamp] = None
 
 
-def _tokenize(text: str, text_form, jsonl_form, *args) -> dict[type, list]:
-    """Run the dump's tokenizer (JSON-lines when the first non-blank
-    character is `{`, text otherwise) and group its tokens by type, in
-    dump order; warnings are the `str` tokens."""
+def _tokenize(text: str, text_form, jsonl_form) -> dict[type, list]:
+    """Run the dump's tokenizer on `text` (JSON-lines when the first
+    non-blank character is `{`, text otherwise) and group its tokens by
+    type, in dump order; warnings are the `str` tokens."""
     if not text or not text.strip():
         raise EmptyDumpError("dump text is empty")
     tokenizer = jsonl_form if text.lstrip().startswith("{") else text_form
     tokens: dict[type, list] = defaultdict(list)
-    for token in tokenizer(text, *args):
+    for token in tokenizer(text):
         tokens[type(token)].append(token)
     return tokens
 
@@ -204,6 +209,14 @@ def _jsonl(text: str, record):
             yield token
 
 
+def positive_seconds(value) -> int:
+    """A bucket duration, as a dump or `generate` states it: a positive whole
+    number of seconds; ValueError otherwise."""
+    if not str(value).isdecimal() or int(value) == 0:
+        raise ValueError(f"bucketDuration must be a positive whole number of seconds, got {value!r}")
+    return int(value)
+
+
 def _lease(at: Timestamp, interface: str, ip: str, raw_kind: str, network_id: Optional[str]) -> LeaseEvent:
     return LeaseEvent(at, interface, ip, _LEASE_KINDS.get(raw_kind, LeaseKind.OTHER), raw_kind, network_id)
 
@@ -213,6 +226,7 @@ _EVENT_RE = re.compile(r'time=' + _QUOTED + r'\s+type=(\S+)\s+package=(\S+)')
 _AGGREGATE_RE = re.compile(r'package=(\S+)\s+lastTimeUsed=' + _QUOTED + r'\s+totalCount=(\d+)')
 _CAPTURE_RE = re.compile(r'capture-time=' + _QUOTED)
 _NETWORK_ID_RE = re.compile(r'networkId=' + _QUOTED)
+_DURATION_RE = re.compile(r'bucketDuration=(\S*)')
 _ST_LINE_RE = re.compile(r'st=(\d+)\s+rb=(-?\d+)\s+rp=(-?\d+)\s+tb=(-?\d+)\s+tp=(-?\d+)')
 _BOOT_RE = re.compile(r'bootTime=' + _QUOTED)
 _LEASE_RE = re.compile(
@@ -229,8 +243,9 @@ _SECTION_HEADERS = {
 
 # --- Tokenizers: one per dump and format. Each yields domain records, the
 # dump's own capture time or boot markers as Timestamps, and per-line
-# warnings as strings. Capture records are skipped unparsed unless
-# `want_capture`, and only the first one is yielded.
+# warnings as strings. Wall-clock text is read in `zone`. Capture records
+# are skipped unparsed unless `want_capture`, and only the first one is
+# yielded.
 
 
 def _usagestats_text(text: str, zone: str, want_capture: bool):
@@ -269,23 +284,23 @@ def _usagestats_text(text: str, zone: str, want_capture: bool):
         yield f"line {lineno}: unrecognized: {line[:80]}"
 
 
-def _usagestats_jsonl(text: str, zone: str, want_capture: bool):
+def _usagestats_jsonl(text: str, want_capture: bool):
     def record(obj):
         nonlocal want_capture
         kind = obj.get("record")
         if kind == "event":
-            return UsageEvent(Timestamp(int(obj["at"]), zone), obj["package"], obj["event_type"])
+            return UsageEvent(Timestamp(int(obj["at"])), obj["package"], obj["event_type"])
         if kind == "aggregate":
             return UsageAggregate(
                 AggregateWindow(obj["window"]),
                 obj["package"],
-                Timestamp(int(obj["last_used"]), zone),
+                Timestamp(int(obj["last_used"])),
                 int(obj["use_count"]),
             )
         if kind == "capture":
             if not want_capture:
                 return None
-            capture = Timestamp(int(obj["at"]), zone)
+            capture = Timestamp(int(obj["at"]))
             want_capture = False
             return capture
         raise ValueError(f"unknown record kind {kind!r}")
@@ -293,12 +308,20 @@ def _usagestats_jsonl(text: str, zone: str, want_capture: bool):
     return _jsonl(text, record)
 
 
-def _netstats_text(text: str, zone: str):
+def _netstats_text(text: str):
     current_network: Optional[str] = None
+    duration: Optional[int] = DEFAULT_BUCKET_SECONDS  # None: the stated one was invalid
     for lineno, line in _lines(text):
-        if line.startswith("DUMP OF SERVICE"):
+        if line.startswith("DUMP OF SERVICE") or line.endswith("stats:"):
             continue
-        if line.endswith("stats:") or line.startswith("NetworkStatsHistory"):
+        if line.startswith("NetworkStatsHistory"):
+            m = _DURATION_RE.search(line)
+            if m:
+                try:
+                    duration = positive_seconds(m.group(1))
+                except ValueError as exc:
+                    duration = None
+                    yield f"line {lineno}: {exc}"
             continue
         m = _NETWORK_ID_RE.search(line)
         if m:
@@ -309,24 +332,28 @@ def _netstats_text(text: str, zone: str):
             if current_network is None:
                 yield f"line {lineno}: counter line before any networkId"
                 continue
+            if duration is None:
+                yield f"line {lineno}: counter line under an invalid bucketDuration; dropped"
+                continue
             counters = [int(g) for g in m.groups()[1:]]
             if any(c < 0 for c in counters):
                 yield f"line {lineno}: negative counter; dropped"
                 continue
-            yield NetUsageRecord(current_network, Timestamp(int(m.group(1)), zone), *counters)
+            yield NetUsageRecord(current_network, Timestamp(int(m.group(1))), *counters, duration)
             continue
         yield f"line {lineno}: unrecognized: {line[:80]}"
 
 
-def _netstats_jsonl(text: str, zone: str):
+def _netstats_jsonl(text: str):
     def record(obj):
         return NetUsageRecord(
             obj["network_id"],
-            Timestamp(int(obj["st"]), zone),
+            Timestamp(int(obj["st"])),
             int(obj["rb"]),
             int(obj["rp"]),
             int(obj["tb"]),
             int(obj["tp"]),
+            positive_seconds(obj.get("bucket_duration", DEFAULT_BUCKET_SECONDS)),
         )
 
     return _jsonl(text, record)
@@ -353,19 +380,19 @@ def _network_stack_text(text: str, zone: str):
         yield f"line {lineno}: unrecognized: {line[:80]}"
 
 
-def _network_stack_jsonl(text: str, zone: str):
+def _network_stack_jsonl(text: str):
     def record(obj):
         kind = obj.get("record")
         if kind == "lease":
             return _lease(
-                Timestamp(int(obj["at"]), zone),
+                Timestamp(int(obj["at"])),
                 obj.get("interface", "wlan0"),
                 obj["private_ip"],
                 obj.get("event_kind", "dhcp_ack"),
                 obj.get("network_id"),
             )
         if kind == "boot":
-            return Timestamp(int(obj["at"]), zone)
+            return Timestamp(int(obj["at"]))
         raise ValueError(f"unknown record kind {kind!r}")
 
     return _jsonl(text, record)
@@ -381,14 +408,17 @@ def parse_usagestats(
 ) -> tuple[UsageReport, list[str]]:
     """Parse a usagestats dump into a report plus per-line warnings.
 
-    `capture_time` normally comes from acquisition metadata; when omitted, the
-    dump's first capture-time= header (capture record) is used. Events
-    outside the 24-hour detail window ending at the capture time are dropped
-    with a warning.
+    Wall-clock times are read in `zone`. `capture_time` normally comes from
+    acquisition metadata; when omitted, the dump's first capture-time=
+    header (capture record) is used. Events outside the 24-hour detail
+    window ending at the capture time are dropped with a warning.
     """
-    if capture_time is not None:
-        zone = capture_time.zone
-    tokens = _tokenize(text, _usagestats_text, _usagestats_jsonl, zone, capture_time is None)
+    want_capture = capture_time is None
+    tokens = _tokenize(
+        text,
+        partial(_usagestats_text, zone=zone, want_capture=want_capture),
+        partial(_usagestats_jsonl, want_capture=want_capture),
+    )
     warnings = tokens[str]
     if capture_time is None:
         if not tokens[Timestamp]:
@@ -400,7 +430,7 @@ def parse_usagestats(
     for ev in tokens[UsageEvent]:
         if ev.at.epoch < window_start or ev.at.epoch > capture_time.epoch:
             warnings.append(
-                f"event for {ev.package} at {ev.at.render()} lies outside the 24h detail window; dropped"
+                f"event for {ev.package} at {ev.at.render(zone)} lies outside the 24h detail window; dropped"
             )
         else:
             kept.append(ev)
@@ -408,11 +438,15 @@ def parse_usagestats(
     return UsageReport(capture_time, tuple(kept), tuple(tokens[UsageAggregate])), warnings
 
 
-def parse_netstats(
-    text: str, zone: str = DEFAULT_DISPLAY_ZONE
-) -> tuple[list[NetUsageRecord], list[str]]:
-    """Parse a netstats dump into traffic bucket records, order preserved."""
-    tokens = _tokenize(text, _netstats_text, _netstats_jsonl, zone)
+def parse_netstats(text: str) -> tuple[list[NetUsageRecord], list[str]]:
+    """Parse a netstats dump into traffic bucket records, order preserved.
+
+    Each record carries the bucket duration the dump states for it: the
+    nearest `bucketDuration=` above its counter line, or the JSON-lines
+    `bucket_duration` key; DEFAULT_BUCKET_SECONDS where none is stated.
+    Counter lines under an invalid duration are dropped with a warning.
+    """
+    tokens = _tokenize(text, _netstats_text, _netstats_jsonl)
     return tokens[NetUsageRecord], tokens[str]
 
 
@@ -421,11 +455,11 @@ def parse_network_stack(
 ) -> tuple[NetworkStackLog, list[str]]:
     """Parse a network_stack dump into DHCP lease events plus boot marker.
 
-    Lease lines predating the boot marker (the last one in the dump) are
-    rejected with a warning: the service log does not survive a reboot, so
-    such lines cannot be genuine.
+    Wall-clock times are read in `zone`. Lease lines predating the boot
+    marker (the last one in the dump) are rejected with a warning: the
+    service log does not survive a reboot, so such lines cannot be genuine.
     """
-    tokens = _tokenize(text, _network_stack_text, _network_stack_jsonl, zone)
+    tokens = _tokenize(text, partial(_network_stack_text, zone=zone), _network_stack_jsonl)
     warnings, leases = tokens[str], tokens[LeaseEvent]
     boot = tokens[Timestamp][-1] if tokens[Timestamp] else None
     if boot is not None:
@@ -433,7 +467,7 @@ def parse_network_stack(
         for lease in leases:
             if lease.at.epoch < boot.epoch:
                 warnings.append(
-                    f"lease at {lease.at.render()} predates boot marker {boot.render()}; dropped "
+                    f"lease at {lease.at.render(zone)} predates boot marker {boot.render(zone)}; dropped "
                     "(log is volatile across reboot)"
                 )
             else:

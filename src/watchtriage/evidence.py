@@ -1,20 +1,20 @@
 """Core domain types and the tamper-evident evidence bundle.
 
-Timestamps are stored as UTC epoch seconds everywhere; an IANA zone name is
-carried only for rendering. Evidence payloads are hashed at collection time
-and the bundle manifest is a canonical JSON document so its digest is
-reproducible byte-for-byte.
+Timestamps are stored as UTC epoch seconds everywhere; the IANA zone a
+wall-clock string is read or rendered in is always passed in by the caller.
+Evidence payloads are hashed at collection time and the bundle manifest is
+a canonical JSON document so its digest is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Mapping, Optional, Sequence
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 DEFAULT_DISPLAY_ZONE = "Asia/Seoul"
 DEFAULT_HASH = "sha256"
@@ -42,29 +42,37 @@ def canonical_json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
+def zone_name(name: str) -> str:
+    """`name` if it is an IANA zone this system knows; ValueError naming it otherwise."""
+    try:
+        ZoneInfo(name)
+    except (ValueError, TypeError, ZoneInfoNotFoundError):
+        raise ValueError(f"unknown time zone {name!r}") from None
+    return name
+
+
 @dataclass(frozen=True, order=True)
 class Timestamp:
-    """Point in time as UTC epoch seconds; zone is for rendering only."""
+    """Point in time as UTC epoch seconds."""
 
     epoch: int
-    zone: str = field(default=DEFAULT_DISPLAY_ZONE, compare=False)
 
     def __post_init__(self):
         if self.epoch < 0:
             raise ValueError(f"epoch must be >= 0, got {self.epoch}")
 
-    def render(self) -> str:
-        """Wall-clock string in the display zone with explicit UTC offset."""
-        local = datetime.fromtimestamp(self.epoch, ZoneInfo(self.zone))
+    def render(self, zone: str) -> str:
+        """Wall-clock string in `zone` with explicit UTC offset."""
+        local = datetime.fromtimestamp(self.epoch, ZoneInfo(zone))
         offset = local.strftime("%z")
         return f"{local:%Y-%m-%d %H:%M:%S} {offset[:3]}:{offset[3:]}"
 
-    def wall(self, fmt: str = "%Y-%m-%d %H:%M:%S") -> str:
-        """Bare wall-clock string in the display zone (no offset suffix)."""
-        return datetime.fromtimestamp(self.epoch, ZoneInfo(self.zone)).strftime(fmt)
+    def wall(self, zone: str, fmt: str = "%Y-%m-%d %H:%M:%S") -> str:
+        """Bare wall-clock string in `zone` (no offset suffix)."""
+        return datetime.fromtimestamp(self.epoch, ZoneInfo(zone)).strftime(fmt)
 
     def shifted(self, seconds: int) -> "Timestamp":
-        return Timestamp(self.epoch + seconds, self.zone)
+        return Timestamp(self.epoch + seconds)
 
 
 def parse_timestamp(text: str, zone: str = DEFAULT_DISPLAY_ZONE) -> Timestamp:
@@ -75,7 +83,7 @@ def parse_timestamp(text: str, zone: str = DEFAULT_DISPLAY_ZONE) -> Timestamp:
     """
     text = text.strip()
     if text.isdigit():
-        return Timestamp(int(text), zone)
+        return Timestamp(int(text))
     parts = text.rsplit(" ", 1)
     if len(parts) == 2 and (parts[1].startswith("+") or parts[1].startswith("-")):
         naive = datetime.strptime(parts[0], "%Y-%m-%d %H:%M:%S")
@@ -83,9 +91,9 @@ def parse_timestamp(text: str, zone: str = DEFAULT_DISPLAY_ZONE) -> Timestamp:
         hh, mm = parts[1][1:].split(":")
         offset = sign * (int(hh) * 3600 + int(mm) * 60)
         epoch = int(naive.replace(tzinfo=timezone.utc).timestamp()) - offset
-        return Timestamp(epoch, zone)
+        return Timestamp(epoch)
     local = datetime.strptime(text, "%Y-%m-%d %H:%M:%S").replace(tzinfo=ZoneInfo(zone))
-    return Timestamp(int(local.timestamp()), zone)
+    return Timestamp(int(local.timestamp()))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
-from .evidence import EvidenceBundle, SourceKind, Timestamp
+from .evidence import DEFAULT_DISPLAY_ZONE, EvidenceBundle, SourceKind, Timestamp
 from .host_artifacts import FtpServerEntry
 
 LIMITATION_NOTES = {
@@ -63,7 +63,7 @@ class ReportDocument:
         }
 
     def _render(self, t: Timestamp) -> str:
-        return Timestamp(t.epoch, self.display_zone).render()
+        return t.render(self.display_zone)
 
     def to_markdown(self) -> str:
         lines = ["# Smartwatch exfiltration triage report", ""]
@@ -171,7 +171,7 @@ def render_report(
     findings: Sequence[Finding],
     bundle: EvidenceBundle,
     timeline: Optional[Timeline] = None,
-    display_zone: str = "Asia/Seoul",
+    display_zone: str = DEFAULT_DISPLAY_ZONE,
     host_items: Sequence = (),
     warnings: Sequence[str] = (),
 ) -> ReportDocument:
@@ -182,8 +182,7 @@ def render_report(
     rows = []
     if timeline is not None:
         for entry in timeline.entries:
-            at = Timestamp(entry.at.epoch, display_zone)
-            rows.append((at.render(), entry.source_kind.value, entry.description))
+            rows.append((entry.at.render(display_zone), entry.source_kind.value, entry.description))
 
     flag_classes: list[AmbiguityFlag] = []
     for f in findings:

@@ -34,7 +34,7 @@ from .correlate import (
     PatternRule,
     match_pattern,
 )
-from .evidence import DEFAULT_DISPLAY_ZONE, Timestamp
+from .evidence import DEFAULT_DISPLAY_ZONE, Timestamp, zone_name
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))
@@ -84,6 +84,10 @@ def validate(s: Scenario):
     """Raise ScenarioError naming the first violated invariant."""
     if s.capture_time < 0:
         raise ScenarioError("capture_time must be >= 0")
+    try:
+        zone_name(s.display_zone)
+    except ValueError as exc:
+        raise ScenarioError(f"display_zone: {exc}") from None
     for i, a in enumerate(s.app_sessions):
         if not a.package:
             raise ScenarioError(f"app_sessions[{i}]: package must be non-empty")
@@ -206,7 +210,7 @@ def ground_truth_leases(s: Scenario) -> list[tuple[int, str, Optional[str]]]:
 
 
 def _wall(epoch: int, zone: str, fmt: str = "%Y-%m-%d %H:%M:%S") -> str:
-    return Timestamp(epoch, zone).wall(fmt)
+    return Timestamp(epoch).wall(zone, fmt)
 
 
 def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:

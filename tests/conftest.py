@@ -7,14 +7,15 @@ from watchtriage.evidence import Timestamp
 
 
 def run_pipeline(scenario, with_host=True, rules=correlate.DEFAULT_RULES, bucket_seconds=3600):
-    """Render a scenario, parse it back, correlate, and return all stages."""
+    """Render a scenario (netstats with `bucket_seconds` buckets), parse it
+    back, correlate, and return all stages."""
     usagestats, netstats, network_stack = simulator.render_dumps(scenario, bucket_seconds)
     report, w1 = dumpsys.parse_usagestats(
-        usagestats, Timestamp(scenario.capture_time, scenario.display_zone)
+        usagestats, Timestamp(scenario.capture_time), scenario.display_zone
     )
-    records, w2 = dumpsys.parse_netstats(netstats, scenario.display_zone)
+    records, w2 = dumpsys.parse_netstats(netstats)
     lease_log, w3 = dumpsys.parse_network_stack(network_stack, scenario.display_zone)
-    timeline = correlate.build_timeline(report, records, lease_log, bucket_seconds)
+    timeline = correlate.build_timeline(report, records, lease_log)
     sessions = correlate.match_sessions(timeline)
     ftp_entries, kh_entries = [], []
     if with_host:
@@ -38,9 +39,10 @@ def pipeline():
     return run_pipeline
 
 
-def run_bucket_join(st, duration, event_epochs, zone="Asia/Seoul"):
-    """Correlate one traffic bucket [st, st+duration) with one app event at
-    each of event_epochs; return the bucket and the epochs that joined it."""
+def run_bucket_join(st, duration, event_epochs):
+    """Correlate one traffic bucket [st, st+duration), its duration stated
+    only in the dump, with one app event at each of event_epochs; return the
+    bucket and the epochs that joined it."""
     def dump(rows):
         return "".join(json.dumps(row) + "\n" for row in rows)
 
@@ -48,10 +50,11 @@ def run_bucket_join(st, duration, event_epochs, zone="Asia/Seoul"):
     usage = [{"record": "capture", "at": capture}]
     usage += [{"record": "event", "at": at, "package": f"app.at{at}", "event_type": "ACTIVITY_RESUMED"}
               for at in event_epochs]
-    net = [{"network_id": "net", "st": st, "rb": 1, "rp": 1, "tb": 1, "tp": 1}]
-    report, _ = dumpsys.parse_usagestats(dump(usage), zone=zone)
-    records, _ = dumpsys.parse_netstats(dump(net), zone)
-    timeline = correlate.build_timeline(report, records, dumpsys.NetworkStackLog(()), duration)
+    net = [{"network_id": "net", "st": st, "rb": 1, "rp": 1, "tb": 1, "tp": 1, "bucket_duration": duration}]
+    report, _ = dumpsys.parse_usagestats(dump(usage))
+    records, _ = dumpsys.parse_netstats(dump(net))
+    timeline = correlate.build_timeline(report, records, dumpsys.NetworkStackLog(()))
+    assert timeline.bucket_duration == duration
     (session,) = correlate.match_sessions(timeline)
     return session.buckets[0], [e.at.epoch for e in session.app_events]
 

@@ -45,7 +45,7 @@ def test_criterion_1_ftp_case_reproduction():
         f = findings[0]
         assert f.pattern == FindingPattern.FTP_SERVER_EXFIL
         assert f.session.packages == ("com.corproxy.files",)
-        assert f.session.app_start.render().startswith("2023-05-11 01:14:16")
+        assert f.session.app_start.render(scenario.display_zone).startswith("2023-05-11 01:14:16")
         assert f.session.network_ids == ("KT_GiGA_5G_EFB7",)
         assert within(f.direction_summary.bytes_in, 47 * MB)
         assert {ip for ip, _ in f.session.resolved_ips} == {"172.30.1.76"}
@@ -62,13 +62,14 @@ def test_criterion_1_ftp_case_reproduction():
 def test_criterion_2_sftp_case_reproduction():
     with criterion(2, "SFTP case reproduction (known_hosts corroboration, <1s)"):
         started = time.perf_counter()
-        result = run_pipeline(simulator.preset_sftp_server(), with_host=True)
+        scenario = simulator.preset_sftp_server()
+        result = run_pipeline(scenario, with_host=True)
         findings = result["findings"]
         assert len(findings) == 1
         f = findings[0]
         assert f.pattern == FindingPattern.SFTP_SERVER_EXFIL
         assert f.session.packages == ("net.xnano.android.sshserver",)
-        assert f.session.app_start.render().startswith("2023-05-11 21:10:06")
+        assert f.session.app_start.render(scenario.display_zone).startswith("2023-05-11 21:10:06")
         assert f.session.network_ids == ("outgoingowl",)
         assert {ip for ip, _ in f.session.resolved_ips} == {"192.162.35.52"}
         assert f.confidence == Confidence.CORROBORATED
@@ -136,9 +137,9 @@ def test_criterion_6_round_trip_parsing_over_corpus():
             usagestats, netstats, network_stack = simulator.render_dumps(scenario)
 
             report, w1 = parse_usagestats(
-                usagestats, Timestamp(scenario.capture_time, scenario.display_zone)
+                usagestats, Timestamp(scenario.capture_time), scenario.display_zone
             )
-            records, w2 = parse_netstats(netstats, scenario.display_zone)
+            records, w2 = parse_netstats(netstats)
             lease_log, w3 = parse_network_stack(network_stack, scenario.display_zone)
             assert w1 == w2 == w3 == []
 

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from watchtriage.acquisition import (
+    AcquisitionError,
     AcquisitionPlan,
     AcquisitionStep,
     ExecutorUnreachableError,
@@ -151,3 +154,24 @@ class TestBundleDir:
         out = write_bundle_dir(result, tmp_path / "bundle")
         raw = (out / "raw" / "usagestats.txt").read_bytes()
         assert raw == GALAXY_WATCH5_TRANSCRIPTS["dumpsys usagestats"]
+
+    @pytest.mark.parametrize("label", ["../../escaped", "../../bundle2/escaped"])
+    def test_label_escaping_the_bundle_is_rejected(self, tmp_path, label):
+        plan = AcquisitionPlan((AcquisitionStep(label, "dumpsys netstats", 0, SourceKind.NETSTATS),))
+        result = run_acquisition(FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS), plan, SteppingClock(1683766560))
+        out = tmp_path / "a" / "bundle"
+        with pytest.raises(AcquisitionError, match="not a relative path inside the bundle directory"):
+            write_bundle_dir(result, out)
+        assert list(tmp_path.rglob("*")) == []  # nothing written, inside or out
+
+    @pytest.mark.parametrize("rel", ["/etc/hostname", "../outside.txt", "raw/../../outside.txt", None])
+    def test_file_entry_outside_the_bundle_is_rejected(self, tmp_path, rel):
+        result = run_acquisition(FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS), clock=SteppingClock(1683766560))
+        out = write_bundle_dir(result, tmp_path / "bundle")
+        (tmp_path / "outside.txt").write_bytes(GALAXY_WATCH5_TRANSCRIPTS["dumpsys netstats"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        key = next(k for k, v in manifest["files"].items() if v == "raw/netstats.txt")
+        manifest["files"][key] = rel
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(AcquisitionError, match="not a relative path inside the bundle directory"):
+            read_bundle_dir(out)

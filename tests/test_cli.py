@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import re
@@ -82,12 +83,24 @@ class TestCorrelate:
         assert status == 2
         assert "error" in capsys.readouterr().err
 
-    def test_bucket_seconds_env_override(self, case_bundle, capsys, monkeypatch):
-        monkeypatch.setenv("WATCHTRIAGE_BUCKET_SECONDS", "1800")
-        from watchtriage.cli import build_parser
+    @pytest.mark.parametrize("duration", [1800, 7200])
+    def test_bucket_duration_comes_from_the_dump(self, tmp_path, capsys, duration):
+        out = tmp_path / "bundle"
+        assert run(["generate", "--preset", "ftp", "--bucket-seconds", str(duration), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["correlate", "--bundle", str(out)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bucket_seconds"] == duration
+        assert {b["st"] % duration for f in doc["findings"] for b in f["session"]["buckets"]} == {0}
 
-        args = build_parser().parse_args(["correlate", "--bundle", str(case_bundle)])
-        assert args.bucket_seconds == 1800
+    def test_dump_stating_two_bucket_durations_exits_2(self, case_bundle, capsys):
+        netstats = case_bundle / "raw" / "netstats.txt"
+        text = netstats.read_text()
+        assert text.count("bucketDuration=3600") == 3
+        netstats.write_text(text.replace("bucketDuration=3600", "bucketDuration=1800", 1))
+        assert run(["correlate", "--bundle", str(case_bundle)]) == 2
+        err = capsys.readouterr().err
+        assert "1800 s" in err and "3600 s" in err
 
     def test_empty_scenario_exits_zero_and_reports_no_detections(self, tmp_path, capsys):
         scenario = tmp_path / "empty.json"
@@ -275,22 +288,58 @@ class TestUsageErrors:
         assert status == 2
         assert "inventory entry #1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
+    # A bucket size has one source outside the evidence: generate's flag.
+    @pytest.mark.parametrize("source", ["flag"])
     @pytest.mark.parametrize("value", ["0", "-5", "abc"])
-    def test_bad_bucket_seconds_exits_2(self, value, source, tmp_path, monkeypatch, capsys):
-        for argv in (["correlate", "--bundle", str(tmp_path)], ["generate", "--out", str(tmp_path / "o")]):
+    def test_bad_bucket_seconds_exits_2(self, value, source, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--out", str(tmp_path / "o"), "--bucket-seconds", value])
+        assert exc.value.code == 2
+        assert "--bucket-seconds" in capsys.readouterr().err
+        # Commands that read a bundle take the bucket size from its netstats dump.
+        for command in ("parse", "correlate", "report"):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--bundle", str(tmp_path), "--bucket-seconds", "1800"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --bucket-seconds 1800" in capsys.readouterr().err
+
+    def test_bad_bucket_seconds_env_does_not_affect_verify(self, case_bundle, monkeypatch, capsys):
+        # The variable is not read by any command.
+        monkeypatch.setenv("WATCHTRIAGE_BUCKET_SECONDS", "abc")
+        assert run(["verify", "--bundle", str(case_bundle)]) == 0
+        assert run(["correlate", "--bundle", str(case_bundle)]) == 1
+        assert run(["generate", "--preset", "ftp", "--out", str(case_bundle.parent / "ftp")]) == 0
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_unknown_display_zone_exits_2_naming_it(self, source, case_bundle, tmp_path, monkeypatch, capsys):
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()
+        for argv in (
+            ["report", "--bundle", str(case_bundle)],
+            ["acquire", "--transcripts", str(transcripts), "--out", str(tmp_path / "b")],
+        ):
             if source == "flag":
-                argv = argv + ["--bucket-seconds", value]
+                argv = argv + ["--display-zone", "Mars/Base"]
             else:
-                monkeypatch.setenv("WATCHTRIAGE_BUCKET_SECONDS", value)
+                monkeypatch.setenv("WATCHTRIAGE_DISPLAY_ZONE", "Mars/Base")
             with pytest.raises(SystemExit) as exc:
                 run(argv)
             assert exc.value.code == 2
-            assert "--bucket-seconds" in capsys.readouterr().err
+            assert "argument --display-zone: invalid zone_name value: 'Mars/Base'" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
-    def test_bad_bucket_seconds_env_does_not_affect_verify(self, case_bundle, monkeypatch, capsys):
-        monkeypatch.setenv("WATCHTRIAGE_BUCKET_SECONDS", "abc")
-        assert run(["verify", "--bundle", str(case_bundle)]) == 0
+    @pytest.mark.parametrize("name", ["manifest.json", "scenario.json"])
+    def test_unknown_zone_in_a_file_exits_2_naming_it(self, name, case_bundle, tmp_path, capsys):
+        path = case_bundle / name
+        path.write_text(path.read_text().replace('"Asia/Seoul"', '"Mars/Base"'))
+        commands = {
+            "manifest.json": [[c, "--bundle", str(case_bundle)] for c in ("parse", "correlate", "report")],
+            "scenario.json": [["generate", "--scenario", str(path), "--out", str(tmp_path / "b")]],
+        }
+        for argv in commands[name]:
+            assert run(argv) == 2
+            assert "display_zone: unknown time zone 'Mars/Base'" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_scenario_missing_capture_time_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -298,6 +347,36 @@ class TestUsageErrors:
         status = run(["generate", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
         assert status == 2
         assert "capture_time" in capsys.readouterr().err
+
+
+# Every option of every subcommand. A new option is a new knob for the
+# investigator to get wrong, so adding one changes this table.
+CLI_OPTIONS = {
+    "acquire": ["--adb-path", "--clock-start", "--display-zone", "--origin", "--out", "--plan",
+                "--serial", "--transcripts"],
+    "audit": ["--bundle", "--device-abi", "--format", "--manifests", "--out"],
+    "correlate": ["--bundle", "--host-artifacts", "--out", "--rules"],
+    "generate": ["--bucket-seconds", "--out", "--preset", "--scenario", "--seed"],
+    "parse": ["--bundle", "--out"],
+    "report": ["--bundle", "--display-zone", "--format", "--host-artifacts", "--out", "--rules"],
+    "verify": ["--bundle"],
+}
+
+
+class TestCliSurface:
+    @staticmethod
+    def subcommands():
+        (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_subcommands(self):
+        assert sorted(self.subcommands()) == sorted(CLI_OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(CLI_OPTIONS))
+    def test_option_strings(self, command):
+        parser = self.subcommands()[command]
+        options = sorted(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))
+        assert options == CLI_OPTIONS[command]
 
 
 class TestBenchmarkEntryPoints:

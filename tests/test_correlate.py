@@ -27,8 +27,8 @@ def empty_report(capture_epoch=1683809100):
 
 class TestBuildTimeline:
     def test_app_start_precedes_covering_traffic_bucket(self, pipeline):
-        result = pipeline(simulator.preset_ftp_file_server())
-        entries = result["timeline"].entries
+        scenario = simulator.preset_ftp_file_server()
+        entries = pipeline(scenario)["timeline"].entries
         start_idx = next(
             i for i, e in enumerate(entries)
             if e.source_kind == SourceKind.USAGESTATS and "ACTIVITY_RESUMED com.corproxy.files" in e.description
@@ -37,7 +37,7 @@ class TestBuildTimeline:
             i for i, e in enumerate(entries)
             if e.source_kind == SourceKind.NETSTATS and "KT_GiGA_5G_EFB7 st=1683734400" in e.description
         )
-        assert entries[start_idx].at.render().startswith("2023-05-11 01:14:16")
+        assert entries[start_idx].at.render(scenario.display_zone).startswith("2023-05-11 01:14:16")
         assert start_idx < bucket_idx
 
     def test_all_empty_inputs_give_empty_timeline(self):
@@ -254,9 +254,10 @@ class TestCorroborate:
 
     def test_findings_document_is_deterministic(self, pipeline):
         docs = []
+        scenario = simulator.preset_case_study()
         for _ in range(2):
-            findings = pipeline(simulator.preset_case_study())["findings"]
-            doc = findings_document(findings, "digest", 3600)
+            findings = pipeline(scenario)["findings"]
+            doc = findings_document(findings, "digest", 3600, scenario.display_zone)
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
 
@@ -334,6 +335,7 @@ class TestOracleEquivalence:
     def test_non_default_bucket_duration_end_to_end(self):
         scenario = simulator.preset_ftp_file_server()
         result = run_pipeline(scenario, bucket_seconds=1800)
+        assert result["timeline"].bucket_duration == 1800  # stated by the dump alone
         mine = sorted(finding_fingerprint(f) for f in result["findings"])
         assert mine == simulator.oracle_findings(scenario, duration=1800)
         # the transfer spans two 30-minute buckets; totals stay conserved

@@ -18,7 +18,7 @@ from watchtriage.evidence import Timestamp
 KST = "Asia/Seoul"
 
 # 2023-05-11 09:56 KST, same capture time as the FTP fixture
-CAPTURE = Timestamp(1683766560, KST)
+CAPTURE = Timestamp(1683766560)
 
 USAGESTATS_FIXTURE = """\
 DUMP OF SERVICE usagestats:
@@ -41,7 +41,12 @@ class TestParseUsagestats:
         assert first.event_type == "ACTIVITY_RESUMED"
         assert first.kind == UsageEventKind.ACTIVITY_RESUMED
         assert first.at.epoch == 1683735256
-        assert first.at.render() == "2023-05-11 01:14:16 +09:00"
+        assert first.at.render(KST) == "2023-05-11 01:14:16 +09:00"
+
+    def test_wall_clock_times_are_read_in_the_given_zone(self):
+        report, _ = parse_usagestats(USAGESTATS_FIXTURE, Timestamp(1683798000), zone="UTC")
+        assert report.events_24h[0].at.epoch == 1683767656  # 01:14:16 UTC, not KST
+        assert report.events_24h[0].at.render("UTC") == "2023-05-11 01:14:16 +00:00"
 
     def test_sshserver_event(self):
         text = (
@@ -49,7 +54,7 @@ class TestParseUsagestats:
             "  Last 24 hour events:\n"
             '    time="2023-05-11 21:10:06" type=ACTIVITY_RESUMED package=net.xnano.android.sshserver\n'
         )
-        report, _ = parse_usagestats(text, Timestamp(1683809100, KST))
+        report, _ = parse_usagestats(text, Timestamp(1683809100), KST)
         event = report.events_24h[0]
         assert event.package == "net.xnano.android.sshserver"
         assert event.at.epoch == 1683807006
@@ -135,7 +140,7 @@ DUMP OF SERVICE netstats:
 
 class TestParseNetstats:
     def test_ftp_network_record(self):
-        records, warnings = parse_netstats(NETSTATS_FIXTURE, KST)
+        records, warnings = parse_netstats(NETSTATS_FIXTURE)
         assert warnings == []
         first = records[0]
         assert first.network_id == "KT_GiGA_5G_EFB7"
@@ -143,7 +148,7 @@ class TestParseNetstats:
         assert abs(first.rb - 47_000_000) <= 0.01 * 47_000_000
 
     def test_camera_network_record_st_verbatim(self):
-        records, _ = parse_netstats(NETSTATS_FIXTURE, KST)
+        records, _ = parse_netstats(NETSTATS_FIXTURE)
         second = records[1]
         assert second.network_id == "F818026FNMEN"
         assert second.st.epoch == 1683547200
@@ -178,14 +183,49 @@ class TestParseNetstats:
             parse_netstats("")
 
     def test_ordering_preserved(self):
-        records, _ = parse_netstats(NETSTATS_FIXTURE, KST)
+        records, _ = parse_netstats(NETSTATS_FIXTURE)
         assert [r.network_id for r in records] == ["KT_GiGA_5G_EFB7", "F818026FNMEN"]
 
     def test_jsonl_form(self):
-        text = '{"network_id": "a", "st": 100, "rb": 1, "rp": 2, "tb": 3, "tp": 4}\n'
+        text = (
+            '{"network_id": "a", "st": 100, "rb": 1, "rp": 2, "tb": 3, "tp": 4}\n'
+            '{"network_id": "a", "st": 1900, "rb": 1, "rp": 2, "tb": 3, "tp": 4, "bucket_duration": 1800}\n'
+        )
         records, warnings = parse_netstats(text)
         assert warnings == []
         assert records[0].tb == 3
+        assert [r.bucket_duration for r in records] == [3600, 1800]
+
+    def test_bucket_duration_is_the_nearest_stated_above(self):
+        text = (
+            'networkId="a"\nst=0 rb=1 rp=1 tb=1 tp=1\n'
+            "NetworkStatsHistory: bucketDuration=1800\n"
+            'st=1800 rb=1 rp=1 tb=1 tp=1\nnetworkId="b"\nst=1800 rb=1 rp=1 tb=1 tp=1\n'
+            "NetworkStatsHistory: bucketDuration=7200\nst=7200 rb=1 rp=1 tb=1 tp=1\n"
+        )
+        records, warnings = parse_netstats(text)
+        assert warnings == []
+        assert [(r.network_id, r.bucket_duration) for r in records] == [
+            ("a", 3600), ("a", 1800), ("b", 1800), ("b", 7200)
+        ]
+
+    @pytest.mark.parametrize("value", ["0", "-5", "abc", ""])
+    def test_invalid_bucket_duration_warns_and_drops_its_rows(self, value):
+        text = (
+            f'networkId="a"\nNetworkStatsHistory: bucketDuration={value}\nst=0 rb=1 rp=1 tb=1 tp=1\n'
+            "NetworkStatsHistory: bucketDuration=3600\nst=3600 rb=1 rp=1 tb=1 tp=1\n"
+        )
+        records, warnings = parse_netstats(text)
+        assert [r.st.epoch for r in records] == [3600]
+        assert warnings == [
+            f"line 2: bucketDuration must be a positive whole number of seconds, got {value!r}",
+            "line 3: counter line under an invalid bucketDuration; dropped",
+        ]
+        jsonl = json.dumps({"network_id": "a", "st": 0, "rb": 1, "rp": 1, "tb": 1, "tp": 1,
+                            "bucket_duration": value}) + "\n"
+        records, warnings = parse_netstats(jsonl)
+        assert records == []
+        assert warnings == [f"line 1: bucketDuration must be a positive whole number of seconds, got {value!r}"]
 
 
 NETWORK_STACK_FIXTURE = """\
@@ -258,9 +298,9 @@ class TestBucketFor:
     def test_camera_hour_bucket(self, bucket_join):
         # st=1683547200 renders as 21:00 May 8 2023 in the display zone
         st = 1683547200
-        bucket, joined = bucket_join(st, 3600, [st, st + 3600], zone=KST)
+        bucket, joined = bucket_join(st, 3600, [st, st + 3600])
         assert bucket.st.epoch == st
-        assert bucket.st.wall() == "2023-05-08 21:00:00"
+        assert bucket.st.wall(KST) == "2023-05-08 21:00:00"
         assert joined == [st]
 
     def test_epoch_zero(self, bucket_join):
@@ -273,8 +313,9 @@ class TestBucketFor:
         assert joined == [st]
 
 
-def render_jsonl(s: simulator.Scenario) -> tuple[str, str, str]:
-    """The scenario's dumps in the JSON-lines form of docs/fixture-grammar.md.
+def render_jsonl(s: simulator.Scenario, duration: int) -> tuple[str, str, str]:
+    """The scenario's dumps in the JSON-lines form of docs/fixture-grammar.md,
+    with traffic buckets of `duration` seconds.
 
     Unlike simulator.render_dumps, it leaves the 24h window, the reboot and
     the sort to the parser: every app event and every lease is written, in
@@ -289,9 +330,9 @@ def render_jsonl(s: simulator.Scenario) -> tuple[str, str, str]:
         usage.append({"record": "event", "at": a.end, "package": a.package, "event_type": "ACTIVITY_PAUSED"})
     usage += [{"record": "aggregate", "window": w, "package": pkg, "last_used": last, "use_count": n}
               for w, pkg, last, n in simulator.ground_truth_aggregates(s)]
-    records = simulator.ground_truth_records(s)
+    records = simulator.ground_truth_records(s, duration)
     ssids = dict.fromkeys(ssid for ssid, *_ in records)  # the text dump groups rows by network
-    net = [{"network_id": ssid, "st": st, "rb": rb, "rp": rp, "tb": tb, "tp": tp}
+    net = [{"network_id": ssid, "st": st, "rb": rb, "rp": rp, "tb": tb, "tp": tp, "bucket_duration": duration}
            for network in ssids for ssid, st, rb, rp, tb, tp in records if ssid == network]
     stack = []
     boot = simulator.last_reboot_before_capture(s)
@@ -314,14 +355,18 @@ class TestFrontEndEquivalence:
     @pytest.mark.parametrize("name", EQUIVALENCE_SCENARIOS)
     def test_both_forms_parse_alike(self, name):
         scenario = EQUIVALENCE_SCENARIOS[name]
-        parsed = []
-        for usagestats, netstats, network_stack in (simulator.render_dumps(scenario), render_jsonl(scenario)):
-            report, _ = parse_usagestats(usagestats, zone=scenario.display_zone)
-            records, _ = parse_netstats(netstats, scenario.display_zone)
-            log, _ = parse_network_stack(network_stack, scenario.display_zone)
-            leases = [(l.at, l.interface, l.private_ip, l.event_kind, l.network_id) for l in log.leases]
-            parsed.append((report, records, log.boot_epoch_marker, leases))
-        assert parsed[0] == parsed[1]
+        for duration in (3600, 1800):
+            parsed = []
+            for usagestats, netstats, network_stack in (
+                simulator.render_dumps(scenario, duration), render_jsonl(scenario, duration)
+            ):
+                report, _ = parse_usagestats(usagestats, zone=scenario.display_zone)
+                records, _ = parse_netstats(netstats)
+                log, _ = parse_network_stack(network_stack, scenario.display_zone)
+                leases = [(l.at, l.interface, l.private_ip, l.event_kind, l.network_id) for l in log.leases]
+                parsed.append((report, records, log.boot_epoch_marker, leases))
+            assert parsed[0] == parsed[1]
+            assert {r.bucket_duration for r in parsed[0][1]} <= {duration}
 
     @pytest.mark.parametrize("raw,kind", [
         ("DHCP_ACK", LeaseKind.DHCP_ACK),
@@ -349,14 +394,14 @@ def test_round_trip_recovers_simulated_events_exactly():
         scenario = simulator.random_scenario(seed)
         usagestats, netstats, network_stack = simulator.render_dumps(scenario)
 
-        report, w1 = parse_usagestats(usagestats, Timestamp(scenario.capture_time, scenario.display_zone))
+        report, w1 = parse_usagestats(usagestats, Timestamp(scenario.capture_time), scenario.display_zone)
         assert w1 == []
         parsed_events = [(e.package, e.event_type, e.at.epoch) for e in report.events_24h]
         assert parsed_events == simulator.ground_truth_events(scenario)
         parsed_aggs = [(a.window.value, a.package, a.last_used.epoch, a.use_count) for a in report.aggregates]
         assert sorted(parsed_aggs) == sorted(simulator.ground_truth_aggregates(scenario))
 
-        records, w2 = parse_netstats(netstats, scenario.display_zone)
+        records, w2 = parse_netstats(netstats)
         assert w2 == []
         parsed_records = [(r.network_id, r.st.epoch, r.rb, r.rp, r.tb, r.tp) for r in records]
         assert sorted(parsed_records) == sorted(simulator.ground_truth_records(scenario))
@@ -371,7 +416,7 @@ def test_netstats_round_trip_conserves_total_bytes():
     for seed in (3, 11):
         scenario = simulator.random_scenario(seed)
         _, netstats, _ = simulator.render_dumps(scenario)
-        records, _ = parse_netstats(netstats, scenario.display_zone)
+        records, _ = parse_netstats(netstats)
         parsed_total = sum(r.rb + r.tb for r in records)
         truth_total = sum(w.bytes_in + w.bytes_out for w in scenario.wifi_sessions)
         assert parsed_total == truth_total
@@ -430,6 +475,7 @@ def test_parsers_are_total_on_garbage_input():
         "ip=1.2.3.4.5 event=DHCP_ACK",
         "{\"record\": \"event\"}",
         "{broken json",
+        "NetworkStatsHistory: bucketDuration=-1",
     ]
     for _ in range(40):
         lines = []

@@ -1,6 +1,7 @@
 import pytest
 
 from watchtriage.evidence import (
+    DEFAULT_DISPLAY_ZONE,
     DeviceProfile,
     DigestMismatchError,
     EvidenceItem,
@@ -22,13 +23,13 @@ class TestTimestamp:
 
     def test_render_in_default_zone(self):
         # 2023-05-11 01:14:16 KST
-        assert Timestamp(1683735256).render() == "2023-05-11 01:14:16 +09:00"
+        assert Timestamp(1683735256).render(DEFAULT_DISPLAY_ZONE) == "2023-05-11 01:14:16 +09:00"
 
     def test_render_parse_round_trip(self):
         for epoch in (0, 1683735256, 1683547200, 2_000_000_000):
             t = Timestamp(epoch)
-            rendered = t.render()
-            assert parse_timestamp(rendered).render() == rendered
+            rendered = t.render(DEFAULT_DISPLAY_ZONE)
+            assert parse_timestamp(rendered).render(DEFAULT_DISPLAY_ZONE) == rendered
 
     def test_parse_naive_uses_zone(self):
         t = parse_timestamp("2023-05-11 01:14:16", "Asia/Seoul")
@@ -38,8 +39,8 @@ class TestTimestamp:
         assert parse_timestamp("1683735256").epoch == 1683735256
 
     def test_other_zone_renders_offset(self):
-        t = Timestamp(1683735256, "UTC")
-        assert t.render() == "2023-05-10 16:14:16 +00:00"
+        t = Timestamp(1683735256)
+        assert t.render("UTC") == "2023-05-10 16:14:16 +00:00"
 
 
 def _item(kind, raw, epoch=1683766560, origin="watch"):

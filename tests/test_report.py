@@ -15,7 +15,7 @@ def bundle_for(scenario):
     items, payloads = [], {}
     for kind, text in zip(kinds, texts):
         item = EvidenceItem.from_bytes(
-            kind, text.encode(), Timestamp(scenario.capture_time, scenario.display_zone), "synthetic"
+            kind, text.encode(), Timestamp(scenario.capture_time), "synthetic"
         )
         items.append(item)
         payloads[item.key()] = text.encode()
@@ -124,7 +124,7 @@ class TestReportRendering:
 def test_findings_document_schema_fields():
     scenario = simulator.preset_ftp_file_server()
     result = run_pipeline(scenario)
-    doc = findings_document(result["findings"], "abc123", 3600, result["warnings"])
+    doc = findings_document(result["findings"], "abc123", 3600, scenario.display_zone, result["warnings"])
     assert doc["schema"] == "watchtriage.findings/1"
     assert doc["finding_count"] == 1
     finding = doc["findings"][0]
