@@ -120,6 +120,9 @@ class AcquisitionPlan:
             raise ValueError("plan step labels must be unique")
         for step in self.steps:
             _reject_privileged(step.command)
+            label = step.label
+            if not isinstance(label, str) or label in ("", os.curdir, os.pardir) or {"/", os.sep} & set(label):
+                raise ValueError(f"plan step label {label!r} is not a single plain file name")
 
     def to_dict(self) -> dict:
         return {
@@ -350,29 +353,34 @@ def read_bundle_dir(path: Path) -> LoadedBundle:
     if not manifest_path.is_file():
         raise AcquisitionError(f"no manifest.json under {path}")
     doc = json.loads(manifest_path.read_text())
-    manifest = doc["manifest"]
     try:
-        zone = zone_name(doc.get("display_zone", DEFAULT_DISPLAY_ZONE))
+        manifest = doc["manifest"]
+        zone_field = doc.get("display_zone", DEFAULT_DISPLAY_ZONE)
+        items = tuple(
+            EvidenceItem(
+                SourceKind(i["source_kind"]),
+                Timestamp(int(i["collected_at"])),
+                i["raw_bytes_digest"],
+                i.get("origin_label", ""),
+            )
+            for i in manifest["items"]
+        )
+        device = None
+        if manifest.get("device"):
+            device = DeviceProfile(**manifest["device"])
+        bundle = EvidenceBundle(
+            items, device, doc["bundle_manifest_digest"], doc.get("hash_algorithm", "sha256")
+        )
+        files = doc.get("files", {}).items()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise AcquisitionError(f"{manifest_path}: malformed manifest ({type(exc).__name__}: {exc})") from None
+    try:
+        zone = zone_name(zone_field)
     except ValueError as exc:
         raise AcquisitionError(f"{manifest_path}: display_zone: {exc}") from None
-    items = tuple(
-        EvidenceItem(
-            SourceKind(i["source_kind"]),
-            Timestamp(int(i["collected_at"])),
-            i["raw_bytes_digest"],
-            i.get("origin_label", ""),
-        )
-        for i in manifest["items"]
-    )
-    device = None
-    if manifest.get("device"):
-        device = DeviceProfile(**manifest["device"])
-    bundle = EvidenceBundle(
-        items, device, doc["bundle_manifest_digest"], doc.get("hash_algorithm", "sha256")
-    )
     payloads = {}
     labels = {}
-    for key, rel in doc.get("files", {}).items():
+    for key, rel in files:
         file_path = _inside(path, rel)
         if file_path.is_file():
             payloads[key] = file_path.read_bytes()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -236,6 +237,11 @@ def grade_volume(session: AppNetworkSession) -> DirectionSummary:
     return DirectionSummary(sum(b.rb for b in session.buckets), sum(b.tb for b in session.buckets))
 
 
+def _in_bucket(epochs: Sequence[int], st: int, duration: int) -> range:
+    """Indices of the ascending `epochs` inside the bucket [st, st+duration)."""
+    return range(bisect_left(epochs, st), bisect_left(epochs, st + duration))
+
+
 def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
     """Partition traffic buckets into app-network sessions.
 
@@ -247,18 +253,21 @@ def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
     """
     duration = timeline.bucket_duration
     records = timeline.records
-    events = timeline.report.events_24h
-    aggregates = timeline.report.aggregates
-    lease_log = timeline.lease_log
     if not records:
         return []
+    events = sorted(timeline.report.events_24h, key=lambda e: e.at.epoch)
+    event_epochs = [e.at.epoch for e in events]
+    aggregate_epochs = sorted(a.last_used.epoch for a in timeline.report.aggregates)
+    lease_log = timeline.lease_log
+    leases = sorted(lease_log.leases, key=lambda l: l.at.epoch)
+    lease_epochs = [l.at.epoch for l in leases]
+    leases_by_network: dict[str, list[int]] = {}
+    for k, lease in enumerate(leases):
+        if lease.network_id is not None:
+            leases_by_network.setdefault(lease.network_id, []).append(k)
 
-    matched: list[frozenset[str]] = []
-    for rec in records:
-        pkgs = frozenset(
-            e.package for e in events if rec.st.epoch <= e.at.epoch < rec.st.epoch + duration
-        )
-        matched.append(pkgs)
+    event_ranges = [_in_bucket(event_epochs, rec.st.epoch, duration) for rec in records]
+    matched = [frozenset(events[k].package for k in ks) for ks in event_ranges]
 
     n = len(records)
     parent = list(range(n))
@@ -312,42 +321,37 @@ def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
     for indices in groups.values():
         indices.sort(key=lambda i: (records[i].st.epoch, records[i].network_id, i))
         buckets = tuple(records[i] for i in indices)
+        # Every record of a group matched the same packages, so every event
+        # in its buckets belongs to the session.
         pkgs = tuple(sorted(matched[indices[0]]))
+        app_events = tuple(events[k] for k in sorted({k for i in indices for k in event_ranges[i]}))
         span_start = min(b.st.epoch for b in buckets)
         span_end = max(b.st.epoch for b in buckets) + duration
-        app_events = tuple(
-            e
-            for e in events
-            if e.package in pkgs
-            and any(b.st.epoch <= e.at.epoch < b.st.epoch + duration for b in buckets)
-        )
 
         flags = set()
         if any(b.st.epoch in ambiguous_starts for b in buckets):
             flags.add(AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET)
         if not app_events:
             has_traffic = any(b.has_traffic() for b in buckets)
-            agg_in_span = any(span_start <= a.last_used.epoch < span_end for a in aggregates)
+            agg_in_span = bool(_in_bucket(aggregate_epochs, span_start, span_end - span_start))
             if has_traffic or agg_in_span:
                 flags.add(AmbiguityFlag.USAGE_EVIDENCE_EXPIRED)
         boot = lease_log.boot_epoch_marker
         if boot is not None and span_start < boot.epoch:
             flags.add(AmbiguityFlag.LEASE_LOG_REBOOTED)
 
-        networks = {b.network_id for b in buckets}
-        resolved: list[tuple[str, LeaseEvent]] = []
-        for lease in lease_log.leases:
-            if lease.network_id is not None:
-                if lease.network_id in networks:
-                    resolved.append((lease.private_ip, lease))
-            elif AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET not in flags:
-                # Time containment is unsound when several networks share the hour.
-                if any(b.st.epoch <= lease.at.epoch < b.st.epoch + duration for b in buckets):
-                    resolved.append((lease.private_ip, lease))
+        chosen = {k for net in {b.network_id for b in buckets} for k in leases_by_network.get(net, ())}
+        if AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET not in flags:
+            # Time containment is unsound when several networks share the hour.
+            chosen.update(
+                k
+                for b in buckets
+                for k in _in_bucket(lease_epochs, b.st.epoch, duration)
+                if leases[k].network_id is None
+            )
+        resolved = tuple((leases[k].private_ip, leases[k]) for k in sorted(chosen))
 
-        sessions.append(
-            AppNetworkSession(pkgs, app_events, buckets, tuple(resolved), frozenset(flags))
-        )
+        sessions.append(AppNetworkSession(pkgs, app_events, buckets, resolved, frozenset(flags)))
 
     sessions.sort(key=lambda s: (s.start_epoch, s.network_ids, s.packages))
     return sessions

@@ -59,13 +59,6 @@ class AggregateWindow(Enum):
     YEAR = "year"
 
 
-WINDOW_SECONDS = {
-    AggregateWindow.WEEK: 7 * 86400,
-    AggregateWindow.MONTH: 30 * 86400,
-    AggregateWindow.YEAR: 365 * 86400,
-}
-
-
 class LeaseKind(Enum):
     DHCP_ACK = "dhcp_ack"
     LEASE_RENEW = "lease_renew"

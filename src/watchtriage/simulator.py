@@ -315,8 +315,8 @@ def render_host_artifacts(s: Scenario) -> tuple[str, str]:
 #
 # Expected findings computed straight from the scenario by exhaustive
 # interval overlap. This deliberately re-derives the session semantics with
-# a different algorithm (fixpoint group merging over all record pairs) so it
-# can stand as an independent check of the correlator.
+# a different algorithm (connected components of the all-pairs joinable
+# graph) so it can stand as an independent check of the correlator.
 
 
 def oracle_findings(
@@ -340,8 +340,6 @@ def oracle_findings(
         frozenset(pkg for pkg, _typ, t in events if in_bucket(t, records[i][1])) for i in range(n)
     ]
 
-    groups: list[set[int]] = [{i} for i in range(n)]
-
     def joinable(i: int, j: int) -> bool:
         if matched[i] != matched[j]:
             return False
@@ -350,20 +348,22 @@ def oracle_findings(
         shared_start = records[i][1] == records[j][1]
         return (same_net and contiguous) or (shared_start and bool(matched[i]))
 
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                if any(joinable(i, j) for i in groups[a] for j in groups[b]):
-                    groups[a] |= groups[b]
-                    del groups[b]
-                    changed = True
-                    break
-            if changed:
-                break
+    adjacent = [[j for j in range(n) if j != i and joinable(i, j)] for i in range(n)]
+    groups: list[list[int]] = []
+    seen = [False] * n
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            group, stack = [], [root]
+            while stack:
+                i = stack.pop()
+                group.append(i)
+                for j in adjacent[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+            groups.append(group)
 
-    multi_starts = set()
     by_start: dict[int, set[str]] = {}
     for ssid, st, rb, rp, tb, tp in records:
         if rb + rp + tb + tp > 0:
@@ -374,7 +374,7 @@ def oracle_findings(
     for group in groups:
         rows = sorted(group, key=lambda i: (records[i][1], records[i][0]))
         buckets = [records[i] for i in rows]
-        pkgs = tuple(sorted(matched[next(iter(group))]))
+        pkgs = tuple(sorted(matched[group[0]]))
         span_start = min(b[1] for b in buckets)
         span_end = max(b[1] for b in buckets) + duration
         session_events = [

@@ -39,24 +39,33 @@ def pipeline():
     return run_pipeline
 
 
-def run_bucket_join(st, duration, event_epochs):
+def run_bucket_join(st, duration, probe_epochs):
     """Correlate one traffic bucket [st, st+duration), its duration stated
-    only in the dump, with one app event at each of event_epochs; return the
-    bucket and the epochs that joined it."""
+    only in the dump, with one app event and one SSID-less lease at each of
+    probe_epochs; return the bucket, the event epochs that joined it and the
+    lease epochs whose IPs it resolved."""
     def dump(rows):
         return "".join(json.dumps(row) + "\n" for row in rows)
 
-    capture = max([st + duration, *event_epochs]) + 1
+    capture = max([st + duration, *probe_epochs]) + 1
     usage = [{"record": "capture", "at": capture}]
     usage += [{"record": "event", "at": at, "package": f"app.at{at}", "event_type": "ACTIVITY_RESUMED"}
-              for at in event_epochs]
+              for at in probe_epochs]
     net = [{"network_id": "net", "st": st, "rb": 1, "rp": 1, "tb": 1, "tp": 1, "bucket_duration": duration}]
+    leases = [{"record": "lease", "at": at, "interface": "wlan0", "event_kind": "dhcp_ack",
+               "private_ip": f"10.0.{k // 250}.{k % 250 + 1}", "network_id": None}
+              for k, at in enumerate(probe_epochs)]
     report, _ = dumpsys.parse_usagestats(dump(usage))
     records, _ = dumpsys.parse_netstats(dump(net))
-    timeline = correlate.build_timeline(report, records, dumpsys.NetworkStackLog(()))
+    lease_log, _ = dumpsys.parse_network_stack(dump(leases))
+    timeline = correlate.build_timeline(report, records, lease_log)
     assert timeline.bucket_duration == duration
     (session,) = correlate.match_sessions(timeline)
-    return session.buckets[0], [e.at.epoch for e in session.app_events]
+    return (
+        session.buckets[0],
+        [e.at.epoch for e in session.app_events],
+        [lease.at.epoch for _, lease in session.resolved_ips],
+    )
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from watchtriage.acquisition import (
     read_bundle_dir,
     run_acquisition,
     save_plan,
+    seal_acquisition,
     write_bundle_dir,
 )
 from watchtriage.evidence import SourceKind, verify_bundle
@@ -61,6 +62,11 @@ class TestDefaultPlan:
         reloaded = load_plan(path)
         assert [s.command for s in reloaded.steps] == [s.command for s in plan.steps]
         assert [s.volatility_rank for s in reloaded.steps] == [s.volatility_rank for s in plan.steps]
+
+    @pytest.mark.parametrize("label", ["", ".", "..", "a/b", "../../escaped", 7])
+    def test_label_that_is_not_a_plain_file_name_rejected(self, label):
+        with pytest.raises(ValueError, match="is not a single plain file name"):
+            AcquisitionPlan((AcquisitionStep(label, "dumpsys netstats", 0, SourceKind.NETSTATS),))
 
     def test_misordered_plan_rejected(self):
         with pytest.raises(ValueError):
@@ -157,8 +163,9 @@ class TestBundleDir:
 
     @pytest.mark.parametrize("label", ["../../escaped", "../../bundle2/escaped"])
     def test_label_escaping_the_bundle_is_rejected(self, tmp_path, label):
-        plan = AcquisitionPlan((AcquisitionStep(label, "dumpsys netstats", 0, SourceKind.NETSTATS),))
-        result = run_acquisition(FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS), plan, SteppingClock(1683766560))
+        # A plan refuses such a label; the writer checks it again for results sealed without one.
+        raw = GALAXY_WATCH5_TRANSCRIPTS["dumpsys netstats"]
+        result = seal_acquisition([(label, SourceKind.NETSTATS, raw, 1683766560)], "watch", "Asia/Seoul")
         out = tmp_path / "a" / "bundle"
         with pytest.raises(AcquisitionError, match="not a relative path inside the bundle directory"):
             write_bundle_dir(result, out)

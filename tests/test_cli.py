@@ -341,6 +341,48 @@ class TestUsageErrors:
             assert "display_zone: unknown time zone 'Mars/Base'" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("break_manifest", [
+        lambda doc: doc["manifest"]["items"].__setitem__(0, "x"),
+        lambda doc: doc["manifest"].__setitem__("items", {"0": doc["manifest"]["items"][0]}),
+        lambda doc: doc.__setitem__("manifest", [doc["manifest"]]),
+        lambda doc: doc["manifest"]["items"][0].pop("raw_bytes_digest"),
+        lambda doc: [doc],
+    ], ids=["item-is-a-string", "items-not-a-list", "manifest-is-a-list", "missing-raw-bytes-digest",
+            "top-level-not-an-object"])
+    def test_malformed_manifest_exits_2_naming_it(self, break_manifest, case_bundle, capsys):
+        path = case_bundle / "manifest.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(break_manifest(doc) or doc))
+        for command in ("verify", "parse", "correlate", "report"):
+            assert run([command, "--bundle", str(case_bundle)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "manifest.json: malformed manifest" in err
+
+    @pytest.mark.parametrize("label", ["a/b", "", ".", ".."])
+    def test_bad_plan_label_exits_2_before_any_step_runs(self, label, tmp_path, monkeypatch, capsys):
+        executors = []
+
+        class RecordingExecutor(acquisition.FakeExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                executors.append(self)
+
+        monkeypatch.setattr(acquisition, "FakeExecutor", RecordingExecutor)
+        plan = acquisition.default_plan().to_dict()
+        plan["steps"][1]["label"] = label
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()
+        for command, payload in GALAXY_WATCH5_TRANSCRIPTS.items():
+            (transcripts / f"{slug(command)}.txt").write_bytes(payload)
+        out = tmp_path / "bundle"
+        status = run(["acquire", "--plan", str(plan_path), "--transcripts", str(transcripts), "--out", str(out)])
+        assert status == 2
+        assert f"plan step label {label!r} is not a single plain file name" in capsys.readouterr().err
+        assert all(executor.executed == [] for executor in executors)
+        assert not out.exists()
+
     def test_scenario_missing_capture_time_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"app_sessions": []}))

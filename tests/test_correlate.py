@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import random
+
+import pytest
 
 from watchtriage import simulator
 from watchtriage.correlate import (
@@ -9,10 +12,12 @@ from watchtriage.correlate import (
     DirectionBias,
     FindingPattern,
     PatternRule,
+    Timeline,
     build_timeline,
     findings_document,
     grade_volume,
     match_pattern,
+    match_sessions,
     DirectionSummary,
 )
 from watchtriage.dumpsys import NetworkStackLog, UsageReport
@@ -74,12 +79,15 @@ class TestBuildTimeline:
 
 
 class TestMatchSessions:
-    def test_event_joins_bucket_on_half_open_interval(self, pipeline):
+    def test_event_joins_bucket_on_half_open_interval(self, pipeline, bucket_join):
         # Events at st and st+duration-1 join [st, st+duration); an event at
-        # st+duration joins the next bucket; one at st-1 joins neither.
+        # st+duration joins the next bucket; one at st-1 joins neither. An
+        # SSID-less lease resolves by the same rule.
         capture = 1683809100
         for duration in (1800, 3600, 7200):
             st = (capture - 3 * duration) // duration * duration
+            _, joined, leased = bucket_join(st, duration, [st - 1, st, st + duration - 1, st + duration])
+            assert joined == leased == [st, st + duration - 1], duration
             s = simulator.Scenario(
                 capture_time=capture,
                 app_sessions=(
@@ -97,6 +105,32 @@ class TestMatchSessions:
                 (("com.first",), [st], [st, st + duration - 1]),
                 (("com.second",), [st + duration], [st + duration, st + 2 * duration - 200]),
             ], duration
+
+    def test_unsorted_events_and_leases_match_like_sorted(self):
+        # A timeline built by hand need not keep the parsers' time order.
+        timeline = run_pipeline(scaled_scenario(leases_carry_ssid=False))["timeline"]
+        rng = random.Random(5)
+        events = list(timeline.report.events_24h)
+        leases = list(timeline.lease_log.leases)
+        rng.shuffle(events)
+        rng.shuffle(leases)
+        shuffled = Timeline(
+            timeline.entries,
+            dataclasses.replace(timeline.report, events_24h=tuple(events)),
+            timeline.records,
+            dataclasses.replace(timeline.lease_log, leases=tuple(leases)),
+            timeline.bucket_duration,
+        )
+        expected = match_sessions(timeline)
+        got = match_sessions(shuffled)
+        assert any(s.resolved_ips for s in expected)
+        assert [(s.buckets, s.ambiguity_flags, s.resolved_ips) for s in got] == [
+            (s.buckets, s.ambiguity_flags, s.resolved_ips) for s in expected
+        ]
+        for mine, theirs in zip(got, expected):
+            assert sorted(mine.app_events, key=lambda e: e.at.epoch) == list(mine.app_events)
+            assert set(mine.app_events) == set(theirs.app_events)
+            assert len(mine.app_events) == len(theirs.app_events)
 
     def test_sftp_session_resolves_lease_ip(self, pipeline):
         sessions = pipeline(simulator.preset_sftp_server())["sessions"]
@@ -319,7 +353,55 @@ class TestPatternRules:
             PatternRule(FindingPattern.UNCLASSIFIED_TRANSFER, (), DirectionBias.ANY, -1)
 
 
+def scaled_scenario(leases_carry_ssid: bool, seed: int = 4) -> simulator.Scenario:
+    """Thirty days of back-to-back or spaced Wi-Fi sessions on five networks
+    with one reboot, dense app use over the last day, and the PC keeping two
+    of the networks' IPs."""
+    rng = random.Random(seed)
+    capture = 1683809100
+    ssids = [f"net{i}" for i in range(5)]
+    ips = {ssid: f"192.168.{i}.{rng.randrange(2, 250)}" for i, ssid in enumerate(ssids)}
+    wifi, t = [], capture - 30 * 86400
+    while t < capture - 2 * 3600:
+        end = min(t + rng.randrange(3600, 12 * 3600), capture - 60)
+        ssid = rng.choice(ssids)
+        bytes_in, bytes_out = rng.randrange(50_000_000), rng.randrange(50_000_000)
+        wifi.append(simulator.WifiSession(ssid, t, end, bytes_in, bytes_out, ips[ssid]))
+        t = end + rng.choice((0, 0, rng.randrange(600, 3 * 3600)))
+    packages = (simulator.FTP_PACKAGE, simulator.SFTP_PACKAGE, simulator.CAMERA_PACKAGE, "com.a", "com.b")
+    apps = []
+    for i in range(300):
+        start = capture - 86400 + i * 280 + rng.randrange(100)
+        apps.append(simulator.AppSession(rng.choice(packages), start, start + rng.randrange(60, 900)))
+    for i in range(20):  # usage detail expired, aggregates only
+        start = capture - (2 + i) * 86400
+        apps.append(simulator.AppSession(rng.choice(packages), start, start + 600))
+    return simulator.Scenario(
+        capture_time=capture,
+        app_sessions=tuple(apps),
+        wifi_sessions=tuple(wifi),
+        reboots=(capture - 12 * 86400,),
+        host_side=(
+            simulator.HostArtifactSpec("recentservers", ips["net0"], 21),
+            simulator.HostArtifactSpec("known_hosts", ips["net1"], 22),
+        ),
+        leases_carry_ssid=leases_carry_ssid,
+    )
+
+
 class TestOracleEquivalence:
+    @pytest.mark.parametrize("leases_carry_ssid", [True, False])
+    def test_scaled_scenario_matches_oracle(self, leases_carry_ssid):
+        scenario = scaled_scenario(leases_carry_ssid)
+        result = run_pipeline(scenario)
+        assert len(result["records"]) >= 700
+        mine = sorted(finding_fingerprint(f) for f in result["findings"])
+        assert mine == simulator.oracle_findings(scenario)
+        sessions = result["sessions"]
+        assert any(AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET in s.ambiguity_flags for s in sessions)
+        if not leases_carry_ssid:  # every lease lacks an SSID: resolved by time containment
+            assert any(s.resolved_ips for s in sessions)
+
     def test_presets_match_oracle(self):
         for name, factory in simulator.PRESETS.items():
             scenario = factory()

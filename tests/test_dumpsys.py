@@ -293,24 +293,24 @@ class TestParseNetworkStack:
 
 
 class TestBucketFor:
-    """A traffic bucket collects the app events in [st, st+duration)."""
+    """A traffic bucket collects the app events and SSID-less leases in [st, st+duration)."""
 
     def test_camera_hour_bucket(self, bucket_join):
         # st=1683547200 renders as 21:00 May 8 2023 in the display zone
         st = 1683547200
-        bucket, joined = bucket_join(st, 3600, [st, st + 3600])
+        bucket, joined, leased = bucket_join(st, 3600, [st, st + 3600])
         assert bucket.st.epoch == st
         assert bucket.st.wall(KST) == "2023-05-08 21:00:00"
-        assert joined == [st]
+        assert joined == leased == [st]
 
     def test_epoch_zero(self, bucket_join):
-        _, joined = bucket_join(0, 3600, [0, 3599, 3600])
-        assert joined == [0, 3599]
+        _, joined, leased = bucket_join(0, 3600, [0, 3599, 3600])
+        assert joined == leased == [0, 3599]
 
     @pytest.mark.parametrize("st,duration", [(1683718800, 3600), (17, 60), (123456, 7200)])
     def test_boundary_property(self, bucket_join, st, duration):
-        _, joined = bucket_join(st, duration, [st, st + duration])
-        assert joined == [st]
+        _, joined, leased = bucket_join(st, duration, [st, st + duration])
+        assert joined == leased == [st]
 
 
 def render_jsonl(s: simulator.Scenario, duration: int) -> tuple[str, str, str]:

@@ -50,8 +50,8 @@ def _item(kind, raw, epoch=1683766560, origin="watch"):
 class TestTimeBucket:
     def test_contains_half_open(self, bucket_join):
         st = 1683547200
-        _, joined = bucket_join(st, 3600, [st - 1, st, st + 3599, st + 3600])
-        assert joined == [st, st + 3599]
+        _, joined, leased = bucket_join(st, 3600, [st - 1, st, st + 3599, st + 3600])
+        assert joined == leased == [st, st + 3599]
 
 
 class TestSealBundle:
