@@ -23,7 +23,7 @@ import os
 import re
 import shutil
 import subprocess
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
@@ -124,19 +124,6 @@ class AcquisitionPlan:
             if not isinstance(label, str) or label in ("", os.curdir, os.pardir) or {"/", os.sep} & set(label):
                 raise ValueError(f"plan step label {label!r} is not a single plain file name")
 
-    def to_dict(self) -> dict:
-        return {
-            "steps": [
-                {
-                    "label": s.label,
-                    "command": s.command,
-                    "volatility_rank": s.volatility_rank,
-                    "source_kind": s.source_kind.value,
-                }
-                for s in self.steps
-            ]
-        }
-
 
 _PRIVILEGED = re.compile(r"(^|[;&|\s])su($|\s)|/data/data")
 
@@ -161,17 +148,22 @@ def default_plan() -> AcquisitionPlan:
 
 
 def save_plan(plan: AcquisitionPlan, path: Path):
-    Path(path).write_text(json.dumps(plan.to_dict(), indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(plan), indent=2) + "\n")
 
 
 def load_plan(path: Path) -> AcquisitionPlan:
-    data = json.loads(Path(path).read_text())
-    return AcquisitionPlan(
-        tuple(
-            AcquisitionStep(s["label"], s["command"], int(s["volatility_rank"]), SourceKind(s["source_kind"]))
-            for s in data["steps"]
-        )
-    )
+    path = Path(path)
+    where = path  # the step being read, once there is one
+    try:
+        steps = []
+        for i, s in enumerate(json.loads(path.read_text(encoding="utf-8"))["steps"]):
+            where = f"{path} step {i}"
+            steps.append(
+                AcquisitionStep(s["label"], s["command"], int(s["volatility_rank"]), SourceKind(s["source_kind"]))
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise AcquisitionError(f"{where}: malformed plan ({type(exc).__name__}: {exc})") from None
+    return AcquisitionPlan(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -182,11 +174,13 @@ class StepFailure:
 
 @dataclass
 class AcquisitionResult:
+    """A sealed bundle with its raw payloads: built by seal_acquisition, written
+    by write_bundle_dir and read back by read_bundle_dir."""
+
     bundle: EvidenceBundle
     payloads: dict[str, bytes]  # item key -> raw stdout bytes
     labels: dict[str, str]  # item key -> step label
     failures: list[StepFailure]
-    device: Optional[DeviceProfile]
     clock_offset_seconds: Optional[int]
     display_zone: str
 
@@ -230,9 +224,7 @@ def seal_acquisition(
     if not items:
         raise AcquisitionError("every acquisition step failed; nothing to seal")
     bundle = seal_bundle(items, device, payloads=payloads)
-    return AcquisitionResult(
-        bundle, payloads, labels, list(failures), device, clock_offset_seconds, display_zone
-    )
+    return AcquisitionResult(bundle, payloads, labels, list(failures), clock_offset_seconds, display_zone)
 
 
 def run_acquisition(
@@ -289,14 +281,12 @@ def run_acquisition(
 class SteppingClock:
     """Deterministic clock for reproducible acquisitions."""
 
-    def __init__(self, start: int, step: int = 1):
+    def __init__(self, start: int):
         self.now = start
-        self.step = step
 
     def __call__(self) -> int:
-        current = self.now
-        self.now += self.step
-        return current
+        self.now += 1
+        return self.now - 1
 
 
 # --- Bundle directory layout -------------------------------------------------
@@ -329,7 +319,7 @@ def write_bundle_dir(result: AcquisitionResult, out_dir: Path) -> Path:
         "bundle_manifest_digest": result.bundle.bundle_manifest_digest,
         "hash_algorithm": result.bundle.hash_algorithm,
         "files": files,
-        "failures": [{"label": f.label, "detail": f.detail} for f in result.failures],
+        "failures": [asdict(f) for f in result.failures],
         "clock_offset_seconds": result.clock_offset_seconds,
         "display_zone": result.display_zone,
     }
@@ -337,23 +327,20 @@ def write_bundle_dir(result: AcquisitionResult, out_dir: Path) -> Path:
     return out_dir
 
 
-@dataclass
-class LoadedBundle:
-    bundle: EvidenceBundle
-    payloads: dict[str, bytes]
-    labels: dict[str, str]
-    display_zone: str
-    manifest_path: Path
+def read_bundle_dir(path: Path) -> AcquisitionResult:
+    """Load a bundle directory as written by write_bundle_dir.
 
-
-def read_bundle_dir(path: Path) -> LoadedBundle:
-    """Load a bundle directory; payloads are read from the file map."""
+    Payloads are read from the file map; an item whose file is absent has
+    no payload, which verify_bundle reports as missing.
+    """
     path = Path(path)
+    if not path.is_dir():
+        raise AcquisitionError(f"bundle directory not found: {path}")
     manifest_path = path / "manifest.json"
     if not manifest_path.is_file():
         raise AcquisitionError(f"no manifest.json under {path}")
-    doc = json.loads(manifest_path.read_text())
     try:
+        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
         manifest = doc["manifest"]
         zone_field = doc.get("display_zone", DEFAULT_DISPLAY_ZONE)
         items = tuple(
@@ -365,13 +352,18 @@ def read_bundle_dir(path: Path) -> LoadedBundle:
             )
             for i in manifest["items"]
         )
-        device = None
-        if manifest.get("device"):
-            device = DeviceProfile(**manifest["device"])
+        device = DeviceProfile(**manifest["device"]) if manifest.get("device") else None
         bundle = EvidenceBundle(
             items, device, doc["bundle_manifest_digest"], doc.get("hash_algorithm", "sha256")
         )
         files = doc.get("files", {}).items()
+        failures = doc.get("failures", [])
+        if type(failures) is not list:
+            raise TypeError(f"failures must be a list, got {failures!r}")
+        failures = [StepFailure(**f) for f in failures]
+        clock_offset = doc.get("clock_offset_seconds")
+        if clock_offset is not None and type(clock_offset) is not int:
+            raise TypeError(f"clock_offset_seconds must be a whole number or null, got {clock_offset!r}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise AcquisitionError(f"{manifest_path}: malformed manifest ({type(exc).__name__}: {exc})") from None
     try:
@@ -385,4 +377,4 @@ def read_bundle_dir(path: Path) -> LoadedBundle:
         if file_path.is_file():
             payloads[key] = file_path.read_bytes()
         labels[key] = Path(rel).stem
-    return LoadedBundle(bundle, payloads, labels, zone, manifest_path)
+    return AcquisitionResult(bundle, payloads, labels, failures, clock_offset, zone)

@@ -54,11 +54,9 @@ def _write_output(text: str, out: str | None):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _load_bundle_or_fail(path_str: str) -> acquisition.LoadedBundle:
-    path = Path(path_str)
-    if not path.is_dir():
-        raise FileNotFoundError(f"bundle directory not found: {path}")
-    loaded = acquisition.read_bundle_dir(path)
+def _load_bundle_or_fail(path_str: str) -> acquisition.AcquisitionResult:
+    """The bundle with every item's raw file present; `verify` alone reads an incomplete one."""
+    loaded = acquisition.read_bundle_dir(Path(path_str))
     missing = [key for key in (i.key() for i in loaded.bundle.items) if key not in loaded.payloads]
     if missing:
         raise FileNotFoundError(
@@ -67,14 +65,14 @@ def _load_bundle_or_fail(path_str: str) -> acquisition.LoadedBundle:
     return loaded
 
 
-def _payload_for(loaded: acquisition.LoadedBundle, kind: SourceKind):
+def _payload_for(loaded: acquisition.AcquisitionResult, kind: SourceKind):
     for item in loaded.bundle.items:
         if item.source_kind == kind and item.key() in loaded.payloads:
             return item, loaded.payloads[item.key()]
     return None, None
 
 
-def _parse_bundle(loaded: acquisition.LoadedBundle):
+def _parse_bundle(loaded: acquisition.AcquisitionResult):
     zone = loaded.display_zone
     warnings: list[str] = []
 
@@ -289,7 +287,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    loaded = _load_bundle_or_fail(args.bundle)
+    loaded = acquisition.read_bundle_dir(Path(args.bundle))
     result = verify_bundle(loaded.bundle, loaded.payloads)
     for item_result in result.results:
         print(f"{item_result.status.upper():8} {item_result.item_key}"

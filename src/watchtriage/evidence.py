@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -104,15 +104,6 @@ class DeviceProfile:
     cpu_abi: str = ""
     adb_host_name: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "model_number": self.model_number,
-            "android_version": self.android_version,
-            "wear_os_version": self.wear_os_version,
-            "cpu_abi": self.cpu_abi,
-            "adb_host_name": self.adb_host_name,
-        }
-
 
 class SourceKind(str, Enum):
     USAGESTATS = "usagestats"
@@ -142,9 +133,8 @@ class EvidenceItem:
         raw: bytes,
         collected_at: Timestamp,
         origin_label: str = "",
-        algorithm: str = DEFAULT_HASH,
     ) -> "EvidenceItem":
-        return cls(source_kind, collected_at, compute_digest(raw, algorithm), origin_label)
+        return cls(source_kind, collected_at, compute_digest(raw), origin_label)
 
     def key(self) -> str:
         """Stable identifier, unique per bundle (enforced at seal time)."""
@@ -167,19 +157,15 @@ class EvidenceBundle:
     hash_algorithm: str = DEFAULT_HASH
 
     def manifest_document(self) -> dict:
-        return bundle_manifest_document(self.items, self.device, self.hash_algorithm)
+        return {
+            "hash_algorithm": self.hash_algorithm,
+            "items": [it.to_dict() for it in self.items],
+            "device": asdict(self.device) if self.device else None,
+        }
 
-
-def bundle_manifest_document(
-    items: Sequence[EvidenceItem],
-    device: Optional[DeviceProfile],
-    algorithm: str = DEFAULT_HASH,
-) -> dict:
-    return {
-        "hash_algorithm": algorithm,
-        "items": [it.to_dict() for it in items],
-        "device": device.to_dict() if device else None,
-    }
+    def manifest_digest(self) -> str:
+        """Digest of the canonical manifest: recorded at seal time, compared at verify time."""
+        return compute_digest(canonical_json_bytes(self.manifest_document()), self.hash_algorithm)
 
 
 def seal_bundle(
@@ -187,7 +173,6 @@ def seal_bundle(
     device: Optional[DeviceProfile] = None,
     *,
     payloads: Optional[Mapping[str, bytes]] = None,
-    algorithm: str = DEFAULT_HASH,
 ) -> EvidenceBundle:
     """Seal items into a bundle with a deterministic manifest digest.
 
@@ -205,19 +190,14 @@ def seal_bundle(
                 "per origin_label at a given collected_at"
             )
         seen.add(item.key())
-        if payloads is not None:
-            raw = payloads.get(item.key())
-            if raw is None:
-                raise DigestMismatchError(f"no stored bytes supplied for item {item.key()}")
-            actual = compute_digest(raw, algorithm)
-            if actual != item.raw_bytes_digest:
+    bundle = EvidenceBundle(tuple(items), device, "")
+    if payloads is not None:
+        for result in verify_bundle(bundle, payloads).results:
+            if result.status != "pass":
                 raise DigestMismatchError(
-                    f"digest mismatch for item {item.key()}: "
-                    f"recorded {item.raw_bytes_digest}, stored bytes hash to {actual}"
+                    f"digest check {result.status} for item {result.item_key}: {result.detail}"
                 )
-    manifest = bundle_manifest_document(items, device, algorithm)
-    digest = compute_digest(canonical_json_bytes(manifest), algorithm)
-    return EvidenceBundle(tuple(items), device, digest, algorithm)
+    return replace(bundle, bundle_manifest_digest=bundle.manifest_digest())
 
 
 @dataclass(frozen=True)
@@ -256,6 +236,5 @@ def verify_bundle(bundle: EvidenceBundle, stored_bytes: Mapping[str, bytes]) -> 
             results.append(
                 ItemVerification(item.key(), "fail", f"recorded {item.raw_bytes_digest}, got {actual}")
             )
-    manifest = bundle_manifest_document(bundle.items, bundle.device, bundle.hash_algorithm)
-    recomputed = compute_digest(canonical_json_bytes(manifest), bundle.hash_algorithm)
-    return VerificationReport(tuple(results), manifest_ok=(recomputed == bundle.bundle_manifest_digest))
+    manifest_ok = bundle.manifest_digest() == bundle.bundle_manifest_digest
+    return VerificationReport(tuple(results), manifest_ok)

@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .evidence import EvidenceItem, SourceKind, Timestamp, compute_digest
+from .evidence import EvidenceItem, SourceKind, Timestamp
 
 HASHED_SENTINEL = "|1|"
 
@@ -192,12 +192,11 @@ class HostArtifacts:
     warnings: list[str] = field(default_factory=list)
 
 
-_FILEZILLA_NAMES = {"recentservers.xml": "recentservers_xml",
-                    "filezilla.xml": "filezilla_xml",
-                    "sitemanager.xml": "filezilla_xml"}
-
-_SOURCE_KIND_BY_LABEL = {"recentservers_xml": SourceKind.RECENTSERVERS_XML,
-                         "filezilla_xml": SourceKind.FILEZILLA_XML}
+# Recognized file name -> the kind its evidence item is recorded as.
+_ARTIFACT_KINDS = {"recentservers.xml": SourceKind.RECENTSERVERS_XML,
+                   "filezilla.xml": SourceKind.FILEZILLA_XML,
+                   "sitemanager.xml": SourceKind.FILEZILLA_XML,
+                   "known_hosts": SourceKind.KNOWN_HOSTS}
 
 
 def locate_host_artifacts(root: Path) -> list[Path]:
@@ -212,33 +211,31 @@ def locate_host_artifacts(root: Path) -> list[Path]:
         if not path.is_file():
             continue
         name = path.name.lower()
-        if name in _FILEZILLA_NAMES or name == "known_hosts":
+        if name in _ARTIFACT_KINDS:
             found.append(path)
     return found
 
 
-def load_host_artifacts(paths: Iterable[Path], collected_at: Optional[Timestamp] = None) -> HostArtifacts:
+def load_host_artifacts(paths: Iterable[Path]) -> HostArtifacts:
     """Parse a set of artifact files, hashing each for evidence citation."""
     out = HostArtifacts()
     for path in paths:
         raw = path.read_bytes()
-        name = path.name.lower()
-        at = collected_at or Timestamp(0)
-        if name in _FILEZILLA_NAMES:
-            label = _FILEZILLA_NAMES[name]
+        kind = _ARTIFACT_KINDS.get(path.name.lower())
+        if kind is None:
+            out.warnings.append(f"{path}: not a recognized host artifact; skipped")
+            continue
+        text = raw.decode("utf-8", errors="replace")
+        if kind is SourceKind.KNOWN_HOSTS:
+            entries, warnings = parse_known_hosts(text)
+            out.known_host_entries.extend(entries)
+        else:
             try:
-                entries, warnings = parse_filezilla(raw.decode("utf-8", errors="replace"), label)
+                entries, warnings = parse_filezilla(text, kind.value)
             except HostArtifactError as exc:
                 out.warnings.append(f"{path}: {exc}")
                 continue
             out.ftp_entries.extend(entries)
-            out.warnings.extend(f"{path}: {w}" for w in warnings)
-            out.items.append(EvidenceItem(_SOURCE_KIND_BY_LABEL[label], at, compute_digest(raw), str(path)))
-        elif name == "known_hosts":
-            entries, warnings = parse_known_hosts(raw.decode("utf-8", errors="replace"))
-            out.known_host_entries.extend(entries)
-            out.warnings.extend(f"{path}: {w}" for w in warnings)
-            out.items.append(EvidenceItem(SourceKind.KNOWN_HOSTS, at, compute_digest(raw), str(path)))
-        else:
-            out.warnings.append(f"{path}: not a recognized host artifact; skipped")
+        out.warnings.extend(f"{path}: {w}" for w in warnings)
+        out.items.append(EvidenceItem.from_bytes(kind, raw, Timestamp(0), str(path)))
     return out

@@ -21,7 +21,7 @@ import ipaddress
 import json
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -664,30 +664,7 @@ def random_scenario(
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "capture_time": s.capture_time,
-        "display_zone": s.display_zone,
-        "leases_carry_ssid": s.leases_carry_ssid,
-        "app_sessions": [
-            {"package": a.package, "start": a.start, "end": a.end} for a in s.app_sessions
-        ],
-        "wifi_sessions": [
-            {
-                "ssid": w.ssid,
-                "start": w.start,
-                "end": w.end,
-                "bytes_in": w.bytes_in,
-                "bytes_out": w.bytes_out,
-                "assigned_ip": w.assigned_ip,
-            }
-            for w in s.wifi_sessions
-        ],
-        "reboots": list(s.reboots),
-        "host_side": [
-            {"kind": h.kind, "host": h.host, "port": h.port, "protocol": h.protocol}
-            for h in s.host_side
-        ],
-    }
+    return asdict(s)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

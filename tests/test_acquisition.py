@@ -17,6 +17,7 @@ from watchtriage.acquisition import (
     seal_acquisition,
     write_bundle_dir,
 )
+from watchtriage.cli import main
 from watchtriage.evidence import SourceKind, verify_bundle
 
 # Transcript in the shape a Galaxy Watch 5 returns (Android 11, 32-bit ARM).
@@ -87,10 +88,10 @@ class TestRunAcquisition:
     def test_device_profile_from_getprop(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
         result = run_acquisition(executor, clock=SteppingClock(1683766560))
-        assert result.device.android_version == "11"
-        assert result.device.cpu_abi == "armeabi-v7a"
-        assert result.device.model_number == "SM-R910"
-        assert result.device.adb_host_name == "heartbl"
+        assert result.bundle.device.android_version == "11"
+        assert result.bundle.device.cpu_abi == "armeabi-v7a"
+        assert result.bundle.device.model_number == "SM-R910"
+        assert result.bundle.device.adb_host_name == "heartbl"
 
     def test_raw_bytes_stored_verbatim(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
@@ -109,7 +110,7 @@ class TestRunAcquisition:
     def test_no_profile_without_cpu_abi(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["getprop ro.product.cpu.abi"])
         result = run_acquisition(executor, clock=SteppingClock(1683766560))
-        assert result.device is None
+        assert result.bundle.device is None
         assert any(f.label == "cpu_abi" for f in result.failures)
 
     def test_unreachable_executor_aborts_before_any_step(self):
@@ -144,15 +145,28 @@ class TestRunAcquisition:
         assert executed_dumps[0] == "dumpsys network_stack"
 
 
+def _bundle_files(bundle_dir):
+    """manifest.json and raw/* of a bundle directory, by relative path."""
+    paths = [bundle_dir / "manifest.json", *(bundle_dir / "raw").iterdir()]
+    return {p.relative_to(bundle_dir): p.read_bytes() for p in paths}
+
+
 class TestBundleDir:
     def test_write_read_round_trip(self, tmp_path):
-        executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
+        executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["getprop ro.product.model"])
         result = run_acquisition(executor, clock=SteppingClock(1683766560))
+        assert result.failures and result.clock_offset_seconds is not None
         out = write_bundle_dir(result, tmp_path / "bundle")
         loaded = read_bundle_dir(out)
-        assert loaded.bundle.bundle_manifest_digest == result.bundle.bundle_manifest_digest
-        assert loaded.payloads == result.payloads
+        assert loaded == result  # bundle, payloads, labels, failures, clock offset and zone
         assert verify_bundle(loaded.bundle, loaded.payloads).overall_pass
+
+        # Writing back what was read reproduces the manifest and every raw file.
+        generated = tmp_path / "generated"
+        assert main(["generate", "--preset", "ftp", "--out", str(generated)]) == 0
+        for original in (out, generated):
+            copy = write_bundle_dir(read_bundle_dir(original), tmp_path / "copy" / original.name)
+            assert _bundle_files(copy) == _bundle_files(original)
 
     def test_raw_files_on_disk_are_verbatim(self, tmp_path):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib.util
 import json
 import re
@@ -19,6 +20,39 @@ def run(argv):
 
 def slug(command):
     return re.sub(r"[^A-Za-z0-9.]+", "_", command)
+
+
+@pytest.fixture
+def acquire_with_plan(tmp_path, monkeypatch):
+    """Runs `acquire --plan` with the given plan text on canned transcripts.
+
+    Returns the exit status, having checked that a failed run executed no
+    step and left no bundle directory.
+    """
+    executed = []  # the command list of every executor the run built
+    fake_executor = acquisition.FakeExecutor
+
+    def recording_executor(*args, **kwargs):
+        executor = fake_executor(*args, **kwargs)
+        executed.append(executor.executed)
+        return executor
+
+    monkeypatch.setattr(acquisition, "FakeExecutor", recording_executor)
+    transcripts = tmp_path / "transcripts"
+    transcripts.mkdir()
+    for command, payload in GALAXY_WATCH5_TRANSCRIPTS.items():
+        (transcripts / f"{slug(command)}.txt").write_bytes(payload)
+
+    def acquire(plan_text):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(plan_text)
+        out = tmp_path / "bundle"
+        status = run(["acquire", "--plan", str(plan_path), "--transcripts", str(transcripts), "--out", str(out)])
+        if status != 0:
+            assert not any(executed) and not out.exists()
+        return status
+
+    return acquire
 
 
 @pytest.fixture
@@ -126,6 +160,19 @@ class TestVerify:
         assert run(["verify", "--bundle", str(case_bundle)]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "netstats" in out
+
+    def test_deleted_raw_file_is_an_integrity_failure(self, tmp_path, capsys):
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        (bundle / "raw" / "netstats.txt").unlink()
+        capsys.readouterr()
+        assert run(["verify", "--bundle", str(bundle)]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^MISSING +netstats:synthetic:\d+", out, re.M) and "overall: FAIL" in out
+        # The commands that read the dumps cannot run without it.
+        for command in ("parse", "correlate", "report"):
+            assert run([command, "--bundle", str(bundle)]) == 2
+            assert "bundle raw files missing for items: netstats:synthetic:" in capsys.readouterr().err
 
 
 class TestParse:
@@ -347,41 +394,40 @@ class TestUsageErrors:
         lambda doc: doc.__setitem__("manifest", [doc["manifest"]]),
         lambda doc: doc["manifest"]["items"][0].pop("raw_bytes_digest"),
         lambda doc: [doc],
+        lambda doc: b"not json",
+        lambda doc: json.dumps(doc).encode().replace(b'"synthetic', b'"synth\xe9tic'),
+        lambda doc: doc.__setitem__("failures", {"label": "netstats", "detail": "exit status 1"}),
+        lambda doc: doc.__setitem__("clock_offset_seconds", "5"),
     ], ids=["item-is-a-string", "items-not-a-list", "manifest-is-a-list", "missing-raw-bytes-digest",
-            "top-level-not-an-object"])
+            "top-level-not-an-object", "not-json", "not-utf-8", "failures-not-a-list",
+            "clock-offset-a-string"])
     def test_malformed_manifest_exits_2_naming_it(self, break_manifest, case_bundle, capsys):
         path = case_bundle / "manifest.json"
         doc = json.loads(path.read_text())
-        path.write_text(json.dumps(break_manifest(doc) or doc))
+        broken = break_manifest(doc) or doc
+        path.write_bytes(broken if isinstance(broken, bytes) else json.dumps(broken).encode())
         for command in ("verify", "parse", "correlate", "report"):
             assert run([command, "--bundle", str(case_bundle)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "manifest.json: malformed manifest" in err
 
     @pytest.mark.parametrize("label", ["a/b", "", ".", ".."])
-    def test_bad_plan_label_exits_2_before_any_step_runs(self, label, tmp_path, monkeypatch, capsys):
-        executors = []
-
-        class RecordingExecutor(acquisition.FakeExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                executors.append(self)
-
-        monkeypatch.setattr(acquisition, "FakeExecutor", RecordingExecutor)
-        plan = acquisition.default_plan().to_dict()
+    def test_bad_plan_label_exits_2_before_any_step_runs(self, label, acquire_with_plan, capsys):
+        plan = dataclasses.asdict(acquisition.default_plan())
         plan["steps"][1]["label"] = label
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(json.dumps(plan))
-        transcripts = tmp_path / "transcripts"
-        transcripts.mkdir()
-        for command, payload in GALAXY_WATCH5_TRANSCRIPTS.items():
-            (transcripts / f"{slug(command)}.txt").write_bytes(payload)
-        out = tmp_path / "bundle"
-        status = run(["acquire", "--plan", str(plan_path), "--transcripts", str(transcripts), "--out", str(out)])
-        assert status == 2
+        assert acquire_with_plan(json.dumps(plan)) == 2
         assert f"plan step label {label!r} is not a single plain file name" in capsys.readouterr().err
-        assert all(executor.executed == [] for executor in executors)
-        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"steps": ["x"]}',
+        "[]",
+        json.dumps({"steps": [{"label": "netstats", "volatility_rank": 0, "source_kind": "netstats"}]}),
+        "not json",
+    ], ids=["step-not-an-object", "top-level-a-list", "step-without-command", "not-json"])
+    def test_malformed_plan_exits_2_naming_it(self, text, acquire_with_plan, tmp_path, capsys):
+        assert acquire_with_plan(text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'plan.json'}") and "malformed plan" in err
 
     def test_scenario_missing_capture_time_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
