@@ -6,77 +6,29 @@ into confidence-graded exfiltration findings, audits installed apps against
 a watch-only policy, and keeps every raw payload in a tamper-evident bundle.
 """
 
-from .correlate import (
-    AmbiguityFlag,
-    AppNetworkSession,
-    Confidence,
-    Finding,
-    FindingPattern,
-    PatternRule,
-    build_timeline,
-    corroborate,
-    grade_volume,
-    match_sessions,
-)
-from .dumpsys import (
-    LeaseEvent,
-    NetUsageRecord,
-    NetworkStackLog,
-    UsageAggregate,
-    UsageEvent,
-    UsageReport,
-    parse_netstats,
-    parse_network_stack,
-    parse_usagestats,
-)
-from .evidence import (
-    DeviceProfile,
-    EvidenceBundle,
-    EvidenceItem,
-    SourceKind,
-    Timestamp,
-    seal_bundle,
-    verify_bundle,
-)
-from .host_artifacts import FtpServerEntry, KnownHostEntry, parse_filezilla, parse_known_hosts
-from .policy import ManifestInfo, PolicyVerdict, audit_inventory, check_abi, parse_manifest
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguityFlag",
-    "AppNetworkSession",
-    "Confidence",
-    "DeviceProfile",
-    "EvidenceBundle",
-    "EvidenceItem",
-    "Finding",
-    "FindingPattern",
-    "FtpServerEntry",
-    "KnownHostEntry",
-    "LeaseEvent",
-    "ManifestInfo",
-    "NetUsageRecord",
-    "NetworkStackLog",
-    "PatternRule",
-    "PolicyVerdict",
-    "SourceKind",
-    "Timestamp",
-    "UsageAggregate",
-    "UsageEvent",
-    "UsageReport",
-    "audit_inventory",
-    "build_timeline",
-    "check_abi",
-    "corroborate",
-    "grade_volume",
-    "match_sessions",
-    "parse_filezilla",
-    "parse_known_hosts",
-    "parse_manifest",
-    "parse_netstats",
-    "parse_network_stack",
-    "parse_usagestats",
-    "seal_bundle",
-    "verify_bundle",
-]
+# Public name -> the module that defines it. Names are imported on first
+# use, so `import watchtriage.cli` loads only what a command needs.
+_EXPORTS = {
+    "correlate": ("AmbiguityFlag", "AppNetworkSession", "Confidence", "Finding", "FindingPattern",
+                  "PatternRule", "build_timeline", "corroborate", "grade_volume", "match_sessions"),
+    "dumpsys": ("LeaseEvent", "NetUsageRecord", "NetworkStackLog", "UsageAggregate", "UsageEvent",
+                "UsageReport", "parse_netstats", "parse_network_stack", "parse_usagestats"),
+    "evidence": ("DeviceProfile", "EvidenceBundle", "EvidenceItem", "SourceKind", "Timestamp",
+                 "seal_bundle", "verify_bundle"),
+    "host_artifacts": ("FtpServerEntry", "KnownHostEntry", "parse_filezilla", "parse_known_hosts"),
+    "policy": ("ManifestInfo", "PolicyVerdict", "audit_inventory", "check_abi", "parse_manifest"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -22,19 +22,20 @@ import json
 import os
 import re
 import shutil
-import subprocess
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 from .evidence import (
     DEFAULT_DISPLAY_ZONE,
+    DEFAULT_HASH,
     DeviceProfile,
     EvidenceBundle,
     EvidenceItem,
     SourceKind,
     Timestamp,
     canonical_json_bytes,
+    compute_digest,
     seal_bundle,
     zone_name,
 )
@@ -88,6 +89,8 @@ class AdbShellExecutor:
             raise ExecutorUnreachableError(f"adb binary not found: {adb_path}")
 
     def execute(self, command: str) -> tuple[int, bytes, bytes]:
+        import subprocess  # only a live acquisition pays for it
+
         argv = [self.adb_path]
         if self.serial:
             argv += ["-s", self.serial]
@@ -353,9 +356,12 @@ def read_bundle_dir(path: Path) -> AcquisitionResult:
             for i in manifest["items"]
         )
         device = DeviceProfile(**manifest["device"]) if manifest.get("device") else None
-        bundle = EvidenceBundle(
-            items, device, doc["bundle_manifest_digest"], doc.get("hash_algorithm", "sha256")
-        )
+        algorithm = doc.get("hash_algorithm", DEFAULT_HASH)
+        try:
+            compute_digest(b"", algorithm)  # the call verify_bundle makes per item
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"hash_algorithm {algorithm!r}: {exc}") from None
+        bundle = EvidenceBundle(items, device, doc["bundle_manifest_digest"], algorithm)
         files = doc.get("files", {}).items()
         failures = doc.get("failures", [])
         if type(failures) is not list:

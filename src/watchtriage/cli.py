@@ -16,6 +16,10 @@ Environment variables prefixed WATCHTRIAGE_ supply the defaults of the
 matching flags (e.g. WATCHTRIAGE_DISPLAY_ZONE); a flag given on the command
 line wins. The bucket duration and the zone that dump times are read in
 come from the bundle itself, never from a flag.
+
+Each call builds only the chosen subcommand's parser and imports only the
+modules that command uses: `verify` never loads the parsers, correlation,
+policy or simulator, which keeps one-shot calls on case-size bundles cheap.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import re
 import sys
 from pathlib import Path
 
-from . import acquisition, correlate, dumpsys, policy, report, simulator
-from .evidence import DEFAULT_DISPLAY_ZONE, SourceKind, verify_bundle, zone_name
+from . import acquisition
+from .evidence import DEFAULT_DISPLAY_ZONE, DeviceProfile, SourceKind, verify_bundle, zone_name
 from .host_artifacts import load_host_artifacts, locate_host_artifacts
 
 ENV_PREFIX = "WATCHTRIAGE_"
@@ -73,6 +77,8 @@ def _payload_for(loaded: acquisition.AcquisitionResult, kind: SourceKind):
 
 
 def _parse_bundle(loaded: acquisition.AcquisitionResult):
+    from . import correlate, dumpsys
+
     zone = loaded.display_zone
     warnings: list[str] = []
 
@@ -101,13 +107,17 @@ def _parse_bundle(loaded: acquisition.AcquisitionResult):
     return timeline, warnings
 
 
-def _correlate_bundle(loaded, host_dir: str | None, rules):
+def _correlate_bundle(loaded, args):
+    """Findings for a loaded bundle with the --rules and --host-artifacts of `args`."""
+    from . import correlate, report
+
+    rules = correlate.load_rules(Path(args.rules)) if args.rules else correlate.DEFAULT_RULES
     timeline, warnings = _parse_bundle(loaded)
     sessions = correlate.match_sessions(timeline)
 
     ftp_entries, kh_entries, host_items = [], [], []
-    if host_dir:
-        root = Path(host_dir)
+    if args.host_artifacts:
+        root = Path(args.host_artifacts)
         if not root.is_dir():
             raise FileNotFoundError(f"host artifacts directory not found: {root}")
         artifacts = load_host_artifacts(locate_host_artifacts(root))
@@ -121,17 +131,21 @@ def _correlate_bundle(loaded, host_dir: str | None, rules):
     return findings, timeline, host_items, warnings
 
 
-def _rules_from_args(args) -> tuple:
-    if getattr(args, "rules", None):
-        return correlate.load_rules(Path(args.rules))
-    return correlate.DEFAULT_RULES
-
-
 def _slug(command: str) -> str:
     return re.sub(r"[^A-Za-z0-9.]+", "_", command)
 
 
+def _unused_out(out: str) -> Path:
+    """The --out directory of a command that writes a bundle. An existing
+    non-empty one is refused, so no earlier run's files survive in it."""
+    path = Path(out)
+    if path.exists() and (not path.is_dir() or any(path.iterdir())):
+        raise acquisition.AcquisitionError(f"output directory exists and is not empty: {path}")
+    return path
+
+
 def cmd_acquire(args) -> int:
+    out = _unused_out(args.out)
     plan = acquisition.load_plan(Path(args.plan)) if args.plan else acquisition.default_plan()
     if args.transcripts:
         root = Path(args.transcripts)
@@ -152,7 +166,7 @@ def cmd_acquire(args) -> int:
     result = acquisition.run_acquisition(
         executor, plan, clock, origin_label=args.origin, display_zone=args.display_zone
     )
-    acquisition.write_bundle_dir(result, Path(args.out))
+    acquisition.write_bundle_dir(result, out)
     print(f"bundle sealed: {result.bundle.bundle_manifest_digest}")
     print(f"items: {len(result.bundle.items)}, failures: {len(result.failures)}")
     for failure in result.failures:
@@ -161,6 +175,8 @@ def cmd_acquire(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    from . import correlate
+
     loaded = _load_bundle_or_fail(args.bundle)
     timeline, warnings = _parse_bundle(loaded)
     doc = {
@@ -205,10 +221,10 @@ def cmd_parse(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    from . import correlate
+
     loaded = _load_bundle_or_fail(args.bundle)
-    findings, timeline, _host_items, warnings = _correlate_bundle(
-        loaded, args.host_artifacts, _rules_from_args(args)
-    )
+    findings, timeline, _host_items, warnings = _correlate_bundle(loaded, args)
     doc = correlate.findings_document(
         findings, loaded.bundle.bundle_manifest_digest, timeline.bucket_duration, loaded.display_zone, warnings
     )
@@ -219,14 +235,14 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import policy
+
     device_abi = args.device_abi
     if args.bundle and not device_abi:
         loaded = _load_bundle_or_fail(args.bundle)
         if loaded.bundle.device:
             device_abi = loaded.bundle.device.cpu_abi
     manifests, failures = policy.load_inventory(Path(args.manifests))
-    from .evidence import DeviceProfile
-
     verdicts = policy.audit_inventory(manifests, DeviceProfile(cpu_abi=device_abi or ""))
     verdicts = sorted(verdicts + failures, key=lambda v: (v.severity, v.package))
     if args.format == "json":
@@ -241,6 +257,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import simulator
+
+    out = _unused_out(args.out)
     if args.preset:
         scenario = simulator.PRESETS[args.preset]()
     elif args.scenario:
@@ -255,7 +274,6 @@ def cmd_generate(args) -> int:
     kinds = (SourceKind.USAGESTATS, SourceKind.NETSTATS, SourceKind.NETWORK_STACK)
     captured = [(kind.value, kind, text.encode(), scenario.capture_time) for kind, text in zip(kinds, dumps)]
     result = acquisition.seal_acquisition(captured, "synthetic", scenario.display_zone)
-    out = Path(args.out)
     acquisition.write_bundle_dir(result, out)
     (out / "scenario.json").write_text(
         json.dumps(simulator.scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
@@ -272,10 +290,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import report
+
     loaded = _load_bundle_or_fail(args.bundle)
-    findings, timeline, host_items, warnings = _correlate_bundle(
-        loaded, args.host_artifacts, _rules_from_args(args)
-    )
+    findings, timeline, host_items, warnings = _correlate_bundle(loaded, args)
     doc = report.render_report(
         findings, loaded.bundle, timeline, args.display_zone, host_items, warnings
     )
@@ -297,55 +315,48 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result.overall_pass else EXIT_DETECTIONS
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="watchtriage",
-        description="Forensic triage for Wear OS smartwatch dump evidence",
+def _add_common(p):
+    p.add_argument("--bundle", required=True, help="bundle directory")
+    p.add_argument("--out", help="write output to this file instead of stdout")
+
+
+def _add_display_zone(p, help_text):
+    # A string default goes through `type` only when the flag is absent,
+    # so a bad environment value is rejected like a bad flag.
+    p.add_argument(
+        "--display-zone", type=zone_name, default=_env("DISPLAY_ZONE", DEFAULT_DISPLAY_ZONE), help=help_text
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--bundle", required=True, help="bundle directory")
-        p.add_argument("--out", help="write output to this file instead of stdout")
 
-    def add_display_zone(p, help_text):
-        # A string default goes through `type` only when the flag is absent,
-        # so a bad environment value is rejected like a bad flag.
-        p.add_argument(
-            "--display-zone", type=zone_name, default=_env("DISPLAY_ZONE", DEFAULT_DISPLAY_ZONE), help=help_text
-        )
-
-    p = sub.add_parser("acquire", help="collect evidence from a device into a bundle directory")
+def _acquire_options(p):
     p.add_argument("--serial", help="adb device serial (host:port for wireless)")
     p.add_argument("--adb-path", default=_env("ADB_PATH", "adb"), help="adb binary")
     p.add_argument("--transcripts", help="directory of canned command transcripts (offline mode)")
     p.add_argument("--plan", help="acquisition plan JSON (default: built-in volatility order)")
     p.add_argument("--origin", default="watch", help="origin label recorded on evidence items")
-    add_display_zone(p, "IANA zone recorded in the bundle for reading its dump times")
+    _add_display_zone(p, "IANA zone recorded in the bundle for reading its dump times")
     p.add_argument("--clock-start", type=int, help="deterministic clock start (testing)")
     p.add_argument("--out", required=True, help="bundle output directory")
-    p.set_defaults(func=cmd_acquire)
 
-    p = sub.add_parser("parse", help="parse a bundle's dumps into structured JSON")
-    add_common(p)
-    p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("correlate", help="correlate a bundle into findings JSON")
-    add_common(p)
+def _correlate_options(p):
+    _add_common(p)
     p.add_argument("--host-artifacts", default=_env("HOST_ARTIFACTS", None),
                    help="directory of PC-side artifacts (recentservers.xml, known_hosts, ...)")
     p.add_argument("--rules", default=_env("RULES", None), help="pattern rules JSON file")
-    p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("audit", help="audit app manifests against the watch-only policy")
+
+def _audit_options(p):
     p.add_argument("--manifests", required=True, help="directory of manifests or inventory JSON")
     p.add_argument("--device-abi", help="device CPU ABI (e.g. armeabi-v7a)")
     p.add_argument("--bundle", help="bundle directory to take the device ABI from")
     p.add_argument("--format", choices=["md", "json"], default=_env("FORMAT", "md"))
     p.add_argument("--out")
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("generate", help="write a synthetic evidence bundle from a scenario")
+
+def _generate_options(p):
+    from . import dumpsys, simulator
+
     group = p.add_mutually_exclusive_group()
     group.add_argument("--preset", choices=sorted(simulator.PRESETS), help="built-in scenario")
     group.add_argument("--scenario", help="scenario JSON file")
@@ -357,37 +368,58 @@ def build_parser() -> argparse.ArgumentParser:
         help="traffic bucket duration the netstats dump is rendered with (default 3600)",
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("report", help="render an investigator report from a bundle")
-    add_common(p)
-    add_display_zone(p, "IANA zone for rendering timestamps")
+
+def _report_options(p):
+    _add_common(p)
+    _add_display_zone(p, "IANA zone for rendering timestamps")
     p.add_argument("--host-artifacts", default=_env("HOST_ARTIFACTS", None))
     p.add_argument("--rules", default=_env("RULES", None))
     p.add_argument("--format", choices=["md", "json"], default=_env("FORMAT", "md"))
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("verify", help="verify bundle integrity (per-item pass/fail)")
+
+def _verify_options(p):
     p.add_argument("--bundle", required=True)
-    p.set_defaults(func=cmd_verify)
 
+
+# Subcommand -> (handler, help, function adding its options), in help order.
+COMMANDS = {
+    "acquire": (cmd_acquire, "collect evidence from a device into a bundle directory", _acquire_options),
+    "parse": (cmd_parse, "parse a bundle's dumps into structured JSON", _add_common),
+    "correlate": (cmd_correlate, "correlate a bundle into findings JSON", _correlate_options),
+    "audit": (cmd_audit, "audit app manifests against the watch-only policy", _audit_options),
+    "generate": (cmd_generate, "write a synthetic evidence bundle from a scenario", _generate_options),
+    "report": (cmd_report, "render an investigator report from a bundle", _report_options),
+    "verify": (cmd_verify, "verify bundle integrity (per-item pass/fail)", _verify_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only `command`'s subparser, or with every
+    subcommand's when `command` names none (for top-level help and errors)."""
+    parser = argparse.ArgumentParser(
+        prog="watchtriage",
+        description="Forensic triage for Wear OS smartwatch dump evidence",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        handler, help_text, add_options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail(str(exc))
     except (
         acquisition.AcquisitionError,
-        dumpsys.ParseError,
-        policy.ManifestError,
-        simulator.ScenarioError,
-        json.JSONDecodeError,
-        ValueError,  # malformed rules/inventory/scenario values
+        ValueError,  # malformed dumps, rules, inventories, manifests and scenario values
     ) as exc:
         return _fail(str(exc))
     except KeyError as exc:

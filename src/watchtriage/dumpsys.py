@@ -36,7 +36,7 @@ USAGE_WINDOW_SECONDS = 24 * 3600
 DEFAULT_BUCKET_SECONDS = 3600
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Fatal parse failure (empty input, missing capture time)."""
 
 

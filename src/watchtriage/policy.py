@@ -39,7 +39,7 @@ _ABI_EXECUTES = {
 }
 
 
-class ManifestError(Exception):
+class ManifestError(ValueError):
     """Fatal manifest parse failure."""
 
 

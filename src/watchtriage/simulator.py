@@ -40,7 +40,7 @@ USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))
 
 
-class ScenarioError(Exception):
+class ScenarioError(ValueError):
     """A scenario violates one of its invariants."""
 
 

@@ -196,3 +196,12 @@ class TestBundleDir:
         (out / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(AcquisitionError, match="not a relative path inside the bundle directory"):
             read_bundle_dir(out)
+
+    def test_unknown_hash_algorithm_is_a_malformed_manifest_naming_the_field(self, tmp_path):
+        result = run_acquisition(FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS), clock=SteppingClock(1683766560))
+        out = write_bundle_dir(result, tmp_path / "bundle")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["hash_algorithm"] = "md7"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(AcquisitionError, match=r"manifest\.json: malformed manifest .*hash_algorithm 'md7'"):
+            read_bundle_dir(out)

@@ -22,6 +22,11 @@ def slug(command):
     return re.sub(r"[^A-Za-z0-9.]+", "_", command)
 
 
+def tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.fixture
 def acquire_with_plan(tmp_path, monkeypatch):
     """Runs `acquire --plan` with the given plan text on canned transcripts.
@@ -79,6 +84,20 @@ class TestGenerate:
             assert run(["generate", "--seed", "7", "--out", str(out)]) == 0
             digests.append(json.loads((out / "manifest.json").read_text())["bundle_manifest_digest"])
         assert digests[0] == digests[1]
+
+    def test_existing_non_empty_out_is_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "e"
+        assert run(["generate", "--preset", "ftp", "--out", str(out)]) == 0
+        before = tree(out)
+        assert (out / "host_artifacts" / "recentservers.xml").is_file()
+        # A random scenario has no host side; writing it here would leave the ftp one's behind.
+        assert run(["generate", "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: output directory exists and is not empty: {out}\n"
+        assert tree(out) == before
+        # A file in the way is refused too; an existing empty directory is used.
+        assert run(["generate", "--seed", "0", "--out", str(out / "manifest.json")]) == 2
+        (tmp_path / "empty").mkdir()
+        assert run(["generate", "--seed", "0", "--out", str(tmp_path / "empty")]) == 0
 
     def test_scenario_file_input(self, tmp_path, case_bundle):
         scenario_file = case_bundle / "scenario.json"
@@ -279,6 +298,19 @@ class TestAcquire:
         verdicts = json.loads(capsys.readouterr().out)
         assert verdicts[0]["verdict"] == "abi_incompatible"
 
+    def test_existing_non_empty_out_is_refused_before_any_step(self, tmp_path, monkeypatch, capsys):
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()
+        for command, payload in GALAXY_WATCH5_TRANSCRIPTS.items():
+            (transcripts / f"{slug(command)}.txt").write_bytes(payload)
+        out = tmp_path / "bundle"
+        out.mkdir()
+        (out / "notes.txt").write_text("earlier case")
+        monkeypatch.setattr(acquisition, "FakeExecutor", lambda *a, **k: pytest.fail("a step ran"))
+        assert run(["acquire", "--transcripts", str(transcripts), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: output directory exists and is not empty: {out}\n"
+        assert tree(out) == {Path("notes.txt"): b"earlier case"}
+
     def test_missing_transcript_recorded_as_failure(self, tmp_path, capsys):
         transcripts = tmp_path / "transcripts"
         transcripts.mkdir()
@@ -398,9 +430,10 @@ class TestUsageErrors:
         lambda doc: json.dumps(doc).encode().replace(b'"synthetic', b'"synth\xe9tic'),
         lambda doc: doc.__setitem__("failures", {"label": "netstats", "detail": "exit status 1"}),
         lambda doc: doc.__setitem__("clock_offset_seconds", "5"),
+        lambda doc: doc.__setitem__("hash_algorithm", "md7"),
     ], ids=["item-is-a-string", "items-not-a-list", "manifest-is-a-list", "missing-raw-bytes-digest",
             "top-level-not-an-object", "not-json", "not-utf-8", "failures-not-a-list",
-            "clock-offset-a-string"])
+            "clock-offset-a-string", "unknown-hash-algorithm"])
     def test_malformed_manifest_exits_2_naming_it(self, break_manifest, case_bundle, capsys):
         path = case_bundle / "manifest.json"
         doc = json.loads(path.read_text())
@@ -485,3 +518,40 @@ class TestBenchmarkEntryPoints:
         finally:
             tracer.restore()
         assert [dict(vars(owner)) for owner in owners] == before
+
+
+class TestPerCommandParser:
+    """main builds only the named subcommand's parser; any other first word gets them all."""
+
+    @pytest.mark.parametrize("command", sorted(CLI_OPTIONS))
+    def test_single_command_parser_has_the_same_options(self, command):
+        (action,) = [a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(action.choices) == [command]
+        options = sorted(o for a in action.choices[command]._actions for o in a.option_strings
+                         if o not in ("-h", "--help"))
+        assert options == CLI_OPTIONS[command]
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in CLI_OPTIONS:
+            assert re.search(rf"^ +{command} +\S", out, re.M), command
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["Verify", "--bundle", "b"], []])
+    def test_unknown_or_missing_subcommand_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        if argv:
+            assert f"invalid choice: {argv[0]!r}" in err
+            assert all(repr(command) in err for command in CLI_OPTIONS)
+        else:
+            assert "the following arguments are required: command" in err
+
+    def test_environment_default_applies_to_report(self, case_bundle, monkeypatch, capsys):
+        monkeypatch.setenv("WATCHTRIAGE_FORMAT", "json")
+        assert run(["report", "--bundle", str(case_bundle)]) == 0
+        assert json.loads(capsys.readouterr().out)["schema"] == "watchtriage.report/1"
