@@ -415,9 +415,8 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail(str(exc))
     except (
+        OSError,  # missing inputs and output paths the system refuses
         acquisition.AcquisitionError,
         ValueError,  # malformed dumps, rules, inventories, manifests and scenario values
     ) as exc:

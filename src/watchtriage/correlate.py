@@ -160,10 +160,9 @@ def build_timeline(
     for ev in report.events_24h:
         entries.append(TimelineEntry(ev.at, SourceKind.USAGESTATS, f"{ev.event_type} {ev.package}"))
     for rec in net:
-        close = rec.st.shifted(bucket_duration)
         entries.append(
             TimelineEntry(
-                close,
+                Timestamp(rec.st.epoch + bucket_duration),
                 SourceKind.NETSTATS,
                 f"traffic bucket {rec.network_id} st={rec.st.epoch} rb={rec.rb} tb={rec.tb}",
             )
@@ -365,16 +364,6 @@ class Finding:
     direction_summary: DirectionSummary
     confidence: Confidence
     evidence_digests: tuple[str, ...] = ()
-
-    def with_digests(self, digests: Sequence[str]) -> "Finding":
-        return Finding(
-            self.pattern,
-            self.session,
-            self.host_corroboration,
-            self.direction_summary,
-            self.confidence,
-            tuple(digests),
-        )
 
 
 def _bias_satisfied(bias: DirectionBias, summary: DirectionSummary) -> bool:

@@ -30,7 +30,7 @@ from enum import Enum
 from functools import partial
 from typing import Optional
 
-from .evidence import DEFAULT_DISPLAY_ZONE, Timestamp, parse_timestamp
+from .evidence import Timestamp
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 DEFAULT_BUCKET_SECONDS = 3600
@@ -254,12 +254,12 @@ def _usagestats_text(text: str, zone: str, want_capture: bool):
         if m:
             if want_capture:
                 want_capture = False
-                yield parse_timestamp(m.group(1), zone)
+                yield Timestamp.parse(m.group(1), zone)
             continue
         m = _EVENT_RE.search(line)
         if m:
             try:
-                at = parse_timestamp(m.group(1), zone)
+                at = Timestamp.parse(m.group(1), zone)
             except ValueError as exc:
                 yield f"line {lineno}: bad event time ({exc})"
                 continue
@@ -268,7 +268,7 @@ def _usagestats_text(text: str, zone: str, want_capture: bool):
         m = _AGGREGATE_RE.search(line)
         if m and isinstance(section, AggregateWindow):
             try:
-                last_used = parse_timestamp(m.group(2) + ":00", zone)
+                last_used = Timestamp.parse(m.group(2) + ":00", zone)
             except ValueError as exc:
                 yield f"line {lineno}: bad aggregate time ({exc})"
                 continue
@@ -359,14 +359,14 @@ def _network_stack_text(text: str, zone: str):
         m = _BOOT_RE.search(line)
         if m:
             try:
-                yield parse_timestamp(m.group(1), zone)
+                yield Timestamp.parse(m.group(1), zone)
             except ValueError as exc:
                 yield f"line {lineno}: bad boot time ({exc})"
             continue
         m = _LEASE_RE.search(line)
         if m:
             try:
-                yield _lease(parse_timestamp(m.group(1), zone), m.group(2), m.group(4), m.group(3), m.group(5))
+                yield _lease(Timestamp.parse(m.group(1), zone), m.group(2), m.group(4), m.group(3), m.group(5))
             except ValueError as exc:
                 yield f"line {lineno}: bad lease line ({exc})"
             continue
@@ -395,14 +395,12 @@ def _network_stack_jsonl(text: str):
 
 
 def parse_usagestats(
-    text: str,
-    capture_time: Optional[Timestamp] = None,
-    zone: str = DEFAULT_DISPLAY_ZONE,
+    text: str, capture_time: Optional[Timestamp], zone: str
 ) -> tuple[UsageReport, list[str]]:
     """Parse a usagestats dump into a report plus per-line warnings.
 
     Wall-clock times are read in `zone`. `capture_time` normally comes from
-    acquisition metadata; when omitted, the dump's first capture-time=
+    acquisition metadata; when it is None, the dump's first capture-time=
     header (capture record) is used. Events outside the 24-hour detail
     window ending at the capture time are dropped with a warning.
     """
@@ -443,9 +441,7 @@ def parse_netstats(text: str) -> tuple[list[NetUsageRecord], list[str]]:
     return tokens[NetUsageRecord], tokens[str]
 
 
-def parse_network_stack(
-    text: str, zone: str = DEFAULT_DISPLAY_ZONE
-) -> tuple[NetworkStackLog, list[str]]:
+def parse_network_stack(text: str, zone: str) -> tuple[NetworkStackLog, list[str]]:
     """Parse a network_stack dump into DHCP lease events plus boot marker.
 
     Wall-clock times are read in `zone`. Lease lines predating the boot

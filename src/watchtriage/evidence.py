@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import asdict, dataclass, replace
-from datetime import datetime, timezone
+from datetime import datetime
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -51,9 +52,14 @@ def zone_name(name: str) -> str:
     return name
 
 
+# The one wall-clock text form: zero-padded ASCII "YYYY-MM-DD HH:MM:SS".
+_WALL_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})")
+
+
 @dataclass(frozen=True, order=True)
 class Timestamp:
-    """Point in time as UTC epoch seconds."""
+    """Point in time as UTC epoch seconds; the only code that turns wall-clock
+    text into an epoch or an epoch into text."""
 
     epoch: int
 
@@ -61,39 +67,25 @@ class Timestamp:
         if self.epoch < 0:
             raise ValueError(f"epoch must be >= 0, got {self.epoch}")
 
+    @classmethod
+    def parse(cls, text: str, zone: str) -> "Timestamp":
+        """The instant the wall time `text` denotes in `zone`; ValueError for
+        any text but the fixed-width form. A wall time that a DST change
+        repeats or skips reads as its fold=0 instant."""
+        m = _WALL_RE.fullmatch(text)
+        if m is None:
+            raise ValueError(f"wall time {text!r} is not YYYY-MM-DD HH:MM:SS")
+        local = datetime(*map(int, m.groups()), tzinfo=ZoneInfo(zone))
+        return cls(int(local.timestamp()))
+
     def render(self, zone: str) -> str:
         """Wall-clock string in `zone` with explicit UTC offset."""
-        local = datetime.fromtimestamp(self.epoch, ZoneInfo(zone))
-        offset = local.strftime("%z")
-        return f"{local:%Y-%m-%d %H:%M:%S} {offset[:3]}:{offset[3:]}"
+        local = datetime.fromtimestamp(self.epoch, ZoneInfo(zone)).isoformat(" ")
+        return f"{local[:19]} {local[19:]}"
 
-    def wall(self, zone: str, fmt: str = "%Y-%m-%d %H:%M:%S") -> str:
+    def wall(self, zone: str) -> str:
         """Bare wall-clock string in `zone` (no offset suffix)."""
-        return datetime.fromtimestamp(self.epoch, ZoneInfo(zone)).strftime(fmt)
-
-    def shifted(self, seconds: int) -> "Timestamp":
-        return Timestamp(self.epoch + seconds)
-
-
-def parse_timestamp(text: str, zone: str = DEFAULT_DISPLAY_ZONE) -> Timestamp:
-    """Parse a rendered timestamp.
-
-    Accepts the render() format ("YYYY-MM-DD HH:MM:SS +HH:MM"), the same
-    without an offset (interpreted in `zone`), and bare epoch integers.
-    """
-    text = text.strip()
-    if text.isdigit():
-        return Timestamp(int(text))
-    parts = text.rsplit(" ", 1)
-    if len(parts) == 2 and (parts[1].startswith("+") or parts[1].startswith("-")):
-        naive = datetime.strptime(parts[0], "%Y-%m-%d %H:%M:%S")
-        sign = 1 if parts[1][0] == "+" else -1
-        hh, mm = parts[1][1:].split(":")
-        offset = sign * (int(hh) * 3600 + int(mm) * 60)
-        epoch = int(naive.replace(tzinfo=timezone.utc).timestamp()) - offset
-        return Timestamp(epoch)
-    local = datetime.strptime(text, "%Y-%m-%d %H:%M:%S").replace(tzinfo=ZoneInfo(zone))
-    return Timestamp(int(local.timestamp()))
+        return self.render(zone)[:19]
 
 
 @dataclass(frozen=True)

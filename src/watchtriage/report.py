@@ -9,11 +9,11 @@ least one evidence item digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
-from .evidence import DEFAULT_DISPLAY_ZONE, EvidenceBundle, SourceKind, Timestamp
+from .evidence import EvidenceBundle, SourceKind
 from .host_artifacts import FtpServerEntry
 
 LIMITATION_NOTES = {
@@ -62,9 +62,6 @@ class ReportDocument:
             "warnings": list(self.warnings),
         }
 
-    def _render(self, t: Timestamp) -> str:
-        return t.render(self.display_zone)
-
     def to_markdown(self) -> str:
         lines = ["# Smartwatch exfiltration triage report", ""]
         lines.append(f"Bundle: `{self.bundle_ref}`  ")
@@ -81,9 +78,9 @@ class ReportDocument:
             lines.append("")
             lines.append(f"- Packages: {', '.join(sess.packages) or '(no in-window app evidence)'}")
             start = sess.app_start
-            lines.append(f"- App start: {self._render(start) if start else 'unknown (usage detail expired)'}")
+            lines.append(f"- App start: {start.render(self.display_zone) if start else 'unknown (usage detail expired)'}")
             lines.append(f"- Networks: {', '.join(sess.network_ids)}")
-            buckets = ", ".join(f"{b.st.epoch} ({self._render(b.st)})" for b in sess.buckets)
+            buckets = ", ".join(f"{b.st.epoch} ({b.st.render(self.display_zone)})" for b in sess.buckets)
             lines.append(f"- Bucket starts: {buckets}")
             lines.append(
                 f"- Bytes in / out: {f.direction_summary.bytes_in:,} / {f.direction_summary.bytes_out:,}"
@@ -163,15 +160,15 @@ def attach_evidence_digests(
             raise ReportError(
                 "cannot cite evidence: bundle has no netstats item yet findings reference traffic"
             )
-        out.append(f.with_digests(dict.fromkeys(digests)))  # dedupe, keep order
+        out.append(replace(f, evidence_digests=tuple(dict.fromkeys(digests))))  # dedupe, keep order
     return out
 
 
 def render_report(
     findings: Sequence[Finding],
     bundle: EvidenceBundle,
-    timeline: Optional[Timeline] = None,
-    display_zone: str = DEFAULT_DISPLAY_ZONE,
+    timeline: Timeline,
+    display_zone: str,
     host_items: Sequence = (),
     warnings: Sequence[str] = (),
 ) -> ReportDocument:
@@ -179,10 +176,7 @@ def render_report(
     if any(not f.evidence_digests for f in findings):
         findings = attach_evidence_digests(findings, bundle, host_items)
 
-    rows = []
-    if timeline is not None:
-        for entry in timeline.entries:
-            rows.append((entry.at.render(display_zone), entry.source_kind.value, entry.description))
+    rows = [(e.at.render(display_zone), e.source_kind.value, e.description) for e in timeline.entries]
 
     flag_classes: list[AmbiguityFlag] = []
     for f in findings:

@@ -209,10 +209,6 @@ def ground_truth_leases(s: Scenario) -> list[tuple[int, str, Optional[str]]]:
     return out
 
 
-def _wall(epoch: int, zone: str, fmt: str = "%Y-%m-%d %H:%M:%S") -> str:
-    return Timestamp(epoch).wall(zone, fmt)
-
-
 def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:
     """Render (usagestats, netstats, network_stack) fixture texts."""
     validate(s)
@@ -220,10 +216,10 @@ def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:
 
     # usagestats
     lines = ["DUMP OF SERVICE usagestats:"]
-    lines.append(f'  capture-time="{_wall(s.capture_time, zone)}"')
+    lines.append(f'  capture-time="{Timestamp(s.capture_time).wall(zone)}"')
     lines.append("  Last 24 hour events:")
     for pkg, event_type, t in ground_truth_events(s):
-        lines.append(f'    time="{_wall(t, zone)}" type={event_type} package={pkg}')
+        lines.append(f'    time="{Timestamp(t).wall(zone)}" type={event_type} package={pkg}')
     aggregates = ground_truth_aggregates(s)
     for window, _secs in AGGREGATE_WINDOWS:
         rows = [a for a in aggregates if a[0] == window]
@@ -232,7 +228,7 @@ def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:
         lines.append(f"  {window.capitalize()}ly stats:")
         for _w, pkg, last_minute, count in rows:
             lines.append(
-                f'    package={pkg} lastTimeUsed="{_wall(last_minute, zone, "%Y-%m-%d %H:%M")}" totalCount={count}'
+                f'    package={pkg} lastTimeUsed="{Timestamp(last_minute).wall(zone)[:16]}" totalCount={count}'
             )
     usagestats = "\n".join(lines) + "\n"
 
@@ -255,10 +251,10 @@ def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:
     lines = ["DUMP OF SERVICE network_stack:"]
     boot = last_reboot_before_capture(s)
     if boot is not None:
-        lines.append(f'  bootTime="{_wall(boot, zone)}"')
+        lines.append(f'  bootTime="{Timestamp(boot).wall(zone)}"')
     for at, ip, ssid in ground_truth_leases(s):
         ssid_part = f' ssid="{ssid}"' if ssid is not None else ""
-        lines.append(f'  time="{_wall(at, zone)}" iface=wlan0 event=DHCP_ACK ip={ip}{ssid_part}')
+        lines.append(f'  time="{Timestamp(at).wall(zone)}" iface=wlan0 event=DHCP_ACK ip={ip}{ssid_part}')
     network_stack = "\n".join(lines) + "\n"
 
     return usagestats, netstats, network_stack

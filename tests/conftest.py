@@ -55,9 +55,9 @@ def run_bucket_join(st, duration, probe_epochs):
     leases = [{"record": "lease", "at": at, "interface": "wlan0", "event_kind": "dhcp_ack",
                "private_ip": f"10.0.{k // 250}.{k % 250 + 1}", "network_id": None}
               for k, at in enumerate(probe_epochs)]
-    report, _ = dumpsys.parse_usagestats(dump(usage))
+    report, _ = dumpsys.parse_usagestats(dump(usage), None, "UTC")
     records, _ = dumpsys.parse_netstats(dump(net))
-    lease_log, _ = dumpsys.parse_network_stack(dump(leases))
+    lease_log, _ = dumpsys.parse_network_stack(dump(leases), "UTC")
     timeline = correlate.build_timeline(report, records, lease_log)
     assert timeline.bucket_duration == duration
     (session,) = correlate.match_sessions(timeline)

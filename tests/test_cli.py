@@ -462,6 +462,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'plan.json'}") and "malformed plan" in err
 
+    def test_out_path_under_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        assert run(["generate", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 20] Not a directory: ") and str(out) in err
+
+    def test_out_path_that_is_a_directory_exits_2(self, case_bundle, capsys):
+        assert run(["parse", "--bundle", str(case_bundle), "--out", str(case_bundle)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{case_bundle}'\n"
+
     def test_scenario_missing_capture_time_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"app_sessions": []}))

@@ -71,9 +71,9 @@ class TestBuildTimeline:
         from watchtriage.dumpsys import parse_network_stack, parse_usagestats
 
         usage_text = 'time="2023-05-11 09:00:00" type=ACTIVITY_RESUMED package=com.x\n'
-        report, _ = parse_usagestats(usage_text, Timestamp(1683766560))
+        report, _ = parse_usagestats(usage_text, Timestamp(1683766560), "Asia/Seoul")
         lease_text = '{"record": "lease", "at": 100, "private_ip": "10.0.0.1"}'
-        lease_log, _ = parse_network_stack(lease_text)
+        lease_log, _ = parse_network_stack(lease_text, "Asia/Seoul")
         timeline = build_timeline(report, [], lease_log)
         assert any("clock skew" in w for w in timeline.warnings)
 

@@ -14,6 +14,7 @@ from watchtriage.dumpsys import (
     parse_usagestats,
 )
 from watchtriage.evidence import Timestamp
+from tests.test_evidence import MALFORMED_WALL_TIMES
 
 KST = "Asia/Seoul"
 
@@ -34,7 +35,7 @@ DUMP OF SERVICE usagestats:
 
 class TestParseUsagestats:
     def test_ftp_app_start_event(self):
-        report, warnings = parse_usagestats(USAGESTATS_FIXTURE, CAPTURE)
+        report, warnings = parse_usagestats(USAGESTATS_FIXTURE, CAPTURE, KST)
         assert warnings == []
         first = report.events_24h[0]
         assert first.package == "com.corproxy.files"
@@ -61,7 +62,7 @@ class TestParseUsagestats:
 
     def test_whitespace_only_input_is_fatal(self):
         with pytest.raises(EmptyDumpError):
-            parse_usagestats("   \n\t  ", CAPTURE)
+            parse_usagestats("   \n\t  ", CAPTURE, KST)
 
     def test_events_sorted_with_stable_ties(self):
         text = (
@@ -70,23 +71,23 @@ class TestParseUsagestats:
             '  time="2023-05-11 07:00:00" type=ACTIVITY_RESUMED package=a.first\n'
             '  time="2023-05-11 08:00:00" type=ACTIVITY_PAUSED package=a.first\n'
         )
-        report, _ = parse_usagestats(text, CAPTURE)
+        report, _ = parse_usagestats(text, CAPTURE, KST)
         assert [e.package for e in report.events_24h] == ["a.first", "b.second", "a.first"]
 
     def test_unknown_event_type_maps_to_other(self):
         text = 'time="2023-05-11 08:00:00" type=STANDBY_BUCKET_CHANGED package=com.x\n'
-        report, _ = parse_usagestats(text, CAPTURE)
+        report, _ = parse_usagestats(text, CAPTURE, KST)
         assert report.events_24h[0].kind == UsageEventKind.OTHER
         assert report.events_24h[0].event_type == "STANDBY_BUCKET_CHANGED"
 
     def test_event_outside_24h_window_dropped_with_warning(self):
         text = 'time="2023-05-09 01:00:00" type=ACTIVITY_RESUMED package=com.old\n'
-        report, warnings = parse_usagestats(text, CAPTURE)
+        report, warnings = parse_usagestats(text, CAPTURE, KST)
         assert report.events_24h == ()
         assert any("outside the 24h" in w for w in warnings)
 
     def test_aggregates_have_no_second_precision(self):
-        report, _ = parse_usagestats(USAGESTATS_FIXTURE, CAPTURE)
+        report, _ = parse_usagestats(USAGESTATS_FIXTURE, CAPTURE, KST)
         agg = report.aggregates[0]
         assert agg.window == AggregateWindow.WEEK
         assert agg.package == "com.corproxy.files"
@@ -96,23 +97,34 @@ class TestParseUsagestats:
 
     def test_missing_aggregate_sections_yield_empty_list(self):
         text = 'Last 24 hour events:\n  time="2023-05-11 08:00:00" type=ACTIVITY_RESUMED package=com.x\n'
-        report, _ = parse_usagestats(text, CAPTURE)
+        report, _ = parse_usagestats(text, CAPTURE, KST)
         assert report.aggregates == ()
 
     def test_unrecognized_lines_warn_but_never_crash(self):
         text = USAGESTATS_FIXTURE + "  ChooserActivity counts: garbage { nested }\n"
-        report, warnings = parse_usagestats(text, CAPTURE)
+        report, warnings = parse_usagestats(text, CAPTURE, KST)
         assert len(report.events_24h) == 4
         assert any("unrecognized" in w for w in warnings)
 
+    @pytest.mark.parametrize("wall", MALFORMED_WALL_TIMES)
+    def test_malformed_event_time_is_a_line_warning(self, wall):
+        text = (
+            "Last 24 hour events:\n"
+            f'  time="{wall}" type=ACTIVITY_RESUMED package=com.bad\n'
+            '  time="2023-05-11 08:00:00" type=ACTIVITY_RESUMED package=com.good\n'
+        )
+        report, warnings = parse_usagestats(text, CAPTURE, KST)
+        assert [e.package for e in report.events_24h] == ["com.good"]
+        assert warnings == [f"line 2: bad event time (wall time {wall!r} is not YYYY-MM-DD HH:MM:SS)"]
+
     def test_capture_time_header_fallback(self):
         text = 'capture-time="2023-05-11 09:56:00"\n' + USAGESTATS_FIXTURE
-        report, _ = parse_usagestats(text)
+        report, _ = parse_usagestats(text, None, KST)
         assert report.capture_time.epoch == CAPTURE.epoch
 
     def test_missing_capture_time_is_fatal(self):
         with pytest.raises(ParseError):
-            parse_usagestats(USAGESTATS_FIXTURE)
+            parse_usagestats(USAGESTATS_FIXTURE, None, KST)
 
     def test_jsonl_form(self):
         text = (
@@ -120,7 +132,7 @@ class TestParseUsagestats:
             '{"record": "event", "at": 1683735256, "package": "com.corproxy.files", "event_type": "ACTIVITY_RESUMED"}\n'
             '{"record": "aggregate", "window": "week", "package": "com.corproxy.files", "last_used": 1683737520, "use_count": 3}\n'
         )
-        report, warnings = parse_usagestats(text)
+        report, warnings = parse_usagestats(text, None, KST)
         assert warnings == []
         assert report.events_24h[0].at.epoch == 1683735256
         assert report.aggregates[0].use_count == 3
@@ -278,7 +290,7 @@ class TestParseNetworkStack:
 
     def test_empty_input_fatal(self):
         with pytest.raises(EmptyDumpError):
-            parse_network_stack(" ")
+            parse_network_stack(" ", KST)
 
     def test_jsonl_form(self):
         text = (
@@ -286,7 +298,7 @@ class TestParseNetworkStack:
             '{"record": "lease", "at": 200, "interface": "wlan0", "event_kind": "dhcp_ack",'
             ' "private_ip": "10.0.0.5", "network_id": null}\n'
         )
-        log, warnings = parse_network_stack(text)
+        log, warnings = parse_network_stack(text, KST)
         assert warnings == []
         assert log.boot_epoch_marker.epoch == 100
         assert log.leases[0].private_ip == "10.0.0.5"
@@ -360,7 +372,7 @@ class TestFrontEndEquivalence:
             for usagestats, netstats, network_stack in (
                 simulator.render_dumps(scenario, duration), render_jsonl(scenario, duration)
             ):
-                report, _ = parse_usagestats(usagestats, zone=scenario.display_zone)
+                report, _ = parse_usagestats(usagestats, None, scenario.display_zone)
                 records, _ = parse_netstats(netstats)
                 log, _ = parse_network_stack(network_stack, scenario.display_zone)
                 leases = [(l.at, l.interface, l.private_ip, l.event_kind, l.network_id) for l in log.leases]
@@ -436,7 +448,7 @@ def test_tolerates_realistic_dump_scaffolding():
         "standbyBucket=10\n"
         "  ChooserActivity counts:\n"
     )
-    report, warnings = parse_usagestats(usage_text, CAPTURE)
+    report, warnings = parse_usagestats(usage_text, CAPTURE, KST)
     assert [e.event_type for e in report.events_24h] == ["ACTIVITY_RESUMED", "STANDBY_BUCKET_CHANGED"]
     assert any("ChooserActivity" in w or "unrecognized" in w for w in warnings)
 
@@ -458,7 +470,8 @@ def test_tolerates_realistic_dump_scaffolding():
 @pytest.mark.parametrize("parse", [parse_usagestats, parse_netstats, parse_network_stack])
 def test_jsonl_line_that_is_not_an_object_warns(parse):
     text = '{"record": "capture", "at": 1683766560}\n[1, 2]\n'
-    _, warnings = parse(text)
+    zone_args = {parse_usagestats: (None, KST), parse_netstats: (), parse_network_stack: (KST,)}
+    _, warnings = parse(text, *zone_args[parse])
     assert "line 2: expected a JSON object, got list" in warnings
 
 
@@ -488,6 +501,6 @@ def test_parsers_are_total_on_garbage_input():
         if not text.strip():
             continue
         if not text.lstrip().startswith("{"):
-            parse_usagestats(text, CAPTURE)
+            parse_usagestats(text, CAPTURE, KST)
         parse_netstats(text)
-        parse_network_stack(text)
+        parse_network_stack(text, KST)

@@ -1,3 +1,7 @@
+import random
+from datetime import datetime
+from zoneinfo import ZoneInfo
+
 import pytest
 
 from watchtriage.evidence import (
@@ -10,10 +14,22 @@ from watchtriage.evidence import (
     Timestamp,
     canonical_json_bytes,
     compute_digest,
-    parse_timestamp,
     seal_bundle,
     verify_bundle,
 )
+
+
+# Wall times outside the grammar's zero-padded ASCII "YYYY-MM-DD HH:MM:SS".
+MALFORMED_WALL_TIMES = [
+    "2023-5-1 1:2:3",
+    "2023-05-11T01:14:16",
+    "1683735256",
+    "2023-05-11 01:14:16 +09:00",
+    "2023-05-11 01:14:16+09:00",
+    "\u0662\u0660\u0662\u0663-05-11 01:14:16",  # Arabic-Indic digits
+    "２０２３-05-11 01:14:16",  # full-width digits
+    " 2023-05-11 01:14:16",
+]
 
 
 class TestTimestamp:
@@ -28,19 +44,47 @@ class TestTimestamp:
     def test_render_parse_round_trip(self):
         for epoch in (0, 1683735256, 1683547200, 2_000_000_000):
             t = Timestamp(epoch)
-            rendered = t.render(DEFAULT_DISPLAY_ZONE)
-            assert parse_timestamp(rendered).render(DEFAULT_DISPLAY_ZONE) == rendered
+            assert Timestamp.parse(t.wall(DEFAULT_DISPLAY_ZONE), DEFAULT_DISPLAY_ZONE) == t
+            assert t.render(DEFAULT_DISPLAY_ZONE).startswith(t.wall(DEFAULT_DISPLAY_ZONE) + " +")
 
     def test_parse_naive_uses_zone(self):
-        t = parse_timestamp("2023-05-11 01:14:16", "Asia/Seoul")
+        t = Timestamp.parse("2023-05-11 01:14:16", "Asia/Seoul")
         assert t.epoch == 1683735256
-
-    def test_parse_epoch_string(self):
-        assert parse_timestamp("1683735256").epoch == 1683735256
 
     def test_other_zone_renders_offset(self):
         t = Timestamp(1683735256)
         assert t.render("UTC") == "2023-05-10 16:14:16 +00:00"
+
+    def test_render_keeps_sub_minute_offsets(self):
+        # Monrovia kept local mean time (UTC-0:44:30) until 1972.
+        assert Timestamp(0).render("Africa/Monrovia") == "1969-12-31 23:15:30 -00:44:30"
+
+    @pytest.mark.parametrize("text", MALFORMED_WALL_TIMES)
+    def test_parse_rejects_text_outside_the_grammar(self, text):
+        with pytest.raises(ValueError, match="YYYY-MM-DD HH:MM:SS"):
+            Timestamp.parse(text, "Asia/Seoul")
+
+    @pytest.mark.parametrize("zone", ["Asia/Seoul", "America/New_York", "Australia/Lord_Howe"])
+    def test_wall_round_trips_outside_dst_folds(self, zone):
+        rng = random.Random(zone)
+        checked = 0
+        while checked < 500:
+            t = Timestamp(rng.randrange(1_600_000_000, 1_800_000_000))
+            local = datetime.fromtimestamp(t.epoch, ZoneInfo(zone))
+            if local.utcoffset() != local.replace(fold=1 - local.fold).utcoffset():
+                continue  # a wall time a DST change repeats
+            assert Timestamp.parse(t.wall(zone), zone) == t
+            checked += 1
+
+    def test_fold_wall_time_reads_as_the_earlier_instant(self):
+        # 01:30 on 2023-11-05 happens twice in New York; both instants
+        # render with their own offset and parse back to the first one.
+        zone = "America/New_York"
+        first, second = Timestamp(1699162200), Timestamp(1699165800)
+        assert first.render(zone) == "2023-11-05 01:30:00 -04:00"
+        assert second.render(zone) == "2023-11-05 01:30:00 -05:00"
+        assert Timestamp.parse(first.wall(zone), zone) == first
+        assert Timestamp.parse(second.wall(zone), zone) == first
 
 
 def _item(kind, raw, epoch=1683766560, origin="watch"):

@@ -25,7 +25,7 @@ def bundle_for(scenario):
 def render_for(scenario):
     result = run_pipeline(scenario)
     bundle = bundle_for(scenario)
-    return render_report(result["findings"], bundle, result["timeline"]), result, bundle
+    return render_report(result["findings"], bundle, result["timeline"], scenario.display_zone), result, bundle
 
 
 class TestReportRendering:
