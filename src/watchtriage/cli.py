@@ -128,7 +128,7 @@ def _correlate_bundle(loaded, args):
 
     findings = correlate.corroborate(sessions, ftp_entries, kh_entries, rules)
     findings = report.attach_evidence_digests(findings, loaded.bundle, host_items)
-    return findings, timeline, host_items, warnings
+    return findings, timeline, warnings
 
 
 def _slug(command: str) -> str:
@@ -152,13 +152,10 @@ def cmd_acquire(args) -> int:
         if not root.is_dir():
             return _fail(f"transcripts directory not found: {root}")
         transcripts = {}
-        for step in plan.steps:
-            candidate = root / f"{_slug(step.command)}.txt"
+        for command in [step.command for step in plan.steps] + ["date +%s"]:
+            candidate = root / f"{_slug(command)}.txt"
             if candidate.is_file():
-                transcripts[step.command] = candidate.read_bytes()
-        date_file = root / _slug("date +%s")
-        if date_file.with_suffix(".txt").is_file():
-            transcripts["date +%s"] = date_file.with_suffix(".txt").read_bytes()
+                transcripts[command] = candidate.read_bytes()
         executor = acquisition.FakeExecutor(transcripts)
     else:
         executor = acquisition.AdbShellExecutor(serial=args.serial, adb_path=args.adb_path)
@@ -224,7 +221,7 @@ def cmd_correlate(args) -> int:
     from . import correlate
 
     loaded = _load_bundle_or_fail(args.bundle)
-    findings, timeline, _host_items, warnings = _correlate_bundle(loaded, args)
+    findings, timeline, warnings = _correlate_bundle(loaded, args)
     doc = correlate.findings_document(
         findings, loaded.bundle.bundle_manifest_digest, timeline.bucket_duration, loaded.display_zone, warnings
     )
@@ -293,12 +290,10 @@ def cmd_report(args) -> int:
     from . import report
 
     loaded = _load_bundle_or_fail(args.bundle)
-    findings, timeline, host_items, warnings = _correlate_bundle(loaded, args)
-    doc = report.render_report(
-        findings, loaded.bundle, timeline, args.display_zone, host_items, warnings
-    )
+    findings, timeline, warnings = _correlate_bundle(loaded, args)
+    doc = report.render_report(findings, loaded.bundle, timeline, args.display_zone, warnings)
     if args.format == "json":
-        _write_output(json.dumps(doc.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out)
+        _write_output(json.dumps(doc.data, indent=2, sort_keys=True) + "\n", args.out)
     else:
         _write_output(doc.to_markdown(), args.out)
     return EXIT_OK

@@ -1,7 +1,8 @@
 """Correlation of usage, traffic and lease evidence into graded findings.
 
-The pipeline merges the three dump sources into one timeline, groups traffic
-buckets into app-network sessions, and grades each session:
+The pipeline brings the three dump sources together into one timeline under
+one bucket duration, groups traffic buckets into app-network sessions, and
+grades each session:
 
   corroborated  an assigned private IP from the lease log exactly matches a
                 PC-side artifact host (FTP client history or known_hosts)
@@ -34,10 +35,9 @@ from .dumpsys import (
     NetUsageRecord,
     NetworkStackLog,
     UsageEvent,
-    UsageEventKind,
     UsageReport,
 )
-from .evidence import SourceKind, Timestamp
+from .evidence import Timestamp, string_list
 from .host_artifacts import FtpServerEntry, KnownHostEntry
 
 DEFAULT_UNCLASSIFIED_MIN_BYTES = 10_000_000
@@ -92,21 +92,24 @@ DEFAULT_RULES: tuple[PatternRule, ...] = (
 
 
 def load_rules(path: Path) -> tuple[PatternRule, ...]:
-    """Load pattern rules from a JSON file (list of rule objects)."""
+    """Load pattern rules from a JSON file (list of rule objects); ValueError
+    naming the file and the rule for anything else."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: expected a JSON list of rules, got {type(data).__name__}")
     rules = []
     for i, obj in enumerate(data):
         try:
             rules.append(
                 PatternRule(
                     FindingPattern(obj["pattern"]),
-                    tuple(obj.get("package_markers", ())),
+                    string_list(obj, "package_markers"),
                     DirectionBias(obj.get("direction_bias", "any")),
                     int(obj.get("min_bytes", 0)),
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"rule #{i + 1}: missing or malformed field ({exc})") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: rule #{i + 1}: missing or malformed field ({exc})") from None
     return tuple(rules)
 
 
@@ -121,15 +124,9 @@ class DirectionSummary:
 
 
 @dataclass(frozen=True)
-class TimelineEntry:
-    at: Timestamp
-    source_kind: SourceKind
-    description: str
-
-
-@dataclass(frozen=True)
 class Timeline:
-    entries: tuple[TimelineEntry, ...]
+    """The three parsed sources with the one bucket duration they state."""
+
     report: UsageReport
     records: tuple[NetUsageRecord, ...]
     lease_log: NetworkStackLog
@@ -140,13 +137,11 @@ class Timeline:
 def build_timeline(
     report: UsageReport, net: Sequence[NetUsageRecord], leases: NetworkStackLog
 ) -> Timeline:
-    """Merge the three sources into one ascending event stream.
+    """Bring the three sources together under one bucket duration.
 
-    Traffic buckets are anchored at their window close (st + duration) so
-    that an app start inside the hour precedes the traffic summary covering
-    it. Every source event appears exactly once, tagged with its origin.
     The bucket duration is the one the records state; records that disagree
-    raise ValueError, and no records mean DEFAULT_BUCKET_SECONDS.
+    raise ValueError, and no records mean DEFAULT_BUCKET_SECONDS. A lease
+    log that ends long before the usage evidence starts warns of clock skew.
     """
     durations = sorted({rec.bucket_duration for rec in net})
     if len(durations) > 1:
@@ -155,28 +150,6 @@ def build_timeline(
             + " and ".join(f"{d} s" for d in durations)
         )
     bucket_duration = durations[0] if durations else DEFAULT_BUCKET_SECONDS
-
-    entries: list[TimelineEntry] = []
-    for ev in report.events_24h:
-        entries.append(TimelineEntry(ev.at, SourceKind.USAGESTATS, f"{ev.event_type} {ev.package}"))
-    for rec in net:
-        entries.append(
-            TimelineEntry(
-                Timestamp(rec.st.epoch + bucket_duration),
-                SourceKind.NETSTATS,
-                f"traffic bucket {rec.network_id} st={rec.st.epoch} rb={rec.rb} tb={rec.tb}",
-            )
-        )
-    for lease in leases.leases:
-        ssid = f" ssid={lease.network_id}" if lease.network_id else ""
-        entries.append(
-            TimelineEntry(
-                lease.at,
-                SourceKind.NETWORK_STACK,
-                f"{lease.event_kind.value} {lease.interface} ip={lease.private_ip}{ssid}",
-            )
-        )
-    entries.sort(key=lambda e: e.at.epoch)  # stable; ties keep source order
 
     warnings = []
     if leases.leases and report.events_24h:
@@ -187,7 +160,7 @@ def build_timeline(
                 f"possible clock skew: newest lease ({last_lease}) precedes all usage "
                 f"events (earliest {first_usage}) by more than {CLOCK_SKEW_BOUND}s"
             )
-    return Timeline(tuple(entries), report, tuple(net), leases, bucket_duration, tuple(warnings))
+    return Timeline(report, tuple(net), leases, bucket_duration, tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -202,7 +175,7 @@ class AppNetworkSession:
     packages: tuple[str, ...]
     app_events: tuple[UsageEvent, ...]
     buckets: tuple[NetUsageRecord, ...]
-    resolved_ips: tuple[tuple[str, LeaseEvent], ...]
+    resolved_leases: tuple[LeaseEvent, ...]
     ambiguity_flags: frozenset[AmbiguityFlag]
 
     def __post_init__(self):
@@ -223,7 +196,7 @@ class AppNetworkSession:
 
     @property
     def app_start(self) -> Optional[Timestamp]:
-        resumed = [e.at for e in self.app_events if e.kind == UsageEventKind.ACTIVITY_RESUMED]
+        resumed = [e.at for e in self.app_events if e.event_type == "ACTIVITY_RESUMED"]
         if resumed:
             return min(resumed)
         if self.app_events:
@@ -348,7 +321,7 @@ def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
                 for k in _in_bucket(lease_epochs, b.st.epoch, duration)
                 if leases[k].network_id is None
             )
-        resolved = tuple((leases[k].private_ip, leases[k]) for k in sorted(chosen))
+        resolved = tuple(leases[k] for k in sorted(chosen))
 
         sessions.append(AppNetworkSession(pkgs, app_events, buckets, resolved, frozenset(flags)))
 
@@ -412,7 +385,7 @@ def corroborate(
         pattern = match_pattern(session.packages, summary, rules)
         if pattern is None:
             continue
-        ips = {ip for ip, _ in session.resolved_ips}
+        ips = {lease.private_ip for lease in session.resolved_leases}
         matches: list[object] = [e for e in ftp_entries if e.host in ips]
         matches.extend(e for e in known_hosts if any(e.matches_ip(ip) for ip in ips))
         if matches:
@@ -431,17 +404,18 @@ def event_to_dict(e: UsageEvent, zone: str) -> dict:
 
 def session_to_dict(session: AppNetworkSession, zone: str) -> dict:
     """JSON form of a session; rendered times are in `zone`."""
+    start = session.app_start
     return {
         "packages": list(session.packages),
         "network_ids": list(session.network_ids),
-        "app_start": session.app_start.epoch if session.app_start else None,
-        "app_start_rendered": session.app_start.render(zone) if session.app_start else None,
+        "app_start": start.epoch if start else None,
+        "app_start_rendered": start.render(zone) if start else None,
         "app_events": [event_to_dict(e, zone) for e in session.app_events],
         "buckets": [
             {"network_id": b.network_id, "st": b.st.epoch, "rb": b.rb, "rp": b.rp, "tb": b.tb, "tp": b.tp}
             for b in session.buckets
         ],
-        "resolved_ips": sorted({ip for ip, _ in session.resolved_ips}),
+        "resolved_ips": sorted({lease.private_ip for lease in session.resolved_leases}),
         "ambiguity_flags": sorted(f.value for f in session.ambiguity_flags),
     }
 

@@ -44,15 +44,6 @@ class EmptyDumpError(ParseError):
     """Input text is empty or whitespace-only."""
 
 
-class UsageEventKind(Enum):
-    ACTIVITY_RESUMED = "ACTIVITY_RESUMED"
-    ACTIVITY_PAUSED = "ACTIVITY_PAUSED"
-    FOREGROUND_SERVICE_START = "FOREGROUND_SERVICE_START"
-    FOREGROUND_SERVICE_STOP = "FOREGROUND_SERVICE_STOP"
-    NOTIFICATION_INTERRUPTION = "NOTIFICATION_INTERRUPTION"
-    OTHER = "OTHER"
-
-
 class AggregateWindow(Enum):
     WEEK = "week"
     MONTH = "month"
@@ -86,13 +77,6 @@ class UsageEvent:
     at: Timestamp
     package: str
     event_type: str  # raw dumpsys token, open vocabulary
-
-    @property
-    def kind(self) -> UsageEventKind:
-        try:
-            return UsageEventKind(self.event_type)
-        except ValueError:
-            return UsageEventKind.OTHER
 
 
 @dataclass(frozen=True)
@@ -136,10 +120,6 @@ class NetUsageRecord:
         for name in ("rb", "rp", "tb", "tp"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-    @property
-    def total_bytes(self) -> int:
-        return self.rb + self.tb
 
     def has_traffic(self) -> bool:
         return (self.rb + self.rp + self.tb + self.tp) > 0

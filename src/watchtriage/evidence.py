@@ -52,6 +52,16 @@ def zone_name(name: str) -> str:
     return name
 
 
+def string_list(obj: dict, key: str) -> tuple[str, ...]:
+    """`obj[key]` from a JSON config entry as a tuple of strings, empty when
+    absent; TypeError for anything but a list of strings, so a lone string
+    is never read as its characters."""
+    value = obj.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{key} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 # The one wall-clock text form: zero-padded ASCII "YYYY-MM-DD HH:MM:SS".
 _WALL_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})")
 

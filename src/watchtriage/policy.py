@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .evidence import DeviceProfile
+from .evidence import DeviceProfile, string_list
 
 WATCH_FEATURE = "android.hardware.type.watch"
 
@@ -66,8 +66,8 @@ class ManifestInfo:
     declared_abis: tuple[str, ...] = ()  # empty means universal
 
     def __post_init__(self):
-        if not self.package:
-            raise ValueError("package must be non-empty")
+        if not isinstance(self.package, str) or not self.package:
+            raise ValueError("package must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,8 @@ def load_inventory(path: Path) -> tuple[list[ManifestInfo], list[PolicyVerdict]]
 
     Directory mode parses every *.xml and *.txt file; files that fail to
     parse become verdicts of kind `unknown` so the audit report stays
-    one-row-per-input.
+    one-row-per-input. A JSON inventory must be a list of entry objects;
+    anything else is a ValueError naming the file and the entry.
     """
     path = Path(path)
     manifests: list[ManifestInfo] = []
@@ -221,17 +222,15 @@ def load_inventory(path: Path) -> tuple[list[ManifestInfo], list[PolicyVerdict]]
                 )
         return manifests, failures
     data = json.loads(path.read_text())
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: expected a JSON list of inventory entries, got {type(data).__name__}")
     for i, obj in enumerate(data):
         try:
             manifests.append(
-                ManifestInfo(
-                    obj["package"],
-                    tuple(obj.get("uses_features", ())),
-                    tuple(obj.get("declared_abis", ())),
-                )
+                ManifestInfo(obj["package"], string_list(obj, "uses_features"), string_list(obj, "declared_abis"))
             )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"inventory entry #{i + 1}: missing or malformed field ({exc})") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: inventory entry #{i + 1}: missing or malformed field ({exc})") from None
     return manifests, failures
 
 

@@ -1,10 +1,12 @@
 """Investigator-facing report rendering.
 
-One internal document model feeds both the markdown and the JSON output so
-the two can never drift. Reports are deterministic: identical findings and
-bundle produce byte-identical output (no generation timestamps), every
-timestamp carries an explicit zone offset, and every finding block cites at
-least one evidence item digest.
+`render_report` builds the `watchtriage.report/1` JSON document once, with
+each finding in `correlate.finding_to_dict`'s form, and the markdown report
+is rendered from that document alone, so the two can never drift and a
+finding is shown by one function. Reports are deterministic: identical
+findings and bundle produce byte-identical output (no generation
+timestamps), every timestamp carries an explicit zone offset, and every
+finding block cites at least one evidence item digest.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
-from .evidence import EvidenceBundle, SourceKind
-from .host_artifacts import FtpServerEntry
+from .evidence import EvidenceBundle, SourceKind, Timestamp
 
 LIMITATION_NOTES = {
     AmbiguityFlag.USAGE_EVIDENCE_EXPIRED: (
@@ -41,87 +42,65 @@ class ReportError(Exception):
 
 @dataclass(frozen=True)
 class ReportDocument:
-    bundle_ref: str
-    findings: tuple[Finding, ...]
-    timeline_rows: tuple[tuple[str, str, str], ...]  # (rendered time, source, description)
-    limitations: tuple[str, ...]
-    display_zone: str
-    warnings: tuple[str, ...] = ()
+    """The report JSON document; the markdown is rendered from it."""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "watchtriage.report/1",
-            "bundle_manifest_digest": self.bundle_ref,
-            "display_zone": self.display_zone,
-            "finding_count": len(self.findings),
-            "findings": [finding_to_dict(f, self.display_zone) for f in self.findings],
-            "timeline": [
-                {"time": t, "source": s, "event": d} for t, s, d in self.timeline_rows
-            ],
-            "limitations": list(self.limitations),
-            "warnings": list(self.warnings),
-        }
+    data: dict
+
+    @property
+    def timeline_rows(self) -> list[dict]:
+        return self.data["timeline"]
 
     def to_markdown(self) -> str:
+        data = self.data
+        zone = data["display_zone"]
         lines = ["# Smartwatch exfiltration triage report", ""]
-        lines.append(f"Bundle: `{self.bundle_ref}`  ")
-        lines.append(f"Display zone: {self.display_zone}")
+        lines.append(f"Bundle: `{data['bundle_manifest_digest']}`  ")
+        lines.append(f"Display zone: {zone}")
         lines.append("")
-        lines.append(f"## Findings ({len(self.findings)})")
+        lines.append(f"## Findings ({data['finding_count']})")
         lines.append("")
-        if not self.findings:
+        if not data["findings"]:
             lines.append("No detections: no session met any pattern rule or volume threshold.")
             lines.append("")
-        for i, f in enumerate(self.findings, 1):
-            sess = f.session
-            lines.append(f"### {i}. {f.pattern.value} ({f.confidence.value})")
+        for i, f in enumerate(data["findings"], 1):
+            sess = f["session"]
+            lines.append(f"### {i}. {f['pattern']} ({f['confidence']})")
             lines.append("")
-            lines.append(f"- Packages: {', '.join(sess.packages) or '(no in-window app evidence)'}")
-            start = sess.app_start
-            lines.append(f"- App start: {start.render(self.display_zone) if start else 'unknown (usage detail expired)'}")
-            lines.append(f"- Networks: {', '.join(sess.network_ids)}")
-            buckets = ", ".join(f"{b.st.epoch} ({b.st.render(self.display_zone)})" for b in sess.buckets)
+            lines.append(f"- Packages: {', '.join(sess['packages']) or '(no in-window app evidence)'}")
+            lines.append(f"- App start: {sess['app_start_rendered'] or 'unknown (usage detail expired)'}")
+            lines.append(f"- Networks: {', '.join(sess['network_ids'])}")
+            buckets = ", ".join(f"{b['st']} ({Timestamp(b['st']).render(zone)})" for b in sess["buckets"])
             lines.append(f"- Bucket starts: {buckets}")
-            lines.append(
-                f"- Bytes in / out: {f.direction_summary.bytes_in:,} / {f.direction_summary.bytes_out:,}"
-            )
-            ips = sorted({ip for ip, _ in sess.resolved_ips})
-            lines.append(f"- Resolved private IPs: {', '.join(ips) or 'none'}")
-            if f.host_corroboration:
-                parts = []
-                for entry in f.host_corroboration:
-                    if isinstance(entry, FtpServerEntry):
-                        parts.append(f"{entry.protocol.value} client entry {entry.host}:{entry.port} ({entry.source_file})")
-                    else:
-                        parts.append(f"known_hosts entry {entry.host}:{entry.port}")
-                lines.append(f"- Host corroboration: {'; '.join(parts)}")
-            else:
-                lines.append("- Host corroboration: none")
-            flags = sorted(fl.value for fl in sess.ambiguity_flags)
-            lines.append(f"- Ambiguity flags: {', '.join(flags) or 'none'}")
-            digests = ", ".join(f"`{d}`" for d in f.evidence_digests)
+            lines.append(f"- Bytes in / out: {f['bytes_in']:,} / {f['bytes_out']:,}")
+            lines.append(f"- Resolved private IPs: {', '.join(sess['resolved_ips']) or 'none'}")
+            parts = [
+                f"{c['protocol']} client entry {c['host']}:{c['port']} ({c['source_file']})"
+                if c["kind"] == "ftp_client_entry"
+                else f"known_hosts entry {c['host']}:{c['port']}"
+                for c in f["host_corroboration"]
+            ]
+            lines.append(f"- Host corroboration: {'; '.join(parts) or 'none'}")
+            lines.append(f"- Ambiguity flags: {', '.join(sess['ambiguity_flags']) or 'none'}")
+            digests = ", ".join(f"`{d}`" for d in f["evidence_digests"])
             lines.append(f"- Evidence: {digests}")
             lines.append("")
-        if self.timeline_rows:
+        if data["timeline"]:
             lines.append("## Timeline")
             lines.append("")
             lines.append("| Time | Source | Event |")
             lines.append("| --- | --- | --- |")
-            for t, src, desc in self.timeline_rows:
-                lines.append(f"| {t} | {src} | {desc} |")
+            for row in data["timeline"]:
+                lines.append(f"| {row['time']} | {row['source']} | {row['event']} |")
             lines.append("")
         lines.append("## Limitations")
         lines.append("")
-        if self.limitations:
-            for note in self.limitations:
-                lines.append(f"- {note}")
-        else:
-            lines.append("- none observed in this bundle")
+        for note in data["limitations"] or ["none observed in this bundle"]:
+            lines.append(f"- {note}")
         lines.append("")
-        if self.warnings:
+        if data["warnings"]:
             lines.append("## Warnings")
             lines.append("")
-            for w in self.warnings:
+            for w in data["warnings"]:
                 lines.append(f"- {w}")
             lines.append("")
         return "\n".join(lines)
@@ -151,7 +130,7 @@ def attach_evidence_digests(
         digests.extend(by_kind.get(SourceKind.NETSTATS, ()))
         if f.session.app_events:
             digests.extend(by_kind.get(SourceKind.USAGESTATS, ()))
-        if f.session.resolved_ips:
+        if f.session.resolved_leases:
             digests.extend(by_kind.get(SourceKind.NETWORK_STACK, ()))
         if f.host_corroboration:
             for kind in (SourceKind.RECENTSERVERS_XML, SourceKind.FILEZILLA_XML, SourceKind.KNOWN_HOSTS):
@@ -169,27 +148,36 @@ def render_report(
     bundle: EvidenceBundle,
     timeline: Timeline,
     display_zone: str,
-    host_items: Sequence = (),
     warnings: Sequence[str] = (),
 ) -> ReportDocument:
-    """Build the report document; findings gain digests if they lack them."""
-    if any(not f.evidence_digests for f in findings):
-        findings = attach_evidence_digests(findings, bundle, host_items)
+    """The report document for findings that already cite their evidence
+    (attach_evidence_digests); rendered times are in `display_zone`."""
+    # Every source event once, ascending; ties keep source order. Traffic
+    # buckets are anchored at their window close (st + duration), so an app
+    # start inside a bucket precedes the traffic covering it.
+    rows = [(ev.at, SourceKind.USAGESTATS, f"{ev.event_type} {ev.package}") for ev in timeline.report.events_24h]
+    for rec in timeline.records:
+        text = f"traffic bucket {rec.network_id} st={rec.st.epoch} rb={rec.rb} tb={rec.tb}"
+        rows.append((Timestamp(rec.st.epoch + timeline.bucket_duration), SourceKind.NETSTATS, text))
+    for lease in timeline.lease_log.leases:
+        ssid = f" ssid={lease.network_id}" if lease.network_id else ""
+        text = f"{lease.event_kind.value} {lease.interface} ip={lease.private_ip}{ssid}"
+        rows.append((lease.at, SourceKind.NETWORK_STACK, text))
+    rows.sort(key=lambda row: row[0].epoch)
 
-    rows = [(e.at.render(display_zone), e.source_kind.value, e.description) for e in timeline.entries]
-
-    flag_classes: list[AmbiguityFlag] = []
-    for f in findings:
-        for flag in sorted(f.session.ambiguity_flags, key=lambda fl: fl.value):
-            if flag not in flag_classes:
-                flag_classes.append(flag)
-    limitations = tuple(LIMITATION_NOTES[fl] for fl in sorted(flag_classes, key=lambda fl: fl.value))
-
+    finding_dicts = [finding_to_dict(f, display_zone) for f in findings]
+    flags = sorted({flag for f in finding_dicts for flag in f["session"]["ambiguity_flags"]})
     return ReportDocument(
-        bundle_ref=bundle.bundle_manifest_digest,
-        findings=tuple(findings),
-        timeline_rows=tuple(rows),
-        limitations=limitations,
-        display_zone=display_zone,
-        warnings=tuple(warnings),
+        {
+            "schema": "watchtriage.report/1",
+            "bundle_manifest_digest": bundle.bundle_manifest_digest,
+            "display_zone": display_zone,
+            "finding_count": len(finding_dicts),
+            "findings": finding_dicts,
+            "timeline": [
+                {"time": at.render(display_zone), "source": kind.value, "event": text} for at, kind, text in rows
+            ],
+            "limitations": [LIMITATION_NOTES[AmbiguityFlag(flag)] for flag in flags],
+            "warnings": list(warnings),
+        }
     )

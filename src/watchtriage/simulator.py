@@ -32,6 +32,7 @@ from .correlate import (
     DirectionSummary,
     Finding,
     PatternRule,
+    finding_to_dict,
     match_pattern,
 )
 from .evidence import DEFAULT_DISPLAY_ZONE, Timestamp, zone_name
@@ -437,24 +438,24 @@ def oracle_findings(
 
 
 def finding_fingerprint(finding: Finding) -> tuple:
-    """Canonical comparable form of a correlator finding (matches the oracle)."""
-    sess = finding.session
-    corroboration = []
-    for entry in finding.host_corroboration:
-        if hasattr(entry, "source_file"):
-            corroboration.append(("ftp_client", entry.host, entry.port))
-        else:
-            corroboration.append(("known_host", entry.host, entry.port))
+    """Canonical comparable form of a correlator finding (matches the oracle),
+    read from its JSON form; no rendered time enters it."""
+    f = finding_to_dict(finding, "UTC")
+    sess = f["session"]
+    corroboration = sorted(
+        ("ftp_client" if c["kind"] == "ftp_client_entry" else "known_host", c["host"], c["port"])
+        for c in f["host_corroboration"]
+    )
     return (
-        finding.pattern.value,
-        finding.confidence.value,
-        tuple(sorted(f.value for f in sess.ambiguity_flags)),
-        sess.packages,
-        finding.direction_summary.bytes_in,
-        finding.direction_summary.bytes_out,
-        tuple(sorted((b.network_id, b.st.epoch, b.rb, b.rp, b.tb, b.tp) for b in sess.buckets)),
-        tuple(sorted({ip for ip, _ in sess.resolved_ips})),
-        tuple(sorted(corroboration)),
+        f["pattern"],
+        f["confidence"],
+        tuple(sess["ambiguity_flags"]),
+        tuple(sess["packages"]),
+        f["bytes_in"],
+        f["bytes_out"],
+        tuple(sorted((b["network_id"], b["st"], b["rb"], b["rp"], b["tb"], b["tp"]) for b in sess["buckets"])),
+        tuple(sess["resolved_ips"]),
+        tuple(corroboration),
     )
 
 

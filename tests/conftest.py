@@ -64,7 +64,7 @@ def run_bucket_join(st, duration, probe_epochs):
     return (
         session.buckets[0],
         [e.at.epoch for e in session.app_events],
-        [lease.at.epoch for _, lease in session.resolved_ips],
+        [lease.at.epoch for lease in session.resolved_leases],
     )
 
 

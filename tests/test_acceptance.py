@@ -48,7 +48,7 @@ def test_criterion_1_ftp_case_reproduction():
         assert f.session.app_start.render(scenario.display_zone).startswith("2023-05-11 01:14:16")
         assert f.session.network_ids == ("KT_GiGA_5G_EFB7",)
         assert within(f.direction_summary.bytes_in, 47 * MB)
-        assert {ip for ip, _ in f.session.resolved_ips} == {"172.30.1.76"}
+        assert {lease.private_ip for lease in f.session.resolved_leases} == {"172.30.1.76"}
         assert f.confidence == Confidence.CORROBORATED
 
         withheld = run_pipeline(scenario, with_host=False)["findings"]
@@ -71,7 +71,7 @@ def test_criterion_2_sftp_case_reproduction():
         assert f.session.packages == ("net.xnano.android.sshserver",)
         assert f.session.app_start.render(scenario.display_zone).startswith("2023-05-11 21:10:06")
         assert f.session.network_ids == ("outgoingowl",)
-        assert {ip for ip, _ in f.session.resolved_ips} == {"192.162.35.52"}
+        assert {lease.private_ip for lease in f.session.resolved_leases} == {"192.162.35.52"}
         assert f.confidence == Confidence.CORROBORATED
         assert any(e.host == "192.162.35.52" and e.port == 2222 for e in f.host_corroboration)
         assert time.perf_counter() - started < 1.0
@@ -113,7 +113,7 @@ def test_criterion_4_same_bucket_ambiguity():
         assert len(flagged) == 1
         assert len({b.network_id for b in flagged[0].buckets}) == 2
         # time-only lease matching must not produce a corroborated grading
-        assert flagged[0].resolved_ips == ()
+        assert flagged[0].resolved_leases == ()
         for f in result["findings"]:
             assert f.confidence != Confidence.CORROBORATED
 

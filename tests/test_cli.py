@@ -360,6 +360,47 @@ class TestUsageErrors:
         assert status == 2
         assert "rule #1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["5", "null", '{"pattern": "ftp_server_exfil"}'])
+    def test_rules_file_that_is_not_a_list_exits_2_naming_it(self, text, case_bundle, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text(text)
+        status = run(["correlate", "--bundle", str(case_bundle), "--rules", str(rules)])
+        assert status == 2
+        assert f"{rules}: expected a JSON list of rules" in capsys.readouterr().err
+
+    def test_rules_markers_given_as_one_string_exit_2_naming_the_rule(self, case_bundle, tmp_path, capsys):
+        # Read as characters, the string would match no package and hide the finding.
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{"pattern": "ftp_server_exfil", "package_markers": "com.corproxy.files"}]))
+        status = run(["correlate", "--bundle", str(case_bundle), "--rules", str(rules)])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert f"{rules}: rule #1" in err and "package_markers must be a list of strings" in err
+
+    @pytest.mark.parametrize("text", ["5", "null", '{"package": "com.x"}'])
+    def test_inventory_that_is_not_a_list_exits_2_naming_it(self, text, tmp_path, capsys):
+        inventory = tmp_path / "inventory.json"
+        inventory.write_text(text)
+        status = run(["audit", "--manifests", str(inventory), "--device-abi", "armeabi-v7a"])
+        assert status == 2
+        assert f"{inventory}: expected a JSON list of inventory entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        # Read as characters, a watch app's feature would audit as a sideloaded phone app.
+        ("uses_features", "android.hardware.type.watch", "uses_features must be a list of strings"),
+        ("declared_abis", "armeabi-v7a", "declared_abis must be a list of strings"),
+        # A number among string packages broke the audit's sort with a traceback.
+        ("package", 5, "package must be a non-empty string"),
+    ])
+    def test_inventory_field_of_the_wrong_type_exits_2_naming_the_entry(self, field, value, message, tmp_path,
+                                                                        capsys):
+        inventory = tmp_path / "inventory.json"
+        inventory.write_text(json.dumps([{"package": "com.other.app"}, {"package": "com.watch.app", field: value}]))
+        status = run(["audit", "--manifests", str(inventory), "--device-abi", "armeabi-v7a"])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert f"{inventory}: inventory entry #2" in err and message in err
+
     def test_inventory_entry_missing_package_exits_2(self, tmp_path, capsys):
         inventory = tmp_path / "inventory.json"
         inventory.write_text(json.dumps([{"uses_features": []}]))
@@ -512,14 +553,19 @@ class TestCliSurface:
 
 
 class TestBenchmarkEntryPoints:
-    """bench/spans.py wraps named entry points; a rename must fail here, not in the benchmark."""
+    """bench/spans.py wraps named entry points; a rename, or a model change
+    that zeroes a per-layer metric, must fail here, not in the benchmark."""
 
-    def test_benchmark_can_wrap_and_restore_every_entry_point(self, monkeypatch):
+    @pytest.fixture
+    def spans(self, monkeypatch):
         path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
         spec = importlib.util.spec_from_file_location("bench_spans", path)
         spans = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look their module up
         spec.loader.exec_module(spans)
+        return spans
+
+    def test_benchmark_can_wrap_and_restore_every_entry_point(self, spans):
         owners = (acquisition, cli, correlate, dumpsys, policy, report, report.ReportDocument, simulator)
         before = [dict(vars(owner)) for owner in owners]
         tracer = spans.Tracer()
@@ -529,6 +575,22 @@ class TestBenchmarkEntryPoints:
         finally:
             tracer.restore()
         assert [dict(vars(owner)) for owner in owners] == before
+
+    def test_correlate_and_markdown_report_record_every_layer(self, spans, case_bundle, tmp_path):
+        host = ["--host-artifacts", str(case_bundle / "host_artifacts")]
+        tracer = spans.Tracer()
+        spans.instrument(tracer)
+        try:
+            assert run(["correlate", "--bundle", str(case_bundle), *host, "--out", str(tmp_path / "f.json")]) == 1
+            assert run(["report", "--format", "md", "--bundle", str(case_bundle), *host,
+                        "--out", str(tmp_path / "r.md")]) == 0
+        finally:
+            tracer.restore()
+        times = tracer.self_times()
+        for name in ("report.render", "report.markdown", "report.digests", "correlate.timeline", "correlate.match"):
+            assert times[name] > 0, name
+        for name in ("report.timeline_rows", "correlate.sessions"):
+            assert tracer.counts[name] > 0, name
 
 
 class TestPerCommandParser:

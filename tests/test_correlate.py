@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,8 @@ from watchtriage.correlate import (
     DirectionSummary,
 )
 from watchtriage.dumpsys import NetworkStackLog, UsageReport
-from watchtriage.evidence import SourceKind, Timestamp
+from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, seal_bundle
+from watchtriage.report import render_report
 from watchtriage.simulator import finding_fingerprint
 from tests.conftest import run_pipeline
 
@@ -30,42 +32,54 @@ def empty_report(capture_epoch=1683809100):
     return UsageReport(Timestamp(capture_epoch), (), ())
 
 
+def report_timeline(timeline, zone="UTC"):
+    """The timeline rows of the report rendered from `timeline`; findings do not enter them."""
+    item = EvidenceItem.from_bytes(SourceKind.NETSTATS, b"", Timestamp(0), "test")
+    return render_report([], seal_bundle([item]), timeline, zone).data["timeline"]
+
+
 class TestBuildTimeline:
     def test_app_start_precedes_covering_traffic_bucket(self, pipeline):
         scenario = simulator.preset_ftp_file_server()
-        entries = pipeline(scenario)["timeline"].entries
+        rows = report_timeline(pipeline(scenario)["timeline"], scenario.display_zone)
         start_idx = next(
-            i for i, e in enumerate(entries)
-            if e.source_kind == SourceKind.USAGESTATS and "ACTIVITY_RESUMED com.corproxy.files" in e.description
+            i for i, r in enumerate(rows)
+            if r["source"] == SourceKind.USAGESTATS.value and "ACTIVITY_RESUMED com.corproxy.files" in r["event"]
         )
         bucket_idx = next(
-            i for i, e in enumerate(entries)
-            if e.source_kind == SourceKind.NETSTATS and "KT_GiGA_5G_EFB7 st=1683734400" in e.description
+            i for i, r in enumerate(rows)
+            if r["source"] == SourceKind.NETSTATS.value and "KT_GiGA_5G_EFB7 st=1683734400" in r["event"]
         )
-        assert entries[start_idx].at.render(scenario.display_zone).startswith("2023-05-11 01:14:16")
+        assert rows[start_idx]["time"].startswith("2023-05-11 01:14:16")
         assert start_idx < bucket_idx
 
     def test_all_empty_inputs_give_empty_timeline(self):
         timeline = build_timeline(empty_report(), [], NetworkStackLog(()))
-        assert timeline.entries == ()
+        assert report_timeline(timeline) == []
         assert timeline.warnings == ()
 
     def test_every_source_event_appears_exactly_once(self, pipeline):
         result = pipeline(simulator.preset_case_study())
-        timeline = result["timeline"]
-        n_usage = sum(1 for e in timeline.entries if e.source_kind == SourceKind.USAGESTATS)
-        n_net = sum(1 for e in timeline.entries if e.source_kind == SourceKind.NETSTATS)
-        n_lease = sum(1 for e in timeline.entries if e.source_kind == SourceKind.NETWORK_STACK)
-        assert n_usage == len(result["report"].events_24h)
-        assert n_net == len(result["records"])
-        assert n_lease == len(result["lease_log"].leases)
+        sources = Counter(r["source"] for r in report_timeline(result["timeline"]))
+        assert sources == {
+            SourceKind.USAGESTATS.value: len(result["report"].events_24h),
+            SourceKind.NETSTATS.value: len(result["records"]),
+            SourceKind.NETWORK_STACK.value: len(result["lease_log"].leases),
+        }
 
     def test_order_matches_ground_truth_chronology(self, pipeline):
         for seed in (2, 9, 21):
             scenario = simulator.random_scenario(seed)
-            timeline = pipeline(scenario)["timeline"]
-            anchors = [e.at.epoch for e in timeline.entries]
-            assert anchors == sorted(anchors)
+            times = [r["time"] for r in report_timeline(pipeline(scenario)["timeline"])]
+            assert times == sorted(times)  # UTC text sorts as the instants do
+
+    @pytest.mark.parametrize("duration", [1800, 3600])
+    def test_traffic_buckets_are_anchored_at_window_close(self, pipeline, duration):
+        timeline = pipeline(simulator.preset_case_study(), bucket_seconds=duration)["timeline"]
+        rows = [r for r in report_timeline(timeline) if r["source"] == SourceKind.NETSTATS.value]
+        assert [r["time"] for r in rows] == sorted(
+            Timestamp(rec.st.epoch + duration).render("UTC") for rec in timeline.records
+        )
 
     def test_clock_skew_warning(self):
         from watchtriage.dumpsys import parse_network_stack, parse_usagestats
@@ -115,7 +129,6 @@ class TestMatchSessions:
         rng.shuffle(events)
         rng.shuffle(leases)
         shuffled = Timeline(
-            timeline.entries,
             dataclasses.replace(timeline.report, events_24h=tuple(events)),
             timeline.records,
             dataclasses.replace(timeline.lease_log, leases=tuple(leases)),
@@ -123,9 +136,9 @@ class TestMatchSessions:
         )
         expected = match_sessions(timeline)
         got = match_sessions(shuffled)
-        assert any(s.resolved_ips for s in expected)
-        assert [(s.buckets, s.ambiguity_flags, s.resolved_ips) for s in got] == [
-            (s.buckets, s.ambiguity_flags, s.resolved_ips) for s in expected
+        assert any(s.resolved_leases for s in expected)
+        assert [(s.buckets, s.ambiguity_flags, s.resolved_leases) for s in got] == [
+            (s.buckets, s.ambiguity_flags, s.resolved_leases) for s in expected
         ]
         for mine, theirs in zip(got, expected):
             assert sorted(mine.app_events, key=lambda e: e.at.epoch) == list(mine.app_events)
@@ -137,7 +150,7 @@ class TestMatchSessions:
         assert len(sessions) == 1
         session = sessions[0]
         assert session.packages == ("net.xnano.android.sshserver",)
-        assert {ip for ip, _ in session.resolved_ips} == {"192.162.35.52"}
+        assert {lease.private_ip for lease in session.resolved_leases} == {"192.162.35.52"}
         assert session.network_ids == ("outgoingowl",)
 
     def test_expired_traffic_only_session_flagged(self, pipeline):
@@ -153,7 +166,7 @@ class TestMatchSessions:
         session = sessions[0]
         assert AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET in session.ambiguity_flags
         assert session.network_ids == ("KT_GiGA_5G_EFB7", "outgoingowl")
-        assert session.resolved_ips == ()  # time-only lease matching withheld
+        assert session.resolved_leases == ()  # time-only lease matching withheld
 
     def test_sessions_partition_buckets_and_conserve_bytes(self, pipeline):
         for seed in range(25):
@@ -191,7 +204,7 @@ class TestMatchSessions:
             ),
         )
         sessions = pipeline(s)["sessions"]
-        assert {ip for ip, _ in sessions[0].resolved_ips} == {"10.0.0.5"}
+        assert {lease.private_ip for lease in sessions[0].resolved_leases} == {"10.0.0.5"}
 
 
 class TestGradeVolume:
@@ -240,7 +253,7 @@ class TestCorroborate:
             result = pipeline(simulator.random_scenario(seed))
             for f in result["findings"]:
                 if f.confidence == Confidence.CORROBORATED:
-                    ips = {ip for ip, _ in f.session.resolved_ips}
+                    ips = {lease.private_ip for lease in f.session.resolved_leases}
                     assert f.host_corroboration
                     assert all(e.host in ips for e in f.host_corroboration)
 
@@ -400,7 +413,7 @@ class TestOracleEquivalence:
         sessions = result["sessions"]
         assert any(AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET in s.ambiguity_flags for s in sessions)
         if not leases_carry_ssid:  # every lease lacks an SSID: resolved by time containment
-            assert any(s.resolved_ips for s in sessions)
+            assert any(s.resolved_leases for s in sessions)
 
     def test_presets_match_oracle(self):
         for name, factory in simulator.PRESETS.items():

@@ -22,10 +22,12 @@ def bundle_for(scenario):
     return seal_bundle(items, payloads=payloads)
 
 
-def render_for(scenario):
+def render_for(scenario, display_zone=None):
     result = run_pipeline(scenario)
     bundle = bundle_for(scenario)
-    return render_report(result["findings"], bundle, result["timeline"], scenario.display_zone), result, bundle
+    findings = attach_evidence_digests(result["findings"], bundle)
+    doc = render_report(findings, bundle, result["timeline"], display_zone or scenario.display_zone)
+    return doc, result, bundle
 
 
 class TestReportRendering:
@@ -39,9 +41,9 @@ class TestReportRendering:
         scenario = simulator.preset_case_study()
         doc, _result, bundle = render_for(scenario)
         digests = {i.raw_bytes_digest for i in bundle.items}
-        for finding in doc.findings:
-            assert finding.evidence_digests
-            assert set(finding.evidence_digests) <= digests
+        for finding in doc.data["findings"]:
+            assert finding["evidence_digests"]
+            assert set(finding["evidence_digests"]) <= digests
 
     def test_corroborated_finding_cites_lease_and_known_hosts_evidence(self):
         scenario = simulator.preset_sftp_server()
@@ -77,9 +79,10 @@ class TestReportRendering:
     def test_flag_classes_listed_exactly_once_each(self):
         scenario = simulator.preset_same_start_ambiguity()
         doc, _, _ = render_for(scenario)
-        assert sum("same-hour network ambiguity" in note for note in doc.limitations) == 1
+        limitations = doc.data["limitations"]
+        assert sum("same-hour network ambiguity" in note for note in limitations) == 1
         # flag class absent from findings is absent from the appendix
-        assert not any("24-hour precision" in note for note in doc.limitations)
+        assert not any("24-hour precision" in note for note in limitations)
 
     def test_zero_findings_notes_no_detections(self):
         scenario = simulator.Scenario(capture_time=1683809100)
@@ -89,22 +92,19 @@ class TestReportRendering:
         assert "## Limitations" in md
 
     def test_display_zone_rezones_rendered_timestamps(self):
-        scenario = simulator.preset_ftp_file_server()
-        result = run_pipeline(scenario)
-        bundle = bundle_for(scenario)
-        doc = render_report(result["findings"], bundle, result["timeline"], display_zone="UTC")
+        doc, _, _ = render_for(simulator.preset_ftp_file_server(), display_zone="UTC")
         md = doc.to_markdown()
         # 2023-05-11 01:14:16 KST == 2023-05-10 16:14:16 UTC
         assert "2023-05-10 16:14:16 +00:00" in md
         assert "+09:00" not in md
-        data = doc.to_json_dict()
+        data = doc.data
         assert data["findings"][0]["session"]["app_start_rendered"] == "2023-05-10 16:14:16 +00:00"
 
     def test_json_and_markdown_share_one_model(self):
         scenario = simulator.preset_case_study()
         doc, _, _ = render_for(scenario)
-        data = doc.to_json_dict()
-        assert data["finding_count"] == len(doc.findings)
+        data = doc.data
+        assert data["finding_count"] == len(data["findings"])
         md = doc.to_markdown()
         for f in data["findings"]:
             assert f["pattern"] in md
