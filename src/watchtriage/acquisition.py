@@ -23,6 +23,7 @@ import os
 import re
 import shutil
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
@@ -36,6 +37,8 @@ from .evidence import (
     Timestamp,
     canonical_json_bytes,
     compute_digest,
+    json_list,
+    load_json,
     seal_bundle,
     zone_name,
 )
@@ -43,11 +46,7 @@ from .evidence import (
 Clock = Callable[[], int]
 
 
-class AcquisitionError(Exception):
-    pass
-
-
-class ExecutorUnreachableError(AcquisitionError):
+class ExecutorUnreachableError(OSError):
     """The debug bridge could not be reached at all."""
 
 
@@ -151,22 +150,15 @@ def default_plan() -> AcquisitionPlan:
 
 
 def save_plan(plan: AcquisitionPlan, path: Path):
-    Path(path).write_text(json.dumps(asdict(plan), indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(plan), indent=2) + "\n", encoding="utf-8")
+
+
+def _plan_step(s: dict) -> AcquisitionStep:
+    return AcquisitionStep(s["label"], s["command"], int(s["volatility_rank"]), SourceKind(s["source_kind"]))
 
 
 def load_plan(path: Path) -> AcquisitionPlan:
-    path = Path(path)
-    where = path  # the step being read, once there is one
-    try:
-        steps = []
-        for i, s in enumerate(json.loads(path.read_text(encoding="utf-8"))["steps"]):
-            where = f"{path} step {i}"
-            steps.append(
-                AcquisitionStep(s["label"], s["command"], int(s["volatility_rank"]), SourceKind(s["source_kind"]))
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise AcquisitionError(f"{where}: malformed plan ({type(exc).__name__}: {exc})") from None
-    return AcquisitionPlan(tuple(steps))
+    return AcquisitionPlan(load_json(path, "plan steps", _plan_step, entry="plan step", key="steps"))
 
 
 @dataclass(frozen=True)
@@ -225,7 +217,7 @@ def seal_acquisition(
         )
 
     if not items:
-        raise AcquisitionError("every acquisition step failed; nothing to seal")
+        raise ValueError("every acquisition step failed; nothing to seal")
     bundle = seal_bundle(items, device, payloads=payloads)
     return AcquisitionResult(bundle, payloads, labels, list(failures), clock_offset_seconds, display_zone)
 
@@ -301,13 +293,13 @@ class SteppingClock:
 
 
 def _inside(bundle_dir: Path, rel) -> Path:
-    """bundle_dir/rel with `..` resolved, or AcquisitionError unless rel is a
+    """bundle_dir/rel with `..` resolved, or ValueError unless rel is a
     relative path that stays inside bundle_dir."""
     if isinstance(rel, str) and not os.path.isabs(rel):
         rel = os.path.normpath(rel)
         if rel.split(os.sep)[0] != os.pardir:
             return bundle_dir / rel
-    raise AcquisitionError(f"file path {rel!r} is not a relative path inside the bundle directory")
+    raise ValueError(f"file path {rel!r} is not a relative path inside the bundle directory")
 
 
 def write_bundle_dir(result: AcquisitionResult, out_dir: Path) -> Path:
@@ -338,47 +330,39 @@ def read_bundle_dir(path: Path) -> AcquisitionResult:
     """
     path = Path(path)
     if not path.is_dir():
-        raise AcquisitionError(f"bundle directory not found: {path}")
+        raise FileNotFoundError(f"bundle directory not found: {path}")
     manifest_path = path / "manifest.json"
     if not manifest_path.is_file():
-        raise AcquisitionError(f"no manifest.json under {path}")
-    try:
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest = doc["manifest"]
-        zone_field = doc.get("display_zone", DEFAULT_DISPLAY_ZONE)
-        items = tuple(
-            EvidenceItem(
-                SourceKind(i["source_kind"]),
-                Timestamp(int(i["collected_at"])),
-                i["raw_bytes_digest"],
-                i.get("origin_label", ""),
-            )
-            for i in manifest["items"]
+        raise FileNotFoundError(f"no manifest.json under {path}")
+    return load_json(manifest_path, "manifest", partial(_bundle_from_manifest, path))
+
+
+def _bundle_from_manifest(path: Path, doc: dict) -> AcquisitionResult:
+    manifest = doc["manifest"]
+    items = tuple(
+        EvidenceItem(
+            SourceKind(i["source_kind"]),
+            Timestamp(int(i["collected_at"])),
+            i["raw_bytes_digest"],
+            i.get("origin_label", ""),
         )
-        device = DeviceProfile(**manifest["device"]) if manifest.get("device") else None
-        algorithm = doc.get("hash_algorithm", DEFAULT_HASH)
-        try:
-            compute_digest(b"", algorithm)  # the call verify_bundle makes per item
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"hash_algorithm {algorithm!r}: {exc}") from None
-        bundle = EvidenceBundle(items, device, doc["bundle_manifest_digest"], algorithm)
-        files = doc.get("files", {}).items()
-        failures = doc.get("failures", [])
-        if type(failures) is not list:
-            raise TypeError(f"failures must be a list, got {failures!r}")
-        failures = [StepFailure(**f) for f in failures]
-        clock_offset = doc.get("clock_offset_seconds")
-        if clock_offset is not None and type(clock_offset) is not int:
-            raise TypeError(f"clock_offset_seconds must be a whole number or null, got {clock_offset!r}")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise AcquisitionError(f"{manifest_path}: malformed manifest ({type(exc).__name__}: {exc})") from None
+        for i in manifest["items"]
+    )
+    device = DeviceProfile(**manifest["device"]) if manifest.get("device") else None
+    algorithm = doc.get("hash_algorithm", DEFAULT_HASH)
     try:
-        zone = zone_name(zone_field)
-    except ValueError as exc:
-        raise AcquisitionError(f"{manifest_path}: display_zone: {exc}") from None
+        compute_digest(b"", algorithm)  # the call verify_bundle makes per item
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"hash_algorithm {algorithm!r}: {exc}") from None
+    bundle = EvidenceBundle(items, device, doc["bundle_manifest_digest"], algorithm)
+    failures = [StepFailure(**f) for f in json_list(doc, "failures", dict)]
+    clock_offset = doc.get("clock_offset_seconds")
+    if clock_offset is not None and type(clock_offset) is not int:
+        raise TypeError(f"clock_offset_seconds must be a whole number or null, got {clock_offset!r}")
+    zone = zone_name(doc.get("display_zone", DEFAULT_DISPLAY_ZONE))
     payloads = {}
     labels = {}
-    for key, rel in files:
+    for key, rel in doc.get("files", {}).items():
         file_path = _inside(path, rel)
         if file_path.is_file():
             payloads[key] = file_path.read_bytes()

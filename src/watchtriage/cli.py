@@ -11,7 +11,9 @@ Subcommands compose the pipeline:
   verify     bundle -> per-item integrity pass/fail
 
 Exit codes gate automation: 0 success with nothing detected, 1 completed
-with detections or failed integrity/policy, 2 usage or input errors.
+with detections or failed integrity/policy, 2 usage or input errors. An
+input is rejected by raising ValueError (malformed) or OSError (missing or
+unusable), and `main` turns exactly those two into exit 2.
 Environment variables prefixed WATCHTRIAGE_ supply the defaults of the
 matching flags (e.g. WATCHTRIAGE_DISPLAY_ZONE); a flag given on the command
 line wins. The bucket duration and the zone that dump times are read in
@@ -53,7 +55,7 @@ def _fail(message: str) -> int:
 
 def _write_output(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -140,7 +142,7 @@ def _unused_out(out: str) -> Path:
     non-empty one is refused, so no earlier run's files survive in it."""
     path = Path(out)
     if path.exists() and (not path.is_dir() or any(path.iterdir())):
-        raise acquisition.AcquisitionError(f"output directory exists and is not empty: {path}")
+        raise FileExistsError(f"output directory exists and is not empty: {path}")
     return path
 
 
@@ -273,15 +275,15 @@ def cmd_generate(args) -> int:
     result = acquisition.seal_acquisition(captured, "synthetic", scenario.display_zone)
     acquisition.write_bundle_dir(result, out)
     (out / "scenario.json").write_text(
-        json.dumps(simulator.scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
+        json.dumps(simulator.scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     if scenario.host_side:
         host_dir = out / "host_artifacts"
         host_dir.mkdir(parents=True, exist_ok=True)
         filezilla_xml, known_hosts = simulator.render_host_artifacts(scenario)
-        (host_dir / "recentservers.xml").write_text(filezilla_xml)
+        (host_dir / "recentservers.xml").write_text(filezilla_xml, encoding="utf-8")
         if known_hosts:
-            (host_dir / "known_hosts").write_text(known_hosts)
+            (host_dir / "known_hosts").write_text(known_hosts, encoding="utf-8")
     print(f"synthetic bundle written to {out} (digest {result.bundle.bundle_manifest_digest})")
     return EXIT_OK
 
@@ -410,14 +412,8 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (
-        OSError,  # missing inputs and output paths the system refuses
-        acquisition.AcquisitionError,
-        ValueError,  # malformed dumps, rules, inventories, manifests and scenario values
-    ) as exc:
+    except (OSError, ValueError) as exc:  # an unusable environment; malformed input
         return _fail(str(exc))
-    except KeyError as exc:
-        return _fail(f"input file is missing a required field: {exc}")
 
 
 if __name__ == "__main__":

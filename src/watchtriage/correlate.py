@@ -22,7 +22,6 @@ attributing the same app event to two networks at once.
 from __future__ import annotations
 
 import fnmatch
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +36,7 @@ from .dumpsys import (
     UsageEvent,
     UsageReport,
 )
-from .evidence import Timestamp, string_list
+from .evidence import Timestamp, json_field, json_list, load_json
 from .host_artifacts import FtpServerEntry, KnownHostEntry
 
 DEFAULT_UNCLASSIFIED_MIN_BYTES = 10_000_000
@@ -91,26 +90,19 @@ DEFAULT_RULES: tuple[PatternRule, ...] = (
 )
 
 
+def _rule(obj: dict) -> PatternRule:
+    return PatternRule(
+        FindingPattern(obj["pattern"]),
+        json_list(obj, "package_markers", str),
+        DirectionBias(obj.get("direction_bias", "any")),
+        json_field(obj, "min_bytes", int, 0),
+    )
+
+
 def load_rules(path: Path) -> tuple[PatternRule, ...]:
     """Load pattern rules from a JSON file (list of rule objects); ValueError
     naming the file and the rule for anything else."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON list of rules, got {type(data).__name__}")
-    rules = []
-    for i, obj in enumerate(data):
-        try:
-            rules.append(
-                PatternRule(
-                    FindingPattern(obj["pattern"]),
-                    string_list(obj, "package_markers"),
-                    DirectionBias(obj.get("direction_bias", "any")),
-                    int(obj.get("min_bytes", 0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: rule #{i + 1}: missing or malformed field ({exc})") from None
-    return tuple(rules)
+    return load_json(path, "rules", _rule, entry="rule")
 
 
 @dataclass(frozen=True)

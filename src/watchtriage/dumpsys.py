@@ -36,14 +36,6 @@ USAGE_WINDOW_SECONDS = 24 * 3600
 DEFAULT_BUCKET_SECONDS = 3600
 
 
-class ParseError(ValueError):
-    """Fatal parse failure (empty input, missing capture time)."""
-
-
-class EmptyDumpError(ParseError):
-    """Input text is empty or whitespace-only."""
-
-
 class AggregateWindow(Enum):
     WEEK = "week"
     MONTH = "month"
@@ -151,7 +143,7 @@ def _tokenize(text: str, text_form, jsonl_form) -> dict[type, list]:
     non-blank character is `{`, text otherwise) and group its tokens by
     type, in dump order; warnings are the `str` tokens."""
     if not text or not text.strip():
-        raise EmptyDumpError("dump text is empty")
+        raise ValueError("dump text is empty")
     tokenizer = jsonl_form if text.lstrip().startswith("{") else text_form
     tokens: dict[type, list] = defaultdict(list)
     for token in tokenizer(text):
@@ -393,7 +385,7 @@ def parse_usagestats(
     warnings = tokens[str]
     if capture_time is None:
         if not tokens[Timestamp]:
-            raise ParseError("capture time required: pass capture_time or include a capture-time= header")
+            raise ValueError("capture time required: pass capture_time or include a capture-time= header")
         capture_time = tokens[Timestamp][0]
 
     kept = []

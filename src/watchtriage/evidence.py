@@ -14,23 +14,12 @@ import re
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Any, Callable, Mapping, Optional, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 DEFAULT_DISPLAY_ZONE = "Asia/Seoul"
 DEFAULT_HASH = "sha256"
-
-
-class EvidenceError(Exception):
-    """Base error for evidence handling."""
-
-
-class DigestMismatchError(EvidenceError):
-    """Stored bytes no longer match an item's recorded digest."""
-
-
-class InvalidBundleError(EvidenceError):
-    """Bundle violates a structural invariant."""
 
 
 def compute_digest(data: bytes, algorithm: str = DEFAULT_HASH) -> str:
@@ -44,22 +33,69 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 def zone_name(name: str) -> str:
-    """`name` if it is an IANA zone this system knows; ValueError naming it otherwise."""
+    """`name` if it is an IANA zone this system knows; ValueError naming it
+    as the display_zone otherwise (every zone read is a display zone)."""
     try:
         ZoneInfo(name)
     except (ValueError, TypeError, ZoneInfoNotFoundError):
-        raise ValueError(f"unknown time zone {name!r}") from None
+        raise ValueError(f"display_zone: unknown time zone {name!r}") from None
     return name
 
 
-def string_list(obj: dict, key: str) -> tuple[str, ...]:
-    """`obj[key]` from a JSON config entry as a tuple of strings, empty when
-    absent; TypeError for anything but a list of strings, so a lone string
-    is never read as its characters."""
+# --- JSON input files --------------------------------------------------------
+#
+# Plans, rules, inventories, scenarios and bundle manifests are read by
+# load_json alone, so a malformed one is always one ValueError naming the
+# file. The builders it calls check each value's JSON type with json_field
+# and json_list; `true` is never an integer and a string never a list.
+
+_JSON_NAMES = {bool: "boolean", dict: "object", int: "integer", list: "list", str: "string"}
+
+
+def json_field(obj: dict, key: str, kind: type, *default):
+    """`obj[key]`, or the one `default` given when `key` is absent;
+    TypeError naming `key` unless the value's JSON type is `kind`."""
+    value = obj.get(key, *default) if default else obj[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def json_list(obj: dict, key: str, kind: type) -> tuple:
+    """`obj[key]` as a tuple of values of JSON type `kind`, empty when
+    absent; TypeError naming `key` for anything else. A tuple passes as a
+    list, so the output of `dataclasses.asdict` reads back."""
     value = obj.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"{key} must be a list of strings, got {value!r}")
+    if type(value) not in (list, tuple) or any(type(v) is not kind for v in value):
+        raise TypeError(f"{key} must be a list of {_JSON_NAMES[kind]}s, got {value!r}")
     return tuple(value)
+
+
+def load_json(path: Path, what: str, build: Callable[[Any], Any], entry: str = "", key: str = ""):
+    """What `build` makes from the JSON input file at `path`, read as UTF-8.
+
+    Without `entry`, `build` takes the whole document. With it, the file
+    holds a JSON list of `what` (at `key` of the document, when given) and
+    `build` takes each item, which an error names `{entry} #N`; the result
+    is then a tuple. Any AttributeError, KeyError, TypeError or ValueError
+    raised while reading or building becomes one ValueError naming the file.
+    """
+    where = f"malformed {what}"
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not entry:
+            return build(doc)
+        items = doc[key] if key else doc
+        if type(items) is not list:
+            where = f"expected a JSON list of {what}"
+            raise TypeError(f"got {type(items).__name__}")
+        records = []
+        for i, item in enumerate(items, 1):
+            where = f"{entry} #{i}: malformed {entry}"
+            records.append(build(item))
+        return tuple(records)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {where} ({type(exc).__name__}: {exc})") from None
 
 
 # The one wall-clock text form: zero-padded ASCII "YYYY-MM-DD HH:MM:SS".
@@ -183,11 +219,11 @@ def seal_bundle(
     Sealing is order-sensitive: permuting items changes the manifest digest.
     """
     if not items:
-        raise InvalidBundleError("cannot seal an empty bundle")
+        raise ValueError("cannot seal an empty bundle")
     seen = set()
     for item in items:
         if item.key() in seen:
-            raise InvalidBundleError(
+            raise ValueError(
                 f"duplicate evidence item {item.key()}: source_kind must be unique "
                 "per origin_label at a given collected_at"
             )
@@ -196,7 +232,7 @@ def seal_bundle(
     if payloads is not None:
         for result in verify_bundle(bundle, payloads).results:
             if result.status != "pass":
-                raise DigestMismatchError(
+                raise ValueError(
                     f"digest check {result.status} for item {result.item_key}: {result.detail}"
                 )
     return replace(bundle, bundle_manifest_digest=bundle.manifest_digest())

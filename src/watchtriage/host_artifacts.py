@@ -27,10 +27,6 @@ from .evidence import EvidenceItem, SourceKind, Timestamp
 HASHED_SENTINEL = "|1|"
 
 
-class HostArtifactError(Exception):
-    """Fatal host-artifact parse failure (malformed XML)."""
-
-
 class TransferProtocol(Enum):
     FTP = "ftp"
     SFTP = "sftp"
@@ -95,7 +91,7 @@ def parse_filezilla(xml_text: str, source_file: str = "recentservers_xml") -> tu
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:
         line, col = exc.position
-        raise HostArtifactError(f"XML syntax error at line {line}, column {col}: {exc}") from exc
+        raise ValueError(f"XML syntax error at line {line}, column {col}: {exc}") from exc
 
     entries: list[FtpServerEntry] = []
     warnings: list[str] = []
@@ -232,7 +228,7 @@ def load_host_artifacts(paths: Iterable[Path]) -> HostArtifacts:
         else:
             try:
                 entries, warnings = parse_filezilla(text, kind.value)
-            except HostArtifactError as exc:
+            except ValueError as exc:
                 out.warnings.append(f"{path}: {exc}")
                 continue
             out.ftp_entries.extend(entries)

@@ -16,7 +16,6 @@ decoding is out of scope (callers decode first).
 
 from __future__ import annotations
 
-import json
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .evidence import DeviceProfile, string_list
+from .evidence import DeviceProfile, json_list, load_json
 
 WATCH_FEATURE = "android.hardware.type.watch"
 
@@ -37,10 +36,6 @@ _ABI_EXECUTES = {
     "armeabi-v7a": {"armeabi-v7a", "armeabi"},
     "arm64-v8a": {"arm64-v8a", "armeabi-v7a", "armeabi"},
 }
-
-
-class ManifestError(ValueError):
-    """Fatal manifest parse failure."""
 
 
 class VerdictKind(Enum):
@@ -107,10 +102,10 @@ def _parse_manifest_xml(text: str) -> ManifestInfo:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         line, col = exc.position
-        raise ManifestError(f"XML syntax error at line {line}, column {col}: {exc}") from exc
+        raise ValueError(f"XML syntax error at line {line}, column {col}: {exc}") from exc
     package = root.get("package")
     if not package:
-        raise ManifestError("manifest element has no package attribute")
+        raise ValueError("manifest element has no package attribute")
     features = []
     for el in root.iter("uses-feature"):
         name = el.get(f"{{{ANDROID_NS}}}name") or el.get("android:name") or el.get("name")
@@ -136,7 +131,7 @@ def _parse_aapt_dump(text: str) -> ManifestInfo:
         elif line.startswith("native-code:"):
             abis.extend(re.findall(r"'([^']+)'", line))
     if not package:
-        raise ManifestError("aapt dump has no package: name='...' line")
+        raise ValueError("aapt dump has no package: name='...' line")
     return ManifestInfo(package, tuple(features), tuple(abis))
 
 
@@ -199,6 +194,10 @@ def audit_inventory(manifests: Sequence[ManifestInfo], device: DeviceProfile) ->
     return verdicts
 
 
+def _manifest_info(obj: dict) -> ManifestInfo:
+    return ManifestInfo(obj["package"], json_list(obj, "uses_features", str), json_list(obj, "declared_abis", str))
+
+
 def load_inventory(path: Path) -> tuple[list[ManifestInfo], list[PolicyVerdict]]:
     """Load manifests from a JSON inventory file or a directory of manifests.
 
@@ -208,29 +207,19 @@ def load_inventory(path: Path) -> tuple[list[ManifestInfo], list[PolicyVerdict]]
     anything else is a ValueError naming the file and the entry.
     """
     path = Path(path)
+    if not path.is_dir():
+        return list(load_json(path, "inventory entries", _manifest_info, entry="inventory entry")), []
     manifests: list[ManifestInfo] = []
     failures: list[PolicyVerdict] = []
-    if path.is_dir():
-        for file in sorted(path.iterdir()):
-            if file.suffix.lower() not in (".xml", ".txt"):
-                continue
-            try:
-                manifests.append(parse_manifest(file.read_text()))
-            except (ManifestError, ValueError) as exc:
-                failures.append(
-                    PolicyVerdict(file.name, False, None, VerdictKind.UNKNOWN, f"unparseable manifest: {exc}")
-                )
-        return manifests, failures
-    data = json.loads(path.read_text())
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON list of inventory entries, got {type(data).__name__}")
-    for i, obj in enumerate(data):
+    for file in sorted(path.iterdir()):
+        if file.suffix.lower() not in (".xml", ".txt"):
+            continue
         try:
-            manifests.append(
-                ManifestInfo(obj["package"], string_list(obj, "uses_features"), string_list(obj, "declared_abis"))
+            manifests.append(parse_manifest(file.read_text(encoding="utf-8")))
+        except ValueError as exc:
+            failures.append(
+                PolicyVerdict(file.name, False, None, VerdictKind.UNKNOWN, f"unparseable manifest: {exc}")
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: inventory entry #{i + 1}: missing or malformed field ({exc})") from None
     return manifests, failures
 
 

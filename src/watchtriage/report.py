@@ -36,10 +36,6 @@ LIMITATION_NOTES = {
 }
 
 
-class ReportError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class ReportDocument:
     """The report JSON document; the markdown is rendered from it."""
@@ -136,7 +132,7 @@ def attach_evidence_digests(
             for kind in (SourceKind.RECENTSERVERS_XML, SourceKind.FILEZILLA_XML, SourceKind.KNOWN_HOSTS):
                 digests.extend(by_kind.get(kind, ()))
         if not digests:
-            raise ReportError(
+            raise ValueError(
                 "cannot cite evidence: bundle has no netstats item yet findings reference traffic"
             )
         out.append(replace(f, evidence_digests=tuple(dict.fromkeys(digests))))  # dedupe, keep order

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import base64
 import ipaddress
-import json
 import random
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,14 +34,10 @@ from .correlate import (
     finding_to_dict,
     match_pattern,
 )
-from .evidence import DEFAULT_DISPLAY_ZONE, Timestamp, zone_name
+from .evidence import DEFAULT_DISPLAY_ZONE, Timestamp, json_field, json_list, load_json, zone_name
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))
-
-
-class ScenarioError(ValueError):
-    """A scenario violates one of its invariants."""
 
 
 @dataclass(frozen=True)
@@ -82,40 +77,37 @@ class Scenario:
 
 
 def validate(s: Scenario):
-    """Raise ScenarioError naming the first violated invariant."""
+    """Raise ValueError naming the first violated invariant."""
     if s.capture_time < 0:
-        raise ScenarioError("capture_time must be >= 0")
-    try:
-        zone_name(s.display_zone)
-    except ValueError as exc:
-        raise ScenarioError(f"display_zone: {exc}") from None
+        raise ValueError("capture_time must be >= 0")
+    zone_name(s.display_zone)
     for i, a in enumerate(s.app_sessions):
         if not a.package:
-            raise ScenarioError(f"app_sessions[{i}]: package must be non-empty")
+            raise ValueError(f"app_sessions[{i}]: package must be non-empty")
         if not a.start < a.end:
-            raise ScenarioError(f"app_sessions[{i}]: start must precede end")
+            raise ValueError(f"app_sessions[{i}]: start must precede end")
         if a.end > s.capture_time:
-            raise ScenarioError(f"app_sessions[{i}]: ends after capture_time")
+            raise ValueError(f"app_sessions[{i}]: ends after capture_time")
         if a.start < 0:
-            raise ScenarioError(f"app_sessions[{i}]: start must be >= 0")
+            raise ValueError(f"app_sessions[{i}]: start must be >= 0")
     for i, w in enumerate(s.wifi_sessions):
         if not w.start < w.end:
-            raise ScenarioError(f"wifi_sessions[{i}]: start must precede end")
+            raise ValueError(f"wifi_sessions[{i}]: start must precede end")
         if w.end > s.capture_time:
-            raise ScenarioError(f"wifi_sessions[{i}]: ends after capture_time")
+            raise ValueError(f"wifi_sessions[{i}]: ends after capture_time")
         if w.start < 0:
-            raise ScenarioError(f"wifi_sessions[{i}]: start must be >= 0")
+            raise ValueError(f"wifi_sessions[{i}]: start must be >= 0")
         if w.bytes_in < 0 or w.bytes_out < 0:
-            raise ScenarioError(f"wifi_sessions[{i}]: byte counts must be >= 0")
+            raise ValueError(f"wifi_sessions[{i}]: byte counts must be >= 0")
         try:
             ipaddress.IPv4Address(w.assigned_ip)
         except ipaddress.AddressValueError:
-            raise ScenarioError(f"wifi_sessions[{i}]: assigned_ip {w.assigned_ip!r} is not valid IPv4")
+            raise ValueError(f"wifi_sessions[{i}]: assigned_ip {w.assigned_ip!r} is not valid IPv4")
     for i, h in enumerate(s.host_side):
         if h.kind not in ("recentservers", "known_hosts"):
-            raise ScenarioError(f"host_side[{i}]: unknown artifact kind {h.kind!r}")
+            raise ValueError(f"host_side[{i}]: unknown artifact kind {h.kind!r}")
         if not 1 <= h.port <= 65535:
-            raise ScenarioError(f"host_side[{i}]: port out of range")
+            raise ValueError(f"host_side[{i}]: port out of range")
 
 
 def last_reboot_before_capture(s: Scenario) -> Optional[int]:
@@ -664,31 +656,30 @@ def scenario_to_dict(s: Scenario) -> dict:
     return asdict(s)
 
 
+def _records(cls, data: dict, key: str) -> tuple:
+    """The `cls` records the JSON objects in `data[key]` hold, each field of
+    the JSON type its annotation names; an absent field takes its default."""
+    types = {"int": int, "str": str}  # annotations are strings here (PEP 563)
+    return tuple(
+        cls(**{f.name: json_field(obj, f.name, types[f.type])
+               for f in fields(cls) if f.name in obj or f.default is MISSING})
+        for obj in json_list(data, key, dict)
+    )
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     s = Scenario(
-        capture_time=int(data["capture_time"]),
-        app_sessions=tuple(
-            AppSession(a["package"], int(a["start"]), int(a["end"]))
-            for a in data.get("app_sessions", ())
-        ),
-        wifi_sessions=tuple(
-            WifiSession(
-                w["ssid"], int(w["start"]), int(w["end"]),
-                int(w["bytes_in"]), int(w["bytes_out"]), w["assigned_ip"],
-            )
-            for w in data.get("wifi_sessions", ())
-        ),
-        reboots=tuple(int(r) for r in data.get("reboots", ())),
-        host_side=tuple(
-            HostArtifactSpec(h["kind"], h["host"], int(h["port"]), h.get("protocol", "ftp"))
-            for h in data.get("host_side", ())
-        ),
-        display_zone=data.get("display_zone", DEFAULT_DISPLAY_ZONE),
-        leases_carry_ssid=bool(data.get("leases_carry_ssid", True)),
+        capture_time=json_field(data, "capture_time", int),
+        app_sessions=_records(AppSession, data, "app_sessions"),
+        wifi_sessions=_records(WifiSession, data, "wifi_sessions"),
+        reboots=json_list(data, "reboots", int),
+        host_side=_records(HostArtifactSpec, data, "host_side"),
+        display_zone=json_field(data, "display_zone", str, DEFAULT_DISPLAY_ZONE),
+        leases_carry_ssid=json_field(data, "leases_carry_ssid", bool, True),
     )
     validate(s)
     return s
 
 
 def load_scenario(path: Path) -> Scenario:
-    return scenario_from_dict(json.loads(Path(path).read_text()))
+    return load_json(path, "scenario", scenario_from_dict)

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from watchtriage.acquisition import (
-    AcquisitionError,
     AcquisitionPlan,
     AcquisitionStep,
     ExecutorUnreachableError,
@@ -181,7 +180,7 @@ class TestBundleDir:
         raw = GALAXY_WATCH5_TRANSCRIPTS["dumpsys netstats"]
         result = seal_acquisition([(label, SourceKind.NETSTATS, raw, 1683766560)], "watch", "Asia/Seoul")
         out = tmp_path / "a" / "bundle"
-        with pytest.raises(AcquisitionError, match="not a relative path inside the bundle directory"):
+        with pytest.raises(ValueError, match="not a relative path inside the bundle directory"):
             write_bundle_dir(result, out)
         assert list(tmp_path.rglob("*")) == []  # nothing written, inside or out
 
@@ -194,7 +193,7 @@ class TestBundleDir:
         key = next(k for k, v in manifest["files"].items() if v == "raw/netstats.txt")
         manifest["files"][key] = rel
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(AcquisitionError, match="not a relative path inside the bundle directory"):
+        with pytest.raises(ValueError, match="not a relative path inside the bundle directory"):
             read_bundle_dir(out)
 
     def test_unknown_hash_algorithm_is_a_malformed_manifest_naming_the_field(self, tmp_path):
@@ -203,5 +202,5 @@ class TestBundleDir:
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["hash_algorithm"] = "md7"
         (out / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(AcquisitionError, match=r"manifest\.json: malformed manifest .*hash_algorithm 'md7'"):
+        with pytest.raises(ValueError, match=r"manifest\.json: malformed manifest .*hash_algorithm 'md7'"):
             read_bundle_dir(out)

@@ -2,7 +2,9 @@ import argparse
 import dataclasses
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,7 +52,7 @@ def acquire_with_plan(tmp_path, monkeypatch):
 
     def acquire(plan_text):
         plan_path = tmp_path / "plan.json"
-        plan_path.write_text(plan_text)
+        plan_path.write_bytes(plan_text if isinstance(plan_text, bytes) else plan_text.encode())
         out = tmp_path / "bundle"
         status = run(["acquire", "--plan", str(plan_path), "--transcripts", str(transcripts), "--out", str(out)])
         if status != 0:
@@ -58,6 +60,13 @@ def acquire_with_plan(tmp_path, monkeypatch):
         return status
 
     return acquire
+
+
+def scenario_json(edit) -> bytes:
+    """The ftp preset's scenario file after `edit` changed its dict."""
+    data = simulator.scenario_to_dict(simulator.preset_ftp_file_server())
+    edit(data)
+    return json.dumps(data).encode()
 
 
 @pytest.fixture
@@ -227,6 +236,20 @@ class TestReportCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_out_file_is_utf_8_under_an_ascii_locale(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(scenario_json(lambda d: [w.update(ssid="카페_5G") for w in d["wifi_sessions"]]))
+        bundle = tmp_path / "bundle"
+        assert run(["generate", "--scenario", str(scenario), "--out", str(bundle)]) == 0
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("WATCHTRIAGE_", "LC_", "LANG"))}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = tmp_path / "r.md"
+        proc = subprocess.run([sys.executable, "-m", "watchtriage.cli", "report", "--bundle", str(bundle),
+                               "--out", str(out)], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "카페_5G" in out.read_text(encoding="utf-8")
+
 
 class TestAudit:
     def test_inventory_with_violations_exits_1(self, tmp_path, capsys):
@@ -344,7 +367,7 @@ class TestUsageErrors:
         bad.write_text("not json at all")
         status = run(["audit", "--manifests", str(bad), "--device-abi", "armeabi-v7a"])
         assert status == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {bad}: malformed inventory entries (JSONDecodeError: ")
 
     def test_malformed_rules_file_exits_2(self, case_bundle, tmp_path, capsys):
         rules = tmp_path / "rules.json"
@@ -497,7 +520,8 @@ class TestUsageErrors:
         "[]",
         json.dumps({"steps": [{"label": "netstats", "volatility_rank": 0, "source_kind": "netstats"}]}),
         "not json",
-    ], ids=["step-not-an-object", "top-level-a-list", "step-without-command", "not-json"])
+        b'{"steps": [\xff]}',
+    ], ids=["step-not-an-object", "top-level-a-list", "step-without-command", "not-json", "not-utf-8"])
     def test_malformed_plan_exits_2_naming_it(self, text, acquire_with_plan, tmp_path, capsys):
         assert acquire_with_plan(text) == 2
         err = capsys.readouterr().err
@@ -513,6 +537,48 @@ class TestUsageErrors:
     def test_out_path_that_is_a_directory_exits_2(self, case_bundle, capsys):
         assert run(["parse", "--bundle", str(case_bundle), "--out", str(case_bundle)]) == 2
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{case_bundle}'\n"
+
+    # The cases above assert each input's own message; these share one form.
+    @pytest.mark.parametrize("kind, content, detail", [
+        ("rules", b"not json", "malformed rules (JSONDecodeError: "),
+        ("rules", b'[{"pattern": "ftp_server_exfil"}, \xff]', "malformed rules (UnicodeDecodeError: "),
+        # int() read 1.9 and true as 1 and accepted "12".
+        ("rules", b'[{"pattern": "unclassified_transfer", "min_bytes": 1.9}]',
+         "rule #1: malformed rule (TypeError: min_bytes must be a JSON integer, got 1.9)"),
+        ("rules", b'[{"pattern": "unclassified_transfer", "min_bytes": true}]',
+         "rule #1: malformed rule (TypeError: min_bytes must be a JSON integer, got True)"),
+        ("rules", b'[{"pattern": "unclassified_transfer", "min_bytes": "12"}]',
+         "rule #1: malformed rule (TypeError: min_bytes must be a JSON integer, got '12')"),
+        ("inventory", b'[{"package": "com.x"}, \xff]', "malformed inventory entries (UnicodeDecodeError: "),
+        ("scenario", b"[1]", "malformed scenario (TypeError: "),
+        ("scenario", b'{"capture_time": 1683809100, "app_sessions": [5]}',
+         "app_sessions must be a list of objects, got [5]"),
+        ("scenario", scenario_json(lambda d: d.update(reboots=5)), "reboots must be a list of integers, got 5"),
+        # IPv4Address(5) is valid, and the lease line `ip=5` was sealed into the bundle.
+        ("scenario", scenario_json(lambda d: d["wifi_sessions"][0].update(assigned_ip=5)),
+         "assigned_ip must be a JSON string, got 5"),
+        ("scenario", scenario_json(lambda d: d.update(capture_time=1683809100.5)),
+         "capture_time must be a JSON integer, got 1683809100.5"),
+        ("scenario", b"not json", "malformed scenario (JSONDecodeError: "),
+        ("scenario", b'{"capture_time": 1683809100, "display_zone": "\xff"}',
+         "malformed scenario (UnicodeDecodeError: "),
+    ], ids=["rules-not-json", "rules-not-utf-8", "rules-min-bytes-a-float", "rules-min-bytes-true",
+            "rules-min-bytes-a-string", "inventory-not-utf-8", "scenario-top-level-a-list",
+            "scenario-entry-not-an-object", "scenario-reboots-not-a-list", "scenario-assigned-ip-an-int",
+            "scenario-capture-time-a-float", "scenario-not-json", "scenario-not-utf-8"])
+    def test_malformed_json_input_exits_2_naming_it(self, kind, content, detail, case_bundle, tmp_path, capsys):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        argv = {
+            "rules": ["correlate", "--bundle", str(case_bundle), "--rules", str(path)],
+            "inventory": ["audit", "--manifests", str(path), "--device-abi", "armeabi-v7a"],
+            "scenario": ["generate", "--scenario", str(path), "--out", str(out)],
+        }[kind]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and detail in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_scenario_missing_capture_time_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"

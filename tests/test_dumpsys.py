@@ -5,9 +5,7 @@ import pytest
 from watchtriage import simulator
 from watchtriage.dumpsys import (
     AggregateWindow,
-    EmptyDumpError,
     LeaseKind,
-    ParseError,
     parse_netstats,
     parse_network_stack,
     parse_usagestats,
@@ -59,7 +57,7 @@ class TestParseUsagestats:
         assert event.at.epoch == 1683807006
 
     def test_whitespace_only_input_is_fatal(self):
-        with pytest.raises(EmptyDumpError):
+        with pytest.raises(ValueError, match="dump text is empty"):
             parse_usagestats("   \n\t  ", CAPTURE, KST)
 
     def test_events_sorted_with_stable_ties(self):
@@ -120,7 +118,7 @@ class TestParseUsagestats:
         assert report.capture_time.epoch == CAPTURE.epoch
 
     def test_missing_capture_time_is_fatal(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="capture time required"):
             parse_usagestats(USAGESTATS_FIXTURE, None, KST)
 
     def test_jsonl_form(self):
@@ -188,7 +186,7 @@ class TestParseNetstats:
         assert any("before any networkId" in w for w in warnings)
 
     def test_zero_byte_input_fatal(self):
-        with pytest.raises(EmptyDumpError):
+        with pytest.raises(ValueError, match="dump text is empty"):
             parse_netstats("")
 
     def test_ordering_preserved(self):
@@ -286,7 +284,7 @@ class TestParseNetworkStack:
         assert log.leases[0].raw_kind == "PROVISIONING"
 
     def test_empty_input_fatal(self):
-        with pytest.raises(EmptyDumpError):
+        with pytest.raises(ValueError, match="dump text is empty"):
             parse_network_stack(" ", KST)
 
     def test_jsonl_form(self):

@@ -7,9 +7,7 @@ import pytest
 from watchtriage.evidence import (
     DEFAULT_DISPLAY_ZONE,
     DeviceProfile,
-    DigestMismatchError,
     EvidenceItem,
-    InvalidBundleError,
     SourceKind,
     Timestamp,
     canonical_json_bytes,
@@ -119,18 +117,18 @@ class TestSealBundle:
         item = _item(SourceKind.NETSTATS, raw)
         tampered = bytearray(raw)
         tampered[5] ^= 0x01
-        with pytest.raises(DigestMismatchError) as exc:
+        with pytest.raises(ValueError, match="digest check fail") as exc:
             seal_bundle([item], payloads={item.key(): bytes(tampered)})
         assert item.key() in str(exc.value)
 
     def test_empty_bundle_rejected(self):
-        with pytest.raises(InvalidBundleError):
+        with pytest.raises(ValueError, match="cannot seal an empty bundle"):
             seal_bundle([])
 
     def test_duplicate_kind_origin_time_rejected(self):
         a = _item(SourceKind.GETPROP, b"11\n")
         b = _item(SourceKind.GETPROP, b"armeabi-v7a\n")
-        with pytest.raises(InvalidBundleError):
+        with pytest.raises(ValueError, match="duplicate evidence item"):
             seal_bundle([a, b])
 
     def test_permuting_items_changes_digest(self):

@@ -5,7 +5,6 @@ import pytest
 
 from watchtriage import simulator
 from watchtriage.host_artifacts import (
-    HostArtifactError,
     TransferProtocol,
     hash_host_pattern,
     hashed_entry_matches,
@@ -60,7 +59,7 @@ class TestParseFilezilla:
         assert len(warnings) == 1
 
     def test_malformed_xml_fatal_with_line_number(self):
-        with pytest.raises(HostArtifactError) as exc:
+        with pytest.raises(ValueError, match="XML syntax error") as exc:
             parse_filezilla("<FileZilla3>\n  <RecentServers>\n</FileZilla3>")
         assert "line" in str(exc.value)
 

@@ -5,7 +5,6 @@ import pytest
 from watchtriage.evidence import DeviceProfile
 from watchtriage.policy import (
     WATCH_FEATURE,
-    ManifestError,
     ManifestInfo,
     VerdictKind,
     audit_inventory,
@@ -45,11 +44,11 @@ class TestParseManifest:
         assert info.uses_features == ()
 
     def test_missing_package_fatal(self):
-        with pytest.raises(ManifestError):
+        with pytest.raises(ValueError, match="no package attribute"):
             parse_manifest("<manifest><uses-feature/></manifest>")
 
     def test_malformed_xml_fatal_with_location(self):
-        with pytest.raises(ManifestError) as exc:
+        with pytest.raises(ValueError, match="XML syntax error") as exc:
             parse_manifest("<manifest package='x'>\n<oops\n</manifest>")
         assert "line" in str(exc.value)
 

@@ -5,7 +5,7 @@ import pytest
 from watchtriage import simulator
 from watchtriage.correlate import findings_document
 from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, seal_bundle
-from watchtriage.report import ReportError, attach_evidence_digests, render_report
+from watchtriage.report import attach_evidence_digests, render_report
 from tests.conftest import run_pipeline
 
 
@@ -117,7 +117,7 @@ class TestReportRendering:
             SourceKind.GETPROP, b"armeabi-v7a\n", Timestamp(scenario.capture_time), "synthetic"
         )
         bundle = seal_bundle([item])
-        with pytest.raises(ReportError):
+        with pytest.raises(ValueError, match="cannot cite evidence"):
             attach_evidence_digests(result["findings"], bundle)
 
 

@@ -8,7 +8,6 @@ from watchtriage.simulator import (
     AppSession,
     HostArtifactSpec,
     Scenario,
-    ScenarioError,
     WifiSession,
     bucketize_session,
     ground_truth_events,
@@ -29,7 +28,7 @@ CAPTURE = 1683809100
 class TestValidation:
     def test_inverted_interval_named(self):
         s = Scenario(CAPTURE, app_sessions=(AppSession("com.x", 100, 50),))
-        with pytest.raises(ScenarioError, match="app_sessions\\[0\\]"):
+        with pytest.raises(ValueError, match="app_sessions\\[0\\]"):
             validate(s)
 
     def test_bad_ip_named(self):
@@ -37,17 +36,17 @@ class TestValidation:
             CAPTURE,
             wifi_sessions=(WifiSession("net", 100, 200, 0, 0, "999.1.1.1"),),
         )
-        with pytest.raises(ScenarioError, match="wifi_sessions\\[0\\]"):
+        with pytest.raises(ValueError, match="wifi_sessions\\[0\\]"):
             validate(s)
 
     def test_session_past_capture_rejected(self):
         s = Scenario(100, wifi_sessions=(WifiSession("net", 50, 200, 0, 0, "10.0.0.1"),))
-        with pytest.raises(ScenarioError, match="capture_time"):
+        with pytest.raises(ValueError, match="capture_time"):
             validate(s)
 
     def test_unknown_host_artifact_kind_rejected(self):
         s = Scenario(CAPTURE, host_side=(HostArtifactSpec("registry", "1.2.3.4", 21),))
-        with pytest.raises(ScenarioError, match="host_side\\[0\\]"):
+        with pytest.raises(ValueError, match="host_side\\[0\\]"):
             validate(s)
 
 
@@ -167,7 +166,7 @@ class TestRendering:
 
     def test_invalid_scenario_rejected_at_render(self):
         s = Scenario(CAPTURE, app_sessions=(AppSession("", 1, 2),))
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValueError, match=r"app_sessions\[0\]: package must be non-empty"):
             render_dumps(s)
 
 
@@ -181,7 +180,7 @@ class TestScenarioIO:
     def test_from_dict_validates(self):
         data = scenario_to_dict(simulator.preset_ftp_file_server())
         data["wifi_sessions"][0]["assigned_ip"] = "not-an-ip"
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ValueError, match=r"wifi_sessions\[0\]: assigned_ip 'not-an-ip'"):
             scenario_from_dict(data)
 
 
