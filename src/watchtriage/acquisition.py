@@ -37,6 +37,7 @@ from .evidence import (
     Timestamp,
     canonical_json_bytes,
     compute_digest,
+    json_field,
     json_list,
     load_json,
     seal_bundle,
@@ -154,11 +155,13 @@ def save_plan(plan: AcquisitionPlan, path: Path):
 
 
 def _plan_step(s: dict) -> AcquisitionStep:
-    return AcquisitionStep(s["label"], s["command"], int(s["volatility_rank"]), SourceKind(s["source_kind"]))
+    return AcquisitionStep(
+        s["label"], s["command"], json_field(s, "volatility_rank", int), SourceKind(s["source_kind"])
+    )
 
 
 def load_plan(path: Path) -> AcquisitionPlan:
-    return AcquisitionPlan(load_json(path, "plan steps", _plan_step, entry="plan step", key="steps"))
+    return load_json(path, "plan steps", _plan_step, entry="plan step", key="steps", collect=AcquisitionPlan)
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,13 @@ policy or simulator, which keeps one-shot calls on case-size bundles cheap.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from pathlib import Path
 
 from . import acquisition
-from .evidence import DEFAULT_DISPLAY_ZONE, DeviceProfile, SourceKind, verify_bundle, zone_name
+from .evidence import DEFAULT_DISPLAY_ZONE, DeviceProfile, SourceKind, document_text, verify_bundle, zone_name
 from .host_artifacts import load_host_artifacts, locate_host_artifacts
 
 ENV_PREFIX = "WATCHTRIAGE_"
@@ -54,10 +53,20 @@ def _fail(message: str) -> int:
 
 
 def _write_output(text: str, out: str | None):
+    """Write `text` to the file `out`, or to stdout ending in a newline,
+    as UTF-8 whatever the locale."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        return
+    if not text.endswith("\n"):
+        text += "\n"
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream such as io.StringIO takes the text itself
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    buffer.write(text.encode("utf-8"))
+    buffer.flush()
 
 
 def _load_bundle_or_fail(path_str: str) -> acquisition.AcquisitionResult:
@@ -215,7 +224,7 @@ def cmd_parse(args) -> int:
         },
         "warnings": warnings,
     }
-    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output(document_text(doc), args.out)
     return EXIT_OK
 
 
@@ -227,7 +236,7 @@ def cmd_correlate(args) -> int:
     doc = correlate.findings_document(
         findings, loaded.bundle.bundle_manifest_digest, timeline.bucket_duration, loaded.display_zone, warnings
     )
-    _write_output(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output(document_text(doc), args.out)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return EXIT_DETECTIONS if findings else EXIT_OK
@@ -245,10 +254,7 @@ def cmd_audit(args) -> int:
     verdicts = policy.audit_inventory(manifests, DeviceProfile(cpu_abi=device_abi or ""))
     verdicts = sorted(verdicts + failures, key=lambda v: (v.severity, v.package))
     if args.format == "json":
-        _write_output(
-            json.dumps([policy.verdict_to_dict(v) for v in verdicts], indent=2, sort_keys=True) + "\n",
-            args.out,
-        )
+        _write_output(document_text([policy.verdict_to_dict(v) for v in verdicts]), args.out)
     else:
         _write_output(policy.verdicts_table(verdicts), args.out)
     flagged = [v for v in verdicts if v.verdict != policy.VerdictKind.COMPLIANT]
@@ -274,9 +280,7 @@ def cmd_generate(args) -> int:
     captured = [(kind.value, kind, text.encode(), scenario.capture_time) for kind, text in zip(kinds, dumps)]
     result = acquisition.seal_acquisition(captured, "synthetic", scenario.display_zone)
     acquisition.write_bundle_dir(result, out)
-    (out / "scenario.json").write_text(
-        json.dumps(simulator.scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / "scenario.json").write_text(document_text(simulator.scenario_to_dict(scenario)), encoding="utf-8")
     if scenario.host_side:
         host_dir = out / "host_artifacts"
         host_dir.mkdir(parents=True, exist_ok=True)
@@ -295,7 +299,7 @@ def cmd_report(args) -> int:
     findings, timeline, warnings = _correlate_bundle(loaded, args)
     doc = report.render_report(findings, loaded.bundle, timeline, args.display_zone, warnings)
     if args.format == "json":
-        _write_output(json.dumps(doc.data, indent=2, sort_keys=True) + "\n", args.out)
+        _write_output(document_text(doc.data), args.out)
     else:
         _write_output(doc.to_markdown(), args.out)
     return EXIT_OK

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import re
@@ -65,6 +67,13 @@ def acquire_with_plan(tmp_path, monkeypatch):
 def scenario_json(edit) -> bytes:
     """The ftp preset's scenario file after `edit` changed its dict."""
     data = simulator.scenario_to_dict(simulator.preset_ftp_file_server())
+    edit(data)
+    return json.dumps(data).encode()
+
+
+def plan_json(edit) -> bytes:
+    """The default plan's file after `edit` changed its dict."""
+    data = dataclasses.asdict(acquisition.default_plan())
     edit(data)
     return json.dumps(data).encode()
 
@@ -213,6 +222,14 @@ class TestParse:
         assert any(r["network_id"] == "outgoingowl" for r in doc["netstats"])
         assert any(l["private_ip"] == "172.30.1.76" for l in doc["network_stack"]["leases"])
 
+    def test_stdout_replaced_by_a_text_only_stream(self, case_bundle, tmp_path):
+        out = tmp_path / "parsed.json"
+        assert run(["parse", "--bundle", str(case_bundle), "--out", str(out)]) == 0
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            assert run(["parse", "--bundle", str(case_bundle)]) == 0
+        assert stream.getvalue() == out.read_text(encoding="utf-8")
+
 
 class TestReportCommand:
     def test_markdown_report(self, case_bundle, capsys):
@@ -236,19 +253,37 @@ class TestReportCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_out_file_is_utf_8_under_an_ascii_locale(self, tmp_path):
+    @pytest.fixture
+    def non_ascii_bundle(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_bytes(scenario_json(lambda d: [w.update(ssid="카페_5G") for w in d["wifi_sessions"]]))
         bundle = tmp_path / "bundle"
         assert run(["generate", "--scenario", str(scenario), "--out", str(bundle)]) == 0
+        return bundle
+
+    @staticmethod
+    def report_under_an_ascii_locale(bundle, *argv) -> bytes:
+        """The stdout of `watchtriage report` in a subprocess under the C locale."""
         env = {k: v for k, v in os.environ.items() if not k.startswith(("WATCHTRIAGE_", "LC_", "LANG"))}
         env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                    PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        out = tmp_path / "r.md"
-        proc = subprocess.run([sys.executable, "-m", "watchtriage.cli", "report", "--bundle", str(bundle),
-                               "--out", str(out)], env=env, capture_output=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "watchtriage.cli", "report", "--bundle", str(bundle), *argv],
+                              env=env, capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_out_file_is_utf_8_under_an_ascii_locale(self, non_ascii_bundle, tmp_path):
+        out = tmp_path / "r.md"
+        self.report_under_an_ascii_locale(non_ascii_bundle, "--out", str(out))
         assert "카페_5G" in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt", ["md", "json"])
+    def test_stdout_is_utf_8_under_an_ascii_locale(self, fmt, non_ascii_bundle, tmp_path):
+        out = tmp_path / "r.out"
+        self.report_under_an_ascii_locale(non_ascii_bundle, "--format", fmt, "--out", str(out))
+        stdout = self.report_under_an_ascii_locale(non_ascii_bundle, "--format", fmt)
+        assert stdout == out.read_bytes()
+        assert ("카페_5G".encode() if fmt == "md" else b"\\uce74\\ud398_5G") in stdout
 
 
 class TestAudit:
@@ -562,10 +597,23 @@ class TestUsageErrors:
         ("scenario", b"not json", "malformed scenario (JSONDecodeError: "),
         ("scenario", b'{"capture_time": 1683809100, "display_zone": "\xff"}',
          "malformed scenario (UnicodeDecodeError: "),
+        # int() read true and 1.9 as 1.
+        ("plan", plan_json(lambda d: d["steps"][0].update(volatility_rank=True)),
+         "plan step #1: malformed plan step (TypeError: volatility_rank must be a JSON integer, got True)"),
+        ("plan", plan_json(lambda d: d["steps"][1].update(volatility_rank=1.9)),
+         "plan step #2: malformed plan step (TypeError: volatility_rank must be a JSON integer, got 1.9)"),
+        # The plan's own checks ran after the file was read, so their messages named no file.
+        ("plan", plan_json(lambda d: d["steps"][1].update(label="a/b")),
+         "malformed plan steps (ValueError: plan step label 'a/b' is not a single plain file name)"),
+        ("plan", plan_json(lambda d: d["steps"][0].update(volatility_rank=9)),
+         "malformed plan steps (ValueError: plan steps must be ordered by ascending volatility rank)"),
+        ("plan", plan_json(lambda d: d["steps"][3].update(command="su -c id")),
+         "malformed plan steps (ValueError: command requires elevated privileges and is not allowed: 'su -c id')"),
     ], ids=["rules-not-json", "rules-not-utf-8", "rules-min-bytes-a-float", "rules-min-bytes-true",
             "rules-min-bytes-a-string", "inventory-not-utf-8", "scenario-top-level-a-list",
             "scenario-entry-not-an-object", "scenario-reboots-not-a-list", "scenario-assigned-ip-an-int",
-            "scenario-capture-time-a-float", "scenario-not-json", "scenario-not-utf-8"])
+            "scenario-capture-time-a-float", "scenario-not-json", "scenario-not-utf-8", "plan-rank-true",
+            "plan-rank-a-float", "plan-label-a-path", "plan-misordered", "plan-privileged-command"])
     def test_malformed_json_input_exits_2_naming_it(self, kind, content, detail, case_bundle, tmp_path, capsys):
         path = tmp_path / f"{kind}.json"
         path.write_bytes(content)
@@ -574,6 +622,7 @@ class TestUsageErrors:
             "rules": ["correlate", "--bundle", str(case_bundle), "--rules", str(path)],
             "inventory": ["audit", "--manifests", str(path), "--device-abi", "armeabi-v7a"],
             "scenario": ["generate", "--scenario", str(path), "--out", str(out)],
+            "plan": ["acquire", "--plan", str(path), "--transcripts", str(tmp_path), "--out", str(out)],
         }[kind]
         assert run(argv) == 2
         err = capsys.readouterr().err

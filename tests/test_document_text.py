@@ -1,0 +1,165 @@
+"""The JSON document writer against the stdlib call it stands for.
+
+Every JSON document the CLI writes is `document_text(doc)`, which must be
+byte for byte `json.dumps(doc, indent=2, sort_keys=True) + "\\n"`. Before
+Python 3.13 it is `write_document`'s text; the checks below call that
+writer directly, so they test it on every Python version. They need no
+pytest, so an interpreter without it runs them too:
+
+    PYTHONPATH=src python3 tests/test_document_text.py
+"""
+
+import enum
+import json
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from watchtriage import cli, evidence, policy, simulator
+from watchtriage.evidence import document_text, write_document
+
+
+class Colour(str, enum.Enum):
+    RED = "red"
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+VALUES = {
+    "empty object": {},
+    "empty list": [],
+    "empty tuple": (),
+    "nested empties": {"a": {}, "b": [], "c": [{}, [], [[]], ()], "d": {"e": {}}},
+    "tuples": ("a", (1, (2, "b")), {"t": (True, None)}),
+    "non-ASCII text": {"ssid": "카페_5G", "é": ["ü", "\U0001f600", " ﻿"]},
+    "control characters": ["\x00\x01\x08\t\n\x0b\x0c\r\x1f\x7f", {"\x00key\n": "\x1b[0m"}],
+    "quotes and backslashes": {'"quoted"': '"', "back\\slash": "\\\\", "/": "a/b\\/c\\\"d"},
+    "bools and null": [True, False, None, {"t": True, "f": False, "n": None}],
+    "large ints": [0, -1, -(2**63), -(10**40), 2**64, 10**30],
+    "floats": [0.0, -0.0, 1.5, -2.25, 0.1, 1e-300, 1e300, 5e-324, 123456789.0,
+               float("nan"), float("inf"), float("-inf")],
+    "str enum": {"kind": Colour.RED, "kinds": [Colour.RED], Colour.RED: "as a key"},
+    "int enum": {"level": Level.HIGH, "levels": [Level.HIGH, Level.HIGH]},
+    "key order": {"b": 1, "a": {"d": 2, "c": 3}, "B": 0, "": -1, "ä": 4, "aa": [{"z": 1, "y": 2}]},
+    "deep nesting": [[[[{"x": [1, {"y": [[], {"z": {"w": "deep"}}]}]}]]]],
+    "one key at many depths": {"k": {"k": {"k": [{"k": "v"}, {"k": {}}]}}},
+    "top-level string": "text",
+    "top-level int": -7,
+    "top-level float": 2.5,
+    "top-level null": None,
+    "top-level bool": True,
+}
+
+
+def stdlib_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_writer_matches_the_stdlib_on_every_kind_of_value():
+    for name, value in VALUES.items():
+        assert write_document(value) == stdlib_text(value), name
+        assert document_text(value) == stdlib_text(value), name
+
+
+def test_writer_rejects_a_key_that_is_not_a_string():
+    for value in ({1: "a"}, {"a": [{None: 1}]}):
+        try:
+            write_document(value)
+        except TypeError:
+            continue
+        raise AssertionError(f"no TypeError for {value!r}")
+
+
+def test_writer_rejects_what_the_stdlib_rejects():
+    for value in ({"a": object()}, [b"bytes"], {"s": {1, 2}}):
+        try:
+            write_document(value)
+        except TypeError as exc:
+            assert "is not JSON serializable" in str(exc)
+            continue
+        raise AssertionError(f"no TypeError for {value!r}")
+
+
+def test_document_text_is_the_stdlib_call_from_python_3_13():
+    value = VALUES["key order"]
+    if sys.version_info >= (3, 13):
+        with mock.patch.object(evidence, "write_document", side_effect=AssertionError("writer called")):
+            assert document_text(value) == stdlib_text(value)
+    else:
+        with mock.patch.object(evidence, "write_document", return_value="written"):
+            assert document_text(value) == "written"
+
+
+def cli_outputs(commands, writer) -> dict[str, bytes]:
+    """Every file the CLI writes under `tmp/<name>` for each command of
+    `commands(tmp)`, by path, with `writer` making its JSON document, which
+    each command writes exactly one of."""
+    outputs = {}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "document_text", wraps=writer) as spy:
+        for name, argv in commands(Path(tmp)).items():
+            root = Path(tmp) / name
+            root.mkdir(exist_ok=True)
+            spy.reset_mock()
+            assert cli.main(argv) in (0, 1), name
+            assert spy.call_count == 1, name
+            outputs.update((str(p.relative_to(tmp)), p.read_bytes()) for p in sorted(root.rglob("*")) if p.is_file())
+    return outputs
+
+
+def generate_commands(tmp: Path) -> dict:
+    """`generate` for every preset and seeds 0-19, and `parse`, `correlate`
+    and `report --format json` on each preset's bundle."""
+    commands = {}
+    for preset in sorted(simulator.PRESETS):
+        bundle = tmp / f"generate-{preset}"
+        host = ["--host-artifacts", str(bundle / "host_artifacts")] if simulator.PRESETS[preset]().host_side else []
+        commands[bundle.name] = ["generate", "--preset", preset, "--out", str(bundle)]
+        for command, extra in (("parse", []), ("correlate", host), ("report", [*host, "--format", "json"])):
+            out = tmp / f"{command}-{preset}" / "out.json"
+            commands[out.parent.name] = [command, "--bundle", str(bundle), *extra, "--out", str(out)]
+    for seed in range(20):
+        commands[f"generate-seed{seed}"] = ["generate", "--seed", str(seed), "--out", str(tmp / f"generate-seed{seed}")]
+    return commands
+
+
+def audit_commands(tmp: Path) -> dict:
+    """`audit --format json` on a JSON inventory and on a directory of manifests."""
+    inventory = tmp / "inventory.json"
+    inventory.write_text(json.dumps([
+        {"package": "com.watch.ok", "uses_features": [policy.WATCH_FEATURE], "declared_abis": ["armeabi-v7a"]},
+        {"package": "com.watch.x86", "uses_features": [policy.WATCH_FEATURE], "declared_abis": ["x86_64"]},
+        {"package": "com.phone.카메라", "uses_features": ["android.hardware.camera"]},
+        {"package": 'com.phone."quoted"\\app', "declared_abis": []},
+    ]), encoding="utf-8")
+    manifests = tmp / "manifests"
+    manifests.mkdir()
+    (manifests / "broken.xml").write_text("<manifest", encoding="utf-8")
+    (manifests / "watch.xml").write_text(
+        f'<manifest package="com.watch.xml"><uses-feature name="{policy.WATCH_FEATURE}"/></manifest>',
+        encoding="utf-8")
+    return {
+        name: ["audit", "--manifests", str(source), "--device-abi", "armeabi-v7a", "--format", "json",
+               "--out", str(tmp / name / "audit.json")]
+        for name, source in (("audit-inventory", inventory), ("audit-directory", manifests))
+    }
+
+
+def test_cli_json_outputs_match_the_stdlib():
+    for commands in (generate_commands, audit_commands):
+        written = cli_outputs(commands, write_document)
+        expected = cli_outputs(commands, stdlib_text)
+        assert written.keys() == expected.keys()
+        assert any(name.endswith(".json") for name in written)
+        for name in written:
+            assert written[name] == expected[name], name
+
+
+if __name__ == "__main__":
+    tests = [(name, f) for name, f in sorted(globals().items()) if name.startswith("test_") and callable(f)]
+    for name, test in tests:
+        test()
+        print(f"ok {name}")
+    print(f"{len(tests)} passed under Python {sys.version.split()[0]}")
