@@ -12,8 +12,7 @@ under /data/data are rejected outright.
 The executor is replaceable by a canned-transcript fake, which is how every
 test (and the offline demo) runs; a thin adapter shells out to an external
 adb binary for real devices. Timestamps come from the investigator machine's
-clock, never the device's; the device-vs-host offset is measured once with
-`date` and recorded as bundle metadata.
+clock, never the device's.
 """
 
 from __future__ import annotations
@@ -179,7 +178,6 @@ class AcquisitionResult:
     payloads: dict[str, bytes]  # item key -> raw stdout bytes
     labels: dict[str, str]  # item key -> step label
     failures: list[StepFailure]
-    clock_offset_seconds: Optional[int]
     display_zone: str
 
 
@@ -188,7 +186,6 @@ def seal_acquisition(
     origin_label: str,
     display_zone: str,
     failures: Sequence[StepFailure] = (),
-    clock_offset_seconds: Optional[int] = None,
 ) -> AcquisitionResult:
     """Hash labelled payloads into a sealed bundle; the one way bundles are built.
 
@@ -222,7 +219,7 @@ def seal_acquisition(
     if not items:
         raise ValueError("every acquisition step failed; nothing to seal")
     bundle = seal_bundle(items, device, payloads=payloads)
-    return AcquisitionResult(bundle, payloads, labels, list(failures), clock_offset_seconds, display_zone)
+    return AcquisitionResult(bundle, payloads, labels, list(failures), display_zone)
 
 
 def run_acquisition(
@@ -265,15 +262,7 @@ def run_acquisition(
             continue
         captured.append((step.label, step.source_kind, stdout, at))
 
-    offset = None
-    try:
-        status, stdout, _ = executor.execute("date +%s")
-        if status == 0 and stdout.strip().isdigit():
-            offset = int(stdout.strip()) - clock()
-    except ExecutorUnreachableError:
-        pass
-
-    return seal_acquisition(captured, origin_label, display_zone, failures, offset)
+    return seal_acquisition(captured, origin_label, display_zone, failures)
 
 
 class SteppingClock:
@@ -318,7 +307,6 @@ def write_bundle_dir(result: AcquisitionResult, out_dir: Path) -> Path:
         "hash_algorithm": result.bundle.hash_algorithm,
         "files": files,
         "failures": [asdict(f) for f in result.failures],
-        "clock_offset_seconds": result.clock_offset_seconds,
         "display_zone": result.display_zone,
     }
     (out_dir / "manifest.json").write_bytes(canonical_json_bytes(doc) + b"\n")
@@ -359,9 +347,6 @@ def _bundle_from_manifest(path: Path, doc: dict) -> AcquisitionResult:
         raise ValueError(f"hash_algorithm {algorithm!r}: {exc}") from None
     bundle = EvidenceBundle(items, device, doc["bundle_manifest_digest"], algorithm)
     failures = [StepFailure(**f) for f in json_list(doc, "failures", dict)]
-    clock_offset = doc.get("clock_offset_seconds")
-    if clock_offset is not None and type(clock_offset) is not int:
-        raise TypeError(f"clock_offset_seconds must be a whole number or null, got {clock_offset!r}")
     zone = zone_name(doc.get("display_zone", DEFAULT_DISPLAY_ZONE))
     payloads = {}
     labels = {}
@@ -370,4 +355,4 @@ def _bundle_from_manifest(path: Path, doc: dict) -> AcquisitionResult:
         if file_path.is_file():
             payloads[key] = file_path.read_bytes()
         labels[key] = Path(rel).stem
-    return AcquisitionResult(bundle, payloads, labels, failures, clock_offset, zone)
+    return AcquisitionResult(bundle, payloads, labels, failures, zone)

@@ -163,10 +163,10 @@ def cmd_acquire(args) -> int:
         if not root.is_dir():
             return _fail(f"transcripts directory not found: {root}")
         transcripts = {}
-        for command in [step.command for step in plan.steps] + ["date +%s"]:
-            candidate = root / f"{_slug(command)}.txt"
+        for step in plan.steps:
+            candidate = root / f"{_slug(step.command)}.txt"
             if candidate.is_file():
-                transcripts[command] = candidate.read_bytes()
+                transcripts[step.command] = candidate.read_bytes()
         executor = acquisition.FakeExecutor(transcripts)
     else:
         executor = acquisition.AdbShellExecutor(serial=args.serial, adb_path=args.adb_path)

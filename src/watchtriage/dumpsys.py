@@ -5,8 +5,8 @@ docs/fixture-grammar.md, which mirrors the real dumpsys field vocabulary
 (time=/type=/package=, networkId, st/rb/rp/tb/tp, DHCP lease lines). Unknown
 lines never abort a parse; they are collected as warnings. A JSON-lines
 pre-tokenized form of each dump is accepted as well: each dump has one
-tokenizer per format, and both feed the same semantic pass (capture time,
-24h window, boot marker, sort), so a record means the same in either form.
+tokenizer per format, and both feed the same semantic pass (24h window,
+boot marker, sort), so a record means the same in either form.
 
 Precision semantics preserved from the source services:
   - usagestats events carry second precision and only cover the 24 hours
@@ -206,14 +206,13 @@ _SECTION_HEADERS = {
 }
 
 
-# --- Tokenizers: one per dump and format. Each yields domain records, the
-# dump's own capture time or boot markers as Timestamps, and per-line
-# warnings as strings. Wall-clock text is read in `zone`. Capture records
-# are skipped unparsed unless `want_capture`, and only the first one is
-# yielded.
+# --- Tokenizers: one per dump and format. Each yields domain records, boot
+# markers as Timestamps, and per-line warnings as strings. Wall-clock text is
+# read in `zone`. A usagestats dump's own capture record is informational and
+# skipped unparsed: the capture instant comes from the bundle.
 
 
-def _usagestats_text(text: str, zone: str, want_capture: bool):
+def _usagestats_text(text: str, zone: str):
     section = None
     for lineno, line in _lines(text):
         if line.startswith("DUMP OF SERVICE"):
@@ -222,11 +221,7 @@ def _usagestats_text(text: str, zone: str, want_capture: bool):
         if header is not None:
             section = header
             continue
-        m = _CAPTURE_RE.search(line)
-        if m:
-            if want_capture:
-                want_capture = False
-                yield Timestamp.parse(m.group(1), zone)
+        if _CAPTURE_RE.search(line):
             continue
         m = _EVENT_RE.search(line)
         if m:
@@ -249,9 +244,8 @@ def _usagestats_text(text: str, zone: str, want_capture: bool):
         yield f"line {lineno}: unrecognized: {line[:80]}"
 
 
-def _usagestats_jsonl(text: str, want_capture: bool):
+def _usagestats_jsonl(text: str):
     def record(obj):
-        nonlocal want_capture
         kind = obj.get("record")
         if kind == "event":
             return UsageEvent(Timestamp(int(obj["at"])), obj["package"], obj["event_type"])
@@ -263,11 +257,7 @@ def _usagestats_jsonl(text: str, want_capture: bool):
                 int(obj["use_count"]),
             )
         if kind == "capture":
-            if not want_capture:
-                return None
-            capture = Timestamp(int(obj["at"]))
-            want_capture = False
-            return capture
+            return None
         raise ValueError(f"unknown record kind {kind!r}")
 
     return _jsonl(text, record)
@@ -366,27 +356,15 @@ def _network_stack_jsonl(text: str):
 # --- Semantic passes: one per dump, shared by both formats.
 
 
-def parse_usagestats(
-    text: str, capture_time: Optional[Timestamp], zone: str
-) -> tuple[UsageReport, list[str]]:
+def parse_usagestats(text: str, capture_time: Timestamp, zone: str) -> tuple[UsageReport, list[str]]:
     """Parse a usagestats dump into a report plus per-line warnings.
 
-    Wall-clock times are read in `zone`. `capture_time` normally comes from
-    acquisition metadata; when it is None, the dump's first capture-time=
-    header (capture record) is used. Events outside the 24-hour detail
-    window ending at the capture time are dropped with a warning.
+    Wall-clock times are read in `zone`. `capture_time` is the instant the
+    dump was collected (the bundle item's `collected_at`); events outside the
+    24-hour detail window ending at it are dropped with a warning.
     """
-    want_capture = capture_time is None
-    tokens = _tokenize(
-        text,
-        partial(_usagestats_text, zone=zone, want_capture=want_capture),
-        partial(_usagestats_jsonl, want_capture=want_capture),
-    )
+    tokens = _tokenize(text, partial(_usagestats_text, zone=zone), _usagestats_jsonl)
     warnings = tokens[str]
-    if capture_time is None:
-        if not tokens[Timestamp]:
-            raise ValueError("capture time required: pass capture_time or include a capture-time= header")
-        capture_time = tokens[Timestamp][0]
 
     kept = []
     window_start = capture_time.epoch - USAGE_WINDOW_SECONDS

@@ -291,13 +291,14 @@ def seal_bundle(
     items: Sequence[EvidenceItem],
     device: Optional[DeviceProfile] = None,
     *,
-    payloads: Optional[Mapping[str, bytes]] = None,
+    payloads: Mapping[str, bytes],
 ) -> EvidenceBundle:
     """Seal items into a bundle with a deterministic manifest digest.
 
-    When `payloads` (item key -> raw bytes) is supplied, every item's digest
-    is recomputed from the stored bytes first; a mismatch aborts the seal.
-    Sealing is order-sensitive: permuting items changes the manifest digest.
+    Every item's digest is first recomputed from its stored bytes in
+    `payloads` (item key -> raw bytes); a mismatch or a missing payload
+    aborts the seal. Sealing is order-sensitive: permuting items changes the
+    manifest digest.
     """
     if not items:
         raise ValueError("cannot seal an empty bundle")
@@ -310,12 +311,9 @@ def seal_bundle(
             )
         seen.add(item.key())
     bundle = EvidenceBundle(tuple(items), device, "")
-    if payloads is not None:
-        for result in verify_bundle(bundle, payloads).results:
-            if result.status != "pass":
-                raise ValueError(
-                    f"digest check {result.status} for item {result.item_key}: {result.detail}"
-                )
+    for result in verify_bundle(bundle, payloads).results:
+        if result.status != "pass":
+            raise ValueError(f"digest check {result.status} for item {result.item_key}: {result.detail}")
     return replace(bundle, bundle_manifest_digest=bundle.manifest_digest())
 
 

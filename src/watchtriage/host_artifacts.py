@@ -74,8 +74,12 @@ class KnownHostEntry:
         return None if self.hashed else _plain_host(self.host_pattern)
 
 
+# A known_hosts "[host]:port" pattern: the host, then the port.
+_BRACKETED = re.compile(r"\[([^\]]+)\]:(\d+)$")
+
+
 def _plain_host(pattern: str) -> str:
-    m = re.match(r"\[([^\]]+)\]:(\d+)$", pattern)
+    m = _BRACKETED.match(pattern)
     return m.group(1) if m else pattern
 
 
@@ -148,7 +152,7 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
             entries.append(KnownHostEntry(patterns, 22, key_type, blob_digest, hashed=True))
             continue
         for pattern in patterns.split(","):
-            m = re.match(r"\[([^\]]+)\]:(\d+)$", pattern)
+            m = _BRACKETED.match(pattern)
             port = int(m.group(2)) if m else 22
             if not 1 <= port <= 65535:
                 warnings.append(f"line {lineno}: port {port} out of range; skipped")

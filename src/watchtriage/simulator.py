@@ -583,20 +583,20 @@ _SSID_POOL = (
 )
 
 _BASE_CAPTURE = 1683809100  # 2023-05-11 21:45 KST
+# Bounds of a random scenario: at most this many apps and networks, every
+# session inside the span before the capture.
+_MAX_APPS = 8
+_MAX_NETWORKS = 8
+_SPAN_HOURS = 72
 
 
-def random_scenario(
-    seed: int,
-    max_apps: int = 8,
-    max_networks: int = 8,
-    span_hours: int = 72,
-) -> Scenario:
+def random_scenario(seed: int) -> Scenario:
     """Seeded, bounds-limited random scenario for round-trip and oracle tests."""
     rng = random.Random(seed)
     capture = _BASE_CAPTURE
-    horizon = capture - span_hours * 3600
+    horizon = capture - _SPAN_HOURS * 3600
 
-    packages = rng.sample(_PACKAGE_POOL, rng.randint(0, max_apps))
+    packages = rng.sample(_PACKAGE_POOL, rng.randint(0, _MAX_APPS))
     app_sessions = []
     for pkg in packages:
         for _ in range(rng.randint(1, 2)):
@@ -604,7 +604,7 @@ def random_scenario(
             end = min(capture, start + rng.randrange(60, 7200))
             app_sessions.append(AppSession(pkg, start, end))
 
-    ssids = rng.sample(_SSID_POOL, rng.randint(1, max_networks))
+    ssids = rng.sample(_SSID_POOL, rng.randint(1, _MAX_NETWORKS))
     wifi_sessions = []
     for ssid in ssids:
         ip = f"192.168.{rng.randrange(0, 32)}.{rng.randrange(2, 250)}"

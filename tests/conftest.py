@@ -47,15 +47,14 @@ def run_bucket_join(st, duration, probe_epochs):
     def dump(rows):
         return "".join(json.dumps(row) + "\n" for row in rows)
 
-    capture = max([st + duration, *probe_epochs]) + 1
-    usage = [{"record": "capture", "at": capture}]
-    usage += [{"record": "event", "at": at, "package": f"app.at{at}", "event_type": "ACTIVITY_RESUMED"}
+    capture = Timestamp(max([st + duration, *probe_epochs]) + 1)
+    usage = [{"record": "event", "at": at, "package": f"app.at{at}", "event_type": "ACTIVITY_RESUMED"}
               for at in probe_epochs]
     net = [{"network_id": "net", "st": st, "rb": 1, "rp": 1, "tb": 1, "tp": 1, "bucket_duration": duration}]
     leases = [{"record": "lease", "at": at, "interface": "wlan0", "event_kind": "dhcp_ack",
                "private_ip": f"10.0.{k // 250}.{k % 250 + 1}", "network_id": None}
               for k, at in enumerate(probe_epochs)]
-    report, _ = dumpsys.parse_usagestats(dump(usage), None, "UTC")
+    report, _ = dumpsys.parse_usagestats(dump(usage), capture, "UTC")
     records, _ = dumpsys.parse_netstats(dump(net))
     lease_log, _ = dumpsys.parse_network_stack(dump(leases), "UTC")
     timeline = correlate.build_timeline(report, records, lease_log)

@@ -132,11 +132,6 @@ class TestRunAcquisition:
         times = [i.collected_at.epoch for i in result.bundle.items]
         assert len(times) == len(set(times))
 
-    def test_clock_offset_measured_from_date(self):
-        executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
-        result = run_acquisition(executor, clock=SteppingClock(1683766560))
-        assert result.clock_offset_seconds is not None
-
     def test_volatility_order_of_executed_commands(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
         run_acquisition(executor, clock=SteppingClock(0))
@@ -154,10 +149,10 @@ class TestBundleDir:
     def test_write_read_round_trip(self, tmp_path):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["getprop ro.product.model"])
         result = run_acquisition(executor, clock=SteppingClock(1683766560))
-        assert result.failures and result.clock_offset_seconds is not None
+        assert result.failures
         out = write_bundle_dir(result, tmp_path / "bundle")
         loaded = read_bundle_dir(out)
-        assert loaded == result  # bundle, payloads, labels, failures, clock offset and zone
+        assert loaded == result  # bundle, payloads, labels, failures and zone
         assert verify_bundle(loaded.bundle, loaded.payloads).overall_pass
 
         # Writing back what was read reproduces the manifest and every raw file.

@@ -14,6 +14,7 @@ import pytest
 
 from watchtriage import acquisition, cli, correlate, dumpsys, policy, report, simulator
 from watchtriage.cli import main
+from watchtriage.evidence import canonical_json_bytes
 from tests.test_acquisition import GALAXY_WATCH5_TRANSCRIPTS
 from tests.test_policy import PHONE_MANIFEST, WATCH_MANIFEST
 
@@ -369,6 +370,25 @@ class TestAcquire:
         assert capsys.readouterr().err == f"error: output directory exists and is not empty: {out}\n"
         assert tree(out) == {Path("notes.txt"): b"earlier case"}
 
+    def test_executes_exactly_the_plan_commands(self, tmp_path, monkeypatch):
+        executors = []
+        fake_executor = acquisition.FakeExecutor
+
+        def recording_executor(*args, **kwargs):
+            executors.append(fake_executor(*args, **kwargs))
+            return executors[-1]
+
+        monkeypatch.setattr(acquisition, "FakeExecutor", recording_executor)
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()
+        for command, payload in GALAXY_WATCH5_TRANSCRIPTS.items():  # `date +%s` among them
+            (transcripts / f"{slug(command)}.txt").write_bytes(payload)
+        assert run(["acquire", "--transcripts", str(transcripts), "--out", str(tmp_path / "bundle")]) == 0
+        (executor,) = executors
+        commands = [step.command for step in acquisition.default_plan().steps]
+        assert executor.executed == commands
+        assert list(executor.transcripts) == commands
+
     def test_missing_transcript_recorded_as_failure(self, tmp_path, capsys):
         transcripts = tmp_path / "transcripts"
         transcripts.mkdir()
@@ -528,11 +548,10 @@ class TestUsageErrors:
         lambda doc: b"not json",
         lambda doc: json.dumps(doc).encode().replace(b'"synthetic', b'"synth\xe9tic'),
         lambda doc: doc.__setitem__("failures", {"label": "netstats", "detail": "exit status 1"}),
-        lambda doc: doc.__setitem__("clock_offset_seconds", "5"),
         lambda doc: doc.__setitem__("hash_algorithm", "md7"),
     ], ids=["item-is-a-string", "items-not-a-list", "manifest-is-a-list", "missing-raw-bytes-digest",
             "top-level-not-an-object", "not-json", "not-utf-8", "failures-not-a-list",
-            "clock-offset-a-string", "unknown-hash-algorithm"])
+            "unknown-hash-algorithm"])
     def test_malformed_manifest_exits_2_naming_it(self, break_manifest, case_bundle, capsys):
         path = case_bundle / "manifest.json"
         doc = json.loads(path.read_text())
@@ -542,6 +561,24 @@ class TestUsageErrors:
             assert run([command, "--bundle", str(case_bundle)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "manifest.json: malformed manifest" in err
+
+    @pytest.mark.parametrize("offset", [None, 5, "5"], ids=["null", "whole", "a-string"])
+    def test_clock_offset_of_an_earlier_bundle_is_ignored(self, offset, case_bundle, capsys):
+        # Bundles written before the offset was dropped carry the key, null in
+        # every generated one; the reader ignores it like any key it does not read.
+        def outputs():
+            assert run(["verify", "--bundle", str(case_bundle)]) == 0
+            assert run(["parse", "--bundle", str(case_bundle)]) == 0
+            return capsys.readouterr().out
+
+        without = outputs()
+        path = case_bundle / "manifest.json"
+        doc = json.loads(path.read_text())
+        assert "clock_offset_seconds" not in doc
+        doc["clock_offset_seconds"] = offset
+        path.write_bytes(canonical_json_bytes(doc) + b"\n")
+        assert outputs() == without
+        assert "overall: PASS" in without
 
     @pytest.mark.parametrize("label", ["a/b", "", ".", ".."])
     def test_bad_plan_label_exits_2_before_any_step_runs(self, label, acquire_with_plan, capsys):

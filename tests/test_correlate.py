@@ -35,7 +35,7 @@ def empty_report(capture_epoch=1683809100):
 def report_timeline(timeline, zone="UTC"):
     """The timeline rows of the report rendered from `timeline`; findings do not enter them."""
     item = EvidenceItem.from_bytes(SourceKind.NETSTATS, b"", Timestamp(0), "test")
-    return render_report([], seal_bundle([item]), timeline, zone).data["timeline"]
+    return render_report([], seal_bundle([item], payloads={item.key(): b""}), timeline, zone).data["timeline"]
 
 
 class TestBuildTimeline:

@@ -112,14 +112,23 @@ class TestParseUsagestats:
         assert [e.package for e in report.events_24h] == ["com.good"]
         assert warnings == [f"line 2: bad event time (wall time {wall!r} is not YYYY-MM-DD HH:MM:SS)"]
 
-    def test_capture_time_header_fallback(self):
-        text = 'capture-time="2023-05-11 09:56:00"\n' + USAGESTATS_FIXTURE
-        report, _ = parse_usagestats(text, None, KST)
-        assert report.capture_time.epoch == CAPTURE.epoch
-
-    def test_missing_capture_time_is_fatal(self):
-        with pytest.raises(ValueError, match="capture time required"):
-            parse_usagestats(USAGESTATS_FIXTURE, None, KST)
+    @pytest.mark.parametrize("record", [
+        'capture-time="2023-05-12 09:56:00"',
+        'capture-time="not a time"',
+        '{"record": "capture", "at": 1683852960}',
+        '{"record": "capture", "at": "not a time"}',
+    ], ids=["text-header", "text-header-malformed", "jsonl-record", "jsonl-record-malformed"])
+    def test_dump_capture_record_is_skipped_unparsed(self, record):
+        # The capture instant is the one passed in; the dump's own is informational.
+        jsonl = record.startswith("{")
+        body = (
+            '{"record": "event", "at": 1683735256, "package": "com.corproxy.files", "event_type": "ACTIVITY_RESUMED"}\n'
+            if jsonl else USAGESTATS_FIXTURE
+        )
+        with_record, w1 = parse_usagestats(record + "\n" + body, CAPTURE, KST)
+        without, w2 = parse_usagestats(body, CAPTURE, KST)
+        assert with_record == without and w1 == w2 == []
+        assert with_record.capture_time == CAPTURE
 
     def test_jsonl_form(self):
         text = (
@@ -127,7 +136,7 @@ class TestParseUsagestats:
             '{"record": "event", "at": 1683735256, "package": "com.corproxy.files", "event_type": "ACTIVITY_RESUMED"}\n'
             '{"record": "aggregate", "window": "week", "package": "com.corproxy.files", "last_used": 1683737520, "use_count": 3}\n'
         )
-        report, warnings = parse_usagestats(text, None, KST)
+        report, warnings = parse_usagestats(text, CAPTURE, KST)
         assert warnings == []
         assert report.events_24h[0].at.epoch == 1683735256
         assert report.aggregates[0].use_count == 3
@@ -367,7 +376,7 @@ class TestFrontEndEquivalence:
             for usagestats, netstats, network_stack in (
                 simulator.render_dumps(scenario, duration), render_jsonl(scenario, duration)
             ):
-                report, _ = parse_usagestats(usagestats, None, scenario.display_zone)
+                report, _ = parse_usagestats(usagestats, Timestamp(scenario.capture_time), scenario.display_zone)
                 records, _ = parse_netstats(netstats)
                 log, _ = parse_network_stack(network_stack, scenario.display_zone)
                 leases = [(l.at, l.interface, l.private_ip, l.event_kind, l.network_id) for l in log.leases]
@@ -465,7 +474,7 @@ def test_tolerates_realistic_dump_scaffolding():
 @pytest.mark.parametrize("parse", [parse_usagestats, parse_netstats, parse_network_stack])
 def test_jsonl_line_that_is_not_an_object_warns(parse):
     text = '{"record": "capture", "at": 1683766560}\n[1, 2]\n'
-    zone_args = {parse_usagestats: (None, KST), parse_netstats: (), parse_network_stack: (KST,)}
+    zone_args = {parse_usagestats: (CAPTURE, KST), parse_netstats: (), parse_network_stack: (KST,)}
     _, warnings = parse(text, *zone_args[parse])
     assert "line 2: expected a JSON object, got list" in warnings
 

@@ -121,28 +121,42 @@ class TestSealBundle:
             seal_bundle([item], payloads={item.key(): bytes(tampered)})
         assert item.key() in str(exc.value)
 
+    def test_missing_payload_rejected(self):
+        item = _item(SourceKind.NETSTATS, b"traffic")
+        with pytest.raises(ValueError, match="digest check missing") as exc:
+            seal_bundle([item], payloads={})
+        assert item.key() in str(exc.value)
+
+    def test_payloads_are_required(self):
+        item = _item(SourceKind.NETSTATS, b"traffic")
+        with pytest.raises(TypeError, match="payloads"):
+            seal_bundle([item])
+        with pytest.raises(TypeError):
+            seal_bundle([item], None, {item.key(): b"traffic"})  # keyword-only
+
     def test_empty_bundle_rejected(self):
         with pytest.raises(ValueError, match="cannot seal an empty bundle"):
-            seal_bundle([])
+            seal_bundle([], payloads={})
 
     def test_duplicate_kind_origin_time_rejected(self):
         a = _item(SourceKind.GETPROP, b"11\n")
         b = _item(SourceKind.GETPROP, b"armeabi-v7a\n")
         with pytest.raises(ValueError, match="duplicate evidence item"):
-            seal_bundle([a, b])
+            seal_bundle([a, b], payloads={a.key(): b"11\n"})
 
     def test_permuting_items_changes_digest(self):
         a = _item(SourceKind.USAGESTATS, b"a")
         b = _item(SourceKind.NETSTATS, b"b")
-        d1 = seal_bundle([a, b]).bundle_manifest_digest
-        d2 = seal_bundle([b, a]).bundle_manifest_digest
+        payloads = {a.key(): b"a", b.key(): b"b"}
+        d1 = seal_bundle([a, b], payloads=payloads).bundle_manifest_digest
+        d2 = seal_bundle([b, a], payloads=payloads).bundle_manifest_digest
         assert d1 != d2
 
     def test_device_profile_included_in_manifest(self):
         item = _item(SourceKind.USAGESTATS, b"x")
         device = DeviceProfile("SM-R910", "11", "3.5", "armeabi-v7a", "heartbl")
-        b1 = seal_bundle([item], device)
-        b2 = seal_bundle([item], None)
+        b1 = seal_bundle([item], device, payloads={item.key(): b"x"})
+        b2 = seal_bundle([item], None, payloads={item.key(): b"x"})
         assert b1.bundle_manifest_digest != b2.bundle_manifest_digest
 
 

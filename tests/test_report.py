@@ -113,10 +113,9 @@ class TestReportRendering:
     def test_bundle_without_citable_items_is_an_error(self):
         scenario = simulator.preset_ftp_file_server()
         result = run_pipeline(scenario)
-        item = EvidenceItem.from_bytes(
-            SourceKind.GETPROP, b"armeabi-v7a\n", Timestamp(scenario.capture_time), "synthetic"
-        )
-        bundle = seal_bundle([item])
+        raw = b"armeabi-v7a\n"
+        item = EvidenceItem.from_bytes(SourceKind.GETPROP, raw, Timestamp(scenario.capture_time), "synthetic")
+        bundle = seal_bundle([item], payloads={item.key(): raw})
         with pytest.raises(ValueError, match="cannot cite evidence"):
             attach_evidence_digests(result["findings"], bundle)
 
