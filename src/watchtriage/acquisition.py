@@ -333,7 +333,7 @@ def _bundle_from_manifest(path: Path, doc: dict) -> AcquisitionResult:
     items = tuple(
         EvidenceItem(
             SourceKind(i["source_kind"]),
-            Timestamp(int(i["collected_at"])),
+            Timestamp(json_field(i, "collected_at", int)),
             i["raw_bytes_digest"],
             i.get("origin_label", ""),
         )

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import acquisition
 from .evidence import DEFAULT_DISPLAY_ZONE, DeviceProfile, SourceKind, document_text, verify_bundle, zone_name
-from .host_artifacts import load_host_artifacts, locate_host_artifacts
+from .host_artifacts import HostArtifacts, load_host_artifacts, locate_host_artifacts
 
 ENV_PREFIX = "WATCHTRIAGE_"
 
@@ -74,48 +74,8 @@ def _load_bundle_or_fail(path_str: str) -> acquisition.AcquisitionResult:
     loaded = acquisition.read_bundle_dir(Path(path_str))
     missing = [key for key in (i.key() for i in loaded.bundle.items) if key not in loaded.payloads]
     if missing:
-        raise FileNotFoundError(
-            "bundle raw files missing for items: " + ", ".join(missing)
-        )
+        raise FileNotFoundError("bundle raw files missing for items: " + ", ".join(missing))
     return loaded
-
-
-def _payload_for(loaded: acquisition.AcquisitionResult, kind: SourceKind):
-    for item in loaded.bundle.items:
-        if item.source_kind == kind and item.key() in loaded.payloads:
-            return item, loaded.payloads[item.key()]
-    return None, None
-
-
-def _parse_bundle(loaded: acquisition.AcquisitionResult):
-    from . import correlate, dumpsys
-
-    zone = loaded.display_zone
-    warnings: list[str] = []
-
-    item, raw = _payload_for(loaded, SourceKind.USAGESTATS)
-    if raw is None:
-        raise FileNotFoundError("bundle has no usagestats item")
-    usage_report, w = dumpsys.parse_usagestats(
-        raw.decode("utf-8", errors="replace"), item.collected_at, zone
-    )
-    warnings.extend(f"usagestats: {x}" for x in w)
-
-    _, raw = _payload_for(loaded, SourceKind.NETSTATS)
-    if raw is None:
-        raise FileNotFoundError("bundle has no netstats item")
-    records, w = dumpsys.parse_netstats(raw.decode("utf-8", errors="replace"))
-    warnings.extend(f"netstats: {x}" for x in w)
-
-    _, raw = _payload_for(loaded, SourceKind.NETWORK_STACK)
-    if raw is None:
-        raise FileNotFoundError("bundle has no network_stack item")
-    lease_log, w = dumpsys.parse_network_stack(raw.decode("utf-8", errors="replace"), zone)
-    warnings.extend(f"network_stack: {x}" for x in w)
-
-    timeline = correlate.build_timeline(usage_report, records, lease_log)
-    warnings.extend(timeline.warnings)
-    return timeline, warnings
 
 
 def _correlate_bundle(loaded, args):
@@ -123,22 +83,16 @@ def _correlate_bundle(loaded, args):
     from . import correlate, report
 
     rules = correlate.load_rules(Path(args.rules)) if args.rules else correlate.DEFAULT_RULES
-    timeline, warnings = _parse_bundle(loaded)
+    timeline, warnings = correlate.read_timeline(loaded)
     sessions = correlate.match_sessions(timeline)
 
-    ftp_entries, kh_entries, host_items = [], [], []
+    artifacts = HostArtifacts()
     if args.host_artifacts:
-        root = Path(args.host_artifacts)
-        if not root.is_dir():
-            raise FileNotFoundError(f"host artifacts directory not found: {root}")
-        artifacts = load_host_artifacts(locate_host_artifacts(root))
-        ftp_entries = artifacts.ftp_entries
-        kh_entries = artifacts.known_host_entries
-        host_items = artifacts.items
+        artifacts = load_host_artifacts(locate_host_artifacts(Path(args.host_artifacts)))
         warnings.extend(artifacts.warnings)
 
-    findings = correlate.corroborate(sessions, ftp_entries, kh_entries, rules)
-    findings = report.attach_evidence_digests(findings, loaded.bundle, host_items)
+    findings = correlate.corroborate(sessions, artifacts.ftp_entries, artifacts.known_host_entries, rules)
+    findings = report.attach_evidence_digests(findings, loaded.bundle, artifacts.items)
     return findings, timeline, warnings
 
 
@@ -170,7 +124,7 @@ def cmd_acquire(args) -> int:
         executor = acquisition.FakeExecutor(transcripts)
     else:
         executor = acquisition.AdbShellExecutor(serial=args.serial, adb_path=args.adb_path)
-    clock = acquisition.SteppingClock(args.clock_start) if args.clock_start else None
+    clock = acquisition.SteppingClock(args.clock_start) if args.clock_start is not None else None
     result = acquisition.run_acquisition(
         executor, plan, clock, origin_label=args.origin, display_zone=args.display_zone
     )
@@ -186,44 +140,8 @@ def cmd_parse(args) -> int:
     from . import correlate
 
     loaded = _load_bundle_or_fail(args.bundle)
-    timeline, warnings = _parse_bundle(loaded)
-    doc = {
-        "bundle_manifest_digest": loaded.bundle.bundle_manifest_digest,
-        "usagestats": {
-            "capture_time": timeline.report.capture_time.epoch,
-            "events": [correlate.event_to_dict(e, loaded.display_zone) for e in timeline.report.events_24h],
-            "aggregates": [
-                {
-                    "window": a.window.value,
-                    "package": a.package,
-                    "last_used": a.last_used.epoch,
-                    "use_count": a.use_count,
-                    "precision": a.last_used_precision,
-                }
-                for a in timeline.report.aggregates
-            ],
-        },
-        "netstats": [
-            {"network_id": r.network_id, "st": r.st.epoch, "rb": r.rb, "rp": r.rp, "tb": r.tb, "tp": r.tp}
-            for r in timeline.records
-        ],
-        "network_stack": {
-            "boot_epoch_marker": timeline.lease_log.boot_epoch_marker.epoch
-            if timeline.lease_log.boot_epoch_marker
-            else None,
-            "leases": [
-                {
-                    "at": l.at.epoch,
-                    "interface": l.interface,
-                    "private_ip": l.private_ip,
-                    "event_kind": l.event_kind.value,
-                    "network_id": l.network_id,
-                }
-                for l in timeline.lease_log.leases
-            ],
-        },
-        "warnings": warnings,
-    }
+    timeline, warnings = correlate.read_timeline(loaded)
+    doc = correlate.parse_document(timeline, loaded.bundle.bundle_manifest_digest, loaded.display_zone, warnings)
     _write_output(document_text(doc), args.out)
     return EXIT_OK
 
@@ -329,6 +247,12 @@ def _add_display_zone(p, help_text):
     )
 
 
+def _clock_start(value: str) -> int:
+    if int(value) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return int(value)
+
+
 def _acquire_options(p):
     p.add_argument("--serial", help="adb device serial (host:port for wireless)")
     p.add_argument("--adb-path", default=_env("ADB_PATH", "adb"), help="adb binary")
@@ -336,7 +260,7 @@ def _acquire_options(p):
     p.add_argument("--plan", help="acquisition plan JSON (default: built-in volatility order)")
     p.add_argument("--origin", default="watch", help="origin label recorded on evidence items")
     _add_display_zone(p, "IANA zone recorded in the bundle for reading its dump times")
-    p.add_argument("--clock-start", type=int, help="deterministic clock start (testing)")
+    p.add_argument("--clock-start", type=_clock_start, help="deterministic clock start (testing)")
     p.add_argument("--out", required=True, help="bundle output directory")
 
 

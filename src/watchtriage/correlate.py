@@ -1,7 +1,7 @@
 """Correlation of usage, traffic and lease evidence into graded findings.
 
-The pipeline brings the three dump sources together into one timeline under
-one bucket duration, groups traffic buckets into app-network sessions, and
+The pipeline reads a bundle's three dump sources into one timeline under one
+bucket duration, groups traffic buckets into app-network sessions, and
 grades each session:
 
   corroborated  an assigned private IP from the lease log exactly matches a
@@ -28,6 +28,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
+from . import dumpsys
 from .dumpsys import (
     DEFAULT_BUCKET_SECONDS,
     LeaseEvent,
@@ -36,7 +37,7 @@ from .dumpsys import (
     UsageEvent,
     UsageReport,
 )
-from .evidence import Timestamp, json_field, json_list, load_json
+from .evidence import SourceKind, Timestamp, json_field, json_list, load_json
 from .host_artifacts import FtpServerEntry, KnownHostEntry
 
 DEFAULT_UNCLASSIFIED_MIN_BYTES = 10_000_000
@@ -155,6 +156,34 @@ def build_timeline(
     return Timeline(report, tuple(net), leases, bucket_duration, tuple(warnings))
 
 
+def _dump(loaded, kind: SourceKind):
+    """The loaded bundle's first `kind` item and its dump text, decoded as
+    UTF-8 with bad bytes replaced; FileNotFoundError when there is none."""
+    for item in loaded.bundle.items:
+        if item.source_kind == kind and item.key() in loaded.payloads:
+            return item, loaded.payloads[item.key()].decode("utf-8", errors="replace")
+    raise FileNotFoundError(f"bundle has no {kind.value} item")
+
+
+def read_timeline(loaded) -> tuple[Timeline, list[str]]:
+    """The timeline of a bundle read by `acquisition.read_bundle_dir`, and
+    every warning raised on the way, each dump's prefixed with its source.
+
+    Wall times are read in the bundle's zone, and the usagestats item's
+    `collected_at` closes the 24 h usage window. The parsers are looked up
+    on `dumpsys` at call time, so a wrapper set there sees every call.
+    """
+    zone = loaded.display_zone
+    item, text = _dump(loaded, SourceKind.USAGESTATS)
+    report, usage_warnings = dumpsys.parse_usagestats(text, item.collected_at, zone)
+    records, net_warnings = dumpsys.parse_netstats(_dump(loaded, SourceKind.NETSTATS)[1])
+    lease_log, lease_warnings = dumpsys.parse_network_stack(_dump(loaded, SourceKind.NETWORK_STACK)[1], zone)
+    timeline = build_timeline(report, records, lease_log)
+    sources = {"usagestats": usage_warnings, "netstats": net_warnings, "network_stack": lease_warnings}
+    warnings = [f"{source}: {w}" for source, ws in sources.items() for w in ws]
+    return timeline, warnings + list(timeline.warnings)
+
+
 @dataclass(frozen=True)
 class AppNetworkSession:
     """A run of traffic buckets attributed to the same app evidence.
@@ -173,10 +202,6 @@ class AppNetworkSession:
     def __post_init__(self):
         if not self.buckets:
             raise ValueError("session must reference at least one traffic bucket")
-
-    @property
-    def package(self) -> str:
-        return "+".join(self.packages)
 
     @property
     def network_ids(self) -> tuple[str, ...]:
@@ -394,6 +419,10 @@ def event_to_dict(e: UsageEvent, zone: str) -> dict:
     return {"at": e.at.epoch, "rendered": e.at.render(zone), "package": e.package, "event_type": e.event_type}
 
 
+def bucket_to_dict(b: NetUsageRecord) -> dict:
+    return {"network_id": b.network_id, "st": b.st.epoch, "rb": b.rb, "rp": b.rp, "tb": b.tb, "tp": b.tp}
+
+
 def session_to_dict(session: AppNetworkSession, zone: str) -> dict:
     """JSON form of a session; rendered times are in `zone`."""
     start = session.app_start
@@ -403,10 +432,7 @@ def session_to_dict(session: AppNetworkSession, zone: str) -> dict:
         "app_start": start.epoch if start else None,
         "app_start_rendered": start.render(zone) if start else None,
         "app_events": [event_to_dict(e, zone) for e in session.app_events],
-        "buckets": [
-            {"network_id": b.network_id, "st": b.st.epoch, "rb": b.rb, "rp": b.rp, "tb": b.tb, "tp": b.tp}
-            for b in session.buckets
-        ],
+        "buckets": [bucket_to_dict(b) for b in session.buckets],
         "resolved_ips": sorted({lease.private_ip for lease in session.resolved_leases}),
         "ambiguity_flags": sorted(f.value for f in session.ambiguity_flags),
     }
@@ -455,5 +481,35 @@ def findings_document(
         "bucket_seconds": bucket_seconds,
         "finding_count": len(findings),
         "findings": [finding_to_dict(f, zone) for f in findings],
+        "warnings": list(warnings),
+    }
+
+
+def parse_document(timeline: Timeline, bundle_digest: Optional[str], zone: str, warnings: Sequence[str]) -> dict:
+    """JSON-serializable document of the three parsed sources (the `parse`
+    command's output); rendered times are in `zone`."""
+    report, lease_log = timeline.report, timeline.lease_log
+    boot = lease_log.boot_epoch_marker
+    return {
+        "bundle_manifest_digest": bundle_digest,
+        "usagestats": {
+            "capture_time": report.capture_time.epoch,
+            "events": [event_to_dict(e, zone) for e in report.events_24h],
+            # An aggregate states its last use to the minute, never the second.
+            "aggregates": [
+                {"window": a.window.value, "package": a.package, "last_used": a.last_used.epoch,
+                 "use_count": a.use_count, "precision": "minute"}
+                for a in report.aggregates
+            ],
+        },
+        "netstats": [bucket_to_dict(r) for r in timeline.records],
+        "network_stack": {
+            "boot_epoch_marker": boot.epoch if boot is not None else None,
+            "leases": [
+                {"at": l.at.epoch, "interface": l.interface, "private_ip": l.private_ip,
+                 "event_kind": l.event_kind.value, "network_id": l.network_id}
+                for l in lease_log.leases
+            ],
+        },
         "warnings": list(warnings),
     }

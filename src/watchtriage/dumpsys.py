@@ -30,7 +30,7 @@ from enum import Enum
 from functools import partial
 from typing import Optional
 
-from .evidence import Timestamp
+from .evidence import Timestamp, json_field
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 DEFAULT_BUCKET_SECONDS = 3600
@@ -79,13 +79,10 @@ class UsageAggregate:
     package: str
     last_used: Timestamp
     use_count: int
-    last_used_precision: str = "minute"
 
     def __post_init__(self):
         if self.use_count < 0:
             raise ValueError("use_count must be >= 0")
-        if self.last_used_precision == "second":
-            raise ValueError("aggregates never carry second precision")
 
 
 @dataclass(frozen=True)
@@ -174,6 +171,14 @@ def _jsonl(text: str, record):
             yield token
 
 
+def _mistyped(obj: dict, **kinds) -> None:
+    """Raise json_field's TypeError for the first field of `obj` whose JSON
+    type is not the one `kinds` names; tokenizers check inline, then call this."""
+    for key, kind in kinds.items():
+        if key in obj:
+            json_field(obj, key, kind)
+
+
 def positive_seconds(value) -> int:
     """A bucket duration, as a dump or `generate` states it: a positive whole
     number of seconds; ValueError otherwise."""
@@ -248,14 +253,16 @@ def _usagestats_jsonl(text: str):
     def record(obj):
         kind = obj.get("record")
         if kind == "event":
-            return UsageEvent(Timestamp(int(obj["at"])), obj["package"], obj["event_type"])
+            at, package, event_type = obj["at"], obj["package"], obj["event_type"]
+            if not (type(at) is int and type(package) is type(event_type) is str):
+                _mistyped(obj, at=int, package=str, event_type=str)
+            return UsageEvent(Timestamp(at), package, event_type)
         if kind == "aggregate":
-            return UsageAggregate(
-                AggregateWindow(obj["window"]),
-                obj["package"],
-                Timestamp(int(obj["last_used"])),
-                int(obj["use_count"]),
-            )
+            window, package = obj["window"], obj["package"]
+            last_used, count = obj["last_used"], obj["use_count"]
+            if not (type(window) is type(package) is str and type(last_used) is type(count) is int):
+                _mistyped(obj, window=str, package=str, last_used=int, use_count=int)
+            return UsageAggregate(AggregateWindow(window), package, Timestamp(last_used), count)
         if kind == "capture":
             return None
         raise ValueError(f"unknown record kind {kind!r}")
@@ -301,15 +308,13 @@ def _netstats_text(text: str):
 
 def _netstats_jsonl(text: str):
     def record(obj):
-        return NetUsageRecord(
-            obj["network_id"],
-            Timestamp(int(obj["st"])),
-            int(obj["rb"]),
-            int(obj["rp"]),
-            int(obj["tb"]),
-            int(obj["tp"]),
-            positive_seconds(obj.get("bucket_duration", DEFAULT_BUCKET_SECONDS)),
-        )
+        network_id, st = obj["network_id"], obj["st"]
+        rb, rp, tb, tp = obj["rb"], obj["rp"], obj["tb"], obj["tp"]
+        duration = obj.get("bucket_duration", DEFAULT_BUCKET_SECONDS)
+        if not (type(network_id) is str
+                and type(st) is type(rb) is type(rp) is type(tb) is type(tp) is type(duration) is int):
+            _mistyped(obj, network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int)
+        return NetUsageRecord(network_id, Timestamp(st), rb, rp, tb, tp, positive_seconds(duration))
 
     return _jsonl(text, record)
 
@@ -339,15 +344,15 @@ def _network_stack_jsonl(text: str):
     def record(obj):
         kind = obj.get("record")
         if kind == "lease":
-            return _lease(
-                Timestamp(int(obj["at"])),
-                obj.get("interface", "wlan0"),
-                obj["private_ip"],
-                obj.get("event_kind", "dhcp_ack"),
-                obj.get("network_id"),
-            )
+            at, ip, network_id = obj["at"], obj["private_ip"], obj.get("network_id")
+            interface, raw_kind = obj.get("interface", "wlan0"), obj.get("event_kind", "dhcp_ack")
+            if not (type(at) is int and type(ip) is type(interface) is type(raw_kind) is str
+                    and (network_id is None or type(network_id) is str)):
+                _mistyped(obj, at=int, private_ip=str, interface=str, event_kind=str)
+                raise TypeError(f"network_id must be a JSON string or null, got {network_id!r}")
+            return _lease(Timestamp(at), interface, ip, raw_kind, network_id)
         if kind == "boot":
-            return Timestamp(int(obj["at"]))
+            return Timestamp(json_field(obj, "at", int))
         raise ValueError(f"unknown record kind {kind!r}")
 
     return _jsonl(text, record)

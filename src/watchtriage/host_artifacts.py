@@ -204,16 +204,11 @@ def locate_host_artifacts(root: Path) -> list[Path]:
 
     Matches the canonical Windows locations (AppData\\Roaming\\FileZilla\\*.xml,
     .ssh\\known_hosts) as well as the same file names placed directly in the
-    directory.
+    directory. FileNotFoundError unless `root` is a directory.
     """
-    found: list[Path] = []
-    for path in sorted(root.rglob("*")):
-        if not path.is_file():
-            continue
-        name = path.name.lower()
-        if name in _ARTIFACT_KINDS:
-            found.append(path)
-    return found
+    if not root.is_dir():
+        raise FileNotFoundError(f"host artifacts directory not found: {root}")
+    return [path for path in sorted(root.rglob("*")) if path.name.lower() in _ARTIFACT_KINDS and path.is_file()]
 
 
 def load_host_artifacts(paths: Iterable[Path]) -> HostArtifacts:

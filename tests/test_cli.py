@@ -14,7 +14,7 @@ import pytest
 
 from watchtriage import acquisition, cli, correlate, dumpsys, policy, report, simulator
 from watchtriage.cli import main
-from watchtriage.evidence import canonical_json_bytes
+from watchtriage.evidence import SourceKind, canonical_json_bytes
 from tests.test_acquisition import GALAXY_WATCH5_TRANSCRIPTS
 from tests.test_policy import PHONE_MANIFEST, WATCH_MANIFEST
 
@@ -405,6 +405,24 @@ class TestAcquire:
         err = capsys.readouterr().err
         assert "netstats" in err
 
+    def test_clock_start_zero_is_honoured(self, tmp_path, capsys):
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()
+        for command, payload in GALAXY_WATCH5_TRANSCRIPTS.items():
+            (transcripts / f"{slug(command)}.txt").write_bytes(payload)
+        out = tmp_path / "bundle"
+        assert run(["acquire", "--transcripts", str(transcripts), "--out", str(out), "--clock-start", "0"]) == 0
+        items = json.loads((out / "manifest.json").read_text())["manifest"]["items"]
+        assert [item["collected_at"] for item in items] == list(range(len(items)))
+
+    def test_negative_clock_start_exits_2_before_any_step(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        with pytest.raises(SystemExit) as exc:
+            run(["acquire", "--transcripts", str(tmp_path), "--out", str(out), "--clock-start", "-5"])
+        assert exc.value.code == 2
+        assert "--clock-start: must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self, capsys):
@@ -549,9 +567,12 @@ class TestUsageErrors:
         lambda doc: json.dumps(doc).encode().replace(b'"synthetic', b'"synth\xe9tic'),
         lambda doc: doc.__setitem__("failures", {"label": "netstats", "detail": "exit status 1"}),
         lambda doc: doc.__setitem__("hash_algorithm", "md7"),
+        lambda doc: doc["manifest"]["items"][0].__setitem__("collected_at", 1683766560.9),
+        lambda doc: doc["manifest"]["items"][0].__setitem__("collected_at", "1683766560"),
+        lambda doc: doc["manifest"]["items"][0].__setitem__("collected_at", True),
     ], ids=["item-is-a-string", "items-not-a-list", "manifest-is-a-list", "missing-raw-bytes-digest",
             "top-level-not-an-object", "not-json", "not-utf-8", "failures-not-a-list",
-            "unknown-hash-algorithm"])
+            "unknown-hash-algorithm", "collected-at-a-float", "collected-at-a-string", "collected-at-true"])
     def test_malformed_manifest_exits_2_naming_it(self, break_manifest, case_bundle, capsys):
         path = case_bundle / "manifest.json"
         doc = json.loads(path.read_text())
@@ -561,6 +582,24 @@ class TestUsageErrors:
             assert run([command, "--bundle", str(case_bundle)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "manifest.json: malformed manifest" in err
+
+    @pytest.mark.parametrize("kept, named", [
+        (("netstats", "network_stack"), "usagestats"),
+        (("usagestats", "network_stack"), "netstats"),
+        (("usagestats", "netstats"), "network_stack"),
+        (("usagestats",), "netstats"),
+        (("network_stack",), "usagestats"),
+    ])
+    def test_bundle_without_a_dump_kind_exits_2_naming_the_first_missing(self, kept, named, tmp_path, capsys):
+        scenario = simulator.preset_case_study()
+        dumps = dict(zip(("usagestats", "netstats", "network_stack"), simulator.render_dumps(scenario)))
+        captured = [(kind, SourceKind(kind), dumps[kind].encode(), scenario.capture_time)
+                    for kind in kept]
+        bundle = tmp_path / "bundle"
+        acquisition.write_bundle_dir(acquisition.seal_acquisition(captured, "watch", scenario.display_zone), bundle)
+        for command in ("parse", "correlate", "report"):
+            assert run([command, "--bundle", str(bundle)]) == 2
+            assert capsys.readouterr().err == f"error: bundle has no {named} item\n"
 
     @pytest.mark.parametrize("offset", [None, 5, "5"], ids=["null", "whole", "a-string"])
     def test_clock_offset_of_an_earlier_bundle_is_ignored(self, offset, case_bundle, capsys):
@@ -743,6 +782,20 @@ class TestBenchmarkEntryPoints:
             assert times[name] > 0, name
         for name in ("report.timeline_rows", "correlate.sessions"):
             assert tracer.counts[name] > 0, name
+
+    def test_parse_records_every_dump_layer(self, spans, case_bundle, tmp_path):
+        # The parsers and the timeline build are wrapped on their modules,
+        # so they must be called through those module attributes.
+        tracer = spans.Tracer()
+        spans.instrument(tracer)
+        try:
+            assert run(["parse", "--bundle", str(case_bundle), "--out", str(tmp_path / "p.json")]) == 0
+        finally:
+            tracer.restore()
+        times = tracer.self_times()
+        for name in ("dumpsys.usagestats", "dumpsys.netstats", "dumpsys.network_stack", "correlate.timeline"):
+            assert times[name] > 0, name
+        assert tracer.counts["dumpsys.lines_in"] > 0
 
 
 class TestPerCommandParser:

@@ -438,3 +438,28 @@ class TestOracleEquivalence:
         assert len(ftp) == 1
         assert len(ftp[0].session.buckets) == 2
         assert ftp[0].direction_summary.bytes_in == 47_185_920
+
+
+RELATION_ZONES = ("Asia/Seoul", "Asia/Tokyo", "UTC", "America/New_York", "Australia/Lord_Howe")
+
+
+class TestMetamorphicRelations:
+    """Properties the findings keep when an input that must not matter changes."""
+
+    def test_zone_invariance(self):
+        # The same scenario generated in another zone gives the same findings.
+        # random_scenario places nothing near a DST change, so this holds in
+        # DST zones too.
+        graded = 0
+        for seed in range(20):
+            scenario = simulator.random_scenario(seed)
+            outcomes = {}
+            for zone in RELATION_ZONES:
+                findings = run_pipeline(dataclasses.replace(scenario, display_zone=zone))["findings"]
+                outcomes[zone] = sorted(
+                    (f.pattern.value, f.confidence.value, tuple(b.st.epoch for b in f.session.buckets)) for f in findings
+                )
+            for zone in RELATION_ZONES[1:]:
+                assert outcomes[zone] == outcomes["Asia/Seoul"], (seed, zone)
+            graded += len(outcomes["Asia/Seoul"])
+        assert graded >= 20

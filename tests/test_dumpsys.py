@@ -3,9 +3,11 @@ import json
 import pytest
 
 from watchtriage import simulator
+from watchtriage.correlate import build_timeline, parse_document
 from watchtriage.dumpsys import (
     AggregateWindow,
     LeaseKind,
+    NetworkStackLog,
     parse_netstats,
     parse_network_stack,
     parse_usagestats,
@@ -87,8 +89,9 @@ class TestParseUsagestats:
         assert agg.window == AggregateWindow.WEEK
         assert agg.package == "com.corproxy.files"
         assert agg.use_count == 3
-        assert agg.last_used_precision != "second"
         assert agg.last_used.epoch % 60 == 0
+        doc = parse_document(build_timeline(report, [], NetworkStackLog(())), None, KST, [])
+        assert [a["precision"] for a in doc["usagestats"]["aggregates"]] == ["minute"]
 
     def test_missing_aggregate_sections_yield_empty_list(self):
         text = 'Last 24 hour events:\n  time="2023-05-11 08:00:00" type=ACTIVITY_RESUMED package=com.x\n'
@@ -237,11 +240,18 @@ class TestParseNetstats:
             f"line 2: bucketDuration must be a positive whole number of seconds, got {value!r}",
             "line 3: counter line under an invalid bucketDuration; dropped",
         ]
-        jsonl = json.dumps({"network_id": "a", "st": 0, "rb": 1, "rp": 1, "tb": 1, "tp": 1,
-                            "bucket_duration": value}) + "\n"
-        records, warnings = parse_netstats(jsonl)
+        # In JSON lines a duration must be a JSON integer: the string is a
+        # type error, and a whole number that is not positive keeps the text
+        # form's message.
+        row = {"network_id": "a", "st": 0, "rb": 1, "rp": 1, "tb": 1, "tp": 1}
+        jsonl = [json.dumps({**row, "bucket_duration": value})]
+        expected = [f"line 1: bucket_duration must be a JSON integer, got {value!r}"]
+        if value in ("0", "-5"):
+            jsonl.append(json.dumps({**row, "bucket_duration": int(value)}))
+            expected.append(f"line 2: bucketDuration must be a positive whole number of seconds, got {int(value)}")
+        records, warnings = parse_netstats("\n".join(jsonl) + "\n")
         assert records == []
-        assert warnings == [f"line 1: bucketDuration must be a positive whole number of seconds, got {value!r}"]
+        assert warnings == expected
 
 
 NETWORK_STACK_FIXTURE = """\
@@ -477,6 +487,52 @@ def test_jsonl_line_that_is_not_an_object_warns(parse):
     zone_args = {parse_usagestats: (CAPTURE, KST), parse_netstats: (), parse_network_stack: (KST,)}
     _, warnings = parse(text, *zone_args[parse])
     assert "line 2: expected a JSON object, got list" in warnings
+
+
+# A valid line, then one whose field has the wrong JSON type, and the
+# warning that drops it.
+_EVENT = {"record": "event", "at": 1683735256, "package": "com.x", "event_type": "ACTIVITY_RESUMED"}
+_AGGREGATE = {"record": "aggregate", "window": "week", "package": "com.x", "last_used": 1683737520, "use_count": 3}
+_BUCKET = {"network_id": "a", "st": 1683734400, "rb": 1, "rp": 1, "tb": 1, "tp": 1}
+_LEASE = {"record": "lease", "at": 1683735270, "private_ip": "172.30.1.76"}
+MISTYPED_FIELDS = [
+    (parse_usagestats, _EVENT, "at", 1683735256.9, "at must be a JSON integer, got 1683735256.9"),
+    (parse_usagestats, _EVENT, "at", True, "at must be a JSON integer, got True"),
+    (parse_usagestats, _EVENT, "package", 5, "package must be a JSON string, got 5"),
+    (parse_usagestats, _EVENT, "event_type", None, "event_type must be a JSON string, got None"),
+    (parse_usagestats, _AGGREGATE, "last_used", "1683737520", "last_used must be a JSON integer, got '1683737520'"),
+    (parse_usagestats, _AGGREGATE, "use_count", 3.0, "use_count must be a JSON integer, got 3.0"),
+    (parse_usagestats, _AGGREGATE, "window", ["week"], "window must be a JSON string, got ['week']"),
+    (parse_usagestats, _AGGREGATE, "package", {}, "package must be a JSON string, got {}"),
+    (parse_netstats, _BUCKET, "network_id", 5, "network_id must be a JSON string, got 5"),
+    (parse_netstats, _BUCKET, "network_id", None, "network_id must be a JSON string, got None"),
+    (parse_netstats, _BUCKET, "st", 1683734400.5, "st must be a JSON integer, got 1683734400.5"),
+    (parse_netstats, _BUCKET, "rb", 1.0, "rb must be a JSON integer, got 1.0"),
+    (parse_netstats, _BUCKET, "rp", "5", "rp must be a JSON integer, got '5'"),
+    (parse_netstats, _BUCKET, "tb", False, "tb must be a JSON integer, got False"),
+    (parse_netstats, _BUCKET, "tp", None, "tp must be a JSON integer, got None"),
+    (parse_netstats, _BUCKET, "bucket_duration", "3600", "bucket_duration must be a JSON integer, got '3600'"),
+    (parse_network_stack, _LEASE, "at", 1683735270.5, "at must be a JSON integer, got 1683735270.5"),
+    (parse_network_stack, _LEASE, "private_ip", 2887647564, "private_ip must be a JSON string, got 2887647564"),
+    (parse_network_stack, _LEASE, "interface", 0, "interface must be a JSON string, got 0"),
+    (parse_network_stack, _LEASE, "event_kind", 1, "event_kind must be a JSON string, got 1"),
+    (parse_network_stack, _LEASE, "network_id", 5, "network_id must be a JSON string or null, got 5"),
+    (parse_network_stack, {"record": "boot", "at": 1683700000}, "at", "1683700000",
+     "at must be a JSON integer, got '1683700000'"),
+]
+
+
+@pytest.mark.parametrize("parse, valid, key, value, message", MISTYPED_FIELDS,
+                         ids=[f"{p.__name__}-{v.get('record', 'bucket')}-{k}-{type(x).__name__}"
+                              for p, v, k, x, _ in MISTYPED_FIELDS])
+def test_jsonl_field_of_the_wrong_json_type_drops_its_line(parse, valid, key, value, message):
+    text = json.dumps(valid) + "\n" + json.dumps({**valid, key: value}) + "\n"
+    zone_args = {parse_usagestats: (CAPTURE, KST), parse_netstats: (), parse_network_stack: (KST,)}
+    parsed, warnings = parse(text, *zone_args[parse])
+    assert warnings == [f"line 2: {message}"]
+    kept = {parse_usagestats: lambda r: r.events_24h + r.aggregates, parse_netstats: list,
+            parse_network_stack: lambda log: log.leases + ((log.boot_epoch_marker,) if log.boot_epoch_marker else ())}
+    assert len(kept[parse](parsed)) == 1
 
 
 def test_parsers_are_total_on_garbage_input():
