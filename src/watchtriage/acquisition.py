@@ -17,7 +17,6 @@ clock, never the device's.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import shutil
@@ -35,7 +34,6 @@ from .evidence import (
     SourceKind,
     Timestamp,
     canonical_json_bytes,
-    compute_digest,
     json_field,
     json_list,
     load_json,
@@ -147,10 +145,6 @@ def default_plan() -> AcquisitionPlan:
         AcquisitionStep("host_name", "getprop net.hostname", 6, SourceKind.GETPROP),
     )
     return AcquisitionPlan(steps)
-
-
-def save_plan(plan: AcquisitionPlan, path: Path):
-    Path(path).write_text(json.dumps(asdict(plan), indent=2) + "\n", encoding="utf-8")
 
 
 def _plan_step(s: dict) -> AcquisitionStep:
@@ -304,7 +298,7 @@ def write_bundle_dir(result: AcquisitionResult, out_dir: Path) -> Path:
     doc = {
         "manifest": result.bundle.manifest_document(),
         "bundle_manifest_digest": result.bundle.bundle_manifest_digest,
-        "hash_algorithm": result.bundle.hash_algorithm,
+        "hash_algorithm": DEFAULT_HASH,
         "files": files,
         "failures": [asdict(f) for f in result.failures],
         "display_zone": result.display_zone,
@@ -340,12 +334,10 @@ def _bundle_from_manifest(path: Path, doc: dict) -> AcquisitionResult:
         for i in manifest["items"]
     )
     device = DeviceProfile(**manifest["device"]) if manifest.get("device") else None
-    algorithm = doc.get("hash_algorithm", DEFAULT_HASH)
-    try:
-        compute_digest(b"", algorithm)  # the call verify_bundle makes per item
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"hash_algorithm {algorithm!r}: {exc}") from None
-    bundle = EvidenceBundle(items, device, doc["bundle_manifest_digest"], algorithm)
+    for copy in (manifest, doc):  # the sealed copy and the top-level one
+        if (value := copy.get("hash_algorithm", DEFAULT_HASH)) != DEFAULT_HASH:
+            raise ValueError(f"hash_algorithm {value!r}: unsupported hash type {value}")
+    bundle = EvidenceBundle(items, device, doc["bundle_manifest_digest"])
     failures = [StepFailure(**f) for f in json_list(doc, "failures", dict)]
     zone = zone_name(doc.get("display_zone", DEFAULT_DISPLAY_ZONE))
     payloads = {}

@@ -14,10 +14,9 @@ Exit codes gate automation: 0 success with nothing detected, 1 completed
 with detections or failed integrity/policy, 2 usage or input errors. An
 input is rejected by raising ValueError (malformed) or OSError (missing or
 unusable), and `main` turns exactly those two into exit 2.
-Environment variables prefixed WATCHTRIAGE_ supply the defaults of the
-matching flags (e.g. WATCHTRIAGE_DISPLAY_ZONE); a flag given on the command
-line wins. The bucket duration and the zone that dump times are read in
-come from the bundle itself, never from a flag.
+Only the command line configures a run: no shell variable is read, and
+every flag's default is a constant. The bucket duration and the zone that
+dump times are read in come from the bundle itself, never from a flag.
 
 Each call builds only the chosen subcommand's parser and imports only the
 modules that command uses: `verify` never loads the parsers, correlation,
@@ -27,7 +26,6 @@ policy or simulator, which keeps one-shot calls on case-size bundles cheap.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from pathlib import Path
@@ -36,15 +34,9 @@ from . import acquisition
 from .evidence import DEFAULT_DISPLAY_ZONE, DeviceProfile, SourceKind, document_text, verify_bundle, zone_name
 from .host_artifacts import HostArtifacts, load_host_artifacts, locate_host_artifacts
 
-ENV_PREFIX = "WATCHTRIAGE_"
-
 EXIT_OK = 0
 EXIT_DETECTIONS = 1
 EXIT_USAGE = 2
-
-
-def _env(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def _fail(message: str) -> int:
@@ -240,14 +232,12 @@ def _add_common(p):
 
 
 def _add_display_zone(p, help_text):
-    # A string default goes through `type` only when the flag is absent,
-    # so a bad environment value is rejected like a bad flag.
-    p.add_argument(
-        "--display-zone", type=zone_name, default=_env("DISPLAY_ZONE", DEFAULT_DISPLAY_ZONE), help=help_text
-    )
+    p.add_argument("--display-zone", type=zone_name, default=DEFAULT_DISPLAY_ZONE, help=help_text)
 
 
 def _clock_start(value: str) -> int:
+    if not re.fullmatch("-?[0-9]+", value):
+        raise ValueError(value)  # argparse: "invalid _clock_start value"
     if int(value) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return int(value)
@@ -255,7 +245,7 @@ def _clock_start(value: str) -> int:
 
 def _acquire_options(p):
     p.add_argument("--serial", help="adb device serial (host:port for wireless)")
-    p.add_argument("--adb-path", default=_env("ADB_PATH", "adb"), help="adb binary")
+    p.add_argument("--adb-path", default="adb", help="adb binary")
     p.add_argument("--transcripts", help="directory of canned command transcripts (offline mode)")
     p.add_argument("--plan", help="acquisition plan JSON (default: built-in volatility order)")
     p.add_argument("--origin", default="watch", help="origin label recorded on evidence items")
@@ -266,16 +256,15 @@ def _acquire_options(p):
 
 def _correlate_options(p):
     _add_common(p)
-    p.add_argument("--host-artifacts", default=_env("HOST_ARTIFACTS", None),
-                   help="directory of PC-side artifacts (recentservers.xml, known_hosts, ...)")
-    p.add_argument("--rules", default=_env("RULES", None), help="pattern rules JSON file")
+    p.add_argument("--host-artifacts", help="directory of PC-side artifacts (recentservers.xml, known_hosts, ...)")
+    p.add_argument("--rules", help="pattern rules JSON file")
 
 
 def _audit_options(p):
     p.add_argument("--manifests", required=True, help="directory of manifests or inventory JSON")
     p.add_argument("--device-abi", help="device CPU ABI (e.g. armeabi-v7a)")
     p.add_argument("--bundle", help="bundle directory to take the device ABI from")
-    p.add_argument("--format", choices=["md", "json"], default=_env("FORMAT", "md"))
+    p.add_argument("--format", choices=["md", "json"], default="md")
     p.add_argument("--out")
 
 
@@ -298,9 +287,9 @@ def _generate_options(p):
 def _report_options(p):
     _add_common(p)
     _add_display_zone(p, "IANA zone for rendering timestamps")
-    p.add_argument("--host-artifacts", default=_env("HOST_ARTIFACTS", None))
-    p.add_argument("--rules", default=_env("RULES", None))
-    p.add_argument("--format", choices=["md", "json"], default=_env("FORMAT", "md"))
+    p.add_argument("--host-artifacts")
+    p.add_argument("--rules")
+    p.add_argument("--format", choices=["md", "json"], default="md")
 
 
 def _verify_options(p):
@@ -340,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # an unusable environment; malformed input
+    except (OSError, ValueError) as exc:  # a missing or unusable file or tool; malformed input
         return _fail(str(exc))
 
 

@@ -181,10 +181,11 @@ def _mistyped(obj: dict, **kinds) -> None:
 
 def positive_seconds(value) -> int:
     """A bucket duration, as a dump or `generate` states it: a positive whole
-    number of seconds; ValueError otherwise."""
-    if not str(value).isdecimal() or int(value) == 0:
+    number of seconds in ASCII digits; ValueError otherwise."""
+    text = str(value)
+    if not (text.isascii() and text.isdecimal()) or int(text) == 0:
         raise ValueError(f"bucketDuration must be a positive whole number of seconds, got {value!r}")
-    return int(value)
+    return int(text)
 
 
 def _lease(at: Timestamp, interface: str, ip: str, raw_kind: str, network_id: Optional[str]) -> LeaseEvent:
@@ -193,11 +194,11 @@ def _lease(at: Timestamp, interface: str, ip: str, raw_kind: str, network_id: Op
 
 _QUOTED = r'"([^"]*)"'
 _EVENT_RE = re.compile(r'time=' + _QUOTED + r'\s+type=(\S+)\s+package=(\S+)')
-_AGGREGATE_RE = re.compile(r'package=(\S+)\s+lastTimeUsed=' + _QUOTED + r'\s+totalCount=(\d+)')
+_AGGREGATE_RE = re.compile(r'package=(\S+)\s+lastTimeUsed=' + _QUOTED + r'\s+totalCount=([0-9]+)(?!\S)')
 _CAPTURE_RE = re.compile(r'capture-time=' + _QUOTED)
 _NETWORK_ID_RE = re.compile(r'networkId=' + _QUOTED)
 _DURATION_RE = re.compile(r'bucketDuration=(\S*)')
-_ST_LINE_RE = re.compile(r'st=(\d+)\s+rb=(-?\d+)\s+rp=(-?\d+)\s+tb=(-?\d+)\s+tp=(-?\d+)')
+_ST_LINE_RE = re.compile(r'st=([0-9]+)\s+rb=(-?[0-9]+)\s+rp=(-?[0-9]+)\s+tb=(-?[0-9]+)\s+tp=(-?[0-9]+)(?!\S)')
 _BOOT_RE = re.compile(r'bootTime=' + _QUOTED)
 _LEASE_RE = re.compile(
     r'time=' + _QUOTED + r'\s+iface=(\S+)\s+event=(\S+)\s+ip=(\S+)(?:\s+ssid=' + _QUOTED + r')?'

@@ -23,9 +23,9 @@ DEFAULT_DISPLAY_ZONE = "Asia/Seoul"
 DEFAULT_HASH = "sha256"
 
 
-def compute_digest(data: bytes, algorithm: str = DEFAULT_HASH) -> str:
-    """Hex digest of raw bytes under the configured hash algorithm."""
-    return hashlib.new(algorithm, data).hexdigest()
+def compute_digest(data: bytes) -> str:
+    """Hex SHA-256 digest of raw bytes, the one hash a bundle is sealed with."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -273,18 +273,17 @@ class EvidenceBundle:
     items: tuple[EvidenceItem, ...]
     device: Optional[DeviceProfile]
     bundle_manifest_digest: str
-    hash_algorithm: str = DEFAULT_HASH
 
     def manifest_document(self) -> dict:
         return {
-            "hash_algorithm": self.hash_algorithm,
+            "hash_algorithm": DEFAULT_HASH,
             "items": [it.to_dict() for it in self.items],
             "device": asdict(self.device) if self.device else None,
         }
 
     def manifest_digest(self) -> str:
         """Digest of the canonical manifest: recorded at seal time, compared at verify time."""
-        return compute_digest(canonical_json_bytes(self.manifest_document()), self.hash_algorithm)
+        return compute_digest(canonical_json_bytes(self.manifest_document()))
 
 
 def seal_bundle(
@@ -346,7 +345,7 @@ def verify_bundle(bundle: EvidenceBundle, stored_bytes: Mapping[str, bytes]) -> 
         if raw is None:
             results.append(ItemVerification(item.key(), "missing", "no stored bytes for item"))
             continue
-        actual = compute_digest(raw, bundle.hash_algorithm)
+        actual = compute_digest(raw)
         if actual == item.raw_bytes_digest:
             results.append(ItemVerification(item.key(), "pass"))
         else:

@@ -75,7 +75,7 @@ class KnownHostEntry:
 
 
 # A known_hosts "[host]:port" pattern: the host, then the port.
-_BRACKETED = re.compile(r"\[([^\]]+)\]:(\d+)$")
+_BRACKETED = re.compile(r"\[([^\]]+)\]:([0-9]+)$")
 
 
 def _plain_host(pattern: str) -> str:
@@ -105,11 +105,10 @@ def parse_filezilla(xml_text: str, source_file: str = "recentservers_xml") -> tu
             warnings.append(f"server element #{i + 1} has no Host; skipped")
             continue
         port_text = (server.findtext("Port") or "21").strip()
-        try:
-            port = int(port_text)
-        except ValueError:
+        if not (port_text.isascii() and port_text.isdecimal()):
             warnings.append(f"server element #{i + 1} has bad port {port_text!r}; skipped")
             continue
+        port = int(port_text)
         raw_protocol = (server.findtext("Protocol") or "0").strip()
         protocol = _PROTOCOL_CODES.get(raw_protocol) or _PROTOCOL_NAMES.get(
             raw_protocol.lower(), TransferProtocol.OTHER
@@ -153,6 +152,9 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
             continue
         for pattern in patterns.split(","):
             m = _BRACKETED.match(pattern)
+            if pattern.startswith("[") and not m:
+                warnings.append(f"line {lineno}: bad [host]:port pattern {pattern!r}; skipped")
+                continue
             port = int(m.group(2)) if m else 22
             if not 1 <= port <= 65535:
                 warnings.append(f"line {lineno}: port {port} out of range; skipped")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -12,12 +13,11 @@ from watchtriage.acquisition import (
     load_plan,
     read_bundle_dir,
     run_acquisition,
-    save_plan,
     seal_acquisition,
     write_bundle_dir,
 )
 from watchtriage.cli import main
-from watchtriage.evidence import SourceKind, verify_bundle
+from watchtriage.evidence import SourceKind, document_text, verify_bundle
 
 # Transcript in the shape a Galaxy Watch 5 returns (Android 11, 32-bit ARM).
 GALAXY_WATCH5_TRANSCRIPTS = {
@@ -58,7 +58,7 @@ class TestDefaultPlan:
     def test_plan_file_round_trip(self, tmp_path):
         plan = default_plan()
         path = tmp_path / "plan.json"
-        save_plan(plan, path)
+        path.write_text(document_text(asdict(plan)), encoding="utf-8")
         reloaded = load_plan(path)
         assert [s.command for s in reloaded.steps] == [s.command for s in plan.steps]
         assert [s.volatility_rank for s in reloaded.steps] == [s.volatility_rank for s in plan.steps]

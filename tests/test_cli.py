@@ -265,7 +265,7 @@ class TestReportCommand:
     @staticmethod
     def report_under_an_ascii_locale(bundle, *argv) -> bytes:
         """The stdout of `watchtriage report` in a subprocess under the C locale."""
-        env = {k: v for k, v in os.environ.items() if not k.startswith(("WATCHTRIAGE_", "LC_", "LANG"))}
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG"))}
         env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                    PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-m", "watchtriage.cli", "report", "--bundle", str(bundle), *argv],
@@ -423,6 +423,15 @@ class TestAcquire:
         assert "--clock-start: must be >= 0, got -5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["٣", "+5", " 5", "1_000"])
+    def test_clock_start_not_in_ascii_digits_exits_2(self, value, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        with pytest.raises(SystemExit) as exc:
+            run(["acquire", "--transcripts", str(tmp_path), "--out", str(out), "--clock-start", value])
+        assert exc.value.code == 2
+        assert f"--clock-start: invalid _clock_start value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self, capsys):
@@ -506,7 +515,7 @@ class TestUsageErrors:
 
     # A bucket size has one source outside the evidence: generate's flag.
     @pytest.mark.parametrize("source", ["flag"])
-    @pytest.mark.parametrize("value", ["0", "-5", "abc"])
+    @pytest.mark.parametrize("value", ["0", "-5", "abc", "٣٦٠٠"])
     def test_bad_bucket_seconds_exits_2(self, value, source, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["generate", "--out", str(tmp_path / "o"), "--bucket-seconds", value])
@@ -519,27 +528,17 @@ class TestUsageErrors:
             assert exc.value.code == 2
             assert "unrecognized arguments: --bucket-seconds 1800" in capsys.readouterr().err
 
-    def test_bad_bucket_seconds_env_does_not_affect_verify(self, case_bundle, monkeypatch, capsys):
-        # The variable is not read by any command.
-        monkeypatch.setenv("WATCHTRIAGE_BUCKET_SECONDS", "abc")
-        assert run(["verify", "--bundle", str(case_bundle)]) == 0
-        assert run(["correlate", "--bundle", str(case_bundle)]) == 1
-        assert run(["generate", "--preset", "ftp", "--out", str(case_bundle.parent / "ftp")]) == 0
-
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_unknown_display_zone_exits_2_naming_it(self, source, case_bundle, tmp_path, monkeypatch, capsys):
+    # A display zone has one source: the flag.
+    @pytest.mark.parametrize("source", ["flag"])
+    def test_unknown_display_zone_exits_2_naming_it(self, source, case_bundle, tmp_path, capsys):
         transcripts = tmp_path / "transcripts"
         transcripts.mkdir()
         for argv in (
             ["report", "--bundle", str(case_bundle)],
             ["acquire", "--transcripts", str(transcripts), "--out", str(tmp_path / "b")],
         ):
-            if source == "flag":
-                argv = argv + ["--display-zone", "Mars/Base"]
-            else:
-                monkeypatch.setenv("WATCHTRIAGE_DISPLAY_ZONE", "Mars/Base")
             with pytest.raises(SystemExit) as exc:
-                run(argv)
+                run(argv + ["--display-zone", "Mars/Base"])
             assert exc.value.code == 2
             assert "argument --display-zone: invalid zone_name value: 'Mars/Base'" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
@@ -567,12 +566,15 @@ class TestUsageErrors:
         lambda doc: json.dumps(doc).encode().replace(b'"synthetic', b'"synth\xe9tic'),
         lambda doc: doc.__setitem__("failures", {"label": "netstats", "detail": "exit status 1"}),
         lambda doc: doc.__setitem__("hash_algorithm", "md7"),
+        lambda doc: doc.__setitem__("hash_algorithm", "sha512"),
+        lambda doc: doc["manifest"].__setitem__("hash_algorithm", "md5"),
         lambda doc: doc["manifest"]["items"][0].__setitem__("collected_at", 1683766560.9),
         lambda doc: doc["manifest"]["items"][0].__setitem__("collected_at", "1683766560"),
         lambda doc: doc["manifest"]["items"][0].__setitem__("collected_at", True),
     ], ids=["item-is-a-string", "items-not-a-list", "manifest-is-a-list", "missing-raw-bytes-digest",
             "top-level-not-an-object", "not-json", "not-utf-8", "failures-not-a-list",
-            "unknown-hash-algorithm", "collected-at-a-float", "collected-at-a-string", "collected-at-true"])
+            "unknown-hash-algorithm", "other-hash-algorithm", "sealed-hash-algorithm",
+            "collected-at-a-float", "collected-at-a-string", "collected-at-true"])
     def test_malformed_manifest_exits_2_naming_it(self, break_manifest, case_bundle, capsys):
         path = case_bundle / "manifest.json"
         doc = json.loads(path.read_text())
@@ -742,6 +744,29 @@ class TestCliSurface:
         options = sorted(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))
         assert options == CLI_OPTIONS[command]
 
+    def test_environment_configures_nothing(self, case_bundle, tmp_path, monkeypatch, capsys):
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()
+        for command, payload in GALAXY_WATCH5_TRANSCRIPTS.items():
+            (transcripts / f"{slug(command)}.txt").write_bytes(payload)
+        rules = tmp_path / "rules.json"
+        rules.write_text('[{"pattern": "unclassified_transfer"}]')
+
+        def outputs(run_name):
+            out = tmp_path / run_name
+            results = [(run(argv), capsys.readouterr()) for argv in (
+                ["correlate", "--bundle", str(case_bundle)],
+                ["report", "--bundle", str(case_bundle)],
+                ["acquire", "--transcripts", str(transcripts), "--clock-start", "1683766560", "--out", str(out)],
+            )]
+            return results, tree(out)
+
+        without = outputs("plain")
+        for name, value in {"DISPLAY_ZONE": "Mars/Base", "FORMAT": "json", "RULES": str(rules),
+                            "HOST_ARTIFACTS": str(tmp_path / "missing"), "ADB_PATH": "/nonexistent"}.items():
+            monkeypatch.setenv(f"WATCHTRIAGE_{name}", value)
+        assert outputs("hostile") == without
+
 
 class TestBenchmarkEntryPoints:
     """bench/spans.py wraps named entry points; a rename, or a model change
@@ -828,8 +853,3 @@ class TestPerCommandParser:
             assert all(repr(command) in err for command in CLI_OPTIONS)
         else:
             assert "the following arguments are required: command" in err
-
-    def test_environment_default_applies_to_report(self, case_bundle, monkeypatch, capsys):
-        monkeypatch.setenv("WATCHTRIAGE_FORMAT", "json")
-        assert run(["report", "--bundle", str(case_bundle)]) == 0
-        assert json.loads(capsys.readouterr().out)["schema"] == "watchtriage.report/1"

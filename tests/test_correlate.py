@@ -463,3 +463,23 @@ class TestMetamorphicRelations:
                 assert outcomes[zone] == outcomes["Asia/Seoul"], (seed, zone)
             graded += len(outcomes["Asia/Seoul"])
         assert graded >= 20
+
+    def test_irrelevant_app_in_hours_without_traffic(self):
+        # Sessions of a package no rule names change no finding when they lie
+        # in hours no netstats bucket covers. Anywhere else they can: an event
+        # in a traffic bucket joins its session (docs/findings-schema.md).
+        for seed in range(20):
+            scenario = simulator.random_scenario(seed)
+            rng = random.Random(seed)
+            busy = {st for _ssid, st, *_ in simulator.ground_truth_records(scenario)}
+            first = -(-(scenario.capture_time - simulator.USAGE_WINDOW_SECONDS) // 3600) * 3600
+            free = [hour for hour in range(first, scenario.capture_time - 3600, 3600) if hour not in busy]
+            extra = []
+            for hour in rng.sample(free, 3):
+                start = hour + rng.randrange(0, 1800)
+                extra.append(simulator.AppSession("com.unnamed.stopwatch", start, start + rng.randrange(60, 1800)))
+            before = run_pipeline(scenario)
+            after = run_pipeline(dataclasses.replace(scenario, app_sessions=scenario.app_sessions + tuple(extra)))
+            assert len(after["report"].events_24h) == len(before["report"].events_24h) + 6
+            assert sorted(map(finding_fingerprint, after["findings"])) == \
+                sorted(map(finding_fingerprint, before["findings"])), seed

@@ -83,6 +83,15 @@ class TestParseUsagestats:
         assert report.events_24h == ()
         assert any("outside the 24h" in w for w in warnings)
 
+    @pytest.mark.parametrize("count", ["٣", "3٣"])
+    def test_total_count_in_other_digits_is_unrecognized(self, count):
+        text = USAGESTATS_FIXTURE.replace("totalCount=3", f"totalCount={count}")
+        report, warnings = parse_usagestats(text, CAPTURE, KST)
+        assert report.aggregates == ()
+        assert warnings == [
+            f'line 8: unrecognized: package=com.corproxy.files lastTimeUsed="2023-05-11 01:52" totalCount={count}'
+        ]
+
     def test_aggregates_have_no_second_precision(self):
         report, _ = parse_usagestats(USAGESTATS_FIXTURE, CAPTURE, KST)
         agg = report.aggregates[0]
@@ -191,6 +200,15 @@ class TestParseNetstats:
         assert records == []
         assert any("negative" in w for w in warnings)
 
+    # Only ASCII digits are digits: Arabic-Indic "٣٦٠٠" is not 3600.
+    @pytest.mark.parametrize("value", ["٣٦٠٠", "36٠٠"])
+    @pytest.mark.parametrize("field", ["st", "rb", "rp", "tb", "tp"])
+    def test_counter_in_other_digits_is_unrecognized(self, field, value):
+        line = " ".join(f"{name}={value if name == field else '3600'}" for name in ("st", "rb", "rp", "tb", "tp"))
+        records, warnings = parse_netstats(f'networkId="x"\n{line}\n')
+        assert records == []
+        assert warnings == [f"line 2: unrecognized: {line}"]
+
     def test_counter_line_before_network_warns(self):
         text = "st=10 rb=1 rp=1 tb=1 tp=1\n"
         records, warnings = parse_netstats(text)
@@ -228,7 +246,7 @@ class TestParseNetstats:
             ("a", 3600), ("a", 1800), ("b", 1800), ("b", 7200)
         ]
 
-    @pytest.mark.parametrize("value", ["0", "-5", "abc", ""])
+    @pytest.mark.parametrize("value", ["0", "-5", "abc", "", "٣٦٠٠"])
     def test_invalid_bucket_duration_warns_and_drops_its_rows(self, value):
         text = (
             f'networkId="a"\nNetworkStatsHistory: bucketDuration={value}\nst=0 rb=1 rp=1 tb=1 tp=1\n'

@@ -11,12 +11,11 @@ commit and says why.
 """
 
 import hashlib
-import os
 
 import pytest
 
 from watchtriage import simulator
-from watchtriage.cli import ENV_PREFIX, main
+from watchtriage.cli import main
 
 OUTPUTS = {
     "parse": ["parse"],
@@ -86,8 +85,5 @@ def output_digests(preset, tmp_path):
 
 
 @pytest.mark.parametrize("preset", sorted(simulator.PRESETS))
-def test_outputs_are_byte_identical(preset, tmp_path, monkeypatch):
-    for name in list(os.environ):
-        if name.startswith(ENV_PREFIX):
-            monkeypatch.delenv(name)
+def test_outputs_are_byte_identical(preset, tmp_path):
     assert output_digests(preset, tmp_path) == GOLDEN[preset]

@@ -75,6 +75,12 @@ class TestParseFilezilla:
         assert entries == []
         assert warnings
 
+    def test_port_in_other_digits_skipped(self):
+        xml = "<F><Server><Host>1.2.3.4</Host><Port>٢١</Port></Server></F>"
+        entries, warnings = parse_filezilla(xml)
+        assert entries == []
+        assert warnings == ["server element #1 has bad port '٢١'; skipped"]
+
     def test_round_trip_of_simulated_entries(self):
         scenario = simulator.preset_case_study()
         xml, _ = simulator.render_host_artifacts(scenario)
@@ -98,6 +104,12 @@ class TestParseKnownHosts:
         assert entry.port == 2222
         assert entry.matches_ip("192.162.35.52")
         assert not entry.matches_ip("192.168.35.52")
+
+    @pytest.mark.parametrize("pattern", ["[192.162.35.52]:٢٢٢٢", "[192.162.35.52]:", "[192.162.35.52]"])
+    def test_bracketed_pattern_without_an_ascii_port_skipped(self, pattern):
+        entries, warnings = parse_known_hosts(f"{pattern},10.0.0.7 ssh-ed25519 {_b64key()}\n")
+        assert [(e.host, e.port) for e in entries] == [("10.0.0.7", 22)]
+        assert warnings == [f"line 1: bad [host]:port pattern {pattern!r}; skipped"]
 
     def test_plain_host_defaults_to_port_22(self):
         entries, _ = parse_known_hosts(f"10.0.0.7 ecdsa-sha2-nistp256 {_b64key()}\n")

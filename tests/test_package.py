@@ -22,8 +22,7 @@ print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
 
 
 def modules_loaded_by(argv):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("WATCHTRIAGE_")}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", LOADED_BY, *argv], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
