@@ -31,7 +31,9 @@ import sys
 from pathlib import Path
 
 from . import acquisition
-from .evidence import DEFAULT_DISPLAY_ZONE, DeviceProfile, SourceKind, document_text, verify_bundle, zone_name
+from .evidence import (
+    DEFAULT_DISPLAY_ZONE, MAX_EPOCH, DeviceProfile, SourceKind, document_text, verify_bundle, zone_name,
+)
 from .host_artifacts import HostArtifacts, load_host_artifacts, locate_host_artifacts
 
 EXIT_OK = 0
@@ -240,6 +242,8 @@ def _clock_start(value: str) -> int:
         raise ValueError(value)  # argparse: "invalid _clock_start value"
     if int(value) < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if int(value) > MAX_EPOCH:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_EPOCH}, got {value}")
     return int(value)
 
 
@@ -285,10 +289,8 @@ def _generate_options(p):
 
 
 def _report_options(p):
-    _add_common(p)
+    _correlate_options(p)
     _add_display_zone(p, "IANA zone for rendering timestamps")
-    p.add_argument("--host-artifacts")
-    p.add_argument("--rules")
     p.add_argument("--format", choices=["md", "json"], default="md")
 
 

@@ -397,14 +397,14 @@ def corroborate(
     corroborate.
     """
     findings: list[Finding] = []
+    entries = (*ftp_entries, *known_hosts)  # FileZilla first: the order findings cite them in
     for session in sessions:
         summary = grade_volume(session)
         pattern = match_pattern(session.packages, summary, rules)
         if pattern is None:
             continue
         ips = {lease.private_ip for lease in session.resolved_leases}
-        matches: list[object] = [e for e in ftp_entries if e.host in ips]
-        matches.extend(e for e in known_hosts if any(e.matches_ip(ip) for ip in ips))
+        matches = [e for e in entries if e.host in ips]
         if matches:
             confidence = Confidence.CORROBORATED
         elif session.ambiguity_flags & _DOWNGRADING_FLAGS:

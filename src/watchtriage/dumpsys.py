@@ -51,8 +51,7 @@ class LeaseKind(Enum):
 
 
 # The one lease-kind mapping, shared by both formats: the text tokens and the
-# LeaseKind values both name a kind; any other value is OTHER, and the event
-# keeps the raw value.
+# LeaseKind values both name a kind; any other value is OTHER.
 _LEASE_KINDS = {
     "DHCP_ACK": LeaseKind.DHCP_ACK,
     "LEASE_RENEW": LeaseKind.LEASE_RENEW,
@@ -120,7 +119,6 @@ class LeaseEvent:
     interface: str
     private_ip: str
     event_kind: LeaseKind
-    raw_kind: str = ""
     network_id: Optional[str] = None
 
     def __post_init__(self):
@@ -188,8 +186,8 @@ def positive_seconds(value) -> int:
     return int(text)
 
 
-def _lease(at: Timestamp, interface: str, ip: str, raw_kind: str, network_id: Optional[str]) -> LeaseEvent:
-    return LeaseEvent(at, interface, ip, _LEASE_KINDS.get(raw_kind, LeaseKind.OTHER), raw_kind, network_id)
+def _lease(at: Timestamp, interface: str, ip: str, kind: str, network_id: Optional[str]) -> LeaseEvent:
+    return LeaseEvent(at, interface, ip, _LEASE_KINDS.get(kind, LeaseKind.OTHER), network_id)
 
 
 _QUOTED = r'"([^"]*)"'
@@ -302,7 +300,10 @@ def _netstats_text(text: str):
             if any(c < 0 for c in counters):
                 yield f"line {lineno}: negative counter; dropped"
                 continue
-            yield NetUsageRecord(current_network, Timestamp(int(m.group(1))), *counters, duration)
+            try:
+                yield NetUsageRecord(current_network, Timestamp(int(m.group(1))), *counters, duration)
+            except ValueError as exc:  # an st that no zone can render
+                yield f"line {lineno}: {exc}; dropped"
             continue
         yield f"line {lineno}: unrecognized: {line[:80]}"
 
@@ -346,12 +347,12 @@ def _network_stack_jsonl(text: str):
         kind = obj.get("record")
         if kind == "lease":
             at, ip, network_id = obj["at"], obj["private_ip"], obj.get("network_id")
-            interface, raw_kind = obj.get("interface", "wlan0"), obj.get("event_kind", "dhcp_ack")
-            if not (type(at) is int and type(ip) is type(interface) is type(raw_kind) is str
+            interface, event_kind = obj.get("interface", "wlan0"), obj.get("event_kind", "dhcp_ack")
+            if not (type(at) is int and type(ip) is type(interface) is type(event_kind) is str
                     and (network_id is None or type(network_id) is str)):
                 _mistyped(obj, at=int, private_ip=str, interface=str, event_kind=str)
                 raise TypeError(f"network_id must be a JSON string or null, got {network_id!r}")
-            return _lease(Timestamp(at), interface, ip, raw_kind, network_id)
+            return _lease(Timestamp(at), interface, ip, event_kind, network_id)
         if kind == "boot":
             return Timestamp(json_field(obj, "at", int))
         raise ValueError(f"unknown record kind {kind!r}")

@@ -179,6 +179,8 @@ def load_json(
         raise ValueError(f"{path}: {where} ({type(exc).__name__}: {exc})") from None
 
 
+MAX_EPOCH = 253370764799  # the end of 9998 UTC: every zone renders it, well before any reaches year 10000
+
 # The one wall-clock text form: zero-padded ASCII "YYYY-MM-DD HH:MM:SS".
 _WALL_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})")
 
@@ -191,8 +193,8 @@ class Timestamp:
     epoch: int
 
     def __post_init__(self):
-        if self.epoch < 0:
-            raise ValueError(f"epoch must be >= 0, got {self.epoch}")
+        if not 0 <= self.epoch <= MAX_EPOCH:
+            raise ValueError(f"epoch must be between 0 and {MAX_EPOCH}, got {self.epoch}")
 
     @classmethod
     def parse(cls, text: str, zone: str) -> "Timestamp":

@@ -5,15 +5,14 @@ filezilla.xml) and OpenSSH known_hosts. These are the files a PC keeps after
 connecting to an FTP/SFTP server running on a watch, so an exact IP match
 against a watch-side DHCP lease corroborates a transfer session.
 
-Hashed known_hosts entries are preserved but never matched against plaintext
-IP queries; an HMAC-based resolver is provided separately for investigators
-who already hold candidate addresses.
+Each entry's host is read once, at parse time. A hashed known_hosts entry
+has no plaintext host, so it never matches an IP; an HMAC-based resolver is
+provided separately for investigators who already hold candidate addresses.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import hmac
 import re
 import xml.etree.ElementTree as ET
@@ -45,8 +44,6 @@ class FtpServerEntry:
     host: str
     port: int
     protocol: TransferProtocol
-    raw_protocol: str = ""
-    user: Optional[str] = None
     source_file: str = "recentservers_xml"
 
     def __post_init__(self):
@@ -57,36 +54,19 @@ class FtpServerEntry:
 @dataclass(frozen=True)
 class KnownHostEntry:
     host_pattern: str
+    host: Optional[str]  # the plaintext host; None for a hashed pattern
     port: int
     key_type: str
-    key_blob_digest: str
-    hashed: bool
-
-    def matches_ip(self, ip: str) -> bool:
-        """Exact plaintext match only; hashed entries never match here."""
-        if self.hashed:
-            return False
-        return _plain_host(self.host_pattern) == ip
-
-    @property
-    def host(self) -> Optional[str]:
-        """Plaintext host when available (None for hashed entries)."""
-        return None if self.hashed else _plain_host(self.host_pattern)
 
 
 # A known_hosts "[host]:port" pattern: the host, then the port.
 _BRACKETED = re.compile(r"\[([^\]]+)\]:([0-9]+)$")
 
 
-def _plain_host(pattern: str) -> str:
-    m = _BRACKETED.match(pattern)
-    return m.group(1) if m else pattern
-
-
 def parse_filezilla(xml_text: str, source_file: str = "recentservers_xml") -> tuple[list[FtpServerEntry], list[str]]:
     """Extract server entries from a FileZilla XML document, in file order.
 
-    Reads only the schema-stable elements (Host, Port, Protocol, User) so the
+    Reads only the schema-stable elements (Host, Port, Protocol) so the
     same code handles recentservers.xml, sitemanager.xml and filezilla.xml
     across versions. A missing Host skips that entry with a warning; malformed
     XML is fatal with the reported line number.
@@ -109,13 +89,10 @@ def parse_filezilla(xml_text: str, source_file: str = "recentservers_xml") -> tu
             warnings.append(f"server element #{i + 1} has bad port {port_text!r}; skipped")
             continue
         port = int(port_text)
-        raw_protocol = (server.findtext("Protocol") or "0").strip()
-        protocol = _PROTOCOL_CODES.get(raw_protocol) or _PROTOCOL_NAMES.get(
-            raw_protocol.lower(), TransferProtocol.OTHER
-        )
-        user = server.findtext("User")
+        code = (server.findtext("Protocol") or "0").strip()
+        protocol = _PROTOCOL_CODES.get(code) or _PROTOCOL_NAMES.get(code.lower(), TransferProtocol.OTHER)
         try:
-            entries.append(FtpServerEntry(host, port, protocol, raw_protocol, user, source_file))
+            entries.append(FtpServerEntry(host, port, protocol, source_file))
         except ValueError as exc:
             warnings.append(f"server element #{i + 1}: {exc}; skipped")
     return entries, warnings
@@ -125,9 +102,11 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
     """Parse OpenSSH known_hosts text, one entry per host pattern.
 
     Plain patterns default to port 22; "[host]:port" patterns yield the
-    embedded port; hashed ("|1|...") patterns are kept with hashed=True and
-    are excluded from IP matching. Comma-separated patterns on one line
-    become separate entries sharing the key. Malformed lines warn and skip.
+    embedded host and port; hashed ("|1|...") patterns are kept with host
+    None, so they match no IP. Comma-separated patterns on one line become
+    separate entries sharing the key. A @revoked or @cert-authority marker
+    line is set by hand, never by a connection, so it warns and skips, as
+    does a malformed line.
     """
     entries: list[KnownHostEntry] = []
     warnings: list[str] = []
@@ -135,20 +114,21 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("@"):  # @cert-authority / @revoked marker
-            line = line.split(None, 1)[-1]
         fields = line.split()
+        if line.startswith("@"):
+            warnings.append(f"line {lineno}: {fields[0]} marker line records no connection; skipped")
+            continue
         if len(fields) < 3:
             warnings.append(f"line {lineno}: fewer than 3 fields; skipped")
             continue
         patterns, key_type, key_blob = fields[0], fields[1], fields[2]
         try:
-            blob_digest = hashlib.sha256(base64.b64decode(key_blob, validate=True)).hexdigest()
+            base64.b64decode(key_blob, validate=True)
         except (base64.binascii.Error, ValueError):
             warnings.append(f"line {lineno}: key blob is not valid base64; skipped")
             continue
         if patterns.startswith(HASHED_SENTINEL):
-            entries.append(KnownHostEntry(patterns, 22, key_type, blob_digest, hashed=True))
+            entries.append(KnownHostEntry(patterns, None, 22, key_type))
             continue
         for pattern in patterns.split(","):
             m = _BRACKETED.match(pattern)
@@ -159,7 +139,7 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
             if not 1 <= port <= 65535:
                 warnings.append(f"line {lineno}: port {port} out of range; skipped")
                 continue
-            entries.append(KnownHostEntry(pattern, port, key_type, blob_digest, hashed=False))
+            entries.append(KnownHostEntry(pattern, m.group(1) if m else pattern, port, key_type))
     return entries, warnings
 
 
@@ -171,8 +151,8 @@ def hash_host_pattern(host: str, salt: bytes) -> str:
 
 def hashed_entry_matches(entry: KnownHostEntry, host: str) -> bool:
     """Optional resolver: HMAC-check a hashed entry against a candidate host."""
-    if not entry.hashed:
-        return entry.matches_ip(host)
+    if entry.host is not None:
+        return entry.host == host
     try:
         _, version, salt_b64, mac_b64 = entry.host_pattern.split("|")
     except ValueError:

@@ -34,7 +34,7 @@ from .correlate import (
     finding_to_dict,
     match_pattern,
 )
-from .evidence import DEFAULT_DISPLAY_ZONE, Timestamp, json_field, json_list, load_json, zone_name
+from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, Timestamp, json_field, json_list, load_json, zone_name
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))
@@ -78,8 +78,8 @@ class Scenario:
 
 def validate(s: Scenario):
     """Raise ValueError naming the first violated invariant."""
-    if s.capture_time < 0:
-        raise ValueError("capture_time must be >= 0")
+    if not 0 <= s.capture_time <= MAX_EPOCH:
+        raise ValueError(f"capture_time must be between 0 and {MAX_EPOCH}, got {s.capture_time}")
     zone_name(s.display_zone)
     for i, a in enumerate(s.app_sessions):
         if not a.package:

@@ -14,7 +14,7 @@ import pytest
 
 from watchtriage import acquisition, cli, correlate, dumpsys, policy, report, simulator
 from watchtriage.cli import main
-from watchtriage.evidence import SourceKind, canonical_json_bytes
+from watchtriage.evidence import MAX_EPOCH, SourceKind, canonical_json_bytes
 from tests.test_acquisition import GALAXY_WATCH5_TRANSCRIPTS
 from tests.test_policy import PHONE_MANIFEST, WATCH_MANIFEST
 
@@ -149,6 +149,21 @@ class TestCorrelate:
         assert status == 1
         doc = json.loads(capsys.readouterr().out)
         assert all(f["confidence"] != "corroborated" for f in doc["findings"])
+
+    def test_known_hosts_marker_line_does_not_corroborate(self, tmp_path, capsys):
+        # An administrator sets @revoked by hand; no connection ever writes it.
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        hosts = tmp_path / "hosts"
+        hosts.mkdir()
+        key = "AAAAC3NzaC1lZDI1NTE5AAAAIGtra2tra2tra2tra2tra2tra2tra2tra2tra2tra2tr"
+        (hosts / "known_hosts").write_text(f"@revoked 172.30.1.76 ssh-ed25519 {key}\n")
+        capsys.readouterr()
+        assert run(["correlate", "--bundle", str(bundle), "--host-artifacts", str(hosts)]) == 1
+        out, err = capsys.readouterr()
+        assert [(f["pattern"], f["confidence"]) for f in json.loads(out)["findings"]] == \
+            [("ftp_server_exfil", "consistent")]
+        assert f"{hosts / 'known_hosts'}: line 1: @revoked marker line records no connection; skipped" in err
 
     def test_missing_bundle_dir_is_usage_error(self, tmp_path, capsys):
         status = run(["correlate", "--bundle", str(tmp_path / "nope")])
@@ -430,6 +445,57 @@ class TestAcquire:
             run(["acquire", "--transcripts", str(tmp_path), "--out", str(out), "--clock-start", value])
         assert exc.value.code == 2
         assert f"--clock-start: invalid _clock_start value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+HUGE_EPOCH = 100000000000000000000
+
+
+class TestEpochRange:
+    """An epoch that some zone cannot render is refused where it is read,
+    never at render time, and never as a traceback."""
+
+    def test_scenario_capture_time_past_the_bound_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"capture_time": HUGE_EPOCH}))
+        out = tmp_path / "out"
+        assert run(["generate", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert f"capture_time must be between 0 and {MAX_EPOCH}, got {HUGE_EPOCH}" in err
+        assert not out.exists()
+
+    def test_jsonl_usage_event_past_the_bound_drops_its_line(self, tmp_path, capsys):
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        event = {"record": "event", "at": HUGE_EPOCH, "package": "com.x", "event_type": "ACTIVITY_RESUMED"}
+        (bundle / "raw" / "usagestats.txt").write_text(json.dumps(event) + "\n")
+        capsys.readouterr()
+        assert run(["parse", "--bundle", str(bundle)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["usagestats"]["events"] == []
+        assert [w for w in doc["warnings"] if f"line 1: epoch must be between 0 and {MAX_EPOCH}" in w]
+
+    @pytest.mark.parametrize("st", [HUGE_EPOCH, 253402300800])
+    def test_netstats_bucket_past_the_bound_drops_its_line(self, st, tmp_path, capsys):
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        netstats = bundle / "raw" / "netstats.txt"
+        lines = netstats.read_text().splitlines()
+        netstats.write_text("\n".join(lines + [f"st={st} rb=1 rp=1 tb=1 tp=1"]) + "\n")
+        capsys.readouterr()
+        assert run(["report", "--bundle", str(bundle), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        dropped = f"line {len(lines) + 1}: epoch must be between 0 and {MAX_EPOCH}, got {st}; dropped"
+        assert [w for w in doc["warnings"] if dropped in w]
+        assert [f["pattern"] for f in doc["findings"]] == ["ftp_server_exfil"]
+
+    def test_clock_start_past_the_bound_exits_2_before_any_step(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        with pytest.raises(SystemExit) as exc:
+            run(["acquire", "--transcripts", str(tmp_path), "--out", str(out), "--clock-start", str(HUGE_EPOCH)])
+        assert exc.value.code == 2
+        assert f"--clock-start: must be <= {MAX_EPOCH}, got {HUGE_EPOCH}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -803,7 +869,8 @@ class TestBenchmarkEntryPoints:
         finally:
             tracer.restore()
         times = tracer.self_times()
-        for name in ("report.render", "report.markdown", "report.digests", "correlate.timeline", "correlate.match"):
+        for name in ("report.render", "report.markdown", "report.digests", "correlate.timeline", "correlate.match",
+                     "correlate.corroborate", "host_artifacts.load"):
             assert times[name] > 0, name
         for name in ("report.timeline_rows", "correlate.sessions"):
             assert tracer.counts[name] > 0, name

@@ -23,9 +23,10 @@ from watchtriage.correlate import (
 )
 from watchtriage.dumpsys import NetworkStackLog, UsageReport
 from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, seal_bundle
-from watchtriage.report import render_report
+from watchtriage.report import attach_evidence_digests, render_report
 from watchtriage.simulator import finding_fingerprint
 from tests.conftest import run_pipeline
+from tests.test_report import bundle_for
 
 
 def empty_report(capture_epoch=1683809100):
@@ -441,6 +442,7 @@ class TestOracleEquivalence:
 
 
 RELATION_ZONES = ("Asia/Seoul", "Asia/Tokyo", "UTC", "America/New_York", "Australia/Lord_Howe")
+DISPLAY_ZONES = ("UTC", "Asia/Seoul", "America/New_York", "Australia/Lord_Howe")
 
 
 class TestMetamorphicRelations:
@@ -462,6 +464,32 @@ class TestMetamorphicRelations:
             for zone in RELATION_ZONES[1:]:
                 assert outcomes[zone] == outcomes["Asia/Seoul"], (seed, zone)
             graded += len(outcomes["Asia/Seoul"])
+        assert graded >= 20
+
+    def test_display_zone_changes_only_rendered_strings(self):
+        # Every epoch, digest, grade, flag and the row order stay the same.
+        def unrendered(doc):
+            data = json.loads(json.dumps(doc.data))
+            del data["display_zone"]
+            for row in data["timeline"]:
+                del row["time"]
+            for finding in data["findings"]:
+                del finding["session"]["app_start_rendered"]
+                for event in finding["session"]["app_events"]:
+                    del event["rendered"]
+            return data
+
+        graded = 0
+        scenarios = [make() for make in simulator.PRESETS.values()]
+        for scenario in scenarios + [simulator.random_scenario(seed) for seed in range(20)]:
+            result = run_pipeline(scenario)
+            bundle = bundle_for(scenario)
+            findings = attach_evidence_digests(result["findings"], bundle)
+            docs = {zone: render_report(findings, bundle, result["timeline"], zone) for zone in DISPLAY_ZONES}
+            for zone in DISPLAY_ZONES[1:]:
+                assert docs[zone].data["display_zone"] == zone
+                assert unrendered(docs[zone]) == unrendered(docs["UTC"]), (scenario, zone)
+            graded += len(findings)
         assert graded >= 20
 
     def test_irrelevant_app_in_hours_without_traffic(self):

@@ -318,7 +318,6 @@ class TestParseNetworkStack:
         text = 'time="2023-05-11 10:00:00" iface=wlan0 event=PROVISIONING ip=10.0.0.2\n'
         log, _ = parse_network_stack(text, KST)
         assert log.leases[0].event_kind == LeaseKind.OTHER
-        assert log.leases[0].raw_kind == "PROVISIONING"
 
     def test_empty_input_fatal(self):
         with pytest.raises(ValueError, match="dump text is empty"):
@@ -430,7 +429,7 @@ class TestFrontEndEquivalence:
         for dump in (text, jsonl):
             log, warnings = parse_network_stack(dump, KST)
             assert warnings == []
-            assert [(l.at.epoch, l.event_kind, l.raw_kind) for l in log.leases] == [(1683766800, kind, raw)]
+            assert [(l.at.epoch, l.event_kind) for l in log.leases] == [(1683766800, kind)]
 
 
 def test_round_trip_recovers_simulated_events_exactly():

@@ -1,11 +1,12 @@
 import random
 from datetime import datetime
-from zoneinfo import ZoneInfo
+from zoneinfo import ZoneInfo, available_timezones
 
 import pytest
 
 from watchtriage.evidence import (
     DEFAULT_DISPLAY_ZONE,
+    MAX_EPOCH,
     DeviceProfile,
     EvidenceItem,
     SourceKind,
@@ -34,6 +35,13 @@ class TestTimestamp:
     def test_rejects_negative_epoch(self):
         with pytest.raises(ValueError):
             Timestamp(-1)
+
+    def test_every_accepted_epoch_renders_in_every_zone(self):
+        # Late in 9999 UTC, zones east of UTC reach year 10000, which no datetime holds.
+        for zone in sorted(available_timezones()):
+            assert Timestamp(MAX_EPOCH).render(zone)[:4] in ("9998", "9999"), zone
+        with pytest.raises(ValueError, match=f"epoch must be between 0 and {MAX_EPOCH}, got {MAX_EPOCH + 1}"):
+            Timestamp(MAX_EPOCH + 1)
 
     def test_render_in_default_zone(self):
         # 2023-05-11 01:14:16 KST

@@ -3,7 +3,9 @@ import hashlib
 
 import pytest
 
+from tests.conftest import run_pipeline
 from watchtriage import simulator
+from watchtriage.correlate import Confidence, corroborate
 from watchtriage.host_artifacts import (
     TransferProtocol,
     hash_host_pattern,
@@ -43,7 +45,6 @@ class TestParseFilezilla:
         assert entries[0].host == "172.30.1.76"
         assert entries[0].port == 2221
         assert entries[0].protocol == TransferProtocol.FTP
-        assert entries[0].user == "watch"
         assert entries[1].protocol == TransferProtocol.SFTP
 
     def test_zero_server_elements(self):
@@ -67,7 +68,6 @@ class TestParseFilezilla:
         xml = "<F><Server><Host>1.2.3.4</Host><Port>21</Port><Protocol>9</Protocol></Server></F>"
         entries, _ = parse_filezilla(xml)
         assert entries[0].protocol == TransferProtocol.OTHER
-        assert entries[0].raw_protocol == "9"
 
     def test_out_of_range_port_skipped(self):
         xml = "<F><Server><Host>1.2.3.4</Host><Port>70000</Port></Server></F>"
@@ -100,10 +100,7 @@ class TestParseKnownHosts:
         entries, warnings = parse_known_hosts(text)
         assert warnings == []
         entry = entries[0]
-        assert entry.host == "192.162.35.52"
-        assert entry.port == 2222
-        assert entry.matches_ip("192.162.35.52")
-        assert not entry.matches_ip("192.168.35.52")
+        assert (entry.host_pattern, entry.host, entry.port) == ("[192.162.35.52]:2222", "192.162.35.52", 2222)
 
     @pytest.mark.parametrize("pattern", ["[192.162.35.52]:٢٢٢٢", "[192.162.35.52]:", "[192.162.35.52]"])
     def test_bracketed_pattern_without_an_ascii_port_skipped(self, pattern):
@@ -141,16 +138,17 @@ class TestParseKnownHosts:
         assert warnings
 
     def test_hashed_entry_never_matches_plaintext_query(self):
-        # generate with the hashing oracle, then assert non-match
+        # A hashed entry for the session's own IP has no plaintext host, so it
+        # does not corroborate; the same host written in plain text does.
         salt = hashlib.sha256(b"salt-seed").digest()[:20]
         pattern = hash_host_pattern("192.162.35.52", salt)
-        text = f"{pattern} ssh-ed25519 {_b64key()}\n"
-        entries, warnings = parse_known_hosts(text)
+        entries, warnings = parse_known_hosts(f"{pattern} ssh-ed25519 {_b64key()}\n")
         assert warnings == []
-        entry = entries[0]
-        assert entry.hashed
-        assert entry.host is None
-        assert not entry.matches_ip("192.162.35.52")
+        assert entries[0].host is None
+        plain, _ = parse_known_hosts(f"[192.162.35.52]:2222 ssh-ed25519 {_b64key()}\n")
+        sessions = run_pipeline(simulator.preset_sftp_server(), with_host=False)["sessions"]
+        assert [f.confidence for f in corroborate(sessions, (), entries)] == [Confidence.CONSISTENT]
+        assert [f.confidence for f in corroborate(sessions, (), plain)] == [Confidence.CORROBORATED]
 
     def test_hashed_resolver_helper_confirms_by_hmac(self):
         salt = hashlib.sha256(b"other-salt").digest()[:20]
@@ -159,10 +157,13 @@ class TestParseKnownHosts:
         assert hashed_entry_matches(entries[0], "172.30.1.76")
         assert not hashed_entry_matches(entries[0], "172.30.1.77")
 
-    def test_key_blob_digest_is_of_decoded_blob(self):
-        key = _b64key()
-        entries, _ = parse_known_hosts(f"10.0.0.7 ssh-ed25519 {key}\n")
-        assert entries[0].key_blob_digest == hashlib.sha256(base64.b64decode(key)).hexdigest()
+    @pytest.mark.parametrize("marker", ["@revoked", "@cert-authority"])
+    def test_marker_line_skipped_with_warning(self, marker):
+        # A marker is set by hand, never by a connection: it corroborates nothing.
+        text = f"{marker} 172.30.1.76 ssh-ed25519 {_b64key()}\n10.0.0.7 ssh-rsa {_b64key()}\n"
+        entries, warnings = parse_known_hosts(text)
+        assert [e.host for e in entries] == ["10.0.0.7"]
+        assert warnings == [f"line 1: {marker} marker line records no connection; skipped"]
 
     def test_round_trip_of_simulated_lines(self):
         scenario = simulator.preset_case_study()
