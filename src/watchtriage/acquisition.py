@@ -4,7 +4,9 @@ The watches expose ADB only over wireless debugging, so acquisition is a
 sequence of shell commands run through a CommandExecutor. The default plan
 collects the most reboot-fragile service first (network_stack), then the
 other dumps, then device properties. Raw stdout is stored byte-for-byte and
-hashed into the evidence bundle; nothing is transformed before hashing.
+hashed into the evidence bundle by `evidence.seal_bundle`; nothing is
+transformed before hashing. The bundle directory is written from, and read
+back into, that one `EvidenceBundle`.
 
 No step may require elevated privileges: plans containing `su` or paths
 under /data/data are rejected outright.
@@ -32,6 +34,7 @@ from .evidence import (
     EvidenceBundle,
     EvidenceItem,
     SourceKind,
+    StepFailure,
     Timestamp,
     canonical_json_bytes,
     json_field,
@@ -157,72 +160,13 @@ def load_plan(path: Path) -> AcquisitionPlan:
     return load_json(path, "plan steps", _plan_step, entry="plan step", key="steps", collect=AcquisitionPlan)
 
 
-@dataclass(frozen=True)
-class StepFailure:
-    label: str
-    detail: str
-
-
-@dataclass
-class AcquisitionResult:
-    """A sealed bundle with its raw payloads: built by seal_acquisition, written
-    by write_bundle_dir and read back by read_bundle_dir."""
-
-    bundle: EvidenceBundle
-    payloads: dict[str, bytes]  # item key -> raw stdout bytes
-    labels: dict[str, str]  # item key -> step label
-    failures: list[StepFailure]
-    display_zone: str
-
-
-def seal_acquisition(
-    captured: Sequence[tuple[str, SourceKind, bytes, int]],
-    origin_label: str,
-    display_zone: str,
-    failures: Sequence[StepFailure] = (),
-) -> AcquisitionResult:
-    """Hash labelled payloads into a sealed bundle; the one way bundles are built.
-
-    `captured` holds one (step label, source kind, raw bytes, collection
-    epoch) per payload, in manifest order. The device profile is taken from
-    the getprop payloads.
-    """
-    items: list[EvidenceItem] = []
-    payloads: dict[str, bytes] = {}
-    labels: dict[str, str] = {}
-    prop_values: dict[str, str] = {}
-    for label, source_kind, raw, at in captured:
-        item = EvidenceItem.from_bytes(source_kind, raw, Timestamp(at), origin_label)
-        items.append(item)
-        payloads[item.key()] = raw
-        labels[item.key()] = label
-        if source_kind == SourceKind.GETPROP:
-            prop_values[label] = raw.decode(errors="replace").strip()
-
-    # A live-acquisition profile must carry the CPU ABI; without it the
-    # policy audit cannot trust the profile, so none is recorded.
-    device = None
-    if prop_values.get("cpu_abi"):
-        device = DeviceProfile(
-            model_number=prop_values.get("model", ""),
-            android_version=prop_values.get("android_version", ""),
-            cpu_abi=prop_values["cpu_abi"],
-            adb_host_name=prop_values.get("host_name", ""),
-        )
-
-    if not items:
-        raise ValueError("every acquisition step failed; nothing to seal")
-    bundle = seal_bundle(items, device, payloads=payloads)
-    return AcquisitionResult(bundle, payloads, labels, list(failures), display_zone)
-
-
 def run_acquisition(
     executor: CommandExecutor,
     plan: Optional[AcquisitionPlan] = None,
     clock: Optional[Clock] = None,
     origin_label: str = "watch",
     display_zone: str = DEFAULT_DISPLAY_ZONE,
-) -> AcquisitionResult:
+) -> EvidenceBundle:
     """Run every plan step, hashing raw stdout into an evidence bundle.
 
     A per-step failure (nonzero exit, missing transcript) is recorded and the
@@ -256,7 +200,7 @@ def run_acquisition(
             continue
         captured.append((step.label, step.source_kind, stdout, at))
 
-    return seal_acquisition(captured, origin_label, display_zone, failures)
+    return seal_bundle(captured, origin_label, display_zone, failures)
 
 
 class SteppingClock:
@@ -288,26 +232,26 @@ def _inside(bundle_dir: Path, rel) -> Path:
     raise ValueError(f"file path {rel!r} is not a relative path inside the bundle directory")
 
 
-def write_bundle_dir(result: AcquisitionResult, out_dir: Path) -> Path:
+def write_bundle_dir(bundle: EvidenceBundle, out_dir: Path) -> Path:
     out_dir = Path(out_dir)
-    files = {key: f"raw/{result.labels[key]}.txt" for key in result.payloads}
+    files = {key: f"raw/{bundle.labels[key]}.txt" for key in bundle.payloads}
     paths = {key: _inside(out_dir, rel) for key, rel in files.items()}
     (out_dir / "raw").mkdir(parents=True, exist_ok=True)
-    for key, raw in result.payloads.items():
+    for key, raw in bundle.payloads.items():
         paths[key].write_bytes(raw)
     doc = {
-        "manifest": result.bundle.manifest_document(),
-        "bundle_manifest_digest": result.bundle.bundle_manifest_digest,
+        "manifest": bundle.manifest_document(),
+        "bundle_manifest_digest": bundle.bundle_manifest_digest,
         "hash_algorithm": DEFAULT_HASH,
         "files": files,
-        "failures": [asdict(f) for f in result.failures],
-        "display_zone": result.display_zone,
+        "failures": [asdict(f) for f in bundle.failures],
+        "display_zone": bundle.display_zone,
     }
     (out_dir / "manifest.json").write_bytes(canonical_json_bytes(doc) + b"\n")
     return out_dir
 
 
-def read_bundle_dir(path: Path) -> AcquisitionResult:
+def read_bundle_dir(path: Path) -> EvidenceBundle:
     """Load a bundle directory as written by write_bundle_dir.
 
     Payloads are read from the file map; an item whose file is absent has
@@ -322,7 +266,7 @@ def read_bundle_dir(path: Path) -> AcquisitionResult:
     return load_json(manifest_path, "manifest", partial(_bundle_from_manifest, path))
 
 
-def _bundle_from_manifest(path: Path, doc: dict) -> AcquisitionResult:
+def _bundle_from_manifest(path: Path, doc: dict) -> EvidenceBundle:
     manifest = doc["manifest"]
     items = tuple(
         EvidenceItem(
@@ -337,8 +281,8 @@ def _bundle_from_manifest(path: Path, doc: dict) -> AcquisitionResult:
     for copy in (manifest, doc):  # the sealed copy and the top-level one
         if (value := copy.get("hash_algorithm", DEFAULT_HASH)) != DEFAULT_HASH:
             raise ValueError(f"hash_algorithm {value!r}: unsupported hash type {value}")
-    bundle = EvidenceBundle(items, device, doc["bundle_manifest_digest"])
-    failures = [StepFailure(**f) for f in json_list(doc, "failures", dict)]
+    digest = doc["bundle_manifest_digest"]
+    failures = tuple(StepFailure(**f) for f in json_list(doc, "failures", dict))
     zone = zone_name(doc.get("display_zone", DEFAULT_DISPLAY_ZONE))
     payloads = {}
     labels = {}
@@ -347,4 +291,4 @@ def _bundle_from_manifest(path: Path, doc: dict) -> AcquisitionResult:
         if file_path.is_file():
             payloads[key] = file_path.read_bytes()
         labels[key] = Path(rel).stem
-    return AcquisitionResult(bundle, payloads, labels, failures, zone)
+    return EvidenceBundle(items, device, digest, payloads, labels, failures, zone)

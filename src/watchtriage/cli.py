@@ -32,7 +32,8 @@ from pathlib import Path
 
 from . import acquisition
 from .evidence import (
-    DEFAULT_DISPLAY_ZONE, MAX_EPOCH, DeviceProfile, SourceKind, document_text, verify_bundle, zone_name,
+    DEFAULT_DISPLAY_ZONE, MAX_EPOCH, DeviceProfile, EvidenceBundle, SourceKind, document_text, seal_bundle,
+    verify_bundle, zone_name,
 )
 from .host_artifacts import HostArtifacts, load_host_artifacts, locate_host_artifacts
 
@@ -63,10 +64,10 @@ def _write_output(text: str, out: str | None):
     buffer.flush()
 
 
-def _load_bundle_or_fail(path_str: str) -> acquisition.AcquisitionResult:
+def _load_bundle_or_fail(path_str: str) -> EvidenceBundle:
     """The bundle with every item's raw file present; `verify` alone reads an incomplete one."""
     loaded = acquisition.read_bundle_dir(Path(path_str))
-    missing = [key for key in (i.key() for i in loaded.bundle.items) if key not in loaded.payloads]
+    missing = [key for key in (i.key() for i in loaded.items) if key not in loaded.payloads]
     if missing:
         raise FileNotFoundError("bundle raw files missing for items: " + ", ".join(missing))
     return loaded
@@ -86,7 +87,7 @@ def _correlate_bundle(loaded, args):
         warnings.extend(artifacts.warnings)
 
     findings = correlate.corroborate(sessions, artifacts.ftp_entries, artifacts.known_host_entries, rules)
-    findings = report.attach_evidence_digests(findings, loaded.bundle, artifacts.items)
+    findings = report.attach_evidence_digests(findings, loaded, artifacts.items)
     return findings, timeline, warnings
 
 
@@ -106,6 +107,10 @@ def _unused_out(out: str) -> Path:
 def cmd_acquire(args) -> int:
     out = _unused_out(args.out)
     plan = acquisition.load_plan(Path(args.plan)) if args.plan else acquisition.default_plan()
+    steps = len(plan.steps)
+    if args.clock_start is not None and args.clock_start + steps - 1 > MAX_EPOCH:
+        return _fail(f"--clock-start: must be <= {MAX_EPOCH - steps + 1} for {steps} plan steps stamped "
+                     f"one second apart, got {args.clock_start}")
     if args.transcripts:
         root = Path(args.transcripts)
         if not root.is_dir():
@@ -119,15 +124,15 @@ def cmd_acquire(args) -> int:
     else:
         executor = acquisition.AdbShellExecutor(serial=args.serial, adb_path=args.adb_path)
     clock = acquisition.SteppingClock(args.clock_start) if args.clock_start is not None else None
-    result = acquisition.run_acquisition(
+    bundle = acquisition.run_acquisition(
         executor, plan, clock, origin_label=args.origin, display_zone=args.display_zone
     )
-    acquisition.write_bundle_dir(result, out)
-    print(f"bundle sealed: {result.bundle.bundle_manifest_digest}")
-    print(f"items: {len(result.bundle.items)}, failures: {len(result.failures)}")
-    for failure in result.failures:
+    acquisition.write_bundle_dir(bundle, out)
+    print(f"bundle sealed: {bundle.bundle_manifest_digest}")
+    print(f"items: {len(bundle.items)}, failures: {len(bundle.failures)}")
+    for failure in bundle.failures:
         print(f"  step failed: {failure.label}: {failure.detail}", file=sys.stderr)
-    return EXIT_DETECTIONS if result.failures else EXIT_OK
+    return EXIT_DETECTIONS if bundle.failures else EXIT_OK
 
 
 def cmd_parse(args) -> int:
@@ -135,7 +140,7 @@ def cmd_parse(args) -> int:
 
     loaded = _load_bundle_or_fail(args.bundle)
     timeline, warnings = correlate.read_timeline(loaded)
-    doc = correlate.parse_document(timeline, loaded.bundle.bundle_manifest_digest, loaded.display_zone, warnings)
+    doc = correlate.parse_document(timeline, loaded.bundle_manifest_digest, loaded.display_zone, warnings)
     _write_output(document_text(doc), args.out)
     return EXIT_OK
 
@@ -146,7 +151,7 @@ def cmd_correlate(args) -> int:
     loaded = _load_bundle_or_fail(args.bundle)
     findings, timeline, warnings = _correlate_bundle(loaded, args)
     doc = correlate.findings_document(
-        findings, loaded.bundle.bundle_manifest_digest, timeline.bucket_duration, loaded.display_zone, warnings
+        findings, loaded.bundle_manifest_digest, timeline.bucket_duration, loaded.display_zone, warnings
     )
     _write_output(document_text(doc), args.out)
     for w in warnings:
@@ -160,8 +165,8 @@ def cmd_audit(args) -> int:
     device_abi = args.device_abi
     if args.bundle and not device_abi:
         loaded = _load_bundle_or_fail(args.bundle)
-        if loaded.bundle.device:
-            device_abi = loaded.bundle.device.cpu_abi
+        if loaded.device:
+            device_abi = loaded.device.cpu_abi
     manifests, failures = policy.load_inventory(Path(args.manifests))
     verdicts = policy.audit_inventory(manifests, DeviceProfile(cpu_abi=device_abi or ""))
     verdicts = sorted(verdicts + failures, key=lambda v: (v.severity, v.package))
@@ -190,8 +195,8 @@ def cmd_generate(args) -> int:
     dumps = simulator.render_dumps(scenario, args.bucket_seconds)
     kinds = (SourceKind.USAGESTATS, SourceKind.NETSTATS, SourceKind.NETWORK_STACK)
     captured = [(kind.value, kind, text.encode(), scenario.capture_time) for kind, text in zip(kinds, dumps)]
-    result = acquisition.seal_acquisition(captured, "synthetic", scenario.display_zone)
-    acquisition.write_bundle_dir(result, out)
+    bundle = seal_bundle(captured, "synthetic", scenario.display_zone)
+    acquisition.write_bundle_dir(bundle, out)
     (out / "scenario.json").write_text(document_text(simulator.scenario_to_dict(scenario)), encoding="utf-8")
     if scenario.host_side:
         host_dir = out / "host_artifacts"
@@ -200,7 +205,7 @@ def cmd_generate(args) -> int:
         (host_dir / "recentservers.xml").write_text(filezilla_xml, encoding="utf-8")
         if known_hosts:
             (host_dir / "known_hosts").write_text(known_hosts, encoding="utf-8")
-    print(f"synthetic bundle written to {out} (digest {result.bundle.bundle_manifest_digest})")
+    print(f"synthetic bundle written to {out} (digest {bundle.bundle_manifest_digest})")
     return EXIT_OK
 
 
@@ -209,7 +214,7 @@ def cmd_report(args) -> int:
 
     loaded = _load_bundle_or_fail(args.bundle)
     findings, timeline, warnings = _correlate_bundle(loaded, args)
-    doc = report.render_report(findings, loaded.bundle, timeline, args.display_zone, warnings)
+    doc = report.render_report(findings, loaded, timeline, args.display_zone, warnings)
     if args.format == "json":
         _write_output(document_text(doc.data), args.out)
     else:
@@ -219,7 +224,7 @@ def cmd_report(args) -> int:
 
 def cmd_verify(args) -> int:
     loaded = acquisition.read_bundle_dir(Path(args.bundle))
-    result = verify_bundle(loaded.bundle, loaded.payloads)
+    result = verify_bundle(loaded, loaded.payloads)
     for item_result in result.results:
         print(f"{item_result.status.upper():8} {item_result.item_key}"
               + (f"  ({item_result.detail})" if item_result.detail else ""))

@@ -159,7 +159,7 @@ def build_timeline(
 def _dump(loaded, kind: SourceKind):
     """The loaded bundle's first `kind` item and its dump text, decoded as
     UTF-8 with bad bytes replaced; FileNotFoundError when there is none."""
-    for item in loaded.bundle.items:
+    for item in loaded.items:
         if item.source_kind == kind and item.key() in loaded.payloads:
             return item, loaded.payloads[item.key()].decode("utf-8", errors="replace")
     raise FileNotFoundError(f"bundle has no {kind.value} item")

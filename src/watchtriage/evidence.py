@@ -2,7 +2,10 @@
 
 Timestamps are stored as UTC epoch seconds everywhere; the IANA zone a
 wall-clock string is read or rendered in is always passed in by the caller.
-Evidence payloads are hashed at collection time and the bundle manifest is
+Evidence payloads are hashed once, when `seal_bundle` builds the one
+bundle type, `EvidenceBundle`: the manifest (items, device profile) and its
+digest together with the raw payloads, step labels, failures and zone that
+`acquisition` writes to a bundle directory and reads back. The manifest is
 a canonical JSON document so its digest is reproducible byte-for-byte.
 """
 
@@ -271,10 +274,23 @@ class EvidenceItem:
 
 
 @dataclass(frozen=True)
+class StepFailure:
+    label: str
+    detail: str
+
+
+@dataclass(frozen=True)
 class EvidenceBundle:
+    """A sealed bundle with its raw payloads: built by seal_bundle, written
+    by `acquisition.write_bundle_dir` and read back by `read_bundle_dir`."""
+
     items: tuple[EvidenceItem, ...]
     device: Optional[DeviceProfile]
     bundle_manifest_digest: str
+    payloads: dict[str, bytes]  # item key -> raw bytes
+    labels: dict[str, str]  # item key -> step label
+    failures: tuple[StepFailure, ...]
+    display_zone: str
 
     def manifest_document(self) -> dict:
         return {
@@ -289,32 +305,53 @@ class EvidenceBundle:
 
 
 def seal_bundle(
-    items: Sequence[EvidenceItem],
-    device: Optional[DeviceProfile] = None,
-    *,
-    payloads: Mapping[str, bytes],
+    captured: Sequence[tuple[str, SourceKind, bytes, int]],
+    origin_label: str,
+    display_zone: str,
+    failures: Sequence[StepFailure] = (),
 ) -> EvidenceBundle:
-    """Seal items into a bundle with a deterministic manifest digest.
+    """Hash labelled payloads into a sealed bundle; the one way bundles are built.
 
-    Every item's digest is first recomputed from its stored bytes in
-    `payloads` (item key -> raw bytes); a mismatch or a missing payload
-    aborts the seal. Sealing is order-sensitive: permuting items changes the
-    manifest digest.
+    `captured` holds one (step label, source kind, raw bytes, collection
+    epoch) per payload, in manifest order, and each payload is hashed once
+    here. Sealing is order-sensitive: permuting payloads changes the
+    manifest digest. The device profile is taken from the getprop payloads.
+    A repeated item key is refused, and so is a repeated step label, since
+    each payload is written to its own `raw/<label>.txt`.
     """
-    if not items:
-        raise ValueError("cannot seal an empty bundle")
-    seen = set()
-    for item in items:
-        if item.key() in seen:
+    if not captured:
+        raise ValueError("every acquisition step failed; nothing to seal")
+    items: list[EvidenceItem] = []
+    payloads: dict[str, bytes] = {}
+    labels: dict[str, str] = {}
+    prop_values: dict[str, str] = {}
+    for label, source_kind, raw, at in captured:
+        item = EvidenceItem.from_bytes(source_kind, raw, Timestamp(at), origin_label)
+        key = item.key()
+        if key in payloads:
             raise ValueError(
-                f"duplicate evidence item {item.key()}: source_kind must be unique "
+                f"duplicate evidence item {key}: source_kind must be unique "
                 "per origin_label at a given collected_at"
             )
-        seen.add(item.key())
-    bundle = EvidenceBundle(tuple(items), device, "")
-    for result in verify_bundle(bundle, payloads).results:
-        if result.status != "pass":
-            raise ValueError(f"digest check {result.status} for item {result.item_key}: {result.detail}")
+        if label in labels.values():
+            raise ValueError(f"duplicate step label {label!r}: each payload needs its own raw/<label>.txt")
+        items.append(item)
+        payloads[key] = raw
+        labels[key] = label
+        if source_kind == SourceKind.GETPROP:
+            prop_values[label] = raw.decode(errors="replace").strip()
+
+    # A live-acquisition profile must carry the CPU ABI; without it the
+    # policy audit cannot trust the profile, so none is recorded.
+    device = None
+    if prop_values.get("cpu_abi"):
+        device = DeviceProfile(
+            model_number=prop_values.get("model", ""),
+            android_version=prop_values.get("android_version", ""),
+            cpu_abi=prop_values["cpu_abi"],
+            adb_host_name=prop_values.get("host_name", ""),
+        )
+    bundle = EvidenceBundle(tuple(items), device, "", payloads, labels, tuple(failures), display_zone)
     return replace(bundle, bundle_manifest_digest=bundle.manifest_digest())
 
 

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from watchtriage import simulator
 from watchtriage.correlate import AmbiguityFlag, Confidence, FindingPattern
 from watchtriage.dumpsys import parse_netstats, parse_network_stack, parse_usagestats
-from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, seal_bundle, verify_bundle
+from watchtriage.evidence import SourceKind, Timestamp, seal_bundle, verify_bundle
 from watchtriage.policy import WATCH_FEATURE, ManifestInfo, VerdictKind, check_abi, combine_verdict, parse_manifest
 from watchtriage.simulator import finding_fingerprint
 from tests.conftest import run_pipeline
@@ -229,14 +229,9 @@ def test_criterion_9_evidence_integrity():
         scenario = simulator.preset_case_study()
         texts = simulator.render_dumps(scenario)
         kinds = (SourceKind.USAGESTATS, SourceKind.NETSTATS, SourceKind.NETWORK_STACK)
-        items, payloads = [], {}
-        for kind, text in zip(kinds, texts):
-            item = EvidenceItem.from_bytes(
-                kind, text.encode(), Timestamp(scenario.capture_time), "synthetic"
-            )
-            items.append(item)
-            payloads[item.key()] = text.encode()
-        bundle = seal_bundle(items, payloads=payloads)
+        captured = [(kind.value, kind, text.encode(), scenario.capture_time) for kind, text in zip(kinds, texts)]
+        bundle = seal_bundle(captured, "synthetic", scenario.display_zone)
+        payloads = bundle.payloads
         assert verify_bundle(bundle, payloads).overall_pass
 
         for item in bundle.items:

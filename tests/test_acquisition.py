@@ -13,11 +13,10 @@ from watchtriage.acquisition import (
     load_plan,
     read_bundle_dir,
     run_acquisition,
-    seal_acquisition,
     write_bundle_dir,
 )
 from watchtriage.cli import main
-from watchtriage.evidence import SourceKind, document_text, verify_bundle
+from watchtriage.evidence import SourceKind, document_text, seal_bundle, verify_bundle
 
 # Transcript in the shape a Galaxy Watch 5 returns (Android 11, 32-bit ARM).
 GALAXY_WATCH5_TRANSCRIPTS = {
@@ -87,29 +86,29 @@ class TestRunAcquisition:
     def test_device_profile_from_getprop(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
         result = run_acquisition(executor, clock=SteppingClock(1683766560))
-        assert result.bundle.device.android_version == "11"
-        assert result.bundle.device.cpu_abi == "armeabi-v7a"
-        assert result.bundle.device.model_number == "SM-R910"
-        assert result.bundle.device.adb_host_name == "heartbl"
+        assert result.device.android_version == "11"
+        assert result.device.cpu_abi == "armeabi-v7a"
+        assert result.device.model_number == "SM-R910"
+        assert result.device.adb_host_name == "heartbl"
 
     def test_raw_bytes_stored_verbatim(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
         result = run_acquisition(executor, clock=SteppingClock(1683766560))
         by_label = {result.labels[k]: result.payloads[k] for k in result.payloads}
         assert by_label["netstats"] == GALAXY_WATCH5_TRANSCRIPTS["dumpsys netstats"]
-        assert verify_bundle(result.bundle, result.payloads).overall_pass
+        assert verify_bundle(result, result.payloads).overall_pass
 
     def test_single_step_failure_recorded_without_aborting(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["dumpsys netstats"])
         result = run_acquisition(executor, clock=SteppingClock(1683766560))
         assert len(result.failures) == 1
         assert result.failures[0].label == "netstats"
-        assert len(result.bundle.items) == len(default_plan().steps) - 1
+        assert len(result.items) == len(default_plan().steps) - 1
 
     def test_no_profile_without_cpu_abi(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["getprop ro.product.cpu.abi"])
         result = run_acquisition(executor, clock=SteppingClock(1683766560))
-        assert result.bundle.device is None
+        assert result.device is None
         assert any(f.label == "cpu_abi" for f in result.failures)
 
     def test_unreachable_executor_aborts_before_any_step(self):
@@ -123,13 +122,13 @@ class TestRunAcquisition:
         for _ in range(2):
             executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
             result = run_acquisition(executor, clock=SteppingClock(1683766560))
-            digests.append(result.bundle.bundle_manifest_digest)
+            digests.append(result.bundle_manifest_digest)
         assert digests[0] == digests[1]
 
     def test_constant_clock_still_yields_unique_item_times(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
         result = run_acquisition(executor, clock=lambda: 1683766560)
-        times = [i.collected_at.epoch for i in result.bundle.items]
+        times = [i.collected_at.epoch for i in result.items]
         assert len(times) == len(set(times))
 
     def test_volatility_order_of_executed_commands(self):
@@ -152,8 +151,8 @@ class TestBundleDir:
         assert result.failures
         out = write_bundle_dir(result, tmp_path / "bundle")
         loaded = read_bundle_dir(out)
-        assert loaded == result  # bundle, payloads, labels, failures and zone
-        assert verify_bundle(loaded.bundle, loaded.payloads).overall_pass
+        assert loaded == result  # manifest, payloads, labels, failures and zone
+        assert verify_bundle(loaded, loaded.payloads).overall_pass
 
         # Writing back what was read reproduces the manifest and every raw file.
         generated = tmp_path / "generated"
@@ -171,13 +170,20 @@ class TestBundleDir:
 
     @pytest.mark.parametrize("label", ["../../escaped", "../../bundle2/escaped"])
     def test_label_escaping_the_bundle_is_rejected(self, tmp_path, label):
-        # A plan refuses such a label; the writer checks it again for results sealed without one.
+        # A plan refuses such a label; the writer checks it again for bundles sealed without one.
         raw = GALAXY_WATCH5_TRANSCRIPTS["dumpsys netstats"]
-        result = seal_acquisition([(label, SourceKind.NETSTATS, raw, 1683766560)], "watch", "Asia/Seoul")
+        result = seal_bundle([(label, SourceKind.NETSTATS, raw, 1683766560)], "watch", "Asia/Seoul")
         out = tmp_path / "a" / "bundle"
         with pytest.raises(ValueError, match="not a relative path inside the bundle directory"):
             write_bundle_dir(result, out)
         assert list(tmp_path.rglob("*")) == []  # nothing written, inside or out
+
+    def test_repeated_step_label_is_refused_before_anything_is_written(self, tmp_path):
+        # Both payloads would go to raw/x.txt, the second over the first.
+        captured = [("x", SourceKind.NETSTATS, b"aaa", 1683766560), ("x", SourceKind.USAGESTATS, b"bbb", 1683766560)]
+        with pytest.raises(ValueError, match="duplicate step label 'x'"):
+            write_bundle_dir(seal_bundle(captured, "watch", "Asia/Seoul"), tmp_path / "bundle")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rel", ["/etc/hostname", "../outside.txt", "raw/../../outside.txt", None])
     def test_file_entry_outside_the_bundle_is_rejected(self, tmp_path, rel):

@@ -14,7 +14,7 @@ import pytest
 
 from watchtriage import acquisition, cli, correlate, dumpsys, policy, report, simulator
 from watchtriage.cli import main
-from watchtriage.evidence import MAX_EPOCH, SourceKind, canonical_json_bytes
+from watchtriage.evidence import MAX_EPOCH, SourceKind, canonical_json_bytes, seal_bundle
 from tests.test_acquisition import GALAXY_WATCH5_TRANSCRIPTS
 from tests.test_policy import PHONE_MANIFEST, WATCH_MANIFEST
 
@@ -448,6 +448,15 @@ class TestAcquire:
         assert not out.exists()
 
 
+    def test_every_step_failing_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()  # no transcript for any step
+        out = tmp_path / "bundle"
+        assert run(["acquire", "--transcripts", str(transcripts), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: every acquisition step failed; nothing to seal\n"
+        assert not out.exists()
+
+
 HUGE_EPOCH = 100000000000000000000
 
 
@@ -489,6 +498,29 @@ class TestEpochRange:
         dropped = f"line {len(lines) + 1}: epoch must be between 0 and {MAX_EPOCH}, got {st}; dropped"
         assert [w for w in doc["warnings"] if dropped in w]
         assert [f["pattern"] for f in doc["findings"]] == ["ftp_server_exfil"]
+
+    @pytest.mark.parametrize("start, status", [(253370764793, 0), (253370764794, 2)])
+    def test_clock_start_leaves_room_for_every_plan_step(self, start, status, tmp_path, monkeypatch, capsys):
+        # The default plan's 7 steps are stamped start .. start + 6, which must not pass MAX_EPOCH.
+        executed = []
+        execute = acquisition.FakeExecutor.execute
+        monkeypatch.setattr(acquisition.FakeExecutor, "execute",
+                            lambda self, command: executed.append(command) or execute(self, command))
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()
+        for command, payload in GALAXY_WATCH5_TRANSCRIPTS.items():
+            (transcripts / f"{slug(command)}.txt").write_bytes(payload)
+        out = tmp_path / "bundle"
+        argv = ["acquire", "--transcripts", str(transcripts), "--out", str(out), "--clock-start", str(start)]
+        assert run(argv) == status
+        if status == 0:
+            items = json.loads((out / "manifest.json").read_text())["manifest"]["items"]
+            assert [item["collected_at"] for item in items] == list(range(start, MAX_EPOCH + 1))
+            return
+        assert capsys.readouterr().err == (
+            f"error: --clock-start: must be <= 253370764793 for 7 plan steps stamped one second apart, got {start}\n"
+        )
+        assert executed == [] and not out.exists()
 
     def test_clock_start_past_the_bound_exits_2_before_any_step(self, tmp_path, capsys):
         out = tmp_path / "bundle"
@@ -664,7 +696,7 @@ class TestUsageErrors:
         captured = [(kind, SourceKind(kind), dumps[kind].encode(), scenario.capture_time)
                     for kind in kept]
         bundle = tmp_path / "bundle"
-        acquisition.write_bundle_dir(acquisition.seal_acquisition(captured, "watch", scenario.display_zone), bundle)
+        acquisition.write_bundle_dir(seal_bundle(captured, "watch", scenario.display_zone), bundle)
         for command in ("parse", "correlate", "report"):
             assert run([command, "--bundle", str(bundle)]) == 2
             assert capsys.readouterr().err == f"error: bundle has no {named} item\n"

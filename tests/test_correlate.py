@@ -22,7 +22,7 @@ from watchtriage.correlate import (
     DirectionSummary,
 )
 from watchtriage.dumpsys import NetworkStackLog, UsageReport
-from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, seal_bundle
+from watchtriage.evidence import SourceKind, Timestamp, seal_bundle
 from watchtriage.report import attach_evidence_digests, render_report
 from watchtriage.simulator import finding_fingerprint
 from tests.conftest import run_pipeline
@@ -35,8 +35,8 @@ def empty_report(capture_epoch=1683809100):
 
 def report_timeline(timeline, zone="UTC"):
     """The timeline rows of the report rendered from `timeline`; findings do not enter them."""
-    item = EvidenceItem.from_bytes(SourceKind.NETSTATS, b"", Timestamp(0), "test")
-    return render_report([], seal_bundle([item], payloads={item.key(): b""}), timeline, zone).data["timeline"]
+    bundle = seal_bundle([("netstats", SourceKind.NETSTATS, b"", 0)], "test", zone)
+    return render_report([], bundle, timeline, zone).data["timeline"]
 
 
 class TestBuildTimeline:

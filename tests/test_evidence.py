@@ -8,7 +8,6 @@ from watchtriage.evidence import (
     DEFAULT_DISPLAY_ZONE,
     MAX_EPOCH,
     DeviceProfile,
-    EvidenceItem,
     SourceKind,
     Timestamp,
     canonical_json_bytes,
@@ -93,8 +92,11 @@ class TestTimestamp:
         assert Timestamp.parse(second.wall(zone), zone) == first
 
 
-def _item(kind, raw, epoch=1683766560, origin="watch"):
-    return EvidenceItem.from_bytes(kind, raw, Timestamp(epoch), origin)
+def _seal(*payloads, epoch=1683766560):
+    """The bundle sealed from (source kind, raw bytes) pairs, each labelled by its kind's value
+    unless a third element names the label."""
+    captured = [(label[0] if label else kind.value, kind, raw, epoch) for kind, raw, *label in payloads]
+    return seal_bundle(captured, "watch", DEFAULT_DISPLAY_ZONE)
 
 
 class TestTimeBucket:
@@ -106,81 +108,45 @@ class TestTimeBucket:
 
 class TestSealBundle:
     def test_single_item_deterministic(self):
-        raw = b"DUMP OF SERVICE usagestats:\n"
-        item = _item(SourceKind.USAGESTATS, raw)
-        bundle = seal_bundle([item], payloads={item.key(): raw})
+        bundle = _seal((SourceKind.USAGESTATS, b"DUMP OF SERVICE usagestats:\n"))
         assert len(bundle.items) == 1
         recomputed = compute_digest(canonical_json_bytes(bundle.manifest_document()))
         assert recomputed == bundle.bundle_manifest_digest
 
-    def test_same_items_same_digest(self):
-        raw = b"payload"
-        item = _item(SourceKind.NETSTATS, raw)
-        b1 = seal_bundle([item], payloads={item.key(): raw})
-        b2 = seal_bundle([item], payloads={item.key(): raw})
+    def test_same_payloads_same_digest(self):
+        b1 = _seal((SourceKind.NETSTATS, b"payload"))
+        b2 = _seal((SourceKind.NETSTATS, b"payload"))
         assert b1.bundle_manifest_digest == b2.bundle_manifest_digest
 
-    def test_altered_payload_rejected(self):
-        raw = b"st=1683547200 rb=100 rp=1 tb=0 tp=0\n"
-        item = _item(SourceKind.NETSTATS, raw)
-        tampered = bytearray(raw)
-        tampered[5] ^= 0x01
-        with pytest.raises(ValueError, match="digest check fail") as exc:
-            seal_bundle([item], payloads={item.key(): bytes(tampered)})
-        assert item.key() in str(exc.value)
-
-    def test_missing_payload_rejected(self):
-        item = _item(SourceKind.NETSTATS, b"traffic")
-        with pytest.raises(ValueError, match="digest check missing") as exc:
-            seal_bundle([item], payloads={})
-        assert item.key() in str(exc.value)
-
-    def test_payloads_are_required(self):
-        item = _item(SourceKind.NETSTATS, b"traffic")
-        with pytest.raises(TypeError, match="payloads"):
-            seal_bundle([item])
-        with pytest.raises(TypeError):
-            seal_bundle([item], None, {item.key(): b"traffic"})  # keyword-only
-
     def test_empty_bundle_rejected(self):
-        with pytest.raises(ValueError, match="cannot seal an empty bundle"):
-            seal_bundle([], payloads={})
+        with pytest.raises(ValueError, match="every acquisition step failed; nothing to seal"):
+            _seal()
 
     def test_duplicate_kind_origin_time_rejected(self):
-        a = _item(SourceKind.GETPROP, b"11\n")
-        b = _item(SourceKind.GETPROP, b"armeabi-v7a\n")
         with pytest.raises(ValueError, match="duplicate evidence item"):
-            seal_bundle([a, b], payloads={a.key(): b"11\n"})
+            _seal((SourceKind.GETPROP, b"11\n", "android_version"), (SourceKind.GETPROP, b"armeabi-v7a\n", "cpu_abi"))
 
     def test_permuting_items_changes_digest(self):
-        a = _item(SourceKind.USAGESTATS, b"a")
-        b = _item(SourceKind.NETSTATS, b"b")
-        payloads = {a.key(): b"a", b.key(): b"b"}
-        d1 = seal_bundle([a, b], payloads=payloads).bundle_manifest_digest
-        d2 = seal_bundle([b, a], payloads=payloads).bundle_manifest_digest
-        assert d1 != d2
+        a, b = (SourceKind.USAGESTATS, b"a"), (SourceKind.NETSTATS, b"b")
+        assert _seal(a, b).bundle_manifest_digest != _seal(b, a).bundle_manifest_digest
 
     def test_device_profile_included_in_manifest(self):
-        item = _item(SourceKind.USAGESTATS, b"x")
-        device = DeviceProfile("SM-R910", "11", "3.5", "armeabi-v7a", "heartbl")
-        b1 = seal_bundle([item], device, payloads={item.key(): b"x"})
-        b2 = seal_bundle([item], None, payloads={item.key(): b"x"})
+        # Labels are not in the manifest: the same items, with and without a profile.
+        b1 = _seal((SourceKind.GETPROP, b"armeabi-v7a\n", "cpu_abi"))
+        b2 = _seal((SourceKind.GETPROP, b"armeabi-v7a\n", "abi"))
+        assert b1.items == b2.items
+        assert (b1.device, b2.device) == (DeviceProfile(cpu_abi="armeabi-v7a"), None)
         assert b1.bundle_manifest_digest != b2.bundle_manifest_digest
 
 
 class TestVerifyBundle:
     def _bundle(self):
-        payloads = {}
-        items = []
-        for kind, raw in (
+        bundle = _seal(
             (SourceKind.NETWORK_STACK, b"lease log"),
             (SourceKind.NETSTATS, b"traffic"),
             (SourceKind.USAGESTATS, b"events"),
-        ):
-            item = _item(kind, raw)
-            items.append(item)
-            payloads[item.key()] = raw
-        return seal_bundle(items, payloads=payloads), payloads
+        )
+        return bundle, dict(bundle.payloads)
 
     def test_untampered_passes(self):
         bundle, payloads = self._bundle()
@@ -220,13 +186,9 @@ def test_seal_verify_round_trip_over_simulated_bundles():
         scenario = simulator.random_scenario(seed)
         texts = simulator.render_dumps(scenario)
         kinds = (SourceKind.USAGESTATS, SourceKind.NETSTATS, SourceKind.NETWORK_STACK)
-        items, payloads = [], {}
-        for kind, text in zip(kinds, texts):
-            item = _item(kind, text.encode(), epoch=scenario.capture_time)
-            items.append(item)
-            payloads[item.key()] = text.encode()
-        bundle = seal_bundle(items, payloads=payloads)
-        assert verify_bundle(bundle, payloads).overall_pass
+        bundle = _seal(*((kind, text.encode()) for kind, text in zip(kinds, texts)), epoch=scenario.capture_time)
+        assert verify_bundle(bundle, bundle.payloads).overall_pass
+        assert list(bundle.payloads.values()) == [text.encode() for text in texts]
 
 
 def test_canonical_json_is_byte_stable():

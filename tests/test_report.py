@@ -12,14 +12,8 @@ from tests.conftest import run_pipeline
 def bundle_for(scenario):
     texts = simulator.render_dumps(scenario)
     kinds = (SourceKind.USAGESTATS, SourceKind.NETSTATS, SourceKind.NETWORK_STACK)
-    items, payloads = [], {}
-    for kind, text in zip(kinds, texts):
-        item = EvidenceItem.from_bytes(
-            kind, text.encode(), Timestamp(scenario.capture_time), "synthetic"
-        )
-        items.append(item)
-        payloads[item.key()] = text.encode()
-    return seal_bundle(items, payloads=payloads)
+    captured = [(kind.value, kind, text.encode(), scenario.capture_time) for kind, text in zip(kinds, texts)]
+    return seal_bundle(captured, "synthetic", scenario.display_zone)
 
 
 def render_for(scenario, display_zone=None):
@@ -113,9 +107,8 @@ class TestReportRendering:
     def test_bundle_without_citable_items_is_an_error(self):
         scenario = simulator.preset_ftp_file_server()
         result = run_pipeline(scenario)
-        raw = b"armeabi-v7a\n"
-        item = EvidenceItem.from_bytes(SourceKind.GETPROP, raw, Timestamp(scenario.capture_time), "synthetic")
-        bundle = seal_bundle([item], payloads={item.key(): raw})
+        captured = [("cpu_abi", SourceKind.GETPROP, b"armeabi-v7a\n", scenario.capture_time)]
+        bundle = seal_bundle(captured, "synthetic", scenario.display_zone)
         with pytest.raises(ValueError, match="cannot cite evidence"):
             attach_evidence_digests(result["findings"], bundle)
 
