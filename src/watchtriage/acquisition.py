@@ -272,16 +272,18 @@ def _bundle_from_manifest(path: Path, doc: dict) -> EvidenceBundle:
         EvidenceItem(
             SourceKind(i["source_kind"]),
             Timestamp(json_field(i, "collected_at", int)),
-            i["raw_bytes_digest"],
-            i.get("origin_label", ""),
+            json_field(i, "raw_bytes_digest", str),
+            json_field(i, "origin_label", str, ""),
         )
         for i in manifest["items"]
     )
-    device = DeviceProfile(**manifest["device"]) if manifest.get("device") else None
+    device = None
+    if fields := manifest.get("device"):
+        device = DeviceProfile(**{key: json_field(fields, key, str) for key in fields})
     for copy in (manifest, doc):  # the sealed copy and the top-level one
         if (value := copy.get("hash_algorithm", DEFAULT_HASH)) != DEFAULT_HASH:
             raise ValueError(f"hash_algorithm {value!r}: unsupported hash type {value}")
-    digest = doc["bundle_manifest_digest"]
+    digest = json_field(doc, "bundle_manifest_digest", str)
     failures = tuple(StepFailure(**f) for f in json_list(doc, "failures", dict))
     zone = zone_name(doc.get("display_zone", DEFAULT_DISPLAY_ZONE))
     payloads = {}

@@ -16,8 +16,9 @@ import json
 import re
 import sys
 from dataclasses import asdict, dataclass, replace
-from datetime import datetime
+from datetime import date, datetime
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -207,17 +208,73 @@ class Timestamp:
         m = _WALL_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"wall time {text!r} is not YYYY-MM-DD HH:MM:SS")
+        minutes, seconds = int(text[14:16]), int(text[17:])
+        if minutes < 60 and seconds < 60:
+            start = _wall_hour_start(zone, text[:13])
+            if start is not None:
+                return cls(start + 60 * minutes + seconds)
         local = datetime(*map(int, m.groups()), tzinfo=ZoneInfo(zone))
         return cls(int(local.timestamp()))
 
     def render(self, zone: str) -> str:
         """Wall-clock string in `zone` with explicit UTC offset."""
-        local = datetime.fromtimestamp(self.epoch, ZoneInfo(zone)).isoformat(" ")
-        return f"{local[:19]} {local[19:]}"
+        hour = _utc_hour_offset(zone, self.epoch // 3600)
+        if hour is None:
+            local = datetime.fromtimestamp(self.epoch, ZoneInfo(zone)).isoformat(" ")
+            return f"{local[:19]} {local[19:]}"
+        offset, suffix = hour
+        day, second = divmod(self.epoch + offset, 86400)
+        minute, second = divmod(second, 60)
+        return f"{_day_text(day)} {minute // 60:02d}:{minute % 60:02d}:{second:02d} {suffix}"
 
     def wall(self, zone: str) -> str:
         """Bare wall-clock string in `zone` (no offset suffix)."""
         return self.render(zone)[:19]
+
+
+# Timestamp.parse and render convert through one UTC offset per hour, cached
+# below. In an hour that holds an offset change, or that no calendar has,
+# each call runs the plain `datetime` expression instead, so every result
+# and error is the one `datetime` gives. Each cache holds 4,096 entries:
+# about 170 days of hours.
+_HOURS_CACHED = 4096
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+@lru_cache(maxsize=_HOURS_CACHED)
+def _wall_hour_start(zone: str, hour: str) -> Optional[int]:
+    """The fold=0 epoch of wall time `hour` ("YYYY-MM-DD HH") at :00:00 in
+    `zone`, when its :59:59 lies exactly 3,599 s later, so that every second
+    of the wall hour reads with one offset; None otherwise, and for a date
+    or hour that does not exist."""
+    tz = ZoneInfo(zone)
+    try:
+        first = datetime(int(hour[:4]), int(hour[5:7]), int(hour[8:10]), int(hour[11:]), tzinfo=tz)
+    except ValueError:
+        return None
+    start = int(first.timestamp())
+    if int(first.replace(minute=59, second=59).timestamp()) - start != 3599:
+        return None
+    return start
+
+
+@lru_cache(maxsize=_HOURS_CACHED)
+def _utc_hour_offset(zone: str, hour: int) -> Optional[tuple[int, str]]:
+    """(UTC offset in seconds, its rendered "+HH:MM[:SS]" suffix) in `zone`
+    throughout UTC hour `hour` (epoch // 3600), when its first and last
+    seconds have the same offset; None otherwise."""
+    tz = ZoneInfo(zone)
+    first = datetime.fromtimestamp(hour * 3600, tz)
+    offset = first.utcoffset()
+    if datetime.fromtimestamp(hour * 3600 + 3599, tz).utcoffset() != offset:
+        return None
+    return int(offset.total_seconds()), first.isoformat(" ")[19:]
+
+
+@lru_cache(maxsize=_HOURS_CACHED)
+def _day_text(day: int) -> str:
+    """The "YYYY-MM-DD" text of the day `day` days after 1970-01-01."""
+    return date.fromordinal(_EPOCH_ORDINAL + day).isoformat()
 
 
 @dataclass(frozen=True)

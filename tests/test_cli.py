@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from watchtriage import acquisition, cli, correlate, dumpsys, policy, report, simulator
+from watchtriage import acquisition, cli, correlate, dumpsys, evidence, policy, report, simulator
 from watchtriage.cli import main
 from watchtriage.evidence import MAX_EPOCH, SourceKind, canonical_json_bytes, seal_bundle
 from tests.test_acquisition import GALAXY_WATCH5_TRANSCRIPTS
@@ -682,6 +682,33 @@ class TestUsageErrors:
             assert run([command, "--bundle", str(case_bundle)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "manifest.json: malformed manifest" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("raw_bytes_digest", []),
+        ("raw_bytes_digest", 7),
+        ("origin_label", 7),
+        ("origin_label", None),
+        ("bundle_manifest_digest", []),
+        *((f.name, 5) for f in dataclasses.fields(evidence.DeviceProfile)),
+        ("cpu_abi", ["arm64-v8a"]),
+    ])
+    def test_mistyped_manifest_field_exits_2_naming_it(self, field, value, case_bundle, capsys):
+        # Unchecked, a list digest reaches the report's digest map, where it
+        # is unhashable: a traceback and exit 1, the detections code.
+        path = case_bundle / "manifest.json"
+        doc = json.loads(path.read_text())
+        if field == "bundle_manifest_digest":
+            doc[field] = value
+        elif field in ("raw_bytes_digest", "origin_label"):
+            doc["manifest"]["items"][0][field] = value
+        else:
+            doc["manifest"]["device"] = {"cpu_abi": "arm64-v8a", field: value}
+        path.write_text(json.dumps(doc))
+        for command in ("verify", "parse", "correlate", "report"):
+            assert run([command, "--bundle", str(case_bundle)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "manifest.json: malformed manifest" in err
+            assert f"{field} must be a JSON string, got {value!r}" in err
 
     @pytest.mark.parametrize("kept, named", [
         (("netstats", "network_stack"), "usagestats"),

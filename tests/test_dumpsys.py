@@ -465,6 +465,34 @@ def test_netstats_round_trip_conserves_total_bytes():
         assert parsed_total == truth_total
 
 
+@pytest.mark.parametrize("wall, reason", [
+    ("2023-02-30 10:00:00", "day is out of range for month"),
+    ("2023-01-01 24:00:00", "hour must be in 0..23"),
+    ("2023-01-01 10:60:00", "minute must be in 0..59"),
+    ("2023-01-01 10:00:60", "second must be in 0..59"),
+])
+@pytest.mark.parametrize("zone", [KST, "America/New_York"])
+def test_invalid_wall_time_warnings_keep_their_text(wall, reason, zone):
+    # The warnings go into the parse document word for word.
+    usage = (
+        "Last 24 hour events:\n"
+        f'  time="{wall}" type=ACTIVITY_RESUMED package=com.bad\n'
+        "Weekly stats:\n"
+        f'  package=com.bad lastTimeUsed="{wall[:16]}" totalCount=3\n'
+    )
+    report, warnings = parse_usagestats(usage, CAPTURE, zone)
+    expected = [f"line 2: bad event time ({reason})"]
+    if reason.startswith("second"):  # an aggregate time has no seconds
+        assert len(report.aggregates) == 1
+    else:
+        expected.append(f"line 4: bad aggregate time ({reason})")
+    assert report.events_24h == () and warnings == expected
+    stack = f'bootTime="{wall}"\ntime="{wall}" iface=wlan0 event=DHCP_ACK ip=10.0.0.2\n'
+    log, warnings = parse_network_stack(stack, zone)
+    assert log == NetworkStackLog((), None)
+    assert warnings == [f"line 1: bad boot time ({reason})", f"line 2: bad lease line ({reason})"]
+
+
 def test_tolerates_realistic_dump_scaffolding():
     # lines in the shape real service dumps print, with extra tokens and
     # unrelated sections around the recognized vocabulary

@@ -1,9 +1,10 @@
 import random
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo, available_timezones
 
 import pytest
 
+from watchtriage import evidence
 from watchtriage.evidence import (
     DEFAULT_DISPLAY_ZONE,
     MAX_EPOCH,
@@ -90,6 +91,88 @@ class TestTimestamp:
         assert second.render(zone) == "2023-11-05 01:30:00 -05:00"
         assert Timestamp.parse(first.wall(zone), zone) == first
         assert Timestamp.parse(second.wall(zone), zone) == first
+
+
+class TestWallTimeResolver:
+    """Timestamp.parse and render convert through a cached per-hour offset;
+    every result must be the one the plain `datetime` expressions give."""
+
+    @staticmethod
+    def assert_render_matches(zone, epochs):
+        tz = ZoneInfo(zone)
+        for epoch in epochs:
+            local = datetime.fromtimestamp(epoch, tz).isoformat(" ")
+            assert Timestamp(epoch).render(zone) == f"{local[:19]} {local[19:]}", (zone, epoch)
+
+    @staticmethod
+    def assert_parse_matches(zone, walls):
+        tz = ZoneInfo(zone)
+        for wall in walls:
+            fields = int(wall[:4]), int(wall[5:7]), int(wall[8:10]), int(wall[11:13]), int(wall[14:16]), int(wall[17:])
+            expected = int(datetime(*fields, tzinfo=tz).timestamp())
+            assert Timestamp.parse(wall, zone).epoch == expected, (zone, wall)
+
+    @classmethod
+    def assert_matches_around_changes(cls, zone, year):
+        """Every second within 2 h of each of `zone`'s offset changes in
+        `year`, rendered, and every wall second those hours can show, parsed
+        (the skipped and repeated ones included); the number of changes."""
+        tz = ZoneInfo(zone)
+
+        def offset(epoch):
+            return datetime.fromtimestamp(epoch, tz).utcoffset()
+
+        start = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp())
+        end = int(datetime(year + 1, 1, 1, tzinfo=timezone.utc).timestamp())
+        changes = 0
+        for hour in range(start, end, 3600):
+            before, after = offset(hour), offset(hour + 3600)
+            if before == after:
+                continue
+            lo, hi = hour, hour + 3600  # the change is the first epoch with the later offset
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if offset(mid) == before else (lo, mid)
+            changes += 1
+            cls.assert_render_matches(zone, range(hi - 7200, hi + 7200))
+            naive = datetime(1970, 1, 1)
+            first = int(min(before, after).total_seconds()) + hi - 7200
+            last = int(max(before, after).total_seconds()) + hi + 7200
+            cls.assert_parse_matches(
+                zone, ((naive + timedelta(seconds=s)).isoformat(" ") for s in range(first, last))
+            )
+        return changes
+
+    @pytest.mark.parametrize("zone", ["America/New_York", "Australia/Lord_Howe", "Europe/Dublin"])
+    def test_every_second_around_each_2023_change(self, zone):
+        # Lord_Howe shifts by 30 minutes; Dublin's winter time is its negative DST.
+        assert self.assert_matches_around_changes(zone, 2023) == 2
+
+    def test_change_from_local_mean_time(self):
+        # Monrovia left UTC-0:44:30 for UTC in 1972.
+        assert self.assert_matches_around_changes("Africa/Monrovia", 1972) == 1
+
+    def test_random_epochs_in_every_zone(self):
+        rng = random.Random(16)
+        for zone in sorted(available_timezones()):
+            epochs = [0, MAX_EPOCH, *(rng.randrange(MAX_EPOCH) for _ in range(5)),
+                      *(rng.randrange(1_600_000_000, 1_800_000_000) for _ in range(5))]
+            self.assert_render_matches(zone, epochs)
+            self.assert_parse_matches(zone, [Timestamp(e).wall(zone) for e in epochs])
+
+    def test_more_hours_than_the_caches_hold(self):
+        # One instant in each of more distinct hours than a cache holds, then
+        # the earliest again, after the caches have evicted it.
+        zone = "America/New_York"
+        hours = evidence._utc_hour_offset.cache_info().maxsize + 100
+        epochs = list(range(1_600_000_000, 1_600_000_000 + 3600 * hours, 3600))
+        walls = [Timestamp(e).wall(zone) for e in epochs]
+        self.assert_render_matches(zone, epochs)
+        self.assert_parse_matches(zone, walls)
+        for cached in (evidence._utc_hour_offset, evidence._wall_hour_start):
+            assert cached.cache_info().currsize == cached.cache_info().maxsize
+        self.assert_render_matches(zone, epochs[:100])
+        self.assert_parse_matches(zone, walls[:100])
 
 
 def _seal(*payloads, epoch=1683766560):
