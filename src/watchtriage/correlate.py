@@ -171,17 +171,29 @@ def read_timeline(loaded) -> tuple[Timeline, list[str]]:
 
     Wall times are read in the bundle's zone, and the usagestats item's
     `collected_at` closes the 24 h usage window. The parsers are looked up
-    on `dumpsys` at call time, so a wrapper set there sees every call.
+    on `dumpsys` at call time, so a wrapper set there sees every call. A
+    parser's ValueError (an empty dump) is raised again prefixed with its
+    source.
     """
     zone = loaded.display_zone
     item, text = _dump(loaded, SourceKind.USAGESTATS)
-    report, usage_warnings = dumpsys.parse_usagestats(text, item.collected_at, zone)
-    records, net_warnings = dumpsys.parse_netstats(_dump(loaded, SourceKind.NETSTATS)[1])
-    lease_log, lease_warnings = dumpsys.parse_network_stack(_dump(loaded, SourceKind.NETWORK_STACK)[1], zone)
+    report, usage_warnings = _parsed("usagestats", dumpsys.parse_usagestats, text, item.collected_at, zone)
+    records, net_warnings = _parsed("netstats", dumpsys.parse_netstats, _dump(loaded, SourceKind.NETSTATS)[1])
+    lease_log, lease_warnings = _parsed(
+        "network_stack", dumpsys.parse_network_stack, _dump(loaded, SourceKind.NETWORK_STACK)[1], zone
+    )
     timeline = build_timeline(report, records, lease_log)
     sources = {"usagestats": usage_warnings, "netstats": net_warnings, "network_stack": lease_warnings}
     warnings = [f"{source}: {w}" for source, ws in sources.items() for w in ws]
     return timeline, warnings + list(timeline.warnings)
+
+
+def _parsed(source: str, parse, *args):
+    """`parse(*args)`, with a ValueError raised again prefixed with `source`."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -105,9 +105,9 @@ class NetUsageRecord:
     bucket_duration: int = DEFAULT_BUCKET_SECONDS
 
     def __post_init__(self):
-        for name in ("rb", "rp", "tb", "tp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if min(self.rb, self.rp, self.tb, self.tp) < 0:
+            name = next(name for name in ("rb", "rp", "tb", "tp") if getattr(self, name) < 0)
+            raise ValueError(f"{name} must be >= 0")
 
     def has_traffic(self) -> bool:
         return (self.rb + self.rp + self.tb + self.tp) > 0
@@ -219,22 +219,21 @@ _SECTION_HEADERS = {
 def _usagestats_text(text: str, zone: str):
     section = None
     for lineno, line in _lines(text):
-        if line.startswith("DUMP OF SERVICE"):
+        if line.startswith("DUMP OF SERVICE") or ("capture-time=" in line and _CAPTURE_RE.search(line)):
+            continue
+        m = _EVENT_RE.search(line)
+        if m:
+            wall, event_type, package = m.groups()
+            try:
+                at = Timestamp.parse(wall, zone)
+            except ValueError as exc:
+                yield f"line {lineno}: bad event time ({exc})"
+                continue
+            yield UsageEvent(at, package, event_type)
             continue
         header = _SECTION_HEADERS.get(line.lower())
         if header is not None:
             section = header
-            continue
-        if _CAPTURE_RE.search(line):
-            continue
-        m = _EVENT_RE.search(line)
-        if m:
-            try:
-                at = Timestamp.parse(m.group(1), zone)
-            except ValueError as exc:
-                yield f"line {lineno}: bad event time ({exc})"
-                continue
-            yield UsageEvent(at, m.group(3), m.group(2))
             continue
         m = _AGGREGATE_RE.search(line)
         if m and isinstance(section, AggregateWindow):
@@ -284,7 +283,7 @@ def _netstats_text(text: str):
                     duration = None
                     yield f"line {lineno}: {exc}"
             continue
-        m = _NETWORK_ID_RE.search(line)
+        m = "networkId=" in line and _NETWORK_ID_RE.search(line)
         if m:
             current_network = m.group(1)
             continue
@@ -296,12 +295,12 @@ def _netstats_text(text: str):
             if duration is None:
                 yield f"line {lineno}: counter line under an invalid bucketDuration; dropped"
                 continue
-            counters = [int(g) for g in m.groups()[1:]]
-            if any(c < 0 for c in counters):
+            st, rb, rp, tb, tp = map(int, m.groups())
+            if min(rb, rp, tb, tp) < 0:
                 yield f"line {lineno}: negative counter; dropped"
                 continue
             try:
-                yield NetUsageRecord(current_network, Timestamp(int(m.group(1))), *counters, duration)
+                yield NetUsageRecord(current_network, Timestamp(st), rb, rp, tb, tp, duration)
             except ValueError as exc:  # an st that no zone can render
                 yield f"line {lineno}: {exc}; dropped"
             continue

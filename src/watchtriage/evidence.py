@@ -205,14 +205,15 @@ class Timestamp:
         """The instant the wall time `text` denotes in `zone`; ValueError for
         any text but the fixed-width form. A wall time that a DST change
         repeats or skips reads as its fold=0 instant."""
+        if len(text) == 19 and text[13] == text[16] == ":":
+            minutes, seconds = _TWO_DIGIT_VALUES.get(text[14:16]), _TWO_DIGIT_VALUES.get(text[17:])
+            if minutes is not None and seconds is not None:
+                start = _wall_hour_start(zone, text[:13])
+                if start is not None:
+                    return cls(start + 60 * minutes + seconds)
         m = _WALL_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"wall time {text!r} is not YYYY-MM-DD HH:MM:SS")
-        minutes, seconds = int(text[14:16]), int(text[17:])
-        if minutes < 60 and seconds < 60:
-            start = _wall_hour_start(zone, text[:13])
-            if start is not None:
-                return cls(start + 60 * minutes + seconds)
         local = datetime(*map(int, m.groups()), tzinfo=ZoneInfo(zone))
         return cls(int(local.timestamp()))
 
@@ -223,9 +224,9 @@ class Timestamp:
             local = datetime.fromtimestamp(self.epoch, ZoneInfo(zone)).isoformat(" ")
             return f"{local[:19]} {local[19:]}"
         offset, suffix = hour
-        day, second = divmod(self.epoch + offset, 86400)
-        minute, second = divmod(second, 60)
-        return f"{_day_text(day)} {minute // 60:02d}:{minute % 60:02d}:{second:02d} {suffix}"
+        local = self.epoch + offset
+        second = local % 3600
+        return f"{_hour_text(local // 3600)}:{_TWO_DIGITS[second // 60]}:{_TWO_DIGITS[second % 60]} {suffix}"
 
     def wall(self, zone: str) -> str:
         """Bare wall-clock string in `zone` (no offset suffix)."""
@@ -233,20 +234,27 @@ class Timestamp:
 
 
 # Timestamp.parse and render convert through one UTC offset per hour, cached
-# below. In an hour that holds an offset change, or that no calendar has,
-# each call runs the plain `datetime` expression instead, so every result
-# and error is the one `datetime` gives. Each cache holds 4,096 entries:
-# about 170 days of hours.
+# below, and read and write minutes and seconds through the two 60-entry
+# tables. In an hour that holds an offset change, or that no calendar has,
+# and for text that is not the fixed-width form, each call runs the plain
+# `datetime` expression instead, so every result and error is the one
+# `datetime` gives. Each cache holds 4,096 entries: about 170 days of hours.
 _HOURS_CACHED = 4096
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
+_TWO_DIGIT_VALUES = {text: n for n, text in enumerate(_TWO_DIGITS)}
 
 
 @lru_cache(maxsize=_HOURS_CACHED)
 def _wall_hour_start(zone: str, hour: str) -> Optional[int]:
-    """The fold=0 epoch of wall time `hour` ("YYYY-MM-DD HH") at :00:00 in
-    `zone`, when its :59:59 lies exactly 3,599 s later, so that every second
-    of the wall hour reads with one offset; None otherwise, and for a date
-    or hour that does not exist."""
+    """The fold=0 epoch of the 13-character wall time `hour` ("YYYY-MM-DD
+    HH") at :00:00 in `zone`, when its :59:59 lies exactly 3,599 s later, so
+    that every second of the wall hour reads with one offset; None
+    otherwise, for a date or hour that does not exist, and for text that is
+    not that form in ASCII digits (checked before `zone` is looked up)."""
+    digits = hour[:4] + hour[5:7] + hour[8:10] + hour[11:]
+    if not (hour[4] == hour[7] == "-" and hour[10] == " " and digits.isascii() and digits.isdigit()):
+        return None
     tz = ZoneInfo(zone)
     try:
         first = datetime(int(hour[:4]), int(hour[5:7]), int(hour[8:10]), int(hour[11:]), tzinfo=tz)
@@ -272,9 +280,11 @@ def _utc_hour_offset(zone: str, hour: int) -> Optional[tuple[int, str]]:
 
 
 @lru_cache(maxsize=_HOURS_CACHED)
-def _day_text(day: int) -> str:
-    """The "YYYY-MM-DD" text of the day `day` days after 1970-01-01."""
-    return date.fromordinal(_EPOCH_ORDINAL + day).isoformat()
+def _hour_text(hour: int) -> str:
+    """The "YYYY-MM-DD HH" text of the wall hour `hour` hours after
+    1970-01-01 00:00."""
+    day, hour = divmod(hour, 24)
+    return f"{date.fromordinal(_EPOCH_ORDINAL + day).isoformat()} {_TWO_DIGITS[hour]}"
 
 
 @dataclass(frozen=True)

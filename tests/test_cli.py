@@ -728,6 +728,13 @@ class TestUsageErrors:
             assert run([command, "--bundle", str(bundle)]) == 2
             assert capsys.readouterr().err == f"error: bundle has no {named} item\n"
 
+    @pytest.mark.parametrize("dump", ["usagestats", "netstats", "network_stack"])
+    def test_empty_dump_exits_2_naming_it(self, dump, case_bundle, capsys):
+        (case_bundle / "raw" / f"{dump}.txt").write_bytes(b"")
+        for command in ("parse", "correlate", "report"):
+            assert run([command, "--bundle", str(case_bundle)]) == 2
+            assert capsys.readouterr().err == f"error: {dump}: dump text is empty\n"
+
     @pytest.mark.parametrize("offset", [None, 5, "5"], ids=["null", "whole", "a-string"])
     def test_clock_offset_of_an_earlier_bundle_is_ignored(self, offset, case_bundle, capsys):
         # Bundles written before the offset was dropped carry the key, null in

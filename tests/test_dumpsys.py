@@ -272,6 +272,57 @@ class TestParseNetstats:
         assert warnings == expected
 
 
+class TestLineKindPrecedence:
+    """A text line holding the fields of several kinds is read as one kind,
+    as docs/fixture-grammar.md lists them; the event and counter searches
+    scan the whole line."""
+
+    @pytest.mark.parametrize("line", [
+        'capture-time="2023-05-11 09:00:00" time="2023-05-11 08:00:00" type=A package=p',
+        'time="2023-05-11 08:00:00" type=A package=p capture-time="2023-05-11 09:00:00"',
+        'DUMP OF SERVICE time="2023-05-11 08:00:00" type=A package=p',
+    ], ids=["capture-first", "capture-last", "service-header"])
+    def test_usagestats_skip_lines_are_never_events(self, line):
+        report, warnings = parse_usagestats(line + "\n", CAPTURE, KST)
+        assert (report.events_24h, warnings) == ((), [])
+
+    @pytest.mark.parametrize("line", [
+        'junk time="2023-05-11 09:00:03" type=A package=p',
+        'time="bad" x time="2023-05-11 09:00:03" type=A package=p',
+        'capture-time=unquoted time="2023-05-11 09:00:03" type=A package=p',
+    ], ids=["leading-junk", "earlier-bad-time", "unquoted-capture-time"])
+    def test_usagestats_event_anywhere_in_a_line(self, line):
+        report, warnings = parse_usagestats(line + "\n", CAPTURE, KST)
+        assert warnings == []
+        assert [(e.at.wall(KST), e.event_type, e.package) for e in report.events_24h] == [
+            ("2023-05-11 09:00:03", "A", "p")
+        ]
+
+    def test_netstats_counter_line_naming_a_network_only_switches_to_it(self):
+        text = 'networkId="a"\nst=0 rb=1 rp=1 tb=1 tp=1 networkId="z"\nst=3600 rb=2 rp=2 tb=2 tp=2\n'
+        records, warnings = parse_netstats(text)
+        assert warnings == []
+        assert [(r.network_id, r.st.epoch, r.rb) for r in records] == [("z", 3600, 2)]
+
+    @pytest.mark.parametrize("line", [
+        "st=0 rb=1 rp=1 tb=1 tp=1 stats:",
+        "DUMP OF SERVICE st=0 rb=1 rp=1 tb=1 tp=1",
+        "NetworkStatsHistory: st=0 rb=1 rp=1 tb=1 tp=1",
+    ], ids=["section-header", "service-header", "history-header"])
+    def test_netstats_header_lines_are_never_counters(self, line):
+        records, warnings = parse_netstats(f'networkId="a"\n{line}\n')
+        assert (records, warnings) == ([], [])
+
+    @pytest.mark.parametrize("line", [
+        "junk st=0 rb=1 rp=1 tb=1 tp=1",
+        "networkId=unquoted st=0 rb=1 rp=1 tb=1 tp=1",
+    ], ids=["leading-junk", "unquoted-network-id"])
+    def test_netstats_counter_anywhere_in_a_line(self, line):
+        records, warnings = parse_netstats(f'networkId="a"\n{line}\n')
+        assert warnings == []
+        assert [(r.network_id, r.st.epoch, r.rb) for r in records] == [("a", 0, 1)]
+
+
 NETWORK_STACK_FIXTURE = """\
 DUMP OF SERVICE network_stack:
   time="2023-05-11 01:14:22" iface=wlan0 event=DHCP_ACK ip=172.30.1.76 ssid="KT_GiGA_5G_EFB7"

@@ -1,6 +1,7 @@
 import random
+import re
 from datetime import datetime, timedelta, timezone
-from zoneinfo import ZoneInfo, available_timezones
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError, available_timezones
 
 import pytest
 
@@ -169,10 +170,56 @@ class TestWallTimeResolver:
         walls = [Timestamp(e).wall(zone) for e in epochs]
         self.assert_render_matches(zone, epochs)
         self.assert_parse_matches(zone, walls)
-        for cached in (evidence._utc_hour_offset, evidence._wall_hour_start):
+        for cached in (evidence._utc_hour_offset, evidence._wall_hour_start, evidence._hour_text):
             assert cached.cache_info().currsize == cached.cache_info().maxsize
         self.assert_render_matches(zone, epochs[:100])
         self.assert_parse_matches(zone, walls[:100])
+
+    def test_format_error_comes_before_the_zone_lookup(self):
+        # Text outside the grammar is refused before an unknown zone is looked up.
+        with pytest.raises(ValueError, match=r"is not YYYY-MM-DD HH:MM:SS"):
+            Timestamp.parse("2023-03-12 02:30:٣0", "Not/AZone")
+        with pytest.raises(ZoneInfoNotFoundError):
+            Timestamp.parse("2023-03-12 02:30:30", "Not/AZone")
+
+    def test_mutated_wall_texts_read_as_the_datetime_expression(self):
+        # Each mutated text and zone gives the plain expression's epoch, or
+        # its exception type and message.
+        wall_re = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})")
+
+        def outcome(parse, text, zone):
+            try:
+                return parse(text, zone)
+            except (KeyError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        def expected(text, zone):
+            m = wall_re.fullmatch(text)
+            if m is None:
+                raise ValueError(f"wall time {text!r} is not YYYY-MM-DD HH:MM:SS")
+            return Timestamp(int(datetime(*map(int, m.groups()), tzinfo=ZoneInfo(zone)).timestamp()))
+
+        rng = random.Random(17)
+        zones = ["Asia/Seoul", "America/New_York", "Australia/Lord_Howe", "Africa/Monrovia", "UTC",
+                 "Not/AZone", "", "/Asia/Seoul"]
+        bases = ["2023-03-12 02:30:30", "2023-11-05 01:30:00", "2023-02-28 23:59:59", "0001-01-01 00:00:00",
+                 "9999-12-31 23:59:59", "1972-01-07 00:44:29"]
+        bases += [Timestamp(rng.randrange(MAX_EPOCH)).wall("UTC") for _ in range(20)]
+        alphabet = "0123456789:- 6٣２²x"
+        for _ in range(3000):
+            chars = list(rng.choice(bases))
+            for _ in range(rng.randrange(1, 3)):
+                where, kind = rng.randrange(len(chars)), rng.randrange(4)
+                if kind == 0:
+                    chars[where] = rng.choice(alphabet)
+                elif kind == 1 and where + 1 < len(chars):  # move a character one place right
+                    chars[where], chars[where + 1] = chars[where + 1], chars[where]
+                elif kind == 2:
+                    del chars[where]
+                else:
+                    chars.insert(where, rng.choice(alphabet))
+            text, zone = "".join(chars), rng.choice(zones)
+            assert outcome(Timestamp.parse, text, zone) == outcome(expected, text, zone), (text, zone)
 
 
 def _seal(*payloads, epoch=1683766560):
