@@ -405,8 +405,8 @@ def corroborate(
     """Assign patterns and grade each session against PC-side evidence.
 
     Corroboration requires an exact string-equal match between a resolved
-    lease IP and a host artifact's host; hashed known_hosts entries never
-    corroborate.
+    lease IP and a host artifact's host; a hashed known_hosts line yields
+    no entry, so it never corroborates.
     """
     findings: list[Finding] = []
     entries = (*ftp_entries, *known_hosts)  # FileZilla first: the order findings cite them in

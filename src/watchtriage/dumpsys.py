@@ -30,7 +30,7 @@ from enum import Enum
 from functools import partial
 from typing import Optional
 
-from .evidence import Timestamp, json_field
+from .evidence import Timestamp, json_field, text_lines
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 DEFAULT_BUCKET_SECONDS = 3600
@@ -146,18 +146,10 @@ def _tokenize(text: str, text_form, jsonl_form) -> dict[type, list]:
     return tokens
 
 
-def _lines(text: str):
-    """(line number, stripped line) for every non-blank line."""
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.strip()
-        if line:
-            yield lineno, line
-
-
 def _jsonl(text: str, record):
     """Tokenize a JSON-lines dump: `record(obj)` turns one object into a
     domain record, or None to skip it; any failure warns for that line."""
-    for lineno, line in _lines(text):
+    for lineno, line in text_lines(text):
         try:
             obj = json.loads(line)
             if not isinstance(obj, dict):
@@ -218,7 +210,7 @@ _SECTION_HEADERS = {
 
 def _usagestats_text(text: str, zone: str):
     section = None
-    for lineno, line in _lines(text):
+    for lineno, line in text_lines(text):
         if line.startswith("DUMP OF SERVICE") or ("capture-time=" in line and _CAPTURE_RE.search(line)):
             continue
         m = _EVENT_RE.search(line)
@@ -271,7 +263,7 @@ def _usagestats_jsonl(text: str):
 def _netstats_text(text: str):
     current_network: Optional[str] = None
     duration: Optional[int] = DEFAULT_BUCKET_SECONDS  # None: the stated one was invalid
-    for lineno, line in _lines(text):
+    for lineno, line in text_lines(text):
         if line.startswith("DUMP OF SERVICE") or line.endswith("stats:"):
             continue
         if line.startswith("NetworkStatsHistory"):
@@ -321,7 +313,7 @@ def _netstats_jsonl(text: str):
 
 
 def _network_stack_text(text: str, zone: str):
-    for lineno, line in _lines(text):
+    for lineno, line in text_lines(text):
         if line.startswith("DUMP OF SERVICE"):
             continue
         m = _BOOT_RE.search(line)

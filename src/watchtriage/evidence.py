@@ -117,6 +117,16 @@ def zone_name(name: str) -> str:
     return name
 
 
+def text_lines(text: str):
+    """(line number, stripped line) for every non-blank line of an evidence
+    text. Only "\\n" ends a line, so a "\\x1c" or "\\u2028" inside one never
+    shifts a later line number; `strip` drops a trailing "\\r"."""
+    for lineno, raw_line in enumerate(text.split("\n"), 1):
+        line = raw_line.strip()
+        if line:
+            yield lineno, line
+
+
 # --- JSON input files --------------------------------------------------------
 #
 # Plans, rules, inventories, scenarios and bundle manifests are read by

@@ -5,23 +5,22 @@ filezilla.xml) and OpenSSH known_hosts. These are the files a PC keeps after
 connecting to an FTP/SFTP server running on a watch, so an exact IP match
 against a watch-side DHCP lease corroborates a transfer session.
 
-Each entry's host is read once, at parse time. A hashed known_hosts entry
-has no plaintext host, so it never matches an IP; an HMAC-based resolver is
-provided separately for investigators who already hold candidate addresses.
+Each entry's host is read once, at parse time. A hashed known_hosts line
+names no plaintext host, so it could never match an IP: it is skipped with
+a warning, like any other line that cannot corroborate.
 """
 
 from __future__ import annotations
 
 import base64
-import hmac
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .evidence import EvidenceItem, SourceKind, Timestamp
+from .evidence import EvidenceItem, SourceKind, Timestamp, text_lines
 
 HASHED_SENTINEL = "|1|"
 
@@ -53,8 +52,7 @@ class FtpServerEntry:
 
 @dataclass(frozen=True)
 class KnownHostEntry:
-    host_pattern: str
-    host: Optional[str]  # the plaintext host; None for a hashed pattern
+    host: str
     port: int
     key_type: str
 
@@ -102,17 +100,15 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
     """Parse OpenSSH known_hosts text, one entry per host pattern.
 
     Plain patterns default to port 22; "[host]:port" patterns yield the
-    embedded host and port; hashed ("|1|...") patterns are kept with host
-    None, so they match no IP. Comma-separated patterns on one line become
-    separate entries sharing the key. A @revoked or @cert-authority marker
-    line is set by hand, never by a connection, so it warns and skips, as
-    does a malformed line.
+    embedded host and port. Comma-separated patterns on one line become
+    separate entries sharing the key. A hashed ("|1|...") line names no host
+    to match, and a @revoked or @cert-authority marker line is set by hand,
+    never by a connection, so each warns and skips, as does a malformed line.
     """
     entries: list[KnownHostEntry] = []
     warnings: list[str] = []
-    for lineno, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in text_lines(text):
+        if line.startswith("#"):
             continue
         fields = line.split()
         if line.startswith("@"):
@@ -128,7 +124,7 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
             warnings.append(f"line {lineno}: key blob is not valid base64; skipped")
             continue
         if patterns.startswith(HASHED_SENTINEL):
-            entries.append(KnownHostEntry(patterns, None, 22, key_type))
+            warnings.append(f"line {lineno}: hashed host pattern names no host to match; skipped")
             continue
         for pattern in patterns.split(","):
             m = _BRACKETED.match(pattern)
@@ -139,29 +135,8 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
             if not 1 <= port <= 65535:
                 warnings.append(f"line {lineno}: port {port} out of range; skipped")
                 continue
-            entries.append(KnownHostEntry(pattern, m.group(1) if m else pattern, port, key_type))
+            entries.append(KnownHostEntry(m.group(1) if m else pattern, port, key_type))
     return entries, warnings
-
-
-def hash_host_pattern(host: str, salt: bytes) -> str:
-    """Produce the hashed known_hosts pattern OpenSSH writes for `host`."""
-    mac = hmac.new(salt, host.encode(), "sha1").digest()
-    return HASHED_SENTINEL + base64.b64encode(salt).decode() + "|" + base64.b64encode(mac).decode()
-
-
-def hashed_entry_matches(entry: KnownHostEntry, host: str) -> bool:
-    """Optional resolver: HMAC-check a hashed entry against a candidate host."""
-    if entry.host is not None:
-        return entry.host == host
-    try:
-        _, version, salt_b64, mac_b64 = entry.host_pattern.split("|")
-    except ValueError:
-        return False
-    if version != "1":
-        return False
-    expected = base64.b64decode(mac_b64)
-    actual = hmac.new(base64.b64decode(salt_b64), host.encode(), "sha1").digest()
-    return hmac.compare_digest(expected, actual)
 
 
 @dataclass

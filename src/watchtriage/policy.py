@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .evidence import DeviceProfile, json_list, load_json
+from .evidence import DeviceProfile, json_list, load_json, text_lines
 
 WATCH_FEATURE = "android.hardware.type.watch"
 
@@ -118,8 +118,7 @@ def _parse_aapt_dump(text: str) -> ManifestInfo:
     package = None
     features = []
     abis = []
-    for line in text.splitlines():
-        line = line.strip()
+    for _, line in text_lines(text):
         if line.startswith("package:"):
             m = re.search(r"name='([^']+)'", line)
             if m:

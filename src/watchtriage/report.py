@@ -85,8 +85,10 @@ class ReportDocument:
             lines.append("")
             lines.append("| Time | Source | Event |")
             lines.append("| --- | --- | --- |")
+            # Event text quotes evidence (an SSID, say): an escaped "|" stays in its cell.
             for row in data["timeline"]:
-                lines.append(f"| {row['time']} | {row['source']} | {row['event']} |")
+                event = row["event"].replace("|", "\\|")
+                lines.append(f"| {row['time']} | {row['source']} | {event} |")
             lines.append("")
         lines.append("## Limitations")
         lines.append("")

@@ -660,3 +660,28 @@ def test_parsers_are_total_on_garbage_input():
             parse_usagestats(text, CAPTURE, KST)
         parse_netstats(text)
         parse_network_stack(text, KST)
+
+
+class TestLineBreaks:
+    """Only a newline ends a dump line: any other character `str.splitlines`
+    breaks at stays inside its line, so later line numbers stay physical."""
+
+    def test_a_separator_character_does_not_split_a_line(self):
+        _, warnings = parse_netstats('networkId="a"\njunk\x1cmore\nbogus line\n')
+        assert warnings == ["line 2: unrecognized: junk\x1cmore", "line 3: unrecognized: bogus line"]
+
+    def test_jsonl_string_holding_a_line_separator_is_one_record(self):
+        text = json.dumps({**_BUCKET, "network_id": "Cafe\u2028Guest"}, ensure_ascii=False) + "\n"
+        assert "\u2028" in text
+        records, warnings = parse_netstats(text)
+        assert [r.network_id for r in records] == ["Cafe\u2028Guest"] and warnings == []
+
+    @pytest.mark.parametrize("parse, text", [
+        (lambda t: parse_usagestats(t, CAPTURE, KST), USAGESTATS_FIXTURE + "bogus line\n"),
+        (lambda t: parse_network_stack(t, KST),
+         NETWORK_STACK_FIXTURE + 'bogus line\ntime="2023-05-11 99:00:00" iface=wlan0 event=DHCP_ACK ip=10.0.0.9\n'),
+    ], ids=["usagestats", "network_stack"])
+    def test_cr_cr_lf_endings_read_as_lf(self, parse, text):
+        parsed, warnings = parse(text)
+        assert len(warnings) >= 1
+        assert parse(text.replace("\n", "\r\r\n")) == (parsed, warnings)

@@ -1,5 +1,4 @@
 import base64
-import hashlib
 
 import pytest
 
@@ -8,8 +7,6 @@ from watchtriage import simulator
 from watchtriage.correlate import Confidence, corroborate
 from watchtriage.host_artifacts import (
     TransferProtocol,
-    hash_host_pattern,
-    hashed_entry_matches,
     load_host_artifacts,
     locate_host_artifacts,
     parse_filezilla,
@@ -90,6 +87,14 @@ class TestParseFilezilla:
         assert [(e.host, e.port) for e in entries] == expected
 
 
+# The sftp preset's "[192.162.35.52]:2222" line as OpenSSH hashes it
+# (HashKnownHosts yes): HMAC-SHA1 of the pattern under a fixed 20-byte salt.
+HASHED_LINE = (
+    "|1|/Bt/BGtBEqoV4MOo3x5PQOdOItc=|E/ck+VX1XyN5lmlSs2hzwvb+lo0= ssh-ed25519 "
+    "AAAAC3NzaC1lZDI1NTE5AAAAIGtra2tra2tra2tra2tra2tra2tra2tra2tra2tra2tr"
+)
+
+
 def _b64key():
     return base64.b64encode(b"\x00\x00\x00\x0bssh-ed25519" + b"\x00\x00\x00\x20" + b"k" * 32).decode()
 
@@ -100,7 +105,7 @@ class TestParseKnownHosts:
         entries, warnings = parse_known_hosts(text)
         assert warnings == []
         entry = entries[0]
-        assert (entry.host_pattern, entry.host, entry.port) == ("[192.162.35.52]:2222", "192.162.35.52", 2222)
+        assert (entry.host, entry.port) == ("192.162.35.52", 2222)
 
     @pytest.mark.parametrize("pattern", ["[192.162.35.52]:٢٢٢٢", "[192.162.35.52]:", "[192.162.35.52]"])
     def test_bracketed_pattern_without_an_ascii_port_skipped(self, pattern):
@@ -125,7 +130,7 @@ class TestParseKnownHosts:
     def test_comma_separated_patterns_become_entries(self):
         text = f"alpha,10.0.0.7 ssh-rsa {_b64key()}\n"
         entries, _ = parse_known_hosts(text)
-        assert [e.host_pattern for e in entries] == ["alpha", "10.0.0.7"]
+        assert [(e.host, e.port) for e in entries] == [("alpha", 22), ("10.0.0.7", 22)]
 
     def test_malformed_line_warns_and_skips(self):
         entries, warnings = parse_known_hosts("only-two fields\n")
@@ -138,24 +143,24 @@ class TestParseKnownHosts:
         assert warnings
 
     def test_hashed_entry_never_matches_plaintext_query(self):
-        # A hashed entry for the session's own IP has no plaintext host, so it
-        # does not corroborate; the same host written in plain text does.
-        salt = hashlib.sha256(b"salt-seed").digest()[:20]
-        pattern = hash_host_pattern("192.162.35.52", salt)
-        entries, warnings = parse_known_hosts(f"{pattern} ssh-ed25519 {_b64key()}\n")
-        assert warnings == []
-        assert entries[0].host is None
+        # A hashed line for the session's own endpoint names no host, so it
+        # is skipped with a warning and corroborates nothing; the same host
+        # written in plain text does.
+        entries, warnings = parse_known_hosts(f"# hashed\n{HASHED_LINE}\n")
+        assert entries == []
+        assert warnings == ["line 2: hashed host pattern names no host to match; skipped"]
         plain, _ = parse_known_hosts(f"[192.162.35.52]:2222 ssh-ed25519 {_b64key()}\n")
         sessions = run_pipeline(simulator.preset_sftp_server(), with_host=False)["sessions"]
         assert [f.confidence for f in corroborate(sessions, (), entries)] == [Confidence.CONSISTENT]
         assert [f.confidence for f in corroborate(sessions, (), plain)] == [Confidence.CORROBORATED]
 
-    def test_hashed_resolver_helper_confirms_by_hmac(self):
-        salt = hashlib.sha256(b"other-salt").digest()[:20]
-        pattern = hash_host_pattern("172.30.1.76", salt)
-        entries, _ = parse_known_hosts(f"{pattern} ssh-ed25519 {_b64key()}\n")
-        assert hashed_entry_matches(entries[0], "172.30.1.76")
-        assert not hashed_entry_matches(entries[0], "172.30.1.77")
+    def test_line_numbers_count_newlines_only(self):
+        # A form feed inside a comment is no line break: the bad line below
+        # it is still physical line 3.
+        text = f"# seen\x0cagain\n10.0.0.7 ssh-rsa {_b64key()}\nonly-two fields\n"
+        entries, warnings = parse_known_hosts(text)
+        assert [e.host for e in entries] == ["10.0.0.7"]
+        assert warnings == ["line 3: fewer than 3 fields; skipped"]
 
     @pytest.mark.parametrize("marker", ["@revoked", "@cert-authority"])
     def test_marker_line_skipped_with_warning(self, marker):
@@ -192,6 +197,17 @@ class TestScanning:
         assert len(artifacts.ftp_entries) == 2
         assert len(artifacts.known_host_entries) == 1
         assert len(artifacts.items) == 2  # one digest per source file
+
+    def test_hashed_known_hosts_file_warns_and_leaves_sftp_consistent(self, tmp_path):
+        path = tmp_path / "known_hosts"
+        path.write_text(HASHED_LINE + "\n")
+        artifacts = load_host_artifacts([path])
+        assert artifacts.known_host_entries == []
+        assert artifacts.warnings == [f"{path}: line 1: hashed host pattern names no host to match; skipped"]
+        assert len(artifacts.items) == 1  # the file is still cited by digest
+        sessions = run_pipeline(simulator.preset_sftp_server(), with_host=False)["sessions"]
+        findings = corroborate(sessions, artifacts.ftp_entries, artifacts.known_host_entries)
+        assert [f.confidence for f in findings] == [Confidence.CONSISTENT]
 
     def test_flat_directory_layout(self, tmp_path):
         (tmp_path / "recentservers.xml").write_text(RECENTSERVERS_XML)

@@ -1,10 +1,11 @@
 import re
+from dataclasses import replace
 
 import pytest
 
 from watchtriage import simulator
 from watchtriage.correlate import findings_document
-from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, seal_bundle
+from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, document_text, seal_bundle
 from watchtriage.report import attach_evidence_digests, render_report
 from tests.conftest import run_pipeline
 
@@ -103,6 +104,19 @@ class TestReportRendering:
         for f in data["findings"]:
             assert f["pattern"] in md
         assert data["bundle_manifest_digest"] in md
+
+    def test_pipe_in_evidence_text_stays_in_its_timeline_cell(self):
+        # A suspect names their own hotspot; a "|" in its SSID must not open a
+        # fourth cell in a three-column markdown table.
+        base = simulator.preset_case_study()
+        wifi = (replace(base.wifi_sessions[0], ssid="Cafe|Guest"), *base.wifi_sessions[1:])
+        doc, _, _ = render_for(replace(base, wifi_sessions=wifi))
+        table = doc.to_markdown().split("## Timeline\n\n", 1)[1].split("\n\n", 1)[0]
+        rows = table.split("\n")
+        assert sum("Cafe\\|Guest" in row for row in rows) >= 2  # a traffic bucket and a lease
+        assert [row for row in rows if len(re.findall(r"(?<!\\)\|", row)) != 4] == []
+        assert sum("Cafe|Guest" in row["event"] for row in doc.timeline_rows) >= 2
+        assert "Cafe|Guest" in document_text(doc.data)
 
     def test_bundle_without_citable_items_is_an_error(self):
         scenario = simulator.preset_ftp_file_server()
