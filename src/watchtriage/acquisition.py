@@ -22,10 +22,9 @@ from __future__ import annotations
 import os
 import re
 import shutil
-from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 from .evidence import (
     DEFAULT_DISPLAY_ZONE,
@@ -102,19 +101,22 @@ class AdbShellExecutor:
         return proc.returncode, proc.stdout, proc.stderr
 
 
-@dataclass(frozen=True)
-class AcquisitionStep:
+class AcquisitionStep(NamedTuple):
     label: str
     command: str
     volatility_rank: int
     source_kind: SourceKind
 
 
-@dataclass(frozen=True)
-class AcquisitionPlan:
+class _AcquisitionPlanFields(NamedTuple):
     steps: tuple[AcquisitionStep, ...]
 
-    def __post_init__(self):
+
+class AcquisitionPlan(_AcquisitionPlanFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         ranks = [s.volatility_rank for s in self.steps]
         if ranks != sorted(ranks):
             raise ValueError("plan steps must be ordered by ascending volatility rank")
@@ -126,6 +128,7 @@ class AcquisitionPlan:
             label = step.label
             if not isinstance(label, str) or label in ("", os.curdir, os.pardir) or {"/", os.sep} & set(label):
                 raise ValueError(f"plan step label {label!r} is not a single plain file name")
+        return self
 
 
 _PRIVILEGED = re.compile(r"(^|[;&|\s])su($|\s)|/data/data")
@@ -244,7 +247,7 @@ def write_bundle_dir(bundle: EvidenceBundle, out_dir: Path) -> Path:
         "bundle_manifest_digest": bundle.bundle_manifest_digest,
         "hash_algorithm": DEFAULT_HASH,
         "files": files,
-        "failures": [asdict(f) for f in bundle.failures],
+        "failures": [f._asdict() for f in bundle.failures],
         "display_zone": bundle.display_zone,
     }
     (out_dir / "manifest.json").write_bytes(canonical_json_bytes(doc) + b"\n")

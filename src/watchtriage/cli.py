@@ -81,7 +81,7 @@ def _correlate_bundle(loaded, args):
     timeline, warnings = correlate.read_timeline(loaded)
     sessions = correlate.match_sessions(timeline)
 
-    artifacts = HostArtifacts()
+    artifacts = HostArtifacts([], [], [], [])
     if args.host_artifacts:
         artifacts = load_host_artifacts(locate_host_artifacts(Path(args.host_artifacts)))
         warnings.extend(artifacts.warnings)

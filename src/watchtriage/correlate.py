@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import fnmatch
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import dumpsys
 from .dumpsys import (
@@ -69,16 +68,21 @@ class DirectionBias(Enum):
     ANY = "any"
 
 
-@dataclass(frozen=True)
-class PatternRule:
+class _PatternRuleFields(NamedTuple):
     pattern: FindingPattern
     package_markers: tuple[str, ...] = ()
     direction_bias: DirectionBias = DirectionBias.ANY
     min_bytes: int = 0
 
-    def __post_init__(self):
+
+class PatternRule(_PatternRuleFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.min_bytes < 0:
             raise ValueError("min_bytes must be >= 0")
+        return self
 
 
 # The three packages observed in the field plus a volume-based fallback for
@@ -106,8 +110,7 @@ def load_rules(path: Path) -> tuple[PatternRule, ...]:
     return load_json(path, "rules", _rule, entry="rule")
 
 
-@dataclass(frozen=True)
-class DirectionSummary:
+class DirectionSummary(NamedTuple):
     bytes_in: int
     bytes_out: int
 
@@ -116,8 +119,7 @@ class DirectionSummary:
         return self.bytes_in + self.bytes_out
 
 
-@dataclass(frozen=True)
-class Timeline:
+class Timeline(NamedTuple):
     """The three parsed sources with the one bucket duration they state."""
 
     report: UsageReport
@@ -196,8 +198,15 @@ def _parsed(source: str, parse, *args):
         raise ValueError(f"{source}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class AppNetworkSession:
+class _AppNetworkSessionFields(NamedTuple):
+    packages: tuple[str, ...]
+    app_events: tuple[UsageEvent, ...]
+    buckets: tuple[NetUsageRecord, ...]
+    resolved_leases: tuple[LeaseEvent, ...]
+    ambiguity_flags: frozenset[AmbiguityFlag]
+
+
+class AppNetworkSession(_AppNetworkSessionFields):
     """A run of traffic buckets attributed to the same app evidence.
 
     Usually single-network; spans several networks only when distinct SSIDs
@@ -205,15 +214,13 @@ class AppNetworkSession:
     one-hour ambiguity case).
     """
 
-    packages: tuple[str, ...]
-    app_events: tuple[UsageEvent, ...]
-    buckets: tuple[NetUsageRecord, ...]
-    resolved_leases: tuple[LeaseEvent, ...]
-    ambiguity_flags: frozenset[AmbiguityFlag]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.buckets:
             raise ValueError("session must reference at least one traffic bucket")
+        return self
 
     @property
     def network_ids(self) -> tuple[str, ...]:
@@ -358,8 +365,7 @@ def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
     return sessions
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     pattern: FindingPattern
     session: AppNetworkSession
     host_corroboration: tuple[object, ...]  # FtpServerEntry | KnownHostEntry

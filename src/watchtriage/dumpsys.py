@@ -25,10 +25,9 @@ import ipaddress
 import json
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .evidence import Timestamp, json_field, text_lines
 
@@ -61,8 +60,7 @@ _LEASE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class UsageEvent:
+class UsageEvent(NamedTuple):
     """Second-precision app lifecycle event from the 24h detail window."""
 
     at: Timestamp
@@ -70,32 +68,32 @@ class UsageEvent:
     event_type: str  # raw dumpsys token, open vocabulary
 
 
-@dataclass(frozen=True)
-class UsageAggregate:
-    """Coarse per-window usage summary; never second-precise."""
-
+class _UsageAggregateFields(NamedTuple):
     window: AggregateWindow
     package: str
     last_used: Timestamp
     use_count: int
 
-    def __post_init__(self):
+
+class UsageAggregate(_UsageAggregateFields):
+    """Coarse per-window usage summary; never second-precise."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.use_count < 0:
             raise ValueError("use_count must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class UsageReport:
+class UsageReport(NamedTuple):
     capture_time: Timestamp
     events_24h: tuple[UsageEvent, ...]
     aggregates: tuple[UsageAggregate, ...]
 
 
-@dataclass(frozen=True)
-class NetUsageRecord:
-    """Per-network traffic bucket [st, st + bucket_duration); `st` is stored
-    exactly as reported."""
-
+class _NetUsageRecordFields(NamedTuple):
     network_id: str
     st: Timestamp
     rb: int
@@ -104,29 +102,42 @@ class NetUsageRecord:
     tp: int
     bucket_duration: int = DEFAULT_BUCKET_SECONDS
 
-    def __post_init__(self):
+
+class NetUsageRecord(_NetUsageRecordFields):
+    """Per-network traffic bucket [st, st + bucket_duration); `st` is stored
+    exactly as reported."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.rb, self.rp, self.tb, self.tp) < 0:
             name = next(name for name in ("rb", "rp", "tb", "tp") if getattr(self, name) < 0)
             raise ValueError(f"{name} must be >= 0")
+        return self
 
     def has_traffic(self) -> bool:
         return (self.rb + self.rp + self.tb + self.tp) > 0
 
 
-@dataclass(frozen=True)
-class LeaseEvent:
+class _LeaseEventFields(NamedTuple):
     at: Timestamp
     interface: str
     private_ip: str
     event_kind: LeaseKind
     network_id: Optional[str] = None
 
-    def __post_init__(self):
+
+class LeaseEvent(_LeaseEventFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         ipaddress.IPv4Address(self.private_ip)  # raises on non-dotted-quad
+        return self
 
 
-@dataclass(frozen=True)
-class NetworkStackLog:
+class NetworkStackLog(NamedTuple):
     """Volatile DHCP/interface log; empty right after a reboot."""
 
     leases: tuple[LeaseEvent, ...]

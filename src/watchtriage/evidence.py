@@ -15,12 +15,11 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
 from datetime import date, datetime
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 DEFAULT_DISPLAY_ZONE = "Asia/Seoul"
@@ -149,7 +148,7 @@ def json_field(obj: dict, key: str, kind: type, *default):
 def json_list(obj: dict, key: str, kind: type) -> tuple:
     """`obj[key]` as a tuple of values of JSON type `kind`, empty when
     absent; TypeError naming `key` for anything else. A tuple passes as a
-    list, so the output of `dataclasses.asdict` reads back."""
+    list, so a record's `_asdict()` reads back."""
     value = obj.get(key, [])
     if type(value) not in (list, tuple) or any(type(v) is not kind for v in value):
         raise TypeError(f"{key} must be a list of {_JSON_NAMES[kind]}s, got {value!r}")
@@ -199,16 +198,24 @@ MAX_EPOCH = 253370764799  # the end of 9998 UTC: every zone renders it, well bef
 _WALL_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2}) ([0-9]{2}):([0-9]{2}):([0-9]{2})")
 
 
-@dataclass(frozen=True, order=True)
-class Timestamp:
+# Records are named tuples. NamedTuple forbids `__new__` in its own body, so a
+# record that checks its values declares its fields in a NamedTuple and checks
+# them in the `__new__` of a subclass; `_replace` and `_make` skip that check.
+class _TimestampFields(NamedTuple):
+    epoch: int
+
+
+class Timestamp(_TimestampFields):
     """Point in time as UTC epoch seconds; the only code that turns wall-clock
     text into an epoch or an epoch into text."""
 
-    epoch: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.epoch <= MAX_EPOCH:
             raise ValueError(f"epoch must be between 0 and {MAX_EPOCH}, got {self.epoch}")
+        return self
 
     @classmethod
     def parse(cls, text: str, zone: str) -> "Timestamp":
@@ -297,8 +304,7 @@ def _hour_text(hour: int) -> str:
     return f"{date.fromordinal(_EPOCH_ORDINAL + day).isoformat()} {_TWO_DIGITS[hour]}"
 
 
-@dataclass(frozen=True)
-class DeviceProfile:
+class DeviceProfile(NamedTuple):
     model_number: str = ""
     android_version: str = ""
     wear_os_version: str = ""
@@ -318,8 +324,7 @@ class SourceKind(str, Enum):
     APP_INVENTORY = "app_inventory"
 
 
-@dataclass(frozen=True)
-class EvidenceItem:
+class EvidenceItem(NamedTuple):
     """One raw acquired payload, identified by the digest of its exact bytes."""
 
     source_kind: SourceKind
@@ -350,14 +355,12 @@ class EvidenceItem:
         }
 
 
-@dataclass(frozen=True)
-class StepFailure:
+class StepFailure(NamedTuple):
     label: str
     detail: str
 
 
-@dataclass(frozen=True)
-class EvidenceBundle:
+class EvidenceBundle(NamedTuple):
     """A sealed bundle with its raw payloads: built by seal_bundle, written
     by `acquisition.write_bundle_dir` and read back by `read_bundle_dir`."""
 
@@ -373,7 +376,7 @@ class EvidenceBundle:
         return {
             "hash_algorithm": DEFAULT_HASH,
             "items": [it.to_dict() for it in self.items],
-            "device": asdict(self.device) if self.device else None,
+            "device": self.device._asdict() if self.device else None,
         }
 
     def manifest_digest(self) -> str:
@@ -429,18 +432,16 @@ def seal_bundle(
             adb_host_name=prop_values.get("host_name", ""),
         )
     bundle = EvidenceBundle(tuple(items), device, "", payloads, labels, tuple(failures), display_zone)
-    return replace(bundle, bundle_manifest_digest=bundle.manifest_digest())
+    return bundle._replace(bundle_manifest_digest=bundle.manifest_digest())
 
 
-@dataclass(frozen=True)
-class ItemVerification:
+class ItemVerification(NamedTuple):
     item_key: str
     status: str  # "pass" | "fail" | "missing"
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     results: tuple[ItemVerification, ...]
     manifest_ok: bool
 

@@ -15,10 +15,9 @@ from __future__ import annotations
 import base64
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .evidence import EvidenceItem, SourceKind, Timestamp, text_lines
 
@@ -38,20 +37,24 @@ _PROTOCOL_CODES = {"0": TransferProtocol.FTP, "1": TransferProtocol.SFTP,
 _PROTOCOL_NAMES = {p.value: p for p in TransferProtocol if p is not TransferProtocol.OTHER}
 
 
-@dataclass(frozen=True)
-class FtpServerEntry:
+class _FtpServerEntryFields(NamedTuple):
     host: str
     port: int
     protocol: TransferProtocol
     source_file: str = "recentservers_xml"
 
-    def __post_init__(self):
+
+class FtpServerEntry(_FtpServerEntryFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
+        return self
 
 
-@dataclass(frozen=True)
-class KnownHostEntry:
+class KnownHostEntry(NamedTuple):
     host: str
     port: int
     key_type: str
@@ -59,6 +62,8 @@ class KnownHostEntry:
 
 # A known_hosts "[host]:port" pattern: the host, then the port.
 _BRACKETED = re.compile(r"\[([^\]]+)\]:([0-9]+)$")
+# OpenSSH splits a known_hosts line at spaces and tabs only.
+_FIELD_GAP = re.compile(r"[ \t]+")
 
 
 def parse_filezilla(xml_text: str, source_file: str = "recentservers_xml") -> tuple[list[FtpServerEntry], list[str]]:
@@ -110,7 +115,7 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
     for lineno, line in text_lines(text):
         if line.startswith("#"):
             continue
-        fields = line.split()
+        fields = _FIELD_GAP.split(line)
         if line.startswith("@"):
             warnings.append(f"line {lineno}: {fields[0]} marker line records no connection; skipped")
             continue
@@ -139,14 +144,14 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
     return entries, warnings
 
 
-@dataclass
-class HostArtifacts:
-    """Parsed PC-side artifacts plus the digests of the files they came from."""
+class HostArtifacts(NamedTuple):
+    """Parsed PC-side artifacts plus the digests of the files they came from;
+    each is built from four fresh lists."""
 
-    ftp_entries: list[FtpServerEntry] = field(default_factory=list)
-    known_host_entries: list[KnownHostEntry] = field(default_factory=list)
-    items: list[EvidenceItem] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    ftp_entries: list[FtpServerEntry]
+    known_host_entries: list[KnownHostEntry]
+    items: list[EvidenceItem]
+    warnings: list[str]
 
 
 # Recognized file name -> the kind its evidence item is recorded as.
@@ -170,7 +175,7 @@ def locate_host_artifacts(root: Path) -> list[Path]:
 
 def load_host_artifacts(paths: Iterable[Path]) -> HostArtifacts:
     """Parse a set of artifact files, hashing each for evidence citation."""
-    out = HostArtifacts()
+    out = HostArtifacts([], [], [], [])
     for path in paths:
         raw = path.read_bytes()
         kind = _ARTIFACT_KINDS.get(path.name.lower())

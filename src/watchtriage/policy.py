@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .evidence import DeviceProfile, json_list, load_json, text_lines
 
@@ -54,19 +53,23 @@ _SEVERITY = {
 }
 
 
-@dataclass(frozen=True)
-class ManifestInfo:
+class _ManifestInfoFields(NamedTuple):
     package: str
     uses_features: tuple[str, ...] = ()
     declared_abis: tuple[str, ...] = ()  # empty means universal
 
-    def __post_init__(self):
+
+class ManifestInfo(_ManifestInfoFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.package, str) or not self.package:
             raise ValueError("package must be a non-empty string")
+        return self
 
 
-@dataclass(frozen=True)
-class PolicyVerdict:
+class PolicyVerdict(NamedTuple):
     package: str
     watch_feature_present: bool
     abi_compatible: Optional[bool]
@@ -78,8 +81,7 @@ class PolicyVerdict:
         return _SEVERITY[self.verdict]
 
 
-@dataclass(frozen=True)
-class AbiCheck:
+class AbiCheck(NamedTuple):
     compatible: bool
     warnings: tuple[str, ...] = ()
 

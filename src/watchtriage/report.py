@@ -11,8 +11,7 @@ finding block cites at least one evidence item digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
 from .evidence import EvidenceBundle, SourceKind, Timestamp
@@ -36,8 +35,7 @@ LIMITATION_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """The report JSON document; the markdown is rendered from it."""
 
     data: dict
@@ -62,9 +60,10 @@ class ReportDocument:
             sess = f["session"]
             lines.append(f"### {i}. {f['pattern']} ({f['confidence']})")
             lines.append("")
-            lines.append(f"- Packages: {', '.join(sess['packages']) or '(no in-window app evidence)'}")
+            packages = _one_line(", ".join(sess["packages"]))
+            lines.append(f"- Packages: {packages or '(no in-window app evidence)'}")
             lines.append(f"- App start: {sess['app_start_rendered'] or 'unknown (usage detail expired)'}")
-            lines.append(f"- Networks: {', '.join(sess['network_ids'])}")
+            lines.append(f"- Networks: {_one_line(', '.join(sess['network_ids']))}")
             buckets = ", ".join(f"{b['st']} ({Timestamp(b['st']).render(zone)})" for b in sess["buckets"])
             lines.append(f"- Bucket starts: {buckets}")
             lines.append(f"- Bytes in / out: {f['bytes_in']:,} / {f['bytes_out']:,}")
@@ -85,9 +84,10 @@ class ReportDocument:
             lines.append("")
             lines.append("| Time | Source | Event |")
             lines.append("| --- | --- | --- |")
-            # Event text quotes evidence (an SSID, say): an escaped "|" stays in its cell.
+            # Event text quotes evidence (an SSID, say): with its line breaks
+            # and "|" escaped, it stays in its cell.
             for row in data["timeline"]:
-                event = row["event"].replace("|", "\\|")
+                event = _one_line(row["event"]).replace("|", "\\|")
                 lines.append(f"| {row['time']} | {row['source']} | {event} |")
             lines.append("")
         lines.append("## Limitations")
@@ -102,6 +102,13 @@ class ReportDocument:
                 lines.append(f"- {w}")
             lines.append("")
         return "\n".join(lines)
+
+
+def _one_line(text: str) -> str:
+    """`text` with each carriage return and line feed written as "\\r" and
+    "\\n", so evidence quoted into a markdown line (an SSID, a package name)
+    cannot break it; the JSON report keeps the raw text."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
 
 
 def attach_evidence_digests(
@@ -137,7 +144,7 @@ def attach_evidence_digests(
             raise ValueError(
                 "cannot cite evidence: bundle has no netstats item yet findings reference traffic"
             )
-        out.append(replace(f, evidence_digests=tuple(dict.fromkeys(digests))))  # dedupe, keep order
+        out.append(f._replace(evidence_digests=tuple(dict.fromkeys(digests))))  # dedupe, keep order
     return out
 
 

@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import pytest
 
@@ -57,7 +56,7 @@ class TestDefaultPlan:
     def test_plan_file_round_trip(self, tmp_path):
         plan = default_plan()
         path = tmp_path / "plan.json"
-        path.write_text(document_text(asdict(plan)), encoding="utf-8")
+        path.write_text(document_text({"steps": [step._asdict() for step in plan.steps]}), encoding="utf-8")
         reloaded = load_plan(path)
         assert [s.command for s in reloaded.steps] == [s.command for s in plan.steps]
         assert [s.volatility_rank for s in reloaded.steps] == [s.volatility_rank for s in plan.steps]

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import importlib.util
 import io
 import json
@@ -74,7 +73,7 @@ def scenario_json(edit) -> bytes:
 
 def plan_json(edit) -> bytes:
     """The default plan's file after `edit` changed its dict."""
-    data = dataclasses.asdict(acquisition.default_plan())
+    data = {"steps": [step._asdict() for step in acquisition.default_plan().steps]}
     edit(data)
     return json.dumps(data).encode()
 
@@ -689,7 +688,7 @@ class TestUsageErrors:
         ("origin_label", 7),
         ("origin_label", None),
         ("bundle_manifest_digest", []),
-        *((f.name, 5) for f in dataclasses.fields(evidence.DeviceProfile)),
+        *((name, 5) for name in evidence.DeviceProfile._fields),
         ("cpu_abi", ["arm64-v8a"]),
     ])
     def test_mistyped_manifest_field_exits_2_naming_it(self, field, value, case_bundle, capsys):
@@ -755,7 +754,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("label", ["a/b", "", ".", ".."])
     def test_bad_plan_label_exits_2_before_any_step_runs(self, label, acquire_with_plan, capsys):
-        plan = dataclasses.asdict(acquisition.default_plan())
+        plan = {"steps": [step._asdict() for step in acquisition.default_plan().steps]}
         plan["steps"][1]["label"] = label
         assert acquire_with_plan(json.dumps(plan)) == 2
         assert f"plan step label {label!r} is not a single plain file name" in capsys.readouterr().err

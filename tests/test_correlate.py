@@ -130,9 +130,9 @@ class TestMatchSessions:
         rng.shuffle(events)
         rng.shuffle(leases)
         shuffled = Timeline(
-            dataclasses.replace(timeline.report, events_24h=tuple(events)),
+            timeline.report._replace(events_24h=tuple(events)),
             timeline.records,
-            dataclasses.replace(timeline.lease_log, leases=tuple(leases)),
+            timeline.lease_log._replace(leases=tuple(leases)),
             timeline.bucket_duration,
         )
         expected = match_sessions(timeline)

@@ -162,6 +162,17 @@ class TestParseKnownHosts:
         assert [e.host for e in entries] == ["10.0.0.7"]
         assert warnings == ["line 3: fewer than 3 fields; skipped"]
 
+    @pytest.mark.parametrize("gap", ["\x1c", "\x0c", "\x85", "\u2028", "\u3000"])
+    def test_fields_split_at_spaces_and_tabs_only(self, gap):
+        # OpenSSH splits a line at spaces and tabs; any other whitespace is
+        # part of the field it sits in.
+        entries, warnings = parse_known_hosts(f"10.0.0.7{gap}pad ssh-ed25519 {_b64key()}\n")
+        assert warnings == []
+        assert [(e.host, e.port, e.key_type) for e in entries] == [(f"10.0.0.7{gap}pad", 22, "ssh-ed25519")]
+        tabbed, warnings = parse_known_hosts(f"10.0.0.7\t \tssh-ed25519\t{_b64key()}\n")
+        assert warnings == []
+        assert [(e.host, e.key_type) for e in tabbed] == [("10.0.0.7", "ssh-ed25519")]
+
     @pytest.mark.parametrize("marker", ["@revoked", "@cert-authority"])
     def test_marker_line_skipped_with_warning(self, marker):
         # A marker is set by hand, never by a connection: it corroborates nothing.

@@ -8,6 +8,12 @@ import pytest
 
 import watchtriage
 from watchtriage import cli
+from watchtriage.acquisition import AcquisitionPlan, default_plan
+from watchtriage.correlate import AppNetworkSession, DirectionBias, FindingPattern, PatternRule
+from watchtriage.dumpsys import AggregateWindow, LeaseEvent, LeaseKind, NetUsageRecord, UsageAggregate
+from watchtriage.evidence import Timestamp
+from watchtriage.host_artifacts import FtpServerEntry, TransferProtocol
+from watchtriage.policy import ManifestInfo
 
 # Run in a fresh interpreter: the modules that importing watchtriage.cli and
 # running one command added to sys.modules, as JSON on stdout.
@@ -52,6 +58,36 @@ class TestCommandImports:
         assert "watchtriage.report" in loaded
         assert not loaded & {"watchtriage.policy", "watchtriage.simulator"}
 
+    @pytest.mark.parametrize("command, code", [
+        ("verify", 0), ("parse", 0), ("correlate", 1), ("report", 0), ("report-json", 0), ("audit", 1),
+        ("acquire", 1),
+    ])
+    def test_analysis_command_loads_neither_dataclasses_nor_inspect(self, command, code, ftp_bundle, tmp_path):
+        # Building dataclasses, and importing `dataclasses` with `inspect`,
+        # took about a fifth of a one-shot command's wall time; records are
+        # named tuples, and only `generate` loads the simulator's dataclasses.
+        bundle = ["--bundle", str(ftp_bundle)]
+        host = ["--host-artifacts", str(ftp_bundle / "host_artifacts")]
+        (tmp_path / "manifests").mkdir()
+        (tmp_path / "manifests" / "phone.txt").write_text("package: name='com.example.phone'\n")
+        (tmp_path / "transcripts").mkdir()
+        for label in ("network_stack", "netstats", "usagestats"):  # the getprop steps fail: exit 1
+            (tmp_path / "transcripts" / f"dumpsys_{label}.txt").write_bytes(
+                (ftp_bundle / "raw" / f"{label}.txt").read_bytes())
+        argv = {
+            "verify": ["verify", *bundle],
+            "parse": ["parse", *bundle],
+            "correlate": ["correlate", *bundle, *host],
+            "report": ["report", *bundle, *host],
+            "report-json": ["report", *bundle, *host, "--format", "json"],
+            "audit": ["audit", "--manifests", str(tmp_path / "manifests")],
+            "acquire": ["acquire", "--transcripts", str(tmp_path / "transcripts"), "--clock-start", "1683809100",
+                        "--out", str(tmp_path / "acquired")],
+        }[command]
+        got, loaded = modules_loaded_by(argv)
+        assert got == code
+        assert not loaded & {"dataclasses", "inspect"}
+
 
 class TestPackageExports:
     def test_every_public_name_resolves(self):
@@ -78,3 +114,49 @@ class TestPackageExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             watchtriage.no_such_name  # noqa: B018
         assert not hasattr(watchtriage, "no_such_name")
+
+
+_BUCKET = NetUsageRecord("net", Timestamp(0), 1, 1, 1, 1)
+
+# Every record that checks its values: (type, valid fields in order, the
+# field given a bad value, that value, the ValueError's message).
+CHECKED_RECORDS = [
+    (Timestamp, {"epoch": 5}, "epoch", -1, "epoch must be between 0 and 253370764799, got -1"),
+    (NetUsageRecord, {"network_id": "net", "st": Timestamp(0), "rb": 1, "rp": 2, "tb": 3, "tp": 4},
+     "tb", -1, "tb must be >= 0"),
+    (LeaseEvent, {"at": Timestamp(0), "interface": "wlan0", "private_ip": "10.0.0.2",
+                  "event_kind": LeaseKind.DHCP_ACK}, "private_ip", "10.0.0.256",
+     "Octet 256 (> 255) not permitted in '10.0.0.256'"),
+    (UsageAggregate, {"window": AggregateWindow.WEEK, "package": "app", "last_used": Timestamp(0), "use_count": 1},
+     "use_count", -1, "use_count must be >= 0"),
+    (FtpServerEntry, {"host": "10.0.0.7", "port": 21, "protocol": TransferProtocol.FTP},
+     "port", 0, "port out of range: 0"),
+    (PatternRule, {"pattern": FindingPattern.UNCLASSIFIED_TRANSFER, "package_markers": (),
+                   "direction_bias": DirectionBias.ANY,
+                   "min_bytes": 1}, "min_bytes", -1, "min_bytes must be >= 0"),
+    (AppNetworkSession, {"packages": (), "app_events": (), "buckets": (_BUCKET,), "resolved_leases": (),
+                         "ambiguity_flags": frozenset()},
+     "buckets", (), "session must reference at least one traffic bucket"),
+    (AcquisitionPlan, {"steps": default_plan().steps}, "steps", default_plan().steps[::-1],
+     "plan steps must be ordered by ascending volatility rank"),
+    (ManifestInfo, {"package": "com.example"}, "package", "", "package must be a non-empty string"),
+]
+
+
+@pytest.mark.parametrize("record, fields, bad_field, bad_value, message", CHECKED_RECORDS,
+                         ids=[row[0].__name__ for row in CHECKED_RECORDS])
+class TestCheckedRecords:
+    def test_bad_value_is_refused_by_position_and_by_keyword(self, record, fields, bad_field, bad_value, message):
+        bad = {**fields, bad_field: bad_value}
+        for build in (lambda: record(*bad.values()), lambda: record(**bad)):
+            with pytest.raises(ValueError) as caught:
+                build()
+            assert str(caught.value) == message
+
+    def test_immutable_and_compared_by_value(self, record, fields, bad_field, bad_value, message):
+        one, other = record(*fields.values()), record(**fields)
+        assert one == other and hash(one) == hash(other) and len({one, other}) == 1
+        for name in (bad_field, "no_such_field"):
+            with pytest.raises(AttributeError):
+                setattr(one, name, bad_value)
+        assert one == other

@@ -1,10 +1,11 @@
+import json
 import re
 from dataclasses import replace
 
 import pytest
 
 from watchtriage import simulator
-from watchtriage.correlate import findings_document
+from watchtriage.correlate import corroborate, findings_document, match_sessions, read_timeline
 from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, document_text, seal_bundle
 from watchtriage.report import attach_evidence_digests, render_report
 from tests.conftest import run_pipeline
@@ -117,6 +118,34 @@ class TestReportRendering:
         assert [row for row in rows if len(re.findall(r"(?<!\\)\|", row)) != 4] == []
         assert sum("Cafe|Guest" in row["event"] for row in doc.timeline_rows) >= 2
         assert "Cafe|Guest" in document_text(doc.data)
+
+    def test_line_breaks_in_evidence_text_stay_on_their_markdown_line(self):
+        # The JSON-lines dumps take any string as a network id or package; a
+        # line break in one must not split a table row or a finding's line.
+        capture = 1683809100
+        st = capture - 7200
+        dumps = (
+            [{"record": "event", "at": st + 60, "package": "com.example\rrelay", "event_type": "ACTIVITY_RESUMED"}],
+            [{"network_id": "Cafe\nGuest", "st": st, "rb": 20_000_000, "rp": 1, "tb": 1, "tp": 1}],
+            [{"record": "lease", "at": st + 10, "private_ip": "10.0.0.2", "network_id": "Cafe\nGuest"}],
+        )
+        kinds = (SourceKind.USAGESTATS, SourceKind.NETSTATS, SourceKind.NETWORK_STACK)
+        captured = [(kind.value, kind, "".join(json.dumps(row) + "\n" for row in rows).encode(), capture)
+                    for kind, rows in zip(kinds, dumps)]
+        bundle = seal_bundle(captured, "synthetic", "UTC")
+        timeline, warnings = read_timeline(bundle)
+        findings = attach_evidence_digests(corroborate(match_sessions(timeline)), bundle)
+        doc = render_report(findings, bundle, timeline, "UTC", warnings)
+        md = doc.to_markdown()
+        assert "- Packages: com.example\\rrelay\n" in md
+        assert "- Networks: Cafe\\nGuest\n" in md
+        table = md.split("## Timeline\n\n", 1)[1].split("\n\n", 1)[0]
+        rows = table.split("\n")
+        assert len(rows) == 2 + 3  # header, rule, and one row per event
+        assert all(row.startswith("| ") and row.endswith(" |") and "\r" not in row for row in rows)
+        assert sum("Cafe\\nGuest" in row for row in rows) == 2  # the traffic bucket and the lease
+        assert sum("Cafe\nGuest" in row["event"] for row in doc.timeline_rows) == 2
+        assert doc.data["findings"][0]["session"]["packages"] == ["com.example\rrelay"]
 
     def test_bundle_without_citable_items_is_an_error(self):
         scenario = simulator.preset_ftp_file_server()
