@@ -115,20 +115,19 @@ class _AcquisitionPlanFields(NamedTuple):
 class AcquisitionPlan(_AcquisitionPlanFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        ranks = [s.volatility_rank for s in self.steps]
+    def __new__(cls, steps: tuple[AcquisitionStep, ...]):
+        ranks = [s.volatility_rank for s in steps]
         if ranks != sorted(ranks):
             raise ValueError("plan steps must be ordered by ascending volatility rank")
-        labels = [s.label for s in self.steps]
+        labels = [s.label for s in steps]
         if len(labels) != len(set(labels)):
             raise ValueError("plan step labels must be unique")
-        for step in self.steps:
+        for step in steps:
             _reject_privileged(step.command)
             label = step.label
             if not isinstance(label, str) or label in ("", os.curdir, os.pardir) or {"/", os.sep} & set(label):
                 raise ValueError(f"plan step label {label!r} is not a single plain file name")
-        return self
+        return tuple.__new__(cls, (steps,))
 
 
 _PRIVILEGED = re.compile(r"(^|[;&|\s])su($|\s)|/data/data")

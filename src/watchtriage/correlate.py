@@ -70,19 +70,24 @@ class DirectionBias(Enum):
 
 class _PatternRuleFields(NamedTuple):
     pattern: FindingPattern
-    package_markers: tuple[str, ...] = ()
-    direction_bias: DirectionBias = DirectionBias.ANY
-    min_bytes: int = 0
+    package_markers: tuple[str, ...]
+    direction_bias: DirectionBias
+    min_bytes: int
 
 
 class PatternRule(_PatternRuleFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.min_bytes < 0:
+    def __new__(
+        cls,
+        pattern: FindingPattern,
+        package_markers: tuple[str, ...] = (),
+        direction_bias: DirectionBias = DirectionBias.ANY,
+        min_bytes: int = 0,
+    ):
+        if min_bytes < 0:
             raise ValueError("min_bytes must be >= 0")
-        return self
+        return tuple.__new__(cls, (pattern, package_markers, direction_bias, min_bytes))
 
 
 # The three packages observed in the field plus a volume-based fallback for
@@ -216,11 +221,17 @@ class AppNetworkSession(_AppNetworkSessionFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.buckets:
+    def __new__(
+        cls,
+        packages: tuple[str, ...],
+        app_events: tuple[UsageEvent, ...],
+        buckets: tuple[NetUsageRecord, ...],
+        resolved_leases: tuple[LeaseEvent, ...],
+        ambiguity_flags: frozenset[AmbiguityFlag],
+    ):
+        if not buckets:
             raise ValueError("session must reference at least one traffic bucket")
-        return self
+        return tuple.__new__(cls, (packages, app_events, buckets, resolved_leases, ambiguity_flags))
 
     @property
     def network_ids(self) -> tuple[str, ...]:

@@ -80,11 +80,10 @@ class UsageAggregate(_UsageAggregateFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.use_count < 0:
+    def __new__(cls, window: AggregateWindow, package: str, last_used: Timestamp, use_count: int):
+        if use_count < 0:
             raise ValueError("use_count must be >= 0")
-        return self
+        return tuple.__new__(cls, (window, package, last_used, use_count))
 
 
 class UsageReport(NamedTuple):
@@ -100,7 +99,7 @@ class _NetUsageRecordFields(NamedTuple):
     rp: int
     tb: int
     tp: int
-    bucket_duration: int = DEFAULT_BUCKET_SECONDS
+    bucket_duration: int
 
 
 class NetUsageRecord(_NetUsageRecordFields):
@@ -109,12 +108,20 @@ class NetUsageRecord(_NetUsageRecordFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if min(self.rb, self.rp, self.tb, self.tp) < 0:
-            name = next(name for name in ("rb", "rp", "tb", "tp") if getattr(self, name) < 0)
+    def __new__(
+        cls,
+        network_id: str,
+        st: Timestamp,
+        rb: int,
+        rp: int,
+        tb: int,
+        tp: int,
+        bucket_duration: int = DEFAULT_BUCKET_SECONDS,
+    ):
+        if min(rb, rp, tb, tp) < 0:
+            name = next(name for name, value in zip(("rb", "rp", "tb", "tp"), (rb, rp, tb, tp)) if value < 0)
             raise ValueError(f"{name} must be >= 0")
-        return self
+        return tuple.__new__(cls, (network_id, st, rb, rp, tb, tp, bucket_duration))
 
     def has_traffic(self) -> bool:
         return (self.rb + self.rp + self.tb + self.tp) > 0
@@ -125,16 +132,17 @@ class _LeaseEventFields(NamedTuple):
     interface: str
     private_ip: str
     event_kind: LeaseKind
-    network_id: Optional[str] = None
+    network_id: Optional[str]
 
 
 class LeaseEvent(_LeaseEventFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        ipaddress.IPv4Address(self.private_ip)  # raises on non-dotted-quad
-        return self
+    def __new__(
+        cls, at: Timestamp, interface: str, private_ip: str, event_kind: LeaseKind, network_id: Optional[str] = None
+    ):
+        ipaddress.IPv4Address(private_ip)  # raises on non-dotted-quad
+        return tuple.__new__(cls, (at, interface, private_ip, event_kind, network_id))
 
 
 class NetworkStackLog(NamedTuple):
@@ -157,12 +165,26 @@ def _tokenize(text: str, text_form, jsonl_form) -> dict[type, list]:
     return tokens
 
 
+# The stdlib's C scanner, which `json.loads` itself runs. A stripped line has
+# no JSON whitespace at either end, so `json.loads` accepts it exactly when
+# the scanner reads one value that ends where the line ends, and returns
+# that value.
+_scan_value = json.JSONDecoder().scan_once
+
+
 def _jsonl(text: str, record):
     """Tokenize a JSON-lines dump: `record(obj)` turns one object into a
-    domain record, or None to skip it; any failure warns for that line."""
+    domain record, or None to skip it; any failure warns for that line.
+    Each line is read as `json.loads` reads it, and a line it refuses
+    warns with `json`'s own error."""
     for lineno, line in text_lines(text):
         try:
-            obj = json.loads(line)
+            try:
+                obj, end = _scan_value(line, 0)
+            except StopIteration:
+                end = None
+            if end != len(line):
+                obj = json.loads(line)  # refused: raises json's own error for the line
             if not isinstance(obj, dict):
                 raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
             token = record(obj)

@@ -199,8 +199,10 @@ _WALL_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2}) ([0-9]{2}):([0-9]{2}):(
 
 
 # Records are named tuples. NamedTuple forbids `__new__` in its own body, so a
-# record that checks its values declares its fields in a NamedTuple and checks
-# them in the `__new__` of a subclass; `_replace` and `_make` skip that check.
+# record that checks its values declares its fields, without defaults, in a
+# NamedTuple, and a subclass's `__new__` takes them as named parameters (each
+# default stated there), checks them and builds itself with `tuple.__new__`.
+# Pickling and `copy` call that `__new__` too; `_replace` and `_make` skip it.
 class _TimestampFields(NamedTuple):
     epoch: int
 
@@ -211,11 +213,10 @@ class Timestamp(_TimestampFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0 <= self.epoch <= MAX_EPOCH:
-            raise ValueError(f"epoch must be between 0 and {MAX_EPOCH}, got {self.epoch}")
-        return self
+    def __new__(cls, epoch: int):
+        if not 0 <= epoch <= MAX_EPOCH:
+            raise ValueError(f"epoch must be between 0 and {MAX_EPOCH}, got {epoch}")
+        return tuple.__new__(cls, (epoch,))
 
     @classmethod
     def parse(cls, text: str, zone: str) -> "Timestamp":

@@ -41,17 +41,16 @@ class _FtpServerEntryFields(NamedTuple):
     host: str
     port: int
     protocol: TransferProtocol
-    source_file: str = "recentservers_xml"
+    source_file: str
 
 
 class FtpServerEntry(_FtpServerEntryFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 1 <= self.port <= 65535:
-            raise ValueError(f"port out of range: {self.port}")
-        return self
+    def __new__(cls, host: str, port: int, protocol: TransferProtocol, source_file: str = "recentservers_xml"):
+        if not 1 <= port <= 65535:
+            raise ValueError(f"port out of range: {port}")
+        return tuple.__new__(cls, (host, port, protocol, source_file))
 
 
 class KnownHostEntry(NamedTuple):

@@ -55,18 +55,17 @@ _SEVERITY = {
 
 class _ManifestInfoFields(NamedTuple):
     package: str
-    uses_features: tuple[str, ...] = ()
-    declared_abis: tuple[str, ...] = ()  # empty means universal
+    uses_features: tuple[str, ...]
+    declared_abis: tuple[str, ...]  # empty means universal
 
 
 class ManifestInfo(_ManifestInfoFields):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not isinstance(self.package, str) or not self.package:
+    def __new__(cls, package: str, uses_features: tuple[str, ...] = (), declared_abis: tuple[str, ...] = ()):
+        if not isinstance(package, str) or not package:
             raise ValueError("package must be a non-empty string")
-        return self
+        return tuple.__new__(cls, (package, uses_features, declared_abis))
 
 
 class PolicyVerdict(NamedTuple):

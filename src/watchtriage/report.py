@@ -48,7 +48,7 @@ class ReportDocument(NamedTuple):
         data = self.data
         zone = data["display_zone"]
         lines = ["# Smartwatch exfiltration triage report", ""]
-        lines.append(f"Bundle: `{data['bundle_manifest_digest']}`  ")
+        lines.append(f"Bundle: `{_one_line(data['bundle_manifest_digest'])}`  ")
         lines.append(f"Display zone: {zone}")
         lines.append("")
         lines.append(f"## Findings ({data['finding_count']})")
@@ -76,7 +76,7 @@ class ReportDocument(NamedTuple):
             ]
             lines.append(f"- Host corroboration: {'; '.join(parts) or 'none'}")
             lines.append(f"- Ambiguity flags: {', '.join(sess['ambiguity_flags']) or 'none'}")
-            digests = ", ".join(f"`{d}`" for d in f["evidence_digests"])
+            digests = ", ".join(f"`{_one_line(d)}`" for d in f["evidence_digests"])
             lines.append(f"- Evidence: {digests}")
             lines.append("")
         if data["timeline"]:
@@ -99,15 +99,16 @@ class ReportDocument(NamedTuple):
             lines.append("## Warnings")
             lines.append("")
             for w in data["warnings"]:
-                lines.append(f"- {w}")
+                lines.append(f"- {_one_line(w)}")
             lines.append("")
         return "\n".join(lines)
 
 
 def _one_line(text: str) -> str:
     """`text` with each carriage return and line feed written as "\\r" and
-    "\\n", so evidence quoted into a markdown line (an SSID, a package name)
-    cannot break it; the JSON report keeps the raw text."""
+    "\\n", so evidence quoted into a markdown line (an SSID, a package name,
+    a warning quoting a dump line, a manifest digest) cannot break it; the
+    JSON report keeps the raw text."""
     return text.replace("\r", "\\r").replace("\n", "\\n")
 
 

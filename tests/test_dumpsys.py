@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from watchtriage import simulator
+from watchtriage import dumpsys, simulator
 from watchtriage.correlate import build_timeline, parse_document
 from watchtriage.dumpsys import (
     AggregateWindow,
@@ -685,3 +686,99 @@ class TestLineBreaks:
         parsed, warnings = parse(text)
         assert len(warnings) >= 1
         assert parse(text.replace("\n", "\r\r\n")) == (parsed, warnings)
+
+
+class TestScannerPath:
+    """A JSON-lines dump is read through json's C scanner, falling back to
+    `json.loads` for a line the scanner does not read whole; with the scanner
+    made to refuse every line, `json.loads` reads them all, and the records
+    and warnings must be the same."""
+
+    VALID = {
+        "usagestats": [_EVENT, _AGGREGATE, {**_EVENT, "at": 1683600000}, {"record": "capture", "at": 1683766560},
+                       {**_AGGREGATE, "window": "month", "use_count": 0}],
+        "netstats": [_BUCKET, {**_BUCKET, "network_id": "b", "bucket_duration": 900}, {**_BUCKET, "rb": 0}],
+        "network_stack": [_LEASE, {"record": "boot", "at": 1683700000},
+                          {**_LEASE, "network_id": "Cafe", "event_kind": "lease_renew", "interface": "wlan1"}],
+    }
+    PARSE = {
+        "usagestats": lambda text: parse_usagestats(text, CAPTURE, KST),
+        "netstats": parse_netstats,
+        "network_stack": lambda text: parse_network_stack(text, KST),
+    }
+    # Each mutation maps a valid line (and the seeded generator) to one that
+    # may or may not still be a valid record.
+    MUTATIONS = [
+        lambda line, rng: "\ufeff" + line,
+        lambda line, rng: line + " {}",
+        lambda line, rng: line + "x",
+        lambda line, rng: line + line,
+        lambda line, rng: "{} {}",
+        lambda line, rng: "{}x",
+        lambda line, rng: rng.choice(["[1, 2]", "[]", "5", "-0.5e3", '"text"', "true", "null"]),
+        lambda line, rng: rng.choice(["NaN", "Infinity", "-Infinity"]),
+        lambda line, rng: line.replace("1", "NaN", 1) if rng.random() < 0.5 else line.replace("1", "Infinity", 1),
+        lambda line, rng: line.replace("1", "1" * rng.choice([30, 400, 5000]), 1),
+        lambda line, rng: line[:-1] + ', "' + rng.choice(["rb", "at", "package", "record", "st"]) + '": -1}',
+        lambda line, rng: rng.choice(["\x1c", "\u2028", "\x85", "\x0b"]) + line + rng.choice(["\x1d", "\u2029", " "]),
+        lambda line, rng: line.replace('": "', '": "\x1c\u2028', 1),
+        lambda line, rng: line.replace(", ", rng.choice([",\x1c", ",\u2028", ",\t", ", \r"]), 1),
+        lambda line, rng: line[:rng.randrange(1, len(line))],
+        lambda line, rng: line.replace('"', "'", 2),
+        lambda line, rng: line.replace(": ", ": [", 1),
+        lambda line, rng: json.dumps(json.loads(line), ensure_ascii=False).replace("1", "\u0661", 1),
+    ]
+
+    def dumps(self, dump, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            valid = [json.dumps(obj) for obj in self.VALID[dump]]
+            lines = [rng.choice(valid)]  # a leading "{" selects the JSON-lines form
+            for _ in range(rng.randint(1, 12)):
+                line = rng.choice(valid)
+                if rng.random() < 0.7:
+                    line = rng.choice(self.MUTATIONS)(line, rng)
+                lines.append(line)
+            yield "\n".join(lines) + "\n"
+
+    @staticmethod
+    def read_with_json_loads_only(monkeypatch):
+        def refuse(line, idx):
+            raise StopIteration(idx)
+
+        monkeypatch.setattr(dumpsys, "_scan_value", refuse)
+
+    @pytest.mark.parametrize("dump", ["usagestats", "netstats", "network_stack"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scanner_and_json_loads_read_alike(self, monkeypatch, dump, seed):
+        texts = list(self.dumps(dump, seed))
+        fast = [self.PARSE[dump](text) for text in texts]
+        self.read_with_json_loads_only(monkeypatch)
+        slow = [self.PARSE[dump](text) for text in texts]
+        assert fast == slow
+        warnings = [w for _, ws in fast for w in ws]
+        assert len(warnings) > len(texts)
+        assert any("Unexpected UTF-8 BOM" in w for w in warnings)
+        assert any("Extra data" in w for w in warnings)
+
+    def test_every_listed_line_reads_as_json_loads_reads_it(self, monkeypatch):
+        lines = [
+            "\ufeff" + json.dumps(_BUCKET), json.dumps(_BUCKET) + " {}", "{} {}", "{}x", "[1]", "5", '"s"',
+            "NaN", "Infinity", json.dumps(_BUCKET).replace("1,", "NaN,", 1),
+            json.dumps({**_BUCKET, "st": 10**400}), json.dumps(_BUCKET).replace("1", "1" * 5000, 1),
+            json.dumps(_BUCKET)[:-1] + ', "rb": -1}', json.dumps(_BUCKET)[:-1] + ', "rb": 7}',
+            "\x1c" + json.dumps(_BUCKET) + "\u2028",
+            json.dumps({**_BUCKET, "network_id": "a\x1cb\u2028c"}, ensure_ascii=False),
+            json.dumps(_BUCKET)[:20],
+        ]
+        text = json.dumps(_BUCKET) + "\n" + "\n".join(lines) + "\n"
+        fast = parse_netstats(text)
+        self.read_with_json_loads_only(monkeypatch)
+        assert parse_netstats(text) == fast
+        records, warnings = fast
+        assert [r.rb for r in records] == [1, 7, 1, 1]
+        assert [r.network_id for r in records][-1] == "a\x1cb\u2028c"
+        assert warnings[0] == "line 2: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+        end = len(json.dumps(_BUCKET)) + 1  # where the second value starts
+        assert warnings[1] == f"line 3: Extra data: line 1 column {end + 1} (char {end})"
+        assert len(warnings) == len(lines) - 3  # all but the three lines read as records

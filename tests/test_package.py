@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from watchtriage import cli
 from watchtriage.acquisition import AcquisitionPlan, default_plan
 from watchtriage.correlate import AppNetworkSession, DirectionBias, FindingPattern, PatternRule
 from watchtriage.dumpsys import AggregateWindow, LeaseEvent, LeaseKind, NetUsageRecord, UsageAggregate
-from watchtriage.evidence import Timestamp
+from watchtriage.evidence import MAX_EPOCH, Timestamp
 from watchtriage.host_artifacts import FtpServerEntry, TransferProtocol
 from watchtriage.policy import ManifestInfo
 
@@ -116,47 +118,81 @@ class TestPackageExports:
         assert not hasattr(watchtriage, "no_such_name")
 
 
-_BUCKET = NetUsageRecord("net", Timestamp(0), 1, 1, 1, 1)
+_AT = Timestamp(0)
+_BUCKET = NetUsageRecord("net", _AT, 1, 1, 1, 1)
 
-# Every record that checks its values: (type, valid fields in order, the
-# field given a bad value, that value, the ValueError's message).
+# Every record that checks its values: (type, every field in order with a
+# valid value, how many trailing fields hold their default, and the bad
+# values, each a set of fields to change with the ValueError's message).
 CHECKED_RECORDS = [
-    (Timestamp, {"epoch": 5}, "epoch", -1, "epoch must be between 0 and 253370764799, got -1"),
-    (NetUsageRecord, {"network_id": "net", "st": Timestamp(0), "rb": 1, "rp": 2, "tb": 3, "tp": 4},
-     "tb", -1, "tb must be >= 0"),
-    (LeaseEvent, {"at": Timestamp(0), "interface": "wlan0", "private_ip": "10.0.0.2",
-                  "event_kind": LeaseKind.DHCP_ACK}, "private_ip", "10.0.0.256",
-     "Octet 256 (> 255) not permitted in '10.0.0.256'"),
-    (UsageAggregate, {"window": AggregateWindow.WEEK, "package": "app", "last_used": Timestamp(0), "use_count": 1},
-     "use_count", -1, "use_count must be >= 0"),
-    (FtpServerEntry, {"host": "10.0.0.7", "port": 21, "protocol": TransferProtocol.FTP},
-     "port", 0, "port out of range: 0"),
+    (Timestamp, {"epoch": 5}, 0, [
+        ({"epoch": -1}, "epoch must be between 0 and 253370764799, got -1"),
+        ({"epoch": MAX_EPOCH + 1}, "epoch must be between 0 and 253370764799, got 253370764800"),
+    ]),
+    (NetUsageRecord, {"network_id": "net", "st": _AT, "rb": 1, "rp": 2, "tb": 3, "tp": 4, "bucket_duration": 3600}, 1, [
+        ({"rb": -1}, "rb must be >= 0"),
+        ({"rp": -2, "tb": -3, "tp": -4}, "rp must be >= 0"),
+        ({"tb": -1}, "tb must be >= 0"),
+        ({"tb": -1, "tp": -1, "bucket_duration": 900}, "tb must be >= 0"),
+        ({"rb": 0, "rp": 0, "tb": 0, "tp": -1}, "tp must be >= 0"),
+    ]),
+    (LeaseEvent, {"at": _AT, "interface": "wlan0", "private_ip": "10.0.0.2",
+                  "event_kind": LeaseKind.DHCP_ACK, "network_id": None}, 1, [
+        ({"private_ip": "10.0.0.256"}, "Octet 256 (> 255) not permitted in '10.0.0.256'"),
+        ({"private_ip": "10.0.0"}, "Expected 4 octets in '10.0.0'"),
+        ({"private_ip": "fe80::1", "network_id": "Cafe"}, "Expected 4 octets in 'fe80::1'"),
+    ]),
+    (UsageAggregate, {"window": AggregateWindow.WEEK, "package": "app", "last_used": _AT, "use_count": 1}, 0, [
+        ({"use_count": -1}, "use_count must be >= 0"),
+    ]),
+    (FtpServerEntry, {"host": "10.0.0.7", "port": 21, "protocol": TransferProtocol.FTP,
+                      "source_file": "recentservers_xml"}, 1, [
+        ({"port": 0}, "port out of range: 0"),
+    ]),
     (PatternRule, {"pattern": FindingPattern.UNCLASSIFIED_TRANSFER, "package_markers": (),
-                   "direction_bias": DirectionBias.ANY,
-                   "min_bytes": 1}, "min_bytes", -1, "min_bytes must be >= 0"),
+                   "direction_bias": DirectionBias.ANY, "min_bytes": 0}, 3, [
+        ({"min_bytes": -1}, "min_bytes must be >= 0"),
+    ]),
     (AppNetworkSession, {"packages": (), "app_events": (), "buckets": (_BUCKET,), "resolved_leases": (),
-                         "ambiguity_flags": frozenset()},
-     "buckets", (), "session must reference at least one traffic bucket"),
-    (AcquisitionPlan, {"steps": default_plan().steps}, "steps", default_plan().steps[::-1],
-     "plan steps must be ordered by ascending volatility rank"),
-    (ManifestInfo, {"package": "com.example"}, "package", "", "package must be a non-empty string"),
+                         "ambiguity_flags": frozenset()}, 0, [
+        ({"buckets": ()}, "session must reference at least one traffic bucket"),
+    ]),
+    (AcquisitionPlan, {"steps": default_plan().steps}, 0, [
+        ({"steps": default_plan().steps[::-1]}, "plan steps must be ordered by ascending volatility rank"),
+    ]),
+    (ManifestInfo, {"package": "com.example", "uses_features": (), "declared_abis": ()}, 2, [
+        ({"package": ""}, "package must be a non-empty string"),
+    ]),
 ]
 
 
-@pytest.mark.parametrize("record, fields, bad_field, bad_value, message", CHECKED_RECORDS,
+@pytest.mark.parametrize("record, fields, defaults, bad", CHECKED_RECORDS,
                          ids=[row[0].__name__ for row in CHECKED_RECORDS])
 class TestCheckedRecords:
-    def test_bad_value_is_refused_by_position_and_by_keyword(self, record, fields, bad_field, bad_value, message):
-        bad = {**fields, bad_field: bad_value}
-        for build in (lambda: record(*bad.values()), lambda: record(**bad)):
-            with pytest.raises(ValueError) as caught:
-                build()
-            assert str(caught.value) == message
+    def test_bad_value_is_refused_by_position_and_by_keyword(self, record, fields, defaults, bad):
+        for changed, message in bad:
+            values = {**fields, **changed}
+            for build in (lambda: record(*values.values()), lambda: record(**values)):
+                with pytest.raises(ValueError) as caught:
+                    build()
+                assert str(caught.value) == message
 
-    def test_immutable_and_compared_by_value(self, record, fields, bad_field, bad_value, message):
+    def test_every_way_of_building_gives_the_same_record(self, record, fields, defaults, bad):
+        made = record._make(fields.values())
+        required = dict(list(fields.items())[:len(fields) - defaults])
+        built = (record(*fields.values()), record(**fields), record(*required.values()), record(**required))
+        for one in built:
+            assert type(one) is record and one == made and one._asdict() == fields
+
+    def test_pickle_and_copy_keep_the_record_type(self, record, fields, defaults, bad):
+        one = record(**fields)
+        for copied in (pickle.loads(pickle.dumps(one)), copy.deepcopy(one), copy.copy(one)):
+            assert type(copied) is record and copied == one
+
+    def test_immutable_and_compared_by_value(self, record, fields, defaults, bad):
         one, other = record(*fields.values()), record(**fields)
         assert one == other and hash(one) == hash(other) and len({one, other}) == 1
-        for name in (bad_field, "no_such_field"):
+        for name in (*bad[0][0], "no_such_field"):
             with pytest.raises(AttributeError):
-                setattr(one, name, bad_value)
+                setattr(one, name, None)
         assert one == other

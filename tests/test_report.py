@@ -147,6 +147,38 @@ class TestReportRendering:
         assert sum("Cafe\nGuest" in row["event"] for row in doc.timeline_rows) == 2
         assert doc.data["findings"][0]["session"]["packages"] == ["com.example\rrelay"]
 
+    def test_line_breaks_in_warnings_and_digests_stay_on_their_markdown_line(self):
+        # A warning quotes its dump line or a package name, and the digests
+        # are manifest strings the report never checks: a line break in any
+        # of them must not start a new markdown line.
+        capture = 1683809100
+        st = capture - 7200
+        usage = "".join(json.dumps(row) + "\n" for row in (
+            {"record": "event", "at": st + 60, "package": "com.example", "event_type": "ACTIVITY_RESUMED"},
+            {"record": "event", "at": capture - 90_000, "package": "a\nb", "event_type": "ACTIVITY_RESUMED"},
+        ))
+        netstats = f'networkId="home"\nst={st} rb=20000000 rp=1 tb=1 tp=1\njunk\rmore | x\n'
+        network_stack = json.dumps({"record": "lease", "at": st + 10, "private_ip": "10.0.0.2"}) + "\n"
+        kinds = (SourceKind.USAGESTATS, SourceKind.NETSTATS, SourceKind.NETWORK_STACK)
+        captured = [(kind.value, kind, text.encode(), capture)
+                    for kind, text in zip(kinds, (usage, netstats, network_stack))]
+        bundle = seal_bundle(captured, "synthetic", "UTC")._replace(bundle_manifest_digest="feed\r\nbeef")
+        timeline, warnings = read_timeline(bundle)
+        findings = [f._replace(evidence_digests=("ab\ncd", "ef\rgh"))
+                    for f in attach_evidence_digests(corroborate(match_sessions(timeline)), bundle)]
+        doc = render_report(findings, bundle, timeline, "UTC", warnings)
+        md = doc.to_markdown()
+        assert "\r" not in md
+        assert "Bundle: `feed\\r\\nbeef`  \n" in md
+        assert "- Evidence: `ab\\ncd`, `ef\\rgh`\n" in md
+        assert "- netstats: line 3: unrecognized: junk\\rmore | x\n" in md
+        assert "- usagestats: event for a\\nb at 2023-05-10 11:45:00 +00:00 lies outside" in md
+        assert [line for line in md.split("\n") if line.startswith("b at ")] == []
+        assert doc.data["bundle_manifest_digest"] == "feed\r\nbeef"
+        assert doc.data["findings"][0]["evidence_digests"] == ["ab\ncd", "ef\rgh"]
+        assert "netstats: line 3: unrecognized: junk\rmore | x" in doc.data["warnings"]
+        assert any(w.startswith("usagestats: event for a\nb at ") for w in doc.data["warnings"])
+
     def test_bundle_without_citable_items_is_an_error(self):
         scenario = simulator.preset_ftp_file_server()
         result = run_pipeline(scenario)
