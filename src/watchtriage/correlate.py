@@ -24,6 +24,7 @@ from __future__ import annotations
 import fnmatch
 from bisect import bisect_left
 from enum import Enum
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -36,7 +37,7 @@ from .dumpsys import (
     UsageEvent,
     UsageReport,
 )
-from .evidence import SourceKind, Timestamp, json_field, json_list, load_json
+from .evidence import RenderedTimes, SourceKind, Timestamp, json_field, json_list, load_json
 from .host_artifacts import FtpServerEntry, KnownHostEntry
 
 DEFAULT_UNCLASSIFIED_MIN_BYTES = 10_000_000
@@ -256,15 +257,31 @@ def grade_volume(session: AppNetworkSession) -> DirectionSummary:
     return DirectionSummary(sum(b.rb for b in session.buckets), sum(b.tb for b in session.buckets))
 
 
-def _in_bucket(epochs: Sequence[int], st: int, duration: int) -> range:
-    """Indices of the ascending `epochs` inside the bucket [st, st+duration)."""
-    return range(bisect_left(epochs, st), bisect_left(epochs, st + duration))
+_AT_EPOCH = attrgetter("at.epoch")
+
+
+def _in_windows(epochs: Sequence[int], items: Sequence, windows: Sequence[Sequence[int]]) -> list:
+    """The `items` at the ascending `epochs` that fall inside any of the
+    disjoint, ascending windows [start, end)."""
+    out = []
+    for start, end in windows:
+        out += items[bisect_left(epochs, start):bisect_left(epochs, end)]
+    return out
 
 
 def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
     """Partition traffic buckets into app-network sessions.
 
-    An app event joins a bucket when its time falls within [st, st+duration).
+    An app event joins a bucket when its time falls within [st, st+duration),
+    and the packages of a bucket's events are its matched set. One sweep
+    over the buckets in (start, network) order groups them: a bucket joins
+    the run of the last bucket with its network and matched set when that
+    one starts at the same time or exactly one duration earlier. Runs that
+    share a start where events matched merge into one multi-network
+    session, instead of attributing the same events to several networks at
+    once. A run is one session, except that a run of buckets at a single
+    start with no matched package is one session per bucket.
+
     Every input bucket lands in exactly one session, so byte totals over all
     sessions equal the input totals. Assigned IPs attach via lease SSID
     equality, falling back to time containment only when the session is not
@@ -274,106 +291,118 @@ def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
     records = timeline.records
     if not records:
         return []
-    events = sorted(timeline.report.events_24h, key=lambda e: e.at.epoch)
-    event_epochs = [e.at.epoch for e in events]
+    events = sorted(timeline.report.events_24h, key=_AT_EPOCH)
+    event_epochs = list(map(_AT_EPOCH, events))
+    event_packages = [e.package for e in events]
+    starts = [rec.st.epoch for rec in records]
+    networks = [rec.network_id for rec in records]
+    traffic = [rec.has_traffic() for rec in records]
+    matched = [
+        frozenset(event_packages[bisect_left(event_epochs, st):bisect_left(event_epochs, st + duration)])
+        for st in starts
+    ]
+
+    # `tails` holds the last bucket of each network and matched set, and
+    # `joined` is a union-find over runs that merges toward the earlier run.
+    keys = list(zip(starts, networks))
+    runs: list[list[int]] = []  # each in sweep order
+    joined: list[int] = []
+    tails: dict[tuple, tuple[int, int]] = {}  # (network, matched set) -> (start, run) of its last bucket
+    ambiguous_starts = set()  # bucket starts where two or more networks carried traffic
+
+    def find(run: int) -> int:
+        while joined[run] != run:
+            joined[run] = joined[joined[run]]
+            run = joined[run]
+        return run
+
+    start = first_run = busy = None
+    for i in sorted(range(len(records)), key=keys.__getitem__):
+        st, network = keys[i]
+        track = (network, matched[i])
+        tail = tails.get(track)
+        if tail is not None and st - tail[0] in (0, duration):
+            run = tail[1]
+            runs[run].append(i)
+        else:
+            run = len(runs)
+            runs.append([i])
+            joined.append(run)
+        tails[track] = (st, run)
+        if st != start:
+            start, first_run, busy = st, run, None
+        elif matched[i]:  # the buckets of one start all match the same packages
+            a, b = find(first_run), find(run)
+            joined[max(a, b)] = min(a, b)
+        if traffic[i]:
+            if busy is not None and busy != network:
+                ambiguous_starts.add(st)
+            busy = network
+
+    groups: list[list[int]] = []
+    merged: dict[int, list[int]] = {}  # root run -> its group
+    for run, members in enumerate(runs):
+        root = find(run)
+        if root != run:
+            group = merged[root]
+            group += members
+            group.sort(key=keys.__getitem__)
+        elif starts[members[0]] == starts[members[-1]] and not matched[members[0]]:
+            groups.extend([i] for i in members)  # a lone start that matched nothing: a session per bucket
+        else:
+            merged[run] = group = list(members)
+            groups.append(group)
+
     aggregate_epochs = sorted(a.last_used.epoch for a in timeline.report.aggregates)
     lease_log = timeline.lease_log
-    leases = sorted(lease_log.leases, key=lambda l: l.at.epoch)
-    lease_epochs = [l.at.epoch for l in leases]
-    leases_by_network: dict[str, list[int]] = {}
+    boot = lease_log.boot_epoch_marker
+    leases = sorted(lease_log.leases, key=_AT_EPOCH)
+    leases_by_network: dict[Optional[str], list[int]] = {}
     for k, lease in enumerate(leases):
-        if lease.network_id is not None:
-            leases_by_network.setdefault(lease.network_id, []).append(k)
+        leases_by_network.setdefault(lease.network_id, []).append(k)
+    unnamed = leases_by_network.pop(None, [])  # the SSID-less leases
+    unnamed_epochs = [leases[k].at.epoch for k in unnamed]
 
-    event_ranges = [_in_bucket(event_epochs, rec.st.epoch, duration) for rec in records]
-    matched = [frozenset(events[k].package for k in ks) for ks in event_ranges]
-
-    n = len(records)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    # Contiguous same-network runs with an identical matched-package set.
-    by_track: dict[tuple, dict[int, list[int]]] = {}
-    for i, rec in enumerate(records):
-        columns = by_track.setdefault((matched[i], rec.network_id), {})
-        columns.setdefault(rec.st.epoch, []).append(i)
-    for columns in by_track.values():
-        starts = sorted(columns)
-        for prev, curr in zip(starts, starts[1:]):
-            if curr - prev == duration:
-                anchor = columns[prev][0]
-                for idx in columns[prev] + columns[curr]:
-                    union(anchor, idx)
-
-    # Networks sharing one bucket start merge when app evidence covers it,
-    # instead of attributing the same events to several networks at once.
-    by_shared_start: dict[tuple, list[int]] = {}
-    for i, rec in enumerate(records):
-        if matched[i]:
-            by_shared_start.setdefault((matched[i], rec.st.epoch), []).append(i)
-    for indices in by_shared_start.values():
-        for idx in indices[1:]:
-            union(indices[0], idx)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    # Bucket starts where at least two distinct networks carried traffic.
-    traffic_networks: dict[int, set[str]] = {}
-    for rec in records:
-        if rec.has_traffic():
-            traffic_networks.setdefault(rec.st.epoch, set()).add(rec.network_id)
-    ambiguous_starts = {st for st, nets in traffic_networks.items() if len(nets) >= 2}
-
-    sessions: list[AppNetworkSession] = []
-    for indices in groups.values():
-        indices.sort(key=lambda i: (records[i].st.epoch, records[i].network_id, i))
-        buckets = tuple(records[i] for i in indices)
+    keyed = []
+    for members in groups:
+        group_starts = list(map(starts.__getitem__, members))  # ascending
+        span_start, span_end = group_starts[0], group_starts[-1] + duration
+        windows: list[list[int]] = []  # the buckets' [st, st + duration), joined where they meet
+        for st in group_starts:
+            if windows and st <= windows[-1][1]:
+                windows[-1][1] = st + duration
+            else:
+                windows.append([st, st + duration])
         # Every record of a group matched the same packages, so every event
         # in its buckets belongs to the session.
-        pkgs = tuple(sorted(matched[indices[0]]))
-        app_events = tuple(events[k] for k in sorted({k for i in indices for k in event_ranges[i]}))
-        span_start = min(b.st.epoch for b in buckets)
-        span_end = max(b.st.epoch for b in buckets) + duration
+        pkgs = tuple(sorted(matched[members[0]]))
+        app_events = tuple(_in_windows(event_epochs, events, windows))
 
         flags = set()
-        if any(b.st.epoch in ambiguous_starts for b in buckets):
+        if not ambiguous_starts.isdisjoint(group_starts):
             flags.add(AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET)
         if not app_events:
-            has_traffic = any(b.has_traffic() for b in buckets)
-            agg_in_span = bool(_in_bucket(aggregate_epochs, span_start, span_end - span_start))
+            has_traffic = any(map(traffic.__getitem__, members))
+            agg_in_span = bisect_left(aggregate_epochs, span_start) < bisect_left(aggregate_epochs, span_end)
             if has_traffic or agg_in_span:
                 flags.add(AmbiguityFlag.USAGE_EVIDENCE_EXPIRED)
-        boot = lease_log.boot_epoch_marker
         if boot is not None and span_start < boot.epoch:
             flags.add(AmbiguityFlag.LEASE_LOG_REBOOTED)
 
-        chosen = {k for net in {b.network_id for b in buckets} for k in leases_by_network.get(net, ())}
-        if AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET not in flags:
-            # Time containment is unsound when several networks share the hour.
-            chosen.update(
-                k
-                for b in buckets
-                for k in _in_bucket(lease_epochs, b.st.epoch, duration)
-                if leases[k].network_id is None
-            )
-        resolved = tuple(leases[k] for k in sorted(chosen))
+        # Leases attach by SSID equality, and an SSID-less one by time
+        # containment, which is unsound when several networks share the hour.
+        session_networks = tuple(sorted(set(map(networks.__getitem__, members))))
+        chosen = [k for net in session_networks for k in leases_by_network.get(net, ())]
+        if unnamed and AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET not in flags:
+            chosen += _in_windows(unnamed_epochs, unnamed, windows)
+        resolved = tuple(map(leases.__getitem__, sorted(chosen)))
 
-        sessions.append(AppNetworkSession(pkgs, app_events, buckets, resolved, frozenset(flags)))
+        buckets = tuple(map(records.__getitem__, members))
+        session = AppNetworkSession(pkgs, app_events, buckets, resolved, frozenset(flags))
+        keyed.append(((span_start, session_networks, pkgs), session))
 
-    sessions.sort(key=lambda s: (s.start_epoch, s.network_ids, s.packages))
-    return sessions
+    keyed.sort(key=itemgetter(0))  # the order of start_epoch, network_ids and packages
+    return [session for _, session in keyed]
 
 
 class Finding(NamedTuple):
@@ -397,13 +426,30 @@ def match_pattern(
     packages: Sequence[str], summary: DirectionSummary, rules: Sequence[PatternRule]
 ) -> Optional[FindingPattern]:
     """First rule that applies, or None. Marker-less rules are volume fallbacks."""
+    return _first_pattern(packages, summary, _split_markers(rules))
+
+
+def _split_markers(rules: Sequence[PatternRule]) -> list[tuple[PatternRule, frozenset, tuple]]:
+    """Each rule with its exact markers as one set and its glob markers. A
+    marker with no `*`, `?` or `[` matches, under `fnmatchcase`, only the
+    package it names, so a set test stands for its matches."""
+    split = []
     for rule in rules:
+        globs = tuple(m for m in rule.package_markers if "*" in m or "?" in m or "[" in m)
+        split.append((rule, frozenset(rule.package_markers).difference(globs), globs))
+    return split
+
+
+def _first_pattern(packages: Sequence[str], summary: DirectionSummary, split_rules) -> Optional[FindingPattern]:
+    """`match_pattern` over rules split by `_split_markers`."""
+    for rule, exact, globs in split_rules:
         if summary.total < rule.min_bytes or not _bias_satisfied(rule.direction_bias, summary):
             continue
-        if rule.package_markers:
-            if any(fnmatch.fnmatchcase(p, g) for p in packages for g in rule.package_markers):
-                return rule.pattern
-        else:
+        if (
+            not rule.package_markers
+            or not exact.isdisjoint(packages)
+            or (globs and any(fnmatch.fnmatchcase(p, g) for p in packages for g in globs))
+        ):
             return rule.pattern
     return None
 
@@ -427,9 +473,10 @@ def corroborate(
     """
     findings: list[Finding] = []
     entries = (*ftp_entries, *known_hosts)  # FileZilla first: the order findings cite them in
+    split_rules = _split_markers(rules)
     for session in sessions:
         summary = grade_volume(session)
-        pattern = match_pattern(session.packages, summary, rules)
+        pattern = _first_pattern(session.packages, summary, split_rules)
         if pattern is None:
             continue
         ips = {lease.private_ip for lease in session.resolved_leases}
@@ -444,23 +491,26 @@ def corroborate(
     return findings
 
 
-def event_to_dict(e: UsageEvent, zone: str) -> dict:
-    return {"at": e.at.epoch, "rendered": e.at.render(zone), "package": e.package, "event_type": e.event_type}
+def events_to_dicts(events: Sequence[UsageEvent], times: RenderedTimes) -> list[dict]:
+    return [
+        {"at": e.at.epoch, "rendered": times[e.at.epoch], "package": e.package, "event_type": e.event_type}
+        for e in events
+    ]
 
 
 def bucket_to_dict(b: NetUsageRecord) -> dict:
     return {"network_id": b.network_id, "st": b.st.epoch, "rb": b.rb, "rp": b.rp, "tb": b.tb, "tp": b.tp}
 
 
-def session_to_dict(session: AppNetworkSession, zone: str) -> dict:
-    """JSON form of a session; rendered times are in `zone`."""
+def session_to_dict(session: AppNetworkSession, times: RenderedTimes) -> dict:
+    """JSON form of a session; rendered times are in `times.zone`."""
     start = session.app_start
     return {
         "packages": list(session.packages),
         "network_ids": list(session.network_ids),
         "app_start": start.epoch if start else None,
-        "app_start_rendered": start.render(zone) if start else None,
-        "app_events": [event_to_dict(e, zone) for e in session.app_events],
+        "app_start_rendered": times[start.epoch] if start else None,
+        "app_events": events_to_dicts(session.app_events, times),
         "buckets": [bucket_to_dict(b) for b in session.buckets],
         "resolved_ips": sorted({lease.private_ip for lease in session.resolved_leases}),
         "ambiguity_flags": sorted(f.value for f in session.ambiguity_flags),
@@ -484,11 +534,12 @@ def _corroboration_to_dict(entry) -> dict:
     }
 
 
-def finding_to_dict(finding: Finding, zone: str) -> dict:
+def finding_to_dict(finding: Finding, times: RenderedTimes) -> dict:
+    """JSON form of a finding; rendered times are in `times.zone`."""
     return {
         "pattern": finding.pattern.value,
         "confidence": finding.confidence.value,
-        "session": session_to_dict(finding.session, zone),
+        "session": session_to_dict(finding.session, times),
         "bytes_in": finding.direction_summary.bytes_in,
         "bytes_out": finding.direction_summary.bytes_out,
         "host_corroboration": [_corroboration_to_dict(e) for e in finding.host_corroboration],
@@ -504,12 +555,13 @@ def findings_document(
     warnings: Sequence[str] = (),
 ) -> dict:
     """Stable JSON-serializable findings document; rendered times are in `zone`."""
+    times = RenderedTimes(zone, [e.at for f in findings for e in f.session.app_events])
     return {
         "schema": "watchtriage.findings/1",
         "bundle_manifest_digest": bundle_digest,
         "bucket_seconds": bucket_seconds,
         "finding_count": len(findings),
-        "findings": [finding_to_dict(f, zone) for f in findings],
+        "findings": [finding_to_dict(f, times) for f in findings],
         "warnings": list(warnings),
     }
 
@@ -519,11 +571,12 @@ def parse_document(timeline: Timeline, bundle_digest: Optional[str], zone: str, 
     command's output); rendered times are in `zone`."""
     report, lease_log = timeline.report, timeline.lease_log
     boot = lease_log.boot_epoch_marker
+    times = RenderedTimes(zone, [e.at for e in report.events_24h])
     return {
         "bundle_manifest_digest": bundle_digest,
         "usagestats": {
             "capture_time": report.capture_time.epoch,
-            "events": [event_to_dict(e, zone) for e in report.events_24h],
+            "events": events_to_dicts(report.events_24h, times),
             # An aggregate states its last use to the minute, never the second.
             "aggregates": [
                 {"window": a.window.value, "package": a.package, "last_used": a.last_used.epoch,

@@ -176,7 +176,8 @@ def _jsonl(text: str, record):
     """Tokenize a JSON-lines dump: `record(obj)` turns one object into a
     domain record, or None to skip it; any failure warns for that line.
     Each line is read as `json.loads` reads it, and a line it refuses
-    warns with `json`'s own error."""
+    warns with `json`'s own error, a line nested deeper than the recursion
+    limit included."""
     for lineno, line in text_lines(text):
         try:
             try:
@@ -188,7 +189,7 @@ def _jsonl(text: str, record):
             if not isinstance(obj, dict):
                 raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
             token = record(obj)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:
             token = f"line {lineno}: {exc}"
         if token is not None:
             yield token

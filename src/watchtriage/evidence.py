@@ -18,8 +18,10 @@ import sys
 from datetime import date, datetime
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 DEFAULT_DISPLAY_ZONE = "Asia/Seoul"
@@ -169,7 +171,8 @@ def load_json(
     holds a JSON list of `what` (at `key` of the document, when given) and
     `build` takes each item, which an error names `{entry} #N`; the result
     is then what `collect` makes of the tuple of built items (the tuple
-    itself by default). Any AttributeError, KeyError, TypeError or
+    itself by default). Any AttributeError, KeyError, RecursionError (JSON
+    nested deeper than the interpreter's recursion limit), TypeError or
     ValueError raised while reading or building becomes one ValueError
     naming the file.
     """
@@ -188,7 +191,7 @@ def load_json(
             records.append(build(item))
         where = f"malformed {what}"
         return collect(tuple(records))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {where} ({type(exc).__name__}: {exc})") from None
 
 
@@ -208,7 +211,8 @@ class _TimestampFields(NamedTuple):
 
 
 class Timestamp(_TimestampFields):
-    """Point in time as UTC epoch seconds; the only code that turns wall-clock
+    """Point in time as UTC epoch seconds. Its methods, and RenderedTimes,
+    which renders as `render` does, are the only code that turns wall-clock
     text into an epoch or an epoch into text."""
 
     __slots__ = ()
@@ -237,26 +241,56 @@ class Timestamp(_TimestampFields):
 
     def render(self, zone: str) -> str:
         """Wall-clock string in `zone` with explicit UTC offset."""
-        hour = _utc_hour_offset(zone, self.epoch // 3600)
-        if hour is None:
-            local = datetime.fromtimestamp(self.epoch, ZoneInfo(zone)).isoformat(" ")
-            return f"{local[:19]} {local[19:]}"
-        offset, suffix = hour
-        local = self.epoch + offset
-        second = local % 3600
-        return f"{_hour_text(local // 3600)}:{_TWO_DIGITS[second // 60]}:{_TWO_DIGITS[second % 60]} {suffix}"
+        return _render(self.epoch, zone)
 
     def wall(self, zone: str) -> str:
         """Bare wall-clock string in `zone` (no offset suffix)."""
         return self.render(zone)[:19]
 
 
-# Timestamp.parse and render convert through one UTC offset per hour, cached
-# below, and read and write minutes and seconds through the two 60-entry
-# tables. In an hour that holds an offset change, or that no calendar has,
-# and for text that is not the fixed-width form, each call runs the plain
-# `datetime` expression instead, so every result and error is the one
-# `datetime` gives. Each cache holds 4,096 entries: about 170 days of hours.
+_EPOCH = attrgetter("epoch")
+
+
+class RenderedTimes(dict):
+    """The rendered times of one output document: epoch -> what
+    `Timestamp(epoch).render(zone)` gives, so an instant the document shows
+    twice is rendered once. The `instants` given are rendered up front and
+    any other epoch at its first lookup, where one out of Timestamp's range
+    raises Timestamp's ValueError."""
+
+    __slots__ = ("zone",)
+
+    def __init__(self, zone: str, instants: Iterable[Timestamp] = ()):
+        epochs = dict.fromkeys(map(_EPOCH, instants))
+        super().__init__(zip(epochs, map(_render, epochs, repeat(zone))))
+        self.zone = zone
+
+    def __missing__(self, epoch: int) -> str:
+        if not 0 <= epoch <= MAX_EPOCH:
+            raise ValueError(f"epoch must be between 0 and {MAX_EPOCH}, got {epoch}")
+        text = self[epoch] = _render(epoch, self.zone)
+        return text
+
+
+def _render(epoch: int, zone: str) -> str:
+    """The text `Timestamp(epoch).render(zone)` gives."""
+    hour = _render_hour(zone, epoch // 3600)
+    if hour is None:
+        local = datetime.fromtimestamp(epoch, ZoneInfo(zone)).isoformat(" ")
+        return f"{local[:19]} {local[19:]}"
+    offset, first, texts, suffix = hour
+    local = epoch + offset
+    second = local % 3600
+    return f"{texts[local // 3600 - first]}{_TWO_DIGITS[second // 60]}:{_TWO_DIGITS[second % 60]}{suffix}"
+
+
+# Timestamp.parse reads each wall hour through one cached start, and render
+# writes each UTC hour through one cached offset and local hour text; both
+# read and write minutes and seconds through the two 60-entry tables. In an
+# hour that holds an offset change, or that no calendar has, and for text
+# that is not the fixed-width form, each call runs the plain `datetime`
+# expression instead, so every result and error is the one `datetime`
+# gives. Each cache holds 4,096 entries: about 170 days of hours.
 _HOURS_CACHED = 4096
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
@@ -285,24 +319,25 @@ def _wall_hour_start(zone: str, hour: str) -> Optional[int]:
 
 
 @lru_cache(maxsize=_HOURS_CACHED)
-def _utc_hour_offset(zone: str, hour: int) -> Optional[tuple[int, str]]:
-    """(UTC offset in seconds, its rendered "+HH:MM[:SS]" suffix) in `zone`
-    throughout UTC hour `hour` (epoch // 3600), when its first and last
-    seconds have the same offset; None otherwise."""
+def _render_hour(zone: str, hour: int) -> Optional[tuple[int, int, tuple[str, ...], str]]:
+    """How `zone` writes UTC hour `hour` (epoch // 3600), when its first and
+    last seconds have the same offset; None otherwise. The tuple holds the
+    offset in seconds, the first local hour (hours after 1970-01-01 00:00)
+    the UTC hour reaches, the "YYYY-MM-DD HH:" text of that local hour and,
+    for an offset that is not a whole number of hours, of the next one, and
+    the " +HH:MM[:SS]" suffix."""
     tz = ZoneInfo(zone)
     first = datetime.fromtimestamp(hour * 3600, tz)
     offset = first.utcoffset()
     if datetime.fromtimestamp(hour * 3600 + 3599, tz).utcoffset() != offset:
         return None
-    return int(offset.total_seconds()), first.isoformat(" ")[19:]
-
-
-@lru_cache(maxsize=_HOURS_CACHED)
-def _hour_text(hour: int) -> str:
-    """The "YYYY-MM-DD HH" text of the wall hour `hour` hours after
-    1970-01-01 00:00."""
-    day, hour = divmod(hour, 24)
-    return f"{date.fromordinal(_EPOCH_ORDINAL + day).isoformat()} {_TWO_DIGITS[hour]}"
+    seconds = int(offset.total_seconds())
+    start, end = (hour * 3600 + seconds) // 3600, (hour * 3600 + 3599 + seconds) // 3600
+    texts = []
+    for local_hour in range(start, end + 1):
+        day, hour_of_day = divmod(local_hour, 24)
+        texts.append(f"{date.fromordinal(_EPOCH_ORDINAL + day).isoformat()} {_TWO_DIGITS[hour_of_day]}:")
+    return seconds, start, tuple(texts), " " + first.isoformat(" ")[19:]
 
 
 class DeviceProfile(NamedTuple):

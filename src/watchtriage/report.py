@@ -11,10 +11,11 @@ finding block cites at least one evidence item digest.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
-from .evidence import EvidenceBundle, SourceKind, Timestamp
+from .evidence import EvidenceBundle, RenderedTimes, SourceKind
 
 LIMITATION_NOTES = {
     AmbiguityFlag.USAGE_EVIDENCE_EXPIRED: (
@@ -47,6 +48,7 @@ class ReportDocument(NamedTuple):
     def to_markdown(self) -> str:
         data = self.data
         zone = data["display_zone"]
+        times = RenderedTimes(zone)
         lines = ["# Smartwatch exfiltration triage report", ""]
         lines.append(f"Bundle: `{_one_line(data['bundle_manifest_digest'])}`  ")
         lines.append(f"Display zone: {zone}")
@@ -64,7 +66,7 @@ class ReportDocument(NamedTuple):
             lines.append(f"- Packages: {packages or '(no in-window app evidence)'}")
             lines.append(f"- App start: {sess['app_start_rendered'] or 'unknown (usage detail expired)'}")
             lines.append(f"- Networks: {_one_line(', '.join(sess['network_ids']))}")
-            buckets = ", ".join(f"{b['st']} ({Timestamp(b['st']).render(zone)})" for b in sess["buckets"])
+            buckets = ", ".join(f"{b['st']} ({times[b['st']]})" for b in sess["buckets"])
             lines.append(f"- Bucket starts: {buckets}")
             lines.append(f"- Bytes in / out: {f['bytes_in']:,} / {f['bytes_out']:,}")
             lines.append(f"- Resolved private IPs: {', '.join(sess['resolved_ips']) or 'none'}")
@@ -157,21 +159,34 @@ def render_report(
     warnings: Sequence[str] = (),
 ) -> ReportDocument:
     """The report document for findings that already cite their evidence
-    (attach_evidence_digests); rendered times are in `display_zone`."""
+    (attach_evidence_digests); rendered times are in `display_zone`, and
+    each instant is rendered once for the whole document."""
     # Every source event once, ascending; ties keep source order. Traffic
     # buckets are anchored at their window close (st + duration), so an app
-    # start inside a bucket precedes the traffic covering it.
-    rows = [(ev.at, SourceKind.USAGESTATS, f"{ev.event_type} {ev.package}") for ev in timeline.report.events_24h]
+    # start inside a bucket precedes the traffic covering it. A close is
+    # rendered at its row's first lookup, in source order, so the first
+    # one out of range raises, as when each row built its instant.
+    events, lease_events = timeline.report.events_24h, timeline.lease_log.leases
+    times = RenderedTimes(display_zone, [*(ev.at for ev in events), *(lease.at for lease in lease_events)])
+    usage, traffic, leases = SourceKind.USAGESTATS.value, SourceKind.NETSTATS.value, SourceKind.NETWORK_STACK.value
+    rows = []
+    for ev in events:
+        epoch = ev.at.epoch
+        rows.append((epoch, {"time": times[epoch], "source": usage, "event": f"{ev.event_type} {ev.package}"}))
+    duration = timeline.bucket_duration
     for rec in timeline.records:
-        text = f"traffic bucket {rec.network_id} st={rec.st.epoch} rb={rec.rb} tb={rec.tb}"
-        rows.append((Timestamp(rec.st.epoch + timeline.bucket_duration), SourceKind.NETSTATS, text))
-    for lease in timeline.lease_log.leases:
+        st = rec.st.epoch
+        close = st + duration
+        text = f"traffic bucket {rec.network_id} st={st} rb={rec.rb} tb={rec.tb}"
+        rows.append((close, {"time": times[close], "source": traffic, "event": text}))
+    for lease in lease_events:
+        epoch = lease.at.epoch
         ssid = f" ssid={lease.network_id}" if lease.network_id else ""
         text = f"{lease.event_kind.value} {lease.interface} ip={lease.private_ip}{ssid}"
-        rows.append((lease.at, SourceKind.NETWORK_STACK, text))
-    rows.sort(key=lambda row: row[0].epoch)
+        rows.append((epoch, {"time": times[epoch], "source": leases, "event": text}))
+    rows.sort(key=itemgetter(0))
 
-    finding_dicts = [finding_to_dict(f, display_zone) for f in findings]
+    finding_dicts = [finding_to_dict(f, times) for f in findings]
     flags = sorted({flag for f in finding_dicts for flag in f["session"]["ambiguity_flags"]})
     return ReportDocument(
         {
@@ -180,9 +195,7 @@ def render_report(
             "display_zone": display_zone,
             "finding_count": len(finding_dicts),
             "findings": finding_dicts,
-            "timeline": [
-                {"time": at.render(display_zone), "source": kind.value, "event": text} for at, kind, text in rows
-            ],
+            "timeline": [row for _, row in rows],
             "limitations": [LIMITATION_NOTES[AmbiguityFlag(flag)] for flag in flags],
             "warnings": list(warnings),
         }

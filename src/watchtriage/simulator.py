@@ -34,7 +34,7 @@ from .correlate import (
     finding_to_dict,
     match_pattern,
 )
-from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, Timestamp, json_field, json_list, load_json, zone_name
+from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, RenderedTimes, Timestamp, json_field, json_list, load_json, zone_name
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))
@@ -432,7 +432,7 @@ def oracle_findings(
 def finding_fingerprint(finding: Finding) -> tuple:
     """Canonical comparable form of a correlator finding (matches the oracle),
     read from its JSON form; no rendered time enters it."""
-    f = finding_to_dict(finding, "UTC")
+    f = finding_to_dict(finding, RenderedTimes("UTC"))
     sess = f["session"]
     corroboration = sorted(
         ("ftp_client" if c["kind"] == "ftp_client_entry" else "known_host", c["host"], c["port"])

@@ -457,6 +457,8 @@ class TestAcquire:
 
 
 HUGE_EPOCH = 100000000000000000000
+# Valid JSON nested far deeper than the interpreter's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 class TestEpochRange:
@@ -497,6 +499,20 @@ class TestEpochRange:
         dropped = f"line {len(lines) + 1}: epoch must be between 0 and {MAX_EPOCH}, got {st}; dropped"
         assert [w for w in doc["warnings"] if dropped in w]
         assert [f["pattern"] for f in doc["findings"]] == ["ftp_server_exfil"]
+
+    def test_bucket_closing_past_the_bound_exits_2_naming_the_first_in_dump_order(self, tmp_path, capsys):
+        # The report anchors a bucket at its close, st + duration, which can
+        # pass the bound while st does not.
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        netstats = bundle / "raw" / "netstats.txt"
+        late = [MAX_EPOCH - 799, MAX_EPOCH - 1799]
+        netstats.write_text(netstats.read_text() + "".join(f"st={st} rb=1 rp=1 tb=1 tp=1\n" for st in late))
+        capsys.readouterr()
+        assert run(["report", "--bundle", str(bundle)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: epoch must be between 0 and {MAX_EPOCH}, got {late[0] + 3600}\n"
+        )
 
     @pytest.mark.parametrize("start, status", [(253370764793, 0), (253370764794, 2)])
     def test_clock_start_leaves_room_for_every_plan_step(self, start, status, tmp_path, monkeypatch, capsys):
@@ -837,6 +853,43 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and detail in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["rules", "plan"])
+    def test_json_input_nested_past_the_recursion_limit_exits_2_naming_it(self, kind, case_bundle, tmp_path,
+                                                                         capsys):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(DEEP_JSON)
+        out = tmp_path / "out"
+        argv = {
+            "rules": ["correlate", "--bundle", str(case_bundle), "--rules", str(path)],
+            "plan": ["acquire", "--plan", str(path), "--transcripts", str(tmp_path), "--out", str(out)],
+        }[kind]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed ") and "(RecursionError: maximum recursion depth" in err
+        assert not out.exists()
+
+    def test_manifest_key_nested_past_the_recursion_limit_exits_2_naming_it(self, case_bundle, capsys):
+        # Read as an integrity failure, it exited 1 with a traceback.
+        path = case_bundle / "manifest.json"
+        text = path.read_text().rstrip()
+        path.write_text(f'{text[:-1]}, "extra": {DEEP_JSON}}}')
+        for command in ("verify", "parse"):
+            assert run([command, "--bundle", str(case_bundle)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: malformed manifest (RecursionError: "), command
+
+    def test_jsonl_dump_line_nested_past_the_recursion_limit_is_a_line_warning(self, tmp_path, capsys):
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        row = {"network_id": "Cafe", "st": 1683806400, "rb": 1, "rp": 1, "tb": 1, "tp": 1}
+        (bundle / "raw" / "netstats.txt").write_text(json.dumps(row) + '\n{"kind":"x","a":' + "[" * 100_000 + "\n")
+        capsys.readouterr()
+        assert run(["parse", "--bundle", str(bundle)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["network_id"] for r in doc["netstats"]] == ["Cafe"]
+        assert "netstats: line 2: maximum recursion depth exceeded while decoding a JSON array" in "\n".join(
+            doc["warnings"])
 
     def test_scenario_missing_capture_time_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"

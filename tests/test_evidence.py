@@ -161,16 +161,37 @@ class TestWallTimeResolver:
             self.assert_render_matches(zone, epochs)
             self.assert_parse_matches(zone, [Timestamp(e).wall(zone) for e in epochs])
 
+    @pytest.mark.parametrize("zone, day", [
+        ("America/New_York", "2023-03-12"),
+        ("America/New_York", "2023-11-05"),
+        ("Australia/Lord_Howe", "2023-04-02"),
+        ("Australia/Lord_Howe", "2023-10-01"),
+        ("Asia/Kolkata", "2023-05-11"),
+        ("Asia/Kathmandu", "2023-05-11"),
+        # Seoul's local mean time ended in 1908, before any Timestamp;
+        # Monrovia kept its -00:44:30 until 1972.
+        ("Africa/Monrovia", "1970-01-01"),
+    ])
+    def test_every_hour_of_a_day_renders_as_datetime(self, zone, day):
+        # Every UTC hour that meets the local day, at the seconds where an
+        # offset of whole, half or quarter hours turns the local hour, and
+        # every 150 s between. A half- or quarter-hour offset spreads one
+        # UTC hour over two local hours.
+        midnight = int(datetime.fromisoformat(day).replace(tzinfo=timezone.utc).timestamp())
+        seconds = sorted({*range(0, 3600, 150), 1, 59, 60, 899, 900, 1799, 1800, 2699, 2700, 3599})
+        hours = range(max(0, midnight - 15 * 3600), midnight + 39 * 3600, 3600)
+        self.assert_render_matches(zone, [hour + s for hour in hours for s in seconds])
+
     def test_more_hours_than_the_caches_hold(self):
         # One instant in each of more distinct hours than a cache holds, then
         # the earliest again, after the caches have evicted it.
         zone = "America/New_York"
-        hours = evidence._utc_hour_offset.cache_info().maxsize + 100
+        hours = evidence._render_hour.cache_info().maxsize + 100
         epochs = list(range(1_600_000_000, 1_600_000_000 + 3600 * hours, 3600))
         walls = [Timestamp(e).wall(zone) for e in epochs]
         self.assert_render_matches(zone, epochs)
         self.assert_parse_matches(zone, walls)
-        for cached in (evidence._utc_hour_offset, evidence._wall_hour_start, evidence._hour_text):
+        for cached in (evidence._render_hour, evidence._wall_hour_start):
             assert cached.cache_info().currsize == cached.cache_info().maxsize
         self.assert_render_matches(zone, epochs[:100])
         self.assert_parse_matches(zone, walls[:100])
