@@ -27,9 +27,10 @@ import re
 from collections import defaultdict
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .evidence import Timestamp, json_field, text_lines
+from .evidence import Timestamp, json_field, line_pattern, text_lines
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 DEFAULT_BUCKET_SECONDS = 3600
@@ -216,16 +217,40 @@ def _lease(at: Timestamp, interface: str, ip: str, kind: str, network_id: Option
     return LeaseEvent(at, interface, ip, _LEASE_KINDS.get(kind, LeaseKind.OTHER), network_id)
 
 
+def _quoted(line: str, key: str) -> Optional[str]:
+    """The text from the first `key="` in `line` to the next quote; None
+    when `line` has no `key="` or no quote after it. It is the group that
+    `re.search(key + _QUOTED, line)` finds."""
+    start = line.find(key + '"')
+    if start < 0:
+        return None
+    start += len(key) + 1
+    end = line.find('"', start)
+    return line[start:end] if end >= 0 else None
+
+
 _QUOTED = r'"([^"]*)"'
 _EVENT_RE = re.compile(r'time=' + _QUOTED + r'\s+type=(\S+)\s+package=(\S+)')
 _AGGREGATE_RE = re.compile(r'package=(\S+)\s+lastTimeUsed=' + _QUOTED + r'\s+totalCount=([0-9]+)(?!\S)')
-_CAPTURE_RE = re.compile(r'capture-time=' + _QUOTED)
-_NETWORK_ID_RE = re.compile(r'networkId=' + _QUOTED)
 _DURATION_RE = re.compile(r'bucketDuration=(\S*)')
 _ST_LINE_RE = re.compile(r'st=([0-9]+)\s+rb=(-?[0-9]+)\s+rp=(-?[0-9]+)\s+tb=(-?[0-9]+)\s+tp=(-?[0-9]+)(?!\S)')
-_BOOT_RE = re.compile(r'bootTime=' + _QUOTED)
 _LEASE_RE = re.compile(
     r'time=' + _QUOTED + r'\s+iface=(\S+)\s+event=(\S+)\s+ip=(\S+)(?:\s+ssid=' + _QUOTED + r')?'
+)
+
+# The common line of each text dump, which its tokenizer reads from the
+# pattern's groups; every other line goes through the per-line rules above.
+# A common line is one those rules read the same way: its tokens are
+# printable ASCII without space or quote (or, in a lease, "="), so no skip,
+# header or boot rule and no earlier field can take it. A lease's SSID comes
+# with its quotes, so that an empty one is told from none. The wall time
+# comes split as `Timestamp.parse_parts` takes it, and as `parse` splits it:
+# `\d` takes any decimal digit, and both read only ASCII ones as a time.
+_WALL_PARTS = r'time="(\d{4}-\d\d-\d\d \d\d):(\d\d):(\d\d)"'
+_EVENT_LINES = line_pattern(_WALL_PARTS + r' type=([!#-~]+) package=([!#-~]+)')
+_COUNTER_LINES = line_pattern(r'st=([0-9]+) rb=([0-9]+) rp=([0-9]+) tb=([0-9]+) tp=([0-9]+)')
+_LEASE_LINES = line_pattern(
+    _WALL_PARTS + r' iface=([!#-<>-~]+) event=([!#-<>-~]+) ip=([0-9.]+)(?: ssid=("[^"\n]*"))?'
 )
 
 _SECTION_HEADERS = {
@@ -244,33 +269,40 @@ _SECTION_HEADERS = {
 
 def _usagestats_text(text: str, zone: str):
     section = None
-    for lineno, line in text_lines(text):
-        if line.startswith("DUMP OF SERVICE") or ("capture-time=" in line and _CAPTURE_RE.search(line)):
-            continue
-        m = _EVENT_RE.search(line)
-        if m:
+    for lineno, (hour, minute, second, event_type, package, line) in text_lines(text, _EVENT_LINES):
+        if not hour:
+            if line.startswith("DUMP OF SERVICE") or (
+                "capture-time=" in line and _quoted(line, "capture-time=") is not None
+            ):
+                continue
+            m = _EVENT_RE.search(line)
+            if m is None:
+                key = line.lower()
+                header = _SECTION_HEADERS.get(key)
+                if header is not None:
+                    section = header
+                    continue
+                if key.endswith("stats:"):  # an unknown section: no aggregate window
+                    section = None
+                else:
+                    m = _AGGREGATE_RE.search(line)
+                    if m and isinstance(section, AggregateWindow):
+                        try:
+                            last_used = Timestamp.parse(m.group(2) + ":00", zone)
+                        except ValueError as exc:
+                            yield f"line {lineno}: bad aggregate time ({exc})"
+                            continue
+                        yield UsageAggregate(section, m.group(1), last_used, int(m.group(3)))
+                        continue
+                yield f"line {lineno}: unrecognized: {line[:80]}"
+                continue
             wall, event_type, package = m.groups()
-            try:
-                at = Timestamp.parse(wall, zone)
-            except ValueError as exc:
-                yield f"line {lineno}: bad event time ({exc})"
-                continue
-            yield UsageEvent(at, package, event_type)
+        try:
+            at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
+        except ValueError as exc:
+            yield f"line {lineno}: bad event time ({exc})"
             continue
-        header = _SECTION_HEADERS.get(line.lower())
-        if header is not None:
-            section = header
-            continue
-        m = _AGGREGATE_RE.search(line)
-        if m and isinstance(section, AggregateWindow):
-            try:
-                last_used = Timestamp.parse(m.group(2) + ":00", zone)
-            except ValueError as exc:
-                yield f"line {lineno}: bad aggregate time ({exc})"
-                continue
-            yield UsageAggregate(section, m.group(1), last_used, int(m.group(3)))
-            continue
-        yield f"line {lineno}: unrecognized: {line[:80]}"
+        yield UsageEvent(at, package, event_type)
 
 
 def _usagestats_jsonl(text: str):
@@ -297,40 +329,44 @@ def _usagestats_jsonl(text: str):
 def _netstats_text(text: str):
     current_network: Optional[str] = None
     duration: Optional[int] = DEFAULT_BUCKET_SECONDS  # None: the stated one was invalid
-    for lineno, line in text_lines(text):
-        if line.startswith("DUMP OF SERVICE") or line.endswith("stats:"):
-            continue
-        if line.startswith("NetworkStatsHistory"):
-            m = _DURATION_RE.search(line)
-            if m:
-                try:
-                    duration = positive_seconds(m.group(1))
-                except ValueError as exc:
-                    duration = None
-                    yield f"line {lineno}: {exc}"
-            continue
-        m = "networkId=" in line and _NETWORK_ID_RE.search(line)
-        if m:
-            current_network = m.group(1)
-            continue
-        m = _ST_LINE_RE.search(line)
-        if m:
-            if current_network is None:
-                yield f"line {lineno}: counter line before any networkId"
+    for lineno, (st, rb, rp, tb, tp, line) in text_lines(text, _COUNTER_LINES):
+        if not st:
+            if line.startswith("DUMP OF SERVICE") or line.endswith("stats:"):
                 continue
-            if duration is None:
-                yield f"line {lineno}: counter line under an invalid bucketDuration; dropped"
+            if line.startswith("NetworkStatsHistory"):
+                m = _DURATION_RE.search(line)
+                if m:
+                    try:
+                        duration = positive_seconds(m.group(1))
+                    except ValueError as exc:
+                        duration = None
+                        yield f"line {lineno}: {exc}"
                 continue
-            st, rb, rp, tb, tp = map(int, m.groups())
-            if min(rb, rp, tb, tp) < 0:
-                yield f"line {lineno}: negative counter; dropped"
+            network = _quoted(line, "networkId=")
+            if network is not None:
+                current_network = network
                 continue
-            try:
-                yield NetUsageRecord(current_network, Timestamp(st), rb, rp, tb, tp, duration)
-            except ValueError as exc:  # an st that no zone can render
-                yield f"line {lineno}: {exc}; dropped"
+            m = _ST_LINE_RE.search(line)
+            if m is None:
+                yield f"line {lineno}: unrecognized: {line[:80]}"
+                continue
+            st, rb, rp, tb, tp = m.groups()
+        if current_network is None:
+            yield f"line {lineno}: counter line before any networkId"
             continue
-        yield f"line {lineno}: unrecognized: {line[:80]}"
+        if duration is None:
+            yield f"line {lineno}: counter line under an invalid bucketDuration; dropped"
+            continue
+        rb, rp, tb, tp = int(rb), int(rp), int(tb), int(tp)
+        if min(rb, rp, tb, tp) < 0:
+            yield f"line {lineno}: negative counter; dropped"
+            continue
+        try:
+            record = NetUsageRecord(current_network, Timestamp(int(st)), rb, rp, tb, tp, duration)
+        except ValueError as exc:  # an st that no zone can render
+            yield f"line {lineno}: {exc}; dropped"
+            continue
+        yield record
 
 
 def _netstats_jsonl(text: str):
@@ -347,24 +383,34 @@ def _netstats_jsonl(text: str):
 
 
 def _network_stack_text(text: str, zone: str):
-    for lineno, line in text_lines(text):
-        if line.startswith("DUMP OF SERVICE"):
+    for lineno, (hour, minute, second, interface, kind, ip, ssid, line) in text_lines(text, _LEASE_LINES):
+        if hour:
+            network_id = ssid[1:-1] if ssid else None
+        else:
+            if line.startswith("DUMP OF SERVICE"):
+                continue
+            boot = _quoted(line, "bootTime=")
+            if boot is not None:
+                try:
+                    yield Timestamp.parse(boot, zone)
+                except ValueError as exc:
+                    yield f"line {lineno}: bad boot time ({exc})"
+                continue
+            m = _LEASE_RE.search(line)
+            if m is None:
+                yield f"line {lineno}: unrecognized: {line[:80]}"
+                continue
+            wall, interface, kind, ip, network_id = m.groups()
+            if network_id is None and "ssid=" in line:
+                yield f"line {lineno}: lease ssid= is not a quoted string after ip=; dropped"
+                continue
+        try:
+            at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
+            lease = _lease(at, interface, ip, kind, network_id)
+        except ValueError as exc:
+            yield f"line {lineno}: bad lease line ({exc})"
             continue
-        m = _BOOT_RE.search(line)
-        if m:
-            try:
-                yield Timestamp.parse(m.group(1), zone)
-            except ValueError as exc:
-                yield f"line {lineno}: bad boot time ({exc})"
-            continue
-        m = _LEASE_RE.search(line)
-        if m:
-            try:
-                yield _lease(Timestamp.parse(m.group(1), zone), m.group(2), m.group(4), m.group(3), m.group(5))
-            except ValueError as exc:
-                yield f"line {lineno}: bad lease line ({exc})"
-            continue
-        yield f"line {lineno}: unrecognized: {line[:80]}"
+        yield lease
 
 
 def _network_stack_jsonl(text: str):
@@ -387,6 +433,8 @@ def _network_stack_jsonl(text: str):
 
 # --- Semantic passes: one per dump, shared by both formats.
 
+_AT_EPOCH = attrgetter("at.epoch")
+
 
 def parse_usagestats(text: str, capture_time: Timestamp, zone: str) -> tuple[UsageReport, list[str]]:
     """Parse a usagestats dump into a report plus per-line warnings.
@@ -399,15 +447,16 @@ def parse_usagestats(text: str, capture_time: Timestamp, zone: str) -> tuple[Usa
     warnings = tokens[str]
 
     kept = []
-    window_start = capture_time.epoch - USAGE_WINDOW_SECONDS
+    window_end = capture_time.epoch
+    window_start = window_end - USAGE_WINDOW_SECONDS
     for ev in tokens[UsageEvent]:
-        if ev.at.epoch < window_start or ev.at.epoch > capture_time.epoch:
+        if not window_start <= ev.at.epoch <= window_end:
             warnings.append(
                 f"event for {ev.package} at {ev.at.render(zone)} lies outside the 24h detail window; dropped"
             )
         else:
             kept.append(ev)
-    kept.sort(key=lambda e: e.at.epoch)  # stable: ties keep input order
+    kept.sort(key=_AT_EPOCH)  # stable: ties keep input order
     return UsageReport(capture_time, tuple(kept), tuple(tokens[UsageAggregate])), warnings
 
 
@@ -444,5 +493,5 @@ def parse_network_stack(text: str, zone: str) -> tuple[NetworkStackLog, list[str
             else:
                 kept.append(lease)
         leases = kept
-    leases.sort(key=lambda l: l.at.epoch)
+    leases.sort(key=_AT_EPOCH)
     return NetworkStackLog(tuple(leases), boot), warnings

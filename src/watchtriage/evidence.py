@@ -118,14 +118,37 @@ def zone_name(name: str) -> str:
     return name
 
 
-def text_lines(text: str):
+def text_lines(text: str, common: Optional[re.Pattern] = None):
     """(line number, stripped line) for every non-blank line of an evidence
     text. Only "\\n" ends a line, so a "\\x1c" or "\\u2028" inside one never
-    shifts a later line number; `strip` drops a trailing "\\r"."""
-    for lineno, raw_line in enumerate(text.split("\n"), 1):
-        line = raw_line.strip()
-        if line:
-            yield lineno, line
+    shifts a later line number; `strip` drops a trailing "\\r".
+
+    With `common`, a `line_pattern`, the text is read in one `findall` and
+    each line comes with its fields: the groups of the common line, for a
+    line that is one, and otherwise empty groups then the stripped line."""
+    if common is None:
+        for lineno, raw_line in enumerate(text.split("\n"), 1):
+            line = raw_line.strip()
+            if line:
+                yield lineno, line
+        return
+    blank = ("",) * (common.groups - 1)
+    for lineno, fields in enumerate(common.findall(text), 1):
+        if fields[0]:
+            yield lineno, fields
+        else:
+            line = fields[-1].strip()
+            if line:
+                yield lineno, blank + (line,)
+
+
+def line_pattern(common: str) -> re.Pattern:
+    """The `text_lines` pattern of a text whose common line, after leading
+    spaces, is `common` whole; its first group never matches empty. It
+    takes every line, in text order: `$` and `.` stop at "\\n" alone, and
+    any line that is not a common one goes, after its leading spaces, to
+    the last group, `(.*)`."""
+    return re.compile(f"^ *(?:(?:{common})$|(.*))", re.M)
 
 
 # --- JSON input files --------------------------------------------------------
@@ -228,16 +251,19 @@ class Timestamp(_TimestampFields):
         any text but the fixed-width form. A wall time that a DST change
         repeats or skips reads as its fold=0 instant."""
         if len(text) == 19 and text[13] == text[16] == ":":
-            minutes, seconds = _TWO_DIGIT_VALUES.get(text[14:16]), _TWO_DIGIT_VALUES.get(text[17:])
-            if minutes is not None and seconds is not None:
-                start = _wall_hour_start(zone, text[:13])
-                if start is not None:
-                    return cls(start + 60 * minutes + seconds)
-        m = _WALL_RE.fullmatch(text)
-        if m is None:
-            raise ValueError(f"wall time {text!r} is not YYYY-MM-DD HH:MM:SS")
-        local = datetime(*map(int, m.groups()), tzinfo=ZoneInfo(zone))
-        return cls(int(local.timestamp()))
+            return cls.parse_parts(text[:13], text[14:16], text[17:], zone)
+        return cls(_datetime_epoch(text, zone))
+
+    @classmethod
+    def parse_parts(cls, hour: str, minute: str, second: str, zone: str) -> "Timestamp":
+        """What `parse` gives for the wall time `f"{hour}:{minute}:{second}"`,
+        where `hour` holds 13 characters: the form a line pattern splits out."""
+        minutes, seconds = _TWO_DIGIT_VALUES.get(minute), _TWO_DIGIT_VALUES.get(second)
+        if minutes is not None and seconds is not None:
+            start = _wall_hour_start(zone, hour)
+            if start is not None:  # every second of the hour is in range
+                return tuple.__new__(cls, (start + 60 * minutes + seconds,))
+        return cls(_datetime_epoch(f"{hour}:{minute}:{second}", zone))
 
     def render(self, zone: str) -> str:
         """Wall-clock string in `zone` with explicit UTC offset."""
@@ -246,6 +272,15 @@ class Timestamp(_TimestampFields):
     def wall(self, zone: str) -> str:
         """Bare wall-clock string in `zone` (no offset suffix)."""
         return self.render(zone)[:19]
+
+
+def _datetime_epoch(text: str, zone: str) -> int:
+    """The epoch `datetime` gives for the wall time `text` in `zone`."""
+    m = _WALL_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"wall time {text!r} is not YYYY-MM-DD HH:MM:SS")
+    local = datetime(*map(int, m.groups()), tzinfo=ZoneInfo(zone))
+    return int(local.timestamp())
 
 
 _EPOCH = attrgetter("epoch")
@@ -301,9 +336,10 @@ _TWO_DIGIT_VALUES = {text: n for n, text in enumerate(_TWO_DIGITS)}
 def _wall_hour_start(zone: str, hour: str) -> Optional[int]:
     """The fold=0 epoch of the 13-character wall time `hour` ("YYYY-MM-DD
     HH") at :00:00 in `zone`, when its :59:59 lies exactly 3,599 s later, so
-    that every second of the wall hour reads with one offset; None
-    otherwise, for a date or hour that does not exist, and for text that is
-    not that form in ASCII digits (checked before `zone` is looked up)."""
+    that every second of the wall hour reads with one offset, and no second
+    of it lies outside `0..MAX_EPOCH`; None otherwise, for a date or hour
+    that does not exist, and for text that is not that form in ASCII digits
+    (checked before `zone` is looked up)."""
     digits = hour[:4] + hour[5:7] + hour[8:10] + hour[11:]
     if not (hour[4] == hour[7] == "-" and hour[10] == " " and digits.isascii() and digits.isdigit()):
         return None
@@ -313,7 +349,7 @@ def _wall_hour_start(zone: str, hour: str) -> Optional[int]:
     except ValueError:
         return None
     start = int(first.timestamp())
-    if int(first.replace(minute=59, second=59).timestamp()) - start != 3599:
+    if int(first.replace(minute=59, second=59).timestamp()) - start != 3599 or not 0 <= start <= MAX_EPOCH - 3599:
         return None
     return start
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from watchtriage import dumpsys, simulator
+from watchtriage import dumpsys, evidence, simulator
 from watchtriage.correlate import build_timeline, parse_document
 from watchtriage.dumpsys import (
     AggregateWindow,
@@ -107,6 +107,24 @@ class TestParseUsagestats:
         text = 'Last 24 hour events:\n  time="2023-05-11 08:00:00" type=ACTIVITY_RESUMED package=com.x\n'
         report, _ = parse_usagestats(text, CAPTURE, KST)
         assert report.aggregates == ()
+
+    def test_unknown_stats_header_ends_the_aggregate_window(self):
+        text = (
+            "Weekly stats:\n"
+            '  package=a lastTimeUsed="2023-05-10 09:00" totalCount=3\n'
+            "Daily stats:\n"
+            '  package=b lastTimeUsed="2023-05-11 09:00" totalCount=1\n'
+            "Monthly stats:\n"
+            '  package=c lastTimeUsed="2023-05-01 09:00" totalCount=9\n'
+        )
+        report, warnings = parse_usagestats(text, CAPTURE, KST)
+        assert [(a.window, a.package) for a in report.aggregates] == [
+            (AggregateWindow.WEEK, "a"), (AggregateWindow.MONTH, "c")
+        ]
+        assert warnings == [
+            "line 3: unrecognized: Daily stats:",
+            'line 4: unrecognized: package=b lastTimeUsed="2023-05-11 09:00" totalCount=1',
+        ]
 
     def test_unrecognized_lines_warn_but_never_crash(self):
         text = USAGESTATS_FIXTURE + "  ChooserActivity counts: garbage { nested }\n"
@@ -343,6 +361,17 @@ class TestParseNetworkStack:
         text = 'time="2023-05-11 21:10:12" iface=wlan0 event=DHCP_ACK ip=192.162.35.52\n'
         log, _ = parse_network_stack(text, KST)
         assert log.leases[0].network_id is None
+
+    @pytest.mark.parametrize("ssid", ["ssid=OfficeNet", 'ssid=Office"Net"', "ssid=", 'extra ssid="OfficeNet"'])
+    def test_lease_whose_ssid_is_not_a_quoted_string_is_dropped(self, ssid):
+        # Read as SSID-less, it would attach by time alone to a session on any network.
+        text = (
+            f'time="2023-05-11 21:10:12" iface=wlan0 event=DHCP_ACK ip=192.168.86.26 {ssid}\n'
+            'time="2023-05-11 21:10:13" iface=wlan0 event=DHCP_ACK ip=192.168.86.27 ssid=""\n'
+        )
+        log, warnings = parse_network_stack(text, KST)
+        assert [(l.private_ip, l.network_id) for l in log.leases] == [("192.168.86.27", "")]
+        assert warnings == ["line 1: lease ssid= is not a quoted string after ip=; dropped"]
 
     def test_freshly_rebooted_device_has_no_leases(self):
         text = 'DUMP OF SERVICE network_stack:\n  bootTime="2023-05-11 09:00:00"\n'
@@ -782,3 +811,93 @@ class TestScannerPath:
         end = len(json.dumps(_BUCKET)) + 1  # where the second value starts
         assert warnings[1] == f"line 3: Extra data: line 1 column {end + 1} (char {end})"
         assert len(warnings) == len(lines) - 3  # all but the three lines read as records
+
+
+class TestCommonLinePath:
+    """Each text dump is read in one `findall`: a dump's common line from the
+    pattern's groups, any other line through the per-line rules. A "\\x0b"
+    before every line keeps each out of the common form while `strip` drops
+    it, so all go through the per-line rules, and the tokens must be the
+    same."""
+
+    ZONES = [KST, "America/New_York"]
+    # Wall hours in range, in a New York 2023 gap and fold, out of range in
+    # both zones, and hours no calendar has.
+    HOURS = ["2023-05-11 09", "2023-05-10 23", "2023-03-12 02", "2023-11-05 01", "9999-06-01 10",
+             "1970-01-01 00", "2023-02-30 10", "2023-01-01 24"]
+    TWO_DIGITS = ["00", "07", "14", "59", "59", "60", "7"]
+    TOKENIZE = {
+        "usagestats": dumpsys._usagestats_text,
+        "netstats": lambda text, zone: dumpsys._netstats_text(text),
+        "network_stack": dumpsys._network_stack_text,
+    }
+    COMMON = {"usagestats": dumpsys._EVENT_LINES, "netstats": dumpsys._COUNTER_LINES,
+              "network_stack": dumpsys._LEASE_LINES}
+    MUTATIONS = [
+        lambda line, rng: line + "\r",
+        lambda line, rng: line + "\r\r",
+        lambda line, rng: "\x0b" + line,
+        lambda line, rng: rng.choice(["\u3000", "\u2028", "\t"]) + line + rng.choice(["", "\u3000", "\u2028"]),
+        lambda line, rng: line.replace(" ", rng.choice(["\u3000", "\u2028", "  "]), 1),
+        lambda line, rng: line.replace(rng.choice("0123456789"), rng.choice("\uff10\uff11\uff19"), 1),
+        lambda line, rng: "junk " + line,
+        lambda line, rng: line.replace('"', "", 1),
+        lambda line, rng: line[:rng.randrange(1, len(line))],
+    ]
+
+    def wall(self, rng) -> str:
+        return f"{rng.choice(self.HOURS)}:{rng.choice(self.TWO_DIGITS)}:{rng.choice(self.TWO_DIGITS)}"
+
+    def line(self, dump, rng) -> str:
+        """A common line of `dump` three times in five, else one of its other lines."""
+        common = rng.random() < 0.6
+        if dump == "usagestats":
+            if common:
+                package = rng.choice(["com.x", "p.q", "capture-time=", 'capture-time="x"'])
+                return f'    time="{self.wall(rng)}" type={rng.choice(["ACTIVITY_RESUMED", "A"])} package={package}'
+            return rng.choice([
+                f'  package=com.x lastTimeUsed="{self.wall(rng)[:16]}" totalCount={rng.randint(0, 9)}',
+                "  Weekly stats:", "  Daily stats:", "Monthly stats:", "Last 24 hour events:",
+                'capture-time="2023-05-11 09:56:00"', "DUMP OF SERVICE usagestats:",
+            ])
+        if dump == "netstats":
+            if common:
+                st = rng.choice([1683734400, 1683738000, 0, evidence.MAX_EPOCH, evidence.MAX_EPOCH + 1])
+                counters = [-1 if rng.random() < 0.05 else rng.choice([0, 5, 47185920]) for _ in range(4)]
+                return "        st={} rb={} rp={} tb={} tp={}".format(st, *counters)
+            return rng.choice([
+                f'    ident=[{{type=WIFI, networkId="{rng.choice(["a", "b c", ""])}"}}]',
+                f"      NetworkStatsHistory: bucketDuration={rng.choice(['3600', '900', '0'])}",
+                "  Xt stats:", "DUMP OF SERVICE netstats:",
+            ])
+        if common:
+            return (f'  time="{self.wall(rng)}" iface={rng.choice(["wlan0", "wlan1", "wlan0ssid=1"])} '
+                    f'event={rng.choice(["DHCP_ACK", "IF_UP", "X", "ssid=X"])} '
+                    f'ip={rng.choice(["10.0.0.2", "10.0.0.3", "300.1.2.3", "10.0.0.4ssid=1"])}'
+                    + rng.choice(["", ' ssid="Cafe"', ' ssid=""', " ssid=Cafe", ' ssid="bootTime="']))
+        return f'  bootTime="{self.wall(rng)}"'
+
+    def dumps(self, dump, rng):
+        opening = {"usagestats": "Last 24 hour events:", "netstats": 'networkId="a"', "network_stack": ""}
+        for _ in range(30):
+            lines = [opening[dump]]
+            for _ in range(rng.randint(1, 30)):
+                line = self.line(dump, rng) if rng.random() < 0.9 else rng.choice(["", "  ", "\r", "bogus"])
+                if len(line) > 1 and rng.random() < 0.3:
+                    line = rng.choice(self.MUTATIONS)(line, rng)
+                lines.append(line)
+            yield "\n".join(lines) + rng.choice(["\n", "\r\n", "\r\r\n", ""])
+
+    @pytest.mark.parametrize("dump", ["usagestats", "netstats", "network_stack"])
+    @pytest.mark.parametrize("zone", ZONES)
+    def test_per_line_rules_read_every_line_alike(self, dump, zone):
+        rng = random.Random(f"{dump}/{zone}")
+        common = kept = 0
+        for text in self.dumps(dump, rng):
+            forced = "\n".join("\x0b" + line for line in text.split("\n"))
+            assert not any(any(fields[:-1]) for fields in self.COMMON[dump].findall(forced))
+            tokens = list(self.TOKENIZE[dump](text, zone))
+            assert tokens == list(self.TOKENIZE[dump](forced, zone)), text
+            common += sum(1 for fields in self.COMMON[dump].findall(text) if any(fields[:-1]))
+            kept += sum(1 for token in tokens if not isinstance(token, str))
+        assert common > 20 and kept > 20

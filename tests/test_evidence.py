@@ -196,6 +196,20 @@ class TestWallTimeResolver:
         self.assert_render_matches(zone, epochs[:100])
         self.assert_parse_matches(zone, walls[:100])
 
+    @pytest.mark.parametrize("zone", ["UTC", "America/New_York", "Pacific/Kiritimati", "Asia/Kathmandu"])
+    def test_range_ends_read_alike_whole_and_in_parts(self, zone):
+        # The wall times of epoch 0 and MAX_EPOCH read back, and a second
+        # beyond either is refused, whether the text comes whole or split.
+        for epoch, step in ((0, -1), (MAX_EPOCH, 1)):
+            wall = Timestamp(epoch).wall(zone)
+            beyond = (datetime.fromisoformat(wall) + timedelta(seconds=step)).isoformat(" ")
+            assert Timestamp.parse(wall, zone).epoch == epoch
+            assert Timestamp.parse_parts(wall[:13], wall[14:16], wall[17:], zone).epoch == epoch
+            with pytest.raises(ValueError, match="epoch must be between"):
+                Timestamp.parse(beyond, zone)
+            with pytest.raises(ValueError, match="epoch must be between"):
+                Timestamp.parse_parts(beyond[:13], beyond[14:16], beyond[17:], zone)
+
     def test_format_error_comes_before_the_zone_lookup(self):
         # Text outside the grammar is refused before an unknown zone is looked up.
         with pytest.raises(ValueError, match=r"is not YYYY-MM-DD HH:MM:SS"):
