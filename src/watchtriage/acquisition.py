@@ -80,10 +80,11 @@ class FakeExecutor:
 class AdbShellExecutor:
     """Thin adapter shelling out to an external adb binary."""
 
-    def __init__(self, serial: Optional[str] = None, adb_path: str = "adb", timeout: int = 60):
+    timeout = 60  # seconds one shell command may take
+
+    def __init__(self, serial: Optional[str] = None, adb_path: str = "adb"):
         self.serial = serial
         self.adb_path = adb_path
-        self.timeout = timeout
         if shutil.which(adb_path) is None:
             raise ExecutorUnreachableError(f"adb binary not found: {adb_path}")
 
@@ -174,7 +175,7 @@ def run_acquisition(
     A per-step failure (nonzero exit, missing transcript) is recorded and the
     remaining steps still run; only an unreachable executor aborts. Item
     timestamps are forced strictly monotonic so repeated getprop items stay
-    distinguishable in the manifest.
+    distinguishable in the manifest; a constant clock N stamps N, N+1, ...
     """
     import time as _time
 
@@ -203,17 +204,6 @@ def run_acquisition(
         captured.append((step.label, step.source_kind, stdout, at))
 
     return seal_bundle(captured, origin_label, display_zone, failures)
-
-
-class SteppingClock:
-    """Deterministic clock for reproducible acquisitions."""
-
-    def __init__(self, start: int):
-        self.now = start
-
-    def __call__(self) -> int:
-        self.now += 1
-        return self.now - 1
 
 
 # --- Bundle directory layout -------------------------------------------------

@@ -123,7 +123,7 @@ def cmd_acquire(args) -> int:
         executor = acquisition.FakeExecutor(transcripts)
     else:
         executor = acquisition.AdbShellExecutor(serial=args.serial, adb_path=args.adb_path)
-    clock = acquisition.SteppingClock(args.clock_start) if args.clock_start is not None else None
+    clock = (lambda: args.clock_start) if args.clock_start is not None else None
     bundle = acquisition.run_acquisition(
         executor, plan, clock, origin_label=args.origin, display_zone=args.display_zone
     )

@@ -19,10 +19,10 @@ from __future__ import annotations
 import base64
 import ipaddress
 import random
+import re
 import struct
-from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, get_type_hints
 
 from .correlate import (
     DEFAULT_RULES,
@@ -38,17 +38,16 @@ from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, RenderedTimes, Timestamp,
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))
+_WHITESPACE = re.compile(r"\s")  # what str.isspace() takes
 
 
-@dataclass(frozen=True)
-class AppSession:
+class AppSession(NamedTuple):
     package: str
     start: int
     end: int
 
 
-@dataclass(frozen=True)
-class WifiSession:
+class WifiSession(NamedTuple):
     ssid: str
     start: int
     end: int
@@ -57,16 +56,14 @@ class WifiSession:
     assigned_ip: str
 
 
-@dataclass(frozen=True)
-class HostArtifactSpec:
+class HostArtifactSpec(NamedTuple):
     kind: str  # "recentservers" | "known_hosts"
     host: str
     port: int
     protocol: str = "ftp"  # recentservers only
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     capture_time: int
     app_sessions: tuple[AppSession, ...] = ()
     wifi_sessions: tuple[WifiSession, ...] = ()
@@ -84,6 +81,8 @@ def validate(s: Scenario):
     for i, a in enumerate(s.app_sessions):
         if not a.package:
             raise ValueError(f"app_sessions[{i}]: package must be non-empty")
+        if _WHITESPACE.search(a.package):
+            raise ValueError(f"app_sessions[{i}]: package {a.package!r} must hold no whitespace")
         if not a.start < a.end:
             raise ValueError(f"app_sessions[{i}]: start must precede end")
         if a.end > s.capture_time:
@@ -91,6 +90,8 @@ def validate(s: Scenario):
         if a.start < 0:
             raise ValueError(f"app_sessions[{i}]: start must be >= 0")
     for i, w in enumerate(s.wifi_sessions):
+        if '"' in w.ssid or "\n" in w.ssid:
+            raise ValueError(f"wifi_sessions[{i}]: ssid {w.ssid!r} must hold no '\"' or line break")
         if not w.start < w.end:
             raise ValueError(f"wifi_sessions[{i}]: start must precede end")
         if w.end > s.capture_time:
@@ -108,6 +109,10 @@ def validate(s: Scenario):
             raise ValueError(f"host_side[{i}]: unknown artifact kind {h.kind!r}")
         if not 1 <= h.port <= 65535:
             raise ValueError(f"host_side[{i}]: port out of range")
+        # A known_hosts line splits at whitespace and ','; XML and UTF-8
+        # carry no control character or lone surrogate.
+        if not h.host.isprintable() or "," in h.host or _WHITESPACE.search(h.host):
+            raise ValueError(f"host_side[{i}]: host {h.host!r} must be printable, with no whitespace or ','")
 
 
 def last_reboot_before_capture(s: Scenario) -> Optional[int]:
@@ -146,20 +151,15 @@ def bucketize_session(w: WifiSession, duration: int = 3600) -> list[tuple[int, i
 
 def ground_truth_records(s: Scenario, duration: int = 3600) -> list[tuple[str, int, int, int, int, int]]:
     """Merged (ssid, st, rb, rp, tb, tp) rows, one per (ssid, st)."""
-    merged: dict[tuple[str, int], list[int]] = {}
-    order: list[tuple[str, int]] = []
+    merged: dict[tuple[str, int], list[int]] = {}  # in first-seen order
     for w in s.wifi_sessions:
         for st, rb, rp, tb, tp in bucketize_session(w, duration):
-            key = (w.ssid, st)
-            if key not in merged:
-                merged[key] = [0, 0, 0, 0]
-                order.append(key)
-            row = merged[key]
+            row = merged.setdefault((w.ssid, st), [0, 0, 0, 0])
             row[0] += rb
             row[1] += rp
             row[2] += tb
             row[3] += tp
-    return [(ssid, st, *merged[(ssid, st)]) for ssid, st in order]
+    return [(ssid, st, *row) for (ssid, st), row in merged.items()]
 
 
 def ground_truth_events(s: Scenario) -> list[tuple[str, str, int]]:
@@ -177,10 +177,7 @@ def ground_truth_events(s: Scenario) -> list[tuple[str, str, int]]:
 def ground_truth_aggregates(s: Scenario) -> list[tuple[str, str, int, int]]:
     """(window, package, last_used_minute, use_count) rows per window."""
     out = []
-    packages = []
-    for a in s.app_sessions:
-        if a.package not in packages:
-            packages.append(a.package)
+    packages = dict.fromkeys(a.package for a in s.app_sessions)  # in first-seen order
     for window, secs in AGGREGATE_WINDOWS:
         for pkg in packages:
             in_window = [a for a in s.app_sessions if a.package == pkg and a.end >= s.capture_time - secs]
@@ -227,17 +224,13 @@ def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:
 
     # netstats
     lines = ["DUMP OF SERVICE netstats:", "  Xt stats:"]
-    records = ground_truth_records(s, duration)
-    ssid_order = []
-    for ssid, *_ in records:
-        if ssid not in ssid_order:
-            ssid_order.append(ssid)
-    for ssid in ssid_order:
+    rows_by_ssid: dict[str, list[str]] = {}  # in first-seen order
+    for ssid, st, rb, rp, tb, tp in ground_truth_records(s, duration):
+        rows_by_ssid.setdefault(ssid, []).append(f"        st={st} rb={rb} rp={rp} tb={tb} tp={tp}")
+    for ssid, rows in rows_by_ssid.items():
         lines.append(f'    ident=[{{type=WIFI, networkId="{ssid}"}}]')
         lines.append(f"      NetworkStatsHistory: bucketDuration={duration}")
-        for r_ssid, st, rb, rp, tb, tp in records:
-            if r_ssid == ssid:
-                lines.append(f"        st={st} rb={rb} rp={rp} tb={tb} tp={tp}")
+        lines.extend(rows)
     netstats = "\n".join(lines) + "\n"
 
     # network_stack
@@ -279,7 +272,7 @@ def render_host_artifacts(s: Scenario) -> tuple[str, str]:
         xml_lines.extend(
             [
                 "    <Server>",
-                f"      <Host>{h.host}</Host>",
+                f"      <Host>{h.host.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')}</Host>",
                 f"      <Port>{h.port}</Port>",
                 f"      <Protocol>{code}</Protocol>",
                 "      <Type>0</Type>",
@@ -653,16 +646,20 @@ def random_scenario(seed: int) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return asdict(s)
+    """The scenario as a JSON object in field order, each record an object."""
+    doc = s._asdict()
+    for key in ("app_sessions", "wifi_sessions", "host_side"):
+        doc[key] = [r._asdict() for r in doc[key]]
+    return doc
 
 
 def _records(cls, data: dict, key: str) -> tuple:
     """The `cls` records the JSON objects in `data[key]` hold, each field of
     the JSON type its annotation names; an absent field takes its default."""
-    types = {"int": int, "str": str}  # annotations are strings here (PEP 563)
+    types = get_type_hints(cls)  # the classes, not PEP 563's strings
     return tuple(
-        cls(**{f.name: json_field(obj, f.name, types[f.type])
-               for f in fields(cls) if f.name in obj or f.default is MISSING})
+        cls(**{name: json_field(obj, name, types[name])
+               for name in cls._fields if name in obj or name not in cls._field_defaults})
         for obj in json_list(data, key, dict)
     )
 

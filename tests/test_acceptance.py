@@ -4,7 +4,6 @@ PASS/FAIL line (visible with `pytest -s tests/test_acceptance.py`).
 Volume tolerances use MB = 10**6 bytes throughout.
 """
 
-import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -162,8 +161,8 @@ def test_criterion_7_volatility_semantics():
     with criterion(7, "reboot clears pre-reboot leases; only corroboration is lost"):
         checked = 0
         for seed in range(40):
-            base = dataclasses.replace(simulator.random_scenario(seed), reboots=())
-            rebooted = dataclasses.replace(base, reboots=(base.capture_time,))
+            base = simulator.random_scenario(seed)._replace(reboots=())
+            rebooted = base._replace(reboots=(base.capture_time,))
 
             _, _, network_stack = simulator.render_dumps(rebooted)
             assert "DHCP_ACK" not in network_stack  # zero pre-reboot leases

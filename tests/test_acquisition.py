@@ -7,7 +7,6 @@ from watchtriage.acquisition import (
     AcquisitionStep,
     ExecutorUnreachableError,
     FakeExecutor,
-    SteppingClock,
     default_plan,
     load_plan,
     read_bundle_dir,
@@ -84,7 +83,7 @@ class TestDefaultPlan:
 class TestRunAcquisition:
     def test_device_profile_from_getprop(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
-        result = run_acquisition(executor, clock=SteppingClock(1683766560))
+        result = run_acquisition(executor, clock=lambda: 1683766560)
         assert result.device.android_version == "11"
         assert result.device.cpu_abi == "armeabi-v7a"
         assert result.device.model_number == "SM-R910"
@@ -92,35 +91,35 @@ class TestRunAcquisition:
 
     def test_raw_bytes_stored_verbatim(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
-        result = run_acquisition(executor, clock=SteppingClock(1683766560))
+        result = run_acquisition(executor, clock=lambda: 1683766560)
         by_label = {result.labels[k]: result.payloads[k] for k in result.payloads}
         assert by_label["netstats"] == GALAXY_WATCH5_TRANSCRIPTS["dumpsys netstats"]
         assert verify_bundle(result, result.payloads).overall_pass
 
     def test_single_step_failure_recorded_without_aborting(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["dumpsys netstats"])
-        result = run_acquisition(executor, clock=SteppingClock(1683766560))
+        result = run_acquisition(executor, clock=lambda: 1683766560)
         assert len(result.failures) == 1
         assert result.failures[0].label == "netstats"
         assert len(result.items) == len(default_plan().steps) - 1
 
     def test_no_profile_without_cpu_abi(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["getprop ro.product.cpu.abi"])
-        result = run_acquisition(executor, clock=SteppingClock(1683766560))
+        result = run_acquisition(executor, clock=lambda: 1683766560)
         assert result.device is None
         assert any(f.label == "cpu_abi" for f in result.failures)
 
     def test_unreachable_executor_aborts_before_any_step(self):
         executor = FakeExecutor({}, unreachable=True)
         with pytest.raises(ExecutorUnreachableError):
-            run_acquisition(executor, clock=SteppingClock(0))
+            run_acquisition(executor, clock=lambda: 0)
         assert executor.executed == []
 
     def test_identical_transcripts_and_clock_give_identical_digests(self):
         digests = []
         for _ in range(2):
             executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
-            result = run_acquisition(executor, clock=SteppingClock(1683766560))
+            result = run_acquisition(executor, clock=lambda: 1683766560)
             digests.append(result.bundle_manifest_digest)
         assert digests[0] == digests[1]
 
@@ -132,7 +131,7 @@ class TestRunAcquisition:
 
     def test_volatility_order_of_executed_commands(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
-        run_acquisition(executor, clock=SteppingClock(0))
+        run_acquisition(executor, clock=lambda: 0)
         executed_dumps = [c for c in executor.executed if c.startswith("dumpsys")]
         assert executed_dumps[0] == "dumpsys network_stack"
 
@@ -146,7 +145,7 @@ def _bundle_files(bundle_dir):
 class TestBundleDir:
     def test_write_read_round_trip(self, tmp_path):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["getprop ro.product.model"])
-        result = run_acquisition(executor, clock=SteppingClock(1683766560))
+        result = run_acquisition(executor, clock=lambda: 1683766560)
         assert result.failures
         out = write_bundle_dir(result, tmp_path / "bundle")
         loaded = read_bundle_dir(out)
@@ -162,7 +161,7 @@ class TestBundleDir:
 
     def test_raw_files_on_disk_are_verbatim(self, tmp_path):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
-        result = run_acquisition(executor, clock=SteppingClock(1683766560))
+        result = run_acquisition(executor, clock=lambda: 1683766560)
         out = write_bundle_dir(result, tmp_path / "bundle")
         raw = (out / "raw" / "usagestats.txt").read_bytes()
         assert raw == GALAXY_WATCH5_TRANSCRIPTS["dumpsys usagestats"]
@@ -186,7 +185,7 @@ class TestBundleDir:
 
     @pytest.mark.parametrize("rel", ["/etc/hostname", "../outside.txt", "raw/../../outside.txt", None])
     def test_file_entry_outside_the_bundle_is_rejected(self, tmp_path, rel):
-        result = run_acquisition(FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS), clock=SteppingClock(1683766560))
+        result = run_acquisition(FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS), clock=lambda: 1683766560)
         out = write_bundle_dir(result, tmp_path / "bundle")
         (tmp_path / "outside.txt").write_bytes(GALAXY_WATCH5_TRANSCRIPTS["dumpsys netstats"])
         manifest = json.loads((out / "manifest.json").read_text())
@@ -197,7 +196,7 @@ class TestBundleDir:
             read_bundle_dir(out)
 
     def test_unknown_hash_algorithm_is_a_malformed_manifest_naming_the_field(self, tmp_path):
-        result = run_acquisition(FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS), clock=SteppingClock(1683766560))
+        result = run_acquisition(FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS), clock=lambda: 1683766560)
         out = write_bundle_dir(result, tmp_path / "bundle")
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["hash_algorithm"] = "md7"

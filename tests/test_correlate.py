@@ -1,4 +1,3 @@
-import dataclasses
 import fnmatch
 import json
 import random
@@ -387,8 +386,8 @@ class TestCorroborate:
     def test_reboot_removes_only_corroboration(self, pipeline):
         for seed in range(20):
             scenario = simulator.random_scenario(seed)
-            scenario = dataclasses.replace(scenario, reboots=())
-            rebooted = dataclasses.replace(scenario, reboots=(scenario.capture_time,))
+            scenario = scenario._replace(reboots=())
+            rebooted = scenario._replace(reboots=(scenario.capture_time,))
 
             before = {f_key(f): f for f in pipeline(scenario)["findings"]}
             after = {f_key(f): f for f in pipeline(rebooted)["findings"]}
@@ -595,7 +594,7 @@ class TestMetamorphicRelations:
             scenario = simulator.random_scenario(seed)
             outcomes = {}
             for zone in RELATION_ZONES:
-                findings = run_pipeline(dataclasses.replace(scenario, display_zone=zone))["findings"]
+                findings = run_pipeline(scenario._replace(display_zone=zone))["findings"]
                 outcomes[zone] = sorted(
                     (f.pattern.value, f.confidence.value, tuple(b.st.epoch for b in f.session.buckets)) for f in findings
                 )
@@ -645,7 +644,7 @@ class TestMetamorphicRelations:
                 start = hour + rng.randrange(0, 1800)
                 extra.append(simulator.AppSession("com.unnamed.stopwatch", start, start + rng.randrange(60, 1800)))
             before = run_pipeline(scenario)
-            after = run_pipeline(dataclasses.replace(scenario, app_sessions=scenario.app_sessions + tuple(extra)))
+            after = run_pipeline(scenario._replace(app_sessions=scenario.app_sessions + tuple(extra)))
             assert len(after["report"].events_24h) == len(before["report"].events_24h) + 6
             assert sorted(map(finding_fingerprint, after["findings"])) == \
                 sorted(map(finding_fingerprint, before["findings"])), seed

@@ -62,12 +62,12 @@ class TestCommandImports:
 
     @pytest.mark.parametrize("command, code", [
         ("verify", 0), ("parse", 0), ("correlate", 1), ("report", 0), ("report-json", 0), ("audit", 1),
-        ("acquire", 1),
+        ("acquire", 1), ("generate", 0),
     ])
     def test_analysis_command_loads_neither_dataclasses_nor_inspect(self, command, code, ftp_bundle, tmp_path):
         # Building dataclasses, and importing `dataclasses` with `inspect`,
-        # took about a fifth of a one-shot command's wall time; records are
-        # named tuples, and only `generate` loads the simulator's dataclasses.
+        # took about a fifth of a one-shot command's wall time; every record
+        # in the package is a named tuple.
         bundle = ["--bundle", str(ftp_bundle)]
         host = ["--host-artifacts", str(ftp_bundle / "host_artifacts")]
         (tmp_path / "manifests").mkdir()
@@ -85,6 +85,7 @@ class TestCommandImports:
             "audit": ["audit", "--manifests", str(tmp_path / "manifests")],
             "acquire": ["acquire", "--transcripts", str(tmp_path / "transcripts"), "--clock-start", "1683809100",
                         "--out", str(tmp_path / "acquired")],
+            "generate": ["generate", "--preset", "ftp", "--out", str(tmp_path / "generated")],
         }[command]
         got, loaded = modules_loaded_by(argv)
         assert got == code

@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -110,8 +109,8 @@ class TestReportRendering:
         # A suspect names their own hotspot; a "|" in its SSID must not open a
         # fourth cell in a three-column markdown table.
         base = simulator.preset_case_study()
-        wifi = (replace(base.wifi_sessions[0], ssid="Cafe|Guest"), *base.wifi_sessions[1:])
-        doc, _, _ = render_for(replace(base, wifi_sessions=wifi))
+        wifi = (base.wifi_sessions[0]._replace(ssid="Cafe|Guest"), *base.wifi_sessions[1:])
+        doc, _, _ = render_for(base._replace(wifi_sessions=wifi))
         table = doc.to_markdown().split("## Timeline\n\n", 1)[1].split("\n\n", 1)[0]
         rows = table.split("\n")
         assert sum("Cafe\\|Guest" in row for row in rows) >= 2  # a traffic bucket and a lease

@@ -1,9 +1,10 @@
-import dataclasses
 import json
+import re
 
 import pytest
 
 from watchtriage import simulator
+from watchtriage.cli import main
 from watchtriage.simulator import (
     AppSession,
     HostArtifactSpec,
@@ -23,6 +24,26 @@ from watchtriage.simulator import (
 )
 
 CAPTURE = 1683809100
+
+# Values the rendered files cannot carry back, with the field each refusal
+# names: a usage-event line splits at whitespace, a quoted SSID ends at '"'
+# or a line break, a known_hosts line splits at whitespace and ',', and
+# neither XML nor UTF-8 holds a control character or a lone surrogate.
+UNCARRIABLE = {
+    "package-with-space": (AppSession("com.corproxy.files extra", 100, 200), r"app_sessions\[0\]: package"),
+    "package-with-tab": (AppSession("com.corproxy\tfiles", 100, 200), r"app_sessions\[0\]: package"),
+    "ssid-with-quote": (WifiSession('Cafe"Net', 100, 200, 0, 0, "10.0.0.1"), r"wifi_sessions\[0\]: ssid"),
+    "ssid-with-newline": (WifiSession("Cafe\nNet", 100, 200, 0, 0, "10.0.0.1"), r"wifi_sessions\[0\]: ssid"),
+    "host-with-space": (HostArtifactSpec("recentservers", "nas backup", 21), r"host_side\[0\]: host"),
+    "host-with-comma": (HostArtifactSpec("known_hosts", "nas,backup", 22), r"host_side\[0\]: host"),
+    "host-with-control": (HostArtifactSpec("recentservers", "nas\x01", 21), r"host_side\[0\]: host"),
+    "host-with-surrogate": (HostArtifactSpec("recentservers", "nas\ud800", 21), r"host_side\[0\]: host"),
+}
+
+
+def _scenario_with(record) -> Scenario:
+    field = {AppSession: "app_sessions", WifiSession: "wifi_sessions", HostArtifactSpec: "host_side"}[type(record)]
+    return Scenario(CAPTURE, **{field: (record,)})
 
 
 class TestValidation:
@@ -48,6 +69,29 @@ class TestValidation:
         s = Scenario(CAPTURE, host_side=(HostArtifactSpec("registry", "1.2.3.4", 21),))
         with pytest.raises(ValueError, match="host_side\\[0\\]"):
             validate(s)
+
+    @pytest.mark.parametrize("name", sorted(UNCARRIABLE))
+    def test_value_the_files_cannot_carry_back_refused(self, name, tmp_path, capsys):
+        record, field = UNCARRIABLE[name]
+        s = _scenario_with(record)
+        with pytest.raises(ValueError, match=field):
+            validate(s)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_to_dict(s)))
+        assert main(["generate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert re.search(field, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_xml_special_host_round_trips_to_the_oracle(self, pipeline):
+        # An unescaped '&' would make recentservers.xml malformed and lose
+        # the entry that corroborates the FTP session too.
+        ftp = simulator.preset_ftp_file_server()
+        s = Scenario(ftp.capture_time, ftp.app_sessions, ftp.wifi_sessions, display_zone=ftp.display_zone,
+                     host_side=(HostArtifactSpec("recentservers", "nas&<backup>", 21),
+                                HostArtifactSpec("recentservers", "172.30.1.76", 2221)))
+        got = sorted(simulator.finding_fingerprint(f) for f in pipeline(s)["findings"])
+        assert got == simulator.oracle_findings(s)
+        assert [fp[1] for fp in got] == ["corroborated"]
 
 
 class TestBucketize:
@@ -154,7 +198,7 @@ class TestRendering:
         s = simulator.preset_ftp_file_server()
         _, _, with_ssid = render_dumps(s)
         assert 'ssid="KT_GiGA_5G_EFB7"' in with_ssid
-        bare = dataclasses.replace(s, leases_carry_ssid=False)
+        bare = s._replace(leases_carry_ssid=False)
         _, _, without_ssid = render_dumps(bare)
         assert "ssid=" not in without_ssid
 
