@@ -24,7 +24,7 @@ import re
 import shutil
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Protocol
 
 from .evidence import (
     DEFAULT_DISPLAY_ZONE,
@@ -57,21 +57,15 @@ class CommandExecutor(Protocol):
 
 
 class FakeExecutor:
-    """Canned-transcript executor for tests and offline demos."""
+    """Canned-transcript executor for tests and offline demos; a command
+    with no transcript fails with exit status 127."""
 
-    def __init__(self, transcripts: Mapping[str, bytes], unreachable: bool = False,
-                 failing: Sequence[str] = ()):
+    def __init__(self, transcripts: Mapping[str, bytes]):
         self.transcripts = dict(transcripts)
-        self.unreachable = unreachable
-        self.failing = set(failing)
         self.executed: list[str] = []
 
     def execute(self, command: str) -> tuple[int, bytes, bytes]:
-        if self.unreachable:
-            raise ExecutorUnreachableError("fake executor configured unreachable")
         self.executed.append(command)
-        if command in self.failing:
-            return 1, b"", b"simulated failure"
         if command not in self.transcripts:
             return 127, b"", f"no transcript for {command!r}".encode()
         return 0, self.transcripts[command], b""

@@ -273,14 +273,15 @@ def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
     """Partition traffic buckets into app-network sessions.
 
     An app event joins a bucket when its time falls within [st, st+duration),
-    and the packages of a bucket's events are its matched set. One sweep
-    over the buckets in (start, network) order groups them: a bucket joins
-    the run of the last bucket with its network and matched set when that
-    one starts at the same time or exactly one duration earlier. Runs that
-    share a start where events matched merge into one multi-network
-    session, instead of attributing the same events to several networks at
-    once. A run is one session, except that a run of buckets at a single
-    start with no matched package is one session per bucket.
+    and the packages of a bucket's events are its matched set, which depends
+    on the bucket's start alone. Buckets that matched nothing form runs per
+    network: a bucket joins the run of the last such bucket on its network
+    when that one starts at the same time or exactly one duration earlier,
+    and a run at a single start is one session per bucket. The buckets of
+    one start that matched packages are one session over all their
+    networks, instead of attributing the same events to several networks at
+    once, and it continues the session one duration earlier when the last
+    bucket with one of its networks and its matched set starts there.
 
     Every input bucket lands in exactly one session, so byte totals over all
     sessions equal the input totals. Assigned IPs attach via lease SSID
@@ -302,56 +303,50 @@ def match_sessions(timeline: Timeline) -> list[AppNetworkSession]:
         for st in starts
     ]
 
-    # `tails` holds the last bucket of each network and matched set, and
-    # `joined` is a union-find over runs that merges toward the earlier run.
+    # One sweep in (start, network) order: the runs of unmatched buckets, the
+    # matched ones by start, and the starts where several networks carried traffic.
     keys = list(zip(starts, networks))
-    runs: list[list[int]] = []  # each in sweep order
-    joined: list[int] = []
-    tails: dict[tuple, tuple[int, int]] = {}  # (network, matched set) -> (start, run) of its last bucket
-    ambiguous_starts = set()  # bucket starts where two or more networks carried traffic
-
-    def find(run: int) -> int:
-        while joined[run] != run:
-            joined[run] = joined[joined[run]]
-            run = joined[run]
-        return run
-
-    start = first_run = busy = None
+    unmatched_runs: list[list[int]] = []
+    tails: dict[str, list] = {}  # network -> [start, run] of its last bucket that matched nothing
+    by_start: dict[int, list[int]] = {}  # start -> its buckets that matched packages, ascending
+    ambiguous_starts = set()
+    busy = (None, None)  # (start, network) of the last bucket with traffic
     for i in sorted(range(len(records)), key=keys.__getitem__):
-        st, network = keys[i]
-        track = (network, matched[i])
-        tail = tails.get(track)
-        if tail is not None and st - tail[0] in (0, duration):
-            run = tail[1]
-            runs[run].append(i)
+        st, network = key = keys[i]
+        if matched[i]:
+            by_start.setdefault(st, []).append(i)
+        elif (tail := tails.get(network)) is not None and st - tail[0] in (0, duration):
+            tail[0] = st
+            tail[1].append(i)
         else:
-            run = len(runs)
-            runs.append([i])
-            joined.append(run)
-        tails[track] = (st, run)
-        if st != start:
-            start, first_run, busy = st, run, None
-        elif matched[i]:  # the buckets of one start all match the same packages
-            a, b = find(first_run), find(run)
-            joined[max(a, b)] = min(a, b)
+            unmatched_runs.append(run := [i])
+            tails[network] = [st, run]
         if traffic[i]:
-            if busy is not None and busy != network:
+            if busy[0] == st and busy[1] != network:
                 ambiguous_starts.add(st)
-            busy = network
+            busy = key
 
+    # Groups keep sweep order. The final sort orders them; only runs split at
+    # a single start tie there, and those stay in index order.
     groups: list[list[int]] = []
-    merged: dict[int, list[int]] = {}  # root run -> its group
-    for run, members in enumerate(runs):
-        root = find(run)
-        if root != run:
-            group = merged[root]
-            group += members
-            group.sort(key=keys.__getitem__)
-        elif starts[members[0]] == starts[members[-1]] and not matched[members[0]]:
-            groups.extend([i] for i in members)  # a lone start that matched nothing: a session per bucket
+    for run in unmatched_runs:
+        if starts[run[0]] == starts[run[-1]]:
+            groups += ([i] for i in run)
         else:
-            merged[run] = group = list(members)
-            groups.append(group)
+            groups.append(run)
+    track_starts: dict[tuple, int] = {}  # (network, matched set) -> start of its last bucket
+    group_at: dict[int, list[int]] = {}  # start -> the group of its buckets
+    for st, block in by_start.items():
+        packages, group = matched[block[0]], None
+        for i in block:
+            track = networks[i], packages
+            if track_starts.get(track) == st - duration:
+                group = group_at[st - duration]
+            track_starts[track] = st
+        if group is None:
+            groups.append(group := [])
+        group += block
+        group_at[st] = group
 
     aggregate_epochs = sorted(a.last_used.epoch for a in timeline.report.aggregates)
     lease_log = timeline.lease_log

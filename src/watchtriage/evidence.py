@@ -108,6 +108,14 @@ def _document_chunks(value, out: list, depth: int, keys: dict) -> None:
             out.append(f"\n{'  ' * depth}]")
 
 
+def one_line(text: str) -> str:
+    """`text` with each carriage return and line feed written as "\\r" and
+    "\\n", so evidence quoted into a line of text output (an SSID, a package
+    name, a warning quoting a dump line, a manifest digest) cannot break it
+    or forge the next one; the JSON outputs keep the raw text."""
+    return text.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def zone_name(name: str) -> str:
     """`name` if it is an IANA zone this system knows; ValueError naming it
     as the display_zone otherwise (every zone read is a display zone)."""

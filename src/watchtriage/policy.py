@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
-from .evidence import DeviceProfile, json_list, load_json, text_lines
+from .evidence import DeviceProfile, json_list, load_json, one_line, text_lines
 
 WATCH_FEATURE = "android.hardware.type.watch"
 
@@ -229,7 +229,7 @@ def verdicts_table(verdicts: Sequence[PolicyVerdict]) -> str:
     for v in verdicts:
         abi = "-" if v.abi_compatible is None else ("ok" if v.abi_compatible else "bad")
         watch = "yes" if v.watch_feature_present else "no"
-        lines.append(f"{v.package:40} {v.verdict.value:22} {watch:5} {abi:5} {v.rationale}")
+        lines.append(f"{one_line(v.package):40} {v.verdict.value:22} {watch:5} {abi:5} {one_line(v.rationale)}")
     return "\n".join(lines) + "\n"
 
 

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
-from .evidence import EvidenceBundle, RenderedTimes, SourceKind
+from .evidence import EvidenceBundle, RenderedTimes, SourceKind, one_line
 
 LIMITATION_NOTES = {
     AmbiguityFlag.USAGE_EVIDENCE_EXPIRED: (
@@ -50,7 +50,7 @@ class ReportDocument(NamedTuple):
         zone = data["display_zone"]
         times = RenderedTimes(zone)
         lines = ["# Smartwatch exfiltration triage report", ""]
-        lines.append(f"Bundle: `{_one_line(data['bundle_manifest_digest'])}`  ")
+        lines.append(f"Bundle: `{one_line(data['bundle_manifest_digest'])}`  ")
         lines.append(f"Display zone: {zone}")
         lines.append("")
         lines.append(f"## Findings ({data['finding_count']})")
@@ -62,10 +62,10 @@ class ReportDocument(NamedTuple):
             sess = f["session"]
             lines.append(f"### {i}. {f['pattern']} ({f['confidence']})")
             lines.append("")
-            packages = _one_line(", ".join(sess["packages"]))
+            packages = one_line(", ".join(sess["packages"]))
             lines.append(f"- Packages: {packages or '(no in-window app evidence)'}")
             lines.append(f"- App start: {sess['app_start_rendered'] or 'unknown (usage detail expired)'}")
-            lines.append(f"- Networks: {_one_line(', '.join(sess['network_ids']))}")
+            lines.append(f"- Networks: {one_line(', '.join(sess['network_ids']))}")
             buckets = ", ".join(f"{b['st']} ({times[b['st']]})" for b in sess["buckets"])
             lines.append(f"- Bucket starts: {buckets}")
             lines.append(f"- Bytes in / out: {f['bytes_in']:,} / {f['bytes_out']:,}")
@@ -78,7 +78,7 @@ class ReportDocument(NamedTuple):
             ]
             lines.append(f"- Host corroboration: {'; '.join(parts) or 'none'}")
             lines.append(f"- Ambiguity flags: {', '.join(sess['ambiguity_flags']) or 'none'}")
-            digests = ", ".join(f"`{_one_line(d)}`" for d in f["evidence_digests"])
+            digests = ", ".join(f"`{one_line(d)}`" for d in f["evidence_digests"])
             lines.append(f"- Evidence: {digests}")
             lines.append("")
         if data["timeline"]:
@@ -89,7 +89,7 @@ class ReportDocument(NamedTuple):
             # Event text quotes evidence (an SSID, say): with its line breaks
             # and "|" escaped, it stays in its cell.
             for row in data["timeline"]:
-                event = _one_line(row["event"]).replace("|", "\\|")
+                event = one_line(row["event"]).replace("|", "\\|")
                 lines.append(f"| {row['time']} | {row['source']} | {event} |")
             lines.append("")
         lines.append("## Limitations")
@@ -101,17 +101,9 @@ class ReportDocument(NamedTuple):
             lines.append("## Warnings")
             lines.append("")
             for w in data["warnings"]:
-                lines.append(f"- {_one_line(w)}")
+                lines.append(f"- {one_line(w)}")
             lines.append("")
         return "\n".join(lines)
-
-
-def _one_line(text: str) -> str:
-    """`text` with each carriage return and line feed written as "\\r" and
-    "\\n", so evidence quoted into a markdown line (an SSID, a package name,
-    a warning quoting a dump line, a manifest digest) cannot break it; the
-    JSON report keeps the raw text."""
-    return text.replace("\r", "\\r").replace("\n", "\\n")
 
 
 def attach_evidence_digests(

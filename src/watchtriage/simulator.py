@@ -39,6 +39,7 @@ from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, RenderedTimes, Timestamp,
 USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))
 _WHITESPACE = re.compile(r"\s")  # what str.isspace() takes
+_SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode
 
 
 class AppSession(NamedTuple):
@@ -81,8 +82,8 @@ def validate(s: Scenario):
     for i, a in enumerate(s.app_sessions):
         if not a.package:
             raise ValueError(f"app_sessions[{i}]: package must be non-empty")
-        if _WHITESPACE.search(a.package):
-            raise ValueError(f"app_sessions[{i}]: package {a.package!r} must hold no whitespace")
+        if _WHITESPACE.search(a.package) or _SURROGATE.search(a.package):
+            raise ValueError(f"app_sessions[{i}]: package {a.package!r} must hold no whitespace or lone surrogate")
         if not a.start < a.end:
             raise ValueError(f"app_sessions[{i}]: start must precede end")
         if a.end > s.capture_time:
@@ -90,8 +91,8 @@ def validate(s: Scenario):
         if a.start < 0:
             raise ValueError(f"app_sessions[{i}]: start must be >= 0")
     for i, w in enumerate(s.wifi_sessions):
-        if '"' in w.ssid or "\n" in w.ssid:
-            raise ValueError(f"wifi_sessions[{i}]: ssid {w.ssid!r} must hold no '\"' or line break")
+        if '"' in w.ssid or "\n" in w.ssid or _SURROGATE.search(w.ssid):
+            raise ValueError(f"wifi_sessions[{i}]: ssid {w.ssid!r} must hold no '\"', line break or lone surrogate")
         if not w.start < w.end:
             raise ValueError(f"wifi_sessions[{i}]: start must precede end")
         if w.end > s.capture_time:

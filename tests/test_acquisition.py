@@ -80,6 +80,16 @@ class TestDefaultPlan:
             AcquisitionPlan((AcquisitionStep("bad", command, 0, SourceKind.GETPROP),))
 
 
+def transcripts_without(command):
+    """The Galaxy Watch 5 transcripts but for `command`'s, so that step fails."""
+    return {k: v for k, v in GALAXY_WATCH5_TRANSCRIPTS.items() if k != command}
+
+
+class UnreachableExecutor(FakeExecutor):
+    def execute(self, command):
+        raise ExecutorUnreachableError("debug bridge unreachable")
+
+
 class TestRunAcquisition:
     def test_device_profile_from_getprop(self):
         executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS)
@@ -97,20 +107,21 @@ class TestRunAcquisition:
         assert verify_bundle(result, result.payloads).overall_pass
 
     def test_single_step_failure_recorded_without_aborting(self):
-        executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["dumpsys netstats"])
+        executor = FakeExecutor(transcripts_without("dumpsys netstats"))
         result = run_acquisition(executor, clock=lambda: 1683766560)
         assert len(result.failures) == 1
         assert result.failures[0].label == "netstats"
+        assert result.failures[0].detail.startswith("exit status 127: no transcript")
         assert len(result.items) == len(default_plan().steps) - 1
 
     def test_no_profile_without_cpu_abi(self):
-        executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["getprop ro.product.cpu.abi"])
+        executor = FakeExecutor(transcripts_without("getprop ro.product.cpu.abi"))
         result = run_acquisition(executor, clock=lambda: 1683766560)
         assert result.device is None
         assert any(f.label == "cpu_abi" for f in result.failures)
 
     def test_unreachable_executor_aborts_before_any_step(self):
-        executor = FakeExecutor({}, unreachable=True)
+        executor = UnreachableExecutor(GALAXY_WATCH5_TRANSCRIPTS)
         with pytest.raises(ExecutorUnreachableError):
             run_acquisition(executor, clock=lambda: 0)
         assert executor.executed == []
@@ -144,7 +155,7 @@ def _bundle_files(bundle_dir):
 
 class TestBundleDir:
     def test_write_read_round_trip(self, tmp_path):
-        executor = FakeExecutor(GALAXY_WATCH5_TRANSCRIPTS, failing=["getprop ro.product.model"])
+        executor = FakeExecutor(transcripts_without("getprop ro.product.model"))
         result = run_acquisition(executor, clock=lambda: 1683766560)
         assert result.failures
         out = write_bundle_dir(result, tmp_path / "bundle")

@@ -191,12 +191,26 @@ class TestMatchSessions:
             ([1800], ()),
         ]
 
+    def test_matched_start_continues_through_a_network_other_than_its_first(self):
+        # Network b carries traffic at st - 3600 and st, network a only at st,
+        # and com.p events fall in both hours. The start st continues b's
+        # session through b though a sorts first: one session of three.
+        st = 1683795600
+        rows = [{"network_id": net, "st": at, "rb": 1, "rp": 1, "tb": 0, "tp": 0}
+                for net, at in (("b", st - 3600), ("a", st), ("b", st))]
+        sessions = self.netstats_sessions(rows, (st - 600, st + 300))
+        assert [([(b.network_id, b.st.epoch) for b in s.buckets], s.packages) for s in sessions] == [
+            ([("b", st - 3600), ("a", st), ("b", st)], ("com.p",)),
+        ]
+
     def test_sweep_matches_the_reference_grouping(self):
-        # The presets and seeds 0-24 at four bucket sizes, as parsed and with
-        # events, leases and records shuffled, against the grouping kept
-        # below as reference_match_sessions.
+        # The presets, seeds 0-24 and the 30-day scaled scenario at four
+        # bucket sizes, as parsed and with events, leases and records
+        # shuffled, against the grouping kept below as
+        # reference_match_sessions.
         scenarios = [make() for make in simulator.PRESETS.values()]
         scenarios += [simulator.random_scenario(seed) for seed in range(25)]
+        scenarios.append(scaled_scenario(True))
         rng = random.Random(21)
         compared = 0
         for duration in (900, 1800, 3600, 7200):

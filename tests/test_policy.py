@@ -12,6 +12,7 @@ from watchtriage.policy import (
     combine_verdict,
     load_inventory,
     parse_manifest,
+    verdict_to_dict,
     verdicts_table,
 )
 
@@ -223,3 +224,17 @@ class TestInventoryIO:
         table = verdicts_table(verdicts)
         assert "com.samsung.android.watch.weather" in table
         assert "sideloaded_phone_app" in table
+
+    def test_line_break_in_a_package_forges_no_table_row(self, tmp_path):
+        # An XML character reference and a carriage return inside an aapt
+        # name='...' put a line break in the package; the table writes it
+        # as "\n" or "\r", and the JSON verdict keeps the raw text.
+        (tmp_path / "forged.xml").write_text('<manifest package="com.a&#10;com.fake.row  compliant"/>')
+        manifests, failures = load_inventory(tmp_path)
+        manifests.append(parse_manifest("package: name='com.b\rcom.fake.row  compliant'\n"))
+        verdicts = audit_inventory(manifests, DEVICE) + failures
+        assert [v.package for v in verdicts] == ["com.a\ncom.fake.row  compliant", "com.b\rcom.fake.row  compliant"]
+        lines = verdicts_table(verdicts).splitlines()
+        assert len(lines) == len(verdicts) + 1
+        assert [line.split()[0] for line in lines[1:]] == ["com.a\\ncom.fake.row", "com.b\\rcom.fake.row"]
+        assert [verdict_to_dict(v)["package"] for v in verdicts] == [v.package for v in verdicts]

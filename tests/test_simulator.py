@@ -32,8 +32,10 @@ CAPTURE = 1683809100
 UNCARRIABLE = {
     "package-with-space": (AppSession("com.corproxy.files extra", 100, 200), r"app_sessions\[0\]: package"),
     "package-with-tab": (AppSession("com.corproxy\tfiles", 100, 200), r"app_sessions\[0\]: package"),
+    "package-with-surrogate": (AppSession("com.corproxy\ud800", 100, 200), r"app_sessions\[0\]: package"),
     "ssid-with-quote": (WifiSession('Cafe"Net', 100, 200, 0, 0, "10.0.0.1"), r"wifi_sessions\[0\]: ssid"),
     "ssid-with-newline": (WifiSession("Cafe\nNet", 100, 200, 0, 0, "10.0.0.1"), r"wifi_sessions\[0\]: ssid"),
+    "ssid-with-surrogate": (WifiSession("Cafe\ud800", 100, 200, 0, 0, "10.0.0.1"), r"wifi_sessions\[0\]: ssid"),
     "host-with-space": (HostArtifactSpec("recentservers", "nas backup", 21), r"host_side\[0\]: host"),
     "host-with-comma": (HostArtifactSpec("known_hosts", "nas,backup", 22), r"host_side\[0\]: host"),
     "host-with-control": (HostArtifactSpec("recentservers", "nas\x01", 21), r"host_side\[0\]: host"),
