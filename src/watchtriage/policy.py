@@ -201,10 +201,12 @@ def _manifest_info(obj: dict) -> ManifestInfo:
 def load_inventory(path: Path) -> tuple[list[ManifestInfo], list[PolicyVerdict]]:
     """Load manifests from a JSON inventory file or a directory of manifests.
 
-    Directory mode parses every *.xml and *.txt file; files that fail to
-    parse become verdicts of kind `unknown` so the audit report stays
-    one-row-per-input. A JSON inventory must be a list of entry objects;
-    anything else is a ValueError naming the file and the entry.
+    Directory mode parses every *.xml and *.txt file, decoded as UTF-8
+    without newline translation, so a lone "\\r" stays inside its line;
+    files that fail to decode or parse become verdicts of kind `unknown`
+    so the audit report stays one-row-per-input. A JSON inventory must be
+    a list of entry objects; anything else is a ValueError naming the
+    file and the entry.
     """
     path = Path(path)
     if not path.is_dir():
@@ -215,7 +217,7 @@ def load_inventory(path: Path) -> tuple[list[ManifestInfo], list[PolicyVerdict]]
         if file.suffix.lower() not in (".xml", ".txt"):
             continue
         try:
-            manifests.append(parse_manifest(file.read_text(encoding="utf-8")))
+            manifests.append(parse_manifest(file.read_bytes().decode("utf-8")))
         except ValueError as exc:
             failures.append(
                 PolicyVerdict(file.name, False, None, VerdictKind.UNKNOWN, f"unparseable manifest: {exc}")

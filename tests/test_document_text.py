@@ -11,6 +11,7 @@ pytest, so an interpreter without it runs them too:
 
 import enum
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +27,14 @@ class Colour(str, enum.Enum):
 
 class Level(enum.IntEnum):
     HIGH = 3
+
+
+class Record(dict):
+    pass
+
+
+class Rows(list):
+    pass
 
 
 VALUES = {
@@ -46,6 +55,13 @@ VALUES = {
     "key order": {"b": 1, "a": {"d": 2, "c": 3}, "B": 0, "": -1, "ä": 4, "aa": [{"z": 1, "y": 2}]},
     "deep nesting": [[[[{"x": [1, {"y": [[], {"z": {"w": "deep"}}]}]}]]]],
     "one key at many depths": {"k": {"k": {"k": [{"k": "v"}, {"k": {}}]}}},
+    "one key set in two insertion orders": [{"a": 1, "b": [2], "c": "x"}, {"c": "y", "a": 3, "b": []}],
+    "one key tuple at two depths": [{"a": 1, "b": {"a": 2, "b": {"a": [{"a": 3, "b": 4}], "b": None}}}],
+    "str-enum key beside its plain str key": [
+        {Colour.RED: 1, "b": 2}, {"red": "x", "b": 3}, {"red": 4}, {Colour.RED: 5}],
+    "bools and ints under one shape": [
+        {"n": 1, "b": True}, {"n": True, "b": 1}, {"n": 0, "b": False}, {"n": False, "b": 0}],
+    "dict and list subclasses": Record(b=Rows([1, Record(), Rows(), Record(z=Rows(["r"]))]), a=Record(b=2, a=1)),
     "top-level string": "text",
     "top-level int": -7,
     "top-level float": 2.5,
@@ -71,6 +87,50 @@ def test_writer_rejects_a_key_that_is_not_a_string():
         except TypeError:
             continue
         raise AssertionError(f"no TypeError for {value!r}")
+
+
+def test_writer_raises_recursion_error_on_a_document_that_contains_itself():
+    looped_dict, looped_list = {"a": 1}, [1]
+    looped_dict["self"] = [looped_dict]
+    looped_list.append({"self": looped_list})
+    for value in (looped_dict, looped_list):
+        try:
+            write_document(value)
+        except RecursionError:
+            continue
+        raise AssertionError("no RecursionError for a document that contains itself")
+
+
+def random_document(rng: random.Random, depth: int = 0):
+    """A random JSON value; its dicts draw from four keys, so that dicts
+    with one key set, in one or another insertion order, recur at many
+    depths."""
+    roll = rng.random()
+    if depth < 4 and roll < 0.3:
+        keys = rng.sample(["a", "b", "é", Colour.RED], rng.randrange(5))
+        return (Record if rng.random() < 0.1 else dict)((key, random_document(rng, depth + 1)) for key in keys)
+    if depth < 4 and roll < 0.45:
+        items = [random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return rng.choice((list, tuple, Rows))(items)
+    return rng.choice((
+        rng.randrange(-3, 3), rng.random() < 0.5, None, rng.choice(["", "x", "é\n", "\"q\""]),
+        rng.choice([0.5, -0.0, float("inf")]), Level.HIGH, Colour.RED,
+    ))
+
+
+def test_writer_matches_the_stdlib_on_random_documents():
+    rng = random.Random(20231019)
+    for _ in range(3000):
+        value = random_document(rng)
+        assert write_document(value) == stdlib_text(value), repr(value)
+
+
+def test_writer_keeps_no_state_between_documents():
+    # One key tuple at two depths, written in both orders in turn.
+    shallow = [{"a": 1, "b": "x"}]
+    deep = {"a": [{"a": 2, "b": None}], "b": {"b": True, "a": {}}}
+    for value in (shallow, deep, shallow, deep):
+        assert write_document(value) == stdlib_text(value)
 
 
 def test_writer_rejects_what_the_stdlib_rejects():

@@ -212,10 +212,12 @@ class TestInventoryIO:
         (tmp_path / "watch.xml").write_text(WATCH_MANIFEST)
         (tmp_path / "phone.xml").write_text(PHONE_MANIFEST)
         (tmp_path / "broken.xml").write_text("<manifest package='x'")
+        (tmp_path / "latin1.txt").write_bytes("package: name='com.caf\xe9'\n".encode("latin-1"))
         manifests, failures = load_inventory(tmp_path)
         assert len(manifests) == 2
-        assert len(failures) == 1
-        assert failures[0].verdict == VerdictKind.UNKNOWN
+        assert [(f.package, f.verdict) for f in failures] == [
+            ("broken.xml", VerdictKind.UNKNOWN), ("latin1.txt", VerdictKind.UNKNOWN)]
+        assert "can't decode byte 0xe9" in failures[1].rationale
 
     def test_table_render_contains_every_package(self):
         verdicts = audit_inventory(
@@ -228,11 +230,13 @@ class TestInventoryIO:
     def test_line_break_in_a_package_forges_no_table_row(self, tmp_path):
         # An XML character reference and a carriage return inside an aapt
         # name='...' put a line break in the package; the table writes it
-        # as "\n" or "\r", and the JSON verdict keeps the raw text.
+        # as "\n" or "\r", and the JSON verdict keeps the raw text. Only
+        # "\n" ends an evidence line, so the file read keeps the "\r".
         (tmp_path / "forged.xml").write_text('<manifest package="com.a&#10;com.fake.row  compliant"/>')
+        (tmp_path / "forged.txt").write_bytes(b"package: name='com.b\rcom.fake.row  compliant'\n")
         manifests, failures = load_inventory(tmp_path)
-        manifests.append(parse_manifest("package: name='com.b\rcom.fake.row  compliant'\n"))
-        verdicts = audit_inventory(manifests, DEVICE) + failures
+        assert failures == []
+        verdicts = audit_inventory(manifests, DEVICE)
         assert [v.package for v in verdicts] == ["com.a\ncom.fake.row  compliant", "com.b\rcom.fake.row  compliant"]
         lines = verdicts_table(verdicts).splitlines()
         assert len(lines) == len(verdicts) + 1
