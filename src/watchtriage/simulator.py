@@ -4,9 +4,8 @@ A Scenario is the authoritative record of what happened on the watch: app
 sessions, Wi-Fi sessions with byte totals and assigned IPs, reboots, and
 what the paired PC kept. Renderers turn it into the canonical fixture
 grammar (docs/fixture-grammar.md); `oracle_findings` computes the expected
-correlation output directly from the ground truth by exhaustive interval
-overlap, without going through the parsers, so the full pipeline can be
-checked against it.
+correlation output directly from the ground truth, without going through
+the parsers, so the full pipeline can be checked against it.
 
 Rendering honors the source services' retention semantics: usage events only
 within 24 hours of the capture time (older sessions appear in aggregates
@@ -21,6 +20,7 @@ import ipaddress
 import random
 import re
 import struct
+from bisect import bisect_left
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, get_type_hints
 
@@ -180,11 +180,15 @@ def ground_truth_aggregates(s: Scenario) -> list[tuple[str, str, int, int]]:
     out = []
     packages = dict.fromkeys(a.package for a in s.app_sessions)  # in first-seen order
     for window, secs in AGGREGATE_WINDOWS:
+        stats: dict[str, tuple[int, int]] = {}  # package -> (last end, count)
+        for a in s.app_sessions:
+            if a.end >= s.capture_time - secs:
+                last, count = stats.get(a.package, (a.end, 0))
+                stats[a.package] = (max(last, a.end), count + 1)
         for pkg in packages:
-            in_window = [a for a in s.app_sessions if a.package == pkg and a.end >= s.capture_time - secs]
-            if in_window:
-                last = max(a.end for a in in_window)
-                out.append((window, pkg, last - last % 60, len(in_window)))
+            if pkg in stats:
+                last, count = stats[pkg]
+                out.append((window, pkg, last - last % 60, count))
     return out
 
 
@@ -296,10 +300,15 @@ def render_host_artifacts(s: Scenario) -> tuple[str, str]:
 
 # --- Oracle ----------------------------------------------------------------
 #
-# Expected findings computed straight from the scenario by exhaustive
-# interval overlap. This deliberately re-derives the session semantics with
-# a different algorithm (connected components of the all-pairs joinable
-# graph) so it can stand as an independent check of the correlator.
+# Expected findings computed straight from the scenario's ground truth.
+# This deliberately re-derives the session semantics with a different
+# algorithm from the correlator's (connected components of the graph whose
+# edges are the `joinable` row pairs) so it can stand as an independent
+# check of it. A row's work is a lookup, not a scan of every row or event:
+# a bucket's events are a bisected slice of the time-sorted events, a row's
+# possible neighbours are looked up by (network, start) and by start, and
+# expired usage is one bisect into the sorted last-used minutes. Only the
+# lease loop still visits every lease for every session.
 
 
 def oracle_findings(
@@ -315,13 +324,16 @@ def oracle_findings(
     leases = ground_truth_leases(s)
     boot = last_reboot_before_capture(s)
     n = len(records)
+    event_times = [t for _pkg, _typ, t in events]  # ascending
 
     def in_bucket(t: int, st: int) -> bool:
         return st <= t < st + duration
 
-    matched = [
-        frozenset(pkg for pkg, _typ, t in events if in_bucket(t, records[i][1])) for i in range(n)
-    ]
+    def bucket_events(st: int) -> list[tuple[str, str, int]]:
+        # The events in [st, st + duration): a slice of the time-sorted events.
+        return events[bisect_left(event_times, st):bisect_left(event_times, st + duration)]
+
+    matched = [frozenset(pkg for pkg, _typ, _t in bucket_events(st)) for _ssid, st, *_ in records]
 
     def joinable(i: int, j: int) -> bool:
         if matched[i] != matched[j]:
@@ -331,7 +343,20 @@ def oracle_findings(
         shared_start = records[i][1] == records[j][1]
         return (same_net and contiguous) or (shared_start and bool(matched[i]))
 
-    adjacent = [[j for j in range(n) if j != i and joinable(i, j)] for i in range(n)]
+    # joinable(i, j) needs the same network one duration apart or a shared
+    # start, so the rows at (ssid, st - duration), (ssid, st + duration) and
+    # st are every row that can join the row at (ssid, st).
+    row_at = {(ssid, st): i for i, (ssid, st, *_) in enumerate(records)}  # one row per (ssid, st)
+    rows_at_start: dict[int, list[int]] = {}
+    for i, (_ssid, st, *_) in enumerate(records):
+        rows_at_start.setdefault(st, []).append(i)
+
+    def candidates(i: int) -> list[int]:
+        ssid, st = records[i][0], records[i][1]
+        apart = [row_at[key] for key in ((ssid, st - duration), (ssid, st + duration)) if key in row_at]
+        return apart + rows_at_start[st]
+
+    adjacent = [[j for j in candidates(i) if j != i and joinable(i, j)] for i in range(n)]
     groups: list[list[int]] = []
     seen = [False] * n
     for root in range(n):
@@ -352,6 +377,7 @@ def oracle_findings(
         if rb + rp + tb + tp > 0:
             by_start.setdefault(st, set()).add(ssid)
     multi_starts = {st for st, nets in by_start.items() if len(nets) >= 2}
+    last_used = sorted(last for _w, _p, last, _c in aggregates)
 
     fingerprints = []
     for group in groups:
@@ -360,18 +386,16 @@ def oracle_findings(
         pkgs = tuple(sorted(matched[group[0]]))
         span_start = min(b[1] for b in buckets)
         span_end = max(b[1] for b in buckets) + duration
-        session_events = [
-            (pkg, typ, t)
-            for pkg, typ, t in events
-            if pkg in pkgs and any(in_bucket(t, b[1]) for b in buckets)
-        ]
 
         flags = set()
         if any(b[1] in multi_starts for b in buckets):
             flags.add(AmbiguityFlag.MULTI_NETWORK_SAME_BUCKET)
-        if not session_events:
+        # Every bucket of the group holds events of exactly `pkgs`, so the
+        # group has usage events if and only if it has packages.
+        if not pkgs:
             has_traffic = any(sum(b[2:]) > 0 for b in buckets)
-            agg_in_span = any(span_start <= last < span_end for _w, _p, last, _c in aggregates)
+            k = bisect_left(last_used, span_start)
+            agg_in_span = k < len(last_used) and last_used[k] < span_end
             if has_traffic or agg_in_span:
                 flags.add(AmbiguityFlag.USAGE_EVIDENCE_EXPIRED)
         if boot is not None and span_start < boot:

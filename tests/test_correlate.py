@@ -518,15 +518,15 @@ class TestPatternRules:
             PatternRule(FindingPattern.UNCLASSIFIED_TRANSFER, (), DirectionBias.ANY, -1)
 
 
-def scaled_scenario(leases_carry_ssid: bool, seed: int = 4) -> simulator.Scenario:
-    """Thirty days of back-to-back or spaced Wi-Fi sessions on five networks
-    with one reboot, dense app use over the last day, and the PC keeping two
-    of the networks' IPs."""
+def scaled_scenario(leases_carry_ssid: bool, seed: int = 4, days: int = 30) -> simulator.Scenario:
+    """`days` days (thirty by default) of back-to-back or spaced Wi-Fi
+    sessions on five networks with one reboot, dense app use over the last
+    day, and the PC keeping two of the networks' IPs."""
     rng = random.Random(seed)
     capture = 1683809100
     ssids = [f"net{i}" for i in range(5)]
     ips = {ssid: f"192.168.{i}.{rng.randrange(2, 250)}" for i, ssid in enumerate(ssids)}
-    wifi, t = [], capture - 30 * 86400
+    wifi, t = [], capture - days * 86400
     while t < capture - 2 * 3600:
         end = min(t + rng.randrange(3600, 12 * 3600), capture - 60)
         ssid = rng.choice(ssids)
@@ -555,11 +555,12 @@ def scaled_scenario(leases_carry_ssid: bool, seed: int = 4) -> simulator.Scenari
 
 
 class TestOracleEquivalence:
+    @pytest.mark.parametrize("days", [30, 120])
     @pytest.mark.parametrize("leases_carry_ssid", [True, False])
-    def test_scaled_scenario_matches_oracle(self, leases_carry_ssid):
-        scenario = scaled_scenario(leases_carry_ssid)
+    def test_scaled_scenario_matches_oracle(self, leases_carry_ssid, days):
+        scenario = scaled_scenario(leases_carry_ssid, days=days)
         result = run_pipeline(scenario)
-        assert len(result["records"]) >= 700
+        assert len(result["records"]) >= 700 * days // 30
         mine = sorted(finding_fingerprint(f) for f in result["findings"])
         assert mine == simulator.oracle_findings(scenario)
         sessions = result["sessions"]
@@ -578,6 +579,14 @@ class TestOracleEquivalence:
         s = simulator.Scenario(capture_time=1683809100)
         assert run_pipeline(s)["findings"] == []
         assert simulator.oracle_findings(s) == []
+
+    @pytest.mark.parametrize("duration", [900, 1800, 7200])
+    def test_random_scenarios_match_oracle_at_other_bucket_durations(self, duration):
+        for seed in range(0, 200, 5):
+            scenario = simulator.random_scenario(seed)
+            findings = run_pipeline(scenario, bucket_seconds=duration)["findings"]
+            mine = sorted(finding_fingerprint(f) for f in findings)
+            assert mine == simulator.oracle_findings(scenario, duration=duration), seed
 
     def test_non_default_bucket_duration_end_to_end(self):
         scenario = simulator.preset_ftp_file_server()

@@ -248,6 +248,46 @@ class TestRandomScenario:
                 assert horizon <= w.start < w.end <= s.capture_time
 
 
+def test_oracle_neighbour_lookup_finds_every_join(pipeline):
+    # One row per way two rows can join or must not: the oracle looks a
+    # row's neighbours up by (network, start +- duration) and by start, so a
+    # join it missed or made would change these sessions.
+    h = CAPTURE // 3600 * 3600 - 10 * 3600
+    s = Scenario(
+        CAPTURE,
+        app_sessions=(
+            AppSession(simulator.FTP_PACKAGE, h + 600, h + 1200),
+            # Both events in the next bucket: the first at exactly h + 3600.
+            AppSession(simulator.SFTP_PACKAGE, h + 3600, h + 4000),
+        ),
+        wifi_sessions=(
+            # cafe and home share start h and the FTP events: one session.
+            WifiSession("cafe", h + 300, h + 3000, 30_000_000, 1_000_000, "10.0.0.2"),
+            WifiSession("home", h + 1800, h + 3300, 20_000_000, 1_000_000, "10.0.1.2"),
+            # cafe one duration on, with the SFTP events instead: its own session.
+            WifiSession("cafe", h + 3600, h + 6000, 5_000_000, 1_000_000, "10.0.0.2"),
+            # office's two rows, one duration apart and without events: one session.
+            WifiSession("office", h + 3 * 3600 + 600, h + 5 * 3600 - 600, 50_000_000, 0, "10.0.2.2"),
+            # hotel one duration after office's last row, on another network: apart.
+            WifiSession("hotel", h + 5 * 3600 + 60, h + 5 * 3600 + 1800, 15_000_000, 0, "10.0.3.2"),
+        ),
+        host_side=(HostArtifactSpec("recentservers", "10.0.0.2", 21),),
+    )
+    fingerprints = simulator.oracle_findings(s)
+    assert [(pattern, confidence, flags, packages, [(ssid, st - h) for ssid, st, *_ in buckets], ips)
+            for pattern, confidence, flags, packages, _in, _out, buckets, ips, _hosts in fingerprints] == [
+        ("ftp_server_exfil", "corroborated", ("multi_network_same_bucket",), (simulator.FTP_PACKAGE,),
+         [("cafe", 0), ("home", 0)], ("10.0.0.2", "10.0.1.2")),
+        ("sftp_server_exfil", "corroborated", (), (simulator.SFTP_PACKAGE,),
+         [("cafe", 3600)], ("10.0.0.2",)),
+        ("unclassified_transfer", "ambiguous", ("usage_evidence_expired",), (),
+         [("hotel", 5 * 3600)], ("10.0.3.2",)),
+        ("unclassified_transfer", "ambiguous", ("usage_evidence_expired",), (),
+         [("office", 3 * 3600), ("office", 4 * 3600)], ("10.0.2.2",)),
+    ]
+    assert sorted(simulator.finding_fingerprint(f) for f in pipeline(s)["findings"]) == fingerprints
+
+
 def test_case_study_scenario_structure_matches_oracle():
     fingerprints = simulator.oracle_findings(simulator.preset_case_study())
     patterns = sorted(fp[0] for fp in fingerprints)
