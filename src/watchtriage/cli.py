@@ -18,9 +18,12 @@ Only the command line configures a run: no shell variable is read, and
 every flag's default is a constant. The bucket duration and the zone that
 dump times are read in come from the bundle itself, never from a flag.
 
-Each call builds only the chosen subcommand's parser and imports only the
-modules that command uses: `verify` never loads the parsers, correlation,
-policy or simulator, which keeps one-shot calls on case-size bundles cheap.
+A named command gets one parser of its own, `watchtriage <command>`, which
+reads the words after the name; only a call naming no known command (top-level
+help, a missing or unknown command) builds the parser with every subcommand.
+Each call imports only the modules its command uses: `verify` never loads the
+parsers, correlation, policy, simulator or an XML reader, which keeps one-shot
+calls on case-size bundles cheap.
 """
 
 from __future__ import annotations
@@ -315,25 +318,35 @@ COMMANDS = {
 }
 
 
+def _command_parser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    handler, _help, add_options = COMMANDS[command]
+    add_options(parser)
+    parser.set_defaults(func=handler, command=command)
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only `command`'s subparser, or with every
-    subcommand's when `command` names none (for top-level help and errors)."""
+    """The parser of `command` alone, which reads the words after it, or the
+    parser with every subcommand's when `command` names none (for top-level
+    help and errors)."""
+    if command in COMMANDS:
+        return _command_parser(argparse.ArgumentParser(prog=f"watchtriage {command}"), command)
     parser = argparse.ArgumentParser(
         prog="watchtriage",
         description="Forensic triage for Wear OS smartwatch dump evidence",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        handler, help_text, add_options = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_options(p)
-        p.set_defaults(func=handler)
+    for name, (_handler, help_text, _add_options) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        args = build_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # a missing or unusable file or tool; malformed input

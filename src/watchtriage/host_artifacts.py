@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import base64
 import re
-import xml.etree.ElementTree as ET
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -73,6 +72,8 @@ def parse_filezilla(xml_text: str, source_file: str = "recentservers_xml") -> tu
     across versions. A missing Host skips that entry with a warning; malformed
     XML is fatal with the reported line number.
     """
+    import xml.etree.ElementTree as ET  # here, so commands that read no XML never load it
+
     try:
         root = ET.fromstring(xml_text)
     except ET.ParseError as exc:

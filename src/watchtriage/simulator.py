@@ -31,8 +31,9 @@ from .correlate import (
     DirectionSummary,
     Finding,
     PatternRule,
+    _first_pattern,
+    _split_markers,
     finding_to_dict,
-    match_pattern,
 )
 from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, RenderedTimes, Timestamp, json_field, json_list, load_json, zone_name
 
@@ -378,6 +379,7 @@ def oracle_findings(
             by_start.setdefault(st, set()).add(ssid)
     multi_starts = {st for st, nets in by_start.items() if len(nets) >= 2}
     last_used = sorted(last for _w, _p, last, _c in aggregates)
+    split_rules = _split_markers(rules)  # once per call, as corroborate does
 
     fingerprints = []
     for group in groups:
@@ -414,7 +416,7 @@ def oracle_findings(
         bytes_in = sum(b[2] for b in buckets)
         bytes_out = sum(b[4] for b in buckets)
         summary = DirectionSummary(bytes_in, bytes_out)
-        pattern = match_pattern(pkgs, summary, rules)
+        pattern = _first_pattern(pkgs, summary, split_rules)
         if pattern is None:
             continue
 

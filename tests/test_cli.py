@@ -1009,15 +1009,42 @@ class TestBenchmarkEntryPoints:
 
 
 class TestPerCommandParser:
-    """main builds only the named subcommand's parser; any other first word gets them all."""
+    """main builds one parser for a named command; any other first word gets every subcommand's."""
+
+    @staticmethod
+    def full_subparser(command):
+        (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices[command]
+
+    @staticmethod
+    def options(parser):
+        return sorted(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))
 
     @pytest.mark.parametrize("command", sorted(CLI_OPTIONS))
     def test_single_command_parser_has_the_same_options(self, command):
-        (action,) = [a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
-        assert list(action.choices) == [command]
-        options = sorted(o for a in action.choices[command]._actions for o in a.option_strings
-                         if o not in ("-h", "--help"))
-        assert options == CLI_OPTIONS[command]
+        parser = cli.build_parser(command)
+        assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+        assert parser.prog == self.full_subparser(command).prog == f"watchtriage {command}"
+        assert self.options(parser) == self.options(self.full_subparser(command)) == CLI_OPTIONS[command]
+
+    @pytest.mark.parametrize("command", sorted(CLI_OPTIONS))
+    def test_command_help_is_the_full_parsers(self, command, capsys):
+        texts = []
+        for parse in (lambda: cli.build_parser().parse_args([command, "-h"]), lambda: run([command, "-h"])):
+            with pytest.raises(SystemExit) as exc:
+                parse()
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0].out.startswith(f"usage: watchtriage {command} [-h]")
+        assert texts[1] == texts[0]
+
+    def test_unrecognized_option_is_reported_by_the_commands_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--bundle", "b", "--bogus"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: watchtriage verify [-h] --bundle BUNDLE\n"
+            "watchtriage verify: error: unrecognized arguments: --bogus\n")
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

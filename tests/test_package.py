@@ -58,7 +58,14 @@ class TestCommandImports:
             ["report", "--bundle", str(ftp_bundle), "--host-artifacts", str(ftp_bundle / "host_artifacts")])
         assert code == 0
         assert "watchtriage.report" in loaded
+        assert "xml.etree.ElementTree" in loaded  # for recentservers.xml
         assert not loaded & {"watchtriage.policy", "watchtriage.simulator"}
+
+    @pytest.mark.parametrize("command", ["verify", "parse"])
+    def test_command_reading_no_xml_loads_no_xml_reader(self, command, ftp_bundle):
+        code, loaded = modules_loaded_by([command, "--bundle", str(ftp_bundle)])
+        assert code == 0
+        assert "xml.etree.ElementTree" not in loaded
 
     @pytest.mark.parametrize("command, code", [
         ("verify", 0), ("parse", 0), ("correlate", 1), ("report", 0), ("report-json", 0), ("audit", 1),

@@ -219,6 +219,29 @@ class TestInventoryIO:
             ("broken.xml", VerdictKind.UNKNOWN), ("latin1.txt", VerdictKind.UNKNOWN)]
         assert "can't decode byte 0xe9" in failures[1].rationale
 
+    def test_directory_walk_order_suffixes_and_a_directory_named_like_a_manifest(self, tmp_path, capsys):
+        from watchtriage.cli import main
+
+        (tmp_path / "B.XML").write_text('<manifest package="com.upper"/>')
+        (tmp_path / "a.txt").write_text("package: name='com.lower'\n")
+        (tmp_path / "..xml").write_text('<manifest package="com.dots"/>')  # suffix ".xml"
+        (tmp_path / ".xml").write_text("<manifest")  # a hidden name with no suffix: skipped
+        (tmp_path / "notes.json").write_text('{"package": "com.json"}')  # skipped
+        (tmp_path / "bad.xml").write_text("<manifest package='x'")
+        manifests, failures = load_inventory(tmp_path)
+        # Byte order of the names, so "..xml" and "B.XML" come before "a.txt".
+        assert [m.package for m in manifests] == ["com.dots", "com.upper", "com.lower"]
+        assert [(f.package, f.verdict) for f in failures] == [("bad.xml", VerdictKind.UNKNOWN)]
+        assert failures[0].rationale.startswith("unparseable manifest: XML syntax error at line 1, column 0")
+
+        (tmp_path / "d.xml").mkdir()
+        with pytest.raises(IsADirectoryError):
+            load_inventory(tmp_path)
+        assert main(["audit", "--manifests", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.rstrip().endswith(f"{tmp_path / 'd.xml'}'")
+
     def test_table_render_contains_every_package(self):
         verdicts = audit_inventory(
             [parse_manifest(WATCH_MANIFEST), parse_manifest(PHONE_MANIFEST)], DEVICE
