@@ -24,13 +24,11 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
-from collections import defaultdict
 from enum import Enum
-from functools import partial
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .evidence import Timestamp, json_field, line_pattern, text_lines
+from .evidence import MAX_EPOCH, TWO_DIGIT_VALUES, Timestamp, WallHours, json_field, line_pattern, text_lines
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 DEFAULT_BUCKET_SECONDS = 3600
@@ -153,17 +151,13 @@ class NetworkStackLog(NamedTuple):
     boot_epoch_marker: Optional[Timestamp] = None
 
 
-def _tokenize(text: str, text_form, jsonl_form) -> dict[type, list]:
-    """Run the dump's tokenizer on `text` (JSON-lines when the first
-    non-blank character is `{`, text otherwise) and group its tokens by
-    type, in dump order; warnings are the `str` tokens."""
-    if not text or not text.strip():
+def _is_jsonl(text: str) -> bool:
+    """Whether a dump is in the JSON-lines form: its first non-blank
+    character is `{`; ValueError for a dump with none."""
+    text = text.lstrip()
+    if not text:
         raise ValueError("dump text is empty")
-    tokenizer = jsonl_form if text.lstrip().startswith("{") else text_form
-    tokens: dict[type, list] = defaultdict(list)
-    for token in tokenizer(text):
-        tokens[type(token)].append(token)
-    return tokens
+    return text[0] == "{"
 
 
 # The stdlib's C scanner, which `json.loads` itself runs. A stripped line has
@@ -173,12 +167,12 @@ def _tokenize(text: str, text_form, jsonl_form) -> dict[type, list]:
 _scan_value = json.JSONDecoder().scan_once
 
 
-def _jsonl(text: str, record):
-    """Tokenize a JSON-lines dump: `record(obj)` turns one object into a
-    domain record, or None to skip it; any failure warns for that line.
-    Each line is read as `json.loads` reads it, and a line it refuses
-    warns with `json`'s own error, a line nested deeper than the recursion
-    limit included."""
+def _jsonl(text: str, record) -> list[str]:
+    """The warnings of a JSON-lines dump whose objects `record(obj)` reads
+    into the dump's lists; any failure warns for its line. Each line is read
+    as `json.loads` reads it, and a line it refuses warns with `json`'s own
+    error, a line nested deeper than the recursion limit included."""
+    warnings = []
     for lineno, line in text_lines(text):
         try:
             try:
@@ -189,11 +183,10 @@ def _jsonl(text: str, record):
                 obj = json.loads(line)  # refused: raises json's own error for the line
             if not isinstance(obj, dict):
                 raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-            token = record(obj)
+            record(obj)
         except (KeyError, RecursionError, TypeError, ValueError) as exc:
-            token = f"line {lineno}: {exc}"
-        if token is not None:
-            yield token
+            warnings.append(f"line {lineno}: {exc}")
+    return warnings
 
 
 def _mistyped(obj: dict, **kinds) -> None:
@@ -238,6 +231,14 @@ _LEASE_RE = re.compile(
     r'time=' + _QUOTED + r'\s+iface=(\S+)\s+event=(\S+)\s+ip=(\S+)(?:\s+ssid=' + _QUOTED + r')?'
 )
 
+# An aggregate line as the generators write it, tried first among the lines
+# that are not a usagestats dump's common line; its groups are the ones
+# `_AGGREGATE_RE` finds in it. No rule before that one can take such a line:
+# it starts with `package=` and ends in a digit, so it is no service line or
+# header, and the capture-time and event rules each need a `key="`, while its
+# package token holds no quote and its one opening quote follows `lastTimeUsed=`.
+_AGGREGATE_LINE = re.compile(r'package=([!#-~]+) lastTimeUsed="(\d{4}-\d\d-\d\d \d\d:\d\d)" totalCount=([0-9]+)')
+
 # The common line of each text dump, which its tokenizer reads from the
 # pattern's groups; every other line goes through the per-line rules above.
 # A common line is one those rules read the same way: its tokens are
@@ -248,7 +249,7 @@ _LEASE_RE = re.compile(
 # `\d` takes any decimal digit, and both read only ASCII ones as a time.
 _WALL_PARTS = r'time="(\d{4}-\d\d-\d\d \d\d):(\d\d):(\d\d)"'
 _EVENT_LINES = line_pattern(_WALL_PARTS + r' type=([!#-~]+) package=([!#-~]+)')
-_COUNTER_LINES = line_pattern(r'st=([0-9]+) rb=([0-9]+) rp=([0-9]+) tb=([0-9]+) tp=([0-9]+)')
+_COUNTER_LINES = line_pattern(r'st=([0-9]{1,12}) rb=([0-9]+) rp=([0-9]+) tb=([0-9]+) tp=([0-9]+)')
 _LEASE_LINES = line_pattern(
     _WALL_PARTS + r' iface=([!#-<>-~]+) event=([!#-<>-~]+) ip=([0-9.]+)(?: ssid=("[^"\n]*"))?'
 )
@@ -261,76 +262,102 @@ _SECTION_HEADERS = {
 }
 
 
-# --- Tokenizers: one per dump and format. Each yields domain records, boot
-# markers as Timestamps, and per-line warnings as strings. Wall-clock text is
-# read in `zone`. A usagestats dump's own capture record is informational and
-# skipped unparsed: the capture instant comes from the bundle.
+# --- Tokenizers: one per dump and format. Each returns its dump's records
+# as lists by kind, in dump order, then its per-line warnings. Wall-clock text
+# is read in `zone`, a common line's wall hour through the dump's WallHours.
+# A usagestats dump's own capture record is informational and skipped
+# unparsed: the capture instant comes from the bundle.
 
 
-def _usagestats_text(text: str, zone: str):
+def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[UsageAggregate], list[str]]:
+    events, aggregates, warnings = [], [], []
+    starts, two_digits, new = WallHours(zone), TWO_DIGIT_VALUES.get, tuple.__new__
     section = None
     for lineno, (hour, minute, second, event_type, package, line) in text_lines(text, _EVENT_LINES):
-        if not hour:
-            if line.startswith("DUMP OF SERVICE") or (
-                "capture-time=" in line and _quoted(line, "capture-time=") is not None
-            ):
+        if hour:
+            start, minutes, seconds = starts[hour], two_digits(minute), two_digits(second)
+            if start is not None and minutes is not None and seconds is not None:
+                at = new(Timestamp, (start + 60 * minutes + seconds,))  # in range: see WallHours
+                events.append(new(UsageEvent, (at, package, event_type)))  # UsageEvent checks nothing
                 continue
-            m = _EVENT_RE.search(line)
-            if m is None:
-                key = line.lower()
-                header = _SECTION_HEADERS.get(key)
-                if header is not None:
-                    section = header
+        else:
+            aggregate = _AGGREGATE_LINE.fullmatch(line)
+            if aggregate is None:
+                if line.startswith("DUMP OF SERVICE") or (
+                    "capture-time=" in line and _quoted(line, "capture-time=") is not None
+                ):
                     continue
-                if key.endswith("stats:"):  # an unknown section: no aggregate window
-                    section = None
-                else:
-                    m = _AGGREGATE_RE.search(line)
-                    if m and isinstance(section, AggregateWindow):
-                        try:
-                            last_used = Timestamp.parse(m.group(2) + ":00", zone)
-                        except ValueError as exc:
-                            yield f"line {lineno}: bad aggregate time ({exc})"
-                            continue
-                        yield UsageAggregate(section, m.group(1), last_used, int(m.group(3)))
+                m = _EVENT_RE.search(line)
+                if m is None:
+                    key = line.lower()
+                    header = _SECTION_HEADERS.get(key)
+                    if header is not None:
+                        section = header
                         continue
-                yield f"line {lineno}: unrecognized: {line[:80]}"
+                    if key.endswith("stats:"):  # an unknown section: no aggregate window
+                        section = None
+                    else:
+                        aggregate = _AGGREGATE_RE.search(line)
+            if aggregate is not None and isinstance(section, AggregateWindow):
+                package, wall, count = aggregate.groups()
+                try:
+                    last_used = Timestamp.parse(wall + ":00", zone)
+                except ValueError as exc:
+                    warnings.append(f"line {lineno}: bad aggregate time ({exc})")
+                    continue
+                # Both aggregate forms take totalCount as [0-9]+, never negative.
+                aggregates.append(new(UsageAggregate, (section, package, last_used, int(count))))
+                continue
+            if aggregate is not None or m is None:  # an aggregate outside a window, or no rule's line
+                warnings.append(f"line {lineno}: unrecognized: {line[:80]}")
                 continue
             wall, event_type, package = m.groups()
         try:
             at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
         except ValueError as exc:
-            yield f"line {lineno}: bad event time ({exc})"
+            warnings.append(f"line {lineno}: bad event time ({exc})")
             continue
-        yield UsageEvent(at, package, event_type)
+        events.append(new(UsageEvent, (at, package, event_type)))
+    return events, aggregates, warnings
 
 
-def _usagestats_jsonl(text: str):
+def _usagestats_jsonl(text: str) -> tuple[list[UsageEvent], list[UsageAggregate], list[str]]:
+    events, aggregates = [], []
+
     def record(obj):
         kind = obj.get("record")
         if kind == "event":
             at, package, event_type = obj["at"], obj["package"], obj["event_type"]
             if not (type(at) is int and type(package) is type(event_type) is str):
                 _mistyped(obj, at=int, package=str, event_type=str)
-            return UsageEvent(Timestamp(at), package, event_type)
-        if kind == "aggregate":
+            events.append(UsageEvent(Timestamp(at), package, event_type))
+        elif kind == "aggregate":
             window, package = obj["window"], obj["package"]
             last_used, count = obj["last_used"], obj["use_count"]
             if not (type(window) is type(package) is str and type(last_used) is type(count) is int):
                 _mistyped(obj, window=str, package=str, last_used=int, use_count=int)
-            return UsageAggregate(AggregateWindow(window), package, Timestamp(last_used), count)
-        if kind == "capture":
-            return None
-        raise ValueError(f"unknown record kind {kind!r}")
+            aggregates.append(UsageAggregate(AggregateWindow(window), package, Timestamp(last_used), count))
+        elif kind != "capture":
+            raise ValueError(f"unknown record kind {kind!r}")
 
-    return _jsonl(text, record)
+    return events, aggregates, _jsonl(text, record)
 
 
-def _netstats_text(text: str):
+def _netstats_text(text: str) -> tuple[list[NetUsageRecord], list[str]]:
+    records, warnings = [], []
+    new = tuple.__new__
     current_network: Optional[str] = None
     duration: Optional[int] = DEFAULT_BUCKET_SECONDS  # None: the stated one was invalid
     for lineno, (st, rb, rp, tb, tp, line) in text_lines(text, _COUNTER_LINES):
-        if not st:
+        if st:
+            # The pattern takes ASCII digits alone, at most 12 for `st` as for
+            # MAX_EPOCH: `int` reads each, no counter is negative, and an `st`
+            # up to MAX_EPOCH is an epoch Timestamp accepts.
+            if (epoch := int(st)) <= MAX_EPOCH and current_network is not None and duration is not None:
+                at = new(Timestamp, (epoch,))
+                records.append(new(NetUsageRecord, (current_network, at, int(rb), int(rp), int(tb), int(tp), duration)))
+                continue
+        else:
             if line.startswith("DUMP OF SERVICE") or line.endswith("stats:"):
                 continue
             if line.startswith("NetworkStatsHistory"):
@@ -340,7 +367,7 @@ def _netstats_text(text: str):
                         duration = positive_seconds(m.group(1))
                     except ValueError as exc:
                         duration = None
-                        yield f"line {lineno}: {exc}"
+                        warnings.append(f"line {lineno}: {exc}")
                 continue
             network = _quoted(line, "networkId=")
             if network is not None:
@@ -348,28 +375,31 @@ def _netstats_text(text: str):
                 continue
             m = _ST_LINE_RE.search(line)
             if m is None:
-                yield f"line {lineno}: unrecognized: {line[:80]}"
+                warnings.append(f"line {lineno}: unrecognized: {line[:80]}")
                 continue
             st, rb, rp, tb, tp = m.groups()
         if current_network is None:
-            yield f"line {lineno}: counter line before any networkId"
+            warnings.append(f"line {lineno}: counter line before any networkId")
             continue
         if duration is None:
-            yield f"line {lineno}: counter line under an invalid bucketDuration; dropped"
+            warnings.append(f"line {lineno}: counter line under an invalid bucketDuration; dropped")
             continue
         rb, rp, tb, tp = int(rb), int(rp), int(tb), int(tp)
         if min(rb, rp, tb, tp) < 0:
-            yield f"line {lineno}: negative counter; dropped"
+            warnings.append(f"line {lineno}: negative counter; dropped")
             continue
         try:
             record = NetUsageRecord(current_network, Timestamp(int(st)), rb, rp, tb, tp, duration)
         except ValueError as exc:  # an st that no zone can render
-            yield f"line {lineno}: {exc}; dropped"
+            warnings.append(f"line {lineno}: {exc}; dropped")
             continue
-        yield record
+        records.append(record)
+    return records, warnings
 
 
-def _netstats_jsonl(text: str):
+def _netstats_jsonl(text: str) -> tuple[list[NetUsageRecord], list[str]]:
+    records = []
+
     def record(obj):
         network_id, st = obj["network_id"], obj["st"]
         rb, rp, tb, tp = obj["rb"], obj["rp"], obj["tb"], obj["tp"]
@@ -377,43 +407,52 @@ def _netstats_jsonl(text: str):
         if not (type(network_id) is str
                 and type(st) is type(rb) is type(rp) is type(tb) is type(tp) is type(duration) is int):
             _mistyped(obj, network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int)
-        return NetUsageRecord(network_id, Timestamp(st), rb, rp, tb, tp, positive_seconds(duration))
+        records.append(NetUsageRecord(network_id, Timestamp(st), rb, rp, tb, tp, positive_seconds(duration)))
 
-    return _jsonl(text, record)
+    return records, _jsonl(text, record)
 
 
-def _network_stack_text(text: str, zone: str):
+def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Timestamp], list[str]]:
+    leases, boots, warnings = [], [], []
+    starts, two_digits = WallHours(zone), TWO_DIGIT_VALUES.get
     for lineno, (hour, minute, second, interface, kind, ip, ssid, line) in text_lines(text, _LEASE_LINES):
         if hour:
             network_id = ssid[1:-1] if ssid else None
+            start, minutes, seconds = starts[hour], two_digits(minute), two_digits(second)
         else:
             if line.startswith("DUMP OF SERVICE"):
                 continue
             boot = _quoted(line, "bootTime=")
             if boot is not None:
                 try:
-                    yield Timestamp.parse(boot, zone)
+                    boots.append(Timestamp.parse(boot, zone))
                 except ValueError as exc:
-                    yield f"line {lineno}: bad boot time ({exc})"
+                    warnings.append(f"line {lineno}: bad boot time ({exc})")
                 continue
             m = _LEASE_RE.search(line)
             if m is None:
-                yield f"line {lineno}: unrecognized: {line[:80]}"
+                warnings.append(f"line {lineno}: unrecognized: {line[:80]}")
                 continue
             wall, interface, kind, ip, network_id = m.groups()
             if network_id is None and "ssid=" in line:
-                yield f"line {lineno}: lease ssid= is not a quoted string after ip=; dropped"
+                warnings.append(f"line {lineno}: lease ssid= is not a quoted string after ip=; dropped")
                 continue
         try:
-            at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
+            if hour and start is not None and minutes is not None and seconds is not None:
+                at = tuple.__new__(Timestamp, (start + 60 * minutes + seconds,))  # in range: see WallHours
+            else:
+                at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
             lease = _lease(at, interface, ip, kind, network_id)
         except ValueError as exc:
-            yield f"line {lineno}: bad lease line ({exc})"
+            warnings.append(f"line {lineno}: bad lease line ({exc})")
             continue
-        yield lease
+        leases.append(lease)
+    return leases, boots, warnings
 
 
-def _network_stack_jsonl(text: str):
+def _network_stack_jsonl(text: str) -> tuple[list[LeaseEvent], list[Timestamp], list[str]]:
+    leases, boots = [], []
+
     def record(obj):
         kind = obj.get("record")
         if kind == "lease":
@@ -423,12 +462,13 @@ def _network_stack_jsonl(text: str):
                     and (network_id is None or type(network_id) is str)):
                 _mistyped(obj, at=int, private_ip=str, interface=str, event_kind=str)
                 raise TypeError(f"network_id must be a JSON string or null, got {network_id!r}")
-            return _lease(Timestamp(at), interface, ip, event_kind, network_id)
-        if kind == "boot":
-            return Timestamp(json_field(obj, "at", int))
-        raise ValueError(f"unknown record kind {kind!r}")
+            leases.append(_lease(Timestamp(at), interface, ip, event_kind, network_id))
+        elif kind == "boot":
+            boots.append(Timestamp(json_field(obj, "at", int)))
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
 
-    return _jsonl(text, record)
+    return leases, boots, _jsonl(text, record)
 
 
 # --- Semantic passes: one per dump, shared by both formats.
@@ -443,21 +483,18 @@ def parse_usagestats(text: str, capture_time: Timestamp, zone: str) -> tuple[Usa
     dump was collected (the bundle item's `collected_at`); events outside the
     24-hour detail window ending at it are dropped with a warning.
     """
-    tokens = _tokenize(text, partial(_usagestats_text, zone=zone), _usagestats_jsonl)
-    warnings = tokens[str]
-
-    kept = []
+    events, aggregates, warnings = _usagestats_jsonl(text) if _is_jsonl(text) else _usagestats_text(text, zone)
+    kept = sorted(events, key=_AT_EPOCH)  # stable: ties keep dump order
     window_end = capture_time.epoch
     window_start = window_end - USAGE_WINDOW_SECONDS
-    for ev in tokens[UsageEvent]:
-        if not window_start <= ev.at.epoch <= window_end:
-            warnings.append(
-                f"event for {ev.package} at {ev.at.render(zone)} lies outside the 24h detail window; dropped"
-            )
-        else:
-            kept.append(ev)
-    kept.sort(key=_AT_EPOCH)  # stable: ties keep input order
-    return UsageReport(capture_time, tuple(kept), tuple(tokens[UsageAggregate])), warnings
+    if kept and not window_start <= kept[0].at.epoch <= kept[-1].at.epoch <= window_end:
+        for ev in events:  # in dump order, as the warnings are
+            if not window_start <= ev.at.epoch <= window_end:
+                warnings.append(
+                    f"event for {ev.package} at {ev.at.render(zone)} lies outside the 24h detail window; dropped"
+                )
+        kept = [ev for ev in kept if window_start <= ev.at.epoch <= window_end]
+    return UsageReport(capture_time, tuple(kept), tuple(aggregates)), warnings
 
 
 def parse_netstats(text: str) -> tuple[list[NetUsageRecord], list[str]]:
@@ -468,8 +505,7 @@ def parse_netstats(text: str) -> tuple[list[NetUsageRecord], list[str]]:
     `bucket_duration` key; DEFAULT_BUCKET_SECONDS where none is stated.
     Counter lines under an invalid duration are dropped with a warning.
     """
-    tokens = _tokenize(text, _netstats_text, _netstats_jsonl)
-    return tokens[NetUsageRecord], tokens[str]
+    return _netstats_jsonl(text) if _is_jsonl(text) else _netstats_text(text)
 
 
 def parse_network_stack(text: str, zone: str) -> tuple[NetworkStackLog, list[str]]:
@@ -479,9 +515,8 @@ def parse_network_stack(text: str, zone: str) -> tuple[NetworkStackLog, list[str
     marker (the last one in the dump) are rejected with a warning: the
     service log does not survive a reboot, so such lines cannot be genuine.
     """
-    tokens = _tokenize(text, partial(_network_stack_text, zone=zone), _network_stack_jsonl)
-    warnings, leases = tokens[str], tokens[LeaseEvent]
-    boot = tokens[Timestamp][-1] if tokens[Timestamp] else None
+    leases, boots, warnings = _network_stack_jsonl(text) if _is_jsonl(text) else _network_stack_text(text, zone)
+    boot = boots[-1] if boots else None
     if boot is not None:
         kept = []
         for lease in leases:

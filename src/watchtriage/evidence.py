@@ -289,9 +289,10 @@ class _TimestampFields(NamedTuple):
 
 
 class Timestamp(_TimestampFields):
-    """Point in time as UTC epoch seconds. Its methods, and RenderedTimes,
-    which renders as `render` does, are the only code that turns wall-clock
-    text into an epoch or an epoch into text."""
+    """Point in time as UTC epoch seconds. Its methods, WallHours, which
+    holds the hour starts `parse` reads through, and RenderedTimes, which
+    renders as `render` does, are the only code that turns wall-clock text
+    into an epoch or an epoch into text."""
 
     __slots__ = ()
 
@@ -313,7 +314,7 @@ class Timestamp(_TimestampFields):
     def parse_parts(cls, hour: str, minute: str, second: str, zone: str) -> "Timestamp":
         """What `parse` gives for the wall time `f"{hour}:{minute}:{second}"`,
         where `hour` holds 13 characters: the form a line pattern splits out."""
-        minutes, seconds = _TWO_DIGIT_VALUES.get(minute), _TWO_DIGIT_VALUES.get(second)
+        minutes, seconds = TWO_DIGIT_VALUES.get(minute), TWO_DIGIT_VALUES.get(second)
         if minutes is not None and seconds is not None:
             start = _wall_hour_start(zone, hour)
             if start is not None:  # every second of the hour is in range
@@ -362,6 +363,22 @@ class RenderedTimes(dict):
         return text
 
 
+class WallHours(dict):
+    """One dump's wall hours in `zone`: "YYYY-MM-DD HH" -> the start that
+    `Timestamp.parse_parts` reads the hour through, or None where it has
+    none. A start plus `60 * minute + second`, each a TWO_DIGIT_VALUES
+    value, is the epoch `parse_parts` gives, and always one Timestamp takes."""
+
+    __slots__ = ("zone",)
+
+    def __init__(self, zone: str):
+        self.zone = zone
+
+    def __missing__(self, hour: str) -> Optional[int]:
+        start = self[hour] = _wall_hour_start(self.zone, hour)
+        return start
+
+
 def _render(epoch: int, zone: str) -> str:
     """The text `Timestamp(epoch).render(zone)` gives."""
     hour = _render_hour(zone, epoch // 3600)
@@ -384,7 +401,7 @@ def _render(epoch: int, zone: str) -> str:
 _HOURS_CACHED = 4096
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
-_TWO_DIGIT_VALUES = {text: n for n, text in enumerate(_TWO_DIGITS)}
+TWO_DIGIT_VALUES = {text: n for n, text in enumerate(_TWO_DIGITS)}
 
 
 @lru_cache(maxsize=_HOURS_CACHED)

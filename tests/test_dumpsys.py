@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from collections import defaultdict
 
 import pytest
 
@@ -814,11 +816,11 @@ class TestScannerPath:
 
 
 class TestCommonLinePath:
-    """Each text dump is read in one `findall`: a dump's common line from the
-    pattern's groups, any other line through the per-line rules. A "\\x0b"
-    before every line keeps each out of the common form while `strip` drops
-    it, so all go through the per-line rules, and the tokens must be the
-    same."""
+    """Each text dump is read in one `findall`: a dump's common line builds
+    its record from the pattern's groups, any other line goes through the
+    per-line rules. A "\\x0b" before every line keeps each out of the common
+    form while `strip` drops it, so all go through the per-line rules, and
+    the tokenizer's lists must be the same."""
 
     ZONES = [KST, "America/New_York"]
     # Wall hours in range, in a New York 2023 gap and fold, out of range in
@@ -826,6 +828,7 @@ class TestCommonLinePath:
     HOURS = ["2023-05-11 09", "2023-05-10 23", "2023-03-12 02", "2023-11-05 01", "9999-06-01 10",
              "1970-01-01 00", "2023-02-30 10", "2023-01-01 24"]
     TWO_DIGITS = ["00", "07", "14", "59", "59", "60", "7"]
+    # Each tokenizer returns its records as lists by kind, warnings last.
     TOKENIZE = {
         "usagestats": dumpsys._usagestats_text,
         "netstats": lambda text, zone: dumpsys._netstats_text(text),
@@ -862,7 +865,8 @@ class TestCommonLinePath:
             ])
         if dump == "netstats":
             if common:
-                st = rng.choice([1683734400, 1683738000, 0, evidence.MAX_EPOCH, evidence.MAX_EPOCH + 1])
+                st = rng.choice([1683734400, 1683738000, 0, evidence.MAX_EPOCH, evidence.MAX_EPOCH + 1,
+                                 10 ** 12, "0001683734400", "9" * 5000])
                 counters = [-1 if rng.random() < 0.05 else rng.choice([0, 5, 47185920]) for _ in range(4)]
                 return "        st={} rb={} rp={} tb={} tp={}".format(st, *counters)
             return rng.choice([
@@ -896,8 +900,293 @@ class TestCommonLinePath:
         for text in self.dumps(dump, rng):
             forced = "\n".join("\x0b" + line for line in text.split("\n"))
             assert not any(any(fields[:-1]) for fields in self.COMMON[dump].findall(forced))
-            tokens = list(self.TOKENIZE[dump](text, zone))
-            assert tokens == list(self.TOKENIZE[dump](forced, zone)), text
+            *records, warnings = self.TOKENIZE[dump](text, zone)
+            assert (*records, warnings) == self.TOKENIZE[dump](forced, zone), text
+            assert all(isinstance(w, str) for w in warnings)
             common += sum(1 for fields in self.COMMON[dump].findall(text) if any(fields[:-1]))
-            kept += sum(1 for token in tokens if not isinstance(token, str))
+            kept += sum(map(len, records))
         assert common > 20 and kept > 20
+
+
+# --- The text parsers as they stood before each tokenizer returned its
+# records as lists by kind: generators of tokens (records, boot markers,
+# warning strings) grouped by type in `reference_tokenize`, with their own
+# copies of the line patterns. The parsers must give exactly these records
+# and warnings, in this order.
+
+_REF_QUOTED = r'"([^"]*)"'
+_REF_EVENT_RE = re.compile(r'time=' + _REF_QUOTED + r'\s+type=(\S+)\s+package=(\S+)')
+_REF_AGGREGATE_RE = re.compile(r'package=(\S+)\s+lastTimeUsed=' + _REF_QUOTED + r'\s+totalCount=([0-9]+)(?!\S)')
+_REF_DURATION_RE = re.compile(r'bucketDuration=(\S*)')
+_REF_ST_LINE_RE = re.compile(
+    r'st=([0-9]+)\s+rb=(-?[0-9]+)\s+rp=(-?[0-9]+)\s+tb=(-?[0-9]+)\s+tp=(-?[0-9]+)(?!\S)'
+)
+_REF_LEASE_RE = re.compile(
+    r'time=' + _REF_QUOTED + r'\s+iface=(\S+)\s+event=(\S+)\s+ip=(\S+)(?:\s+ssid=' + _REF_QUOTED + r')?'
+)
+_REF_WALL_PARTS = r'time="(\d{4}-\d\d-\d\d \d\d):(\d\d):(\d\d)"'
+_REF_EVENT_LINES = evidence.line_pattern(_REF_WALL_PARTS + r' type=([!#-~]+) package=([!#-~]+)')
+_REF_COUNTER_LINES = evidence.line_pattern(r'st=([0-9]+) rb=([0-9]+) rp=([0-9]+) tb=([0-9]+) tp=([0-9]+)')
+_REF_LEASE_LINES = evidence.line_pattern(
+    _REF_WALL_PARTS + r' iface=([!#-<>-~]+) event=([!#-<>-~]+) ip=([0-9.]+)(?: ssid=("[^"\n]*"))?'
+)
+
+
+def reference_tokenize(text, text_form):
+    if not text or not text.strip():
+        raise ValueError("dump text is empty")
+    assert not text.lstrip().startswith("{"), "the references read text dumps only"
+    tokens = defaultdict(list)
+    for token in text_form(text):
+        tokens[type(token)].append(token)
+    return tokens
+
+
+def reference_usagestats_text(text, zone):
+    section = None
+    for lineno, (hour, minute, second, event_type, package, line) in evidence.text_lines(text, _REF_EVENT_LINES):
+        if not hour:
+            if line.startswith("DUMP OF SERVICE") or (
+                "capture-time=" in line and dumpsys._quoted(line, "capture-time=") is not None
+            ):
+                continue
+            m = _REF_EVENT_RE.search(line)
+            if m is None:
+                key = line.lower()
+                header = dumpsys._SECTION_HEADERS.get(key)
+                if header is not None:
+                    section = header
+                    continue
+                if key.endswith("stats:"):
+                    section = None
+                else:
+                    m = _REF_AGGREGATE_RE.search(line)
+                    if m and isinstance(section, AggregateWindow):
+                        try:
+                            last_used = Timestamp.parse(m.group(2) + ":00", zone)
+                        except ValueError as exc:
+                            yield f"line {lineno}: bad aggregate time ({exc})"
+                            continue
+                        yield dumpsys.UsageAggregate(section, m.group(1), last_used, int(m.group(3)))
+                        continue
+                yield f"line {lineno}: unrecognized: {line[:80]}"
+                continue
+            wall, event_type, package = m.groups()
+        try:
+            at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
+        except ValueError as exc:
+            yield f"line {lineno}: bad event time ({exc})"
+            continue
+        yield dumpsys.UsageEvent(at, package, event_type)
+
+
+def reference_netstats_text(text):
+    current_network = None
+    duration = dumpsys.DEFAULT_BUCKET_SECONDS
+    for lineno, (st, rb, rp, tb, tp, line) in evidence.text_lines(text, _REF_COUNTER_LINES):
+        if not st:
+            if line.startswith("DUMP OF SERVICE") or line.endswith("stats:"):
+                continue
+            if line.startswith("NetworkStatsHistory"):
+                m = _REF_DURATION_RE.search(line)
+                if m:
+                    try:
+                        duration = dumpsys.positive_seconds(m.group(1))
+                    except ValueError as exc:
+                        duration = None
+                        yield f"line {lineno}: {exc}"
+                continue
+            network = dumpsys._quoted(line, "networkId=")
+            if network is not None:
+                current_network = network
+                continue
+            m = _REF_ST_LINE_RE.search(line)
+            if m is None:
+                yield f"line {lineno}: unrecognized: {line[:80]}"
+                continue
+            st, rb, rp, tb, tp = m.groups()
+        if current_network is None:
+            yield f"line {lineno}: counter line before any networkId"
+            continue
+        if duration is None:
+            yield f"line {lineno}: counter line under an invalid bucketDuration; dropped"
+            continue
+        rb, rp, tb, tp = int(rb), int(rp), int(tb), int(tp)
+        if min(rb, rp, tb, tp) < 0:
+            yield f"line {lineno}: negative counter; dropped"
+            continue
+        try:
+            record = dumpsys.NetUsageRecord(current_network, Timestamp(int(st)), rb, rp, tb, tp, duration)
+        except ValueError as exc:
+            yield f"line {lineno}: {exc}; dropped"
+            continue
+        yield record
+
+
+def reference_network_stack_text(text, zone):
+    for lineno, (hour, minute, second, interface, kind, ip, ssid, line) in evidence.text_lines(text, _REF_LEASE_LINES):
+        if hour:
+            network_id = ssid[1:-1] if ssid else None
+        else:
+            if line.startswith("DUMP OF SERVICE"):
+                continue
+            boot = dumpsys._quoted(line, "bootTime=")
+            if boot is not None:
+                try:
+                    yield Timestamp.parse(boot, zone)
+                except ValueError as exc:
+                    yield f"line {lineno}: bad boot time ({exc})"
+                continue
+            m = _REF_LEASE_RE.search(line)
+            if m is None:
+                yield f"line {lineno}: unrecognized: {line[:80]}"
+                continue
+            wall, interface, kind, ip, network_id = m.groups()
+            if network_id is None and "ssid=" in line:
+                yield f"line {lineno}: lease ssid= is not a quoted string after ip=; dropped"
+                continue
+        try:
+            at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
+            lease = dumpsys._lease(at, interface, ip, kind, network_id)
+        except ValueError as exc:
+            yield f"line {lineno}: bad lease line ({exc})"
+            continue
+        yield lease
+
+
+def reference_parse_usagestats(text, capture_time, zone):
+    tokens = reference_tokenize(text, lambda t: reference_usagestats_text(t, zone))
+    warnings = tokens[str]
+    kept = []
+    for ev in tokens[dumpsys.UsageEvent]:
+        if not capture_time.epoch - dumpsys.USAGE_WINDOW_SECONDS <= ev.at.epoch <= capture_time.epoch:
+            warnings.append(
+                f"event for {ev.package} at {ev.at.render(zone)} lies outside the 24h detail window; dropped"
+            )
+        else:
+            kept.append(ev)
+    kept.sort(key=lambda ev: ev.at.epoch)
+    return dumpsys.UsageReport(capture_time, tuple(kept), tuple(tokens[dumpsys.UsageAggregate])), warnings
+
+
+def reference_parse_netstats(text):
+    tokens = reference_tokenize(text, reference_netstats_text)
+    return tokens[dumpsys.NetUsageRecord], tokens[str]
+
+
+def reference_parse_network_stack(text, zone):
+    tokens = reference_tokenize(text, lambda t: reference_network_stack_text(t, zone))
+    warnings, leases = tokens[str], tokens[dumpsys.LeaseEvent]
+    boot = tokens[Timestamp][-1] if tokens[Timestamp] else None
+    if boot is not None:
+        kept = []
+        for lease in leases:
+            if lease.at.epoch < boot.epoch:
+                warnings.append(
+                    f"lease at {lease.at.render(zone)} predates boot marker {boot.render(zone)}; dropped "
+                    "(log is volatile across reboot)"
+                )
+            else:
+                kept.append(lease)
+        leases = kept
+    leases.sort(key=lambda lease: lease.at.epoch)
+    return NetworkStackLog(tuple(leases), boot), warnings
+
+
+class TestAgainstTheReferenceParsers:
+    """Each parser gives the reference's records, warnings, order and line
+    numbers: on mutated dumps, on every preset's and twenty random
+    scenarios' dumps, and on aggregate lines in and out of the strict form."""
+
+    PARSERS = {
+        "usagestats": (lambda text, capture, zone: parse_usagestats(text, capture, zone),
+                       reference_parse_usagestats),
+        "netstats": (lambda text, capture, zone: parse_netstats(text),
+                     lambda text, capture, zone: reference_parse_netstats(text)),
+        "network_stack": (lambda text, capture, zone: parse_network_stack(text, zone),
+                          lambda text, capture, zone: reference_parse_network_stack(text, zone)),
+    }
+
+    def assert_alike(self, dump, text, capture, zone):
+        parse, reference = self.PARSERS[dump]
+        try:
+            expected = reference(text, capture, zone)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                parse(text, capture, zone)
+            return None
+        got = parse(text, capture, zone)
+        assert got == expected, text
+        assert repr(got) == repr(expected)  # the same record types too
+        return got
+
+    @pytest.mark.parametrize("dump", ["usagestats", "netstats", "network_stack"])
+    @pytest.mark.parametrize("zone", TestCommonLinePath.ZONES)
+    def test_mutated_dumps(self, dump, zone):
+        rng = random.Random(f"{dump}/{zone}")
+        warned = 0
+        for text in TestCommonLinePath().dumps(dump, rng):
+            # A capture instant inside the mutated times' span, so that some
+            # events fall outside the 24 h window and some inside.
+            for capture in (CAPTURE, Timestamp(1683852960)):
+                got = self.assert_alike(dump, text, capture, zone)
+                warned += bool(got and got[1])
+        assert warned > 10
+
+    @pytest.mark.parametrize("name", [*simulator.PRESETS, *(f"seed-{seed}" for seed in range(20))])
+    def test_simulated_dumps(self, name):
+        scenario = (simulator.PRESETS[name]() if name in simulator.PRESETS
+                    else simulator.random_scenario(int(name.removeprefix("seed-"))))
+        for duration in (3600, 1800):
+            texts = simulator.render_dumps(scenario, duration)
+            for dump, text in zip(("usagestats", "netstats", "network_stack"), texts):
+                for capture in (scenario.capture_time, scenario.capture_time - 6 * 3600):
+                    self.assert_alike(dump, text, Timestamp(max(capture, 0)), scenario.display_zone)
+
+    AGGREGATE_LINES = [
+        'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=0',
+        'package=com.x  lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 09:00"  totalCount=3',
+        'package=com.x\tlastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10  09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3 extra',
+        'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3x',
+        'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=３',
+        'package=com.x lastTimeUsed="2023-05-1０ 09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-02-30 09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 24:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 09:60" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 09:00:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-03-12 02:30" totalCount=3',
+        'package=com.x lastTimeUsed="9999-12-31 23:00" totalCount=3',
+        'package=time= lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=capture-time= lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=time="x" lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3 time="2023-05-11 08:00:00" type=A package=p',
+        'time="2023-05-11 08:00:00" type=A package=p package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3 capture-time="2023-05-11 09:56:00"',
+        'package=Weekly lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=stats: lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3 stats:',
+        'package=é lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'Package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3',
+        'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=' + "9" * 30,
+    ]
+    HEADERS = ["Last 24 hour events:", "Weekly stats:", "Monthly stats:", "Yearly stats:", "Daily stats:",
+               "WEEKLY STATS:", "Weekly stats: extra"]
+
+    @pytest.mark.parametrize("zone", TestCommonLinePath.ZONES)
+    def test_aggregate_lines_in_and_out_of_the_strict_form(self, zone):
+        strict = sum(1 for line in self.AGGREGATE_LINES if dumpsys._AGGREGATE_LINE.fullmatch(line))
+        assert 10 < strict < len(self.AGGREGATE_LINES) - 10
+        # Each line right under each header, and all of them in a row: a line
+        # ending in "stats:" ends the window for the lines after it.
+        texts = ["".join(f"{header}\n  {line}\n" for line in self.AGGREGATE_LINES) for header in self.HEADERS]
+        texts += [header + "\n" + "".join(f"  {line}\n" for line in self.AGGREGATE_LINES)
+                  for header in ("", *self.HEADERS)]
+        kept = 0
+        for text in texts:
+            report, warnings = self.assert_alike("usagestats", text, CAPTURE, zone)
+            kept += len(report.aggregates)
+        assert kept > 50

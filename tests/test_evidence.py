@@ -209,6 +209,11 @@ class TestWallTimeResolver:
                 Timestamp.parse(beyond, zone)
             with pytest.raises(ValueError, match="epoch must be between"):
                 Timestamp.parse_parts(beyond[:13], beyond[14:16], beyond[17:], zone)
+            # A dump's table of hour starts settles no hour that reaches beyond.
+            starts = evidence.WallHours(zone)
+            start = starts[wall[:13]]
+            assert start is None or start + 60 * int(wall[14:16]) + int(wall[17:]) == epoch
+            assert starts[beyond[:13]] is None and set(starts) == {wall[:13], beyond[:13]}
 
     def test_format_error_comes_before_the_zone_lookup(self):
         # Text outside the grammar is refused before an unknown zone is looked up.
