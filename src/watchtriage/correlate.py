@@ -37,7 +37,7 @@ from .dumpsys import (
     UsageEvent,
     UsageReport,
 )
-from .evidence import RenderedTimes, SourceKind, Timestamp, json_field, json_list, load_json
+from .evidence import Records, RenderedTimes, SourceKind, Timestamp, json_field, json_list, load_json
 from .host_artifacts import FtpServerEntry, KnownHostEntry
 
 DEFAULT_UNCLASSIFIED_MIN_BYTES = 10_000_000
@@ -486,15 +486,17 @@ def corroborate(
     return findings
 
 
-def events_to_dicts(events: Sequence[UsageEvent], times: RenderedTimes) -> list[dict]:
-    return [
-        {"at": e.at.epoch, "rendered": times[e.at.epoch], "package": e.package, "event_type": e.event_type}
-        for e in events
-    ]
+def event_records(events: Sequence[UsageEvent], times: RenderedTimes) -> Records:
+    """The JSON form of usage events; rendered times are in `times.zone`."""
+    ats = list(map(_AT_EPOCH, events))
+    columns = ats, list(map(times.__getitem__, ats)), [e.package for e in events], [e.event_type for e in events]
+    return Records(("at", "rendered", "package", "event_type"), columns)
 
 
-def bucket_to_dict(b: NetUsageRecord) -> dict:
-    return {"network_id": b.network_id, "st": b.st.epoch, "rb": b.rb, "rp": b.rp, "tb": b.tb, "tp": b.tp}
+def bucket_records(buckets: Sequence[NetUsageRecord]) -> Records:
+    """The JSON form of traffic buckets."""
+    networks, starts, rb, rp, tb, tp, _ = zip(*buckets) if buckets else ((),) * 7
+    return Records(("network_id", "st", "rb", "rp", "tb", "tp"), (networks, [s.epoch for s in starts], rb, rp, tb, tp))
 
 
 def session_to_dict(session: AppNetworkSession, times: RenderedTimes) -> dict:
@@ -505,8 +507,8 @@ def session_to_dict(session: AppNetworkSession, times: RenderedTimes) -> dict:
         "network_ids": list(session.network_ids),
         "app_start": start.epoch if start else None,
         "app_start_rendered": times[start.epoch] if start else None,
-        "app_events": events_to_dicts(session.app_events, times),
-        "buckets": [bucket_to_dict(b) for b in session.buckets],
+        "app_events": event_records(session.app_events, times),
+        "buckets": bucket_records(session.buckets),
         "resolved_ips": sorted({lease.private_ip for lease in session.resolved_leases}),
         "ambiguity_flags": sorted(f.value for f in session.ambiguity_flags),
     }
@@ -571,7 +573,7 @@ def parse_document(timeline: Timeline, bundle_digest: Optional[str], zone: str, 
         "bundle_manifest_digest": bundle_digest,
         "usagestats": {
             "capture_time": report.capture_time.epoch,
-            "events": events_to_dicts(report.events_24h, times),
+            "events": event_records(report.events_24h, times),
             # An aggregate states its last use to the minute, never the second.
             "aggregates": [
                 {"window": a.window.value, "package": a.package, "last_used": a.last_used.epoch,
@@ -579,7 +581,7 @@ def parse_document(timeline: Timeline, bundle_digest: Optional[str], zone: str, 
                 for a in report.aggregates
             ],
         },
-        "netstats": [bucket_to_dict(r) for r in timeline.records],
+        "netstats": bucket_records(timeline.records),
         "network_stack": {
             "boot_epoch_marker": boot.epoch if boot is not None else None,
             "leases": [

@@ -28,7 +28,9 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .evidence import MAX_EPOCH, TWO_DIGIT_VALUES, Timestamp, WallHours, json_field, line_pattern, text_lines
+from .evidence import (
+    MAX_DIGITS, MAX_EPOCH, TWO_DIGIT_VALUES, Timestamp, WallHours, bounded_int, json_field, line_pattern, text_lines,
+)
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 DEFAULT_BUCKET_SECONDS = 3600
@@ -163,8 +165,13 @@ def _is_jsonl(text: str) -> bool:
 # The stdlib's C scanner, which `json.loads` itself runs. A stripped line has
 # no JSON whitespace at either end, so `json.loads` accepts it exactly when
 # the scanner reads one value that ends where the line ends, and returns
-# that value.
+# that value. A dump with a run of more than MAX_DIGITS digits is read by a
+# scanner whose integers go through `bounded_int`, which refuses a longer
+# one; the translation that finds such a run costs about a tenth of a scan.
 _scan_value = json.JSONDecoder().scan_once
+_scan_bounded = json.JSONDecoder(parse_int=bounded_int).scan_once
+_ZEROED_DIGITS = str.maketrans("123456789", "000000000")
+_LONG_RUN = "0" * (MAX_DIGITS + 1)
 
 
 def _jsonl(text: str, record) -> list[str]:
@@ -173,10 +180,11 @@ def _jsonl(text: str, record) -> list[str]:
     as `json.loads` reads it, and a line it refuses warns with `json`'s own
     error, a line nested deeper than the recursion limit included."""
     warnings = []
+    scan = _scan_bounded if _LONG_RUN in text.translate(_ZEROED_DIGITS) else _scan_value
     for lineno, line in text_lines(text):
         try:
             try:
-                obj, end = _scan_value(line, 0)
+                obj, end = scan(line, 0)
             except StopIteration:
                 end = None
             if end != len(line):
@@ -199,9 +207,9 @@ def _mistyped(obj: dict, **kinds) -> None:
 
 def positive_seconds(value) -> int:
     """A bucket duration, as a dump or `generate` states it: a positive whole
-    number of seconds in ASCII digits; ValueError otherwise."""
+    number of seconds in at most MAX_DIGITS ASCII digits; ValueError otherwise."""
     text = str(value)
-    if not (text.isascii() and text.isdecimal()) or int(text) == 0:
+    if not (text.isascii() and text.isdecimal()) or len(text) > MAX_DIGITS or int(text) == 0:
         raise ValueError(f"bucketDuration must be a positive whole number of seconds, got {value!r}")
     return int(text)
 
@@ -224,9 +232,14 @@ def _quoted(line: str, key: str) -> Optional[str]:
 
 _QUOTED = r'"([^"]*)"'
 _EVENT_RE = re.compile(r'time=' + _QUOTED + r'\s+type=(\S+)\s+package=(\S+)')
-_AGGREGATE_RE = re.compile(r'package=(\S+)\s+lastTimeUsed=' + _QUOTED + r'\s+totalCount=([0-9]+)(?!\S)')
+# A count or counter takes at most MAX_DIGITS digits; a line with a longer
+# run is no rule's line, and warns.
+_DIGITS = f"[0-9]{{1,{MAX_DIGITS}}}"
+_AGGREGATE_RE = re.compile(rf'package=(\S+)\s+lastTimeUsed={_QUOTED}\s+totalCount=({_DIGITS})(?!\S)')
 _DURATION_RE = re.compile(r'bucketDuration=(\S*)')
-_ST_LINE_RE = re.compile(r'st=([0-9]+)\s+rb=(-?[0-9]+)\s+rp=(-?[0-9]+)\s+tb=(-?[0-9]+)\s+tp=(-?[0-9]+)(?!\S)')
+_ST_LINE_RE = re.compile(
+    rf'st=({_DIGITS})\s+rb=(-?{_DIGITS})\s+rp=(-?{_DIGITS})\s+tb=(-?{_DIGITS})\s+tp=(-?{_DIGITS})(?!\S)'
+)
 _LEASE_RE = re.compile(
     r'time=' + _QUOTED + r'\s+iface=(\S+)\s+event=(\S+)\s+ip=(\S+)(?:\s+ssid=' + _QUOTED + r')?'
 )
@@ -237,7 +250,7 @@ _LEASE_RE = re.compile(
 # it starts with `package=` and ends in a digit, so it is no service line or
 # header, and the capture-time and event rules each need a `key="`, while its
 # package token holds no quote and its one opening quote follows `lastTimeUsed=`.
-_AGGREGATE_LINE = re.compile(r'package=([!#-~]+) lastTimeUsed="(\d{4}-\d\d-\d\d \d\d:\d\d)" totalCount=([0-9]+)')
+_AGGREGATE_LINE = re.compile(rf'package=([!#-~]+) lastTimeUsed="(\d{{4}}-\d\d-\d\d \d\d:\d\d)" totalCount=({_DIGITS})')
 
 # The common line of each text dump, which its tokenizer reads from the
 # pattern's groups; every other line goes through the per-line rules above.
@@ -249,7 +262,7 @@ _AGGREGATE_LINE = re.compile(r'package=([!#-~]+) lastTimeUsed="(\d{4}-\d\d-\d\d 
 # `\d` takes any decimal digit, and both read only ASCII ones as a time.
 _WALL_PARTS = r'time="(\d{4}-\d\d-\d\d \d\d):(\d\d):(\d\d)"'
 _EVENT_LINES = line_pattern(_WALL_PARTS + r' type=([!#-~]+) package=([!#-~]+)')
-_COUNTER_LINES = line_pattern(r'st=([0-9]{1,12}) rb=([0-9]+) rp=([0-9]+) tb=([0-9]+) tp=([0-9]+)')
+_COUNTER_LINES = line_pattern(f'st=([0-9]{{1,12}}) rb=({_DIGITS}) rp=({_DIGITS}) tb=({_DIGITS}) tp=({_DIGITS})')
 _LEASE_LINES = line_pattern(
     _WALL_PARTS + r' iface=([!#-<>-~]+) event=([!#-<>-~]+) ip=([0-9.]+)(?: ssid=("[^"\n]*"))?'
 )
@@ -305,7 +318,7 @@ def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[Usage
                 except ValueError as exc:
                     warnings.append(f"line {lineno}: bad aggregate time ({exc})")
                     continue
-                # Both aggregate forms take totalCount as [0-9]+, never negative.
+                # Both aggregate forms take totalCount as at most MAX_DIGITS ASCII digits.
                 aggregates.append(new(UsageAggregate, (section, package, last_used, int(count))))
                 continue
             if aggregate is not None or m is None:  # an aggregate outside a window, or no rule's line

@@ -44,9 +44,34 @@ _C_INDENT = sys.version_info >= (3, 13)
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class Records:
+    """A list of like records in an output document, held by column:
+    `columns[i]` holds each record's value under `keys[i]`. Iterating it
+    gives its dict form, which a JSON document shows; before Python 3.13
+    `document_text` writes that form without building it."""
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys: tuple[str, ...], columns: Sequence[Sequence]):
+        self.keys, self.columns = keys, columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        keys = self.keys
+        return (dict(zip(keys, row)) for row in zip(*self.columns))
+
+
+def _dict_form(value):
+    """The `json.dumps` default: a Records list as its dicts."""
+    return list(value) if type(value) is Records else json.JSONEncoder().default(value)
+
+
 def document_text(obj) -> str:
     """The text of a JSON output document: exactly
-    `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`.
+    `json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, with each `Records`
+    in its dict form.
 
     Before Python 3.13 it is written by `write_document`, which encodes
     each dict shape once per document and writes scalars inline: about
@@ -56,7 +81,7 @@ def document_text(obj) -> str:
     `requires-python` reaches 3.13.
     """
     if _C_INDENT:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, default=_dict_form) + "\n"
     return write_document(obj)
 
 
@@ -68,16 +93,20 @@ def write_document(obj) -> str:
     keys in sorted order, each with its encoded `,\\n<indent>"key": `
     prefix (the first one opening the dict), and the closing brace, so a
     document of many like records sorts and encodes its keys once per
-    shape. A `str`, `int`, `bool` or `None` inside a dict or list is
-    written inline; anything else that is no dict, list or tuple goes to
-    `json.dumps` itself.
+    shape; a `Records` list's records are written through one template
+    per shape. A `str`, `int`, `bool` or `None` inside a dict or list is
+    written inline; anything else that is no dict, list, tuple or
+    `Records` goes to `json.dumps` itself.
     """
-    if not isinstance(obj, (dict, list, tuple)):
+    if not isinstance(obj, _CONTAINERS):
         return json.dumps(obj) + "\n"
     out: list[str] = []
     _write_container(obj, out, 0, {})
     out.append("\n")
     return "".join(out)
+
+
+_CONTAINERS = (dict, list, tuple, Records)
 
 
 def _dict_shape(keys: tuple, depth: int) -> tuple[list[tuple[str, str]], str]:
@@ -94,8 +123,8 @@ def _dict_shape(keys: tuple, depth: int) -> tuple[list[tuple[str, str]], str]:
 
 
 def _write_container(value, out: list, depth: int, shapes: dict) -> None:
-    """Append the text of a dict, list or tuple nested `depth` levels
-    deep to `out`, with `shapes` the call's shape table.
+    """Append the text of a dict, list, tuple or `Records` nested `depth`
+    levels deep to `out`, with `shapes` the call's shape table.
 
     The dict and the list loop each test their members' types inline:
     one helper call per member would cost what the shape table saves.
@@ -126,11 +155,13 @@ def _write_container(value, out: list, depth: int, shapes: dict) -> None:
                 append("true" if item else "false")
             elif item is None:
                 append("null")
-            elif isinstance(item, (dict, list, tuple)):
+            elif isinstance(item, _CONTAINERS):
                 _write_container(item, out, inner, shapes)
             else:
                 append(json.dumps(item))
         append(close)
+    elif type(value) is Records:
+        _write_records(value, out, depth, shapes)
     else:
         separator = ",\n" + "  " * inner
         first = len(out)
@@ -147,12 +178,37 @@ def _write_container(value, out: list, depth: int, shapes: dict) -> None:
                 append("true" if item else "false")
             elif item is None:
                 append("null")
-            elif isinstance(item, (dict, list, tuple)):
+            elif isinstance(item, _CONTAINERS):
                 _write_container(item, out, inner, shapes)
             else:
                 append(json.dumps(item))
         out[first] = "[" + separator[1:]
         append(f"\n{'  ' * depth}]")
+
+
+def _write_records(records: Records, out: list, depth: int, shapes: dict) -> None:
+    """Append the text of a non-empty `Records` list nested `depth` levels
+    deep to `out`: each record through its shape's template, each sorted
+    key's prefix then `%s`, with a column of only `str` or only exact `int`
+    values encoded by one `map`. Any other column writes the dict form."""
+    keys = records.keys
+    shape = shapes.get((depth, keys, Records))
+    if shape is None:
+        members, close = _dict_shape(keys, depth + 1)
+        template = "".join(prefix.replace("%", "%%") + "%s" for prefix, _ in members) + close
+        shape = shapes[depth, keys, Records] = template, [keys.index(key) for _, key in members]
+    template, order = shape
+    columns = []
+    for i in order:
+        encode = _COLUMN_ENCODERS.get(frozenset(map(type, records.columns[i])))
+        if encode is None:  # a column of another kind, or of several
+            return _write_container(list(records), out, depth, shapes)
+        columns.append(map(encode, records.columns[i]))
+    separator = ",\n" + "  " * (depth + 1)
+    out.extend(("[" + separator[1:], separator.join(map(template.__mod__, zip(*columns))), f"\n{'  ' * depth}]"))
+
+
+_COLUMN_ENCODERS = {frozenset([str]): _encode_str, frozenset([int]): str}
 
 
 def one_line(text: str) -> str:
@@ -215,6 +271,18 @@ def line_pattern(common: str) -> re.Pattern:
 
 _JSON_NAMES = {bool: "boolean", dict: "object", int: "integer", list: "list", str: "string"}
 
+# A number in any input holds at most 19 digits, as a signed 64-bit value
+# does: far below the interpreter's digit limit, so what an input yields
+# never depends on that limit (PYTHONINTMAXSTRDIGITS).
+MAX_DIGITS = 19
+
+
+def bounded_int(text: str) -> int:
+    """The JSON integer `text`; ValueError when it has more than MAX_DIGITS digits."""
+    if (digits := len(text.lstrip("-"))) > MAX_DIGITS:
+        raise ValueError(f"an integer of {digits} digits; numbers hold at most {MAX_DIGITS}")
+    return int(text)
+
 
 def json_field(obj: dict, key: str, kind: type, *default):
     """`obj[key]`, or the one `default` given when `key` is absent;
@@ -256,7 +324,7 @@ def load_json(
     """
     where = f"malformed {what}"
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=bounded_int)
         if not entry:
             return build(doc)
         items = doc[key] if key else doc

@@ -58,8 +58,10 @@ class KnownHostEntry(NamedTuple):
     key_type: str
 
 
-# A known_hosts "[host]:port" pattern: the host, then the port.
-_BRACKETED = re.compile(r"\[([^\]]+)\]:([0-9]+)$")
+# A known_hosts "[host]:port" pattern: the host, then the port. A port, there
+# and in FileZilla XML, takes at most 5 digits, as 65535 does.
+PORT_DIGITS = 5
+_BRACKETED = re.compile(rf"\[([^\]]+)\]:([0-9]{{1,{PORT_DIGITS}}})$")
 # OpenSSH splits a known_hosts line at spaces and tabs only.
 _FIELD_GAP = re.compile(r"[ \t]+")
 
@@ -88,7 +90,7 @@ def parse_filezilla(xml_text: str, source_file: str = "recentservers_xml") -> tu
             warnings.append(f"server element #{i + 1} has no Host; skipped")
             continue
         port_text = (server.findtext("Port") or "21").strip()
-        if not (port_text.isascii() and port_text.isdecimal()):
+        if not (port_text.isascii() and port_text.isdecimal()) or len(port_text) > PORT_DIGITS:
             warnings.append(f"server element #{i + 1} has bad port {port_text!r}; skipped")
             continue
         port = int(port_text)

@@ -1,9 +1,11 @@
 """Investigator-facing report rendering.
 
-`render_report` builds the `watchtriage.report/1` JSON document once, with
-each finding in `correlate.finding_to_dict`'s form, and the markdown report
-is rendered from that document alone, so the two can never drift and a
-finding is shown by one function. Reports are deterministic: identical
+`render_report` gathers a report's records once: its findings, and its
+timeline rows as the columns of one `evidence.Records` list. Both
+forms are written from those same records: the `watchtriage.report/1` JSON
+document, with each finding in `correlate.finding_to_dict`'s form, and the
+markdown, which shows no app event and so builds no finding dict. The
+tests pin that the two agree. Reports are deterministic: identical
 findings and bundle produce byte-identical output (no generation
 timestamps), every timestamp carries an explicit zone offset, and every
 finding block cites at least one evidence item digest.
@@ -11,11 +13,12 @@ finding block cites at least one evidence item digest.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
-from .evidence import EvidenceBundle, RenderedTimes, SourceKind, one_line
+from .evidence import EvidenceBundle, Records, RenderedTimes, SourceKind, one_line
+from .host_artifacts import FtpServerEntry
 
 LIMITATION_NOTES = {
     AmbiguityFlag.USAGE_EVIDENCE_EXPIRED: (
@@ -37,70 +40,83 @@ LIMITATION_NOTES = {
 
 
 class ReportDocument(NamedTuple):
-    """The report JSON document; the markdown is rendered from it."""
+    """A report: its findings, with the rendered times they show, and the
+    rest of its JSON document, timeline rows included; both the document
+    (`data`) and the markdown are written from these."""
 
-    data: dict
+    head: dict
+    findings: Sequence[Finding]
+    times: RenderedTimes
 
     @property
-    def timeline_rows(self) -> list[dict]:
-        return self.data["timeline"]
+    def data(self) -> dict:
+        """The `watchtriage.report/1` document."""
+        return {**self.head, "findings": [finding_to_dict(f, self.times) for f in self.findings]}
+
+    @property
+    def timeline_rows(self) -> Records:
+        return self.head["timeline"]
 
     def to_markdown(self) -> str:
-        data = self.data
-        zone = data["display_zone"]
-        times = RenderedTimes(zone)
+        head, times = self.head, self.times
         lines = ["# Smartwatch exfiltration triage report", ""]
-        lines.append(f"Bundle: `{one_line(data['bundle_manifest_digest'])}`  ")
-        lines.append(f"Display zone: {zone}")
+        lines.append(f"Bundle: `{one_line(head['bundle_manifest_digest'])}`  ")
+        lines.append(f"Display zone: {head['display_zone']}")
         lines.append("")
-        lines.append(f"## Findings ({data['finding_count']})")
+        lines.append(f"## Findings ({head['finding_count']})")
         lines.append("")
-        if not data["findings"]:
+        if not self.findings:
             lines.append("No detections: no session met any pattern rule or volume threshold.")
             lines.append("")
-        for i, f in enumerate(data["findings"], 1):
-            sess = f["session"]
-            lines.append(f"### {i}. {f['pattern']} ({f['confidence']})")
+        for i, f in enumerate(self.findings, 1):
+            sess = f.session
+            start = sess.app_start
+            lines.append(f"### {i}. {f.pattern.value} ({f.confidence.value})")
             lines.append("")
-            packages = one_line(", ".join(sess["packages"]))
+            packages = one_line(", ".join(sess.packages))
             lines.append(f"- Packages: {packages or '(no in-window app evidence)'}")
-            lines.append(f"- App start: {sess['app_start_rendered'] or 'unknown (usage detail expired)'}")
-            lines.append(f"- Networks: {one_line(', '.join(sess['network_ids']))}")
-            buckets = ", ".join(f"{b['st']} ({times[b['st']]})" for b in sess["buckets"])
+            lines.append(f"- App start: {times[start.epoch] if start else 'unknown (usage detail expired)'}")
+            lines.append(f"- Networks: {one_line(', '.join(sess.network_ids))}")
+            buckets = ", ".join(f"{b.st.epoch} ({times[b.st.epoch]})" for b in sess.buckets)
             lines.append(f"- Bucket starts: {buckets}")
-            lines.append(f"- Bytes in / out: {f['bytes_in']:,} / {f['bytes_out']:,}")
-            lines.append(f"- Resolved private IPs: {', '.join(sess['resolved_ips']) or 'none'}")
+            lines.append(f"- Bytes in / out: {f.direction_summary.bytes_in:,} / {f.direction_summary.bytes_out:,}")
+            ips = sorted({lease.private_ip for lease in sess.resolved_leases})
+            lines.append(f"- Resolved private IPs: {', '.join(ips) or 'none'}")
             parts = [
-                f"{c['protocol']} client entry {c['host']}:{c['port']} ({c['source_file']})"
-                if c["kind"] == "ftp_client_entry"
-                else f"known_hosts entry {c['host']}:{c['port']}"
-                for c in f["host_corroboration"]
+                f"{c.protocol.value} client entry {c.host}:{c.port} ({c.source_file})"
+                if isinstance(c, FtpServerEntry)
+                else f"known_hosts entry {c.host}:{c.port}"
+                for c in f.host_corroboration
             ]
             lines.append(f"- Host corroboration: {'; '.join(parts) or 'none'}")
-            lines.append(f"- Ambiguity flags: {', '.join(sess['ambiguity_flags']) or 'none'}")
-            digests = ", ".join(f"`{one_line(d)}`" for d in f["evidence_digests"])
+            flags = sorted(flag.value for flag in sess.ambiguity_flags)
+            lines.append(f"- Ambiguity flags: {', '.join(flags) or 'none'}")
+            digests = ", ".join(f"`{one_line(d)}`" for d in f.evidence_digests)
             lines.append(f"- Evidence: {digests}")
             lines.append("")
-        if data["timeline"]:
+        if head["timeline"]:
             lines.append("## Timeline")
             lines.append("")
             lines.append("| Time | Source | Event |")
             lines.append("| --- | --- | --- |")
             # Event text quotes evidence (an SSID, say): with its line breaks
-            # and "|" escaped, it stays in its cell.
-            for row in data["timeline"]:
-                event = one_line(row["event"]).replace("|", "\\|")
-                lines.append(f"| {row['time']} | {row['source']} | {event} |")
+            # and "|" escaped, it stays in its cell. Joined, the events show
+            # at once whether any holds one of them.
+            rendered, sources, cells = head["timeline"].columns
+            joined = "\n".join(cells)
+            if "\r" in joined or "|" in joined or joined.count("\n") >= len(cells):
+                cells = map(str.replace, map(one_line, cells), repeat("|"), repeat("\\|"))
+            lines += map("| {} | {} | {} |".format, rendered, sources, cells)
             lines.append("")
         lines.append("## Limitations")
         lines.append("")
-        for note in data["limitations"] or ["none observed in this bundle"]:
+        for note in head["limitations"] or ["none observed in this bundle"]:
             lines.append(f"- {note}")
         lines.append("")
-        if data["warnings"]:
+        if head["warnings"]:
             lines.append("## Warnings")
             lines.append("")
-            for w in data["warnings"]:
+            for w in head["warnings"]:
                 lines.append(f"- {one_line(w)}")
             lines.append("")
         return "\n".join(lines)
@@ -150,45 +166,38 @@ def render_report(
     display_zone: str,
     warnings: Sequence[str] = (),
 ) -> ReportDocument:
-    """The report document for findings that already cite their evidence
+    """The report of findings that already cite their evidence
     (attach_evidence_digests); rendered times are in `display_zone`, and
-    each instant is rendered once for the whole document."""
+    each instant is rendered once for the whole report."""
     # Every source event once, ascending; ties keep source order. Traffic
     # buckets are anchored at their window close (st + duration), so an app
-    # start inside a bucket precedes the traffic covering it. A close is
-    # rendered at its row's first lookup, in source order, so the first
-    # one out of range raises, as when each row built its instant.
-    events, lease_events = timeline.report.events_24h, timeline.lease_log.leases
+    # start inside a bucket precedes the traffic covering it. Instants are
+    # rendered in source order, so the first close out of range raises, as
+    # when each row built its instant.
+    events, records, lease_events = timeline.report.events_24h, timeline.records, timeline.lease_log.leases
     times = RenderedTimes(display_zone, [*(ev.at for ev in events), *(lease.at for lease in lease_events)])
     usage, traffic, leases = SourceKind.USAGESTATS.value, SourceKind.NETSTATS.value, SourceKind.NETWORK_STACK.value
-    rows = []
-    for ev in events:
-        epoch = ev.at.epoch
-        rows.append((epoch, {"time": times[epoch], "source": usage, "event": f"{ev.event_type} {ev.package}"}))
     duration = timeline.bucket_duration
-    for rec in timeline.records:
-        st = rec.st.epoch
-        close = st + duration
-        text = f"traffic bucket {rec.network_id} st={st} rb={rec.rb} tb={rec.tb}"
-        rows.append((close, {"time": times[close], "source": traffic, "event": text}))
+    epochs = [*(ev.at.epoch for ev in events), *(rec.st.epoch + duration for rec in records),
+              *(lease.at.epoch for lease in lease_events)]
+    rendered = list(map(times.__getitem__, epochs))
+    sources = [usage] * len(events) + [traffic] * len(records) + [leases] * len(lease_events)
+    texts = [f"{ev.event_type} {ev.package}" for ev in events]
+    texts += [f"traffic bucket {rec.network_id} st={rec.st.epoch} rb={rec.rb} tb={rec.tb}" for rec in records]
     for lease in lease_events:
-        epoch = lease.at.epoch
         ssid = f" ssid={lease.network_id}" if lease.network_id else ""
-        text = f"{lease.event_kind.value} {lease.interface} ip={lease.private_ip}{ssid}"
-        rows.append((epoch, {"time": times[epoch], "source": leases, "event": text}))
-    rows.sort(key=itemgetter(0))
+        texts.append(f"{lease.event_kind.value} {lease.interface} ip={lease.private_ip}{ssid}")
+    order = sorted(range(len(epochs)), key=epochs.__getitem__)
+    rows = [list(map(column.__getitem__, order)) for column in (rendered, sources, texts)]
 
-    finding_dicts = [finding_to_dict(f, times) for f in findings]
-    flags = sorted({flag for f in finding_dicts for flag in f["session"]["ambiguity_flags"]})
-    return ReportDocument(
-        {
-            "schema": "watchtriage.report/1",
-            "bundle_manifest_digest": bundle.bundle_manifest_digest,
-            "display_zone": display_zone,
-            "finding_count": len(finding_dicts),
-            "findings": finding_dicts,
-            "timeline": [row for _, row in rows],
-            "limitations": [LIMITATION_NOTES[AmbiguityFlag(flag)] for flag in flags],
-            "warnings": list(warnings),
-        }
-    )
+    flags = sorted({flag.value for f in findings for flag in f.session.ambiguity_flags})
+    head = {
+        "schema": "watchtriage.report/1",
+        "bundle_manifest_digest": bundle.bundle_manifest_digest,
+        "display_zone": display_zone,
+        "finding_count": len(findings),
+        "timeline": Records(("time", "source", "event"), rows),
+        "limitations": [LIMITATION_NOTES[AmbiguityFlag(flag)] for flag in flags],
+        "warnings": list(warnings),
+    }
+    return ReportDocument(head, tuple(findings), times)

@@ -456,7 +456,9 @@ class TestAcquire:
         assert not out.exists()
 
 
-HUGE_EPOCH = 100000000000000000000
+# Past MAX_EPOCH in 19 digits, which a number may hold, and in 21, which it may not.
+LARGE_EPOCH = 10**18
+HUGE_EPOCH = 10**20
 # Valid JSON nested far deeper than the interpreter's recursion limit.
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
@@ -466,27 +468,41 @@ class TestEpochRange:
     never at render time, and never as a traceback."""
 
     def test_scenario_capture_time_past_the_bound_exits_2(self, tmp_path, capsys):
+        self.assert_scenario_refused(LARGE_EPOCH, f"capture_time must be between 0 and {MAX_EPOCH}, got {LARGE_EPOCH}",
+                                     tmp_path, capsys)
+
+    def test_scenario_capture_time_of_too_many_digits_exits_2(self, tmp_path, capsys):
+        self.assert_scenario_refused(HUGE_EPOCH, "an integer of 21 digits; numbers hold at most 19", tmp_path, capsys)
+
+    def assert_scenario_refused(self, epoch, refusal, tmp_path, capsys):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps({"capture_time": HUGE_EPOCH}))
+        path.write_text(json.dumps({"capture_time": epoch}))
         out = tmp_path / "out"
         assert run(["generate", "--scenario", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
-        assert f"capture_time must be between 0 and {MAX_EPOCH}, got {HUGE_EPOCH}" in err
+        assert refusal in err
         assert not out.exists()
 
     def test_jsonl_usage_event_past_the_bound_drops_its_line(self, tmp_path, capsys):
+        self.assert_event_dropped(LARGE_EPOCH, f"line 1: epoch must be between 0 and {MAX_EPOCH}", tmp_path, capsys)
+
+    def test_jsonl_usage_event_of_too_many_digits_drops_its_line(self, tmp_path, capsys):
+        self.assert_event_dropped(HUGE_EPOCH, "line 1: an integer of 21 digits; numbers hold at most 19",
+                                  tmp_path, capsys)
+
+    def assert_event_dropped(self, epoch, refusal, tmp_path, capsys):
         bundle = tmp_path / "ftp"
         assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
-        event = {"record": "event", "at": HUGE_EPOCH, "package": "com.x", "event_type": "ACTIVITY_RESUMED"}
+        event = {"record": "event", "at": epoch, "package": "com.x", "event_type": "ACTIVITY_RESUMED"}
         (bundle / "raw" / "usagestats.txt").write_text(json.dumps(event) + "\n")
         capsys.readouterr()
         assert run(["parse", "--bundle", str(bundle)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["usagestats"]["events"] == []
-        assert [w for w in doc["warnings"] if f"line 1: epoch must be between 0 and {MAX_EPOCH}" in w]
+        assert [w for w in doc["warnings"] if refusal in w]
 
-    @pytest.mark.parametrize("st", [HUGE_EPOCH, 253402300800])
+    @pytest.mark.parametrize("st", [HUGE_EPOCH, LARGE_EPOCH, 253402300800])
     def test_netstats_bucket_past_the_bound_drops_its_line(self, st, tmp_path, capsys):
         bundle = tmp_path / "ftp"
         assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
@@ -496,7 +512,8 @@ class TestEpochRange:
         capsys.readouterr()
         assert run(["report", "--bundle", str(bundle), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        dropped = f"line {len(lines) + 1}: epoch must be between 0 and {MAX_EPOCH}, got {st}; dropped"
+        dropped = f"line {len(lines) + 1}: " + (f"epoch must be between 0 and {MAX_EPOCH}, got {st}; dropped"
+                                               if st < 10**19 else f"unrecognized: st={st} rb=1 rp=1 tb=1 tp=1")
         assert [w for w in doc["warnings"] if dropped in w]
         assert [f["pattern"] for f in doc["findings"]] == ["ftp_server_exfil"]
 

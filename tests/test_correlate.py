@@ -34,7 +34,7 @@ from watchtriage.dumpsys import (
     UsageReport,
     parse_netstats,
 )
-from watchtriage.evidence import SourceKind, Timestamp, seal_bundle
+from watchtriage.evidence import SourceKind, Timestamp, document_text, seal_bundle
 from watchtriage.report import attach_evidence_digests, render_report
 from watchtriage.simulator import finding_fingerprint
 from tests.conftest import run_pipeline
@@ -46,9 +46,10 @@ def empty_report(capture_epoch=1683809100):
 
 
 def report_timeline(timeline, zone="UTC"):
-    """The timeline rows of the report rendered from `timeline`; findings do not enter them."""
+    """The timeline rows, in their dict form, of the report rendered from
+    `timeline`; findings do not enter them."""
     bundle = seal_bundle([("netstats", SourceKind.NETSTATS, b"", 0)], "test", zone)
-    return render_report([], bundle, timeline, zone).data["timeline"]
+    return list(render_report([], bundle, timeline, zone).timeline_rows)
 
 
 class TestBuildTimeline:
@@ -419,7 +420,7 @@ class TestCorroborate:
         for _ in range(2):
             findings = pipeline(scenario)["findings"]
             doc = findings_document(findings, "digest", 3600, scenario.display_zone)
-            docs.append(json.dumps(doc, sort_keys=True))
+            docs.append(document_text(doc))
         assert docs[0] == docs[1]
 
 
@@ -629,7 +630,7 @@ class TestMetamorphicRelations:
     def test_display_zone_changes_only_rendered_strings(self):
         # Every epoch, digest, grade, flag and the row order stay the same.
         def unrendered(doc):
-            data = json.loads(json.dumps(doc.data))
+            data = json.loads(document_text(doc.data))
             del data["display_zone"]
             for row in data["timeline"]:
                 del row["time"]

@@ -1,9 +1,10 @@
 """The JSON document writer against the stdlib call it stands for.
 
 Every JSON document the CLI writes is `document_text(doc)`, which must be
-byte for byte `json.dumps(doc, indent=2, sort_keys=True) + "\\n"`. Before
-Python 3.13 it is `write_document`'s text; the checks below call that
-writer directly, so they test it on every Python version. They need no
+byte for byte `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` of the
+document with each `Records` list expanded into its dicts. Before Python
+3.13 it is `write_document`'s text; the checks below call that writer
+directly, so they test it on every Python version. They need no
 pytest, so an interpreter without it runs them too:
 
     PYTHONPATH=src python3 tests/test_document_text.py
@@ -18,7 +19,7 @@ from pathlib import Path
 from unittest import mock
 
 from watchtriage import cli, evidence, policy, simulator
-from watchtriage.evidence import document_text, write_document
+from watchtriage.evidence import Records, document_text, write_document
 
 
 class Colour(str, enum.Enum):
@@ -62,6 +63,17 @@ VALUES = {
     "bools and ints under one shape": [
         {"n": 1, "b": True}, {"n": True, "b": 1}, {"n": 0, "b": False}, {"n": False, "b": 0}],
     "dict and list subclasses": Record(b=Rows([1, Record(), Rows(), Record(z=Rows(["r"]))]), a=Record(b=2, a=1)),
+    "records of str and int columns": Records(
+        ("b", "a", "%s key", "é"),
+        [["x", "é\n", '"q"'], [1, -2, 10**30], ["%s", "%%", "100%"], ["\x00\x1f|\\", "\U0001f600", ""]]),
+    "records with mixed columns": Records(
+        ("n", "v", "e"),
+        [[None, "s", 1], [True, 1.5, {"k": [1, Records(("z",), [[1, 2]])]}], [Colour.RED, Level.HIGH, 0]]),
+    "records of bools beside ints": Records(("t", "i"), [(True, False), (1, 0)]),
+    "empty records": {"r": Records(("a", "b"), [[], []]), "s": [Records(("a",), [()])]},
+    "records beside dicts of their keys": {
+        "d": [{"a": 1, "b": "x"}], "r": Records(("b", "a"), [["y"], [2]]), "t": [[Records(("a", "b"), [[3], [4]])]]},
+    "top-level records": Records(("k",), [["v", "w"]]),
     "top-level string": "text",
     "top-level int": -7,
     "top-level float": 2.5,
@@ -70,8 +82,21 @@ VALUES = {
 }
 
 
+def expanded(obj):
+    """`obj` in its fully expanded dict form: each `Records` list replaced
+    by its dicts, at any depth."""
+    if isinstance(obj, Records):
+        obj = list(obj)
+    if isinstance(obj, dict):
+        return {key: expanded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [expanded(value) for value in obj]
+    return obj
+
+
 def stdlib_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The stdlib's indented dump of `obj` in its fully expanded dict form."""
+    return json.dumps(expanded(obj), indent=2, sort_keys=True) + "\n"
 
 
 def test_writer_matches_the_stdlib_on_every_kind_of_value():
@@ -106,6 +131,13 @@ def random_document(rng: random.Random, depth: int = 0):
     with one key set, in one or another insertion order, recur at many
     depths."""
     roll = rng.random()
+    if depth < 4 and roll < 0.1:
+        keys = tuple(rng.sample(["a", "b", "é", "%s"], rng.randrange(1, 5)))
+        rows = rng.randrange(4)
+        columns = [[random_document(rng, depth + 2) for _ in range(rows)] if rng.random() < 0.5
+                   else [rng.choice(["", "x", "é\n", "%"]) if kind is str else rng.randrange(-3, 3)
+                         for _ in range(rows)] for kind in rng.choices((str, int), k=len(keys))]
+        return Records(keys, columns)
     if depth < 4 and roll < 0.3:
         keys = rng.sample(["a", "b", "é", Colour.RED], rng.randrange(5))
         return (Record if rng.random() < 0.1 else dict)((key, random_document(rng, depth + 1)) for key in keys)
@@ -134,7 +166,7 @@ def test_writer_keeps_no_state_between_documents():
 
 
 def test_writer_rejects_what_the_stdlib_rejects():
-    for value in ({"a": object()}, [b"bytes"], {"s": {1, 2}}):
+    for value in ({"a": object()}, [b"bytes"], {"s": {1, 2}}, Records(("a", "b"), [["x"], [object()]])):
         try:
             write_document(value)
         except TypeError as exc:
@@ -148,6 +180,8 @@ def test_document_text_is_the_stdlib_call_from_python_3_13():
     if sys.version_info >= (3, 13):
         with mock.patch.object(evidence, "write_document", side_effect=AssertionError("writer called")):
             assert document_text(value) == stdlib_text(value)
+            records = VALUES["records with mixed columns"]
+            assert document_text(records) == stdlib_text(records)
     else:
         with mock.patch.object(evidence, "write_document", return_value="written"):
             assert document_text(value) == "written"

@@ -912,21 +912,24 @@ class TestCommonLinePath:
 # records as lists by kind: generators of tokens (records, boot markers,
 # warning strings) grouped by type in `reference_tokenize`, with their own
 # copies of the line patterns. The parsers must give exactly these records
-# and warnings, in this order.
+# and warnings, in this order. The copies take each count, counter and
+# per-line `st` as at most MAX_DIGITS digits, the bound that keeps what a
+# dump yields from depending on the interpreter's digit limit.
+_D = f"[0-9]{{1,{evidence.MAX_DIGITS}}}"
 
 _REF_QUOTED = r'"([^"]*)"'
 _REF_EVENT_RE = re.compile(r'time=' + _REF_QUOTED + r'\s+type=(\S+)\s+package=(\S+)')
-_REF_AGGREGATE_RE = re.compile(r'package=(\S+)\s+lastTimeUsed=' + _REF_QUOTED + r'\s+totalCount=([0-9]+)(?!\S)')
+_REF_AGGREGATE_RE = re.compile(r'package=(\S+)\s+lastTimeUsed=' + _REF_QUOTED + rf'\s+totalCount=({_D})(?!\S)')
 _REF_DURATION_RE = re.compile(r'bucketDuration=(\S*)')
 _REF_ST_LINE_RE = re.compile(
-    r'st=([0-9]+)\s+rb=(-?[0-9]+)\s+rp=(-?[0-9]+)\s+tb=(-?[0-9]+)\s+tp=(-?[0-9]+)(?!\S)'
+    rf'st=({_D})\s+rb=(-?{_D})\s+rp=(-?{_D})\s+tb=(-?{_D})\s+tp=(-?{_D})(?!\S)'
 )
 _REF_LEASE_RE = re.compile(
     r'time=' + _REF_QUOTED + r'\s+iface=(\S+)\s+event=(\S+)\s+ip=(\S+)(?:\s+ssid=' + _REF_QUOTED + r')?'
 )
 _REF_WALL_PARTS = r'time="(\d{4}-\d\d-\d\d \d\d):(\d\d):(\d\d)"'
 _REF_EVENT_LINES = evidence.line_pattern(_REF_WALL_PARTS + r' type=([!#-~]+) package=([!#-~]+)')
-_REF_COUNTER_LINES = evidence.line_pattern(r'st=([0-9]+) rb=([0-9]+) rp=([0-9]+) tb=([0-9]+) tp=([0-9]+)')
+_REF_COUNTER_LINES = evidence.line_pattern(f'st=({_D}) rb=({_D}) rp=({_D}) tb=({_D}) tp=({_D})')
 _REF_LEASE_LINES = evidence.line_pattern(
     _REF_WALL_PARTS + r' iface=([!#-<>-~]+) event=([!#-<>-~]+) ip=([0-9.]+)(?: ssid=("[^"\n]*"))?'
 )
