@@ -162,33 +162,28 @@ def _is_jsonl(text: str) -> bool:
     return text[0] == "{"
 
 
-# The stdlib's C scanner, which `json.loads` itself runs. A stripped line has
-# no JSON whitespace at either end, so `json.loads` accepts it exactly when
-# the scanner reads one value that ends where the line ends, and returns
-# that value. A dump with a run of more than MAX_DIGITS digits is read by a
-# scanner whose integers go through `bounded_int`, which refuses a longer
-# one; the translation that finds such a run costs about a tenth of a scan.
-_scan_value = json.JSONDecoder().scan_once
-_scan_bounded = json.JSONDecoder(parse_int=bounded_int).scan_once
-_ZEROED_DIGITS = str.maketrans("123456789", "000000000")
-_LONG_RUN = "0" * (MAX_DIGITS + 1)
+# The stdlib's C scanner, which `json.loads` itself runs, with integers read
+# by `bounded_int`. A stripped line has no JSON whitespace at either end, so
+# `json.loads` accepts it exactly when the scanner reads one value that ends
+# where the line ends, and returns that value.
+_scan_value = json.JSONDecoder(parse_int=bounded_int).scan_once
 
 
 def _jsonl(text: str, record) -> list[str]:
     """The warnings of a JSON-lines dump whose objects `record(obj)` reads
     into the dump's lists; any failure warns for its line. Each line is read
-    as `json.loads` reads it, and a line it refuses warns with `json`'s own
-    error, a line nested deeper than the recursion limit included."""
+    as `json.loads` reads it, its integers through `bounded_int`, and a line
+    it refuses warns with `json`'s own error, a line nested deeper than the
+    recursion limit included."""
     warnings = []
-    scan = _scan_bounded if _LONG_RUN in text.translate(_ZEROED_DIGITS) else _scan_value
     for lineno, line in text_lines(text):
         try:
             try:
-                obj, end = scan(line, 0)
+                obj, end = _scan_value(line, 0)
             except StopIteration:
                 end = None
             if end != len(line):
-                obj = json.loads(line)  # refused: raises json's own error for the line
+                obj = json.loads(line, parse_int=bounded_int)  # refused: raises json's own error for the line
             if not isinstance(obj, dict):
                 raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
             record(obj)

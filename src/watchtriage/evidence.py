@@ -191,19 +191,17 @@ def _write_records(records: Records, out: list, depth: int, shapes: dict) -> Non
     deep to `out`: each record through its shape's template, each sorted
     key's prefix then `%s`, with a column of only `str` or only exact `int`
     values encoded by one `map`. Any other column writes the dict form."""
-    keys = records.keys
+    keys, values = records.keys, records.columns
     shape = shapes.get((depth, keys, Records))
     if shape is None:
         members, close = _dict_shape(keys, depth + 1)
         template = "".join(prefix.replace("%", "%%") + "%s" for prefix, _ in members) + close
         shape = shapes[depth, keys, Records] = template, [keys.index(key) for _, key in members]
     template, order = shape
-    columns = []
-    for i in order:
-        encode = _COLUMN_ENCODERS.get(frozenset(map(type, records.columns[i])))
-        if encode is None:  # a column of another kind, or of several
-            return _write_container(list(records), out, depth, shapes)
-        columns.append(map(encode, records.columns[i]))
+    try:
+        columns = [map(_COLUMN_ENCODERS[frozenset(map(type, values[i]))], values[i]) for i in order]
+    except KeyError:  # a column of another kind, or of several
+        return _write_container(list(records), out, depth, shapes)
     separator = ",\n" + "  " * (depth + 1)
     out.extend(("[" + separator[1:], separator.join(map(template.__mod__, zip(*columns))), f"\n{'  ' * depth}]"))
 

@@ -13,7 +13,6 @@ finding block cites at least one evidence item digest.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
@@ -100,13 +99,9 @@ class ReportDocument(NamedTuple):
             lines.append("| Time | Source | Event |")
             lines.append("| --- | --- | --- |")
             # Event text quotes evidence (an SSID, say): with its line breaks
-            # and "|" escaped, it stays in its cell. Joined, the events show
-            # at once whether any holds one of them.
+            # and "|" escaped, it stays in its cell.
             rendered, sources, cells = head["timeline"].columns
-            joined = "\n".join(cells)
-            if "\r" in joined or "|" in joined or joined.count("\n") >= len(cells):
-                cells = map(str.replace, map(one_line, cells), repeat("|"), repeat("\\|"))
-            lines += map("| {} | {} | {} |".format, rendered, sources, cells)
+            lines += map("| {} | {} | {} |".format, rendered, sources, (one_line(c).replace("|", "\\|") for c in cells))
             lines.append("")
         lines.append("## Limitations")
         lines.append("")

@@ -182,6 +182,8 @@ def _outputs(bundle):
     bundle's host artifacts, under each digit limit."""
     argvs = (["parse", "--bundle", str(bundle)],
              ["correlate", "--bundle", str(bundle), "--host-artifacts", str(bundle / "host_artifacts")])
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7 there is no limit, so one behaviour
+        return [[_run(argv) for argv in argvs]] * len(DIGIT_LIMITS)
     limit = sys.get_int_max_str_digits()
     try:
         runs = []
