@@ -35,7 +35,7 @@ from pathlib import Path
 
 from . import acquisition
 from .evidence import (
-    DEFAULT_DISPLAY_ZONE, MAX_EPOCH, DeviceProfile, EvidenceBundle, SourceKind, document_text, seal_bundle,
+    DEFAULT_DISPLAY_ZONE, MAX_DIGITS, MAX_EPOCH, DeviceProfile, EvidenceBundle, SourceKind, document_text, seal_bundle,
     verify_bundle, zone_name,
 )
 from .host_artifacts import HostArtifacts, load_host_artifacts, locate_host_artifacts
@@ -245,14 +245,22 @@ def _add_display_zone(p, help_text):
     p.add_argument("--display-zone", type=zone_name, default=DEFAULT_DISPLAY_ZONE, help=help_text)
 
 
-def _clock_start(value: str) -> int:
-    if not re.fullmatch("-?[0-9]+", value):
-        raise ValueError(value)  # argparse: "invalid _clock_start value"
-    if int(value) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    if int(value) > MAX_EPOCH:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_EPOCH}, got {value}")
+def _integer(value: str) -> int:
+    """An integer flag: an optional `-` and 1 to MAX_DIGITS ASCII digits,
+    checked before `int` reads it, so the interpreter's digit limit never
+    changes what a flag gives or how it is refused."""
+    if not re.fullmatch(f"-?[0-9]{{1,{MAX_DIGITS}}}", value):
+        raise ValueError(value)  # argparse: "invalid <type's name> value"
     return int(value)
+
+
+def _clock_start(value: str) -> int:
+    start = _integer(value)
+    if start < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if start > MAX_EPOCH:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_EPOCH}, got {value}")
+    return start
 
 
 def _acquire_options(p):
@@ -286,7 +294,7 @@ def _generate_options(p):
     group = p.add_mutually_exclusive_group()
     group.add_argument("--preset", choices=sorted(simulator.PRESETS), help="built-in scenario")
     group.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--seed", type=int, default=0, help="seed for a random scenario")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for a random scenario")
     p.add_argument(
         "--bucket-seconds",
         type=dumpsys.positive_seconds,

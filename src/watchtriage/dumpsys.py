@@ -169,27 +169,29 @@ def _is_jsonl(text: str) -> bool:
 _scan_value = json.JSONDecoder(parse_int=bounded_int).scan_once
 
 
-def _jsonl(text: str, record) -> list[str]:
-    """The warnings of a JSON-lines dump whose objects `record(obj)` reads
-    into the dump's lists; any failure warns for its line. Each line is read
-    as `json.loads` reads it, its integers through `bounded_int`, and a line
-    it refuses warns with `json`'s own error, a line nested deeper than the
-    recursion limit included."""
-    warnings = []
-    for lineno, line in text_lines(text):
+def _jsonl_line(lineno: int, line: str, record, warnings: list[str]) -> None:
+    """Read one stripped line of a JSON-lines dump into the dump's lists
+    with `record(obj)`; any failure warns for the line. A usagestats event
+    or netstats counter row as `json.dumps` writes it never comes here: its
+    tokenizer reads it from its pattern's groups, which are the values
+    `json.loads` returns (see `_EVENT_ROWS`). Every other line is read as
+    `json.loads` reads it, its integers through `bounded_int`, and a line it
+    refuses warns with `json`'s own error, a line nested deeper than the
+    recursion limit included; a record that lacks a field warns naming it."""
+    try:
         try:
-            try:
-                obj, end = _scan_value(line, 0)
-            except StopIteration:
-                end = None
-            if end != len(line):
-                obj = json.loads(line, parse_int=bounded_int)  # refused: raises json's own error for the line
-            if not isinstance(obj, dict):
-                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-            record(obj)
-        except (KeyError, RecursionError, TypeError, ValueError) as exc:
-            warnings.append(f"line {lineno}: {exc}")
-    return warnings
+            obj, end = _scan_value(line, 0)
+        except StopIteration:
+            end = None
+        if end != len(line):
+            obj = json.loads(line, parse_int=bounded_int)  # refused: raises json's own error for the line
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+        record(obj)
+    except KeyError as exc:
+        warnings.append(f"line {lineno}: missing field {exc}")
+    except (RecursionError, TypeError, ValueError) as exc:
+        warnings.append(f"line {lineno}: {exc}")
 
 
 def _mistyped(obj: dict, **kinds) -> None:
@@ -262,6 +264,23 @@ _LEASE_LINES = line_pattern(
     _WALL_PARTS + r' iface=([!#-<>-~]+) event=([!#-<>-~]+) ip=([0-9.]+)(?: ssid=("[^"\n]*"))?'
 )
 
+# The common row of each JSON-lines dump, as `json.dumps` writes it, which its
+# tokenizer reads from the pattern's groups; every other line goes to
+# `_jsonl_line`. The groups are the values `json.loads` returns for the row:
+# printable ASCII without a quote or backslash (so no control character)
+# decodes to itself; `0|[1-9][0-9]{0,18}` is the one integer form that both
+# JSON and `bounded_int` accept; and each key appears once, in a fixed order,
+# so no key repeats. Leading spaces are what `strip` drops before `json.loads`.
+_JSON_INT = f"(0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
+_PLAIN = r'[ !#-\[\]-~]'  # printable ASCII but the quote and the backslash
+_EVENT_ROWS = line_pattern(
+    rf'\{{"record": "event", "at": {_JSON_INT}, "package": "({_PLAIN}*)", "event_type": "({_PLAIN}*)"\}}'
+)
+_COUNTER_ROWS = line_pattern(
+    rf'\{{"network_id": "({_PLAIN}+)", "st": {_JSON_INT}, "rb": {_JSON_INT}, "rp": {_JSON_INT}, '
+    rf'"tb": {_JSON_INT}, "tp": {_JSON_INT}\}}'
+)
+
 _SECTION_HEADERS = {
     "last 24 hour events:": "events",
     "weekly stats:": AggregateWindow.WEEK,
@@ -330,7 +349,8 @@ def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[Usage
 
 
 def _usagestats_jsonl(text: str) -> tuple[list[UsageEvent], list[UsageAggregate], list[str]]:
-    events, aggregates = [], []
+    events, aggregates, warnings = [], [], []
+    new = tuple.__new__
 
     def record(obj):
         kind = obj.get("record")
@@ -348,7 +368,17 @@ def _usagestats_jsonl(text: str) -> tuple[list[UsageEvent], list[UsageAggregate]
         elif kind != "capture":
             raise ValueError(f"unknown record kind {kind!r}")
 
-    return events, aggregates, _jsonl(text, record)
+    for lineno, (at, package, event_type, line) in text_lines(text, _EVENT_ROWS):
+        if not at:
+            _jsonl_line(lineno, line, record, warnings)
+        elif (epoch := int(at)) <= MAX_EPOCH:
+            events.append(new(UsageEvent, (new(Timestamp, (epoch,)), package, event_type)))  # UsageEvent checks nothing
+        else:
+            try:
+                Timestamp(epoch)  # refuses it, as on the per-line path
+            except ValueError as exc:
+                warnings.append(f"line {lineno}: {exc}")
+    return events, aggregates, warnings
 
 
 def _netstats_text(text: str) -> tuple[list[NetUsageRecord], list[str]]:
@@ -406,7 +436,8 @@ def _netstats_text(text: str) -> tuple[list[NetUsageRecord], list[str]]:
 
 
 def _netstats_jsonl(text: str) -> tuple[list[NetUsageRecord], list[str]]:
-    records = []
+    records, warnings = [], []
+    new = tuple.__new__
 
     def record(obj):
         network_id, st = obj["network_id"], obj["st"]
@@ -417,7 +448,19 @@ def _netstats_jsonl(text: str) -> tuple[list[NetUsageRecord], list[str]]:
             _mistyped(obj, network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int)
         records.append(NetUsageRecord(network_id, Timestamp(st), rb, rp, tb, tp, positive_seconds(duration)))
 
-    return records, _jsonl(text, record)
+    for lineno, (network_id, st, rb, rp, tb, tp, line) in text_lines(text, _COUNTER_ROWS):
+        if not network_id:
+            _jsonl_line(lineno, line, record, warnings)
+        elif (epoch := int(st)) <= MAX_EPOCH:  # the pattern's counters are never negative
+            at = new(Timestamp, (epoch,))
+            records.append(new(NetUsageRecord, (network_id, at, int(rb), int(rp), int(tb), int(tp),
+                                                DEFAULT_BUCKET_SECONDS)))
+        else:
+            try:
+                Timestamp(epoch)  # refuses it, as on the per-line path
+            except ValueError as exc:
+                warnings.append(f"line {lineno}: {exc}")
+    return records, warnings
 
 
 def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Timestamp], list[str]]:
@@ -476,7 +519,10 @@ def _network_stack_jsonl(text: str) -> tuple[list[LeaseEvent], list[Timestamp], 
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 
-    return leases, boots, _jsonl(text, record)
+    warnings = []
+    for lineno, line in text_lines(text):
+        _jsonl_line(lineno, line, record, warnings)
+    return leases, boots, warnings
 
 
 # --- Semantic passes: one per dump, shared by both formats.

@@ -26,6 +26,21 @@ def slug(command):
     return re.sub(r"[^A-Za-z0-9.]+", "_", command)
 
 
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """The interpreter's integer digit limit set to `digits` (0: none), on an
+    interpreter that has one (3.10.7 and later)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def tree(root):
     """Every file under root, by relative path, with its bytes."""
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -557,9 +572,31 @@ class TestEpochRange:
     def test_clock_start_past_the_bound_exits_2_before_any_step(self, tmp_path, capsys):
         out = tmp_path / "bundle"
         with pytest.raises(SystemExit) as exc:
-            run(["acquire", "--transcripts", str(tmp_path), "--out", str(out), "--clock-start", str(HUGE_EPOCH)])
+            run(["acquire", "--transcripts", str(tmp_path), "--out", str(out), "--clock-start", str(LARGE_EPOCH)])
         assert exc.value.code == 2
-        assert f"--clock-start: must be <= {MAX_EPOCH}, got {HUGE_EPOCH}" in capsys.readouterr().err
+        assert f"--clock-start: must be <= {MAX_EPOCH}, got {LARGE_EPOCH}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("digits", [20, 5000])
+    @pytest.mark.parametrize("argv, name", [
+        (["acquire", "--transcripts", "transcripts", "--clock-start"], "_clock_start"),
+        (["generate", "--seed"], "_integer"),
+    ], ids=["clock-start", "seed"])
+    def test_integer_flag_of_too_many_digits_exits_2_whatever_the_digit_limit(
+        self, argv, name, digits, tmp_path, capsys
+    ):
+        # An integer flag holds at most 19 digits, checked before `int` reads
+        # it: one exit and one message, unlimited and at the default limit.
+        value = "1" * digits
+        out = tmp_path / "out"
+        results = []
+        for limit in (0, 4300):  # unlimited, and the interpreter's default
+            with int_digit_limit(limit), pytest.raises(SystemExit) as exc:
+                run([*argv, value, "--out", str(out)])
+            results.append((exc.value.code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        code, err = results[0]
+        assert code == 2 and err.endswith(f"error: argument {argv[-1]}: invalid {name} value: {value!r}\n")
         assert not out.exists()
 
 

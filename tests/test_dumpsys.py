@@ -441,7 +441,8 @@ class TestBucketFor:
 
 def render_jsonl(s: simulator.Scenario, duration: int) -> tuple[str, str, str]:
     """The scenario's dumps in the JSON-lines form of docs/fixture-grammar.md,
-    with traffic buckets of `duration` seconds.
+    with traffic buckets of `duration` seconds, stated in each row unless it
+    is the default.
 
     Unlike simulator.render_dumps, it leaves the 24h window, the reboot and
     the sort to the parser: every app event and every lease is written, in
@@ -458,7 +459,8 @@ def render_jsonl(s: simulator.Scenario, duration: int) -> tuple[str, str, str]:
               for w, pkg, last, n in simulator.ground_truth_aggregates(s)]
     records = simulator.ground_truth_records(s, duration)
     ssids = dict.fromkeys(ssid for ssid, *_ in records)  # the text dump groups rows by network
-    net = [{"network_id": ssid, "st": st, "rb": rb, "rp": rp, "tb": tb, "tp": tp, "bucket_duration": duration}
+    stated = {} if duration == dumpsys.DEFAULT_BUCKET_SECONDS else {"bucket_duration": duration}
+    net = [{"network_id": ssid, "st": st, "rb": rb, "rp": rp, "tb": tb, "tp": tp, **stated}
            for network in ssids for ssid, st, rb, rp, tb, tp in records if ssid == network]
     stack = []
     boot = simulator.last_reboot_before_capture(s)
@@ -663,6 +665,20 @@ def test_jsonl_field_of_the_wrong_json_type_drops_its_line(parse, valid, key, va
     assert len(kept[parse](parsed)) == 1
 
 
+@pytest.mark.parametrize("parse, valid, key", [
+    (parse_usagestats, _EVENT, "package"),
+    (parse_usagestats, _AGGREGATE, "use_count"),
+    (parse_netstats, _BUCKET, "rp"),
+    (parse_network_stack, _LEASE, "private_ip"),
+    (parse_network_stack, {"record": "boot", "at": 1683700000}, "at"),
+], ids=lambda value: value.__name__ if callable(value) else None)
+def test_jsonl_record_without_a_field_warns_naming_it(parse, valid, key):
+    text = json.dumps(valid) + "\n" + json.dumps({k: v for k, v in valid.items() if k != key}) + "\n"
+    zone_args = {parse_usagestats: (CAPTURE, KST), parse_netstats: (), parse_network_stack: (KST,)}
+    _, warnings = parse(text, *zone_args[parse])
+    assert warnings == [f"line 2: missing field {key!r}"]
+
+
 def test_parsers_are_total_on_garbage_input():
     # arbitrary non-empty text degrades to warnings, never an exception
     import random
@@ -816,11 +832,12 @@ class TestScannerPath:
 
 
 class TestCommonLinePath:
-    """Each text dump is read in one `findall`: a dump's common line builds
-    its record from the pattern's groups, any other line goes through the
-    per-line rules. A "\\x0b" before every line keeps each out of the common
-    form while `strip` drops it, so all go through the per-line rules, and
-    the tokenizer's lists must be the same."""
+    """Each dump is read in one `findall`: a dump's common line builds its
+    record from the pattern's groups, any other line goes through the
+    per-line rules (for a JSON-lines dump, `json.loads`). A "\\x0b" before
+    every line keeps each out of the common form while `strip` drops it, so
+    all go through the per-line rules, and the tokenizer's lists must be the
+    same."""
 
     ZONES = [KST, "America/New_York"]
     # Wall hours in range, in a New York 2023 gap and fold, out of range in
@@ -833,9 +850,18 @@ class TestCommonLinePath:
         "usagestats": dumpsys._usagestats_text,
         "netstats": lambda text, zone: dumpsys._netstats_text(text),
         "network_stack": dumpsys._network_stack_text,
+        "usagestats_jsonl": lambda text, zone: dumpsys._usagestats_jsonl(text),
+        "netstats_jsonl": lambda text, zone: dumpsys._netstats_jsonl(text),
     }
     COMMON = {"usagestats": dumpsys._EVENT_LINES, "netstats": dumpsys._COUNTER_LINES,
-              "network_stack": dumpsys._LEASE_LINES}
+              "network_stack": dumpsys._LEASE_LINES, "usagestats_jsonl": dumpsys._EVENT_ROWS,
+              "netstats_jsonl": dumpsys._COUNTER_ROWS}
+    DUMPS = list(TOKENIZE)
+    # JSON integers in range, at and past MAX_EPOCH, of 19 and 20 digits, and negative.
+    INTEGERS = [0, 1683735256, 5, evidence.MAX_EPOCH, 10**18, evidence.MAX_EPOCH + 1, 10**19 - 1, 10**19, -1]
+    # Strings that `json.dumps` writes as themselves, then ones it escapes or
+    # that hold a character no common row takes.
+    STRINGS = ["com.x", "A", "", "b c", "x'y", "é", "\\", 'x"y', "\t", "\x7f", "\u2028"]
     MUTATIONS = [
         lambda line, rng: line + "\r",
         lambda line, rng: line + "\r\r",
@@ -850,6 +876,11 @@ class TestCommonLinePath:
 
     def wall(self, rng) -> str:
         return f"{rng.choice(self.HOURS)}:{rng.choice(self.TWO_DIGITS)}:{rng.choice(self.TWO_DIGITS)}"
+
+    @staticmethod
+    def pick(rng, values):
+        """One of `values`, most often one of the first five."""
+        return rng.choice(values[:5] if rng.random() < 0.8 else values)
 
     def line(self, dump, rng) -> str:
         """A common line of `dump` three times in five, else one of its other lines."""
@@ -874,15 +905,40 @@ class TestCommonLinePath:
                 f"      NetworkStatsHistory: bucketDuration={rng.choice(['3600', '900', '0'])}",
                 "  Xt stats:", "DUMP OF SERVICE netstats:",
             ])
-        if common:
-            return (f'  time="{self.wall(rng)}" iface={rng.choice(["wlan0", "wlan1", "wlan0ssid=1"])} '
-                    f'event={rng.choice(["DHCP_ACK", "IF_UP", "X", "ssid=X"])} '
-                    f'ip={rng.choice(["10.0.0.2", "10.0.0.3", "300.1.2.3", "10.0.0.4ssid=1"])}'
-                    + rng.choice(["", ' ssid="Cafe"', ' ssid=""', " ssid=Cafe", ' ssid="bootTime="']))
-        return f'  bootTime="{self.wall(rng)}"'
+        if dump == "network_stack":
+            if common:
+                return (f'  time="{self.wall(rng)}" iface={rng.choice(["wlan0", "wlan1", "wlan0ssid=1"])} '
+                        f'event={rng.choice(["DHCP_ACK", "IF_UP", "X", "ssid=X"])} '
+                        f'ip={rng.choice(["10.0.0.2", "10.0.0.3", "300.1.2.3", "10.0.0.4ssid=1"])}'
+                        + rng.choice(["", ' ssid="Cafe"', ' ssid=""', " ssid=Cafe", ' ssid="bootTime="']))
+            return f'  bootTime="{self.wall(rng)}"'
+        if dump == "usagestats_jsonl":
+            row = {"record": "event", "at": self.pick(rng, self.INTEGERS), "package": self.pick(rng, self.STRINGS),
+                   "event_type": self.pick(rng, self.STRINGS)}
+            if not common:
+                row = rng.choice([
+                    {"record": "capture", "at": 1683766560},
+                    {"record": "aggregate", "window": rng.choice(["week", "day"]), "package": "com.x",
+                     "last_used": rng.choice(self.INTEGERS), "use_count": rng.choice(self.INTEGERS)},
+                    {key: row[key] for key in rng.sample(list(row), rng.randint(1, 4))},
+                    {**row, rng.choice(["record", "at", "extra"]): rng.choice([*self.INTEGERS, "event", 1.5, None])},
+                ])
+        else:
+            row = {"network_id": self.pick(rng, self.STRINGS),
+                   **{key: self.pick(rng, self.INTEGERS) for key in ("st", "rb", "rp", "tb", "tp")}}
+            if not common:
+                row = rng.choice([
+                    {**row, "bucket_duration": rng.choice([3600, 900, 0, -1, "3600"])},
+                    {key: row[key] for key in rng.sample(list(row), rng.randint(1, 6))},
+                    {**row, rng.choice(["network_id", "st", "rp", "extra"]): rng.choice([5, "5", 1.0, True, None])},
+                ])
+        if common or rng.random() < 0.5:
+            return json.dumps(row)
+        return json.dumps(row, separators=rng.choice([(",", ":"), (",  ", ": "), (", ", ":")]), ensure_ascii=False)
 
     def dumps(self, dump, rng):
-        opening = {"usagestats": "Last 24 hour events:", "netstats": 'networkId="a"', "network_stack": ""}
+        opening = {"usagestats": "Last 24 hour events:", "netstats": 'networkId="a"', "network_stack": "",
+                   "usagestats_jsonl": json.dumps(_EVENT), "netstats_jsonl": json.dumps(_BUCKET)}
         for _ in range(30):
             lines = [opening[dump]]
             for _ in range(rng.randint(1, 30)):
@@ -892,7 +948,7 @@ class TestCommonLinePath:
                 lines.append(line)
             yield "\n".join(lines) + rng.choice(["\n", "\r\n", "\r\r\n", ""])
 
-    @pytest.mark.parametrize("dump", ["usagestats", "netstats", "network_stack"])
+    @pytest.mark.parametrize("dump", DUMPS)
     @pytest.mark.parametrize("zone", ZONES)
     def test_per_line_rules_read_every_line_alike(self, dump, zone):
         rng = random.Random(f"{dump}/{zone}")
@@ -935,12 +991,11 @@ _REF_LEASE_LINES = evidence.line_pattern(
 )
 
 
-def reference_tokenize(text, text_form):
+def reference_tokenize(text, text_form, jsonl_form):
     if not text or not text.strip():
         raise ValueError("dump text is empty")
-    assert not text.lstrip().startswith("{"), "the references read text dumps only"
     tokens = defaultdict(list)
-    for token in text_form(text):
+    for token in (jsonl_form if text.lstrip().startswith("{") else text_form)(text):
         tokens[type(token)].append(token)
     return tokens
 
@@ -1057,8 +1112,68 @@ def reference_network_stack_text(text, zone):
         yield lease
 
 
+# --- The JSON-lines tokenizers as they stood before the common rows were
+# read from a pattern: every line is read by `json.loads`, its integers
+# through `bounded_int`, into a dict, and each record is built from that.
+# Only the wording of a missing field's warning is the current one.
+def reference_jsonl(text, record):
+    for lineno, line in evidence.text_lines(text):
+        try:
+            obj = json.loads(line, parse_int=evidence.bounded_int)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+            token = record(obj)
+        except KeyError as exc:
+            yield f"line {lineno}: missing field {exc}"
+        except (RecursionError, TypeError, ValueError) as exc:
+            yield f"line {lineno}: {exc}"
+        else:
+            if token is not None:
+                yield token
+
+
+def reference_usagestats_record(obj):
+    kind = obj.get("record")
+    if kind == "event":
+        at, package, event_type = obj["at"], obj["package"], obj["event_type"]
+        dumpsys._mistyped(obj, at=int, package=str, event_type=str)
+        return dumpsys.UsageEvent(Timestamp(at), package, event_type)
+    if kind == "aggregate":
+        window, package = obj["window"], obj["package"]
+        last_used, count = obj["last_used"], obj["use_count"]
+        dumpsys._mistyped(obj, window=str, package=str, last_used=int, use_count=int)
+        return dumpsys.UsageAggregate(AggregateWindow(window), package, Timestamp(last_used), count)
+    if kind != "capture":
+        raise ValueError(f"unknown record kind {kind!r}")
+    return None
+
+
+def reference_netstats_record(obj):
+    network_id, st = obj["network_id"], obj["st"]
+    rb, rp, tb, tp = obj["rb"], obj["rp"], obj["tb"], obj["tp"]
+    duration = obj.get("bucket_duration", dumpsys.DEFAULT_BUCKET_SECONDS)
+    dumpsys._mistyped(obj, network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int)
+    return dumpsys.NetUsageRecord(network_id, Timestamp(st), rb, rp, tb, tp, dumpsys.positive_seconds(duration))
+
+
+def reference_network_stack_record(obj):
+    kind = obj.get("record")
+    if kind == "lease":
+        at, ip, network_id = obj["at"], obj["private_ip"], obj.get("network_id")
+        interface, event_kind = obj.get("interface", "wlan0"), obj.get("event_kind", "dhcp_ack")
+        if not (type(at) is int and type(ip) is type(interface) is type(event_kind) is str
+                and (network_id is None or type(network_id) is str)):
+            dumpsys._mistyped(obj, at=int, private_ip=str, interface=str, event_kind=str)
+            raise TypeError(f"network_id must be a JSON string or null, got {network_id!r}")
+        return dumpsys._lease(Timestamp(at), interface, ip, event_kind, network_id)
+    if kind == "boot":
+        return Timestamp(evidence.json_field(obj, "at", int))
+    raise ValueError(f"unknown record kind {kind!r}")
+
+
 def reference_parse_usagestats(text, capture_time, zone):
-    tokens = reference_tokenize(text, lambda t: reference_usagestats_text(t, zone))
+    tokens = reference_tokenize(text, lambda t: reference_usagestats_text(t, zone),
+                                lambda t: reference_jsonl(t, reference_usagestats_record))
     warnings = tokens[str]
     kept = []
     for ev in tokens[dumpsys.UsageEvent]:
@@ -1073,12 +1188,13 @@ def reference_parse_usagestats(text, capture_time, zone):
 
 
 def reference_parse_netstats(text):
-    tokens = reference_tokenize(text, reference_netstats_text)
+    tokens = reference_tokenize(text, reference_netstats_text, lambda t: reference_jsonl(t, reference_netstats_record))
     return tokens[dumpsys.NetUsageRecord], tokens[str]
 
 
 def reference_parse_network_stack(text, zone):
-    tokens = reference_tokenize(text, lambda t: reference_network_stack_text(t, zone))
+    tokens = reference_tokenize(text, lambda t: reference_network_stack_text(t, zone),
+                                lambda t: reference_jsonl(t, reference_network_stack_record))
     warnings, leases = tokens[str], tokens[dumpsys.LeaseEvent]
     boot = tokens[Timestamp][-1] if tokens[Timestamp] else None
     if boot is not None:
@@ -1099,7 +1215,8 @@ def reference_parse_network_stack(text, zone):
 class TestAgainstTheReferenceParsers:
     """Each parser gives the reference's records, warnings, order and line
     numbers: on mutated dumps, on every preset's and twenty random
-    scenarios' dumps, and on aggregate lines in and out of the strict form."""
+    scenarios' dumps in both forms, on aggregate lines in and out of the
+    strict form, and on JSON-lines rows at each edge of the common row."""
 
     PARSERS = {
         "usagestats": (lambda text, capture, zone: parse_usagestats(text, capture, zone),
@@ -1123,7 +1240,7 @@ class TestAgainstTheReferenceParsers:
         assert repr(got) == repr(expected)  # the same record types too
         return got
 
-    @pytest.mark.parametrize("dump", ["usagestats", "netstats", "network_stack"])
+    @pytest.mark.parametrize("dump", TestCommonLinePath.DUMPS)
     @pytest.mark.parametrize("zone", TestCommonLinePath.ZONES)
     def test_mutated_dumps(self, dump, zone):
         rng = random.Random(f"{dump}/{zone}")
@@ -1132,7 +1249,7 @@ class TestAgainstTheReferenceParsers:
             # A capture instant inside the mutated times' span, so that some
             # events fall outside the 24 h window and some inside.
             for capture in (CAPTURE, Timestamp(1683852960)):
-                got = self.assert_alike(dump, text, capture, zone)
+                got = self.assert_alike(dump.removesuffix("_jsonl"), text, capture, zone)
                 warned += bool(got and got[1])
         assert warned > 10
 
@@ -1141,10 +1258,51 @@ class TestAgainstTheReferenceParsers:
         scenario = (simulator.PRESETS[name]() if name in simulator.PRESETS
                     else simulator.random_scenario(int(name.removeprefix("seed-"))))
         for duration in (3600, 1800):
-            texts = simulator.render_dumps(scenario, duration)
-            for dump, text in zip(("usagestats", "netstats", "network_stack"), texts):
-                for capture in (scenario.capture_time, scenario.capture_time - 6 * 3600):
-                    self.assert_alike(dump, text, Timestamp(max(capture, 0)), scenario.display_zone)
+            for texts in (simulator.render_dumps(scenario, duration), render_jsonl(scenario, duration)):
+                for dump, text in zip(("usagestats", "netstats", "network_stack"), texts):
+                    for capture in (scenario.capture_time, scenario.capture_time - 6 * 3600):
+                        self.assert_alike(dump, text, Timestamp(max(capture, 0)), scenario.display_zone)
+
+    @staticmethod
+    def edge_rows(row, key, string):
+        """(line, whether it is a common row) for the JSON-lines `row` with
+        each integer field's value and each string's JSON text of the edge
+        cases, and the whole row in other forms."""
+        line = json.dumps(row)
+        integers = {"0": True, "9" * 19: True, "1" * 20: False, str(evidence.MAX_EPOCH): True,
+                    str(evidence.MAX_EPOCH + 1): True, f"0{row[key]}": False, "-0": False, "-1": False,
+                    "1.0": False, "1e3": False, "true": False, '"5"': False}
+        strings = {r'"\u0041"': False, r'"x\"y"': False, r'"a\/b"': False, '"a\tb"': False, '"a\x7fb"': False,
+                   '"é"': False, '""': string != "network_id"}
+        rows = [(line, True)]
+        for field in (key, "rb") if "rb" in row else (key,):
+            rows += [(line.replace(f'"{field}": {row[field]},', f'"{field}": {text},'), common)
+                     for text, common in integers.items()]
+        for field in (string, "event_type") if "event_type" in row else (string,):
+            rows += [(line.replace(f'"{field}": "{row[field]}"', f'"{field}": {text}'), common)
+                     for text, common in strings.items()]
+        rows += [
+            (line[:-1] + f', "{key}": 5}}', False),  # a repeated key
+            (line[:-1] + ', "extra": 1}', False),
+            (line[:-1] + ', "bucket_duration": 3600}', False),
+            (json.dumps(dict(reversed(row.items()))), False),
+            (json.dumps(row, separators=(",", ":")), False),
+            (json.dumps({k: v for k, v in row.items() if k != string}), False),  # a missing field
+            ("   " + line, True), ("\t" + line, False), (line + "\r", False), ("\ufeff" + line, False),
+        ]
+        return rows
+
+    @pytest.mark.parametrize("dump", ["usagestats", "netstats"])
+    def test_jsonl_rows_at_each_edge_of_the_common_row(self, dump):
+        row, key, string = {"usagestats": (_EVENT, "at", "package"), "netstats": (_BUCKET, "st", "network_id")}[dump]
+        rows = self.edge_rows(row, key, string)
+        text = "".join(line + "\n" for line, _ in rows)
+        pattern, tokenize = TestCommonLinePath.COMMON[dump + "_jsonl"], TestCommonLinePath.TOKENIZE[dump + "_jsonl"]
+        assert [any(fields[:-1]) for fields in pattern.findall(text)] == [common for _, common in rows] + [False]
+        forced = "".join("\x0b" + line + "\n" for line, _ in rows)
+        assert tokenize(text, KST) == tokenize(forced, KST)
+        parsed, warnings = self.assert_alike(dump, text, CAPTURE, KST)
+        assert len(warnings) > 15 and len(parsed.events_24h if dump == "usagestats" else parsed) > 10
 
     AGGREGATE_LINES = [
         'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3',
