@@ -488,8 +488,9 @@ def corroborate(
 
 def event_records(events: Sequence[UsageEvent], times: RenderedTimes) -> Records:
     """The JSON form of usage events; rendered times are in `times.zone`."""
-    ats = list(map(_AT_EPOCH, events))
-    columns = ats, list(map(times.__getitem__, ats)), [e.package for e in events], [e.event_type for e in events]
+    stamps, packages, event_types = zip(*events) if events else ((),) * 3
+    ats = [s.epoch for s in stamps]
+    columns = ats, list(map(times.__getitem__, ats)), packages, event_types
     return Records(("at", "rendered", "package", "event_type"), columns)
 
 
@@ -569,17 +570,16 @@ def parse_document(timeline: Timeline, bundle_digest: Optional[str], zone: str, 
     report, lease_log = timeline.report, timeline.lease_log
     boot = lease_log.boot_epoch_marker
     times = RenderedTimes(zone, [e.at for e in report.events_24h])
+    windows, packages, last_used, use_counts = zip(*report.aggregates) if report.aggregates else ((),) * 4
+    # An aggregate states its last use to the minute, never the second.
+    aggregates = Records(("window", "package", "last_used", "use_count", "precision"), (
+        [w.value for w in windows], packages, [s.epoch for s in last_used], use_counts, ["minute"] * len(windows)))
     return {
         "bundle_manifest_digest": bundle_digest,
         "usagestats": {
             "capture_time": report.capture_time.epoch,
             "events": event_records(report.events_24h, times),
-            # An aggregate states its last use to the minute, never the second.
-            "aggregates": [
-                {"window": a.window.value, "package": a.package, "last_used": a.last_used.epoch,
-                 "use_count": a.use_count, "precision": "minute"}
-                for a in report.aggregates
-            ],
+            "aggregates": aggregates,
         },
         "netstats": bucket_records(timeline.records),
         "network_stack": {

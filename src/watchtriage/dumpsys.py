@@ -172,12 +172,13 @@ _scan_value = json.JSONDecoder(parse_int=bounded_int).scan_once
 def _jsonl_line(lineno: int, line: str, record, warnings: list[str]) -> None:
     """Read one stripped line of a JSON-lines dump into the dump's lists
     with `record(obj)`; any failure warns for the line. A usagestats event
-    or netstats counter row as `json.dumps` writes it never comes here: its
-    tokenizer reads it from its pattern's groups, which are the values
-    `json.loads` returns (see `_EVENT_ROWS`). Every other line is read as
-    `json.loads` reads it, its integers through `bounded_int`, and a line it
-    refuses warns with `json`'s own error, a line nested deeper than the
-    recursion limit included; a record that lacks a field warns naming it."""
+    or aggregate row or a netstats counter row as `json.dumps` writes it
+    never comes here: its tokenizer reads it from its pattern's groups,
+    which are the values `json.loads` returns (see `_USAGE_ROWS`). Every
+    other line is read as `json.loads` reads it, its integers through
+    `bounded_int`, and a line it refuses warns with `json`'s own error, a
+    line nested deeper than the recursion limit included; a record that
+    lacks a field warns naming it."""
     try:
         try:
             obj, end = _scan_value(line, 0)
@@ -264,21 +265,28 @@ _LEASE_LINES = line_pattern(
     _WALL_PARTS + r' iface=([!#-<>-~]+) event=([!#-<>-~]+) ip=([0-9.]+)(?: ssid=("[^"\n]*"))?'
 )
 
-# The common row of each JSON-lines dump, as `json.dumps` writes it, which its
-# tokenizer reads from the pattern's groups; every other line goes to
+# The common rows of each JSON-lines dump, as `json.dumps` writes them, which
+# its tokenizer reads from the pattern's groups; every other line goes to
 # `_jsonl_line`. The groups are the values `json.loads` returns for the row:
 # printable ASCII without a quote or backslash (so no control character)
 # decodes to itself; `0|[1-9][0-9]{0,18}` is the one integer form that both
-# JSON and `bounded_int` accept; and each key appears once, in a fixed order,
-# so no key repeats. Leading spaces are what `strip` drops before `json.loads`.
+# JSON and `bounded_int` accept (a bucket duration's is the positive one that
+# `positive_seconds` accepts too); and each key appears once, in a fixed
+# order, so no key repeats. Leading spaces are what `strip` drops before
+# `json.loads`. A usagestats row's first group, the first letter of its
+# record kind, is there for `text_lines`, which takes a line whose first
+# group is not empty as a common one: an event row's other groups are empty
+# in an aggregate row, and the other way round.
 _JSON_INT = f"(0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
 _PLAIN = r'[ !#-\[\]-~]'  # printable ASCII but the quote and the backslash
-_EVENT_ROWS = line_pattern(
-    rf'\{{"record": "event", "at": {_JSON_INT}, "package": "({_PLAIN}*)", "event_type": "({_PLAIN}*)"\}}'
+_USAGE_ROWS = line_pattern(
+    rf'\{{"record": "(?=([ea]))(?:event", "at": {_JSON_INT}, "package": "({_PLAIN}*)", "event_type": "({_PLAIN}*)"'
+    rf'|aggregate", "window": "(week|month|year)", "package": "({_PLAIN}*)", "last_used": {_JSON_INT}, '
+    rf'"use_count": {_JSON_INT})\}}'
 )
 _COUNTER_ROWS = line_pattern(
     rf'\{{"network_id": "({_PLAIN}+)", "st": {_JSON_INT}, "rb": {_JSON_INT}, "rp": {_JSON_INT}, '
-    rf'"tb": {_JSON_INT}, "tp": {_JSON_INT}\}}'
+    rf'"tb": {_JSON_INT}, "tp": {_JSON_INT}(?:, "bucket_duration": ([1-9][0-9]{{0,{MAX_DIGITS - 1}}}))?\}}'
 )
 
 _SECTION_HEADERS = {
@@ -368,16 +376,19 @@ def _usagestats_jsonl(text: str) -> tuple[list[UsageEvent], list[UsageAggregate]
         elif kind != "capture":
             raise ValueError(f"unknown record kind {kind!r}")
 
-    for lineno, (at, package, event_type, line) in text_lines(text, _EVENT_ROWS):
-        if not at:
-            _jsonl_line(lineno, line, record, warnings)
-        elif (epoch := int(at)) <= MAX_EPOCH:
+    windows = {window.value: window for window in AggregateWindow}
+    for lineno, (kind, at, package, event_type, window, app, last_used, count, line) in text_lines(text, _USAGE_ROWS):
+        if at and (epoch := int(at)) <= MAX_EPOCH:
             events.append(new(UsageEvent, (new(Timestamp, (epoch,)), package, event_type)))  # UsageEvent checks nothing
-        else:
+        elif last_used and (epoch := int(last_used)) <= MAX_EPOCH:  # the pattern's count is never negative
+            aggregates.append(new(UsageAggregate, (windows[window], app, new(Timestamp, (epoch,)), int(count))))
+        elif kind:  # a row whose epoch lies past MAX_EPOCH
             try:
                 Timestamp(epoch)  # refuses it, as on the per-line path
             except ValueError as exc:
                 warnings.append(f"line {lineno}: {exc}")
+        else:
+            _jsonl_line(lineno, line, record, warnings)
     return events, aggregates, warnings
 
 
@@ -448,13 +459,13 @@ def _netstats_jsonl(text: str) -> tuple[list[NetUsageRecord], list[str]]:
             _mistyped(obj, network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int)
         records.append(NetUsageRecord(network_id, Timestamp(st), rb, rp, tb, tp, positive_seconds(duration)))
 
-    for lineno, (network_id, st, rb, rp, tb, tp, line) in text_lines(text, _COUNTER_ROWS):
+    for lineno, (network_id, st, rb, rp, tb, tp, duration, line) in text_lines(text, _COUNTER_ROWS):
         if not network_id:
             _jsonl_line(lineno, line, record, warnings)
         elif (epoch := int(st)) <= MAX_EPOCH:  # the pattern's counters are never negative
             at = new(Timestamp, (epoch,))
             records.append(new(NetUsageRecord, (network_id, at, int(rb), int(rp), int(tb), int(tp),
-                                                DEFAULT_BUCKET_SECONDS)))
+                                                int(duration) if duration else DEFAULT_BUCKET_SECONDS)))
         else:
             try:
                 Timestamp(epoch)  # refuses it, as on the per-line path

@@ -18,7 +18,6 @@ import sys
 from datetime import date, datetime
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -94,9 +93,9 @@ def write_document(obj) -> str:
     prefix (the first one opening the dict), and the closing brace, so a
     document of many like records sorts and encodes its keys once per
     shape; a `Records` list's records are written through one template
-    per shape. A `str`, `int`, `bool` or `None` inside a dict or list is
-    written inline; anything else that is no dict, list, tuple or
-    `Records` goes to `json.dumps` itself.
+    per shape and column kinds. A `str`, `int`, `bool` or `None` inside a
+    dict or list is written inline; anything else that is no dict, list,
+    tuple or `Records` goes to `json.dumps` itself.
     """
     if not isinstance(obj, _CONTAINERS):
         return json.dumps(obj) + "\n"
@@ -188,25 +187,27 @@ def _write_container(value, out: list, depth: int, shapes: dict) -> None:
 
 def _write_records(records: Records, out: list, depth: int, shapes: dict) -> None:
     """Append the text of a non-empty `Records` list nested `depth` levels
-    deep to `out`: each record through its shape's template, each sorted
-    key's prefix then `%s`, with a column of only `str` or only exact `int`
-    values encoded by one `map`. Any other column writes the dict form."""
+    deep to `out`: each record through the template of its shape and column
+    kinds, each sorted key's prefix then `%s` for a column of only `str`
+    values, encoded by one `map`, or `%d` for one of only exact `int`s,
+    which `%` writes as `str` does. Any other column writes the dict form."""
     keys, values = records.keys, records.columns
-    shape = shapes.get((depth, keys, Records))
+    kinds = tuple(_COLUMN_FORMATS.get(frozenset(map(type, column))) for column in values)
+    if None in kinds:  # a column of another kind, or of several
+        return _write_container(list(records), out, depth, shapes)
+    shape = shapes.get((depth, keys, kinds))
     if shape is None:
         members, close = _dict_shape(keys, depth + 1)
-        template = "".join(prefix.replace("%", "%%") + "%s" for prefix, _ in members) + close
-        shape = shapes[depth, keys, Records] = template, [keys.index(key) for _, key in members]
+        order = [keys.index(key) for _, key in members]
+        template = "".join(prefix.replace("%", "%%") + kinds[i] for (prefix, _), i in zip(members, order)) + close
+        shape = shapes[depth, keys, kinds] = template, order
     template, order = shape
-    try:
-        columns = [map(_COLUMN_ENCODERS[frozenset(map(type, values[i]))], values[i]) for i in order]
-    except KeyError:  # a column of another kind, or of several
-        return _write_container(list(records), out, depth, shapes)
+    columns = [map(_encode_str, values[i]) if kinds[i] == "%s" else values[i] for i in order]
     separator = ",\n" + "  " * (depth + 1)
     out.extend(("[" + separator[1:], separator.join(map(template.__mod__, zip(*columns))), f"\n{'  ' * depth}]"))
 
 
-_COLUMN_ENCODERS = {frozenset([str]): _encode_str, frozenset([int]): str}
+_COLUMN_FORMATS = {frozenset([str]): "%s", frozenset([int]): "%d"}
 
 
 def one_line(text: str) -> str:
@@ -363,8 +364,7 @@ class Timestamp(_TimestampFields):
     __slots__ = ()
 
     def __new__(cls, epoch: int):
-        if not 0 <= epoch <= MAX_EPOCH:
-            raise ValueError(f"epoch must be between 0 and {MAX_EPOCH}, got {epoch}")
+        _check_epoch(epoch)
         return tuple.__new__(cls, (epoch,))
 
     @classmethod
@@ -396,6 +396,12 @@ class Timestamp(_TimestampFields):
         return self.render(zone)[:19]
 
 
+def _check_epoch(epoch: int) -> None:
+    """Timestamp's ValueError for an epoch out of its range."""
+    if not 0 <= epoch <= MAX_EPOCH:
+        raise ValueError(f"epoch must be between 0 and {MAX_EPOCH}, got {epoch}")
+
+
 def _datetime_epoch(text: str, zone: str) -> int:
     """The epoch `datetime` gives for the wall time `text` in `zone`."""
     m = _WALL_RE.fullmatch(text)
@@ -411,20 +417,33 @@ _EPOCH = attrgetter("epoch")
 class RenderedTimes(dict):
     """The rendered times of one output document: epoch -> what
     `Timestamp(epoch).render(zone)` gives, so an instant the document shows
-    twice is rendered once. The `instants` given are rendered up front and
-    any other epoch at its first lookup, where one out of Timestamp's range
-    raises Timestamp's ValueError."""
+    twice is rendered once. The `instants` given are rendered up front, in
+    one pass that looks up how the zone writes a UTC hour once per run of
+    instants in that hour, and any other epoch at its first lookup. Either
+    way, an epoch out of Timestamp's range raises Timestamp's ValueError,
+    the first such one of `instants` in their order."""
 
     __slots__ = ("zone",)
 
     def __init__(self, zone: str, instants: Iterable[Timestamp] = ()):
-        epochs = dict.fromkeys(map(_EPOCH, instants))
-        super().__init__(zip(epochs, map(_render, epochs, repeat(zone))))
         self.zone = zone
+        run = None  # the UTC hour of the instants since the last change of hour
+        for epoch in map(_EPOCH, instants):
+            if epoch // 3600 != run:
+                _check_epoch(epoch)  # the range starts and ends with an hour, so one epoch checks it
+                run = epoch // 3600
+                hour = _render_hour(zone, run)
+                if hour is not None:
+                    offset, first, texts, suffix = hour
+            if hour is None:
+                self[epoch] = _render(epoch, zone)
+            else:
+                local = epoch + offset
+                text = texts[local // 3600 - first]
+                self[epoch] = f"{text}{_TWO_DIGITS[local % 3600 // 60]}:{_TWO_DIGITS[local % 60]}{suffix}"
 
     def __missing__(self, epoch: int) -> str:
-        if not 0 <= epoch <= MAX_EPOCH:
-            raise ValueError(f"epoch must be between 0 and {MAX_EPOCH}, got {epoch}")
+        _check_epoch(epoch)
         text = self[epoch] = _render(epoch, self.zone)
         return text
 

@@ -70,6 +70,14 @@ VALUES = {
         ("n", "v", "e"),
         [[None, "s", 1], [True, 1.5, {"k": [1, Records(("z",), [[1, 2]])]}], [Colour.RED, Level.HIGH, 0]]),
     "records of bools beside ints": Records(("t", "i"), [(True, False), (1, 0)]),
+    "one key tuple's column as int, str, bool and int enum in turn": [
+        Records(("n", "s"), [[1, -2, 10**19], ["a", "%d"]]),
+        Records(("n", "s"), [["1", "%d"], ["a", "b"]]),
+        Records(("n", "s"), [[True, False], ["a", "b"]]),
+        Records(("n", "s"), [[Level.HIGH, Level.HIGH], ["a", "b"]]),
+        Records(("n", "s"), [[-(10**20) + 1], ["c"]]),
+        {"n": 1, "s": "d"},
+    ],
     "empty records": {"r": Records(("a", "b"), [[], []]), "s": [Records(("a",), [()])]},
     "records beside dicts of their keys": {
         "d": [{"a": 1, "b": "x"}], "r": Records(("b", "a"), [["y"], [2]]), "t": [[Records(("a", "b"), [[3], [4]])]]},
@@ -126,6 +134,13 @@ def test_writer_raises_recursion_error_on_a_document_that_contains_itself():
         raise AssertionError("no RecursionError for a document that contains itself")
 
 
+def random_int(rng: random.Random) -> int:
+    """Most often a small int, else one of 19 or 20 digits, of either sign."""
+    if rng.random() < 0.7:
+        return rng.randrange(-3, 3)
+    return rng.choice((1, -1)) * rng.randrange(10**18, 10**20)
+
+
 def random_document(rng: random.Random, depth: int = 0):
     """A random JSON value; its dicts draw from four keys, so that dicts
     with one key set, in one or another insertion order, recur at many
@@ -135,7 +150,7 @@ def random_document(rng: random.Random, depth: int = 0):
         keys = tuple(rng.sample(["a", "b", "é", "%s"], rng.randrange(1, 5)))
         rows = rng.randrange(4)
         columns = [[random_document(rng, depth + 2) for _ in range(rows)] if rng.random() < 0.5
-                   else [rng.choice(["", "x", "é\n", "%"]) if kind is str else rng.randrange(-3, 3)
+                   else [rng.choice(["", "x", "é\n", "%"]) if kind is str else random_int(rng)
                          for _ in range(rows)] for kind in rng.choices((str, int), k=len(keys))]
         return Records(keys, columns)
     if depth < 4 and roll < 0.3:
@@ -145,7 +160,7 @@ def random_document(rng: random.Random, depth: int = 0):
         items = [random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
         return rng.choice((list, tuple, Rows))(items)
     return rng.choice((
-        rng.randrange(-3, 3), rng.random() < 0.5, None, rng.choice(["", "x", "é\n", "\"q\""]),
+        random_int(rng), rng.random() < 0.5, None, rng.choice(["", "x", "é\n", "\"q\""]),
         rng.choice([0.5, -0.0, float("inf")]), Level.HIGH, Colour.RED,
     ))
 

@@ -854,7 +854,7 @@ class TestCommonLinePath:
         "netstats_jsonl": lambda text, zone: dumpsys._netstats_jsonl(text),
     }
     COMMON = {"usagestats": dumpsys._EVENT_LINES, "netstats": dumpsys._COUNTER_LINES,
-              "network_stack": dumpsys._LEASE_LINES, "usagestats_jsonl": dumpsys._EVENT_ROWS,
+              "network_stack": dumpsys._LEASE_LINES, "usagestats_jsonl": dumpsys._USAGE_ROWS,
               "netstats_jsonl": dumpsys._COUNTER_ROWS}
     DUMPS = list(TOKENIZE)
     # JSON integers in range, at and past MAX_EPOCH, of 19 and 20 digits, and negative.
@@ -915,6 +915,10 @@ class TestCommonLinePath:
         if dump == "usagestats_jsonl":
             row = {"record": "event", "at": self.pick(rng, self.INTEGERS), "package": self.pick(rng, self.STRINGS),
                    "event_type": self.pick(rng, self.STRINGS)}
+            if common and rng.random() < 0.3:
+                row = {"record": "aggregate", "window": self.pick(rng, ["week", "month", "year", "week", "year", "day"]),
+                       "package": self.pick(rng, self.STRINGS), "last_used": self.pick(rng, self.INTEGERS),
+                       "use_count": self.pick(rng, self.INTEGERS)}
             if not common:
                 row = rng.choice([
                     {"record": "capture", "at": 1683766560},
@@ -926,6 +930,8 @@ class TestCommonLinePath:
         else:
             row = {"network_id": self.pick(rng, self.STRINGS),
                    **{key: self.pick(rng, self.INTEGERS) for key in ("st", "rb", "rp", "tb", "tp")}}
+            if common and rng.random() < 0.3:
+                row["bucket_duration"] = self.pick(rng, [3600, 900, 1, 10**19 - 1, 3600, 0, 10**19, -1])
             if not common:
                 row = rng.choice([
                     {**row, "bucket_duration": rng.choice([3600, 900, 0, -1, "3600"])},
@@ -1263,46 +1269,61 @@ class TestAgainstTheReferenceParsers:
                     for capture in (scenario.capture_time, scenario.capture_time - 6 * 3600):
                         self.assert_alike(dump, text, Timestamp(max(capture, 0)), scenario.display_zone)
 
-    @staticmethod
-    def edge_rows(row, key, string):
+    # Each row form the JSON-lines patterns read, with its integer fields and
+    # its string fields, whose values the edge cases below replace.
+    EDGE_ROWS = {
+        "usagestats": [(_EVENT, ("at",), ("package", "event_type")),
+                       (_AGGREGATE, ("last_used", "use_count"), ("package", "window"))],
+        "netstats": [(_BUCKET, ("st", "rb"), ("network_id",)),
+                     ({**_BUCKET, "bucket_duration": 900}, ("st", "bucket_duration"), ("network_id",))],
+    }
+    # JSON texts of a value, by whether a field's pattern takes each; the
+    # exceptions are the fields that take one otherwise.
+    INTEGER_EDGES = {"0": True, "9" * 19: True, "1" * 20: False, str(evidence.MAX_EPOCH): True,
+                     str(evidence.MAX_EPOCH + 1): True, "0123": False, "-0": False, "-1": False, "1.0": False,
+                     "1e3": False, "true": False, '"5"': False}
+    STRING_EDGES = {r'"\u0041"': False, r'"x\"y"': False, r'"a\/b"': False, '"a\tb"': False, '"a\x7fb"': False,
+                    '"é"': False, '""': True, '"month"': True, '"year"': True, '"day"': True, '"Week"': True}
+    EDGE_EXCEPTIONS = {("bucket_duration", "0"): False, ("network_id", '""'): False, ("window", '""'): False,
+                       ("window", '"day"'): False, ("window", '"Week"'): False}
+
+    @classmethod
+    def edge_rows(cls, row, integers, strings):
         """(line, whether it is a common row) for the JSON-lines `row` with
-        each integer field's value and each string's JSON text of the edge
-        cases, and the whole row in other forms."""
+        each integer and string field's value replaced by the JSON text of
+        each edge case, and for the whole row in other forms."""
         line = json.dumps(row)
-        integers = {"0": True, "9" * 19: True, "1" * 20: False, str(evidence.MAX_EPOCH): True,
-                    str(evidence.MAX_EPOCH + 1): True, f"0{row[key]}": False, "-0": False, "-1": False,
-                    "1.0": False, "1e3": False, "true": False, '"5"': False}
-        strings = {r'"\u0041"': False, r'"x\"y"': False, r'"a\/b"': False, '"a\tb"': False, '"a\x7fb"': False,
-                   '"é"': False, '""': string != "network_id"}
         rows = [(line, True)]
-        for field in (key, "rb") if "rb" in row else (key,):
-            rows += [(line.replace(f'"{field}": {row[field]},', f'"{field}": {text},'), common)
-                     for text, common in integers.items()]
-        for field in (string, "event_type") if "event_type" in row else (string,):
-            rows += [(line.replace(f'"{field}": "{row[field]}"', f'"{field}": {text}'), common)
-                     for text, common in strings.items()]
+        for fields, edges in ((integers, cls.INTEGER_EDGES), (strings, cls.STRING_EDGES)):
+            for field in fields:
+                rows += [(json.dumps({**row, field: "\0"}).replace(r'"\u0000"', text),
+                          cls.EDGE_EXCEPTIONS.get((field, text), common)) for text, common in edges.items()]
         rows += [
-            (line[:-1] + f', "{key}": 5}}', False),  # a repeated key
+            (line[:-1] + f', "{integers[0]}": 5}}', False),  # a repeated key
             (line[:-1] + ', "extra": 1}', False),
-            (line[:-1] + ', "bucket_duration": 3600}', False),
+            (line[:-1] + ', "bucket_duration": 3600}', "network_id" in row and "bucket_duration" not in row),
             (json.dumps(dict(reversed(row.items()))), False),
             (json.dumps(row, separators=(",", ":")), False),
-            (json.dumps({k: v for k, v in row.items() if k != string}), False),  # a missing field
+            (json.dumps({k: v for k, v in row.items() if k != strings[0]}), False),  # a missing field
             ("   " + line, True), ("\t" + line, False), (line + "\r", False), ("\ufeff" + line, False),
         ]
         return rows
 
     @pytest.mark.parametrize("dump", ["usagestats", "netstats"])
     def test_jsonl_rows_at_each_edge_of_the_common_row(self, dump):
-        row, key, string = {"usagestats": (_EVENT, "at", "package"), "netstats": (_BUCKET, "st", "network_id")}[dump]
-        rows = self.edge_rows(row, key, string)
+        rows = [edge for form in self.EDGE_ROWS[dump] for edge in self.edge_rows(*form)]
         text = "".join(line + "\n" for line, _ in rows)
         pattern, tokenize = TestCommonLinePath.COMMON[dump + "_jsonl"], TestCommonLinePath.TOKENIZE[dump + "_jsonl"]
         assert [any(fields[:-1]) for fields in pattern.findall(text)] == [common for _, common in rows] + [False]
         forced = "".join("\x0b" + line + "\n" for line, _ in rows)
         assert tokenize(text, KST) == tokenize(forced, KST)
         parsed, warnings = self.assert_alike(dump, text, CAPTURE, KST)
-        assert len(warnings) > 15 and len(parsed.events_24h if dump == "usagestats" else parsed) > 10
+        assert len(warnings) > 30
+        if dump == "usagestats":
+            assert len(parsed.events_24h) > 10 and len(parsed.aggregates) > 20
+            assert {a.window for a in parsed.aggregates} == set(AggregateWindow)
+        else:
+            assert {3600, 900, 10**19 - 1} <= {r.bucket_duration for r in parsed} and len(parsed) > 30
 
     AGGREGATE_LINES = [
         'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3',

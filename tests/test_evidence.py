@@ -100,10 +100,19 @@ class TestWallTimeResolver:
 
     @staticmethod
     def assert_render_matches(zone, epochs):
+        """Each epoch rendered one by one, and by RenderedTimes from all of
+        them as given, reversed, and shuffled with repeats."""
         tz = ZoneInfo(zone)
+        epochs, expected = list(epochs), {}
         for epoch in epochs:
             local = datetime.fromtimestamp(epoch, tz).isoformat(" ")
-            assert Timestamp(epoch).render(zone) == f"{local[:19]} {local[19:]}", (zone, epoch)
+            expected[epoch] = f"{local[:19]} {local[19:]}"
+            assert Timestamp(epoch).render(zone) == expected[epoch], (zone, epoch)
+        rng = random.Random(len(epochs))
+        shuffled = epochs + rng.choices(epochs, k=len(epochs) // 2)
+        rng.shuffle(shuffled)
+        for order in (epochs, epochs[::-1], shuffled):
+            assert evidence.RenderedTimes(zone, map(Timestamp, order)) == expected, zone
 
     @staticmethod
     def assert_parse_matches(zone, walls):
@@ -214,6 +223,21 @@ class TestWallTimeResolver:
             start = starts[wall[:13]]
             assert start is None or start + 60 * int(wall[14:16]) + int(wall[17:]) == epoch
             assert starts[beyond[:13]] is None and set(starts) == {wall[:13], beyond[:13]}
+
+    @pytest.mark.parametrize("zone", ["UTC", "Asia/Kathmandu", "America/New_York"])
+    def test_rendered_times_refuse_the_first_epoch_out_of_range(self, zone):
+        # Timestamps built without their check, as RenderedTimes may be given.
+        orders = [[5, MAX_EPOCH + 1, -1], [5, -1, MAX_EPOCH + 1], [MAX_EPOCH, MAX_EPOCH + 1, 0], [0, 1, -1, 2],
+                  [MAX_EPOCH + 3600, 7, -3600], [-3600, 7]]
+        for order in orders:
+            first = next(epoch for epoch in order if not 0 <= epoch <= MAX_EPOCH)
+            with pytest.raises(ValueError, match=f"epoch must be between 0 and {MAX_EPOCH}, got {first}$"):
+                evidence.RenderedTimes(zone, [tuple.__new__(Timestamp, (epoch,)) for epoch in order])
+        times = evidence.RenderedTimes(zone, [Timestamp(0), Timestamp(MAX_EPOCH)])
+        for epoch in (-1, MAX_EPOCH + 1):
+            with pytest.raises(ValueError, match=f"got {epoch}$"):
+                times[epoch]
+        assert list(times) == [0, MAX_EPOCH]
 
     def test_format_error_comes_before_the_zone_lookup(self):
         # Text outside the grammar is refused before an unknown zone is looked up.
