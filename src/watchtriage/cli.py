@@ -29,6 +29,7 @@ calls on case-size bundles cheap.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from pathlib import Path
@@ -350,6 +351,23 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; return its exit code. If the cyclic collector is on
+    and nothing is frozen, it is paused for the command, which makes no
+    reference cycles, and one full collection over the command's objects
+    (older ones frozen) ends it; the collector is then left as it was."""
+    if not gc.isenabled() or gc.get_freeze_count():
+        return _run(argv)
+    gc.disable()
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.collect()
+        gc.unfreeze()
+        gc.enable()
+
+
+def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
         args = build_parser(argv[0]).parse_args(argv[1:])

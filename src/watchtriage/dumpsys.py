@@ -173,12 +173,12 @@ def _jsonl_line(lineno: int, line: str, record, warnings: list[str]) -> None:
     """Read one stripped line of a JSON-lines dump into the dump's lists
     with `record(obj)`; any failure warns for the line. A usagestats event
     or aggregate row or a netstats counter row as `json.dumps` writes it
-    never comes here: its tokenizer reads it from its pattern's groups,
-    which are the values `json.loads` returns (see `_USAGE_ROWS`). Every
-    other line is read as `json.loads` reads it, its integers through
-    `bounded_int`, and a line it refuses warns with `json`'s own error, a
-    line nested deeper than the recursion limit included; a record that
-    lacks a field warns naming it."""
+    never comes here, but for an aggregate row past MAX_EPOCH: its
+    tokenizer reads it from its pattern's groups, which are the values
+    `json.loads` returns (see `_COUNTER_ROWS`). Every other line is read as
+    `json.loads` reads it, its integers through `bounded_int`, and a line it
+    refuses warns with `json`'s own error, a line nested deeper than the
+    recursion limit included; a record that lacks a field warns naming it."""
     try:
         try:
             obj, end = _scan_value(line, 0)
@@ -273,16 +273,17 @@ _LEASE_LINES = line_pattern(
 # JSON and `bounded_int` accept (a bucket duration's is the positive one that
 # `positive_seconds` accepts too); and each key appears once, in a fixed
 # order, so no key repeats. Leading spaces are what `strip` drops before
-# `json.loads`. A usagestats row's first group, the first letter of its
-# record kind, is there for `text_lines`, which takes a line whose first
-# group is not empty as a common one: an event row's other groups are empty
-# in an aggregate row, and the other way round.
+# `json.loads`. A usagestats aggregate row is read as a text dump's
+# aggregate line is: by a `fullmatch` of `_AGGREGATE_ROW` on each stripped
+# line that the event pattern leaves, the line `_jsonl_line` would read.
 _JSON_INT = f"(0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
 _PLAIN = r'[ !#-\[\]-~]'  # printable ASCII but the quote and the backslash
-_USAGE_ROWS = line_pattern(
-    rf'\{{"record": "(?=([ea]))(?:event", "at": {_JSON_INT}, "package": "({_PLAIN}*)", "event_type": "({_PLAIN}*)"'
-    rf'|aggregate", "window": "(week|month|year)", "package": "({_PLAIN}*)", "last_used": {_JSON_INT}, '
-    rf'"use_count": {_JSON_INT})\}}'
+_EVENT_ROWS = line_pattern(
+    rf'\{{"record": "event", "at": {_JSON_INT}, "package": "({_PLAIN}*)", "event_type": "({_PLAIN}*)"\}}'
+)
+_AGGREGATE_ROW = re.compile(
+    rf'\{{"record": "aggregate", "window": "(week|month|year)", "package": "({_PLAIN}*)", '
+    rf'"last_used": {_JSON_INT}, "use_count": {_JSON_INT}\}}'
 )
 _COUNTER_ROWS = line_pattern(
     rf'\{{"network_id": "({_PLAIN}+)", "st": {_JSON_INT}, "rb": {_JSON_INT}, "rp": {_JSON_INT}, '
@@ -377,18 +378,20 @@ def _usagestats_jsonl(text: str) -> tuple[list[UsageEvent], list[UsageAggregate]
             raise ValueError(f"unknown record kind {kind!r}")
 
     windows = {window.value: window for window in AggregateWindow}
-    for lineno, (kind, at, package, event_type, window, app, last_used, count, line) in text_lines(text, _USAGE_ROWS):
-        if at and (epoch := int(at)) <= MAX_EPOCH:
+    for lineno, (at, package, event_type, line) in text_lines(text, _EVENT_ROWS):
+        if not at:
+            row = _AGGREGATE_ROW.fullmatch(line)
+            if row and (epoch := int(row[3])) <= MAX_EPOCH:  # the pattern's count is never negative
+                aggregates.append(new(UsageAggregate, (windows[row[1]], row[2], new(Timestamp, (epoch,)), int(row[4]))))
+            else:  # any other line, or an aggregate row past MAX_EPOCH, which `record` refuses
+                _jsonl_line(lineno, line, record, warnings)
+        elif (epoch := int(at)) <= MAX_EPOCH:
             events.append(new(UsageEvent, (new(Timestamp, (epoch,)), package, event_type)))  # UsageEvent checks nothing
-        elif last_used and (epoch := int(last_used)) <= MAX_EPOCH:  # the pattern's count is never negative
-            aggregates.append(new(UsageAggregate, (windows[window], app, new(Timestamp, (epoch,)), int(count))))
-        elif kind:  # a row whose epoch lies past MAX_EPOCH
+        else:
             try:
                 Timestamp(epoch)  # refuses it, as on the per-line path
             except ValueError as exc:
                 warnings.append(f"line {lineno}: {exc}")
-        else:
-            _jsonl_line(lineno, line, record, warnings)
     return events, aggregates, warnings
 
 

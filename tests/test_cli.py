@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,11 @@ import pytest
 from watchtriage import acquisition, cli, correlate, dumpsys, evidence, policy, report, simulator
 from watchtriage.cli import main
 from watchtriage.evidence import MAX_EPOCH, SourceKind, canonical_json_bytes, seal_bundle
+from watchtriage.host_artifacts import load_host_artifacts, locate_host_artifacts
 from tests.test_acquisition import GALAXY_WATCH5_TRANSCRIPTS
+from tests.test_dumpsys import render_jsonl
 from tests.test_policy import PHONE_MANIFEST, WATCH_MANIFEST
+from tests.test_record_outputs import scaled_scenario
 
 
 def run(argv):
@@ -1119,3 +1124,156 @@ class TestPerCommandParser:
             assert all(repr(command) in err for command in CLI_OPTIONS)
         else:
             assert "the following arguments are required: command" in err
+
+
+class TestCollectorPause:
+    """`main` runs a command with the cyclic collector paused and makes one
+    full collection, over the objects the command made, when it returns.
+    That frees what the collector would have freed only because the
+    analysis path makes no reference cycles."""
+
+    @staticmethod
+    def write_bundle(name, root) -> Path:
+        """A bundle directory with its host artifacts: the case study, the
+        bench's scaled scenario, or the case study in the JSON-lines form."""
+        scenario = scaled_scenario() if name == "scaled" else simulator.PRESETS["case-study"]()
+        out = root / name
+        if name != "jsonl":
+            scenario_path = root / f"{name}.json"
+            scenario_path.write_text(json.dumps(simulator.scenario_to_dict(scenario)))
+            assert run(["generate", "--scenario", str(scenario_path), "--out", str(out)]) == 0
+            return out
+        kinds = (SourceKind.USAGESTATS, SourceKind.NETSTATS, SourceKind.NETWORK_STACK)
+        texts = render_jsonl(scenario, 3600)
+        captured = [(kind.value, kind, text.encode(), scenario.capture_time) for kind, text in zip(kinds, texts)]
+        acquisition.write_bundle_dir(seal_bundle(captured, "synthetic", scenario.display_zone), out)
+        (out / "host_artifacts").mkdir()
+        filezilla_xml, known_hosts = simulator.render_host_artifacts(scenario)
+        (out / "host_artifacts" / "recentservers.xml").write_text(filezilla_xml, encoding="utf-8")
+        (out / "host_artifacts" / "known_hosts").write_text(known_hosts, encoding="utf-8")
+        return out
+
+    @staticmethod
+    def analyse(bundle_dir, manifests):
+        """Every step `verify`, `parse`, `correlate`, `report` and `audit` take."""
+        loaded = acquisition.read_bundle_dir(bundle_dir)
+        assert evidence.verify_bundle(loaded, loaded.payloads).overall_pass
+        timeline, warnings = correlate.read_timeline(loaded)
+        sessions = correlate.match_sessions(timeline)
+        artifacts = load_host_artifacts(locate_host_artifacts(bundle_dir / "host_artifacts"))
+        findings = correlate.corroborate(sessions, artifacts.ftp_entries, artifacts.known_host_entries,
+                                         correlate.DEFAULT_RULES)
+        findings = report.attach_evidence_digests(findings, loaded, artifacts.items)
+        assert findings
+        digest, zone = loaded.bundle_manifest_digest, loaded.display_zone
+        rendered = report.render_report(findings, loaded, timeline, zone, warnings)
+        inventory, failures = policy.load_inventory(manifests)
+        verdicts = policy.audit_inventory(inventory, evidence.DeviceProfile(cpu_abi="armeabi-v7a")) + failures
+        for doc in (correlate.parse_document(timeline, digest, zone, warnings), rendered.data,
+                    correlate.findings_document(findings, digest, timeline.bucket_duration, zone, warnings),
+                    [policy.verdict_to_dict(v) for v in verdicts]):
+            evidence.document_text(doc)
+        rendered.to_markdown()
+        policy.verdicts_table(verdicts)
+
+    @pytest.mark.parametrize("name", ["case-study", "scaled", "jsonl"])
+    def test_the_analysis_path_builds_no_reference_cycles(self, name, tmp_path):
+        bundle_dir = self.write_bundle(name, tmp_path)
+        manifests = tmp_path / "manifests"
+        manifests.mkdir()
+        (manifests / "watch.xml").write_text(WATCH_MANIFEST)
+        (manifests / "phone.xml").write_text(PHONE_MANIFEST)
+        self.analyse(bundle_dir, manifests)  # first calls import modules and fill caches
+        gc.collect()
+        gc.garbage.clear()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            self.analyse(bundle_dir, manifests)
+            unreachable = gc.collect()
+            kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert unreachable == 0, f"objects in reference cycles, by type: {dict(kinds)}"
+
+    def raise_from_command(self, args):
+        """A command that records the collector's state as it runs, then fails."""
+        self.running = (gc.isenabled(), gc.get_freeze_count())
+        raise RuntimeError("a command that fails")
+
+    def calls(self, case_bundle, tmp_path, monkeypatch):
+        """(argv, exit code or the exception `main` raises) for each way out
+        of `main`, and a `parse` of the scaled bundle, which makes enough
+        objects for the collector to start unless it is paused."""
+        scaled = self.write_bundle("scaled", tmp_path)
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{"pattern": "bogus_pattern"}]))
+        _handler, help_text, add_options = cli.COMMANDS["audit"]
+        monkeypatch.setitem(cli.COMMANDS, "audit", (self.raise_from_command, help_text, add_options))
+        bundle, out = ["--bundle", str(case_bundle)], ["--out", str(tmp_path / "out")]
+        host = ["--host-artifacts", str(case_bundle / "host_artifacts")]
+        return [(["parse", *bundle, *out], 0), (["parse", "--bundle", str(scaled), *out], 0),
+                (["correlate", *bundle, *host, *out], 1), (["correlate", *bundle, "--rules", str(rules)], 2),
+                (["verify", "-h"], SystemExit), (["verify", *bundle, "--bogus"], SystemExit),
+                (["audit", "--manifests", str(tmp_path)], RuntimeError)]
+
+    @staticmethod
+    def call(argv, expected):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if isinstance(expected, int):
+                assert main(argv) == expected, argv
+            else:
+                with pytest.raises(expected):
+                    main(argv)
+
+    @staticmethod
+    def collector_state():
+        return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+    def test_a_paused_command_makes_one_full_collection_and_restores_the_collector(
+            self, case_bundle, tmp_path, monkeypatch):
+        for argv, expected in self.calls(case_bundle, tmp_path, monkeypatch):
+            before, stats = self.collector_state(), gc.get_stats()
+            self.call(argv, expected)
+            after = gc.get_stats()
+            assert self.collector_state() == before == (True, before[1], 0), argv
+            assert [after[g]["collections"] - stats[g]["collections"] for g in (0, 2)] == [0, 1], argv
+        assert self.running[0] is False and self.running[1] > 0  # paused, with the older objects frozen
+
+    def test_a_disabled_collector_is_left_alone(self, case_bundle, tmp_path, monkeypatch):
+        calls = self.calls(case_bundle, tmp_path, monkeypatch)
+        gc.disable()
+        try:
+            before = self.collector_state()
+            for argv, expected in calls:
+                stats = gc.get_stats()
+                self.call(argv, expected)
+                assert self.collector_state() == before, argv
+                assert gc.get_stats() == stats, argv
+            assert self.running == (False, 0)
+        finally:
+            gc.enable()
+
+    def test_frozen_objects_stay_frozen_and_the_collector_runs(self, case_bundle, tmp_path, monkeypatch):
+        calls = self.calls(case_bundle, tmp_path, monkeypatch)
+        gc.freeze()
+        try:
+            before, young = self.collector_state(), gc.get_stats()[0]["collections"]
+            for argv, expected in calls:
+                self.call(argv, expected)
+                assert self.collector_state() == before, argv
+            assert gc.get_stats()[0]["collections"] > young  # the collector ran during the commands
+            assert self.running == (True, before[2])
+        finally:
+            gc.unfreeze()
+
+    def test_repeated_calls_keep_no_objects(self, case_bundle, tmp_path):
+        argv = ["parse", "--bundle", str(case_bundle), "--out", str(tmp_path / "parse.json")]
+        counts = []
+        for calls in (5, 25):
+            for _ in range(calls):
+                self.call(argv, 0)
+            counts.append(len(gc.get_objects()))
+        assert counts[0] == counts[1]

@@ -835,9 +835,10 @@ class TestCommonLinePath:
     """Each dump is read in one `findall`: a dump's common line builds its
     record from the pattern's groups, any other line goes through the
     per-line rules (for a JSON-lines dump, `json.loads`). A "\\x0b" before
-    every line keeps each out of the common form while `strip` drops it, so
-    all go through the per-line rules, and the tokenizer's lists must be the
-    same."""
+    every line keeps each out of the common form while `strip` drops it, and
+    a JSON-lines aggregate row, which `_AGGREGATE_ROW` reads from the stripped
+    line, is kept from that pattern too; so all go through the per-line
+    rules, and the tokenizer's lists must be the same."""
 
     ZONES = [KST, "America/New_York"]
     # Wall hours in range, in a New York 2023 gap and fold, out of range in
@@ -854,7 +855,7 @@ class TestCommonLinePath:
         "netstats_jsonl": lambda text, zone: dumpsys._netstats_jsonl(text),
     }
     COMMON = {"usagestats": dumpsys._EVENT_LINES, "netstats": dumpsys._COUNTER_LINES,
-              "network_stack": dumpsys._LEASE_LINES, "usagestats_jsonl": dumpsys._USAGE_ROWS,
+              "network_stack": dumpsys._LEASE_LINES, "usagestats_jsonl": dumpsys._EVENT_ROWS,
               "netstats_jsonl": dumpsys._COUNTER_ROWS}
     DUMPS = list(TOKENIZE)
     # JSON integers in range, at and past MAX_EPOCH, of 19 and 20 digits, and negative.
@@ -873,6 +874,22 @@ class TestCommonLinePath:
         lambda line, rng: line.replace('"', "", 1),
         lambda line, rng: line[:rng.randrange(1, len(line))],
     ]
+
+    @classmethod
+    def from_groups(cls, dump, text) -> list[bool]:
+        """Whether the tokenizer reads each line of `text` from a pattern's
+        groups: its common-line pattern's or, for a JSON-lines usagestats
+        line that pattern leaves, `_AGGREGATE_ROW`'s on the stripped line."""
+        return [any(fields[:-1]) or (dump == "usagestats_jsonl" and bool(dumpsys._AGGREGATE_ROW.fullmatch(
+            fields[-1].strip()))) for fields in cls.COMMON[dump].findall(text)]
+
+    def per_line(self, dump, text, zone, monkeypatch):
+        """The tokenizer's lists for `text` with every line read by the per-line rules."""
+        forced = "\n".join("\x0b" + line for line in text.split("\n"))
+        assert not any(any(fields[:-1]) for fields in self.COMMON[dump].findall(forced))
+        with monkeypatch.context() as patch:
+            patch.setattr(dumpsys, "_AGGREGATE_ROW", re.compile("(?!)"))
+            return self.TOKENIZE[dump](forced, zone)
 
     def wall(self, rng) -> str:
         return f"{rng.choice(self.HOURS)}:{rng.choice(self.TWO_DIGITS)}:{rng.choice(self.TWO_DIGITS)}"
@@ -956,16 +973,14 @@ class TestCommonLinePath:
 
     @pytest.mark.parametrize("dump", DUMPS)
     @pytest.mark.parametrize("zone", ZONES)
-    def test_per_line_rules_read_every_line_alike(self, dump, zone):
+    def test_per_line_rules_read_every_line_alike(self, dump, zone, monkeypatch):
         rng = random.Random(f"{dump}/{zone}")
         common = kept = 0
         for text in self.dumps(dump, rng):
-            forced = "\n".join("\x0b" + line for line in text.split("\n"))
-            assert not any(any(fields[:-1]) for fields in self.COMMON[dump].findall(forced))
             *records, warnings = self.TOKENIZE[dump](text, zone)
-            assert (*records, warnings) == self.TOKENIZE[dump](forced, zone), text
+            assert (*records, warnings) == self.per_line(dump, text, zone, monkeypatch), text
             assert all(isinstance(w, str) for w in warnings)
-            common += sum(1 for fields in self.COMMON[dump].findall(text) if any(fields[:-1]))
+            common += sum(self.from_groups(dump, text))
             kept += sum(map(len, records))
         assert common > 20 and kept > 20
 
@@ -1291,8 +1306,10 @@ class TestAgainstTheReferenceParsers:
     def edge_rows(cls, row, integers, strings):
         """(line, whether it is a common row) for the JSON-lines `row` with
         each integer and string field's value replaced by the JSON text of
-        each edge case, and for the whole row in other forms."""
-        line = json.dumps(row)
+        each edge case, and for the whole row in other forms. An aggregate
+        row's pattern reads the stripped line, so a tab or "\\r" around it
+        keeps it a common row."""
+        line, stripped = json.dumps(row), row.get("record") == "aggregate"
         rows = [(line, True)]
         for fields, edges in ((integers, cls.INTEGER_EDGES), (strings, cls.STRING_EDGES)):
             for field in fields:
@@ -1305,18 +1322,17 @@ class TestAgainstTheReferenceParsers:
             (json.dumps(dict(reversed(row.items()))), False),
             (json.dumps(row, separators=(",", ":")), False),
             (json.dumps({k: v for k, v in row.items() if k != strings[0]}), False),  # a missing field
-            ("   " + line, True), ("\t" + line, False), (line + "\r", False), ("\ufeff" + line, False),
+            ("   " + line, True), ("\t" + line, stripped), (line + "\r", stripped), ("\ufeff" + line, False),
         ]
         return rows
 
     @pytest.mark.parametrize("dump", ["usagestats", "netstats"])
-    def test_jsonl_rows_at_each_edge_of_the_common_row(self, dump):
+    def test_jsonl_rows_at_each_edge_of_the_common_row(self, dump, monkeypatch):
         rows = [edge for form in self.EDGE_ROWS[dump] for edge in self.edge_rows(*form)]
         text = "".join(line + "\n" for line, _ in rows)
-        pattern, tokenize = TestCommonLinePath.COMMON[dump + "_jsonl"], TestCommonLinePath.TOKENIZE[dump + "_jsonl"]
-        assert [any(fields[:-1]) for fields in pattern.findall(text)] == [common for _, common in rows] + [False]
-        forced = "".join("\x0b" + line + "\n" for line, _ in rows)
-        assert tokenize(text, KST) == tokenize(forced, KST)
+        paths = TestCommonLinePath()
+        assert paths.from_groups(dump + "_jsonl", text) == [common for _, common in rows] + [False]
+        assert paths.TOKENIZE[dump + "_jsonl"](text, KST) == paths.per_line(dump + "_jsonl", text, KST, monkeypatch)
         parsed, warnings = self.assert_alike(dump, text, CAPTURE, KST)
         assert len(warnings) > 30
         if dump == "usagestats":
