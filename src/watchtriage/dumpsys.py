@@ -25,11 +25,11 @@ import ipaddress
 import json
 import re
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from .evidence import (
-    MAX_DIGITS, MAX_EPOCH, TWO_DIGIT_VALUES, Timestamp, WallHours, bounded_int, json_field, line_pattern, text_lines,
+    MAX_DIGITS, TWO_DIGIT_VALUES, Timestamp, WallHours, bounded_int, json_field, line_pattern, text_lines,
 )
 
 USAGE_WINDOW_SECONDS = 24 * 3600
@@ -172,10 +172,10 @@ _scan_value = json.JSONDecoder(parse_int=bounded_int).scan_once
 def _jsonl_line(lineno: int, line: str, record, warnings: list[str]) -> None:
     """Read one stripped line of a JSON-lines dump into the dump's lists
     with `record(obj)`; any failure warns for the line. A usagestats event
-    or aggregate row or a netstats counter row as `json.dumps` writes it
-    never comes here, but for an aggregate row past MAX_EPOCH: its
-    tokenizer reads it from its pattern's groups, which are the values
-    `json.loads` returns (see `_COUNTER_ROWS`). Every other line is read as
+    or aggregate row or a netstats counter row as `json.dumps` writes it,
+    with an epoch of at most 11 digits, never comes here: its tokenizer
+    reads it from its pattern's groups, which are the values `json.loads`
+    returns (see `_COUNTER_ROWS`). Every other line is read as
     `json.loads` reads it, its integers through `bounded_int`, and a line it
     refuses warns with `json`'s own error, a line nested deeper than the
     recursion limit included; a record that lacks a field warns naming it."""
@@ -195,12 +195,15 @@ def _jsonl_line(lineno: int, line: str, record, warnings: list[str]) -> None:
         warnings.append(f"line {lineno}: {exc}")
 
 
-def _mistyped(obj: dict, **kinds) -> None:
-    """Raise json_field's TypeError for the first field of `obj` whose JSON
-    type is not the one `kinds` names; tokenizers check inline, then call this."""
-    for key, kind in kinds.items():
-        if key in obj:
+def _fields(obj: dict, **kinds) -> tuple:
+    """The values of `obj` under the keys of `kinds` (two or more), in their
+    order: KeyError for the first key `obj` lacks, then json_field's
+    TypeError for the first value whose JSON type is not the one `kinds` names."""
+    values = itemgetter(*kinds)(obj)
+    if tuple(map(type, values)) != tuple(kinds.values()):
+        for key, kind in kinds.items():
             json_field(obj, key, kind)
+    return values
 
 
 def positive_seconds(value) -> int:
@@ -256,11 +259,12 @@ _AGGREGATE_LINE = re.compile(rf'package=([!#-~]+) lastTimeUsed="(\d{{4}}-\d\d-\d
 # printable ASCII without space or quote (or, in a lease, "="), so no skip,
 # header or boot rule and no earlier field can take it. A lease's SSID comes
 # with its quotes, so that an empty one is told from none. The wall time
-# comes split as `Timestamp.parse_parts` takes it, and as `parse` splits it:
-# `\d` takes any decimal digit, and both read only ASCII ones as a time.
-_WALL_PARTS = r'time="(\d{4}-\d\d-\d\d \d\d):(\d\d):(\d\d)"'
+# comes split into its "YYYY-MM-DD HH" hour, which the dump's WallHours
+# settles, and a minute and second of TWO_DIGIT_VALUES; a common line whose
+# hour it cannot settle reads its wall time through `Timestamp.parse`.
+_WALL_PARTS = r'time="([0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}):([0-5][0-9]):([0-5][0-9])"'
 _EVENT_LINES = line_pattern(_WALL_PARTS + r' type=([!#-~]+) package=([!#-~]+)')
-_COUNTER_LINES = line_pattern(f'st=([0-9]{{1,12}}) rb=({_DIGITS}) rp=({_DIGITS}) tb=({_DIGITS}) tp=({_DIGITS})')
+_COUNTER_LINES = line_pattern(f'st=([0-9]{{1,11}}) rb=({_DIGITS}) rp=({_DIGITS}) tb=({_DIGITS}) tp=({_DIGITS})')
 _LEASE_LINES = line_pattern(
     _WALL_PARTS + r' iface=([!#-<>-~]+) event=([!#-<>-~]+) ip=([0-9.]+)(?: ssid=("[^"\n]*"))?'
 )
@@ -271,22 +275,25 @@ _LEASE_LINES = line_pattern(
 # printable ASCII without a quote or backslash (so no control character)
 # decodes to itself; `0|[1-9][0-9]{0,18}` is the one integer form that both
 # JSON and `bounded_int` accept (a bucket duration's is the positive one that
-# `positive_seconds` accepts too); and each key appears once, in a fixed
+# `positive_seconds` accepts too); an epoch takes at most 11 digits, as a
+# text dump's `st` does, so that it is one Timestamp accepts, and a row with
+# a longer one is read per line; and each key appears once, in a fixed
 # order, so no key repeats. Leading spaces are what `strip` drops before
 # `json.loads`. A usagestats aggregate row is read as a text dump's
 # aggregate line is: by a `fullmatch` of `_AGGREGATE_ROW` on each stripped
 # line that the event pattern leaves, the line `_jsonl_line` would read.
 _JSON_INT = f"(0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
+_JSON_EPOCH = "(0|[1-9][0-9]{0,10})"  # at most 10**11 - 1, below MAX_EPOCH
 _PLAIN = r'[ !#-\[\]-~]'  # printable ASCII but the quote and the backslash
 _EVENT_ROWS = line_pattern(
-    rf'\{{"record": "event", "at": {_JSON_INT}, "package": "({_PLAIN}*)", "event_type": "({_PLAIN}*)"\}}'
+    rf'\{{"record": "event", "at": {_JSON_EPOCH}, "package": "({_PLAIN}*)", "event_type": "({_PLAIN}*)"\}}'
 )
 _AGGREGATE_ROW = re.compile(
     rf'\{{"record": "aggregate", "window": "(week|month|year)", "package": "({_PLAIN}*)", '
-    rf'"last_used": {_JSON_INT}, "use_count": {_JSON_INT}\}}'
+    rf'"last_used": {_JSON_EPOCH}, "use_count": {_JSON_INT}\}}'
 )
 _COUNTER_ROWS = line_pattern(
-    rf'\{{"network_id": "({_PLAIN}+)", "st": {_JSON_INT}, "rb": {_JSON_INT}, "rp": {_JSON_INT}, '
+    rf'\{{"network_id": "({_PLAIN}+)", "st": {_JSON_EPOCH}, "rb": {_JSON_INT}, "rp": {_JSON_INT}, '
     rf'"tb": {_JSON_INT}, "tp": {_JSON_INT}(?:, "bucket_duration": ([1-9][0-9]{{0,{MAX_DIGITS - 1}}}))?\}}'
 )
 
@@ -307,15 +314,16 @@ _SECTION_HEADERS = {
 
 def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[UsageAggregate], list[str]]:
     events, aggregates, warnings = [], [], []
-    starts, two_digits, new = WallHours(zone), TWO_DIGIT_VALUES.get, tuple.__new__
+    starts, two_digits, new = WallHours(zone), TWO_DIGIT_VALUES, tuple.__new__
     section = None
     for lineno, (hour, minute, second, event_type, package, line) in text_lines(text, _EVENT_LINES):
         if hour:
-            start, minutes, seconds = starts[hour], two_digits(minute), two_digits(second)
-            if start is not None and minutes is not None and seconds is not None:
-                at = new(Timestamp, (start + 60 * minutes + seconds,))  # in range: see WallHours
+            start = starts[hour]
+            if start is not None:
+                at = new(Timestamp, (start + 60 * two_digits[minute] + two_digits[second],))  # in range: see WallHours
                 events.append(new(UsageEvent, (at, package, event_type)))  # UsageEvent checks nothing
                 continue
+            wall = f"{hour}:{minute}:{second}"
         else:
             aggregate = _AGGREGATE_LINE.fullmatch(line)
             if aggregate is None:
@@ -349,7 +357,7 @@ def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[Usage
                 continue
             wall, event_type, package = m.groups()
         try:
-            at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
+            at = Timestamp.parse(wall, zone)
         except ValueError as exc:
             warnings.append(f"line {lineno}: bad event time ({exc})")
             continue
@@ -364,34 +372,23 @@ def _usagestats_jsonl(text: str) -> tuple[list[UsageEvent], list[UsageAggregate]
     def record(obj):
         kind = obj.get("record")
         if kind == "event":
-            at, package, event_type = obj["at"], obj["package"], obj["event_type"]
-            if not (type(at) is int and type(package) is type(event_type) is str):
-                _mistyped(obj, at=int, package=str, event_type=str)
+            at, package, event_type = _fields(obj, at=int, package=str, event_type=str)
             events.append(UsageEvent(Timestamp(at), package, event_type))
         elif kind == "aggregate":
-            window, package = obj["window"], obj["package"]
-            last_used, count = obj["last_used"], obj["use_count"]
-            if not (type(window) is type(package) is str and type(last_used) is type(count) is int):
-                _mistyped(obj, window=str, package=str, last_used=int, use_count=int)
+            window, package, last_used, count = _fields(obj, window=str, package=str, last_used=int, use_count=int)
             aggregates.append(UsageAggregate(AggregateWindow(window), package, Timestamp(last_used), count))
         elif kind != "capture":
             raise ValueError(f"unknown record kind {kind!r}")
 
     windows = {window.value: window for window in AggregateWindow}
     for lineno, (at, package, event_type, line) in text_lines(text, _EVENT_ROWS):
-        if not at:
-            row = _AGGREGATE_ROW.fullmatch(line)
-            if row and (epoch := int(row[3])) <= MAX_EPOCH:  # the pattern's count is never negative
-                aggregates.append(new(UsageAggregate, (windows[row[1]], row[2], new(Timestamp, (epoch,)), int(row[4]))))
-            else:  # any other line, or an aggregate row past MAX_EPOCH, which `record` refuses
-                _jsonl_line(lineno, line, record, warnings)
-        elif (epoch := int(at)) <= MAX_EPOCH:
-            events.append(new(UsageEvent, (new(Timestamp, (epoch,)), package, event_type)))  # UsageEvent checks nothing
+        if at:  # UsageEvent checks nothing
+            events.append(new(UsageEvent, (new(Timestamp, (int(at),)), package, event_type)))
+        elif row := _AGGREGATE_ROW.fullmatch(line):  # the pattern's count is never negative
+            last_used = new(Timestamp, (int(row[3]),))
+            aggregates.append(new(UsageAggregate, (windows[row[1]], row[2], last_used, int(row[4]))))
         else:
-            try:
-                Timestamp(epoch)  # refuses it, as on the per-line path
-            except ValueError as exc:
-                warnings.append(f"line {lineno}: {exc}")
+            _jsonl_line(lineno, line, record, warnings)
     return events, aggregates, warnings
 
 
@@ -402,11 +399,11 @@ def _netstats_text(text: str) -> tuple[list[NetUsageRecord], list[str]]:
     duration: Optional[int] = DEFAULT_BUCKET_SECONDS  # None: the stated one was invalid
     for lineno, (st, rb, rp, tb, tp, line) in text_lines(text, _COUNTER_LINES):
         if st:
-            # The pattern takes ASCII digits alone, at most 12 for `st` as for
-            # MAX_EPOCH: `int` reads each, no counter is negative, and an `st`
-            # up to MAX_EPOCH is an epoch Timestamp accepts.
-            if (epoch := int(st)) <= MAX_EPOCH and current_network is not None and duration is not None:
-                at = new(Timestamp, (epoch,))
+            # The pattern takes ASCII digits alone, at most 11 for `st`: `int`
+            # reads each, no counter is negative, and `st` is an epoch
+            # Timestamp accepts.
+            if current_network is not None and duration is not None:
+                at = new(Timestamp, (int(st),))
                 records.append(new(NetUsageRecord, (current_network, at, int(rb), int(rp), int(tb), int(tp), duration)))
                 continue
         else:
@@ -454,36 +451,30 @@ def _netstats_jsonl(text: str) -> tuple[list[NetUsageRecord], list[str]]:
     new = tuple.__new__
 
     def record(obj):
-        network_id, st = obj["network_id"], obj["st"]
-        rb, rp, tb, tp = obj["rb"], obj["rp"], obj["tb"], obj["tp"]
-        duration = obj.get("bucket_duration", DEFAULT_BUCKET_SECONDS)
-        if not (type(network_id) is str
-                and type(st) is type(rb) is type(rp) is type(tb) is type(tp) is type(duration) is int):
-            _mistyped(obj, network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int)
+        network_id, st, rb, rp, tb, tp, duration = _fields(
+            {"bucket_duration": DEFAULT_BUCKET_SECONDS, **obj},
+            network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int,
+        )
         records.append(NetUsageRecord(network_id, Timestamp(st), rb, rp, tb, tp, positive_seconds(duration)))
 
     for lineno, (network_id, st, rb, rp, tb, tp, duration, line) in text_lines(text, _COUNTER_ROWS):
-        if not network_id:
-            _jsonl_line(lineno, line, record, warnings)
-        elif (epoch := int(st)) <= MAX_EPOCH:  # the pattern's counters are never negative
-            at = new(Timestamp, (epoch,))
+        if network_id:  # the pattern's counters are never negative
+            at = new(Timestamp, (int(st),))
             records.append(new(NetUsageRecord, (network_id, at, int(rb), int(rp), int(tb), int(tp),
                                                 int(duration) if duration else DEFAULT_BUCKET_SECONDS)))
         else:
-            try:
-                Timestamp(epoch)  # refuses it, as on the per-line path
-            except ValueError as exc:
-                warnings.append(f"line {lineno}: {exc}")
+            _jsonl_line(lineno, line, record, warnings)
     return records, warnings
 
 
 def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Timestamp], list[str]]:
     leases, boots, warnings = [], [], []
-    starts, two_digits = WallHours(zone), TWO_DIGIT_VALUES.get
+    starts, two_digits = WallHours(zone), TWO_DIGIT_VALUES
     for lineno, (hour, minute, second, interface, kind, ip, ssid, line) in text_lines(text, _LEASE_LINES):
         if hour:
             network_id = ssid[1:-1] if ssid else None
-            start, minutes, seconds = starts[hour], two_digits(minute), two_digits(second)
+            start = starts[hour]
+            wall = None if start is not None else f"{hour}:{minute}:{second}"
         else:
             if line.startswith("DUMP OF SERVICE"):
                 continue
@@ -503,10 +494,10 @@ def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Ti
                 warnings.append(f"line {lineno}: lease ssid= is not a quoted string after ip=; dropped")
                 continue
         try:
-            if hour and start is not None and minutes is not None and seconds is not None:
-                at = tuple.__new__(Timestamp, (start + 60 * minutes + seconds,))  # in range: see WallHours
+            if wall is None:
+                at = tuple.__new__(Timestamp, (start + 60 * two_digits[minute] + two_digits[second],))  # see WallHours
             else:
-                at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
+                at = Timestamp.parse(wall, zone)
             lease = _lease(at, interface, ip, kind, network_id)
         except ValueError as exc:
             warnings.append(f"line {lineno}: bad lease line ({exc})")
@@ -521,11 +512,12 @@ def _network_stack_jsonl(text: str) -> tuple[list[LeaseEvent], list[Timestamp], 
     def record(obj):
         kind = obj.get("record")
         if kind == "lease":
-            at, ip, network_id = obj["at"], obj["private_ip"], obj.get("network_id")
-            interface, event_kind = obj.get("interface", "wlan0"), obj.get("event_kind", "dhcp_ack")
-            if not (type(at) is int and type(ip) is type(interface) is type(event_kind) is str
-                    and (network_id is None or type(network_id) is str)):
-                _mistyped(obj, at=int, private_ip=str, interface=str, event_kind=str)
+            at, ip, interface, event_kind = _fields(
+                {"interface": "wlan0", "event_kind": "dhcp_ack", **obj},
+                at=int, private_ip=str, interface=str, event_kind=str,
+            )
+            network_id = obj.get("network_id")
+            if not (network_id is None or type(network_id) is str):
                 raise TypeError(f"network_id must be a JSON string or null, got {network_id!r}")
             leases.append(_lease(Timestamp(at), interface, ip, event_kind, network_id))
         elif kind == "boot":

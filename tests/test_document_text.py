@@ -2,10 +2,9 @@
 
 Every JSON document the CLI writes is `document_text(doc)`, which must be
 byte for byte `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` of the
-document with each `Records` list expanded into its dicts. Before Python
-3.13 it is `write_document`'s text; the checks below call that writer
-directly, so they test it on every Python version. They need no
-pytest, so an interpreter without it runs them too:
+document with each `Records` list expanded into its dicts. It is one
+writer on every Python version, so the checks below test the same code on
+each. They need no pytest, so an interpreter without it runs them too:
 
     PYTHONPATH=src python3 tests/test_document_text.py
 """
@@ -18,8 +17,8 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from watchtriage import cli, evidence, policy, simulator
-from watchtriage.evidence import Records, document_text, write_document
+from watchtriage import cli, policy, simulator
+from watchtriage.evidence import Records, document_text
 
 
 class Colour(str, enum.Enum):
@@ -109,14 +108,13 @@ def stdlib_text(obj) -> str:
 
 def test_writer_matches_the_stdlib_on_every_kind_of_value():
     for name, value in VALUES.items():
-        assert write_document(value) == stdlib_text(value), name
         assert document_text(value) == stdlib_text(value), name
 
 
 def test_writer_rejects_a_key_that_is_not_a_string():
     for value in ({1: "a"}, {"a": [{None: 1}]}):
         try:
-            write_document(value)
+            document_text(value)
         except TypeError:
             continue
         raise AssertionError(f"no TypeError for {value!r}")
@@ -128,7 +126,7 @@ def test_writer_raises_recursion_error_on_a_document_that_contains_itself():
     looped_list.append({"self": looped_list})
     for value in (looped_dict, looped_list):
         try:
-            write_document(value)
+            document_text(value)
         except RecursionError:
             continue
         raise AssertionError("no RecursionError for a document that contains itself")
@@ -169,7 +167,7 @@ def test_writer_matches_the_stdlib_on_random_documents():
     rng = random.Random(20231019)
     for _ in range(3000):
         value = random_document(rng)
-        assert write_document(value) == stdlib_text(value), repr(value)
+        assert document_text(value) == stdlib_text(value), repr(value)
 
 
 def test_writer_keeps_no_state_between_documents():
@@ -177,29 +175,29 @@ def test_writer_keeps_no_state_between_documents():
     shallow = [{"a": 1, "b": "x"}]
     deep = {"a": [{"a": 2, "b": None}], "b": {"b": True, "a": {}}}
     for value in (shallow, deep, shallow, deep):
-        assert write_document(value) == stdlib_text(value)
+        assert document_text(value) == stdlib_text(value)
 
 
 def test_writer_rejects_what_the_stdlib_rejects():
     for value in ({"a": object()}, [b"bytes"], {"s": {1, 2}}, Records(("a", "b"), [["x"], [object()]])):
         try:
-            write_document(value)
+            document_text(value)
         except TypeError as exc:
             assert "is not JSON serializable" in str(exc)
             continue
         raise AssertionError(f"no TypeError for {value!r}")
 
 
-def test_document_text_is_the_stdlib_call_from_python_3_13():
-    value = VALUES["key order"]
-    if sys.version_info >= (3, 13):
-        with mock.patch.object(evidence, "write_document", side_effect=AssertionError("writer called")):
-            assert document_text(value) == stdlib_text(value)
-            records = VALUES["records with mixed columns"]
-            assert document_text(records) == stdlib_text(records)
-    else:
-        with mock.patch.object(evidence, "write_document", return_value="written"):
-            assert document_text(value) == "written"
+def test_document_text_never_hands_a_document_to_the_indenting_encoder():
+    # On every Python version the writer makes the text, the stdlib's
+    # indented dump all the same; it calls `json.dumps` only for a lone
+    # value it does not write inline, such as a float.
+    names = ("key order", "records with mixed columns", "records of bools beside ints", "floats")
+    expected = {name: stdlib_text(VALUES[name]) for name in names}
+    with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+        for name in names:
+            assert document_text(VALUES[name]) == expected[name], name
+    assert dumps.called and not any(call.kwargs for call in dumps.call_args_list)
 
 
 def cli_outputs(commands, writer) -> dict[str, bytes]:
@@ -258,7 +256,7 @@ def audit_commands(tmp: Path) -> dict:
 
 def test_cli_json_outputs_match_the_stdlib():
     for commands in (generate_commands, audit_commands):
-        written = cli_outputs(commands, write_document)
+        written = cli_outputs(commands, document_text)
         expected = cli_outputs(commands, stdlib_text)
         assert written.keys() == expected.keys()
         assert any(name.endswith(".json") for name in written)

@@ -679,6 +679,36 @@ def test_jsonl_record_without_a_field_warns_naming_it(parse, valid, key):
     assert warnings == [f"line 2: missing field {key!r}"]
 
 
+# Rows with two faults, their keys in the order `json.dumps` writes them: a
+# missing field is named before a mistyped one that precedes it, of two
+# mistyped fields the first is named, and a lease's network_id after all.
+TWO_FAULTS = [
+    (parse_usagestats, {"record": "event", "at": "1683735256", "package": "com.x"}, "missing field 'event_type'"),
+    (parse_usagestats, {**_EVENT, "at": 1.5, "package": 5}, "at must be a JSON integer, got 1.5"),
+    (parse_usagestats, {**_EVENT, "package": 5, "event_type": None}, "package must be a JSON string, got 5"),
+    (parse_usagestats, {"record": "aggregate", "window": 7, "package": "com.x", "last_used": 1683737520},
+     "missing field 'use_count'"),
+    (parse_usagestats, {**_AGGREGATE, "last_used": "1", "use_count": 3.0}, "last_used must be a JSON integer, got '1'"),
+    (parse_netstats, {"network_id": "a", "st": "1683734400", "rb": 1, "tb": 1, "tp": 1}, "missing field 'rp'"),
+    (parse_netstats, {**_BUCKET, "rb": "1", "tp": None}, "rb must be a JSON integer, got '1'"),
+    (parse_netstats, {**_BUCKET, "tp": 1.0, "bucket_duration": "3600"}, "tp must be a JSON integer, got 1.0"),
+    (parse_network_stack, {"record": "lease", "at": 1.5, "interface": "wlan0"}, "missing field 'private_ip'"),
+    (parse_network_stack, {**_LEASE, "at": "1", "network_id": 5}, "at must be a JSON integer, got '1'"),
+    (parse_network_stack, {**_LEASE, "interface": 0, "event_kind": 1}, "interface must be a JSON string, got 0"),
+    (parse_network_stack, {**_LEASE, "event_kind": 1, "network_id": 5}, "event_kind must be a JSON string, got 1"),
+]
+
+
+@pytest.mark.parametrize("parse, row, message", TWO_FAULTS,
+                         ids=[f"{p.__name__}-{m.split()[0]}" for p, _, m in TWO_FAULTS])
+def test_jsonl_row_with_two_faults_warns_for_the_first_the_record_reads(parse, row, message):
+    valid = {parse_usagestats: _EVENT, parse_netstats: _BUCKET, parse_network_stack: _LEASE}[parse]
+    text = json.dumps(valid) + "\n" + json.dumps(row) + "\n"
+    zone_args = {parse_usagestats: (CAPTURE, KST), parse_netstats: (), parse_network_stack: (KST,)}
+    _, warnings = parse(text, *zone_args[parse])
+    assert warnings == [f"line 2: {message}"]
+
+
 def test_parsers_are_total_on_garbage_input():
     # arbitrary non-empty text degrades to warnings, never an exception
     import random
@@ -858,8 +888,10 @@ class TestCommonLinePath:
               "network_stack": dumpsys._LEASE_LINES, "usagestats_jsonl": dumpsys._EVENT_ROWS,
               "netstats_jsonl": dumpsys._COUNTER_ROWS}
     DUMPS = list(TOKENIZE)
-    # JSON integers in range, at and past MAX_EPOCH, of 19 and 20 digits, and negative.
-    INTEGERS = [0, 1683735256, 5, evidence.MAX_EPOCH, 10**18, evidence.MAX_EPOCH + 1, 10**19 - 1, 10**19, -1]
+    # JSON integers in range, at and past MAX_EPOCH, of 19 and 20 digits, and negative; and
+    # the last epoch a common row takes and the first, still in range, that it leaves.
+    INTEGERS = [0, 1683735256, 5, evidence.MAX_EPOCH, 10**18, evidence.MAX_EPOCH + 1, 10**19 - 1, 10**19, -1,
+                10**11 - 1, 10**11]
     # Strings that `json.dumps` writes as themselves, then ones it escapes or
     # that hold a character no common row takes.
     STRINGS = ["com.x", "A", "", "b c", "x'y", "é", "\\", 'x"y', "\t", "\x7f", "\u2028"]
@@ -914,7 +946,7 @@ class TestCommonLinePath:
         if dump == "netstats":
             if common:
                 st = rng.choice([1683734400, 1683738000, 0, evidence.MAX_EPOCH, evidence.MAX_EPOCH + 1,
-                                 10 ** 12, "0001683734400", "9" * 5000])
+                                 10 ** 12, "0001683734400", "9" * 5000, 10 ** 11 - 1, 10 ** 11])
                 counters = [-1 if rng.random() < 0.05 else rng.choice([0, 5, 47185920]) for _ in range(4)]
                 return "        st={} rb={} rp={} tb={} tp={}".format(st, *counters)
             return rng.choice([
@@ -1052,7 +1084,7 @@ def reference_usagestats_text(text, zone):
                 continue
             wall, event_type, package = m.groups()
         try:
-            at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
+            at = Timestamp.parse(f"{hour}:{minute}:{second}" if hour else wall, zone)
         except ValueError as exc:
             yield f"line {lineno}: bad event time ({exc})"
             continue
@@ -1125,7 +1157,7 @@ def reference_network_stack_text(text, zone):
                 yield f"line {lineno}: lease ssid= is not a quoted string after ip=; dropped"
                 continue
         try:
-            at = Timestamp.parse_parts(hour, minute, second, zone) if hour else Timestamp.parse(wall, zone)
+            at = Timestamp.parse(f"{hour}:{minute}:{second}" if hour else wall, zone)
             lease = dumpsys._lease(at, interface, ip, kind, network_id)
         except ValueError as exc:
             yield f"line {lineno}: bad lease line ({exc})"
@@ -1137,6 +1169,14 @@ def reference_network_stack_text(text, zone):
 # read from a pattern: every line is read by `json.loads`, its integers
 # through `bounded_int`, into a dict, and each record is built from that.
 # Only the wording of a missing field's warning is the current one.
+def reference_mistyped(obj, **kinds):
+    """Raise json_field's TypeError for the first field of `obj` whose JSON
+    type is not the one `kinds` names."""
+    for key, kind in kinds.items():
+        if key in obj:
+            evidence.json_field(obj, key, kind)
+
+
 def reference_jsonl(text, record):
     for lineno, line in evidence.text_lines(text):
         try:
@@ -1157,12 +1197,12 @@ def reference_usagestats_record(obj):
     kind = obj.get("record")
     if kind == "event":
         at, package, event_type = obj["at"], obj["package"], obj["event_type"]
-        dumpsys._mistyped(obj, at=int, package=str, event_type=str)
+        reference_mistyped(obj, at=int, package=str, event_type=str)
         return dumpsys.UsageEvent(Timestamp(at), package, event_type)
     if kind == "aggregate":
         window, package = obj["window"], obj["package"]
         last_used, count = obj["last_used"], obj["use_count"]
-        dumpsys._mistyped(obj, window=str, package=str, last_used=int, use_count=int)
+        reference_mistyped(obj, window=str, package=str, last_used=int, use_count=int)
         return dumpsys.UsageAggregate(AggregateWindow(window), package, Timestamp(last_used), count)
     if kind != "capture":
         raise ValueError(f"unknown record kind {kind!r}")
@@ -1173,7 +1213,7 @@ def reference_netstats_record(obj):
     network_id, st = obj["network_id"], obj["st"]
     rb, rp, tb, tp = obj["rb"], obj["rp"], obj["tb"], obj["tp"]
     duration = obj.get("bucket_duration", dumpsys.DEFAULT_BUCKET_SECONDS)
-    dumpsys._mistyped(obj, network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int)
+    reference_mistyped(obj, network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int)
     return dumpsys.NetUsageRecord(network_id, Timestamp(st), rb, rp, tb, tp, dumpsys.positive_seconds(duration))
 
 
@@ -1184,7 +1224,7 @@ def reference_network_stack_record(obj):
         interface, event_kind = obj.get("interface", "wlan0"), obj.get("event_kind", "dhcp_ack")
         if not (type(at) is int and type(ip) is type(interface) is type(event_kind) is str
                 and (network_id is None or type(network_id) is str)):
-            dumpsys._mistyped(obj, at=int, private_ip=str, interface=str, event_kind=str)
+            reference_mistyped(obj, at=int, private_ip=str, interface=str, event_kind=str)
             raise TypeError(f"network_id must be a JSON string or null, got {network_id!r}")
         return dumpsys._lease(Timestamp(at), interface, ip, event_kind, network_id)
     if kind == "boot":
@@ -1293,14 +1333,17 @@ class TestAgainstTheReferenceParsers:
                      ({**_BUCKET, "bucket_duration": 900}, ("st", "bucket_duration"), ("network_id",))],
     }
     # JSON texts of a value, by whether a field's pattern takes each; the
-    # exceptions are the fields that take one otherwise.
-    INTEGER_EDGES = {"0": True, "9" * 19: True, "1" * 20: False, str(evidence.MAX_EPOCH): True,
-                     str(evidence.MAX_EPOCH + 1): True, "0123": False, "-0": False, "-1": False, "1.0": False,
-                     "1e3": False, "true": False, '"5"': False}
+    # exceptions are the fields that take one otherwise: an epoch takes at
+    # most 11 digits.
+    INTEGER_EDGES = {"0": True, "9" * 19: True, "1" * 20: False, str(10**11 - 1): True, str(10**11): True,
+                     str(evidence.MAX_EPOCH): True, str(evidence.MAX_EPOCH + 1): True, "0123": False, "-0": False,
+                     "-1": False, "1.0": False, "1e3": False, "true": False, '"5"': False}
     STRING_EDGES = {r'"\u0041"': False, r'"x\"y"': False, r'"a\/b"': False, '"a\tb"': False, '"a\x7fb"': False,
                     '"é"': False, '""': True, '"month"': True, '"year"': True, '"day"': True, '"Week"': True}
     EDGE_EXCEPTIONS = {("bucket_duration", "0"): False, ("network_id", '""'): False, ("window", '""'): False,
-                       ("window", '"day"'): False, ("window", '"Week"'): False}
+                       ("window", '"day"'): False, ("window", '"Week"'): False,
+                       **{(epoch, text): False for epoch in ("at", "last_used", "st") for text in
+                          ("9" * 19, str(10**11), str(evidence.MAX_EPOCH), str(evidence.MAX_EPOCH + 1))}}
 
     @classmethod
     def edge_rows(cls, row, integers, strings):

@@ -208,17 +208,15 @@ class TestWallTimeResolver:
     @pytest.mark.parametrize("zone", ["UTC", "America/New_York", "Pacific/Kiritimati", "Asia/Kathmandu"])
     def test_range_ends_read_alike_whole_and_in_parts(self, zone):
         # The wall times of epoch 0 and MAX_EPOCH read back, and a second
-        # beyond either is refused, whether the text comes whole or split.
+        # beyond either is refused, whether the text is read whole or its
+        # hour through a dump's table of hour starts.
         for epoch, step in ((0, -1), (MAX_EPOCH, 1)):
             wall = Timestamp(epoch).wall(zone)
             beyond = (datetime.fromisoformat(wall) + timedelta(seconds=step)).isoformat(" ")
             assert Timestamp.parse(wall, zone).epoch == epoch
-            assert Timestamp.parse_parts(wall[:13], wall[14:16], wall[17:], zone).epoch == epoch
             with pytest.raises(ValueError, match="epoch must be between"):
                 Timestamp.parse(beyond, zone)
-            with pytest.raises(ValueError, match="epoch must be between"):
-                Timestamp.parse_parts(beyond[:13], beyond[14:16], beyond[17:], zone)
-            # A dump's table of hour starts settles no hour that reaches beyond.
+            # The table settles no hour that reaches beyond.
             starts = evidence.WallHours(zone)
             start = starts[wall[:13]]
             assert start is None or start + 60 * int(wall[14:16]) + int(wall[17:]) == epoch
