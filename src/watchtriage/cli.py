@@ -352,9 +352,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; return its exit code. If the cyclic collector is on
-    and nothing is frozen, it is paused for the command, which makes no
-    reference cycles, and one full collection over the command's objects
-    (older ones frozen) ends it; the collector is then left as it was."""
+    and nothing is frozen, it is paused for the command, and one full
+    collection over the command's objects (older ones frozen) ends it; the
+    collector is then left as it was. The analysis path makes no reference
+    cycles; the argparse parser built for each call does, and that
+    collection frees it (48 objects on a `report`: formatters, help
+    sections, actions and their lists)."""
     if not gc.isenabled() or gc.get_freeze_count():
         return _run(argv)
     gc.disable()

@@ -29,7 +29,8 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from .evidence import (
-    MAX_DIGITS, TWO_DIGIT_VALUES, Timestamp, WallHours, bounded_int, json_field, line_pattern, text_lines,
+    MAX_DIGITS, TWO_DIGIT_VALUES, RenderedTimes, Timestamp, WallHours, bounded_int, json_field, line_pattern,
+    text_lines,
 )
 
 USAGE_WINDOW_SECONDS = 24 * 3600
@@ -261,7 +262,7 @@ _AGGREGATE_LINE = re.compile(rf'package=([!#-~]+) lastTimeUsed="(\d{{4}}-\d\d-\d
 # with its quotes, so that an empty one is told from none. The wall time
 # comes split into its "YYYY-MM-DD HH" hour, which the dump's WallHours
 # settles, and a minute and second of TWO_DIGIT_VALUES; a common line whose
-# hour it cannot settle reads its wall time through `Timestamp.parse`.
+# hour it cannot settle reads its wall time through the WallHours' `parse`.
 _WALL_PARTS = r'time="([0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}):([0-5][0-9]):([0-5][0-9])"'
 _EVENT_LINES = line_pattern(_WALL_PARTS + r' type=([!#-~]+) package=([!#-~]+)')
 _COUNTER_LINES = line_pattern(f'st=([0-9]{{1,11}}) rb=({_DIGITS}) rp=({_DIGITS}) tb=({_DIGITS}) tp=({_DIGITS})')
@@ -307,18 +308,19 @@ _SECTION_HEADERS = {
 
 # --- Tokenizers: one per dump and format. Each returns its dump's records
 # as lists by kind, in dump order, then its per-line warnings. Wall-clock text
-# is read in `zone`, a common line's wall hour through the dump's WallHours.
+# is read in `zone`, through the dump's WallHours: a common line's wall hour
+# as one of its keys, any other wall time by its `parse`.
 # A usagestats dump's own capture record is informational and skipped
 # unparsed: the capture instant comes from the bundle.
 
 
 def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[UsageAggregate], list[str]]:
     events, aggregates, warnings = [], [], []
-    starts, two_digits, new = WallHours(zone), TWO_DIGIT_VALUES, tuple.__new__
+    hours, two_digits, new = WallHours(zone), TWO_DIGIT_VALUES, tuple.__new__
     section = None
     for lineno, (hour, minute, second, event_type, package, line) in text_lines(text, _EVENT_LINES):
         if hour:
-            start = starts[hour]
+            start = hours[hour]
             if start is not None:
                 at = new(Timestamp, (start + 60 * two_digits[minute] + two_digits[second],))  # in range: see WallHours
                 events.append(new(UsageEvent, (at, package, event_type)))  # UsageEvent checks nothing
@@ -345,7 +347,7 @@ def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[Usage
             if aggregate is not None and isinstance(section, AggregateWindow):
                 package, wall, count = aggregate.groups()
                 try:
-                    last_used = Timestamp.parse(wall + ":00", zone)
+                    last_used = hours.parse(wall + ":00")
                 except ValueError as exc:
                     warnings.append(f"line {lineno}: bad aggregate time ({exc})")
                     continue
@@ -357,7 +359,7 @@ def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[Usage
                 continue
             wall, event_type, package = m.groups()
         try:
-            at = Timestamp.parse(wall, zone)
+            at = hours.parse(wall)
         except ValueError as exc:
             warnings.append(f"line {lineno}: bad event time ({exc})")
             continue
@@ -469,11 +471,11 @@ def _netstats_jsonl(text: str) -> tuple[list[NetUsageRecord], list[str]]:
 
 def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Timestamp], list[str]]:
     leases, boots, warnings = [], [], []
-    starts, two_digits = WallHours(zone), TWO_DIGIT_VALUES
+    hours, two_digits = WallHours(zone), TWO_DIGIT_VALUES
     for lineno, (hour, minute, second, interface, kind, ip, ssid, line) in text_lines(text, _LEASE_LINES):
         if hour:
             network_id = ssid[1:-1] if ssid else None
-            start = starts[hour]
+            start = hours[hour]
             wall = None if start is not None else f"{hour}:{minute}:{second}"
         else:
             if line.startswith("DUMP OF SERVICE"):
@@ -481,7 +483,7 @@ def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Ti
             boot = _quoted(line, "bootTime=")
             if boot is not None:
                 try:
-                    boots.append(Timestamp.parse(boot, zone))
+                    boots.append(hours.parse(boot))
                 except ValueError as exc:
                     warnings.append(f"line {lineno}: bad boot time ({exc})")
                 continue
@@ -497,7 +499,7 @@ def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Ti
             if wall is None:
                 at = tuple.__new__(Timestamp, (start + 60 * two_digits[minute] + two_digits[second],))  # see WallHours
             else:
-                at = Timestamp.parse(wall, zone)
+                at = hours.parse(wall)
             lease = _lease(at, interface, ip, kind, network_id)
         except ValueError as exc:
             warnings.append(f"line {lineno}: bad lease line ({exc})")
@@ -548,10 +550,11 @@ def parse_usagestats(text: str, capture_time: Timestamp, zone: str) -> tuple[Usa
     window_end = capture_time.epoch
     window_start = window_end - USAGE_WINDOW_SECONDS
     if kept and not window_start <= kept[0].at.epoch <= kept[-1].at.epoch <= window_end:
+        times = RenderedTimes(zone)
         for ev in events:  # in dump order, as the warnings are
             if not window_start <= ev.at.epoch <= window_end:
                 warnings.append(
-                    f"event for {ev.package} at {ev.at.render(zone)} lies outside the 24h detail window; dropped"
+                    f"event for {ev.package} at {times[ev.at.epoch]} lies outside the 24h detail window; dropped"
                 )
         kept = [ev for ev in kept if window_start <= ev.at.epoch <= window_end]
     return UsageReport(capture_time, tuple(kept), tuple(aggregates)), warnings
@@ -578,11 +581,11 @@ def parse_network_stack(text: str, zone: str) -> tuple[NetworkStackLog, list[str
     leases, boots, warnings = _network_stack_jsonl(text) if _is_jsonl(text) else _network_stack_text(text, zone)
     boot = boots[-1] if boots else None
     if boot is not None:
-        kept = []
+        kept, times = [], RenderedTimes(zone)
         for lease in leases:
             if lease.at.epoch < boot.epoch:
                 warnings.append(
-                    f"lease at {lease.at.render(zone)} predates boot marker {boot.render(zone)}; dropped "
+                    f"lease at {times[lease.at.epoch]} predates boot marker {times[boot.epoch]}; dropped "
                     "(log is volatile across reboot)"
                 )
             else:

@@ -16,7 +16,6 @@ import json
 import re
 from datetime import date, datetime
 from enum import Enum
-from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -335,10 +334,10 @@ class _TimestampFields(NamedTuple):
 
 
 class Timestamp(_TimestampFields):
-    """Point in time as UTC epoch seconds. Its methods, WallHours, which
-    holds the hour starts `parse` reads through, and RenderedTimes, which
-    renders as `render` does, are the only code that turns wall-clock text
-    into an epoch or an epoch into text."""
+    """Point in time as UTC epoch seconds. Its methods and the two maps on
+    a TimeTable, WallHours, which reads wall times, and RenderedTimes, which
+    renders instants, are the only code that turns wall-clock text into an
+    epoch or an epoch into text."""
 
     __slots__ = ()
 
@@ -351,17 +350,11 @@ class Timestamp(_TimestampFields):
         """The instant the wall time `text` denotes in `zone`; ValueError for
         any text but the fixed-width form. A wall time that a DST change
         repeats or skips reads as its fold=0 instant."""
-        if len(text) == 19 and text[13] == text[16] == ":":
-            minutes, seconds = TWO_DIGIT_VALUES.get(text[14:16]), TWO_DIGIT_VALUES.get(text[17:])
-            if minutes is not None and seconds is not None:
-                start = _wall_hour_start(zone, text[:13])
-                if start is not None:  # every second of the hour is in range
-                    return tuple.__new__(cls, (start + 60 * minutes + seconds,))
-        return cls(_datetime_epoch(text, zone))
+        return WallHours(zone).parse(text)
 
     def render(self, zone: str) -> str:
         """Wall-clock string in `zone` with explicit UTC offset."""
-        return _render(self.epoch, zone)
+        return RenderedTimes(zone)[self.epoch]
 
     def wall(self, zone: str) -> str:
         """Bare wall-clock string in `zone` (no offset suffix)."""
@@ -384,125 +377,185 @@ def _datetime_epoch(text: str, zone: str) -> int:
 
 
 _EPOCH = attrgetter("epoch")
-
-
-class RenderedTimes(dict):
-    """The rendered times of one output document: epoch -> what
-    `Timestamp(epoch).render(zone)` gives, so an instant the document shows
-    twice is rendered once. The `instants` given are rendered up front, in
-    one pass that looks up how the zone writes a UTC hour once per run of
-    instants in that hour, and any other epoch at its first lookup. Either
-    way, an epoch out of Timestamp's range raises Timestamp's ValueError,
-    the first such one of `instants` in their order."""
-
-    __slots__ = ("zone",)
-
-    def __init__(self, zone: str, instants: Iterable[Timestamp] = ()):
-        self.zone = zone
-        run = None  # the UTC hour of the instants since the last change of hour
-        for epoch in map(_EPOCH, instants):
-            if epoch // 3600 != run:
-                _check_epoch(epoch)  # the range starts and ends with an hour, so one epoch checks it
-                run = epoch // 3600
-                hour = _render_hour(zone, run)
-                if hour is not None:
-                    offset, first, texts, suffix = hour
-            if hour is None:
-                self[epoch] = _render(epoch, zone)
-            else:
-                local = epoch + offset
-                text = texts[local // 3600 - first]
-                self[epoch] = f"{text}{_TWO_DIGITS[local % 3600 // 60]}:{_TWO_DIGITS[local % 60]}{suffix}"
-
-    def __missing__(self, epoch: int) -> str:
-        _check_epoch(epoch)
-        text = self[epoch] = _render(epoch, self.zone)
-        return text
-
-
-class WallHours(dict):
-    """One dump's wall hours in `zone`: "YYYY-MM-DD HH" -> the start that
-    `Timestamp.parse` reads the hour through, or None where it has none. A
-    start plus `60 * minute + second`, each a TWO_DIGIT_VALUES value, is the
-    epoch `parse` gives, and always one Timestamp takes."""
-
-    __slots__ = ("zone",)
-
-    def __init__(self, zone: str):
-        self.zone = zone
-
-    def __missing__(self, hour: str) -> Optional[int]:
-        start = self[hour] = _wall_hour_start(self.zone, hour)
-        return start
-
-
-def _render(epoch: int, zone: str) -> str:
-    """The text `Timestamp(epoch).render(zone)` gives."""
-    hour = _render_hour(zone, epoch // 3600)
-    if hour is None:
-        local = datetime.fromtimestamp(epoch, ZoneInfo(zone)).isoformat(" ")
-        return f"{local[:19]} {local[19:]}"
-    offset, first, texts, suffix = hour
-    local = epoch + offset
-    second = local % 3600
-    return f"{texts[local // 3600 - first]}{_TWO_DIGITS[second // 60]}:{_TWO_DIGITS[second % 60]}{suffix}"
-
-
-# Timestamp.parse reads each wall hour through one cached start, and render
-# writes each UTC hour through one cached offset and local hour text; both
-# read and write minutes and seconds through the two 60-entry tables. In an
-# hour that holds an offset change, or that no calendar has, and for text
-# that is not the fixed-width form, each call runs the plain `datetime`
-# expression instead, so every result and error is the one `datetime`
-# gives. Each cache holds 4,096 entries: about 170 days of hours.
-_HOURS_CACHED = 4096
+_DAY = 86400
+_LAST_DAY = MAX_EPOCH // _DAY  # the range is whole UTC days, 0 to this one
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
 TWO_DIGIT_VALUES = {text: n for n, text in enumerate(_TWO_DIGITS)}
 
 
-@lru_cache(maxsize=_HOURS_CACHED)
-def _wall_hour_start(zone: str, hour: str) -> Optional[int]:
-    """The fold=0 epoch of the 13-character wall time `hour` ("YYYY-MM-DD
-    HH") at :00:00 in `zone`, when its :59:59 lies exactly 3,599 s later, so
-    that every second of the wall hour reads with one offset, and no second
-    of it lies outside `0..MAX_EPOCH`; None otherwise, for a date or hour
-    that does not exist, and for text that is not that form in ASCII digits
-    (checked before `zone` is looked up)."""
-    digits = hour[:4] + hour[5:7] + hour[8:10] + hour[11:]
-    if not (hour[4] == hour[7] == "-" and hour[10] == " " and digits.isascii() and digits.isdigit()):
+class TimeTable:
+    """How `zone` reads and writes the wall times of one dump or one output
+    document: the zone's offset segments, each (UTC start, end, offset in
+    seconds, " +HH:MM[:SS]" suffix), filled one UTC day at a time as
+    instants and wall times reach it, and `dates`, the "YYYY-MM-DD " text of
+    each local day rendered. A day is probed at its first and last second
+    and bisected to the second its offset changes only where the two
+    differ: at and after epoch 0, no installed zone changes its offset
+    twice within 86,400 s (the closest two, America/Cambridge_Bay's in
+    2000, lie 597,600 s apart; tests/test_evidence.py checks every zone).
+    Every result is the one the plain `datetime` expressions give."""
+
+    __slots__ = ("zone", "_segments", "dates")
+
+    def __init__(self, zone: str):
+        self.zone = zone
+        self._segments: dict[int, tuple[tuple[int, int, int, str], ...]] = {}  # UTC day -> its segments
+        self.dates: dict[int, str] = {}  # local day (days after 1970-01-01) -> "YYYY-MM-DD "
+
+    def segment(self, epoch: int) -> tuple[int, int, int, str]:
+        """The segment that holds `epoch`; it lies within one UTC day."""
+        segments = self._day(epoch // _DAY)
+        return segments[-1] if epoch >= segments[-1][0] else segments[0]
+
+    def _day(self, day: int) -> tuple[tuple[int, int, int, str], ...]:
+        """The segments of UTC day `day`, in time order: one, or two around a change."""
+        segments = self._segments.get(day)
+        if segments is not None:
+            return segments
+        tz = ZoneInfo(self.zone)
+        start, end = day * _DAY, (day + 1) * _DAY
+        first = datetime.fromtimestamp(start, tz)
+        before = first.utcoffset()
+        if datetime.fromtimestamp(end - 1, tz).utcoffset() == before:
+            segments = (_segment(start, end, first),)
+        else:
+            lo, hi = start, end - 1  # the change is the first second with the later offset
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if datetime.fromtimestamp(mid, tz).utcoffset() == before else (lo, mid)
+            segments = (_segment(start, hi, first), _segment(hi, end, datetime.fromtimestamp(hi, tz)))
+        self._segments[day] = segments
+        return segments
+
+    def epoch(self, local: int) -> Optional[int]:
+        """The fold=0 instant of the wall time `local` seconds after
+        1970-01-01 00:00: the first that lands in its own segment when the
+        segment's offset is subtracted, the earlier in a repeated hour; in
+        a skipped hour, the one the pre-change offset gives. None more than a
+        day outside the range's days, where no instant in range has it."""
+        day = local // _DAY
+        if not -1 <= day <= _LAST_DAY + 1:
+            return None
+        # An offset is less than a day, so each instant the wall time
+        # denotes lies in a segment of these days, in time order.
+        for near in (day - 1, day, day + 1):
+            for start, end, offset, _ in self._day(near):
+                if start <= local - offset < end:
+                    return local - offset
+        segments = self._day(day - 1) + self._day(day) + self._day(day + 1)
+        return next(local - before for (_, change, before, _), (_, _, after, _) in zip(segments, segments[1:])
+                    if local - after < change <= local - before)
+
+    def hour_start(self, hour: str) -> Optional[int]:
+        """The fold=0 epoch of the 13-character wall time `hour` ("YYYY-MM-DD
+        HH") at :00:00, when its :59:59 lies exactly 3,599 s later, so that
+        every second of the wall hour reads with one offset, and no second
+        of it lies outside `0..MAX_EPOCH`; None otherwise, for a date or hour
+        that does not exist, and for text that is not that form in ASCII
+        digits."""
+        local = _local_seconds(hour + ":00:00")
+        start = None if local is None else self.epoch(local)
+        if start is None or not 0 <= start <= MAX_EPOCH - 3599 or self.epoch(local + 3599) != start + 3599:
+            return None
+        return start
+
+
+def _segment(start: int, end: int, local: datetime) -> tuple[int, int, int, str]:
+    """The segment from `start` to `end` with the offset of `local`, the first instant's wall time."""
+    return start, end, int(local.utcoffset().total_seconds()), " " + local.isoformat(" ")[19:]
+
+
+def _local_seconds(text: str) -> Optional[int]:
+    """Seconds after 1970-01-01 00:00 of the wall time `text`; None for text
+    outside the fixed-width form and for a date or time no calendar has."""
+    m = _WALL_RE.fullmatch(text)
+    if m is None:
         return None
-    tz = ZoneInfo(zone)
+    year, month, day, hour, minute, second = map(int, m.groups())
     try:
-        first = datetime(int(hour[:4]), int(hour[5:7]), int(hour[8:10]), int(hour[11:]), tzinfo=tz)
+        days = date(year, month, day).toordinal() - _EPOCH_ORDINAL
     except ValueError:
         return None
-    start = int(first.timestamp())
-    if int(first.replace(minute=59, second=59).timestamp()) - start != 3599 or not 0 <= start <= MAX_EPOCH - 3599:
-        return None
-    return start
+    return days * _DAY + 3600 * hour + 60 * minute + second if hour < 24 and minute < 60 and second < 60 else None
 
 
-@lru_cache(maxsize=_HOURS_CACHED)
-def _render_hour(zone: str, hour: int) -> Optional[tuple[int, int, tuple[str, ...], str]]:
-    """How `zone` writes UTC hour `hour` (epoch // 3600), when its first and
-    last seconds have the same offset; None otherwise. The tuple holds the
-    offset in seconds, the first local hour (hours after 1970-01-01 00:00)
-    the UTC hour reaches, the "YYYY-MM-DD HH:" text of that local hour and,
-    for an offset that is not a whole number of hours, of the next one, and
-    the " +HH:MM[:SS]" suffix."""
-    tz = ZoneInfo(zone)
-    first = datetime.fromtimestamp(hour * 3600, tz)
-    offset = first.utcoffset()
-    if datetime.fromtimestamp(hour * 3600 + 3599, tz).utcoffset() != offset:
-        return None
-    seconds = int(offset.total_seconds())
-    start, end = (hour * 3600 + seconds) // 3600, (hour * 3600 + 3599 + seconds) // 3600
-    texts = []
-    for local_hour in range(start, end + 1):
-        day, hour_of_day = divmod(local_hour, 24)
-        texts.append(f"{date.fromordinal(_EPOCH_ORDINAL + day).isoformat()} {_TWO_DIGITS[hour_of_day]}:")
-    return seconds, start, tuple(texts), " " + first.isoformat(" ")[19:]
+class RenderedTimes(dict):
+    """The rendered times of one output document, through its own TimeTable:
+    epoch -> what `Timestamp(epoch).render(zone)` gives, so an instant the
+    document shows twice is rendered once. The `instants` given, and the
+    epochs given to `add`, are rendered up front, and any other epoch at
+    its first lookup. Either way, an epoch out of Timestamp's range raises
+    Timestamp's ValueError, the first such one in the order given."""
+
+    __slots__ = ("zone", "table")
+
+    def __init__(self, zone: str, instants: Iterable[Timestamp] = ()):
+        self.zone = zone
+        self.table = TimeTable(zone)
+        self.add(map(_EPOCH, instants))
+
+    def add(self, epochs: Iterable[int]) -> None:
+        """Render `epochs` in one pass, which adds the offset and finds the
+        local day's "YYYY-MM-DD " text once per run of epochs inside one
+        local day of one segment, and writes each epoch's time of day with
+        integer arithmetic."""
+        table, two_digits = self.table, _TWO_DIGITS
+        dates = table.dates
+        start = end = first = last = 0  # the current run, inside the current segment
+        for epoch in epochs:
+            if not start <= epoch < end:
+                if not first <= epoch < last:
+                    _check_epoch(epoch)  # a segment lies within one day of the range, so one epoch checks it
+                    first, last, offset, suffix = table.segment(epoch)
+                day = (epoch + offset) // _DAY
+                date_text = dates.get(day)
+                if date_text is None:
+                    date_text = dates[day] = date.fromordinal(_EPOCH_ORDINAL + day).isoformat() + " "
+                base = day * _DAY - offset  # the instant the local day starts
+                start, end = max(base, first), min(base + _DAY, last)
+            minute, second = divmod(epoch - base, 60)
+            hour, minute = divmod(minute, 60)
+            self[epoch] = f"{date_text}{two_digits[hour]}:{two_digits[minute]}:{two_digits[second]}{suffix}"
+
+    def __missing__(self, epoch: int) -> str:
+        self.add((epoch,))
+        return self[epoch]
+
+
+class WallHours(dict):
+    """One dump's wall hours in `zone`, through its own TimeTable, `table`:
+    "YYYY-MM-DD HH" -> the start that `Timestamp.parse` reads the hour
+    through, or None where it has none (`TimeTable.hour_start`). A start
+    plus `60 * minute + second`, each a TWO_DIGIT_VALUES value, is the
+    epoch `parse` gives, and always one Timestamp takes."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, zone: str):
+        self.table = TimeTable(zone)
+
+    def __missing__(self, hour: str) -> Optional[int]:
+        start = self[hour] = self.table.hour_start(hour)
+        return start
+
+    def parse(self, text: str) -> Timestamp:
+        """The Timestamp `Timestamp.parse(text, zone)` gives, and its
+        ValueError: through the start of the text's hour where it has one,
+        and through the table otherwise."""
+        if len(text) == 19 and text[13] == text[16] == ":":
+            minutes, seconds = TWO_DIGIT_VALUES.get(text[14:16]), TWO_DIGIT_VALUES.get(text[17:])
+            if minutes is not None and seconds is not None:
+                start = self[text[:13]]
+                if start is not None:  # every second of the hour is in range
+                    return tuple.__new__(Timestamp, (start + 60 * minutes + seconds,))
+        local = _local_seconds(text)
+        epoch = None if local is None else self.table.epoch(local)
+        if epoch is not None and 0 <= epoch <= MAX_EPOCH:
+            return tuple.__new__(Timestamp, (epoch,))
+        # Text outside the form, a date or time no calendar has, or an
+        # instant out of range: the error `datetime` and Timestamp give.
+        return Timestamp(_datetime_epoch(text, self.table.zone))
 
 
 class DeviceProfile(NamedTuple):

@@ -170,11 +170,12 @@ def render_report(
     # rendered in source order, so the first close out of range raises, as
     # when each row built its instant.
     events, records, lease_events = timeline.report.events_24h, timeline.records, timeline.lease_log.leases
-    times = RenderedTimes(display_zone, [*(ev.at for ev in events), *(lease.at for lease in lease_events)])
     usage, traffic, leases = SourceKind.USAGESTATS.value, SourceKind.NETSTATS.value, SourceKind.NETWORK_STACK.value
     duration = timeline.bucket_duration
     epochs = [*(ev.at.epoch for ev in events), *(rec.st.epoch + duration for rec in records),
               *(lease.at.epoch for lease in lease_events)]
+    times = RenderedTimes(display_zone)
+    times.add(epochs)
     rendered = list(map(times.__getitem__, epochs))
     sources = [usage] * len(events) + [traffic] * len(records) + [leases] * len(lease_events)
     texts = [f"{ev.event_type} {ev.package}" for ev in events]

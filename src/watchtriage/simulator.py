@@ -35,7 +35,7 @@ from .correlate import (
     _split_markers,
     finding_to_dict,
 )
-from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, RenderedTimes, Timestamp, json_field, json_list, load_json, zone_name
+from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, RenderedTimes, json_field, json_list, load_json, zone_name
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))
@@ -208,14 +208,14 @@ def ground_truth_leases(s: Scenario) -> list[tuple[int, str, Optional[str]]]:
 def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:
     """Render (usagestats, netstats, network_stack) fixture texts."""
     validate(s)
-    zone = s.display_zone
+    times = RenderedTimes(s.display_zone)  # `times[t][:19]` is `Timestamp(t).wall(zone)`
 
     # usagestats
     lines = ["DUMP OF SERVICE usagestats:"]
-    lines.append(f'  capture-time="{Timestamp(s.capture_time).wall(zone)}"')
+    lines.append(f'  capture-time="{times[s.capture_time][:19]}"')
     lines.append("  Last 24 hour events:")
     for pkg, event_type, t in ground_truth_events(s):
-        lines.append(f'    time="{Timestamp(t).wall(zone)}" type={event_type} package={pkg}')
+        lines.append(f'    time="{times[t][:19]}" type={event_type} package={pkg}')
     aggregates = ground_truth_aggregates(s)
     for window, _secs in AGGREGATE_WINDOWS:
         rows = [a for a in aggregates if a[0] == window]
@@ -224,7 +224,7 @@ def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:
         lines.append(f"  {window.capitalize()}ly stats:")
         for _w, pkg, last_minute, count in rows:
             lines.append(
-                f'    package={pkg} lastTimeUsed="{Timestamp(last_minute).wall(zone)[:16]}" totalCount={count}'
+                f'    package={pkg} lastTimeUsed="{times[last_minute][:16]}" totalCount={count}'
             )
     usagestats = "\n".join(lines) + "\n"
 
@@ -243,10 +243,10 @@ def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:
     lines = ["DUMP OF SERVICE network_stack:"]
     boot = last_reboot_before_capture(s)
     if boot is not None:
-        lines.append(f'  bootTime="{Timestamp(boot).wall(zone)}"')
+        lines.append(f'  bootTime="{times[boot][:19]}"')
     for at, ip, ssid in ground_truth_leases(s):
         ssid_part = f' ssid="{ssid}"' if ssid is not None else ""
-        lines.append(f'  time="{Timestamp(at).wall(zone)}" iface=wlan0 event=DHCP_ACK ip={ip}{ssid_part}')
+        lines.append(f'  time="{times[at][:19]}" iface=wlan0 event=DHCP_ACK ip={ip}{ssid_part}')
     network_stack = "\n".join(lines) + "\n"
 
     return usagestats, netstats, network_stack

@@ -1,7 +1,7 @@
 import random
 import re
 from datetime import datetime, timedelta, timezone
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError, available_timezones
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError, _zoneinfo, available_timezones
 
 import pytest
 
@@ -83,6 +83,18 @@ class TestTimestamp:
             assert Timestamp.parse(t.wall(zone), zone) == t
             checked += 1
 
+    @pytest.mark.parametrize("text, epoch, shown", [
+        ("2023-03-12 02:30:00", 1678606200, "2023-03-12 03:30:00 -04:00"),  # skipped
+        ("2023-11-05 01:30:00", 1699162200, "2023-11-05 01:30:00 -04:00"),  # repeated
+    ])
+    def test_dst_wall_time_reads_with_the_pre_change_offset(self, text, epoch, shown):
+        # What a dump's wall time in a skipped or repeated New York hour reads
+        # as today, with no warning: its fold=0 instant, whose offset is the
+        # one before the change (docs/fixture-grammar.md).
+        zone = "America/New_York"
+        assert Timestamp.parse(text, zone).epoch == evidence.WallHours(zone).parse(text).epoch == epoch
+        assert Timestamp(epoch).render(zone) == shown
+
     def test_fold_wall_time_reads_as_the_earlier_instant(self):
         # 01:30 on 2023-11-05 happens twice in New York; both instants
         # render with their own offset and parse back to the first one.
@@ -94,8 +106,26 @@ class TestTimestamp:
         assert Timestamp.parse(second.wall(zone), zone) == first
 
 
+def test_no_zone_changes_its_offset_twice_within_a_day():
+    # A TimeTable probes each UTC day at its two ends, from two days before
+    # epoch 0, and looks for one change in a day whose two offsets differ.
+    # So no two changes of a zone, explicit ones or those of its yearly
+    # rule after them, may lie within a day of each other.
+    for zone in sorted(available_timezones()):
+        tz = _zoneinfo.ZoneInfo.no_cache(zone)
+        changes = [change for change in tz._trans_utc if change >= -2 * 86400]
+        rule = tz._tz_after
+        if isinstance(rule, _zoneinfo._TZStr):
+            std, dst = rule.std.utcoff.total_seconds(), rule.dst.utcoff.total_seconds()
+            after = changes[-1] if changes else -2 * 86400
+            for year in range(1970, 2101):
+                start, end = rule.transitions(year)
+                changes += sorted(change for change in (start - std, end - dst) if change > after)
+        assert all(b - a >= 86400 for a, b in zip(changes, changes[1:])), zone
+
+
 class TestWallTimeResolver:
-    """Timestamp.parse and render convert through a cached per-hour offset;
+    """Timestamp.parse and render convert through a zone's offset segments;
     every result must be the one the plain `datetime` expressions give."""
 
     @staticmethod
@@ -191,19 +221,63 @@ class TestWallTimeResolver:
         hours = range(max(0, midnight - 15 * 3600), midnight + 39 * 3600, 3600)
         self.assert_render_matches(zone, [hour + s for hour in hours for s in seconds])
 
-    def test_more_hours_than_the_caches_hold(self):
-        # One instant in each of more distinct hours than a cache holds, then
-        # the earliest again, after the caches have evicted it.
+    @staticmethod
+    def datetime_epoch(wall, zone):
+        fields = int(wall[:4]), int(wall[5:7]), int(wall[8:10]), int(wall[11:13]), int(wall[14:16]), int(wall[17:])
+        return int(datetime(*fields, tzinfo=ZoneInfo(zone)).timestamp())
+
+    def assert_one_table_matches(self, zone, first, last, step, extra_walls=()):
+        """One document's RenderedTimes over every `step` seconds from UTC
+        `first` to `last`, and one dump's WallHours over the wall times
+        those instants show and `extra_walls`, against `datetime`; both
+        tables' segments."""
+        tz = ZoneInfo(zone)
+        epochs = range(first, last, step)
+        times = evidence.RenderedTimes(zone, map(Timestamp, epochs))
+        for epoch in epochs:
+            local = datetime.fromtimestamp(epoch, tz).isoformat(" ")
+            assert times[epoch] == f"{local[:19]} {local[19:]}", (zone, epoch)
+        hours = evidence.WallHours(zone)
+        for wall in [times[epoch][:19] for epoch in epochs] + list(extra_walls):
+            assert hours.parse(wall).epoch == self.datetime_epoch(wall, zone), (zone, wall)
+        return [times.table.segment(epoch) for epoch in epochs], hours.table
+
+    def test_one_table_over_many_hours_and_four_changes(self):
+        # Two years of New York in one table each: more than 4,096 hours and
+        # four offset changes, with every minute of each skipped or repeated
+        # hour read back (in a skipped hour none of them is rendered).
         zone = "America/New_York"
-        hours = evidence._render_hour.cache_info().maxsize + 100
-        epochs = list(range(1_600_000_000, 1_600_000_000 + 3600 * hours, 3600))
-        walls = [Timestamp(e).wall(zone) for e in epochs]
-        self.assert_render_matches(zone, epochs)
-        self.assert_parse_matches(zone, walls)
-        for cached in (evidence._render_hour, evidence._wall_hour_start):
-            assert cached.cache_info().currsize == cached.cache_info().maxsize
-        self.assert_render_matches(zone, epochs[:100])
-        self.assert_parse_matches(zone, walls[:100])
+        first = int(datetime(2022, 1, 1, tzinfo=timezone.utc).timestamp())
+        last = int(datetime(2024, 1, 1, tzinfo=timezone.utc).timestamp())
+        assert (last - first) // 3600 > 4096
+        changed = ["2022-03-13 02", "2022-11-06 01", "2023-03-12 02", "2023-11-05 01"]
+        walls = [f"{hour}:{minute:02d}:{minute % 60:02d}" for hour in changed for minute in range(60)]
+        segments, hours = self.assert_one_table_matches(zone, first, last, 3 * 3600 + 7, walls)
+        changes = sorted({start for start, end, offset, _ in segments if start % 86400})
+        assert [datetime.fromtimestamp(change, tz=timezone.utc).isoformat() for change in changes] == [
+            "2022-03-13T07:00:00+00:00", "2022-11-06T06:00:00+00:00",
+            "2023-03-12T07:00:00+00:00", "2023-11-05T06:00:00+00:00"]
+        # Each of these hours reads with one offset, the one before the change.
+        assert [hours.hour_start(hour) for hour in changed] == [
+            self.datetime_epoch(f"{hour}:00:00", zone) for hour in changed]
+
+    def test_one_table_over_a_span_with_no_change(self):
+        # Sixty days of Kathmandu's +05:45: one offset, and no day split.
+        zone = "Asia/Kathmandu"
+        first = int(datetime(2023, 4, 1, tzinfo=timezone.utc).timestamp())
+        segments, hours = self.assert_one_table_matches(zone, first, first + 60 * 86400, 997)
+        assert {(end - start, offset, suffix) for start, end, offset, suffix in segments} == {(86400, 20700, " +05:45")}
+        assert hours.hour_start("2023-05-11 00") == first + 40 * 86400 - 20700
+
+    @pytest.mark.parametrize("zone, midnight", [("Europe/Chisinau", 1698537600), ("Antarctica/Troll", 1698537600)])
+    def test_a_repeated_hour_across_utc_midnight(self, zone, midnight):
+        # Both zones turn their clocks back at or an hour after 00:00 UTC on
+        # 2023-10-29, so the earlier instant of a repeated wall time lies in
+        # the UTC day before the later one; it is still the one read.
+        tz = ZoneInfo(zone)
+        walls = [datetime.fromtimestamp(midnight - 3 * 3600 + 60 * k, tz).isoformat(" ")[:19] for k in range(7 * 60)]
+        segments, _ = self.assert_one_table_matches(zone, midnight - 86400, midnight + 86400, 601, walls)
+        assert len({offset for _, _, offset, _ in segments}) == 2
 
     @pytest.mark.parametrize("zone", ["UTC", "America/New_York", "Pacific/Kiritimati", "Asia/Kathmandu"])
     def test_range_ends_read_alike_whole_and_in_parts(self, zone):

@@ -99,6 +99,21 @@ class TestCommandImports:
         assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_no_cache_outlives_a_call(ftp_bundle, tmp_path):
+    # Every table a command fills belongs to one dump or one document: after
+    # a report, no function or method of the package holds a cache.
+    out = tmp_path / "report.md"
+    assert cli.main(["report", "--bundle", str(ftp_bundle), "--host-artifacts", str(ftp_bundle / "host_artifacts"),
+                     "--format", "md", "--out", str(out)]) == 0
+    modules = [module for name, module in sys.modules.items() if name.split(".")[0] == "watchtriage"]
+    assert len(modules) > 5
+    for module in modules:
+        for name, value in vars(module).items():
+            members = vars(value).items() if isinstance(value, type) else ()
+            for where, obj in [(name, value), *((f"{name}.{member}", attr) for member, attr in members)]:
+                assert not hasattr(obj, "cache_info"), f"{module.__name__}.{where}"
+
+
 class TestPackageExports:
     def test_every_public_name_resolves(self):
         for name in watchtriage.__all__:
