@@ -4,9 +4,11 @@ The dumps are consumed in the line-oriented grammar documented in
 docs/fixture-grammar.md, which mirrors the real dumpsys field vocabulary
 (time=/type=/package=, networkId, st/rb/rp/tb/tp, DHCP lease lines). Unknown
 lines never abort a parse; they are collected as warnings. A JSON-lines
-pre-tokenized form of each dump is accepted as well: each dump has one
-tokenizer per format, and both feed the same semantic pass (24h window,
-boot marker, sort), so a record means the same in either form.
+pre-tokenized form of each dump is accepted as well. Each record kind is
+declared once, in a row table that builds every row pattern of both forms
+and the per-line JSON read. Each dump has one tokenizer per form, and both
+feed the same semantic pass (24h window, boot marker, sort), so a record
+means the same in either form.
 
 Precision semantics preserved from the source services:
   - usagestats events carry second precision and only cover the 24 hours
@@ -171,15 +173,11 @@ _scan_value = json.JSONDecoder(parse_int=bounded_int).scan_once
 
 
 def _jsonl_line(lineno: int, line: str, record, warnings: list[str]) -> None:
-    """Read one stripped line of a JSON-lines dump into the dump's lists
-    with `record(obj)`; any failure warns for the line. A usagestats event
-    or aggregate row or a netstats counter row as `json.dumps` writes it,
-    with an epoch of at most 11 digits, never comes here: its tokenizer
-    reads it from its pattern's groups, which are the values `json.loads`
-    returns (see `_COUNTER_ROWS`). Every other line is read as
-    `json.loads` reads it, its integers through `bounded_int`, and a line it
-    refuses warns with `json`'s own error, a line nested deeper than the
-    recursion limit included; a record that lacks a field warns naming it."""
+    """Read one stripped line of a JSON-lines dump that its row patterns leave
+    into the dump's lists with `record(obj)`, as `json.loads` reads it, its
+    integers through `bounded_int`; any failure warns for the line: with
+    `json`'s own error for a line it refuses (one nested deeper than the
+    recursion limit included), naming the field for a record that lacks one."""
     try:
         try:
             obj, end = _scan_value(line, 0)
@@ -194,17 +192,6 @@ def _jsonl_line(lineno: int, line: str, record, warnings: list[str]) -> None:
         warnings.append(f"line {lineno}: missing field {exc}")
     except (RecursionError, TypeError, ValueError) as exc:
         warnings.append(f"line {lineno}: {exc}")
-
-
-def _fields(obj: dict, **kinds) -> tuple:
-    """The values of `obj` under the keys of `kinds` (two or more), in their
-    order: KeyError for the first key `obj` lacks, then json_field's
-    TypeError for the first value whose JSON type is not the one `kinds` names."""
-    values = itemgetter(*kinds)(obj)
-    if tuple(map(type, values)) != tuple(kinds.values()):
-        for key, kind in kinds.items():
-            json_field(obj, key, kind)
-    return values
 
 
 def positive_seconds(value) -> int:
@@ -232,71 +219,112 @@ def _quoted(line: str, key: str) -> Optional[str]:
     return line[start:end] if end >= 0 else None
 
 
+# --- The row table: one `_Row` per record kind, each field of one `_Kind`.
+# A kind's forms hold its groups: `text` where the per-line rules search a
+# line, `line` in a text dump's common line, `row` in a JSON-lines common
+# row; `json` names the JSON type the per-line read requires. A common form
+# takes only what the per-line path reads the same way. A common line's
+# tokens are printable ASCII without space or quote (nor, in a lease, "="),
+# so no skip, header or boot rule and no earlier field takes the line; its
+# wall time comes as the "YYYY-MM-DD HH" hour the dump's WallHours settles
+# (else `parse` reads it) and a minute and second of TWO_DIGIT_VALUES. A
+# common row's groups are what `json.loads` returns: printable ASCII without
+# quote or backslash decodes to itself; `0|[1-9][0-9]{0,18}` is the one
+# integer form JSON and `bounded_int` both accept (a duration's the positive
+# one); an epoch of at most 11 digits is one Timestamp accepts; each key
+# appears once, in a fixed order; leading spaces are what `strip` drops. An
+# SSID and a string-or-null keep their quotes, so "" is told from none.
+class _Kind:
+    __slots__ = ("text", "line", "row", "json", "optional")  # optional: the field may be absent
+
+    def __init__(self, text: Optional[str], line: Optional[str], row: Optional[str], json: Optional[str],
+                 optional: bool = False):
+        self.text, self.line, self.row, self.json, self.optional = text, line, row, json, optional
+
+
 _QUOTED = r'"([^"]*)"'
-_EVENT_RE = re.compile(r'time=' + _QUOTED + r'\s+type=(\S+)\s+package=(\S+)')
-# A count or counter takes at most MAX_DIGITS digits; a line with a longer
-# run is no rule's line, and warns.
-_DIGITS = f"[0-9]{{1,{MAX_DIGITS}}}"
-_AGGREGATE_RE = re.compile(rf'package=(\S+)\s+lastTimeUsed={_QUOTED}\s+totalCount=({_DIGITS})(?!\S)')
-_DURATION_RE = re.compile(r'bucketDuration=(\S*)')
-_ST_LINE_RE = re.compile(
-    rf'st=({_DIGITS})\s+rb=(-?{_DIGITS})\s+rp=(-?{_DIGITS})\s+tb=(-?{_DIGITS})\s+tp=(-?{_DIGITS})(?!\S)'
-)
-_LEASE_RE = re.compile(
-    r'time=' + _QUOTED + r'\s+iface=(\S+)\s+event=(\S+)\s+ip=(\S+)(?:\s+ssid=' + _QUOTED + r')?'
-)
-
-# An aggregate line as the generators write it, tried first among the lines
-# that are not a usagestats dump's common line; its groups are the ones
-# `_AGGREGATE_RE` finds in it. No rule before that one can take such a line:
-# it starts with `package=` and ends in a digit, so it is no service line or
-# header, and the capture-time and event rules each need a `key="`, while its
-# package token holds no quote and its one opening quote follows `lastTimeUsed=`.
-_AGGREGATE_LINE = re.compile(rf'package=([!#-~]+) lastTimeUsed="(\d{{4}}-\d\d-\d\d \d\d:\d\d)" totalCount=({_DIGITS})')
-
-# The common line of each text dump, which its tokenizer reads from the
-# pattern's groups; every other line goes through the per-line rules above.
-# A common line is one those rules read the same way: its tokens are
-# printable ASCII without space or quote (or, in a lease, "="), so no skip,
-# header or boot rule and no earlier field can take it. A lease's SSID comes
-# with its quotes, so that an empty one is told from none. The wall time
-# comes split into its "YYYY-MM-DD HH" hour, which the dump's WallHours
-# settles, and a minute and second of TWO_DIGIT_VALUES; a common line whose
-# hour it cannot settle reads its wall time through the WallHours' `parse`.
-_WALL_PARTS = r'time="([0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}):([0-5][0-9]):([0-5][0-9])"'
-_EVENT_LINES = line_pattern(_WALL_PARTS + r' type=([!#-~]+) package=([!#-~]+)')
-_COUNTER_LINES = line_pattern(f'st=([0-9]{{1,11}}) rb=({_DIGITS}) rp=({_DIGITS}) tb=({_DIGITS}) tp=({_DIGITS})')
-_LEASE_LINES = line_pattern(
-    _WALL_PARTS + r' iface=([!#-<>-~]+) event=([!#-<>-~]+) ip=([0-9.]+)(?: ssid=("[^"\n]*"))?'
-)
-
-# The common rows of each JSON-lines dump, as `json.dumps` writes them, which
-# its tokenizer reads from the pattern's groups; every other line goes to
-# `_jsonl_line`. The groups are the values `json.loads` returns for the row:
-# printable ASCII without a quote or backslash (so no control character)
-# decodes to itself; `0|[1-9][0-9]{0,18}` is the one integer form that both
-# JSON and `bounded_int` accept (a bucket duration's is the positive one that
-# `positive_seconds` accepts too); an epoch takes at most 11 digits, as a
-# text dump's `st` does, so that it is one Timestamp accepts, and a row with
-# a longer one is read per line; and each key appears once, in a fixed
-# order, so no key repeats. Leading spaces are what `strip` drops before
-# `json.loads`. A usagestats aggregate row is read as a text dump's
-# aggregate line is: by a `fullmatch` of `_AGGREGATE_ROW` on each stripped
-# line that the event pattern leaves, the line `_jsonl_line` would read.
+_DIGITS = f"[0-9]{{1,{MAX_DIGITS}}}"  # a longer run of digits is no rule's line, and warns
 _JSON_INT = f"(0|[1-9][0-9]{{0,{MAX_DIGITS - 1}}})"
-_JSON_EPOCH = "(0|[1-9][0-9]{0,10})"  # at most 10**11 - 1, below MAX_EPOCH
 _PLAIN = r'[ !#-\[\]-~]'  # printable ASCII but the quote and the backslash
-_EVENT_ROWS = line_pattern(
-    rf'\{{"record": "event", "at": {_JSON_EPOCH}, "package": "({_PLAIN}*)", "event_type": "({_PLAIN}*)"\}}'
-)
-_AGGREGATE_ROW = re.compile(
-    rf'\{{"record": "aggregate", "window": "(week|month|year)", "package": "({_PLAIN}*)", '
-    rf'"last_used": {_JSON_EPOCH}, "use_count": {_JSON_INT}\}}'
-)
-_COUNTER_ROWS = line_pattern(
-    rf'\{{"network_id": "({_PLAIN}+)", "st": {_JSON_EPOCH}, "rb": {_JSON_INT}, "rp": {_JSON_INT}, '
-    rf'"tb": {_JSON_INT}, "tp": {_JSON_INT}(?:, "bucket_duration": ([1-9][0-9]{{0,{MAX_DIGITS - 1}}}))?\}}'
-)
+_HOUR = "[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}"
+_WALL = _Kind(_QUOTED, rf'"({_HOUR}):([0-5][0-9]):([0-5][0-9])"', None, None)
+_MINUTE = _Kind(_QUOTED, rf'"({_HOUR}:[0-9]{{2}})"', None, None)
+_EPOCH = _Kind(rf"({_DIGITS})(?!\S)", "([0-9]{1,11})", "(0|[1-9][0-9]{0,10})", "integer")
+_COUNT = _Kind(rf"({_DIGITS})(?!\S)", f"({_DIGITS})", _JSON_INT, "integer")
+_SIGNED_COUNT = _Kind(rf"(-?{_DIGITS})(?!\S)", f"({_DIGITS})", _JSON_INT, "integer")
+_TOKEN = _Kind(r"(\S+)", "([!#-~]+)", None, None)
+_LEASE_TOKEN = _Kind(r"(\S+)", "([!#-<>-~]+)", None, None)
+_IPV4 = _Kind(r"(\S+)", "([0-9.]+)", None, None)
+_SSID = _Kind(_QUOTED, r'("[^"\n]*")', None, None, optional=True)
+_STRING = _Kind(None, None, f'"({_PLAIN}*)"', "string")
+_NONEMPTY = _Kind(None, None, f'"({_PLAIN}+)"', "string")
+_NULLABLE = _Kind(None, None, f'("{_PLAIN}*"|null)', "string or null")
+_WINDOW = _Kind(None, None, f'"({"|".join(window.value for window in AggregateWindow)})"', "string")
+_DURATION = _Kind(None, None, f"([1-9][0-9]{{0,{MAX_DIGITS - 1}}})", "integer", optional=True)
+_JSON_TYPES = {"integer": (int,), "string": (str,), "string or null": (str, type(None))}
+_RECORD = "record"  # the key that names a JSON-lines record's kind
+
+
+def _join(fields, form: str, sep: str, pair: str) -> str:
+    """The pattern of `fields` in their kinds' `form`, each after its key as
+    `pair` writes the two, joined by `sep`; an optional field may be absent."""
+    pattern = ""
+    for key, kind, *_ in fields:
+        field = (sep if pattern else "") + pair.format(key, getattr(kind, form))
+        pattern += f"(?:{field})?" if kind.optional else field
+    return pattern
+
+
+class _Row:
+    """One record kind: its JSON-lines `record` value (None for a netstats
+    counter row) and its fields, each (key, kind), in text order and in
+    JSON-lines order, where a field may add the default that `read` gives a
+    row without it. `rule`, `line` and `row` are the texts of its per-line,
+    common-line and common-row patterns; a tokenizer compiles those it uses
+    when it runs (`re` keeps them compiled), so importing the module compiles
+    no row pattern. The dump structure around rows is the tokenizers'."""
+
+    def __init__(self, record: Optional[str], text: tuple, jsonl: tuple):
+        self.record, self.text, self.jsonl = record, text, jsonl
+        self.rule = _join(text, "text", r"\s+", "{}={}")
+        self.line = _join(text, "line", " ", "{}={}")
+        named = f'"{_RECORD}": "{record}", ' if record else ""
+        self.row = r"\{" + named + _join(jsonl, "row", ", ", '"{}": {}') + r"\}"
+        self._keys = itemgetter(*(key for key, *_ in jsonl))
+        self._defaults = {key: default[0] for key, _, *default in jsonl if default}
+        self._checks = sorted((len(field) > 2, index, field[0], field[1].json, _JSON_TYPES[field[1].json])
+                              for index, field in enumerate(jsonl))
+
+    def read(self, obj: dict) -> tuple:
+        """The values of `obj` under the JSON keys in row order, defaults filled
+        in: KeyError for the first key it lacks that has none, then TypeError
+        for the first mistyped value, those without a default checked first."""
+        values = self._keys({**self._defaults, **obj})
+        for _, index, key, name, types in self._checks:
+            if type(values[index]) not in types:
+                raise TypeError(f"{key} must be a JSON {name}, got {values[index]!r}")
+        return values
+
+
+_EVENT = _Row("event", (("time", _WALL), ("type", _TOKEN), ("package", _TOKEN)),
+              (("at", _EPOCH), ("package", _STRING), ("event_type", _STRING)))
+_AGGREGATE = _Row("aggregate", (("package", _TOKEN), ("lastTimeUsed", _MINUTE), ("totalCount", _COUNT)),
+                  (("window", _WINDOW), ("package", _STRING), ("last_used", _EPOCH), ("use_count", _COUNT)))
+_COUNTER = _Row(None, (("st", _EPOCH), ("rb", _SIGNED_COUNT), ("rp", _SIGNED_COUNT), ("tb", _SIGNED_COUNT),
+                       ("tp", _SIGNED_COUNT)),
+                (("network_id", _NONEMPTY), ("st", _EPOCH), ("rb", _COUNT), ("rp", _COUNT), ("tb", _COUNT),
+                 ("tp", _COUNT), ("bucket_duration", _DURATION, DEFAULT_BUCKET_SECONDS)))
+_LEASE = _Row("lease", (("time", _WALL), ("iface", _LEASE_TOKEN), ("event", _LEASE_TOKEN), ("ip", _IPV4),
+                        ("ssid", _SSID)),
+              (("at", _EPOCH), ("interface", _STRING, "wlan0"), ("event_kind", _STRING, "dhcp_ack"),
+               ("private_ip", _STRING), ("network_id", _NULLABLE, None)))
+
+# Each dump's common lines or rows are read in its `findall` (`line_pattern`).
+# A usagestats aggregate line or row is tried by a `fullmatch` of a stripped
+# line the `findall` leaves, before any other rule, none of which can take
+# it: it starts with `package=` and ends in a digit, and the capture-time
+# and event rules each need a `key="`; its one quote follows `lastTimeUsed=`.
+_DURATION_RE = re.compile(r'bucketDuration=(\S*)')
 
 _SECTION_HEADERS = {
     "last 24 hour events:": "events",
@@ -317,8 +345,9 @@ _SECTION_HEADERS = {
 def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[UsageAggregate], list[str]]:
     events, aggregates, warnings = [], [], []
     hours, two_digits, new = WallHours(zone), TWO_DIGIT_VALUES, tuple.__new__
+    event_rule, aggregate_rule, aggregate_line = map(re.compile, (_EVENT.rule, _AGGREGATE.rule, _AGGREGATE.line))
     section = None
-    for lineno, (hour, minute, second, event_type, package, line) in text_lines(text, _EVENT_LINES):
+    for lineno, (hour, minute, second, event_type, package, line) in text_lines(text, line_pattern(_EVENT.line)):
         if hour:
             start = hours[hour]
             if start is not None:
@@ -327,13 +356,13 @@ def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[Usage
                 continue
             wall = f"{hour}:{minute}:{second}"
         else:
-            aggregate = _AGGREGATE_LINE.fullmatch(line)
+            aggregate = aggregate_line.fullmatch(line)
             if aggregate is None:
                 if line.startswith("DUMP OF SERVICE") or (
                     "capture-time=" in line and _quoted(line, "capture-time=") is not None
                 ):
                     continue
-                m = _EVENT_RE.search(line)
+                m = event_rule.search(line)
                 if m is None:
                     key = line.lower()
                     header = _SECTION_HEADERS.get(key)
@@ -343,7 +372,7 @@ def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[Usage
                     if key.endswith("stats:"):  # an unknown section: no aggregate window
                         section = None
                     else:
-                        aggregate = _AGGREGATE_RE.search(line)
+                        aggregate = aggregate_rule.search(line)
             if aggregate is not None and isinstance(section, AggregateWindow):
                 package, wall, count = aggregate.groups()
                 try:
@@ -372,21 +401,21 @@ def _usagestats_jsonl(text: str) -> tuple[list[UsageEvent], list[UsageAggregate]
     new = tuple.__new__
 
     def record(obj):
-        kind = obj.get("record")
-        if kind == "event":
-            at, package, event_type = _fields(obj, at=int, package=str, event_type=str)
+        kind = obj.get(_RECORD)
+        if kind == _EVENT.record:
+            at, package, event_type = _EVENT.read(obj)
             events.append(UsageEvent(Timestamp(at), package, event_type))
-        elif kind == "aggregate":
-            window, package, last_used, count = _fields(obj, window=str, package=str, last_used=int, use_count=int)
+        elif kind == _AGGREGATE.record:
+            window, package, last_used, count = _AGGREGATE.read(obj)
             aggregates.append(UsageAggregate(AggregateWindow(window), package, Timestamp(last_used), count))
         elif kind != "capture":
             raise ValueError(f"unknown record kind {kind!r}")
 
-    windows = {window.value: window for window in AggregateWindow}
-    for lineno, (at, package, event_type, line) in text_lines(text, _EVENT_ROWS):
+    windows, aggregate_row = {window.value: window for window in AggregateWindow}, re.compile(_AGGREGATE.row)
+    for lineno, (at, package, event_type, line) in text_lines(text, line_pattern(_EVENT.row)):
         if at:  # UsageEvent checks nothing
             events.append(new(UsageEvent, (new(Timestamp, (int(at),)), package, event_type)))
-        elif row := _AGGREGATE_ROW.fullmatch(line):  # the pattern's count is never negative
+        elif row := aggregate_row.fullmatch(line):  # the pattern's count is never negative
             last_used = new(Timestamp, (int(row[3]),))
             aggregates.append(new(UsageAggregate, (windows[row[1]], row[2], last_used, int(row[4]))))
         else:
@@ -399,7 +428,8 @@ def _netstats_text(text: str) -> tuple[list[NetUsageRecord], list[str]]:
     new = tuple.__new__
     current_network: Optional[str] = None
     duration: Optional[int] = DEFAULT_BUCKET_SECONDS  # None: the stated one was invalid
-    for lineno, (st, rb, rp, tb, tp, line) in text_lines(text, _COUNTER_LINES):
+    counter_rule = re.compile(_COUNTER.rule)
+    for lineno, (st, rb, rp, tb, tp, line) in text_lines(text, line_pattern(_COUNTER.line)):
         if st:
             # The pattern takes ASCII digits alone, at most 11 for `st`: `int`
             # reads each, no counter is negative, and `st` is an epoch
@@ -424,7 +454,7 @@ def _netstats_text(text: str) -> tuple[list[NetUsageRecord], list[str]]:
             if network is not None:
                 current_network = network
                 continue
-            m = _ST_LINE_RE.search(line)
+            m = counter_rule.search(line)
             if m is None:
                 warnings.append(f"line {lineno}: unrecognized: {line[:80]}")
                 continue
@@ -453,13 +483,10 @@ def _netstats_jsonl(text: str) -> tuple[list[NetUsageRecord], list[str]]:
     new = tuple.__new__
 
     def record(obj):
-        network_id, st, rb, rp, tb, tp, duration = _fields(
-            {"bucket_duration": DEFAULT_BUCKET_SECONDS, **obj},
-            network_id=str, st=int, rb=int, rp=int, tb=int, tp=int, bucket_duration=int,
-        )
+        network_id, st, rb, rp, tb, tp, duration = _COUNTER.read(obj)
         records.append(NetUsageRecord(network_id, Timestamp(st), rb, rp, tb, tp, positive_seconds(duration)))
 
-    for lineno, (network_id, st, rb, rp, tb, tp, duration, line) in text_lines(text, _COUNTER_ROWS):
+    for lineno, (network_id, st, rb, rp, tb, tp, duration, line) in text_lines(text, line_pattern(_COUNTER.row)):
         if network_id:  # the pattern's counters are never negative
             at = new(Timestamp, (int(st),))
             records.append(new(NetUsageRecord, (network_id, at, int(rb), int(rp), int(tb), int(tp),
@@ -471,8 +498,8 @@ def _netstats_jsonl(text: str) -> tuple[list[NetUsageRecord], list[str]]:
 
 def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Timestamp], list[str]]:
     leases, boots, warnings = [], [], []
-    hours, two_digits = WallHours(zone), TWO_DIGIT_VALUES
-    for lineno, (hour, minute, second, interface, kind, ip, ssid, line) in text_lines(text, _LEASE_LINES):
+    hours, two_digits, lease_rule = WallHours(zone), TWO_DIGIT_VALUES, re.compile(_LEASE.rule)
+    for lineno, (hour, minute, second, interface, kind, ip, ssid, line) in text_lines(text, line_pattern(_LEASE.line)):
         if hour:
             network_id = ssid[1:-1] if ssid else None
             start = hours[hour]
@@ -487,7 +514,7 @@ def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Ti
                 except ValueError as exc:
                     warnings.append(f"line {lineno}: bad boot time ({exc})")
                 continue
-            m = _LEASE_RE.search(line)
+            m = lease_rule.search(line)
             if m is None:
                 warnings.append(f"line {lineno}: unrecognized: {line[:80]}")
                 continue
@@ -509,27 +536,27 @@ def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Ti
 
 
 def _network_stack_jsonl(text: str) -> tuple[list[LeaseEvent], list[Timestamp], list[str]]:
-    leases, boots = [], []
+    leases, boots, warnings = [], [], []
 
     def record(obj):
-        kind = obj.get("record")
-        if kind == "lease":
-            at, ip, interface, event_kind = _fields(
-                {"interface": "wlan0", "event_kind": "dhcp_ack", **obj},
-                at=int, private_ip=str, interface=str, event_kind=str,
-            )
-            network_id = obj.get("network_id")
-            if not (network_id is None or type(network_id) is str):
-                raise TypeError(f"network_id must be a JSON string or null, got {network_id!r}")
+        kind = obj.get(_RECORD)
+        if kind == _LEASE.record:
+            at, interface, event_kind, ip, network_id = _LEASE.read(obj)
             leases.append(_lease(Timestamp(at), interface, ip, event_kind, network_id))
         elif kind == "boot":
             boots.append(Timestamp(json_field(obj, "at", int)))
         else:
             raise ValueError(f"unknown record kind {kind!r}")
 
-    warnings = []
-    for lineno, line in text_lines(text):
-        _jsonl_line(lineno, line, record, warnings)
+    for lineno, (at, interface, event_kind, ip, network_id, line) in text_lines(text, line_pattern(_LEASE.row)):
+        if at:
+            try:  # the pattern's epoch is one Timestamp accepts; LeaseEvent checks the address
+                leases.append(_lease(tuple.__new__(Timestamp, (int(at),)), interface, ip, event_kind,
+                                     None if network_id == "null" else network_id[1:-1]))
+            except ValueError as exc:
+                warnings.append(f"line {lineno}: {exc}")
+        else:
+            _jsonl_line(lineno, line, record, warnings)
     return leases, boots, warnings
 
 

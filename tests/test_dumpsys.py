@@ -2,6 +2,7 @@ import json
 import random
 import re
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -417,6 +418,15 @@ class TestParseNetworkStack:
         assert log.boot_epoch_marker.epoch == 100
         assert log.leases[0].private_ip == "10.0.0.5"
 
+    def test_jsonl_invalid_ip_warns_alike_on_both_paths(self):
+        row = {"record": "lease", "at": 200, "interface": "wlan0", "event_kind": "dhcp_ack",
+               "private_ip": "300.1.2.3", "network_id": None}
+        assert re.fullmatch(dumpsys._LEASE.row, json.dumps(row))  # the row pattern reads it
+        for line in (json.dumps(row), json.dumps(row, separators=(",", ":"))):
+            log, warnings = parse_network_stack(json.dumps(_LEASE) + "\n" + line + "\n", KST)
+            assert len(log.leases) == 1
+            assert warnings == ["line 2: Octet 300 (> 255) not permitted in '300.1.2.3'"]
+
 
 class TestBucketFor:
     """A traffic bucket collects the app events and SSID-less leases in [st, st+duration)."""
@@ -681,7 +691,8 @@ def test_jsonl_record_without_a_field_warns_naming_it(parse, valid, key):
 
 # Rows with two faults, their keys in the order `json.dumps` writes them: a
 # missing field is named before a mistyped one that precedes it, of two
-# mistyped fields the first is named, and a lease's network_id after all.
+# mistyped fields the first is named, a lease's private_ip before the fields
+# that have a default, and a lease's network_id after all.
 TWO_FAULTS = [
     (parse_usagestats, {"record": "event", "at": "1683735256", "package": "com.x"}, "missing field 'event_type'"),
     (parse_usagestats, {**_EVENT, "at": 1.5, "package": 5}, "at must be a JSON integer, got 1.5"),
@@ -696,6 +707,8 @@ TWO_FAULTS = [
     (parse_network_stack, {**_LEASE, "at": "1", "network_id": 5}, "at must be a JSON integer, got '1'"),
     (parse_network_stack, {**_LEASE, "interface": 0, "event_kind": 1}, "interface must be a JSON string, got 0"),
     (parse_network_stack, {**_LEASE, "event_kind": 1, "network_id": 5}, "event_kind must be a JSON string, got 1"),
+    (parse_network_stack, {"record": "lease", "at": 1683735270, "interface": 0, "event_kind": "dhcp_ack",
+                           "private_ip": 5, "network_id": None}, "private_ip must be a JSON string, got 5"),
 ]
 
 
@@ -866,7 +879,7 @@ class TestCommonLinePath:
     record from the pattern's groups, any other line goes through the
     per-line rules (for a JSON-lines dump, `json.loads`). A "\\x0b" before
     every line keeps each out of the common form while `strip` drops it, and
-    a JSON-lines aggregate row, which `_AGGREGATE_ROW` reads from the stripped
+    a JSON-lines aggregate row, which `_AGGREGATE.row` reads from the stripped
     line, is kept from that pattern too; so all go through the per-line
     rules, and the tokenizer's lists must be the same."""
 
@@ -883,10 +896,12 @@ class TestCommonLinePath:
         "network_stack": dumpsys._network_stack_text,
         "usagestats_jsonl": lambda text, zone: dumpsys._usagestats_jsonl(text),
         "netstats_jsonl": lambda text, zone: dumpsys._netstats_jsonl(text),
+        "network_stack_jsonl": lambda text, zone: dumpsys._network_stack_jsonl(text),
     }
-    COMMON = {"usagestats": dumpsys._EVENT_LINES, "netstats": dumpsys._COUNTER_LINES,
-              "network_stack": dumpsys._LEASE_LINES, "usagestats_jsonl": dumpsys._EVENT_ROWS,
-              "netstats_jsonl": dumpsys._COUNTER_ROWS}
+    COMMON = {dump: evidence.line_pattern(common) for dump, common in {
+        "usagestats": dumpsys._EVENT.line, "netstats": dumpsys._COUNTER.line, "network_stack": dumpsys._LEASE.line,
+        "usagestats_jsonl": dumpsys._EVENT.row, "netstats_jsonl": dumpsys._COUNTER.row,
+        "network_stack_jsonl": dumpsys._LEASE.row}.items()}
     DUMPS = list(TOKENIZE)
     # JSON integers in range, at and past MAX_EPOCH, of 19 and 20 digits, and negative; and
     # the last epoch a common row takes and the first, still in range, that it leaves.
@@ -911,16 +926,16 @@ class TestCommonLinePath:
     def from_groups(cls, dump, text) -> list[bool]:
         """Whether the tokenizer reads each line of `text` from a pattern's
         groups: its common-line pattern's or, for a JSON-lines usagestats
-        line that pattern leaves, `_AGGREGATE_ROW`'s on the stripped line."""
-        return [any(fields[:-1]) or (dump == "usagestats_jsonl" and bool(dumpsys._AGGREGATE_ROW.fullmatch(
-            fields[-1].strip()))) for fields in cls.COMMON[dump].findall(text)]
+        line that pattern leaves, `_AGGREGATE.row`'s on the stripped line."""
+        return [any(fields[:-1]) or (dump == "usagestats_jsonl" and bool(re.fullmatch(
+            dumpsys._AGGREGATE.row, fields[-1].strip()))) for fields in cls.COMMON[dump].findall(text)]
 
     def per_line(self, dump, text, zone, monkeypatch):
         """The tokenizer's lists for `text` with every line read by the per-line rules."""
         forced = "\n".join("\x0b" + line for line in text.split("\n"))
         assert not any(any(fields[:-1]) for fields in self.COMMON[dump].findall(forced))
         with monkeypatch.context() as patch:
-            patch.setattr(dumpsys, "_AGGREGATE_ROW", re.compile("(?!)"))
+            patch.setattr(dumpsys._AGGREGATE, "row", "(?!)")
             return self.TOKENIZE[dump](forced, zone)
 
     def wall(self, rng) -> str:
@@ -976,6 +991,19 @@ class TestCommonLinePath:
                     {key: row[key] for key in rng.sample(list(row), rng.randint(1, 4))},
                     {**row, rng.choice(["record", "at", "extra"]): rng.choice([*self.INTEGERS, "event", 1.5, None])},
                 ])
+        elif dump == "network_stack_jsonl":
+            row = {"record": "lease", "at": self.pick(rng, self.INTEGERS),
+                   "interface": self.pick(rng, ["wlan0", "wlan1", *self.STRINGS]),
+                   "event_kind": self.pick(rng, ["dhcp_ack", "IF_UP", "X", *self.STRINGS]),
+                   "private_ip": self.pick(rng, ["10.0.0.2", "172.30.1.76", "10.0.0.3", "300.1.2.3", "", *self.STRINGS]),
+                   "network_id": self.pick(rng, [None, "Cafe", "", "null", None, *self.STRINGS])}
+            if not common:
+                row = rng.choice([
+                    {"record": "boot", "at": rng.choice(self.INTEGERS)},
+                    {key: row[key] for key in rng.sample(list(row), rng.randint(1, 5))},
+                    {**row, rng.choice(["record", "at", "private_ip", "network_id", "extra"]):
+                        rng.choice([*self.INTEGERS[:3], "lease", "boot", 1.5, None, True])},
+                ])
         else:
             row = {"network_id": self.pick(rng, self.STRINGS),
                    **{key: self.pick(rng, self.INTEGERS) for key in ("st", "rb", "rp", "tb", "tp")}}
@@ -993,7 +1021,8 @@ class TestCommonLinePath:
 
     def dumps(self, dump, rng):
         opening = {"usagestats": "Last 24 hour events:", "netstats": 'networkId="a"', "network_stack": "",
-                   "usagestats_jsonl": json.dumps(_EVENT), "netstats_jsonl": json.dumps(_BUCKET)}
+                   "usagestats_jsonl": json.dumps(_EVENT), "netstats_jsonl": json.dumps(_BUCKET),
+                   "network_stack_jsonl": json.dumps(_LEASE)}
         for _ in range(30):
             lines = [opening[dump]]
             for _ in range(rng.randint(1, 30)):
@@ -1331,6 +1360,9 @@ class TestAgainstTheReferenceParsers:
                        (_AGGREGATE, ("last_used", "use_count"), ("package", "window"))],
         "netstats": [(_BUCKET, ("st", "rb"), ("network_id",)),
                      ({**_BUCKET, "bucket_duration": 900}, ("st", "bucket_duration"), ("network_id",))],
+        "network_stack": [({"record": "lease", "at": 1683735270, "interface": "wlan0", "event_kind": "dhcp_ack",
+                            "private_ip": "172.30.1.76", "network_id": "Cafe"}, ("at",),
+                           ("interface", "event_kind", "private_ip", "network_id"), ("network_id",))],
     }
     # JSON texts of a value, by whether a field's pattern takes each; the
     # exceptions are the fields that take one otherwise: an epoch takes at
@@ -1339,29 +1371,32 @@ class TestAgainstTheReferenceParsers:
                      str(evidence.MAX_EPOCH): True, str(evidence.MAX_EPOCH + 1): True, "0123": False, "-0": False,
                      "-1": False, "1.0": False, "1e3": False, "true": False, '"5"': False}
     STRING_EDGES = {r'"\u0041"': False, r'"x\"y"': False, r'"a\/b"': False, '"a\tb"': False, '"a\x7fb"': False,
-                    '"é"': False, '""': True, '"month"': True, '"year"': True, '"day"': True, '"Week"': True}
+                    '"é"': False, '""': True, '"month"': True, '"year"': True, '"day"': True, '"Week"': True,
+                    "null": False, '"null"': True}
     EDGE_EXCEPTIONS = {("bucket_duration", "0"): False, ("network_id", '""'): False, ("window", '""'): False,
-                       ("window", '"day"'): False, ("window", '"Week"'): False,
+                       ("window", '"day"'): False, ("window", '"Week"'): False, ("window", '"null"'): False,
                        **{(epoch, text): False for epoch in ("at", "last_used", "st") for text in
                           ("9" * 19, str(10**11), str(evidence.MAX_EPOCH), str(evidence.MAX_EPOCH + 1))}}
 
     @classmethod
-    def edge_rows(cls, row, integers, strings):
+    def edge_rows(cls, row, integers, strings, nullable=()):
         """(line, whether it is a common row) for the JSON-lines `row` with
         each integer and string field's value replaced by the JSON text of
-        each edge case, and for the whole row in other forms. An aggregate
-        row's pattern reads the stripped line, so a tab or "\\r" around it
-        keeps it a common row."""
+        each edge case, and for the whole row in other forms. A `nullable`
+        field's common form takes null and the empty string. An aggregate row's pattern reads the stripped line, so a tab
+        or "\\r" around it keeps it a common row."""
         line, stripped = json.dumps(row), row.get("record") == "aggregate"
         rows = [(line, True)]
         for fields, edges in ((integers, cls.INTEGER_EDGES), (strings, cls.STRING_EDGES)):
             for field in fields:
                 rows += [(json.dumps({**row, field: "\0"}).replace(r'"\u0000"', text),
-                          cls.EDGE_EXCEPTIONS.get((field, text), common)) for text, common in edges.items()]
+                          (field in nullable and text in ("null", '""'))
+                          or cls.EDGE_EXCEPTIONS.get((field, text), common))
+                         for text, common in edges.items()]
         rows += [
             (line[:-1] + f', "{integers[0]}": 5}}', False),  # a repeated key
             (line[:-1] + ', "extra": 1}', False),
-            (line[:-1] + ', "bucket_duration": 3600}', "network_id" in row and "bucket_duration" not in row),
+            (line[:-1] + ', "bucket_duration": 3600}', "record" not in row and "bucket_duration" not in row),
             (json.dumps(dict(reversed(row.items()))), False),
             (json.dumps(row, separators=(",", ":")), False),
             (json.dumps({k: v for k, v in row.items() if k != strings[0]}), False),  # a missing field
@@ -1369,7 +1404,7 @@ class TestAgainstTheReferenceParsers:
         ]
         return rows
 
-    @pytest.mark.parametrize("dump", ["usagestats", "netstats"])
+    @pytest.mark.parametrize("dump", ["usagestats", "netstats", "network_stack"])
     def test_jsonl_rows_at_each_edge_of_the_common_row(self, dump, monkeypatch):
         rows = [edge for form in self.EDGE_ROWS[dump] for edge in self.edge_rows(*form)]
         text = "".join(line + "\n" for line, _ in rows)
@@ -1377,12 +1412,15 @@ class TestAgainstTheReferenceParsers:
         assert paths.from_groups(dump + "_jsonl", text) == [common for _, common in rows] + [False]
         assert paths.TOKENIZE[dump + "_jsonl"](text, KST) == paths.per_line(dump + "_jsonl", text, KST, monkeypatch)
         parsed, warnings = self.assert_alike(dump, text, CAPTURE, KST)
-        assert len(warnings) > 30
+        assert len(warnings) > (20 if dump == "network_stack" else 30)
         if dump == "usagestats":
             assert len(parsed.events_24h) > 10 and len(parsed.aggregates) > 20
             assert {a.window for a in parsed.aggregates} == set(AggregateWindow)
-        else:
+        elif dump == "netstats":
             assert {3600, 900, 10**19 - 1} <= {r.bucket_duration for r in parsed} and len(parsed) > 30
+        else:
+            assert {None, "", "null", "Cafe"} <= {lease.network_id for lease in parsed.leases}
+            assert any(w.endswith("Expected 4 octets in 'month'") for w in warnings)
 
     AGGREGATE_LINES = [
         'package=com.x lastTimeUsed="2023-05-10 09:00" totalCount=3',
@@ -1419,7 +1457,7 @@ class TestAgainstTheReferenceParsers:
 
     @pytest.mark.parametrize("zone", TestCommonLinePath.ZONES)
     def test_aggregate_lines_in_and_out_of_the_strict_form(self, zone):
-        strict = sum(1 for line in self.AGGREGATE_LINES if dumpsys._AGGREGATE_LINE.fullmatch(line))
+        strict = sum(1 for line in self.AGGREGATE_LINES if re.fullmatch(dumpsys._AGGREGATE.line, line))
         assert 10 < strict < len(self.AGGREGATE_LINES) - 10
         # Each line right under each header, and all of them in a row: a line
         # ending in "stats:" ends the window for the lines after it.
@@ -1431,3 +1469,29 @@ class TestAgainstTheReferenceParsers:
             report, warnings = self.assert_alike("usagestats", text, CAPTURE, zone)
             kept += len(report.aggregates)
         assert kept > 50
+
+
+class TestGrammarDocument:
+    """docs/fixture-grammar.md read against the row table in `dumpsys`."""
+
+    DOC = (Path(__file__).resolve().parent.parent / "docs" / "fixture-grammar.md").read_text(encoding="utf-8")
+
+    def test_each_jsonl_example_is_its_kinds_common_row(self):
+        rows = {"event": dumpsys._EVENT, "aggregate": dumpsys._AGGREGATE, "lease": dumpsys._LEASE,
+                None: dumpsys._COUNTER}
+        kinds = []
+        for block in re.findall(r"^```json\n(.*?)^```", self.DOC, re.S | re.M):
+            for line in block.splitlines():
+                kind = json.loads(line).get("record")
+                if kind not in ("capture", "boot"):
+                    assert re.fullmatch(rows[kind].row, line), line
+                kinds.append(kind)
+        assert sorted(map(str, kinds)) == ["None", "None", "aggregate", "boot", "capture", "event", "lease"]
+
+    @pytest.mark.parametrize("production, row", [
+        ("event-line", dumpsys._EVENT), ("aggregate-line", dumpsys._AGGREGATE),
+        ("counter-line", dumpsys._COUNTER), ("lease-line", dumpsys._LEASE),
+    ])
+    def test_line_productions_name_the_text_keys_in_order(self, production, row):
+        rule = re.search(rf"^{production} *=(.*?);", self.DOC, re.S | re.M)[1]
+        assert re.findall(r'"(\w+)="', rule) == [key for key, *_ in row.text]
