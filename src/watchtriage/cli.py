@@ -36,8 +36,8 @@ from pathlib import Path
 
 from . import acquisition
 from .evidence import (
-    DEFAULT_DISPLAY_ZONE, MAX_DIGITS, MAX_EPOCH, DeviceProfile, EvidenceBundle, SourceKind, document_text, seal_bundle,
-    verify_bundle, zone_name,
+    DEFAULT_DISPLAY_ZONE, MAX_DIGITS, MAX_EPOCH, DeviceProfile, EvidenceBundle, SourceKind, document_text, one_line,
+    seal_bundle, verify_bundle, zone_name,
 )
 from .host_artifacts import HostArtifacts, load_host_artifacts, locate_host_artifacts
 
@@ -135,7 +135,7 @@ def cmd_acquire(args) -> int:
     print(f"bundle sealed: {bundle.bundle_manifest_digest}")
     print(f"items: {len(bundle.items)}, failures: {len(bundle.failures)}")
     for failure in bundle.failures:
-        print(f"  step failed: {failure.label}: {failure.detail}", file=sys.stderr)
+        print(f"  step failed: {one_line(failure.label)}: {one_line(failure.detail)}", file=sys.stderr)
     return EXIT_DETECTIONS if bundle.failures else EXIT_OK
 
 
@@ -159,7 +159,7 @@ def cmd_correlate(args) -> int:
     )
     _write_output(document_text(doc), args.out)
     for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+        print(f"warning: {one_line(w)}", file=sys.stderr)
     return EXIT_DETECTIONS if findings else EXIT_OK
 
 
@@ -230,8 +230,8 @@ def cmd_verify(args) -> int:
     loaded = acquisition.read_bundle_dir(Path(args.bundle))
     result = verify_bundle(loaded, loaded.payloads)
     for item_result in result.results:
-        print(f"{item_result.status.upper():8} {item_result.item_key}"
-              + (f"  ({item_result.detail})" if item_result.detail else ""))
+        print(one_line(f"{item_result.status.upper():8} {item_result.item_key}"
+                       + (f"  ({item_result.detail})" if item_result.detail else "")))
     print(f"manifest: {'PASS' if result.manifest_ok else 'FAIL'}")
     print(f"overall: {'PASS' if result.overall_pass else 'FAIL'}")
     return EXIT_OK if result.overall_pass else EXIT_DETECTIONS

@@ -37,7 +37,7 @@ from .dumpsys import (
     UsageEvent,
     UsageReport,
 )
-from .evidence import Records, RenderedTimes, SourceKind, Timestamp, json_field, json_list, load_json
+from .evidence import Records, SourceKind, TimeTable, Timestamp, json_field, json_list, load_json
 from .host_artifacts import FtpServerEntry, KnownHostEntry
 
 DEFAULT_UNCLASSIFIED_MIN_BYTES = 10_000_000
@@ -486,8 +486,8 @@ def corroborate(
     return findings
 
 
-def event_records(events: Sequence[UsageEvent], times: RenderedTimes) -> Records:
-    """The JSON form of usage events; rendered times are in `times.zone`."""
+def event_records(events: Sequence[UsageEvent], times: TimeTable) -> Records:
+    """The JSON form of usage events; each time is rendered by `times`, the document's table."""
     stamps, packages, event_types = zip(*events) if events else ((),) * 3
     ats = [s.epoch for s in stamps]
     columns = ats, list(map(times.__getitem__, ats)), packages, event_types
@@ -500,8 +500,8 @@ def bucket_records(buckets: Sequence[NetUsageRecord]) -> Records:
     return Records(("network_id", "st", "rb", "rp", "tb", "tp"), (networks, [s.epoch for s in starts], rb, rp, tb, tp))
 
 
-def session_to_dict(session: AppNetworkSession, times: RenderedTimes) -> dict:
-    """JSON form of a session; rendered times are in `times.zone`."""
+def session_to_dict(session: AppNetworkSession, times: TimeTable) -> dict:
+    """JSON form of a session; each time is rendered by `times`, the document's table."""
     start = session.app_start
     return {
         "packages": list(session.packages),
@@ -532,8 +532,8 @@ def _corroboration_to_dict(entry) -> dict:
     }
 
 
-def finding_to_dict(finding: Finding, times: RenderedTimes) -> dict:
-    """JSON form of a finding; rendered times are in `times.zone`."""
+def finding_to_dict(finding: Finding, times: TimeTable) -> dict:
+    """JSON form of a finding; each time is rendered by `times`, the document's table."""
     return {
         "pattern": finding.pattern.value,
         "confidence": finding.confidence.value,
@@ -553,7 +553,7 @@ def findings_document(
     warnings: Sequence[str] = (),
 ) -> dict:
     """Stable JSON-serializable findings document; rendered times are in `zone`."""
-    times = RenderedTimes(zone, [e.at for f in findings for e in f.session.app_events])
+    times = TimeTable(zone, [e.at for f in findings for e in f.session.app_events])
     return {
         "schema": "watchtriage.findings/1",
         "bundle_manifest_digest": bundle_digest,
@@ -569,7 +569,7 @@ def parse_document(timeline: Timeline, bundle_digest: Optional[str], zone: str, 
     command's output); rendered times are in `zone`."""
     report, lease_log = timeline.report, timeline.lease_log
     boot = lease_log.boot_epoch_marker
-    times = RenderedTimes(zone, [e.at for e in report.events_24h])
+    times = TimeTable(zone, [e.at for e in report.events_24h])
     windows, packages, last_used, use_counts = zip(*report.aggregates) if report.aggregates else ((),) * 4
     # An aggregate states its last use to the minute, never the second.
     aggregates = Records(("window", "package", "last_used", "use_count", "precision"), (

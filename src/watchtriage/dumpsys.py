@@ -31,8 +31,7 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from .evidence import (
-    MAX_DIGITS, TWO_DIGIT_VALUES, RenderedTimes, Timestamp, WallHours, bounded_int, json_field, line_pattern,
-    text_lines,
+    MAX_DIGITS, TWO_DIGIT_VALUES, TimeTable, Timestamp, bounded_int, json_field, line_pattern, text_lines,
 )
 
 USAGE_WINDOW_SECONDS = 24 * 3600
@@ -226,8 +225,8 @@ def _quoted(line: str, key: str) -> Optional[str]:
 # takes only what the per-line path reads the same way. A common line's
 # tokens are printable ASCII without space or quote (nor, in a lease, "="),
 # so no skip, header or boot rule and no earlier field takes the line; its
-# wall time comes as the "YYYY-MM-DD HH" hour the dump's WallHours settles
-# (else `parse` reads it) and a minute and second of TWO_DIGIT_VALUES. A
+# wall time comes as the "YYYY-MM-DD HH" hour the dump's TimeTable settles
+# (else its `parse` reads it) and a minute and second of TWO_DIGIT_VALUES. A
 # common row's groups are what `json.loads` returns: printable ASCII without
 # quote or backslash decodes to itself; `0|[1-9][0-9]{0,18}` is the one
 # integer form JSON and `bounded_int` both accept (a duration's the positive
@@ -336,22 +335,22 @@ _SECTION_HEADERS = {
 
 # --- Tokenizers: one per dump and format. Each returns its dump's records
 # as lists by kind, in dump order, then its per-line warnings. Wall-clock text
-# is read in `zone`, through the dump's WallHours: a common line's wall hour
-# as one of its keys, any other wall time by its `parse`.
+# is read through the dump's TimeTable: a common line's wall hour through
+# its `hours` (else `hour_start`), any other wall time by its `parse`.
 # A usagestats dump's own capture record is informational and skipped
 # unparsed: the capture instant comes from the bundle.
 
 
-def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[UsageAggregate], list[str]]:
+def _usagestats_text(text: str, table: TimeTable) -> tuple[list[UsageEvent], list[UsageAggregate], list[str]]:
     events, aggregates, warnings = [], [], []
-    hours, two_digits, new = WallHours(zone), TWO_DIGIT_VALUES, tuple.__new__
+    hours, hour_start, two_digits, new = table.hours, table.hour_start, TWO_DIGIT_VALUES, tuple.__new__
     event_rule, aggregate_rule, aggregate_line = map(re.compile, (_EVENT.rule, _AGGREGATE.rule, _AGGREGATE.line))
     section = None
     for lineno, (hour, minute, second, event_type, package, line) in text_lines(text, line_pattern(_EVENT.line)):
         if hour:
-            start = hours[hour]
-            if start is not None:
-                at = new(Timestamp, (start + 60 * two_digits[minute] + two_digits[second],))  # in range: see WallHours
+            start = hours[hour] if hour in hours else hour_start(hour)
+            if start is not None:  # in range: see TimeTable.hour_start
+                at = new(Timestamp, (start + 60 * two_digits[minute] + two_digits[second],))
                 events.append(new(UsageEvent, (at, package, event_type)))  # UsageEvent checks nothing
                 continue
             wall = f"{hour}:{minute}:{second}"
@@ -376,7 +375,7 @@ def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[Usage
             if aggregate is not None and isinstance(section, AggregateWindow):
                 package, wall, count = aggregate.groups()
                 try:
-                    last_used = hours.parse(wall + ":00")
+                    last_used = table.parse(wall + ":00")
                 except ValueError as exc:
                     warnings.append(f"line {lineno}: bad aggregate time ({exc})")
                     continue
@@ -388,7 +387,7 @@ def _usagestats_text(text: str, zone: str) -> tuple[list[UsageEvent], list[Usage
                 continue
             wall, event_type, package = m.groups()
         try:
-            at = hours.parse(wall)
+            at = table.parse(wall)
         except ValueError as exc:
             warnings.append(f"line {lineno}: bad event time ({exc})")
             continue
@@ -496,13 +495,13 @@ def _netstats_jsonl(text: str) -> tuple[list[NetUsageRecord], list[str]]:
     return records, warnings
 
 
-def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Timestamp], list[str]]:
+def _network_stack_text(text: str, table: TimeTable) -> tuple[list[LeaseEvent], list[Timestamp], list[str]]:
     leases, boots, warnings = [], [], []
-    hours, two_digits, lease_rule = WallHours(zone), TWO_DIGIT_VALUES, re.compile(_LEASE.rule)
+    hours, hour_start, two_digits, lease_rule = table.hours, table.hour_start, TWO_DIGIT_VALUES, re.compile(_LEASE.rule)
     for lineno, (hour, minute, second, interface, kind, ip, ssid, line) in text_lines(text, line_pattern(_LEASE.line)):
         if hour:
             network_id = ssid[1:-1] if ssid else None
-            start = hours[hour]
+            start = hours[hour] if hour in hours else hour_start(hour)
             wall = None if start is not None else f"{hour}:{minute}:{second}"
         else:
             if line.startswith("DUMP OF SERVICE"):
@@ -510,7 +509,7 @@ def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Ti
             boot = _quoted(line, "bootTime=")
             if boot is not None:
                 try:
-                    boots.append(hours.parse(boot))
+                    boots.append(table.parse(boot))
                 except ValueError as exc:
                     warnings.append(f"line {lineno}: bad boot time ({exc})")
                 continue
@@ -524,9 +523,9 @@ def _network_stack_text(text: str, zone: str) -> tuple[list[LeaseEvent], list[Ti
                 continue
         try:
             if wall is None:
-                at = tuple.__new__(Timestamp, (start + 60 * two_digits[minute] + two_digits[second],))  # see WallHours
+                at = tuple.__new__(Timestamp, (start + 60 * two_digits[minute] + two_digits[second],))  # see hour_start
             else:
-                at = hours.parse(wall)
+                at = table.parse(wall)
             lease = _lease(at, interface, ip, kind, network_id)
         except ValueError as exc:
             warnings.append(f"line {lineno}: bad lease line ({exc})")
@@ -572,16 +571,16 @@ def parse_usagestats(text: str, capture_time: Timestamp, zone: str) -> tuple[Usa
     dump was collected (the bundle item's `collected_at`); events outside the
     24-hour detail window ending at it are dropped with a warning.
     """
-    events, aggregates, warnings = _usagestats_jsonl(text) if _is_jsonl(text) else _usagestats_text(text, zone)
+    table = TimeTable(zone)
+    events, aggregates, warnings = _usagestats_jsonl(text) if _is_jsonl(text) else _usagestats_text(text, table)
     kept = sorted(events, key=_AT_EPOCH)  # stable: ties keep dump order
     window_end = capture_time.epoch
     window_start = window_end - USAGE_WINDOW_SECONDS
     if kept and not window_start <= kept[0].at.epoch <= kept[-1].at.epoch <= window_end:
-        times = RenderedTimes(zone)
         for ev in events:  # in dump order, as the warnings are
             if not window_start <= ev.at.epoch <= window_end:
                 warnings.append(
-                    f"event for {ev.package} at {times[ev.at.epoch]} lies outside the 24h detail window; dropped"
+                    f"event for {ev.package} at {table[ev.at.epoch]} lies outside the 24h detail window; dropped"
                 )
         kept = [ev for ev in kept if window_start <= ev.at.epoch <= window_end]
     return UsageReport(capture_time, tuple(kept), tuple(aggregates)), warnings
@@ -605,14 +604,15 @@ def parse_network_stack(text: str, zone: str) -> tuple[NetworkStackLog, list[str
     marker (the last one in the dump) are rejected with a warning: the
     service log does not survive a reboot, so such lines cannot be genuine.
     """
-    leases, boots, warnings = _network_stack_jsonl(text) if _is_jsonl(text) else _network_stack_text(text, zone)
+    table = TimeTable(zone)
+    leases, boots, warnings = _network_stack_jsonl(text) if _is_jsonl(text) else _network_stack_text(text, table)
     boot = boots[-1] if boots else None
     if boot is not None:
-        kept, times = [], RenderedTimes(zone)
+        kept = []
         for lease in leases:
             if lease.at.epoch < boot.epoch:
                 warnings.append(
-                    f"lease at {times[lease.at.epoch]} predates boot marker {times[boot.epoch]}; dropped "
+                    f"lease at {table[lease.at.epoch]} predates boot marker {table[boot.epoch]}; dropped "
                     "(log is volatile across reboot)"
                 )
             else:

@@ -334,10 +334,10 @@ class _TimestampFields(NamedTuple):
 
 
 class Timestamp(_TimestampFields):
-    """Point in time as UTC epoch seconds. Its methods and the two maps on
-    a TimeTable, WallHours, which reads wall times, and RenderedTimes, which
-    renders instants, are the only code that turns wall-clock text into an
-    epoch or an epoch into text."""
+    """Point in time as UTC epoch seconds. Its methods and a TimeTable, which
+    reads a dump's wall times and renders a document's instants, are the
+    only code that turns wall-clock text into an epoch or an epoch into
+    text."""
 
     __slots__ = ()
 
@@ -350,11 +350,11 @@ class Timestamp(_TimestampFields):
         """The instant the wall time `text` denotes in `zone`; ValueError for
         any text but the fixed-width form. A wall time that a DST change
         repeats or skips reads as its fold=0 instant."""
-        return WallHours(zone).parse(text)
+        return TimeTable(zone).parse(text)
 
     def render(self, zone: str) -> str:
         """Wall-clock string in `zone` with explicit UTC offset."""
-        return RenderedTimes(zone)[self.epoch]
+        return TimeTable(zone)[self.epoch]
 
     def wall(self, zone: str) -> str:
         """Bare wall-clock string in `zone` (no offset suffix)."""
@@ -384,24 +384,34 @@ _TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
 TWO_DIGIT_VALUES = {text: n for n, text in enumerate(_TWO_DIGITS)}
 
 
-class TimeTable:
+class TimeTable(dict):
     """How `zone` reads and writes the wall times of one dump or one output
-    document: the zone's offset segments, each (UTC start, end, offset in
+    document. As a dict it maps epoch -> what `Timestamp(epoch).render(zone)`
+    gives, so an instant shown twice is rendered once: the `instants` given,
+    and the epochs given to `add`, are rendered up front, and any other
+    epoch at its first lookup. Either way, an epoch out of Timestamp's range
+    raises Timestamp's ValueError, the first such one in the order given.
+    `hours` maps each "YYYY-MM-DD HH" wall hour `hour_start` has settled to
+    its start, or None, and `dates` each local day rendered to its
+    "YYYY-MM-DD " text.
+
+    Both rest on the zone's offset segments, each (UTC start, end, offset in
     seconds, " +HH:MM[:SS]" suffix), filled one UTC day at a time as
-    instants and wall times reach it, and `dates`, the "YYYY-MM-DD " text of
-    each local day rendered. A day is probed at its first and last second
-    and bisected to the second its offset changes only where the two
+    instants and wall times reach it. A day is probed at its first and last
+    second and bisected to the second its offset changes only where the two
     differ: at and after epoch 0, no installed zone changes its offset
     twice within 86,400 s (the closest two, America/Cambridge_Bay's in
     2000, lie 597,600 s apart; tests/test_evidence.py checks every zone).
     Every result is the one the plain `datetime` expressions give."""
 
-    __slots__ = ("zone", "_segments", "dates")
+    __slots__ = ("zone", "_segments", "dates", "hours")
 
-    def __init__(self, zone: str):
+    def __init__(self, zone: str, instants: Iterable[Timestamp] = ()):
         self.zone = zone
         self._segments: dict[int, tuple[tuple[int, int, int, str], ...]] = {}  # UTC day -> its segments
         self.dates: dict[int, str] = {}  # local day (days after 1970-01-01) -> "YYYY-MM-DD "
+        self.hours: dict[str, Optional[int]] = {}  # "YYYY-MM-DD HH" -> hour_start's result
+        self.add(map(_EPOCH, instants))
 
     def segment(self, epoch: int) -> tuple[int, int, int, str]:
         """The segment that holds `epoch`; it lies within one UTC day."""
@@ -453,12 +463,60 @@ class TimeTable:
         every second of the wall hour reads with one offset, and no second
         of it lies outside `0..MAX_EPOCH`; None otherwise, for a date or hour
         that does not exist, and for text that is not that form in ASCII
-        digits."""
+        digits. Either is kept in `hours`. A start plus `60 * minute +
+        second`, each a TWO_DIGIT_VALUES value, is the epoch `parse` gives,
+        and always one Timestamp takes."""
         local = _local_seconds(hour + ":00:00")
         start = None if local is None else self.epoch(local)
         if start is None or not 0 <= start <= MAX_EPOCH - 3599 or self.epoch(local + 3599) != start + 3599:
-            return None
+            start = None
+        self.hours[hour] = start
         return start
+
+    def parse(self, text: str) -> Timestamp:
+        """The Timestamp `Timestamp.parse(text, zone)` gives, and its
+        ValueError: through the start of the text's hour where it has one,
+        and through the segments otherwise."""
+        if len(text) == 19 and text[13] == text[16] == ":":
+            minutes, seconds = TWO_DIGIT_VALUES.get(text[14:16]), TWO_DIGIT_VALUES.get(text[17:])
+            if minutes is not None and seconds is not None:
+                hour, hours = text[:13], self.hours
+                start = hours[hour] if hour in hours else self.hour_start(hour)
+                if start is not None:  # every second of the hour is in range
+                    return tuple.__new__(Timestamp, (start + 60 * minutes + seconds,))
+        local = _local_seconds(text)
+        epoch = None if local is None else self.epoch(local)
+        if epoch is not None and 0 <= epoch <= MAX_EPOCH:
+            return tuple.__new__(Timestamp, (epoch,))
+        # Text outside the form, a date or time no calendar has, or an
+        # instant out of range: the error `datetime` and Timestamp give.
+        return Timestamp(_datetime_epoch(text, self.zone))
+
+    def add(self, epochs: Iterable[int]) -> None:
+        """Render `epochs` in one pass, which adds the offset and finds the
+        local day's "YYYY-MM-DD " text once per run of epochs inside one
+        local day of one segment, and writes each epoch's time of day with
+        integer arithmetic."""
+        segment, dates, two_digits = self.segment, self.dates, _TWO_DIGITS
+        start = end = first = last = 0  # the current run, inside the current segment
+        for epoch in epochs:
+            if not start <= epoch < end:
+                if not first <= epoch < last:
+                    _check_epoch(epoch)  # a segment lies within one day of the range, so one epoch checks it
+                    first, last, offset, suffix = segment(epoch)
+                day = (epoch + offset) // _DAY
+                date_text = dates.get(day)
+                if date_text is None:
+                    date_text = dates[day] = date.fromordinal(_EPOCH_ORDINAL + day).isoformat() + " "
+                base = day * _DAY - offset  # the instant the local day starts
+                start, end = max(base, first), min(base + _DAY, last)
+            minute, second = divmod(epoch - base, 60)
+            hour, minute = divmod(minute, 60)
+            self[epoch] = f"{date_text}{two_digits[hour]}:{two_digits[minute]}:{two_digits[second]}{suffix}"
+
+    def __missing__(self, epoch: int) -> str:
+        self.add((epoch,))
+        return self[epoch]
 
 
 def _segment(start: int, end: int, local: datetime) -> tuple[int, int, int, str]:
@@ -478,84 +536,6 @@ def _local_seconds(text: str) -> Optional[int]:
     except ValueError:
         return None
     return days * _DAY + 3600 * hour + 60 * minute + second if hour < 24 and minute < 60 and second < 60 else None
-
-
-class RenderedTimes(dict):
-    """The rendered times of one output document, through its own TimeTable:
-    epoch -> what `Timestamp(epoch).render(zone)` gives, so an instant the
-    document shows twice is rendered once. The `instants` given, and the
-    epochs given to `add`, are rendered up front, and any other epoch at
-    its first lookup. Either way, an epoch out of Timestamp's range raises
-    Timestamp's ValueError, the first such one in the order given."""
-
-    __slots__ = ("zone", "table")
-
-    def __init__(self, zone: str, instants: Iterable[Timestamp] = ()):
-        self.zone = zone
-        self.table = TimeTable(zone)
-        self.add(map(_EPOCH, instants))
-
-    def add(self, epochs: Iterable[int]) -> None:
-        """Render `epochs` in one pass, which adds the offset and finds the
-        local day's "YYYY-MM-DD " text once per run of epochs inside one
-        local day of one segment, and writes each epoch's time of day with
-        integer arithmetic."""
-        table, two_digits = self.table, _TWO_DIGITS
-        dates = table.dates
-        start = end = first = last = 0  # the current run, inside the current segment
-        for epoch in epochs:
-            if not start <= epoch < end:
-                if not first <= epoch < last:
-                    _check_epoch(epoch)  # a segment lies within one day of the range, so one epoch checks it
-                    first, last, offset, suffix = table.segment(epoch)
-                day = (epoch + offset) // _DAY
-                date_text = dates.get(day)
-                if date_text is None:
-                    date_text = dates[day] = date.fromordinal(_EPOCH_ORDINAL + day).isoformat() + " "
-                base = day * _DAY - offset  # the instant the local day starts
-                start, end = max(base, first), min(base + _DAY, last)
-            minute, second = divmod(epoch - base, 60)
-            hour, minute = divmod(minute, 60)
-            self[epoch] = f"{date_text}{two_digits[hour]}:{two_digits[minute]}:{two_digits[second]}{suffix}"
-
-    def __missing__(self, epoch: int) -> str:
-        self.add((epoch,))
-        return self[epoch]
-
-
-class WallHours(dict):
-    """One dump's wall hours in `zone`, through its own TimeTable, `table`:
-    "YYYY-MM-DD HH" -> the start that `Timestamp.parse` reads the hour
-    through, or None where it has none (`TimeTable.hour_start`). A start
-    plus `60 * minute + second`, each a TWO_DIGIT_VALUES value, is the
-    epoch `parse` gives, and always one Timestamp takes."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, zone: str):
-        self.table = TimeTable(zone)
-
-    def __missing__(self, hour: str) -> Optional[int]:
-        start = self[hour] = self.table.hour_start(hour)
-        return start
-
-    def parse(self, text: str) -> Timestamp:
-        """The Timestamp `Timestamp.parse(text, zone)` gives, and its
-        ValueError: through the start of the text's hour where it has one,
-        and through the table otherwise."""
-        if len(text) == 19 and text[13] == text[16] == ":":
-            minutes, seconds = TWO_DIGIT_VALUES.get(text[14:16]), TWO_DIGIT_VALUES.get(text[17:])
-            if minutes is not None and seconds is not None:
-                start = self[text[:13]]
-                if start is not None:  # every second of the hour is in range
-                    return tuple.__new__(Timestamp, (start + 60 * minutes + seconds,))
-        local = _local_seconds(text)
-        epoch = None if local is None else self.table.epoch(local)
-        if epoch is not None and 0 <= epoch <= MAX_EPOCH:
-            return tuple.__new__(Timestamp, (epoch,))
-        # Text outside the form, a date or time no calendar has, or an
-        # instant out of range: the error `datetime` and Timestamp give.
-        return Timestamp(_datetime_epoch(text, self.table.zone))
 
 
 class DeviceProfile(NamedTuple):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
-from .evidence import EvidenceBundle, Records, RenderedTimes, SourceKind, one_line
+from .evidence import EvidenceBundle, Records, SourceKind, TimeTable, one_line
 from .host_artifacts import FtpServerEntry
 
 LIMITATION_NOTES = {
@@ -45,7 +45,7 @@ class ReportDocument(NamedTuple):
 
     head: dict
     findings: Sequence[Finding]
-    times: RenderedTimes
+    times: TimeTable
 
     @property
     def data(self) -> dict:
@@ -174,7 +174,7 @@ def render_report(
     duration = timeline.bucket_duration
     epochs = [*(ev.at.epoch for ev in events), *(rec.st.epoch + duration for rec in records),
               *(lease.at.epoch for lease in lease_events)]
-    times = RenderedTimes(display_zone)
+    times = TimeTable(display_zone)
     times.add(epochs)
     rendered = list(map(times.__getitem__, epochs))
     sources = [usage] * len(events) + [traffic] * len(records) + [leases] * len(lease_events)

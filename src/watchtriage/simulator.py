@@ -35,7 +35,7 @@ from .correlate import (
     _split_markers,
     finding_to_dict,
 )
-from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, RenderedTimes, json_field, json_list, load_json, zone_name
+from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, TimeTable, json_field, json_list, load_json, zone_name
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))
@@ -208,7 +208,7 @@ def ground_truth_leases(s: Scenario) -> list[tuple[int, str, Optional[str]]]:
 def render_dumps(s: Scenario, duration: int = 3600) -> tuple[str, str, str]:
     """Render (usagestats, netstats, network_stack) fixture texts."""
     validate(s)
-    times = RenderedTimes(s.display_zone)  # `times[t][:19]` is `Timestamp(t).wall(zone)`
+    times = TimeTable(s.display_zone)  # `times[t][:19]` is `Timestamp(t).wall(zone)`
 
     # usagestats
     lines = ["DUMP OF SERVICE usagestats:"]
@@ -452,7 +452,7 @@ def oracle_findings(
 def finding_fingerprint(finding: Finding) -> tuple:
     """Canonical comparable form of a correlator finding (matches the oracle),
     read from its JSON form; no rendered time enters it."""
-    f = finding_to_dict(finding, RenderedTimes("UTC"))
+    f = finding_to_dict(finding, TimeTable("UTC"))
     sess = f["session"]
     corroboration = sorted(
         ("ftp_client" if c["kind"] == "ftp_client_entry" else "known_host", c["host"], c["port"])

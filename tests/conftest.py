@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from watchtriage import correlate, dumpsys, host_artifacts, simulator
+from watchtriage import correlate, dumpsys, evidence, host_artifacts, simulator
 from watchtriage.evidence import Timestamp
 
 
@@ -70,3 +70,17 @@ def run_bucket_join(st, duration, probe_epochs):
 @pytest.fixture
 def bucket_join():
     return run_bucket_join
+
+
+@pytest.fixture
+def time_tables(monkeypatch):
+    """The zone of every `evidence.TimeTable` built while the test runs, in order."""
+    zones = []
+    build = evidence.TimeTable.__init__
+
+    def counting_init(table, zone, *args, **kwargs):
+        zones.append(zone)
+        build(table, zone, *args, **kwargs)
+
+    monkeypatch.setattr(evidence.TimeTable, "__init__", counting_init)
+    return zones

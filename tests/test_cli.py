@@ -184,6 +184,15 @@ class TestCorrelate:
             [("ftp_server_exfil", "consistent")]
         assert f"{hosts / 'known_hosts'}: line 1: @revoked marker line records no connection; skipped" in err
 
+    def test_a_warning_quoting_a_line_break_stays_one_line(self, case_bundle, capsys):
+        # A dump line holding a "\r" reaches stderr escaped, one line per warning.
+        usagestats = case_bundle / "raw" / "usagestats.txt"
+        usagestats.write_bytes(usagestats.read_bytes() + b"junk\rwarning: forged\n")
+        assert run(["correlate", "--bundle", str(case_bundle), "--out", str(case_bundle / "findings.json")]) == 1
+        err = capsys.readouterr().err
+        assert "\r" not in err and err.count("\n") == err.count("warning: ") - 1
+        assert "unrecognized: junk\\rwarning: forged\n" in err
+
     def test_missing_bundle_dir_is_usage_error(self, tmp_path, capsys):
         status = run(["correlate", "--bundle", str(tmp_path / "nope")])
         assert status == 2
@@ -246,6 +255,27 @@ class TestVerify:
             assert run([command, "--bundle", str(bundle)]) == 2
             assert "bundle raw files missing for items: netstats:synthetic:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("raw_bytes_digest", "abc\noverall: PASS"),
+        ("origin_label", "synthetic\nPASS     usagestats:synthetic:1683766560\r"),
+    ], ids=["digest", "origin_label"])
+    def test_a_line_break_in_the_manifest_forges_no_line(self, tmp_path, capsys, field, value):
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        path = bundle / "manifest.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        item = doc["manifest"]["items"][0]
+        key = f"{item['source_kind']}:{item['origin_label']}:{item['collected_at']}"
+        item[field] = value
+        doc["files"][f"{item['source_kind']}:{item['origin_label']}:{item['collected_at']}"] = doc["files"].pop(key)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["verify", "--bundle", str(bundle)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(doc["manifest"]["items"]) + 2
+        assert [line for line in lines if line.startswith("overall:")] == ["overall: FAIL"]
+        assert "\\n" in lines[0] and lines[-2:] == ["manifest: FAIL", "overall: FAIL"]
+
 
 class TestParse:
     def test_structured_json_output(self, case_bundle, capsys):
@@ -287,6 +317,19 @@ class TestReportCommand:
             ]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["parse", "correlate", "report"])
+    def test_one_time_table_per_dump_and_per_document(self, command, tmp_path, time_tables):
+        # A bundle whose network_stack dump has a boot marker: each
+        # zone-read dump reads, and checks its leases against the marker,
+        # through its own table, and the output document renders through one
+        # more.
+        bundle = tmp_path / "bundle"
+        assert run(["generate", "--seed", "2", "--out", str(bundle)]) == 0
+        assert "bootTime=" in (bundle / "raw" / "network_stack.txt").read_text(encoding="utf-8")
+        time_tables.clear()
+        run([command, "--bundle", str(bundle), "--out", str(tmp_path / "out")])
+        assert time_tables == ["Asia/Seoul"] * 3
 
     @pytest.fixture
     def non_ascii_bundle(self, tmp_path):

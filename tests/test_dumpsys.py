@@ -87,6 +87,14 @@ class TestParseUsagestats:
         assert report.events_24h == ()
         assert any("outside the 24h" in w for w in warnings)
 
+    def test_one_time_table_reads_and_warns(self, time_tables):
+        # The dump's one table reads its wall times and renders the window warning.
+        text = USAGESTATS_FIXTURE + '    time="2023-05-09 01:00:00" type=ACTIVITY_RESUMED package=com.old\n'
+        _, warnings = parse_usagestats(text, CAPTURE, KST)
+        assert warnings == ["event for com.old at 2023-05-09 01:00:00 +09:00 lies outside the 24h detail window; "
+                            "dropped"]
+        assert time_tables == [KST]
+
     @pytest.mark.parametrize("count", ["٣", "3٣"])
     def test_total_count_in_other_digits_is_unrecognized(self, count):
         text = USAGESTATS_FIXTURE.replace("totalCount=3", f"totalCount={count}")
@@ -391,6 +399,18 @@ class TestParseNetworkStack:
         log, warnings = parse_network_stack(text, KST)
         assert [l.private_ip for l in log.leases] == ["172.30.1.99"]
         assert any("volatile" in w for w in warnings)
+
+    def test_one_time_table_reads_and_warns(self, time_tables):
+        # The dump's one table reads its wall times and renders the boot-marker warning.
+        text = (
+            'bootTime="2023-05-11 09:00:00"\n'
+            'time="2023-05-11 01:14:22" iface=wlan0 event=DHCP_ACK ip=172.30.1.76\n'
+            'time="2023-05-11 10:00:00" iface=wlan0 event=DHCP_ACK ip=172.30.1.99\n'
+        )
+        _, warnings = parse_network_stack(text, KST)
+        assert warnings == ["lease at 2023-05-11 01:14:22 +09:00 predates boot marker 2023-05-11 09:00:00 +09:00; "
+                            "dropped (log is volatile across reboot)"]
+        assert time_tables == [KST]
 
     def test_invalid_ip_warns(self):
         text = 'time="2023-05-11 10:00:00" iface=wlan0 event=DHCP_ACK ip=300.1.2.3\n'
@@ -891,9 +911,9 @@ class TestCommonLinePath:
     TWO_DIGITS = ["00", "07", "14", "59", "59", "60", "7"]
     # Each tokenizer returns its records as lists by kind, warnings last.
     TOKENIZE = {
-        "usagestats": dumpsys._usagestats_text,
+        "usagestats": lambda text, zone: dumpsys._usagestats_text(text, evidence.TimeTable(zone)),
         "netstats": lambda text, zone: dumpsys._netstats_text(text),
-        "network_stack": dumpsys._network_stack_text,
+        "network_stack": lambda text, zone: dumpsys._network_stack_text(text, evidence.TimeTable(zone)),
         "usagestats_jsonl": lambda text, zone: dumpsys._usagestats_jsonl(text),
         "netstats_jsonl": lambda text, zone: dumpsys._netstats_jsonl(text),
         "network_stack_jsonl": lambda text, zone: dumpsys._network_stack_jsonl(text),

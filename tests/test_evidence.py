@@ -92,7 +92,7 @@ class TestTimestamp:
         # as today, with no warning: its fold=0 instant, whose offset is the
         # one before the change (docs/fixture-grammar.md).
         zone = "America/New_York"
-        assert Timestamp.parse(text, zone).epoch == evidence.WallHours(zone).parse(text).epoch == epoch
+        assert Timestamp.parse(text, zone).epoch == evidence.TimeTable(zone).parse(text).epoch == epoch
         assert Timestamp(epoch).render(zone) == shown
 
     def test_fold_wall_time_reads_as_the_earlier_instant(self):
@@ -130,7 +130,7 @@ class TestWallTimeResolver:
 
     @staticmethod
     def assert_render_matches(zone, epochs):
-        """Each epoch rendered one by one, and by RenderedTimes from all of
+        """Each epoch rendered one by one, and by a TimeTable from all of
         them as given, reversed, and shuffled with repeats."""
         tz = ZoneInfo(zone)
         epochs, expected = list(epochs), {}
@@ -142,7 +142,7 @@ class TestWallTimeResolver:
         shuffled = epochs + rng.choices(epochs, k=len(epochs) // 2)
         rng.shuffle(shuffled)
         for order in (epochs, epochs[::-1], shuffled):
-            assert evidence.RenderedTimes(zone, map(Timestamp, order)) == expected, zone
+            assert evidence.TimeTable(zone, map(Timestamp, order)) == expected, zone
 
     @staticmethod
     def assert_parse_matches(zone, walls):
@@ -227,20 +227,20 @@ class TestWallTimeResolver:
         return int(datetime(*fields, tzinfo=ZoneInfo(zone)).timestamp())
 
     def assert_one_table_matches(self, zone, first, last, step, extra_walls=()):
-        """One document's RenderedTimes over every `step` seconds from UTC
-        `first` to `last`, and one dump's WallHours over the wall times
-        those instants show and `extra_walls`, against `datetime`; both
-        tables' segments."""
+        """One document's TimeTable rendering every `step` seconds from UTC
+        `first` to `last`, and one dump's TimeTable reading the wall times
+        those instants show and `extra_walls`, against `datetime`; the
+        first table's segments and the second table."""
         tz = ZoneInfo(zone)
         epochs = range(first, last, step)
-        times = evidence.RenderedTimes(zone, map(Timestamp, epochs))
+        times = evidence.TimeTable(zone, map(Timestamp, epochs))
         for epoch in epochs:
             local = datetime.fromtimestamp(epoch, tz).isoformat(" ")
             assert times[epoch] == f"{local[:19]} {local[19:]}", (zone, epoch)
-        hours = evidence.WallHours(zone)
+        hours = evidence.TimeTable(zone)
         for wall in [times[epoch][:19] for epoch in epochs] + list(extra_walls):
             assert hours.parse(wall).epoch == self.datetime_epoch(wall, zone), (zone, wall)
-        return [times.table.segment(epoch) for epoch in epochs], hours.table
+        return [times.segment(epoch) for epoch in epochs], hours
 
     def test_one_table_over_many_hours_and_four_changes(self):
         # Two years of New York in one table each: more than 4,096 hours and
@@ -291,21 +291,21 @@ class TestWallTimeResolver:
             with pytest.raises(ValueError, match="epoch must be between"):
                 Timestamp.parse(beyond, zone)
             # The table settles no hour that reaches beyond.
-            starts = evidence.WallHours(zone)
-            start = starts[wall[:13]]
+            table = evidence.TimeTable(zone)
+            start = table.hour_start(wall[:13])
             assert start is None or start + 60 * int(wall[14:16]) + int(wall[17:]) == epoch
-            assert starts[beyond[:13]] is None and set(starts) == {wall[:13], beyond[:13]}
+            assert table.hour_start(beyond[:13]) is None and table.hours == {wall[:13]: start, beyond[:13]: None}
 
     @pytest.mark.parametrize("zone", ["UTC", "Asia/Kathmandu", "America/New_York"])
     def test_rendered_times_refuse_the_first_epoch_out_of_range(self, zone):
-        # Timestamps built without their check, as RenderedTimes may be given.
+        # Timestamps built without their check, as a TimeTable may be given.
         orders = [[5, MAX_EPOCH + 1, -1], [5, -1, MAX_EPOCH + 1], [MAX_EPOCH, MAX_EPOCH + 1, 0], [0, 1, -1, 2],
                   [MAX_EPOCH + 3600, 7, -3600], [-3600, 7]]
         for order in orders:
             first = next(epoch for epoch in order if not 0 <= epoch <= MAX_EPOCH)
             with pytest.raises(ValueError, match=f"epoch must be between 0 and {MAX_EPOCH}, got {first}$"):
-                evidence.RenderedTimes(zone, [tuple.__new__(Timestamp, (epoch,)) for epoch in order])
-        times = evidence.RenderedTimes(zone, [Timestamp(0), Timestamp(MAX_EPOCH)])
+                evidence.TimeTable(zone, [tuple.__new__(Timestamp, (epoch,)) for epoch in order])
+        times = evidence.TimeTable(zone, [Timestamp(0), Timestamp(MAX_EPOCH)])
         for epoch in (-1, MAX_EPOCH + 1):
             with pytest.raises(ValueError, match=f"got {epoch}$"):
                 times[epoch]

@@ -23,7 +23,7 @@ from watchtriage.correlate import (
     read_timeline,
 )
 from watchtriage.evidence import (
-    EvidenceItem, RenderedTimes, SourceKind, Timestamp, document_text, one_line, seal_bundle,
+    EvidenceItem, SourceKind, TimeTable, Timestamp, document_text, one_line, seal_bundle,
 )
 from watchtriage.host_artifacts import (
     FtpServerEntry, KnownHostEntry, TransferProtocol, parse_filezilla, parse_known_hosts,
@@ -88,7 +88,7 @@ def reference_finding_to_dict(finding, times):
 
 
 def reference_findings_document(findings, bundle_digest, bucket_seconds, zone, warnings=()):
-    times = RenderedTimes(zone, [e.at for f in findings for e in f.session.app_events])
+    times = TimeTable(zone, [e.at for f in findings for e in f.session.app_events])
     return {
         "schema": "watchtriage.findings/1",
         "bundle_manifest_digest": bundle_digest,
@@ -102,7 +102,7 @@ def reference_findings_document(findings, bundle_digest, bucket_seconds, zone, w
 def reference_parse_document(timeline, bundle_digest, zone, warnings):
     report, lease_log = timeline.report, timeline.lease_log
     boot = lease_log.boot_epoch_marker
-    times = RenderedTimes(zone, [e.at for e in report.events_24h])
+    times = TimeTable(zone, [e.at for e in report.events_24h])
     return {
         "bundle_manifest_digest": bundle_digest,
         "usagestats": {
@@ -129,7 +129,7 @@ def reference_parse_document(timeline, bundle_digest, zone, warnings):
 
 def reference_render_report(findings, bundle, timeline, display_zone, warnings=()):
     events, lease_events = timeline.report.events_24h, timeline.lease_log.leases
-    times = RenderedTimes(display_zone, [*(ev.at for ev in events), *(lease.at for lease in lease_events)])
+    times = TimeTable(display_zone, [*(ev.at for ev in events), *(lease.at for lease in lease_events)])
     usage, traffic, leases = SourceKind.USAGESTATS.value, SourceKind.NETSTATS.value, SourceKind.NETWORK_STACK.value
     rows = []
     for ev in events:
@@ -164,7 +164,7 @@ def reference_render_report(findings, bundle, timeline, display_zone, warnings=(
 
 def reference_to_markdown(data):
     zone = data["display_zone"]
-    times = RenderedTimes(zone)
+    times = TimeTable(zone)
     lines = ["# Smartwatch exfiltration triage report", ""]
     lines.append(f"Bundle: `{one_line(data['bundle_manifest_digest'])}`  ")
     lines.append(f"Display zone: {zone}")
