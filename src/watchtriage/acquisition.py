@@ -6,7 +6,8 @@ collects the most reboot-fragile service first (network_stack), then the
 other dumps, then device properties. Raw stdout is stored byte-for-byte and
 hashed into the evidence bundle by `evidence.seal_bundle`; nothing is
 transformed before hashing. The bundle directory is written from, and read
-back into, that one `EvidenceBundle`.
+back into, that one `EvidenceBundle`. The PC-side host artifact files are
+read here too, each hashed into an `EvidenceItem` as it is parsed.
 
 No step may require elevated privileges: plans containing `su` or paths
 under /data/data are rejected outright.
@@ -24,7 +25,7 @@ import re
 import shutil
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional, Protocol
 
 from .evidence import (
     DEFAULT_DISPLAY_ZONE,
@@ -42,6 +43,9 @@ from .evidence import (
     seal_bundle,
     zone_name,
 )
+
+if TYPE_CHECKING:
+    from .host_artifacts import FtpServerEntry, KnownHostEntry
 
 Clock = Callable[[], int]
 
@@ -280,3 +284,65 @@ def _bundle_from_manifest(path: Path, doc: dict) -> EvidenceBundle:
             payloads[key] = file_path.read_bytes()
         labels[key] = Path(rel).stem
     return EvidenceBundle(items, device, digest, payloads, labels, failures, zone)
+
+
+# --- Host artifact files -----------------------------------------------------
+#
+# The PC-side files an investigator copies off the machine the watch served,
+# read from disk and hashed into evidence items, as a bundle's payloads are.
+
+
+class HostArtifacts(NamedTuple):
+    """Parsed PC-side artifacts plus the digests of the files they came from;
+    each is built from four fresh lists."""
+
+    ftp_entries: list[FtpServerEntry]
+    known_host_entries: list[KnownHostEntry]
+    items: list[EvidenceItem]
+    warnings: list[str]
+
+
+# Recognized file name -> the kind its evidence item is recorded as.
+_ARTIFACT_KINDS = {"recentservers.xml": SourceKind.RECENTSERVERS_XML,
+                   "filezilla.xml": SourceKind.FILEZILLA_XML,
+                   "sitemanager.xml": SourceKind.FILEZILLA_XML,
+                   "known_hosts": SourceKind.KNOWN_HOSTS}
+
+
+def locate_host_artifacts(root: Path) -> list[Path]:
+    """Find candidate artifact files under a directory or mounted profile.
+
+    Matches the canonical Windows locations (AppData\\Roaming\\FileZilla\\*.xml,
+    .ssh\\known_hosts) as well as the same file names placed directly in the
+    directory. FileNotFoundError unless `root` is a directory.
+    """
+    if not root.is_dir():
+        raise FileNotFoundError(f"host artifacts directory not found: {root}")
+    return [path for path in sorted(root.rglob("*")) if path.name.lower() in _ARTIFACT_KINDS and path.is_file()]
+
+
+def load_host_artifacts(paths: Iterable[Path]) -> HostArtifacts:
+    """Parse a set of artifact files, hashing each for evidence citation."""
+    from .host_artifacts import parse_filezilla, parse_known_hosts  # only a command given host files loads them
+
+    out = HostArtifacts([], [], [], [])
+    for path in paths:
+        raw = path.read_bytes()
+        kind = _ARTIFACT_KINDS.get(path.name.lower())
+        if kind is None:
+            out.warnings.append(f"{path}: not a recognized host artifact; skipped")
+            continue
+        text = raw.decode("utf-8", errors="replace")
+        if kind is SourceKind.KNOWN_HOSTS:
+            entries, warnings = parse_known_hosts(text)
+            out.known_host_entries.extend(entries)
+        else:
+            try:
+                entries, warnings = parse_filezilla(text, kind.value)
+            except ValueError as exc:
+                out.warnings.append(f"{path}: {exc}")
+                continue
+            out.ftp_entries.extend(entries)
+        out.warnings.extend(f"{path}: {w}" for w in warnings)
+        out.items.append(EvidenceItem.from_bytes(kind, raw, Timestamp(0), str(path)))
+    return out

@@ -13,7 +13,9 @@ Subcommands compose the pipeline:
 Exit codes gate automation: 0 success with nothing detected, 1 completed
 with detections or failed integrity/policy, 2 usage or input errors. An
 input is rejected by raising ValueError (malformed) or OSError (missing or
-unusable), and `main` turns exactly those two into exit 2.
+unusable), and `main` turns exactly those two into exit 2. Every command
+that reads a bundle's payloads re-hashes them first: a digest that does not
+match is an integrity failure, exit 1 with no output document.
 Only the command line configures a run: no shell variable is read, and
 every flag's default is a constant. The bucket duration and the zone that
 dump times are read in come from the bundle itself, never from a flag.
@@ -22,8 +24,9 @@ A named command gets one parser of its own, `watchtriage <command>`, which
 reads the words after the name; only a call naming no known command (top-level
 help, a missing or unknown command) builds the parser with every subcommand.
 Each call imports only the modules its command uses: `verify` never loads the
-parsers, correlation, policy, simulator or an XML reader, which keeps one-shot
-calls on case-size bundles cheap.
+dump or host-artifact parsers, the time table, the JSON writer, correlation,
+policy, simulator or an XML reader, which keeps one-shot calls on case-size
+bundles cheap.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ import sys
 from pathlib import Path
 
 from . import acquisition
+from .acquisition import HostArtifacts, load_host_artifacts, locate_host_artifacts
 from .evidence import (
-    DEFAULT_DISPLAY_ZONE, MAX_DIGITS, MAX_EPOCH, DeviceProfile, EvidenceBundle, SourceKind, document_text, one_line,
-    seal_bundle, verify_bundle, zone_name,
+    DEFAULT_DISPLAY_ZONE, MAX_DIGITS, MAX_EPOCH, DeviceProfile, EvidenceBundle, SourceKind, one_line, seal_bundle,
+    verify_bundle, zone_name,
 )
-from .host_artifacts import HostArtifacts, load_host_artifacts, locate_host_artifacts
 
 EXIT_OK = 0
 EXIT_DETECTIONS = 1
@@ -51,7 +54,7 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _write_output(text: str, out: str | None):
+def _write_output(text: str, out: str | Path | None):
     """Write `text` to the file `out`, or to stdout ending in a newline,
     as UTF-8 whatever the locale."""
     if out:
@@ -68,13 +71,34 @@ def _write_output(text: str, out: str | None):
     buffer.flush()
 
 
-def _load_bundle_or_fail(path_str: str) -> EvidenceBundle:
-    """The bundle with every item's raw file present; `verify` alone reads an incomplete one."""
+def _write_document(doc, out: str | Path | None):
+    """Write the JSON output document `doc` as `_write_output` writes text;
+    only a command that writes JSON loads the writer."""
+    from .document import document_text
+
+    _write_output(document_text(doc), out)
+
+
+def _load_bundle_or_fail(path_str: str) -> EvidenceBundle | None:
+    """The bundle with every item's raw file present and matching its
+    recorded digest, under a manifest that matches its own digest; `verify`
+    alone reads an incomplete or altered one. A missing raw file is an input
+    error. A digest mismatch is an integrity failure: one stderr line per
+    failed item (and one for the manifest), then None, and the command exits
+    1 with no output document."""
     loaded = acquisition.read_bundle_dir(Path(path_str))
     missing = [key for key in (i.key() for i in loaded.items) if key not in loaded.payloads]
     if missing:
         raise FileNotFoundError("bundle raw files missing for items: " + ", ".join(missing))
-    return loaded
+    result = verify_bundle(loaded, loaded.payloads)
+    if result.overall_pass:
+        return loaded
+    for item_result in result.results:
+        if item_result.status != "pass":
+            print(one_line(f"integrity failure: {item_result.item_key}: {item_result.detail}"), file=sys.stderr)
+    if not result.manifest_ok:
+        print("integrity failure: manifest: its digest is not bundle_manifest_digest", file=sys.stderr)
+    return None
 
 
 def _correlate_bundle(loaded, args):
@@ -143,9 +167,11 @@ def cmd_parse(args) -> int:
     from . import correlate
 
     loaded = _load_bundle_or_fail(args.bundle)
+    if loaded is None:
+        return EXIT_DETECTIONS
     timeline, warnings = correlate.read_timeline(loaded)
     doc = correlate.parse_document(timeline, loaded.bundle_manifest_digest, loaded.display_zone, warnings)
-    _write_output(document_text(doc), args.out)
+    _write_document(doc, args.out)
     return EXIT_OK
 
 
@@ -153,11 +179,13 @@ def cmd_correlate(args) -> int:
     from . import correlate
 
     loaded = _load_bundle_or_fail(args.bundle)
+    if loaded is None:
+        return EXIT_DETECTIONS
     findings, timeline, warnings = _correlate_bundle(loaded, args)
     doc = correlate.findings_document(
         findings, loaded.bundle_manifest_digest, timeline.bucket_duration, loaded.display_zone, warnings
     )
-    _write_output(document_text(doc), args.out)
+    _write_document(doc, args.out)
     for w in warnings:
         print(f"warning: {one_line(w)}", file=sys.stderr)
     return EXIT_DETECTIONS if findings else EXIT_OK
@@ -169,13 +197,15 @@ def cmd_audit(args) -> int:
     device_abi = args.device_abi
     if args.bundle and not device_abi:
         loaded = _load_bundle_or_fail(args.bundle)
+        if loaded is None:
+            return EXIT_DETECTIONS
         if loaded.device:
             device_abi = loaded.device.cpu_abi
     manifests, failures = policy.load_inventory(Path(args.manifests))
     verdicts = policy.audit_inventory(manifests, DeviceProfile(cpu_abi=device_abi or ""))
     verdicts = sorted(verdicts + failures, key=lambda v: (v.severity, v.package))
     if args.format == "json":
-        _write_output(document_text([policy.verdict_to_dict(v) for v in verdicts]), args.out)
+        _write_document([policy.verdict_to_dict(v) for v in verdicts], args.out)
     else:
         _write_output(policy.verdicts_table(verdicts), args.out)
     flagged = [v for v in verdicts if v.verdict != policy.VerdictKind.COMPLIANT]
@@ -201,7 +231,7 @@ def cmd_generate(args) -> int:
     captured = [(kind.value, kind, text.encode(), scenario.capture_time) for kind, text in zip(kinds, dumps)]
     bundle = seal_bundle(captured, "synthetic", scenario.display_zone)
     acquisition.write_bundle_dir(bundle, out)
-    (out / "scenario.json").write_text(document_text(simulator.scenario_to_dict(scenario)), encoding="utf-8")
+    _write_document(simulator.scenario_to_dict(scenario), out / "scenario.json")
     if scenario.host_side:
         host_dir = out / "host_artifacts"
         host_dir.mkdir(parents=True, exist_ok=True)
@@ -217,10 +247,12 @@ def cmd_report(args) -> int:
     from . import report
 
     loaded = _load_bundle_or_fail(args.bundle)
+    if loaded is None:
+        return EXIT_DETECTIONS
     findings, timeline, warnings = _correlate_bundle(loaded, args)
     doc = report.render_report(findings, loaded, timeline, args.display_zone, warnings)
     if args.format == "json":
-        _write_output(document_text(doc.data), args.out)
+        _write_document(doc.data, args.out)
     else:
         _write_output(doc.to_markdown(), args.out)
     return EXIT_OK

@@ -37,8 +37,10 @@ from .dumpsys import (
     UsageEvent,
     UsageReport,
 )
-from .evidence import Records, SourceKind, TimeTable, Timestamp, json_field, json_list, load_json
+from .document import Records
+from .evidence import SourceKind, Timestamp, json_field, json_list, load_json
 from .host_artifacts import FtpServerEntry, KnownHostEntry
+from .timetable import TimeTable
 
 DEFAULT_UNCLASSIFIED_MIN_BYTES = 10_000_000
 CLOCK_SKEW_BOUND = 7 * 86400

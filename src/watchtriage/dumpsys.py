@@ -30,9 +30,8 @@ from enum import Enum
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
-from .evidence import (
-    MAX_DIGITS, TWO_DIGIT_VALUES, TimeTable, Timestamp, bounded_int, json_field, line_pattern, text_lines,
-)
+from .evidence import MAX_DIGITS, Timestamp, bounded_int, json_field, line_pattern, text_lines
+from .timetable import TWO_DIGIT_VALUES, TimeTable
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 DEFAULT_BUCKET_SECONDS = 3600

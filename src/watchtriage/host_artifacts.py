@@ -5,6 +5,9 @@ filezilla.xml) and OpenSSH known_hosts. These are the files a PC keeps after
 connecting to an FTP/SFTP server running on a watch, so an exact IP match
 against a watch-side DHCP lease corroborates a transfer session.
 
+`acquisition.load_host_artifacts` reads the files, hashes each into an
+evidence item and hands its text to the parser here.
+
 Each entry's host is read once, at parse time. A hashed known_hosts line
 names no plaintext host, so it could never match an IP: it is skipped with
 a warning, like any other line that cannot corroborate.
@@ -15,10 +18,9 @@ from __future__ import annotations
 import base64
 import re
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .evidence import EvidenceItem, SourceKind, Timestamp, text_lines
+from .evidence import text_lines
 
 HASHED_SENTINEL = "|1|"
 
@@ -144,57 +146,3 @@ def parse_known_hosts(text: str) -> tuple[list[KnownHostEntry], list[str]]:
                 continue
             entries.append(KnownHostEntry(m.group(1) if m else pattern, port, key_type))
     return entries, warnings
-
-
-class HostArtifacts(NamedTuple):
-    """Parsed PC-side artifacts plus the digests of the files they came from;
-    each is built from four fresh lists."""
-
-    ftp_entries: list[FtpServerEntry]
-    known_host_entries: list[KnownHostEntry]
-    items: list[EvidenceItem]
-    warnings: list[str]
-
-
-# Recognized file name -> the kind its evidence item is recorded as.
-_ARTIFACT_KINDS = {"recentservers.xml": SourceKind.RECENTSERVERS_XML,
-                   "filezilla.xml": SourceKind.FILEZILLA_XML,
-                   "sitemanager.xml": SourceKind.FILEZILLA_XML,
-                   "known_hosts": SourceKind.KNOWN_HOSTS}
-
-
-def locate_host_artifacts(root: Path) -> list[Path]:
-    """Find candidate artifact files under a directory or mounted profile.
-
-    Matches the canonical Windows locations (AppData\\Roaming\\FileZilla\\*.xml,
-    .ssh\\known_hosts) as well as the same file names placed directly in the
-    directory. FileNotFoundError unless `root` is a directory.
-    """
-    if not root.is_dir():
-        raise FileNotFoundError(f"host artifacts directory not found: {root}")
-    return [path for path in sorted(root.rglob("*")) if path.name.lower() in _ARTIFACT_KINDS and path.is_file()]
-
-
-def load_host_artifacts(paths: Iterable[Path]) -> HostArtifacts:
-    """Parse a set of artifact files, hashing each for evidence citation."""
-    out = HostArtifacts([], [], [], [])
-    for path in paths:
-        raw = path.read_bytes()
-        kind = _ARTIFACT_KINDS.get(path.name.lower())
-        if kind is None:
-            out.warnings.append(f"{path}: not a recognized host artifact; skipped")
-            continue
-        text = raw.decode("utf-8", errors="replace")
-        if kind is SourceKind.KNOWN_HOSTS:
-            entries, warnings = parse_known_hosts(text)
-            out.known_host_entries.extend(entries)
-        else:
-            try:
-                entries, warnings = parse_filezilla(text, kind.value)
-            except ValueError as exc:
-                out.warnings.append(f"{path}: {exc}")
-                continue
-            out.ftp_entries.extend(entries)
-        out.warnings.extend(f"{path}: {w}" for w in warnings)
-        out.items.append(EvidenceItem.from_bytes(kind, raw, Timestamp(0), str(path)))
-    return out

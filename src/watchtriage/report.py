@@ -1,7 +1,7 @@
 """Investigator-facing report rendering.
 
 `render_report` gathers a report's records once: its findings, and its
-timeline rows as the columns of one `evidence.Records` list. Both
+timeline rows as the columns of one `document.Records` list. Both
 forms are written from those same records: the `watchtriage.report/1` JSON
 document, with each finding in `correlate.finding_to_dict`'s form, and the
 markdown, which shows no app event and so builds no finding dict. The
@@ -16,8 +16,10 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .correlate import AmbiguityFlag, Finding, Timeline, finding_to_dict
-from .evidence import EvidenceBundle, Records, SourceKind, TimeTable, one_line
+from .document import Records
+from .evidence import EvidenceBundle, SourceKind, one_line
 from .host_artifacts import FtpServerEntry
+from .timetable import TimeTable
 
 LIMITATION_NOTES = {
     AmbiguityFlag.USAGE_EVIDENCE_EXPIRED: (

@@ -35,7 +35,8 @@ from .correlate import (
     _split_markers,
     finding_to_dict,
 )
-from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, TimeTable, json_field, json_list, load_json, zone_name
+from .evidence import DEFAULT_DISPLAY_ZONE, MAX_EPOCH, json_field, json_list, load_json, zone_name
+from .timetable import TimeTable
 
 USAGE_WINDOW_SECONDS = 24 * 3600
 AGGREGATE_WINDOWS = (("week", 7 * 86400), ("month", 30 * 86400), ("year", 365 * 86400))

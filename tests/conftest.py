@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from watchtriage import correlate, dumpsys, evidence, host_artifacts, simulator
-from watchtriage.evidence import Timestamp
+from watchtriage import acquisition, correlate, dumpsys, host_artifacts, simulator, timetable
+from watchtriage.evidence import Timestamp, seal_bundle
 
 
 def run_pipeline(scenario, with_host=True, rules=correlate.DEFAULT_RULES, bucket_seconds=3600):
@@ -32,6 +32,18 @@ def run_pipeline(scenario, with_host=True, rules=correlate.DEFAULT_RULES, bucket
         "findings": findings,
         "warnings": w1 + w2 + w3,
     }
+
+
+def reseal(bundle_dir):
+    """Seal the payloads of the bundle directory `bundle_dir` as they now
+    are, as an acquisition of those bytes would have: the analysis commands
+    read only a bundle whose payloads match their digests, so a test that
+    edits a dump to see how it is read seals the edit."""
+    loaded = acquisition.read_bundle_dir(bundle_dir)
+    captured = [(loaded.labels[item.key()], item.source_kind, loaded.payloads[item.key()], item.collected_at.epoch)
+                for item in loaded.items]
+    bundle = seal_bundle(captured, loaded.items[0].origin_label, loaded.display_zone, loaded.failures)
+    acquisition.write_bundle_dir(bundle, bundle_dir)
 
 
 @pytest.fixture
@@ -74,13 +86,13 @@ def bucket_join():
 
 @pytest.fixture
 def time_tables(monkeypatch):
-    """The zone of every `evidence.TimeTable` built while the test runs, in order."""
+    """The zone of every `timetable.TimeTable` built while the test runs, in order."""
     zones = []
-    build = evidence.TimeTable.__init__
+    build = timetable.TimeTable.__init__
 
     def counting_init(table, zone, *args, **kwargs):
         zones.append(zone)
         build(table, zone, *args, **kwargs)
 
-    monkeypatch.setattr(evidence.TimeTable, "__init__", counting_init)
+    monkeypatch.setattr(timetable.TimeTable, "__init__", counting_init)
     return zones

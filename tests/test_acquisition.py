@@ -14,7 +14,8 @@ from watchtriage.acquisition import (
     write_bundle_dir,
 )
 from watchtriage.cli import main
-from watchtriage.evidence import SourceKind, document_text, seal_bundle, verify_bundle
+from watchtriage.document import document_text
+from watchtriage.evidence import SourceKind, seal_bundle, verify_bundle
 
 # Transcript in the shape a Galaxy Watch 5 returns (Android 11, 32-bit ARM).
 GALAXY_WATCH5_TRANSCRIPTS = {

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from watchtriage import acquisition, cli, correlate, dumpsys, evidence, policy, report, simulator
+from watchtriage import acquisition, cli, correlate, document, dumpsys, evidence, policy, report, simulator
 from watchtriage.cli import main
 from watchtriage.evidence import MAX_EPOCH, SourceKind, canonical_json_bytes, seal_bundle
-from watchtriage.host_artifacts import load_host_artifacts, locate_host_artifacts
+from watchtriage.acquisition import load_host_artifacts, locate_host_artifacts
+from tests.conftest import reseal
 from tests.test_acquisition import GALAXY_WATCH5_TRANSCRIPTS
 from tests.test_dumpsys import render_jsonl
 from tests.test_policy import PHONE_MANIFEST, WATCH_MANIFEST
@@ -188,6 +189,7 @@ class TestCorrelate:
         # A dump line holding a "\r" reaches stderr escaped, one line per warning.
         usagestats = case_bundle / "raw" / "usagestats.txt"
         usagestats.write_bytes(usagestats.read_bytes() + b"junk\rwarning: forged\n")
+        reseal(case_bundle)
         assert run(["correlate", "--bundle", str(case_bundle), "--out", str(case_bundle / "findings.json")]) == 1
         err = capsys.readouterr().err
         assert "\r" not in err and err.count("\n") == err.count("warning: ") - 1
@@ -213,6 +215,7 @@ class TestCorrelate:
         text = netstats.read_text()
         assert text.count("bucketDuration=3600") == 3
         netstats.write_text(text.replace("bucketDuration=3600", "bucketDuration=1800", 1))
+        reseal(case_bundle)
         assert run(["correlate", "--bundle", str(case_bundle)]) == 2
         err = capsys.readouterr().err
         assert "1800 s" in err and "3600 s" in err
@@ -275,6 +278,86 @@ class TestVerify:
         assert len(lines) == len(doc["manifest"]["items"]) + 2
         assert [line for line in lines if line.startswith("overall:")] == ["overall: FAIL"]
         assert "\\n" in lines[0] and lines[-2:] == ["manifest: FAIL", "overall: FAIL"]
+
+
+class TestAnalysisReadsOnlySealedBytes:
+    """`parse`, `correlate`, `report` and `audit --bundle` re-hash the
+    payloads they read: a mismatch is an integrity failure, exit 1 with one
+    stderr line per failed check and no output document."""
+
+    COMMANDS = {
+        "parse": [],
+        "correlate": ["--host-artifacts", "{bundle}/host_artifacts"],
+        "report": ["--host-artifacts", "{bundle}/host_artifacts", "--format", "json"],
+    }
+
+    def outputs(self, bundle, tmp_path, capsys):
+        """(exit code, stdout, stderr, whether --out was written) of each command."""
+        results = {}
+        for command, extra in self.COMMANDS.items():
+            out = tmp_path / f"{command}.json"
+            code = run([command, "--bundle", str(bundle), *(e.format(bundle=bundle) for e in extra)])
+            stdout_code = run([command, "--bundle", str(bundle), *(e.format(bundle=bundle) for e in extra),
+                               "--out", str(out)])
+            captured = capsys.readouterr()
+            results[command] = (code, stdout_code, captured.out, captured.err, out.exists())
+        return results
+
+    def test_a_tampered_payload_byte_stops_every_analysis_command(self, tmp_path, capsys):
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        netstats = bundle / "raw" / "netstats.txt"
+        text = netstats.read_text()
+        assert re.search(r"rb=[0-9]", text)
+        netstats.write_text(re.sub(r"rb=([0-9])", r"rb=9\1", text))  # each counter's bytes in gain a leading 9
+        capsys.readouterr()
+        for command, (code, out_code, out, err, written) in self.outputs(bundle, tmp_path, capsys).items():
+            assert code == out_code == 1, command
+            assert out == "" and not written, command
+            lines = err.splitlines()
+            assert len(lines) == 2, command  # the one failed item, once per run
+            assert re.fullmatch(r"integrity failure: netstats:synthetic:\d+: recorded [0-9a-f]{64}, got [0-9a-f]{64}",
+                                lines[0]), command
+        (tmp_path / "manifests").mkdir()
+        assert run(["audit", "--manifests", str(tmp_path / "manifests"), "--bundle", str(bundle)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("integrity failure: netstats:synthetic:")
+
+    def test_a_manifest_that_does_not_match_its_digest_stops_them(self, tmp_path, capsys):
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        path = bundle / "manifest.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["bundle_manifest_digest"] = "0" * 64
+        path.write_bytes(canonical_json_bytes(doc) + b"\n")
+        capsys.readouterr()
+        for command, (code, out_code, out, err, written) in self.outputs(bundle, tmp_path, capsys).items():
+            assert code == out_code == 1 and out == "" and not written, command
+            assert err == "integrity failure: manifest: its digest is not bundle_manifest_digest\n" * 2, command
+
+    def test_a_line_break_in_a_failed_item_stays_on_its_line(self, tmp_path, capsys):
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        path = bundle / "manifest.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        item = doc["manifest"]["items"][0]
+        item["raw_bytes_digest"] = "abc\nintegrity failure: forged"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["parse", "--bundle", str(bundle)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 2 and "abc\\nintegrity failure: forged" in captured.err
+        assert captured.err.endswith("integrity failure: manifest: its digest is not bundle_manifest_digest\n")
+
+    def test_sealing_an_unedited_bundle_again_changes_no_byte(self, tmp_path):
+        # The tests that edit a dump seal the edit with `reseal`, which must
+        # seal an unedited bundle as `generate` did.
+        bundle = tmp_path / "ftp"
+        assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
+        files = tree(bundle)
+        reseal(bundle)
+        assert tree(bundle) == files
 
 
 class TestParse:
@@ -559,6 +642,7 @@ class TestEpochRange:
         assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
         event = {"record": "event", "at": epoch, "package": "com.x", "event_type": "ACTIVITY_RESUMED"}
         (bundle / "raw" / "usagestats.txt").write_text(json.dumps(event) + "\n")
+        reseal(bundle)
         capsys.readouterr()
         assert run(["parse", "--bundle", str(bundle)]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -572,6 +656,7 @@ class TestEpochRange:
         netstats = bundle / "raw" / "netstats.txt"
         lines = netstats.read_text().splitlines()
         netstats.write_text("\n".join(lines + [f"st={st} rb=1 rp=1 tb=1 tp=1"]) + "\n")
+        reseal(bundle)
         capsys.readouterr()
         assert run(["report", "--bundle", str(bundle), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -588,6 +673,7 @@ class TestEpochRange:
         netstats = bundle / "raw" / "netstats.txt"
         late = [MAX_EPOCH - 799, MAX_EPOCH - 1799]
         netstats.write_text(netstats.read_text() + "".join(f"st={st} rb=1 rp=1 tb=1 tp=1\n" for st in late))
+        reseal(bundle)
         capsys.readouterr()
         assert run(["report", "--bundle", str(bundle)]) == 2
         assert capsys.readouterr().err == (
@@ -848,6 +934,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("dump", ["usagestats", "netstats", "network_stack"])
     def test_empty_dump_exits_2_naming_it(self, dump, case_bundle, capsys):
         (case_bundle / "raw" / f"{dump}.txt").write_bytes(b"")
+        reseal(case_bundle)
         for command in ("parse", "correlate", "report"):
             assert run([command, "--bundle", str(case_bundle)]) == 2
             assert capsys.readouterr().err == f"error: {dump}: dump text is empty\n"
@@ -986,6 +1073,7 @@ class TestUsageErrors:
         assert run(["generate", "--preset", "ftp", "--out", str(bundle)]) == 0
         row = {"network_id": "Cafe", "st": 1683806400, "rb": 1, "rp": 1, "tb": 1, "tp": 1}
         (bundle / "raw" / "netstats.txt").write_text(json.dumps(row) + '\n{"kind":"x","a":' + "[" * 100_000 + "\n")
+        reseal(bundle)
         capsys.readouterr()
         assert run(["parse", "--bundle", str(bundle)]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -1215,7 +1303,7 @@ class TestCollectorPause:
         for doc in (correlate.parse_document(timeline, digest, zone, warnings), rendered.data,
                     correlate.findings_document(findings, digest, timeline.bucket_duration, zone, warnings),
                     [policy.verdict_to_dict(v) for v in verdicts]):
-            evidence.document_text(doc)
+            document.document_text(doc)
         rendered.to_markdown()
         policy.verdicts_table(verdicts)
 

@@ -34,7 +34,8 @@ from watchtriage.dumpsys import (
     UsageReport,
     parse_netstats,
 )
-from watchtriage.evidence import SourceKind, Timestamp, document_text, seal_bundle
+from watchtriage.document import document_text
+from watchtriage.evidence import SourceKind, Timestamp, seal_bundle
 from watchtriage.report import attach_evidence_digests, render_report
 from watchtriage.simulator import finding_fingerprint
 from tests.conftest import run_pipeline

@@ -17,8 +17,8 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from watchtriage import cli, policy, simulator
-from watchtriage.evidence import Records, document_text
+from watchtriage import cli, document, policy, simulator
+from watchtriage.document import Records, document_text
 
 
 class Colour(str, enum.Enum):
@@ -205,7 +205,7 @@ def cli_outputs(commands, writer) -> dict[str, bytes]:
     `commands(tmp)`, by path, with `writer` making its JSON document, which
     each command writes exactly one of."""
     outputs = {}
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "document_text", wraps=writer) as spy:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(document, "document_text", wraps=writer) as spy:
         for name, argv in commands(Path(tmp)).items():
             root = Path(tmp) / name
             root.mkdir(exist_ok=True)

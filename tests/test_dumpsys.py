@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from watchtriage import dumpsys, evidence, simulator
+from watchtriage import dumpsys, evidence, simulator, timetable
 from watchtriage.correlate import build_timeline, parse_document
 from watchtriage.dumpsys import (
     AggregateWindow,
@@ -911,9 +911,9 @@ class TestCommonLinePath:
     TWO_DIGITS = ["00", "07", "14", "59", "59", "60", "7"]
     # Each tokenizer returns its records as lists by kind, warnings last.
     TOKENIZE = {
-        "usagestats": lambda text, zone: dumpsys._usagestats_text(text, evidence.TimeTable(zone)),
+        "usagestats": lambda text, zone: dumpsys._usagestats_text(text, timetable.TimeTable(zone)),
         "netstats": lambda text, zone: dumpsys._netstats_text(text),
-        "network_stack": lambda text, zone: dumpsys._network_stack_text(text, evidence.TimeTable(zone)),
+        "network_stack": lambda text, zone: dumpsys._network_stack_text(text, timetable.TimeTable(zone)),
         "usagestats_jsonl": lambda text, zone: dumpsys._usagestats_jsonl(text),
         "netstats_jsonl": lambda text, zone: dumpsys._netstats_jsonl(text),
         "network_stack_jsonl": lambda text, zone: dumpsys._network_stack_jsonl(text),

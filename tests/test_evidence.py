@@ -5,7 +5,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError, _zoneinfo, available_timez
 
 import pytest
 
-from watchtriage import evidence
+from watchtriage import timetable
 from watchtriage.evidence import (
     DEFAULT_DISPLAY_ZONE,
     MAX_EPOCH,
@@ -92,7 +92,7 @@ class TestTimestamp:
         # as today, with no warning: its fold=0 instant, whose offset is the
         # one before the change (docs/fixture-grammar.md).
         zone = "America/New_York"
-        assert Timestamp.parse(text, zone).epoch == evidence.TimeTable(zone).parse(text).epoch == epoch
+        assert Timestamp.parse(text, zone).epoch == timetable.TimeTable(zone).parse(text).epoch == epoch
         assert Timestamp(epoch).render(zone) == shown
 
     def test_fold_wall_time_reads_as_the_earlier_instant(self):
@@ -142,7 +142,7 @@ class TestWallTimeResolver:
         shuffled = epochs + rng.choices(epochs, k=len(epochs) // 2)
         rng.shuffle(shuffled)
         for order in (epochs, epochs[::-1], shuffled):
-            assert evidence.TimeTable(zone, map(Timestamp, order)) == expected, zone
+            assert timetable.TimeTable(zone, map(Timestamp, order)) == expected, zone
 
     @staticmethod
     def assert_parse_matches(zone, walls):
@@ -233,11 +233,11 @@ class TestWallTimeResolver:
         first table's segments and the second table."""
         tz = ZoneInfo(zone)
         epochs = range(first, last, step)
-        times = evidence.TimeTable(zone, map(Timestamp, epochs))
+        times = timetable.TimeTable(zone, map(Timestamp, epochs))
         for epoch in epochs:
             local = datetime.fromtimestamp(epoch, tz).isoformat(" ")
             assert times[epoch] == f"{local[:19]} {local[19:]}", (zone, epoch)
-        hours = evidence.TimeTable(zone)
+        hours = timetable.TimeTable(zone)
         for wall in [times[epoch][:19] for epoch in epochs] + list(extra_walls):
             assert hours.parse(wall).epoch == self.datetime_epoch(wall, zone), (zone, wall)
         return [times.segment(epoch) for epoch in epochs], hours
@@ -291,7 +291,7 @@ class TestWallTimeResolver:
             with pytest.raises(ValueError, match="epoch must be between"):
                 Timestamp.parse(beyond, zone)
             # The table settles no hour that reaches beyond.
-            table = evidence.TimeTable(zone)
+            table = timetable.TimeTable(zone)
             start = table.hour_start(wall[:13])
             assert start is None or start + 60 * int(wall[14:16]) + int(wall[17:]) == epoch
             assert table.hour_start(beyond[:13]) is None and table.hours == {wall[:13]: start, beyond[:13]: None}
@@ -304,8 +304,8 @@ class TestWallTimeResolver:
         for order in orders:
             first = next(epoch for epoch in order if not 0 <= epoch <= MAX_EPOCH)
             with pytest.raises(ValueError, match=f"epoch must be between 0 and {MAX_EPOCH}, got {first}$"):
-                evidence.TimeTable(zone, [tuple.__new__(Timestamp, (epoch,)) for epoch in order])
-        times = evidence.TimeTable(zone, [Timestamp(0), Timestamp(MAX_EPOCH)])
+                timetable.TimeTable(zone, [tuple.__new__(Timestamp, (epoch,)) for epoch in order])
+        times = timetable.TimeTable(zone, [Timestamp(0), Timestamp(MAX_EPOCH)])
         for epoch in (-1, MAX_EPOCH + 1):
             with pytest.raises(ValueError, match=f"got {epoch}$"):
                 times[epoch]

@@ -5,13 +5,8 @@ import pytest
 from tests.conftest import run_pipeline
 from watchtriage import simulator
 from watchtriage.correlate import Confidence, corroborate
-from watchtriage.host_artifacts import (
-    TransferProtocol,
-    load_host_artifacts,
-    locate_host_artifacts,
-    parse_filezilla,
-    parse_known_hosts,
-)
+from watchtriage.acquisition import load_host_artifacts, locate_host_artifacts
+from watchtriage.host_artifacts import TransferProtocol, parse_filezilla, parse_known_hosts
 
 RECENTSERVERS_XML = """\
 <?xml version="1.0" encoding="UTF-8"?>

@@ -2,15 +2,17 @@
 
 Each case damages one file of a generated preset bundle (a raw dump, a host
 artifact or manifest.json) by one edit and runs `verify`, `parse`,
-`correlate` and `report --format json` on it in process. Whatever the
-damage, no exception may escape `cli.main`, every exit code is 0, 1 or 2,
-and every fourth case is run twice and must repeat its exit code, stdout
-and stderr exactly.
+`correlate` and `report --format json` on it in process. An edited dump no
+longer matches its digest, so the analysis commands stop at the integrity
+check; the case then seals the edit and runs them again, so the parsers
+read it. Whatever the damage, no exception may escape `cli.main`, every
+exit code is 0, 1 or 2, and every fourth case is run twice and must repeat
+its exit code, stdout and stderr exactly.
 
 Growth cases lengthen one number of each input kind to more digits than
-any number field holds: the line or entry that holds it must be dropped
-with a warning, and every output must be the same whatever the
-interpreter's integer digit limit.
+any number field holds, sealing a grown dump: the line or entry that holds
+it must be dropped with a warning, and every output must be the same
+whatever the interpreter's integer digit limit.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ import sys
 
 import pytest
 
+from tests.conftest import reseal
 from watchtriage import simulator
 from watchtriage.cli import main
 
@@ -107,22 +110,33 @@ def test_one_edit_never_escapes_the_cli(seed, presets):
     edit = sorted(EDITS)[seed // len(simulator.PRESETS) % len(EDITS)]
     bundle = presets / preset
     target = rng.choice(sorted(p for p in bundle.rglob("*") if p.is_file() and p.name != "scenario.json"))
-    intact = target.read_bytes()
+    intact, manifest = target.read_bytes(), (bundle / "manifest.json").read_bytes()
     target.write_bytes(EDITS[edit](intact, rng))
     host = ["--host-artifacts", str(bundle / "host_artifacts")] if (bundle / "host_artifacts").is_dir() else []
+    argvs = (
+        ["verify", "--bundle", str(bundle)],
+        ["parse", "--bundle", str(bundle)],
+        ["correlate", "--bundle", str(bundle), *host],
+        ["report", "--bundle", str(bundle), *host, "--format", "json"],
+    )
     try:
-        for argv in (
-            ["verify", "--bundle", str(bundle)],
-            ["parse", "--bundle", str(bundle)],
-            ["correlate", "--bundle", str(bundle), *host],
-            ["report", "--bundle", str(bundle), *host, "--format", "json"],
-        ):
+        for argv in argvs:
             first = _run(argv)
             assert first[0] in (0, 1, 2), (edit, target.name, argv[0], first)
+            if target.parent.name == "raw" and argv[0] != "verify":  # every edit changes the dump's digest
+                assert first[0] == 1 and not first[1] and "integrity failure: " in first[2], (edit, target.name, argv[0])
             if seed % RERUN_EVERY == 0:
                 assert _run(argv) == first, (edit, target.name, argv[0])
+        if target.parent.name == "raw":
+            reseal(bundle)
+            for argv in argvs[1:]:
+                first = _run(argv)
+                assert first[0] in (0, 1, 2), (edit, target.name, "sealed", argv[0], first)
+                if seed % RERUN_EVERY == 0:
+                    assert _run(argv) == first, (edit, target.name, "sealed", argv[0])
     finally:
         target.write_bytes(intact)  # every case shares the preset bundles
+        (bundle / "manifest.json").write_bytes(manifest)
 
 
 GROWTH_DIGITS = (20, 4301, 5000)
@@ -173,6 +187,7 @@ def growth_bundles(presets, tmp_path_factory):
     }
     for name, dump in rows.items():
         (jsonl / "raw" / f"{name}.txt").write_text("".join(json.dumps(row) + "\n" for row in dump))
+    reseal(jsonl)
     assert json.loads(_run(["parse", "--bundle", str(jsonl)])[1])["warnings"] == doc["warnings"] == []
     return {"text": text, "jsonl": jsonl}
 
@@ -201,16 +216,19 @@ def test_a_grown_number_drops_its_line_whatever_the_digit_limit(site, digits, gr
     form, name, field, source = GROWTH_SITES[site]
     bundle = growth_bundles[form]
     target = bundle / name
-    intact = target.read_bytes()
+    intact, manifest = target.read_bytes(), (bundle / "manifest.json").read_bytes()
     (before_parse, before_correlate), _ = _outputs(bundle)
     m = re.search(field, intact)
     assert m, site
     run = m.group(1)
     target.write_bytes(intact[:m.start(1)] + b"1" * (digits - len(run)) + run + intact[m.end(1):])
     try:
+        if source in RECORDS:
+            reseal(bundle)
         runs = _outputs(bundle)
     finally:
         target.write_bytes(intact)
+        (bundle / "manifest.json").write_bytes(manifest)
     assert runs[0] == runs[1], site  # the same bytes under each digit limit
     (code, out, _), (correlate_code, correlate_out, _) = runs[0]
     assert code == before_parse[0] == 0 and correlate_code in (0, 1), site

@@ -45,19 +45,25 @@ def ftp_bundle(tmp_path_factory):
     return out
 
 
+# The modules that hold code `verify` never runs: the time table, the JSON
+# writer and the host-artifact parsers.
+VERIFY_NEVER_RUNS = {"watchtriage.document", "watchtriage.host_artifacts", "watchtriage.timetable"}
+
+
 class TestCommandImports:
     def test_verify_loads_no_parser_policy_simulator_or_subprocess(self, ftp_bundle):
         code, loaded = modules_loaded_by(["verify", "--bundle", str(ftp_bundle)])
         assert code == 0
         assert "watchtriage.acquisition" in loaded  # taken before the package was imported
         unused = {f"watchtriage.{m}" for m in ("correlate", "dumpsys", "policy", "report", "simulator")}
-        assert not loaded & (unused | {"subprocess"})
+        assert not loaded & (unused | VERIFY_NEVER_RUNS | {"subprocess", "base64", "xml.etree.ElementTree"})
 
     def test_report_loads_neither_policy_nor_simulator(self, ftp_bundle):
         code, loaded = modules_loaded_by(
             ["report", "--bundle", str(ftp_bundle), "--host-artifacts", str(ftp_bundle / "host_artifacts")])
         assert code == 0
         assert "watchtriage.report" in loaded
+        assert VERIFY_NEVER_RUNS <= loaded
         assert "xml.etree.ElementTree" in loaded  # for recentservers.xml
         assert not loaded & {"watchtriage.policy", "watchtriage.simulator"}
 

@@ -22,13 +22,13 @@ from watchtriage.correlate import (
     AmbiguityFlag, FindingPattern, PatternRule, corroborate, findings_document, match_sessions, parse_document,
     read_timeline,
 )
-from watchtriage.evidence import (
-    EvidenceItem, SourceKind, TimeTable, Timestamp, document_text, one_line, seal_bundle,
-)
+from watchtriage.document import document_text
+from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, one_line, seal_bundle
 from watchtriage.host_artifacts import (
     FtpServerEntry, KnownHostEntry, TransferProtocol, parse_filezilla, parse_known_hosts,
 )
 from watchtriage.report import LIMITATION_NOTES, attach_evidence_digests, render_report
+from watchtriage.timetable import TimeTable
 
 
 # --- The dict builders the records replace -----------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from watchtriage import simulator
 from watchtriage.correlate import corroborate, findings_document, match_sessions, read_timeline
-from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, document_text, seal_bundle
+from watchtriage.document import document_text
+from watchtriage.evidence import EvidenceItem, SourceKind, Timestamp, seal_bundle
 from watchtriage.report import attach_evidence_digests, render_report
 from tests.conftest import run_pipeline
 
